@@ -29,7 +29,14 @@ from .experiment import (
     write_csv,
 )
 from .faults import robustness_sweep
-from .inference import DecomposedScorer, choose_mode, infer_scores, peak_memory_estimate
+from .inference import (
+    DecomposedScorer,
+    choose_mode,
+    infer_scores,
+    materialize_prototypes,
+    materialized_scores,
+    peak_memory_estimate,
+)
 from .model import DecoHDClassifier, materialize_projectors
 from .precision import get_format, quantize_array, quantize_model
 from .serialize import load_classifier, save_classifier
@@ -108,6 +115,18 @@ def _deployed(clf):
     return clf.scorer
 
 
+def _decomposed_scores(scorer: DecomposedScorer, h: np.ndarray, mode: str) -> np.ndarray:
+    """Scores of every row of *h*, shape (n, num_classes).
+
+    The prototype table is built once and scores all rows in one
+    product.  The streaming modes stay per row: holding one row's state
+    at a time is what they are for.
+    """
+    if mode == "materialized_prototypes":
+        return materialized_scores(h, materialize_prototypes(scorer.bank, scorer.head))
+    return np.stack([infer_scores(hv, scorer.bank, scorer.head, mode) for hv in h])
+
+
 def cmd_eval(args) -> int:
     clf = load_classifier(args.model)
     test_ds = load_csv(args.test_csv, split="test")
@@ -125,7 +144,7 @@ def cmd_eval(args) -> int:
             mode = choose_mode(num_classes, dim, args.memory_cap_bytes)
         print(f"inference mode: {mode} "
               f"(aux memory ~{peak_memory_estimate(mode, num_classes, dim)} bytes)")
-        scores = np.stack([infer_scores(hv, scorer.bank, scorer.head, mode) for hv in h])
+        scores = _decomposed_scores(scorer, h, mode)
         scores = np.where(np.isnan(scores), -np.inf, scores)
         pred = np.argmax(scores, axis=1)
     else:

@@ -2,9 +2,7 @@
 
 CSV layout: one sample per row, numeric feature columns, integer class
 label in the last column, optional single header row (auto-detected).
-Feature count and class count are inferred and reported.  See
-DATASETS.md for the source URLs and conversion layout of the benchmark
-datasets.
+Feature count and class count are inferred and reported.
 """
 
 from __future__ import annotations

@@ -4,6 +4,11 @@ An input ``x`` is standardized with statistics fitted on the training
 split only, then projected by a frozen random matrix into the
 high-dimensional space: ``h = ((x - mean) / std) @ W``.  The projection
 matrix is regenerated from its seed and never trained or stored.
+
+The projection runs in float64.  The encoder widens its float32-rounded
+matrix to float64 once, at construction, and holds that copy, so no
+request pays for the cast and every encoding is bit-identical to a
+float64 product with the float32-rounded matrix.
 """
 
 from __future__ import annotations
@@ -91,14 +96,16 @@ class EncoderConfig:
 class RandomProjectionEncoder:
     """Applies the frozen projection; immutable after construction.
 
-    An explicit ``matrix`` can be passed to pin the projection in tests.
+    ``matrix`` is held in float64: a generated matrix is drawn at
+    float32 and widened once.  An explicit ``matrix`` can be passed to
+    pin the projection in tests.
     """
 
     def __init__(self, config: EncoderConfig, matrix: np.ndarray | None = None):
         self.config = config
         if matrix is None:
             matrix = generate_matrix(config.matrix_spec(), dtype=np.float32)
-        matrix = np.asarray(matrix)
+        matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.shape != (config.num_features, config.dim):
             raise ValueError(
                 f"encoder matrix shape {matrix.shape} does not match config "
@@ -123,11 +130,10 @@ class RandomProjectionEncoder:
         if not np.isfinite(features).all():
             raise ValueError("non-finite value in input features")
         z = standardizer.apply(features)
-        w = self.matrix.astype(np.float64, copy=False)
         out = np.empty((features.shape[0], self.config.dim), dtype=dtype)
         for start in range(0, features.shape[0], _ENCODE_CHUNK_ROWS):
             stop = min(start + _ENCODE_CHUNK_ROWS, features.shape[0])
-            block = z[start:stop] @ w
+            block = z[start:stop] @ self.matrix
             if self.config.normalize_output:
                 norms = np.linalg.norm(block, axis=1, keepdims=True)
                 np.divide(block, norms, out=block, where=norms > 0.0)

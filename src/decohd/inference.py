@@ -5,7 +5,8 @@ per-sample work:
 
 * ``score_only``: stream over paths keeping one working hypervector and
   C scalar scores (``s_c += head[c,m] * <Z_m(h), h>``); peak auxiliary
-  storage is O(dim) + C scalars.
+  storage is two float64 hypervectors (the working buffer and *h*
+  widened once) plus C scalars.
 * ``streamed_bundles``: stream over paths accumulating C class bundles,
   then score; peak auxiliary storage is (C+1) hypervectors.
 * ``materialized_prototypes``: precompute the C input-independent
@@ -32,25 +33,6 @@ from .ops import dot
 
 INFERENCE_MODES = ("streamed_bundles", "score_only", "materialized_prototypes")
 
-# Allocation-counting hook: score-only streaming must get by with a
-# single working hypervector no matter how many paths it visits.
-_hv_allocs = 0
-
-
-def _alloc_hypervector(dim: int, dtype) -> np.ndarray:
-    global _hv_allocs
-    _hv_allocs += 1
-    return np.empty(dim, dtype=dtype)
-
-
-def hv_alloc_count() -> int:
-    return _hv_allocs
-
-
-def reset_hv_alloc_count() -> None:
-    global _hv_allocs
-    _hv_allocs = 0
-
 
 def _check_h(h: np.ndarray, bank: ChannelBank) -> np.ndarray:
     h = np.asarray(h)
@@ -62,16 +44,15 @@ def _check_h(h: np.ndarray, bank: ChannelBank) -> np.ndarray:
 def stream_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
     """Score-only streaming: one path hypervector alive at a time.
 
-    The working buffer is float64 and is rebound from *h* on every path;
-    binding, the dot product and the score accumulation all run in
-    float64.
+    *h* is widened to float64 once.  The working buffer is float64 and is
+    rebound from it on every path; binding, the dot product and the score
+    accumulation all run in float64.
     """
-    h = _check_h(h, bank)
+    h = _check_h(h, bank).astype(np.float64, copy=False)
     idx = layer_index_arrays(bank.channels_per_layer)
-    num_paths = bank.num_paths
     scores = np.zeros(head.shape[0], dtype=np.float64)
-    z = _alloc_hypervector(bank.dim, np.float64)
-    for m in range(num_paths):
+    z = np.empty(bank.dim, dtype=np.float64)
+    for m in range(bank.num_paths):
         z[:] = h
         for i, ch in enumerate(bank.channels):
             np.multiply(z, ch[idx[i][m]], out=z)
@@ -110,9 +91,10 @@ def materialize_prototypes(bank: ChannelBank, head: np.ndarray) -> np.ndarray:
 
 def materialized_scores(h: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """Conventional scoring against a prototype table: the input enters
-    only through its elementwise square."""
+    only through its elementwise square.  *h* is one hypervector, giving
+    shape (num_classes,), or a batch of rows, giving (n, num_classes)."""
     h = np.asarray(h, dtype=np.float64)
-    return prototypes.astype(np.float64, copy=False) @ (h * h)
+    return (prototypes.astype(np.float64, copy=False) @ (h * h).T).T
 
 
 def infer_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray, mode: str) -> np.ndarray:
@@ -126,11 +108,11 @@ def infer_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray, mode: str) 
 
 
 def score_batch(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
-    """Batched scoring used for evaluation, shape (n, num_classes)."""
+    """Batched scoring, shape (n, num_classes), against the path basis
+    the bank keeps (:attr:`~decohd.model.ChannelBank.basis`)."""
     h = np.asarray(h)
-    basis = path_basis(bank)
     with np.errstate(over="ignore", invalid="ignore"):
-        t = (h * h) @ basis.T
+        t = (h * h) @ bank.basis.T
         return t @ head.T
 
 
@@ -145,12 +127,13 @@ def peak_memory_estimate(mode: str, num_classes: int, dim: int, itemsize: int = 
     resident floats per mode.
 
     The streaming modes hold float64 buffers whatever the model dtype:
-    ``score_only`` one hypervector and C scores, ``streamed_bundles`` C
-    bundles plus the working and scaled hypervectors.  *itemsize* is the
-    width of the stored prototype table.
+    ``score_only`` the working hypervector, the input widened to float64
+    and C scores, ``streamed_bundles`` C bundles plus the working and
+    scaled hypervectors.  *itemsize* is the width of the stored prototype
+    table.
     """
     if mode == "score_only":
-        return (dim + num_classes) * 8
+        return (2 * dim + num_classes) * 8
     if mode == "streamed_bundles":
         return (num_classes + 2) * dim * 8
     if mode == "materialized_prototypes":

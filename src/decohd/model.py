@@ -161,9 +161,16 @@ def layer_index_arrays(channels_per_layer: tuple[int, ...]) -> list[np.ndarray]:
 
 @dataclass
 class ChannelBank:
-    """Materialized channel hypervectors, one (L_i, dim) block per layer."""
+    """Materialized channel hypervectors, one (L_i, dim) block per layer.
+
+    A bank is immutable once scored: :attr:`basis` builds the path basis
+    on first use and keeps it for every later batch, so writing into
+    ``channels`` afterwards would leave it stale.  Quantization, bit-flip
+    injection and training build fresh banks instead.
+    """
 
     channels: list[np.ndarray]
+    _basis: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -176,6 +183,13 @@ class ChannelBank:
     @property
     def num_paths(self) -> int:
         return math.prod(self.channels_per_layer)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """:func:`path_basis` of this bank, built once and kept."""
+        if self._basis is None:
+            self._basis = path_basis(self)
+        return self._basis
 
     def copy(self) -> "ChannelBank":
         return ChannelBank([c.copy() for c in self.channels])

@@ -33,6 +33,9 @@ MATRIX_KINDS = ("gaussian", "ternary")
 # Symmetric default: -1, 0, +1 each with probability 1/3.
 DEFAULT_TERNARY_ZERO_PROB = 1.0 / 3.0
 
+# Rows drawn per float64 block in generate_matrix: 256 x 10000 is 20 MB.
+_GENERATE_BLOCK_ROWS = 256
+
 
 def derive_seed(root: int, *tokens: int | str) -> int:
     """Derive a 64-bit stream seed from a root seed and a token path.
@@ -81,20 +84,25 @@ def generate_matrix(spec: RandomMatrixSpec, dtype=np.float32) -> np.ndarray:
     ternary:  i.i.d. over {-1, 0, +1} times ``scale``; zero carries
     ``ternary_zero_prob`` mass and the remainder splits evenly.
 
-    Sampling is always performed in float64 and then cast, so the stream
-    does not depend on the requested storage dtype.
+    Sampling runs in float64 blocks of ``_GENERATE_BLOCK_ROWS`` rows,
+    each scaled in place and then cast into the preallocated output, so
+    the stream does not depend on the requested storage dtype and no
+    full-size float64 copy is ever held.  The generator fills
+    sequentially, so the result equals one full-size draw bit for bit.
     """
     rng = rng_from_seed(spec.seed)
-    shape = (spec.rows, spec.cols)
-    if spec.kind == "gaussian":
-        mat = rng.standard_normal(shape)
-    else:
-        u = rng.random(shape)
-        p0 = spec.ternary_zero_prob
-        mat = np.where(u < p0, 0.0, np.where(u < p0 + (1.0 - p0) / 2.0, -1.0, 1.0))
-    if spec.scale != 1.0:
-        mat = mat * spec.scale
-    return np.asarray(mat, dtype=dtype)
+    out = np.empty((spec.rows, spec.cols), dtype=dtype)
+    p0 = spec.ternary_zero_prob
+    for start in range(0, spec.rows, _GENERATE_BLOCK_ROWS):
+        shape = (min(_GENERATE_BLOCK_ROWS, spec.rows - start), spec.cols)
+        if spec.kind == "gaussian":
+            block = rng.standard_normal(shape)
+        else:
+            u = rng.random(shape)
+            block = np.where(u < p0, 0.0, np.where(u < p0 + (1.0 - p0) / 2.0, -1.0, 1.0))
+        block *= spec.scale
+        out[start : start + shape[0]] = block
+    return out
 
 
 def _check_same_length(x: np.ndarray, y: np.ndarray) -> None:

@@ -32,7 +32,8 @@ def save_arrays(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
         for name in sorted(entries):
             buf = io.BytesIO()
-            np.lib.format.write_array(buf, np.ascontiguousarray(entries[name]), version=(1, 0))
+            # order="C" keeps a 0-d array 0-d; ascontiguousarray would make it (1,).
+            np.lib.format.write_array(buf, np.asarray(entries[name], order="C"), version=(1, 0))
             info = zipfile.ZipInfo(name + ".npy", date_time=(1980, 1, 1, 0, 0, 0))
             zf.writestr(info, buf.getvalue())
 
@@ -40,7 +41,7 @@ def save_arrays(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 def load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
     with np.load(path, allow_pickle=False) as data:
         arrays = {k: data[k] for k in data.files if k != "__meta__"}
-        meta = json.loads(str(data["__meta__"]))
+        meta = json.loads(data["__meta__"].item())
     return meta, arrays
 
 

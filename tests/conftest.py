@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from decohd.model import ModelConfig, init_params, materialize_projectors, path_basis
+from decohd.baselines import (
+    PrototypeClassifier,
+    SparseClassifier,
+    build_prototype_table,
+    onlinehd_refine,
+    sparsify_table,
+)
+from decohd.data import make_synthetic
+from decohd.encoding import EncoderConfig, RandomProjectionEncoder, fit_standardizer
+from decohd.model import DecoHDClassifier, ModelConfig, init_params, materialize_projectors, path_basis
 from decohd.ops import rng_from_seed
 
 
@@ -51,3 +60,25 @@ def score_term_scale(bank, head, h):
     h = np.asarray(h, dtype=np.float64)
     basis = np.abs(path_basis(bank).astype(np.float64))
     return np.abs(head.astype(np.float64)) @ (basis @ (h * h))
+
+
+def small_classifier(kind: str, rng):
+    """A tiny classifier of *kind* (F=6, D=64, C=3) and test features for
+    it.  decohd gets a random float32 head so its classes differ."""
+    train_ds, test_ds = make_synthetic(3, 6, 20, 3.0, seed=11)
+    standardizer = fit_standardizer(train_ds.features)
+    encoder = RandomProjectionEncoder(EncoderConfig(num_features=6, dim=64, seed=4))
+    if kind == "decohd":
+        config = ModelConfig(channels_per_layer=(2, 3), latent_dim=8, dim=64, num_classes=3, seed=5)
+        params = init_params(config, dtype=np.float32)
+        params.head = rng.standard_normal(params.head.shape).astype(np.float32)
+        clf = DecoHDClassifier(encoder=encoder, standardizer=standardizer, config=config, params=params)
+        return clf, test_ds.features
+    h = encoder.encode_batch(train_ds.features, standardizer)
+    table = build_prototype_table(h, train_ds.labels, 3)
+    if kind == "prototype":
+        return PrototypeClassifier(encoder, standardizer, table, kind="prototype"), test_ds.features
+    refined = onlinehd_refine(table, h, train_ds.labels, epochs=2, seed=1)
+    if kind == "onlinehd":
+        return PrototypeClassifier(encoder, standardizer, refined, kind="onlinehd"), test_ds.features
+    return SparseClassifier(encoder, standardizer, sparsify_table(table, 0.5)), test_ds.features

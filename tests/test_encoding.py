@@ -7,6 +7,7 @@ from decohd.encoding import (
     Standardizer,
     fit_standardizer,
 )
+from decohd.ops import generate_matrix
 
 
 class TestFitStandardizer:
@@ -94,3 +95,34 @@ class TestEncode:
         cfg = EncoderConfig(num_features=3, dim=4, seed=0)
         with pytest.raises(ValueError, match="shape"):
             RandomProjectionEncoder(cfg, matrix=np.eye(3))
+
+
+class TestResidentMatrix:
+    """The encoder holds its float32-rounded matrix widened to float64;
+    encodings equal an inline float64 projection bit for bit."""
+
+    @staticmethod
+    def oracle(cfg, standardizer, x):
+        w = generate_matrix(cfg.matrix_spec(), dtype=np.float32).astype(np.float64)
+        block = ((x - standardizer.mean) / standardizer.std) @ w
+        if cfg.normalize_output:
+            block = block / np.linalg.norm(block, axis=1, keepdims=True)
+        return block.astype(np.float32)
+
+    def test_matrix_held_in_float64(self):
+        cfg = EncoderConfig(num_features=11, dim=40, seed=2)
+        enc = RandomProjectionEncoder(cfg)
+        assert enc.matrix.dtype == np.float64
+        np.testing.assert_array_equal(enc.matrix, generate_matrix(cfg.matrix_spec(), dtype=np.float32))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("rows", [1, 1500])
+    def test_encode_batch_matches_inline_projection(self, rng, rows, normalize):
+        # 1500 rows crosses the 1024-row encoding chunk.
+        cfg = EncoderConfig(num_features=37, dim=300, seed=9, normalize_output=normalize)
+        standardizer = fit_standardizer(rng.standard_normal((50, 37)))
+        x = 3.0 * rng.standard_normal((rows, 37)) + 1.0
+        enc = RandomProjectionEncoder(cfg)
+        expected = self.oracle(cfg, standardizer, x)
+        assert enc.encode_batch(x, standardizer).tobytes() == expected.tobytes()
+        assert enc.encode(x[-1], standardizer).tobytes() == expected[-1].tobytes()

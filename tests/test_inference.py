@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from decohd import inference
+from decohd import inference, model
 from decohd.inference import (
     DecomposedScorer,
     choose_mode,
@@ -13,7 +15,9 @@ from decohd.inference import (
     stream_bundles,
     stream_scores,
 )
-from decohd.model import ChannelBank, logits, pick_class
+from decohd.faults import NoiseSpec, inject_bitflips
+from decohd.model import ChannelBank, logits, path_basis, pick_class
+from decohd.precision import quantize_model
 from tests.conftest import integer_bank_and_head, random_small_instance, score_term_scale
 
 
@@ -53,10 +57,24 @@ class TestStreamScores:
         np.testing.assert_array_equal(stream_scores(h, bank, head), [12.0, 6.0])
 
     def test_single_working_buffer(self, rng):
-        bank, head, h = random_bank_and_head(rng, channels=(3, 4))
-        inference.reset_hv_alloc_count()
-        stream_scores(h, bank, head)
-        assert inference.hv_alloc_count() == 1
+        # Real bytes of one call against the analytic count.  Allowed on
+        # top: numpy's ufunc cast buffer (float32 channel rows are cast
+        # into the float64 working buffer in bufsize-element chunks) and
+        # 16 KiB for the path index arrays and per-path head columns.  One
+        # more D-length float64 vector (80 KB at D=10000) exceeds it.
+        dim, num_classes = 10000, 26
+        bound = peak_memory_estimate("score_only", num_classes, dim) + np.getbufsize() * 8 + 16 * 1024
+        for channels in [(3, 4), (4, 4, 4), (5, 5, 5)]:
+            bank, head, h = random_bank_and_head(rng, channels=channels, dim=dim, num_classes=num_classes)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                stream_scores(h, bank, head)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, channels
 
 
 class TestStreamBundles:
@@ -137,11 +155,58 @@ class TestScoreBatch:
             np.testing.assert_allclose(batch[j], logits(h[j], bank, params.head), rtol=1e-9)
 
 
+class TestKeptBasis:
+    def test_score_batch_equals_fresh_basis(self, rng):
+        bank, head, _ = random_bank_and_head(rng, channels=(2, 3, 2), dim=64, num_classes=5)
+        h = rng.standard_normal((7, 64)).astype(np.float32)
+        for _ in range(3):
+            fresh = ((h * h) @ path_basis(bank).T) @ head.T
+            np.testing.assert_array_equal(score_batch(h, bank, head), fresh)
+
+    def test_basis_built_once_per_bank(self, rng, monkeypatch):
+        calls = []
+
+        def counting(bank):
+            calls.append(bank)
+            return path_basis(bank)
+
+        monkeypatch.setattr(model, "path_basis", counting)
+        bank, head, _ = random_bank_and_head(rng)
+        scorer = DecomposedScorer(bank=bank, head=head)
+        h = rng.standard_normal((3, bank.dim)).astype(np.float32)
+        for _ in range(3):
+            scorer.score_batch(h)
+            scorer.predict_batch(h)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [lambda s: quantize_model(s, "bf16"), lambda s: inject_bitflips(s, NoiseSpec(1.0, seed=3))],
+        ids=["bf16", "bitflip_p1"],
+    )
+    def test_rewritten_scorer_not_stale(self, rng, rewrite):
+        bank, head, _ = random_bank_and_head(rng, channels=(3, 2), dim=48)
+        h = rng.standard_normal((6, 48)).astype(np.float32)
+        scorer = DecomposedScorer(bank=bank, head=head)
+        before = scorer.score_batch(h)
+        rewritten = rewrite(scorer)
+        fresh = DecomposedScorer(
+            bank=ChannelBank([c.copy() for c in rewritten.bank.channels]), head=rewritten.head.copy()
+        )
+        after = rewritten.score_batch(h)
+        np.testing.assert_array_equal(after, fresh.score_batch(h))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = ((h * h) @ path_basis(rewritten.bank).T) @ rewritten.head.T
+        np.testing.assert_array_equal(after, expected)
+        assert not np.array_equal(after, before, equal_nan=True)
+
+
 class TestPeakMemory:
     def test_score_only_count(self):
-        # One float64 working hypervector plus 26 float64 scores; the
-        # model's itemsize does not enter: 10000*8 + 26*8.
-        assert peak_memory_estimate("score_only", 26, 10000, itemsize=4) == 80208
+        # One float64 working hypervector, the input widened to float64
+        # once, and 26 float64 scores; the model's itemsize does not
+        # enter: 2*10000*8 + 26*8.
+        assert peak_memory_estimate("score_only", 26, 10000, itemsize=4) == 160208
 
     def test_streamed_bundles_count(self):
         # 26 float64 bundles plus the float64 z and scaled buffers:

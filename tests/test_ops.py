@@ -123,6 +123,22 @@ class TestGenerateMatrix:
         frac_zero = (m == 0.0).mean()
         assert abs(frac_zero - 1.0 / 3.0) < 0.01
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
+    @pytest.mark.parametrize("rows", [1, 256, 257, 600])
+    def test_row_blocks_equal_one_full_draw(self, rows, kind, dtype):
+        # Oracle: the whole matrix drawn in one call, scaled, then cast.
+        spec = RandomMatrixSpec(rows=rows, cols=9, kind=kind, seed=31, scale=0.3)
+        rng = rng_from_seed(spec.seed)
+        if kind == "gaussian":
+            full = rng.standard_normal((rows, 9))
+        else:
+            u = rng.random((rows, 9))
+            p0 = spec.ternary_zero_prob
+            full = np.where(u < p0, 0.0, np.where(u < p0 + (1.0 - p0) / 2.0, -1.0, 1.0))
+        expected = (full * spec.scale).astype(dtype)
+        assert generate_matrix(spec, dtype=dtype).tobytes() == expected.tobytes()
+
     def test_zero_dims_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             RandomMatrixSpec(rows=0, cols=3, kind="gaussian", seed=0)

@@ -1,0 +1,58 @@
+import numpy as np
+import pytest
+
+from decohd.serialize import load_arrays, load_classifier, save_classifier
+from tests.conftest import small_classifier
+
+KINDS = ("decohd", "prototype", "onlinehd", "sparsehd")
+
+
+def stored_arrays(clf) -> dict[str, np.ndarray]:
+    """Every array a classifier of *clf*'s kind stores, by name."""
+    out = {"mean": clf.standardizer.mean, "std": clf.standardizer.std}
+    if clf.kind == "decohd":
+        out.update({f"latents_{i}": a for i, a in enumerate(clf.params.latents)}, head=clf.params.head)
+    elif clf.kind == "sparsehd":
+        out.update(table=clf.scorer.prototypes, mask=clf.scorer.mask)
+    else:
+        out["table"] = clf.table.prototypes
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestRoundTrip:
+    def test_arrays_bit_exact(self, tmp_path, rng, kind):
+        clf, _ = small_classifier(kind, rng)
+        save_classifier(tmp_path / "m.npz", clf)
+        loaded = load_classifier(tmp_path / "m.npz")
+        assert loaded.kind == kind
+        assert loaded.encoder.config == clf.encoder.config
+        before, after = stored_arrays(clf), stored_arrays(loaded)
+        assert sorted(before) == sorted(after)
+        for name, a in before.items():
+            assert after[name].dtype == a.dtype, name
+            assert after[name].shape == a.shape, name
+            assert after[name].tobytes() == a.tobytes(), name
+        if kind == "sparsehd":
+            assert loaded.scorer.budget == clf.scorer.budget
+
+    def test_rewrite_is_byte_identical(self, tmp_path, rng, kind):
+        clf, _ = small_classifier(kind, rng)
+        save_classifier(tmp_path / "a.npz", clf)
+        save_classifier(tmp_path / "b.npz", load_classifier(tmp_path / "a.npz"))
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_loaded_model_predicts_the_same(self, tmp_path, rng, kind):
+        clf, features = small_classifier(kind, rng)
+        save_classifier(tmp_path / "m.npz", clf)
+        loaded = load_classifier(tmp_path / "m.npz")
+        np.testing.assert_array_equal(loaded.predict_batch(features), clf.predict_batch(features))
+
+
+def test_meta_is_stored_zero_dimensional(tmp_path, rng):
+    clf, _ = small_classifier("prototype", rng)
+    save_classifier(tmp_path / "m.npz", clf)
+    with np.load(tmp_path / "m.npz") as data:
+        assert data["__meta__"].shape == ()
+    meta, _ = load_arrays(tmp_path / "m.npz")
+    assert meta["kind"] == "prototype"
