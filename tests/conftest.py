@@ -82,3 +82,21 @@ def small_classifier(kind: str, rng):
     if kind == "onlinehd":
         return PrototypeClassifier(encoder, standardizer, refined, kind="onlinehd"), test_ds.features
     return SparseClassifier(encoder, standardizer, sparsify_table(table, 0.5)), test_ds.features
+
+
+def deployed_forms(rng, channels=(2, 3), dim=48, num_classes=4):
+    """One float32 scorer of each deployed form, by kind: the decomposed
+    bank plus head, a dense prototype table and its half-sparsified
+    version."""
+    from decohd.baselines import PrototypeTable
+    from decohd.inference import DecomposedScorer
+    from decohd.model import ChannelBank
+
+    bank = ChannelBank([rng.standard_normal((l, dim)).astype(np.float32) for l in channels])
+    head = rng.standard_normal((num_classes, int(np.prod(channels)))).astype(np.float32)
+    table = PrototypeTable(rng.standard_normal((num_classes, dim)).astype(np.float32))
+    return {
+        "decohd": DecomposedScorer(bank=bank, head=head),
+        "prototype": table,
+        "sparsehd": sparsify_table(table, 0.5),
+    }
