@@ -11,49 +11,34 @@ and robustness/precision evaluation harnesses.
 __version__ = "0.1.0"
 
 from .baselines import (
-    PrototypeClassifier,
+    Classifier,
     PrototypeTable,
-    SparseClassifier,
     SparseScorer,
-    budget_of,
     build_prototype_table,
     onlinehd_refine,
     sparsify_table,
 )
-from .budget import BudgetQuery, BudgetReport, enumerate_configs, footprint, trainable_param_savings
+from .budget import (
+    BudgetQuery,
+    BudgetReport,
+    budget_of,
+    enumerate_configs,
+    footprint,
+    trainable_param_savings,
+)
 from .data import Dataset, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import NoiseSpec, inject_bitflips, robustness_sweep
-from .inference import (
-    DecomposedScorer,
-    choose_mode,
-    materialize_prototypes,
-    peak_memory_estimate,
-    stream_bundles,
-    stream_scores,
-)
-from .model import (
-    ChannelBank,
-    DecoHDClassifier,
-    ModelConfig,
-    ModelParams,
-    compose_path,
-    init_params,
-    logits,
-    materialize_channels,
-    materialize_projectors,
-    path_basis,
-)
-from .ops import RandomMatrixSpec, bind, bundle_weighted, derive_seed, dot, generate_matrix
+from .inference import DecomposedScorer, choose_mode, peak_memory_estimate
+from .model import DecoHDClassifier, ModelConfig, ModelParams, pick_class
 from .precision import PRESETS, PrecisionFormat, quantize, quantize_model
 from .serialize import load_classifier, save_classifier
-from .training import AdamW, TrainConfig, backward, cross_entropy, train
+from .training import TrainConfig, train
 
 __all__ = [
-    "AdamW",
     "BudgetQuery",
     "BudgetReport",
-    "ChannelBank",
+    "Classifier",
     "Dataset",
     "DecoHDClassifier",
     "DecomposedScorer",
@@ -63,47 +48,29 @@ __all__ = [
     "NoiseSpec",
     "PRESETS",
     "PrecisionFormat",
-    "PrototypeClassifier",
     "PrototypeTable",
-    "RandomMatrixSpec",
     "RandomProjectionEncoder",
-    "SparseClassifier",
     "SparseScorer",
     "Standardizer",
     "TrainConfig",
-    "backward",
-    "bind",
     "budget_of",
     "build_prototype_table",
-    "bundle_weighted",
     "choose_mode",
-    "compose_path",
-    "cross_entropy",
-    "derive_seed",
-    "dot",
     "enumerate_configs",
     "fit_standardizer",
     "footprint",
-    "generate_matrix",
-    "init_params",
     "inject_bitflips",
     "load_classifier",
     "load_csv",
-    "logits",
     "make_synthetic",
-    "materialize_channels",
-    "materialize_projectors",
-    "materialize_prototypes",
     "onlinehd_refine",
-    "path_basis",
     "peak_memory_estimate",
+    "pick_class",
     "quantize",
     "quantize_model",
     "robustness_sweep",
     "save_classifier",
     "sparsify_table",
-    "stream_bundles",
-    "stream_scores",
     "train",
     "trainable_param_savings",
 ]

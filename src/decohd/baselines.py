@@ -8,18 +8,23 @@
   top dimensions by aggregate prototype magnitude (a stand-in for
   retraining-based sparsification methods, hence "sparsehd-style" in all
   outputs).
+
+Both deployed forms share the decomposed scorer's protocol:
+``stored()`` returns the arrays the form keeps, under the name
+``"table"``, and ``replace(arrays)`` builds the same form over rewritten
+arrays.  A sparsified table stores only its retained columns.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import footprint
 from .encoding import RandomProjectionEncoder, Standardizer
-from .model import DecoHDClassifier, ModelConfig
+from .model import pick_class
+from .ops import derive_seed, rng_from_seed
 
 
 @dataclass
@@ -36,17 +41,15 @@ class PrototypeTable:
     def dim(self) -> int:
         return self.prototypes.shape[1]
 
+    def stored(self) -> dict[str, np.ndarray]:
+        return {"table": self.prototypes}
+
+    def replace(self, arrays: dict[str, np.ndarray]) -> "PrototypeTable":
+        return PrototypeTable(arrays["table"])
+
     def score_batch(self, h: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.asarray(h) @ self.prototypes.T
-
-    def predict_batch(self, h: np.ndarray) -> np.ndarray:
-        scores = self.score_batch(h)
-        scores = np.where(np.isnan(scores), -np.inf, scores)
-        return np.argmax(scores, axis=1)
-
-    def copy(self) -> "PrototypeTable":
-        return PrototypeTable(self.prototypes.copy())
 
 
 def build_prototype_table(h: np.ndarray, labels: np.ndarray, num_classes: int) -> PrototypeTable:
@@ -90,8 +93,6 @@ def onlinehd_refine(
     the predicted one away, each weighted by (1 - cosine similarity).
     With learning_rate 0 this is the identity.
     """
-    from .ops import derive_seed, rng_from_seed
-
     h = np.asarray(h, dtype=np.float64)
     labels = np.asarray(labels)
     protos = table.prototypes.astype(np.float64)
@@ -101,8 +102,7 @@ def onlinehd_refine(
         for j in order:
             hv = h[j]
             y = int(labels[j])
-            scores = protos @ hv
-            pred = int(np.argmax(np.where(np.isnan(scores), -np.inf, scores)))
+            pred = int(pick_class(protos @ hv))
             if pred == y:
                 continue
             protos[y] += learning_rate * (1.0 - _cosine(protos[y], hv)) * hv
@@ -114,8 +114,9 @@ def onlinehd_refine(
 class SparseScorer:
     """Prototype table restricted to a shared subset of dimensions.
 
-    Only the retained columns count as stored parameters; scoring uses
-    masked dot products.
+    Only the retained columns are stored parameters: :meth:`stored`
+    returns them alone and :meth:`replace` scatters them back.  Scoring
+    uses masked dot products.
     """
 
     prototypes: np.ndarray
@@ -137,17 +138,17 @@ class SparseScorer:
     def retained(self) -> int:
         return int(self.mask.sum())
 
+    def stored(self) -> dict[str, np.ndarray]:
+        return {"table": np.ascontiguousarray(self.prototypes[:, self.mask])}
+
+    def replace(self, arrays: dict[str, np.ndarray]) -> "SparseScorer":
+        prototypes = self.prototypes.copy()
+        prototypes[:, self.mask] = arrays["table"]
+        return SparseScorer(prototypes=prototypes, mask=self.mask, budget=self.budget)
+
     def score_batch(self, h: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             return np.asarray(h) @ self.masked.T
-
-    def predict_batch(self, h: np.ndarray) -> np.ndarray:
-        scores = self.score_batch(h)
-        scores = np.where(np.isnan(scores), -np.inf, scores)
-        return np.argmax(scores, axis=1)
-
-    def copy(self) -> "SparseScorer":
-        return SparseScorer(self.prototypes.copy(), self.mask.copy(), self.budget)
 
 
 def sparsify_table(table: PrototypeTable, budget: float) -> SparseScorer:
@@ -169,44 +170,16 @@ def sparsify_table(table: PrototypeTable, budget: float) -> SparseScorer:
     return SparseScorer(prototypes=table.prototypes.copy(), mask=mask, budget=budget)
 
 
-def budget_of(model) -> float:
-    """Normalized memory footprint relative to a dense C x dim table."""
-    from .inference import DecomposedScorer
-
-    if isinstance(model, ModelConfig):
-        return footprint(model.num_classes, model.dim, model.channels_per_layer)
-    if isinstance(model, DecoHDClassifier):
-        return budget_of(model.config)
-    if isinstance(model, DecomposedScorer):
-        return footprint(model.head.shape[0], model.bank.dim, model.bank.channels_per_layer)
-    if isinstance(model, SparseScorer):
-        return model.retained / model.dim
-    if isinstance(model, PrototypeTable):
-        return 1.0
-    raise TypeError(f"cannot compute a budget for {type(model).__name__}")
-
-
 @dataclass
-class PrototypeClassifier:
-    """End-to-end baseline classifier over raw features."""
+class Classifier:
+    """End-to-end baseline classifier over raw features: the shared
+    encoder, the standardizer and a deployed scorer."""
 
     encoder: RandomProjectionEncoder
     standardizer: Standardizer
-    table: PrototypeTable
-    kind: str = "prototype"  # "prototype" or "onlinehd"
+    scorer: PrototypeTable | SparseScorer
+    kind: str  # "prototype", "onlinehd" or "sparsehd"
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         h = self.encoder.encode_batch(features, self.standardizer)
-        return self.table.predict_batch(h)
-
-
-@dataclass
-class SparseClassifier:
-    encoder: RandomProjectionEncoder
-    standardizer: Standardizer
-    scorer: SparseScorer
-    kind: str = "sparsehd"
-
-    def predict_batch(self, features: np.ndarray) -> np.ndarray:
-        h = self.encoder.encode_batch(features, self.standardizer)
-        return self.scorer.predict_batch(h)
+        return pick_class(self.scorer.score_batch(h))

@@ -10,6 +10,10 @@ full dimension D.  The trainable-parameter count is a separate
 accounting: ``sum(L_i) * latent_dim + C * M`` (latents live at latent_dim,
 not D).  Both are reported because they answer different questions:
 deployment storage versus optimization size.
+
+:func:`budget_of` measures the same ratio on any deployed scorer by
+counting the elements it stores, so a decomposed scorer gives its
+footprint, a sparsified table its retained fraction and a dense table 1.
 """
 
 from __future__ import annotations
@@ -28,6 +32,13 @@ def footprint(num_classes: int, dim: int, channels_per_layer) -> float:
     num_paths = math.prod(channels)
     total_channels = sum(channels)
     return (num_classes * num_paths + total_channels * dim) / (num_classes * dim)
+
+
+def budget_of(scorer) -> float:
+    """Stored elements of a deployed scorer relative to a dense C x dim
+    table."""
+    stored = sum(a.size for a in scorer.stored().values())
+    return stored / (scorer.num_classes * scorer.dim)
 
 
 def trainable_params(channels_per_layer, latent_dim: int, num_classes: int) -> int:

@@ -13,8 +13,7 @@ import sys
 
 import numpy as np
 
-from .baselines import budget_of
-from .budget import BudgetQuery, enumerate_configs, trainable_param_savings
+from .budget import BudgetQuery, budget_of, enumerate_configs, trainable_param_savings
 from .data import ParseError, load_csv, make_synthetic, save_csv
 from .encoding import fit_standardizer
 from .experiment import (
@@ -37,7 +36,7 @@ from .inference import (
     materialized_scores,
     peak_memory_estimate,
 )
-from .model import DecoHDClassifier, materialize_projectors
+from .model import pick_class
 from .precision import get_format, quantize_array, quantize_model
 from .serialize import load_classifier, save_classifier
 from .training import TrainConfig, TrainingDiverged
@@ -86,7 +85,7 @@ def cmd_train(args) -> int:
     encoder = build_encoder(config, train_ds.num_features, args.dim)
     h_train = encoder.encode_batch(train_ds.features, standardizer)
     h_test = encoder.encode_batch(test_ds.features, standardizer)
-    clf, scorer, history = fit_model(
+    clf, history = fit_model(
         config.models[0], args.model, config, encoder, standardizer,
         h_train, train_ds.labels, h_test, test_ds.labels, train_ds.num_classes,
     )
@@ -99,20 +98,11 @@ def cmd_train(args) -> int:
             [[h.epoch, h.mean_loss, h.train_accuracy, h.test_accuracy, h.wall_seconds] for h in history],
         )
         print(f"history written to {hist_path}")
-    acc = float((scorer.predict_batch(h_test) == test_ds.labels).mean())
+    scorer = clf.scorer
+    acc = float((pick_class(scorer.score_batch(h_test)) == test_ds.labels).mean())
     print(f"model={args.model} D={args.dim} m_budget={budget_of(scorer):.4f} test_accuracy={acc:.4f}")
     print(f"saved {args.output}")
     return 0
-
-
-def _deployed(clf):
-    if isinstance(clf, DecoHDClassifier):
-        return DecomposedScorer.from_params(
-            clf.params, materialize_projectors(clf.config, dtype=np.float32)
-        )
-    if hasattr(clf, "table"):
-        return clf.table
-    return clf.scorer
 
 
 def _decomposed_scores(scorer: DecomposedScorer, h: np.ndarray, mode: str) -> np.ndarray:
@@ -131,25 +121,21 @@ def cmd_eval(args) -> int:
     clf = load_classifier(args.model)
     test_ds = load_csv(args.test_csv, split="test")
     h = clf.encoder.encode_batch(test_ds.features, clf.standardizer)
-    scorer = _deployed(clf)
+    scorer = clf.scorer
     if args.precision != "fp32":
         fmt = get_format(args.precision)
         scorer = quantize_model(scorer, fmt)
         h = quantize_array(h, fmt)
     mode = args.mode
     if isinstance(scorer, DecomposedScorer):
-        num_classes = scorer.head.shape[0]
-        dim = scorer.bank.dim
         if mode == "auto":
-            mode = choose_mode(num_classes, dim, args.memory_cap_bytes)
+            mode = choose_mode(scorer.num_classes, scorer.dim, args.memory_cap_bytes)
         print(f"inference mode: {mode} "
-              f"(aux memory ~{peak_memory_estimate(mode, num_classes, dim)} bytes)")
+              f"(aux memory ~{peak_memory_estimate(mode, scorer.num_classes, scorer.dim)} bytes)")
         scores = _decomposed_scores(scorer, h, mode)
-        scores = np.where(np.isnan(scores), -np.inf, scores)
-        pred = np.argmax(scores, axis=1)
     else:
-        pred = scorer.predict_batch(h)
-    acc = float((pred == test_ds.labels).mean())
+        scores = scorer.score_batch(h)
+    acc = float((pick_class(scores) == test_ds.labels).mean())
     print(f"model={clf.kind} n={test_ds.num_samples} precision={args.precision} accuracy={acc:.4f}")
     return 0
 
@@ -175,7 +161,7 @@ def cmd_robustness(args) -> int:
             h = clf.encoder.encode_batch(test_ds.features, clf.standardizer)
         elif key != encoder_key:
             raise ConfigError("robustness comparisons require models sharing one encoder")
-        scorers[os.path.splitext(os.path.basename(path))[0]] = _deployed(clf)
+        scorers[os.path.splitext(os.path.basename(path))[0]] = clf.scorer
     rows = robustness_sweep(scorers, h, test_ds.labels, _float_list(args.p_grid), args.trials, args.seed)
     write_csv(
         args.output,
@@ -258,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-csv", required=True)
     p.add_argument("--precision", default="fp32")
     p.add_argument("--mode", default="auto",
-                   choices=["auto", "score_only", "streamed_bundles", "materialized_prototypes"])
+                   choices=["auto", "score_only", "materialized_prototypes"])
     p.add_argument("--memory-cap-bytes", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 

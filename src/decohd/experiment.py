@@ -25,19 +25,12 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import __version__
-from .baselines import (
-    PrototypeClassifier,
-    SparseClassifier,
-    budget_of,
-    build_prototype_table,
-    onlinehd_refine,
-    sparsify_table,
-)
+from .baselines import Classifier, build_prototype_table, onlinehd_refine, sparsify_table
+from .budget import budget_of
 from .data import Dataset, load_csv, make_synthetic, stratified_subsample
 from .encoding import EncoderConfig, RandomProjectionEncoder, fit_standardizer
 from .faults import robustness_sweep
-from .inference import DecomposedScorer
-from .model import DecoHDClassifier, ModelConfig, materialize_projectors
+from .model import DecoHDClassifier, ModelConfig, pick_class
 from .ops import derive_seed
 from .precision import get_format, quantize_array, quantize_model
 from .serialize import save_classifier
@@ -117,8 +110,6 @@ class NoiseConfig:
 
 @dataclass(frozen=True)
 class InferenceConfig:
-    mode: str = "auto"
-    memory_cap_bytes: int | None = None
     quantize_encodings: bool = True
 
 
@@ -241,7 +232,8 @@ def fit_model(
     y_test: np.ndarray,
     num_classes: int,
 ):
-    """Train one model; returns (classifier, deployed scorer, history)."""
+    """Train one model; returns (classifier, history).  The deployed
+    form is ``classifier.scorer``."""
     if spec.kind == "decohd":
         model_cfg = ModelConfig(
             channels_per_layer=spec.channels,
@@ -254,31 +246,25 @@ def fit_model(
         clf = DecoHDClassifier(
             encoder=encoder, standardizer=standardizer, config=model_cfg, params=result.params
         )
-        scorer = DecomposedScorer.from_params(
-            result.params, materialize_projectors(model_cfg, dtype=np.float32)
-        )
-        return clf, scorer, result.history
+        return clf, result.history
 
     table = build_prototype_table(h_train, y_train, num_classes)
-    if spec.kind == "prototype":
-        return PrototypeClassifier(encoder, standardizer, table, kind="prototype"), table, []
-    refined = onlinehd_refine(
-        table,
-        h_train,
-        y_train,
-        epochs=spec.epochs,
-        learning_rate=spec.learning_rate,
-        seed=derive_seed(config.root_seed, "refine", label),
-    )
-    if spec.kind == "onlinehd":
-        return PrototypeClassifier(encoder, standardizer, refined, kind="onlinehd"), refined, []
-    base = refined if spec.base == "onlinehd" else table
-    scorer = sparsify_table(base, spec.budget)
-    return SparseClassifier(encoder, standardizer, scorer), scorer, []
+    if spec.kind == "onlinehd" or (spec.kind == "sparsehd" and spec.base == "onlinehd"):
+        table = onlinehd_refine(
+            table,
+            h_train,
+            y_train,
+            epochs=spec.epochs,
+            learning_rate=spec.learning_rate,
+            seed=derive_seed(config.root_seed, "refine", label),
+        )
+    if spec.kind == "sparsehd":
+        return Classifier(encoder, standardizer, sparsify_table(table, spec.budget), spec.kind), []
+    return Classifier(encoder, standardizer, table, spec.kind), []
 
 
 def _accuracy(scorer, h: np.ndarray, y: np.ndarray) -> float:
-    return float((scorer.predict_batch(h) == y).mean())
+    return float((pick_class(scorer.score_batch(h)) == y).mean())
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> None:
@@ -334,13 +320,13 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
             scorers = {}
             for spec, label in zip(config.models, labels):
                 stage = f"train-{label}-D{dim}"
-                clf, scorer, history = fit_model(
+                clf, history = fit_model(
                     spec, label, config, encoder, standardizer,
                     h_train, train_ds.labels, h_test, test_ds.labels, train_ds.num_classes,
                 )
                 if spec.kind == "decohd":
                     derived_seeds[f"model_{label}_D{dim}"] = clf.config.seed
-                scorers[label] = scorer
+                scorer = scorers[label] = clf.scorer
                 save_classifier(os.path.join(models_dir, f"{label}_D{dim}.npz"), clf)
                 for h in history:
                     history_rows.append(

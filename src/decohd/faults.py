@@ -6,10 +6,13 @@ array, so a given NoiseSpec always produces the same corrupted model.
 Flips can produce NaN/Inf values; those are kept as stored, and scoring
 treats NaN logits as minus infinity.
 
-Targets are stored model parameters (the deployed inference state): for
-a decomposed model the materialized channel bank plus the bundling head,
-for baselines the prototype table (only the retained columns of a
-sparsified table, since masked-out entries are not stored).
+Targets are stored model parameters (the deployed inference state):
+:func:`inject_bitflips` maps over a scorer's ``stored()`` arrays, which
+are the materialized channel bank plus the bundling head of a decomposed
+model and the prototype table of a baseline (only the retained columns
+of a sparsified table, since masked-out entries are not stored).  Each
+array's stream is derived from the spec's seed, ``"bits"`` and the
+array's ``stored()`` key.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import PrototypeTable, SparseScorer
-from .inference import DecomposedScorer
-from .model import ChannelBank, ModelParams
+from .model import pick_class
 from .ops import derive_seed, rng_from_seed
 
 
@@ -50,52 +51,15 @@ def flip_float32_bits(a: np.ndarray, flip_probability: float, seed: int) -> np.n
     return (bits ^ mask).view(np.float32).reshape(a.shape).copy()
 
 
-def count_bit_differences(a: np.ndarray, b: np.ndarray) -> int:
-    """Number of differing bits between two float32 arrays."""
-    ab = np.ascontiguousarray(a, dtype=np.float32).view(np.uint8)
-    bb = np.ascontiguousarray(b, dtype=np.float32).view(np.uint8)
-    return int(np.unpackbits(ab ^ bb).sum())
-
-
-def inject_bitflips(model, spec: NoiseSpec):
-    """Corrupt every stored float32 parameter array; returns the same
-    type with fresh arrays.  p=0 is a bit-exact identity and p=1 inverts
-    every bit (so applying it twice restores the model)."""
+def inject_bitflips(scorer, spec: NoiseSpec):
+    """Corrupt every stored float32 array of a deployed scorer; returns
+    a new scorer of the same type.  p=0 is a bit-exact identity and p=1
+    inverts every bit (so applying it twice restores the model)."""
     p = spec.flip_probability
-
-    def sub(*tokens):
-        return derive_seed(spec.seed, "bits", *tokens)
-
-    if isinstance(model, np.ndarray):
-        return flip_float32_bits(model, p, sub("array"))
-    if isinstance(model, ModelParams):
-        return ModelParams(
-            latents=[flip_float32_bits(a, p, sub("latents", i)) for i, a in enumerate(model.latents)],
-            head=flip_float32_bits(model.head, p, sub("head")),
-        )
-    if isinstance(model, ChannelBank):
-        return ChannelBank(
-            [flip_float32_bits(c, p, sub("channels", i)) for i, c in enumerate(model.channels)]
-        )
-    if isinstance(model, DecomposedScorer):
-        return DecomposedScorer(
-            bank=ChannelBank(
-                [
-                    flip_float32_bits(c, p, sub("channels", i))
-                    for i, c in enumerate(model.bank.channels)
-                ]
-            ),
-            head=flip_float32_bits(model.head, p, sub("head")),
-        )
-    if isinstance(model, PrototypeTable):
-        return PrototypeTable(flip_float32_bits(model.prototypes, p, sub("table")))
-    if isinstance(model, SparseScorer):
-        # Only retained entries are stored, so only they can be hit.
-        protos = model.prototypes.copy()
-        retained = np.ascontiguousarray(protos[:, model.mask])
-        protos[:, model.mask] = flip_float32_bits(retained, p, sub("table"))
-        return SparseScorer(prototypes=protos, mask=model.mask.copy(), budget=model.budget)
-    raise TypeError(f"cannot inject bit flips into {type(model).__name__}")
+    return scorer.replace(
+        {key: flip_float32_bits(a, p, derive_seed(spec.seed, "bits", key))
+         for key, a in scorer.stored().items()}
+    )
 
 
 def robustness_sweep(
@@ -119,7 +83,7 @@ def robustness_sweep(
             cell_seed = derive_seed(seed, "noise", p_idx, trial)
             for name in sorted(scorers):
                 corrupted = inject_bitflips(scorers[name], NoiseSpec(p, seed=cell_seed))
-                pred = corrupted.predict_batch(h_test)
+                pred = pick_class(corrupted.score_batch(h_test))
                 rows.append(
                     {
                         "model_kind": name,

@@ -1,25 +1,30 @@
 """Inference regimes for the decomposed classifier.
 
-Three equivalent ways to score an encoded input, trading memory for
+Two equivalent ways to score an encoded input, trading memory for
 per-sample work:
 
 * ``score_only``: stream over paths keeping one working hypervector and
   C scalar scores (``s_c += head[c,m] * <Z_m(h), h>``); peak auxiliary
   storage is two float64 hypervectors (the working buffer and *h*
   widened once) plus C scalars.
-* ``streamed_bundles``: stream over paths accumulating C class bundles,
-  then score; peak auxiliary storage is (C+1) hypervectors.
 * ``materialized_prototypes``: precompute the C input-independent
   prototypes ``P_c = sum_m head[c,m] * basis_m`` once, then score each
   input with C dot products against ``h*h``.
 
-The two streaming modes work in float64 throughout, whatever the model
+The streaming mode works in float64 throughout, whatever the model
 dtype.  The prototype table is stored at the model dtype, so its scores
 carry that dtype's rounding.  The error is bounded relative to the sum
 of the absolute path terms, ``sum_m |head[c,m]| * <|basis_m|, h*h>``,
 not relative to the score: a score that cancels to near zero may differ
-between modes by far more than its own magnitude times eps.  All modes
+between modes by far more than its own magnitude times eps.  Both modes
 must agree on argmax.
+
+:class:`DecomposedScorer` is the deployed form of a decomposed model.
+Like the baselines' :class:`~decohd.baselines.PrototypeTable` and
+:class:`~decohd.baselines.SparseScorer` it exposes ``stored()``, the
+arrays the form keeps, and ``replace(arrays)``, a new scorer over
+rewritten arrays; quantization, fault injection and budget accounting
+work through these two alone.
 """
 
 from __future__ import annotations
@@ -31,14 +36,7 @@ import numpy as np
 from .model import ChannelBank, ModelParams, layer_index_arrays, materialize_channels, path_basis
 from .ops import dot
 
-INFERENCE_MODES = ("streamed_bundles", "score_only", "materialized_prototypes")
-
-
-def _check_h(h: np.ndarray, bank: ChannelBank) -> np.ndarray:
-    h = np.asarray(h)
-    if h.shape != (bank.dim,):
-        raise ValueError(f"hypervector shape {h.shape} does not match bank dim {bank.dim}")
-    return h
+INFERENCE_MODES = ("score_only", "materialized_prototypes")
 
 
 def stream_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
@@ -48,7 +46,10 @@ def stream_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndar
     rebound from it on every path; binding, the dot product and the score
     accumulation all run in float64.
     """
-    h = _check_h(h, bank).astype(np.float64, copy=False)
+    h = np.asarray(h)
+    if h.shape != (bank.dim,):
+        raise ValueError(f"hypervector shape {h.shape} does not match bank dim {bank.dim}")
+    h = h.astype(np.float64, copy=False)
     idx = layer_index_arrays(bank.channels_per_layer)
     scores = np.zeros(head.shape[0], dtype=np.float64)
     z = np.empty(bank.dim, dtype=np.float64)
@@ -58,27 +59,6 @@ def stream_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndar
             np.multiply(z, ch[idx[i][m]], out=z)
         scores += head[:, m].astype(np.float64) * dot(z, h)
     return scores
-
-
-def stream_bundles(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
-    """Stream paths into per-class bundles, then score the bundles.
-
-    The bundles and both working buffers are float64.
-    """
-    h = _check_h(h, bank)
-    idx = layer_index_arrays(bank.channels_per_layer)
-    num_classes = head.shape[0]
-    bundles = np.zeros((num_classes, bank.dim), dtype=np.float64)
-    z = np.empty(bank.dim, dtype=np.float64)
-    scaled = np.empty(bank.dim, dtype=np.float64)
-    for m in range(bank.num_paths):
-        z[:] = h
-        for i, ch in enumerate(bank.channels):
-            np.multiply(z, ch[idx[i][m]], out=z)
-        for c in range(num_classes):
-            np.multiply(z, float(head[c, m]), out=scaled)
-            bundles[c] += scaled
-    return bundles @ h.astype(np.float64, copy=False)
 
 
 def materialize_prototypes(bank: ChannelBank, head: np.ndarray) -> np.ndarray:
@@ -100,8 +80,6 @@ def materialized_scores(h: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
 def infer_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray, mode: str) -> np.ndarray:
     if mode == "score_only":
         return stream_scores(h, bank, head)
-    if mode == "streamed_bundles":
-        return stream_bundles(h, bank, head)
     if mode == "materialized_prototypes":
         return materialized_scores(h, materialize_prototypes(bank, head))
     raise ValueError(f"unknown inference mode {mode!r}; expected one of {INFERENCE_MODES}")
@@ -116,26 +94,16 @@ def score_batch(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarra
         return t @ head.T
 
 
-def predict_batch(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
-    scores = score_batch(h, bank, head)
-    scores = np.where(np.isnan(scores), -np.inf, scores)
-    return np.argmax(scores, axis=1)
-
-
 def peak_memory_estimate(mode: str, num_classes: int, dim: int, itemsize: int = 4) -> int:
     """Auxiliary inference storage in bytes, by the analytic count of
     resident floats per mode.
 
-    The streaming modes hold float64 buffers whatever the model dtype:
-    ``score_only`` the working hypervector, the input widened to float64
-    and C scores, ``streamed_bundles`` C bundles plus the working and
-    scaled hypervectors.  *itemsize* is the width of the stored prototype
-    table.
+    ``score_only`` holds float64 buffers whatever the model dtype: the
+    working hypervector, the input widened to float64 and C scores.
+    *itemsize* is the width of the stored prototype table.
     """
     if mode == "score_only":
         return (2 * dim + num_classes) * 8
-    if mode == "streamed_bundles":
-        return (num_classes + 2) * dim * 8
     if mode == "materialized_prototypes":
         return num_classes * dim * itemsize
     raise ValueError(f"unknown inference mode {mode!r}; expected one of {INFERENCE_MODES}")
@@ -153,8 +121,8 @@ def choose_mode(num_classes: int, dim: int, memory_cap_bytes: int | None, itemsi
 @dataclass
 class DecomposedScorer:
     """Inference-resident state of a decomposed model: the materialized
-    channel bank plus the bundling head.  This is the stored form that
-    fault injection targets."""
+    channel bank plus the bundling head.  :meth:`stored` names them
+    ``"channels:{i}"`` and ``"head"``."""
 
     bank: ChannelBank
     head: np.ndarray
@@ -167,19 +135,26 @@ class DecomposedScorer:
         projectors = [p.astype(dtype, copy=False) for p in projectors]
         return cls(bank=materialize_channels(params, projectors), head=params.head)
 
+    @property
+    def num_classes(self) -> int:
+        return self.head.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.bank.dim
+
+    def stored(self) -> dict[str, np.ndarray]:
+        out = {f"channels:{i}": c for i, c in enumerate(self.bank.channels)}
+        out["head"] = self.head
+        return out
+
+    def replace(self, arrays: dict[str, np.ndarray]) -> "DecomposedScorer":
+        """A new scorer over a fresh bank, so no kept basis goes stale."""
+        channels = [arrays[f"channels:{i}"] for i in range(len(self.bank.channels))]
+        return DecomposedScorer(bank=ChannelBank(channels), head=arrays["head"])
+
     def scores(self, h: np.ndarray, mode: str = "score_only") -> np.ndarray:
         return infer_scores(h, self.bank, self.head, mode)
 
     def score_batch(self, h: np.ndarray) -> np.ndarray:
         return score_batch(h, self.bank, self.head)
-
-    def predict_batch(self, h: np.ndarray) -> np.ndarray:
-        return predict_batch(h, self.bank, self.head)
-
-    def param_arrays(self) -> dict[str, np.ndarray]:
-        out = {f"channels_{i}": c for i, c in enumerate(self.bank.channels)}
-        out["head"] = self.head
-        return out
-
-    def copy(self) -> "DecomposedScorer":
-        return DecomposedScorer(bank=self.bank.copy(), head=self.head.copy())

@@ -93,14 +93,6 @@ class ModelParams:
     def astype(self, dtype) -> "ModelParams":
         return ModelParams([a.astype(dtype) for a in self.latents], self.head.astype(dtype))
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        out = {f"latents_{i}": a for i, a in enumerate(self.latents)}
-        out["head"] = self.head
-        return out
-
-    def num_trainable(self) -> int:
-        return sum(a.size for a in self.latents) + self.head.size
-
 
 def check_param_shapes(params: ModelParams, config: ModelConfig) -> None:
     if len(params.latents) != config.num_layers:
@@ -191,9 +183,6 @@ class ChannelBank:
             self._basis = path_basis(self)
         return self._basis
 
-    def copy(self) -> "ChannelBank":
-        return ChannelBank([c.copy() for c in self.channels])
-
 
 def materialize_channels(params: ModelParams, projectors: list[np.ndarray]) -> ChannelBank:
     """Expand each latent through its layer's frozen projector."""
@@ -256,12 +245,12 @@ def logits(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
     return bundles.astype(np.float64, copy=False) @ h.astype(np.float64, copy=False)
 
 
-def pick_class(scores: np.ndarray) -> int:
-    """Argmax with deterministic rules: NaN ranks below every finite
-    score, ties break toward the lowest class index."""
-    scores = np.asarray(scores, dtype=np.float64)
-    scores = np.where(np.isnan(scores), -np.inf, scores)
-    return int(np.argmax(scores))
+def pick_class(scores: np.ndarray):
+    """Argmax over the last (class) axis with deterministic rules: NaN
+    ranks below every finite score, ties break toward the lowest class
+    index.  One score vector gives one index, (n, C) scores give n."""
+    scores = np.asarray(scores)
+    return np.argmax(np.where(np.isnan(scores), -np.inf, scores), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +279,17 @@ class DecoHDClassifier:
     def head(self, dtype=np.float32) -> np.ndarray:
         return self.params.head.astype(dtype)
 
-    def scores_batch(self, features: np.ndarray) -> np.ndarray:
-        from .inference import score_batch  # local import avoids a cycle
+    @property
+    def scorer(self):
+        """The deployed form: a :class:`~decohd.inference.DecomposedScorer`
+        over the cached float32 bank and head."""
+        from .inference import DecomposedScorer  # local import avoids a cycle
 
-        h = self.encoder.encode_batch(features, self.standardizer)
-        return score_batch(h, self.channel_bank(), self.head())
+        return DecomposedScorer(bank=self.channel_bank(), head=self.head())
 
     def predict(self, x: np.ndarray) -> int:
         return int(self.predict_batch(np.asarray(x)[None, :])[0])
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
-        scores = self.scores_batch(features)
-        scores = np.where(np.isnan(scores), -np.inf, scores)
-        return np.argmax(scores, axis=1)
+        h = self.encoder.encode_batch(features, self.standardizer)
+        return pick_class(self.scorer.score_batch(h))

@@ -10,6 +10,12 @@ keeps only NaN) and rounds to infinity for IEEE-style formats.
 Quantization models storage effects only: quantized values are returned
 as ordinary 32-bit-representable reals and later arithmetic stays in
 float32/float64.  No integer quantization or calibration is involved.
+
+:func:`quantize_model` maps :func:`quantize_array` over a deployed
+scorer's ``stored()`` arrays and rebuilds it with ``replace``.  A
+sparsified table therefore has only its retained columns quantized;
+those are the only columns it scores with, so its scores are the same
+as quantizing the whole table.
 """
 
 from __future__ import annotations
@@ -126,35 +132,13 @@ def quantize_array(a: np.ndarray, fmt: PrecisionFormat | str) -> np.ndarray:
     return quantize(a, fmt).astype(a.dtype, copy=False)
 
 
-def quantize_model(model, fmt: PrecisionFormat | str):
-    """Quantize every stored parameter array; returns the same type.
+def quantize_model(scorer, fmt: PrecisionFormat | str):
+    """Quantize every stored array of a deployed scorer; returns a new
+    scorer of the same type.
 
     Compute downstream stays in 32/64-bit; only stored values move onto
     the reduced grid.  The fp32 preset is a bit-exact identity on
     float32-stored models.
     """
-    from .baselines import PrototypeTable, SparseScorer
-    from .inference import DecomposedScorer
-    from .model import ChannelBank, ModelParams
-
     fmt = get_format(fmt)
-    if isinstance(model, np.ndarray):
-        return quantize_array(model, fmt)
-    if isinstance(model, ModelParams):
-        return ModelParams(
-            latents=[quantize_array(a, fmt) for a in model.latents],
-            head=quantize_array(model.head, fmt),
-        )
-    if isinstance(model, ChannelBank):
-        return ChannelBank([quantize_array(c, fmt) for c in model.channels])
-    if isinstance(model, DecomposedScorer):
-        return DecomposedScorer(bank=quantize_model(model.bank, fmt), head=quantize_array(model.head, fmt))
-    if isinstance(model, PrototypeTable):
-        return PrototypeTable(quantize_array(model.prototypes, fmt))
-    if isinstance(model, SparseScorer):
-        return SparseScorer(
-            prototypes=quantize_array(model.prototypes, fmt),
-            mask=model.mask.copy(),
-            budget=model.budget,
-        )
-    raise TypeError(f"cannot quantize {type(model).__name__}")
+    return scorer.replace({key: quantize_array(a, fmt) for key, a in scorer.stored().items()})

@@ -17,7 +17,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .baselines import PrototypeClassifier, PrototypeTable, SparseClassifier, SparseScorer
+from .baselines import Classifier, PrototypeTable, SparseScorer
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
 from .model import DecoHDClassifier, ModelConfig, ModelParams
 
@@ -54,7 +54,13 @@ def _encoder_from_meta(meta: dict) -> RandomProjectionEncoder:
 
 
 def save_classifier(path, clf) -> None:
-    """Serialize any supported classifier, tagged by model kind."""
+    """Serialize a :class:`DecoHDClassifier` or a baseline
+    :class:`Classifier`, tagged by model kind.
+
+    A decomposed model stores its trainable latents and head, not the
+    materialized bank; a baseline stores its full table, plus the mask
+    and budget when sparsified.
+    """
     meta = {"format_version": FORMAT_VERSION, "kind": clf.kind, "encoder": _encoder_meta(clf.encoder)}
     arrays = {
         "standardizer_mean": clf.standardizer.mean,
@@ -65,14 +71,11 @@ def save_classifier(path, clf) -> None:
         for i, a in enumerate(clf.params.latents):
             arrays[f"latents_{i}"] = a
         arrays["head"] = clf.params.head
-    elif isinstance(clf, PrototypeClassifier):
-        arrays["table"] = clf.table.prototypes
-    elif isinstance(clf, SparseClassifier):
-        meta["budget"] = clf.scorer.budget
-        arrays["table"] = clf.scorer.prototypes
-        arrays["mask"] = clf.scorer.mask
     else:
-        raise TypeError(f"cannot serialize {type(clf).__name__}")
+        arrays["table"] = clf.scorer.prototypes
+        if clf.kind == "sparsehd":
+            meta["budget"] = clf.scorer.budget
+            arrays["mask"] = clf.scorer.mask
     save_arrays(path, meta, arrays)
 
 
@@ -93,10 +96,8 @@ def load_classifier(path):
         )
         return DecoHDClassifier(encoder=encoder, standardizer=standardizer, config=config, params=params)
     if kind in ("prototype", "onlinehd"):
-        return PrototypeClassifier(
-            encoder=encoder, standardizer=standardizer, table=PrototypeTable(arrays["table"]), kind=kind
-        )
+        return Classifier(encoder, standardizer, PrototypeTable(arrays["table"]), kind)
     if kind == "sparsehd":
         scorer = SparseScorer(prototypes=arrays["table"], mask=arrays["mask"], budget=float(meta["budget"]))
-        return SparseClassifier(encoder=encoder, standardizer=standardizer, scorer=scorer)
+        return Classifier(encoder, standardizer, scorer, kind)
     raise ValueError(f"unknown model kind {kind!r} in container")

@@ -35,6 +35,7 @@ from .model import (
     layer_index_arrays,
     materialize_channels,
     materialize_projectors,
+    pick_class,
 )
 from .ops import derive_seed, rng_from_seed
 
@@ -388,5 +389,4 @@ def evaluate(
         h = np.asarray(h).astype(dtype, copy=False)
     bank = materialize_channels(params, projectors)
     scores = score_batch(h, bank, params.head)
-    scores = np.where(np.isnan(scores), -np.inf, scores)
-    return float((np.argmax(scores, axis=1) == np.asarray(labels)).mean())
+    return float((pick_class(scores) == np.asarray(labels)).mean())

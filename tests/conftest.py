@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from decohd.baselines import (
-    PrototypeClassifier,
-    SparseClassifier,
-    build_prototype_table,
-    onlinehd_refine,
-    sparsify_table,
-)
+from decohd.baselines import Classifier, build_prototype_table, onlinehd_refine, sparsify_table
 from decohd.data import make_synthetic
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder, fit_standardizer
 from decohd.model import DecoHDClassifier, ModelConfig, init_params, materialize_projectors, path_basis
@@ -77,11 +71,11 @@ def small_classifier(kind: str, rng):
     h = encoder.encode_batch(train_ds.features, standardizer)
     table = build_prototype_table(h, train_ds.labels, 3)
     if kind == "prototype":
-        return PrototypeClassifier(encoder, standardizer, table, kind="prototype"), test_ds.features
+        return Classifier(encoder, standardizer, table, "prototype"), test_ds.features
     refined = onlinehd_refine(table, h, train_ds.labels, epochs=2, seed=1)
     if kind == "onlinehd":
-        return PrototypeClassifier(encoder, standardizer, refined, kind="onlinehd"), test_ds.features
-    return SparseClassifier(encoder, standardizer, sparsify_table(table, 0.5)), test_ds.features
+        return Classifier(encoder, standardizer, refined, "onlinehd"), test_ds.features
+    return Classifier(encoder, standardizer, sparsify_table(table, 0.5), "sparsehd"), test_ds.features
 
 
 def deployed_forms(rng, channels=(2, 3), dim=48, num_classes=4):

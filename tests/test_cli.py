@@ -4,6 +4,7 @@ import pytest
 from decohd import cli
 from decohd.data import load_csv, make_synthetic, save_csv
 from decohd.inference import infer_scores
+from decohd.model import pick_class
 from decohd.serialize import load_classifier, save_classifier
 from tests.conftest import small_classifier
 
@@ -24,12 +25,12 @@ def per_row_predictions(model_path, csv_path, mode):
     clf = load_classifier(model_path)
     test_ds = load_csv(csv_path, split="test")
     h = clf.encoder.encode_batch(test_ds.features, clf.standardizer)
-    scorer = cli._deployed(clf)
+    scorer = clf.scorer
     scores = np.stack([infer_scores(hv, scorer.bank, scorer.head, mode) for hv in h])
-    return np.argmax(np.where(np.isnan(scores), -np.inf, scores), axis=1), test_ds.labels, scorer, h
+    return pick_class(scores), test_ds.labels, scorer, h
 
 
-@pytest.mark.parametrize("mode", ["materialized_prototypes", "score_only", "streamed_bundles"])
+@pytest.mark.parametrize("mode", ["materialized_prototypes", "score_only"])
 def test_eval_exits_zero_with_per_row_accuracy(saved_decohd, capsys, mode):
     model_path, csv_path = saved_decohd
     assert cli.main(["eval", "--model", model_path, "--test-csv", csv_path, "--mode", mode]) == 0

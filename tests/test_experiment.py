@@ -2,7 +2,20 @@ import csv
 import json
 import os
 
-from decohd.experiment import ExperimentConfig, run_experiment
+import numpy as np
+import pytest
+
+from decohd import experiment
+from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_table
+from decohd.encoding import fit_standardizer
+from decohd.experiment import (
+    ConfigError,
+    ExperimentConfig,
+    build_encoder,
+    fit_model,
+    prepare_data,
+    run_experiment,
+)
 
 PRECISIONS = ("fp32", "bf16", "fp8_e4m3fn")
 P_GRID = (0.0, 1e-3)
@@ -66,3 +79,46 @@ def test_four_model_sweep_writes_every_row(tmp_path):
         manifest = json.load(fh)
     assert manifest["model_labels"] == labels
     assert sorted(os.listdir(tmp_path / "models")) == sorted(f"{l}_D64.npz" for l in labels)
+
+
+@pytest.mark.parametrize(
+    "model, refines",
+    [
+        ({"kind": "prototype"}, 0),
+        ({"kind": "onlinehd", "epochs": 2}, 1),
+        ({"kind": "sparsehd", "base": "onlinehd", "epochs": 2}, 1),
+        ({"kind": "sparsehd", "base": "prototype", "epochs": 2}, 0),
+    ],
+    ids=["prototype", "onlinehd", "sparsehd-onlinehd", "sparsehd-prototype"],
+)
+def test_fit_model_refines_only_a_table_it_keeps(monkeypatch, model, refines):
+    config = ExperimentConfig(data={"synthetic": {"num_classes": 3, "num_features": 8,
+                                                  "samples_per_class": 20}},
+                              models=(model,), dims=(64,))
+    train_ds, test_ds = prepare_data(config.data, config.root_seed)
+    standardizer = fit_standardizer(train_ds.features)
+    encoder = build_encoder(config, train_ds.num_features, 64)
+    h_train = encoder.encode_batch(train_ds.features, standardizer)
+    h_test = encoder.encode_batch(test_ds.features, standardizer)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return onlinehd_refine(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "onlinehd_refine", counting)
+    spec = config.models[0]
+    clf, history = fit_model(spec, spec.kind, config, encoder, standardizer,
+                             h_train, train_ds.labels, h_test, test_ds.labels, 3)
+    assert len(calls) == refines
+    assert clf.kind == spec.kind and history == []
+    if spec.kind == "sparsehd" and spec.base == "prototype":
+        expected = sparsify_table(build_prototype_table(h_train, train_ds.labels, 3), spec.budget)
+        np.testing.assert_array_equal(clf.scorer.prototypes, expected.prototypes)
+        np.testing.assert_array_equal(clf.scorer.mask, expected.mask)
+
+
+def test_deleted_inference_keys_are_rejected():
+    for key, value in (("mode", "auto"), ("memory_cap_bytes", 1024)):
+        with pytest.raises(ConfigError, match="unknown keys"):
+            ExperimentConfig(data={"synthetic": {}}, inference={key: value})

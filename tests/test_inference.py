@@ -12,7 +12,6 @@ from decohd.inference import (
     materialized_scores,
     peak_memory_estimate,
     score_batch,
-    stream_bundles,
     stream_scores,
 )
 from decohd.faults import NoiseSpec, inject_bitflips
@@ -75,26 +74,6 @@ class TestStreamScores:
             finally:
                 tracemalloc.stop()
             assert peak <= bound, channels
-
-
-class TestStreamBundles:
-    def test_matches_stream_scores(self, rng):
-        for _ in range(10):
-            bank, head, h = random_bank_and_head(rng, np.float32)
-            np.testing.assert_allclose(
-                stream_bundles(h, bank, head), stream_scores(h, bank, head), rtol=1e-5
-            )
-
-    def test_zero_head(self, rng):
-        bank, _, h = random_bank_and_head(rng)
-        out = stream_bundles(h, bank, np.zeros((4, bank.num_paths), dtype=np.float32))
-        np.testing.assert_array_equal(out, np.zeros(4))
-
-    def test_uniform_column_ties_break_low(self, rng):
-        bank = ChannelBank([rng.standard_normal((1, 16)).astype(np.float32)])
-        head = np.ones((3, 1), dtype=np.float32)
-        scores = stream_bundles(rng.standard_normal(16).astype(np.float32), bank, head)
-        assert pick_class(scores) == 0
 
 
 class TestMaterializedPrototypes:
@@ -176,7 +155,7 @@ class TestKeptBasis:
         h = rng.standard_normal((3, bank.dim)).astype(np.float32)
         for _ in range(3):
             scorer.score_batch(h)
-            scorer.predict_batch(h)
+            pick_class(scorer.score_batch(h))
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
@@ -208,11 +187,6 @@ class TestPeakMemory:
         # enter: 2*10000*8 + 26*8.
         assert peak_memory_estimate("score_only", 26, 10000, itemsize=4) == 160208
 
-    def test_streamed_bundles_count(self):
-        # 26 float64 bundles plus the float64 z and scaled buffers:
-        # (26 + 2) * 10000 * 8.
-        assert peak_memory_estimate("streamed_bundles", 26, 10000, itemsize=4) == 2240000
-
     def test_materialized_count(self):
         assert peak_memory_estimate("materialized_prototypes", 26, 10000, itemsize=4) == 26 * 10000 * 4
 
@@ -237,14 +211,12 @@ class TestDecomposedScorer:
         cfg, params, projectors, h, y = random_small_instance(rng)
         scorer = DecomposedScorer.from_params(params, projectors)
         assert scorer.head.dtype == np.float32
-        pred = scorer.predict_batch(h.astype(np.float32))
+        pred = pick_class(scorer.score_batch(h.astype(np.float32)))
         assert pred.shape == (h.shape[0],)
 
     def test_integer_exactness_across_modes(self, rng):
         bank, head, h = integer_bank_and_head(rng)
         scorer = DecomposedScorer(bank=bank, head=head)
         a = scorer.scores(h, "score_only")
-        b = scorer.scores(h, "streamed_bundles")
         c = scorer.scores(h, "materialized_prototypes")
-        np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)

@@ -1,0 +1,119 @@
+"""The deployed-scorer protocol shared by the decomposed, prototype and
+sparse forms, and the package's public surface."""
+
+import numpy as np
+import pytest
+
+import decohd
+from decohd.baselines import SparseScorer
+from decohd.faults import NoiseSpec, flip_float32_bits, inject_bitflips
+from decohd.ops import derive_seed
+from decohd.precision import quantize_array, quantize_model
+from tests.conftest import deployed_forms
+
+KINDS = ("decohd", "prototype", "sparsehd")
+STORED_KEYS = {
+    "decohd": ["channels:0", "channels:1", "head"],
+    "prototype": ["table"],
+    "sparsehd": ["table"],
+}
+REWRITES = {
+    "fp32": lambda s: quantize_model(s, "fp32"),
+    "bf16": lambda s: quantize_model(s, "bf16"),
+    "fp4": lambda s: quantize_model(s, "fp4_e2m1"),
+    "flip_p0": lambda s: inject_bitflips(s, NoiseSpec(0.0, seed=5)),
+    "flip_p1e-3": lambda s: inject_bitflips(s, NoiseSpec(1e-3, seed=5)),
+    "flip_p1": lambda s: inject_bitflips(s, NoiseSpec(1.0, seed=5)),
+}
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint32)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestProtocol:
+    def test_replace_of_stored_scores_bitwise_equal(self, rng, kind):
+        scorer = deployed_forms(rng)[kind]
+        h = rng.standard_normal((9, scorer.dim)).astype(np.float32)
+        again = scorer.replace(scorer.stored())
+        assert type(again) is type(scorer)
+        np.testing.assert_array_equal(bits(again.score_batch(h)), bits(scorer.score_batch(h)))
+
+    def test_stored_keys_are_the_stream_tokens(self, rng, kind):
+        assert sorted(deployed_forms(rng)[kind].stored()) == STORED_KEYS[kind]
+
+    def test_shape_members(self, rng, kind):
+        scorer = deployed_forms(rng, dim=40, num_classes=3)[kind]
+        assert (scorer.num_classes, scorer.dim) == (3, 40)
+        assert scorer.score_batch(np.ones((2, 40), dtype=np.float32)).shape == (2, 3)
+
+    @pytest.mark.parametrize("rewrite", list(REWRITES))
+    def test_rewrite_keeps_type_and_keys(self, rng, kind, rewrite):
+        scorer = deployed_forms(rng)[kind]
+        out = REWRITES[rewrite](scorer)
+        assert type(out) is type(scorer)
+        assert sorted(out.stored()) == sorted(scorer.stored())
+        for key, a in out.stored().items():
+            assert a.dtype == np.float32 and a.shape == scorer.stored()[key].shape, key
+
+
+def test_flip_streams_keep_their_seed_tokens(rng):
+    # derive_seed joins tokens with ":", so the key "channels:1" draws the
+    # stream that ("channels", 1) always named; corrupted models stay
+    # reproducible across the change to stored() keys.
+    forms = deployed_forms(rng)
+    spec = NoiseSpec(1e-2, seed=9)
+    out = inject_bitflips(forms["decohd"], spec)
+    for i, c in enumerate(forms["decohd"].bank.channels):
+        expected = flip_float32_bits(c, 1e-2, derive_seed(9, "bits", "channels", i))
+        np.testing.assert_array_equal(bits(out.bank.channels[i]), bits(expected))
+    np.testing.assert_array_equal(
+        bits(out.head), bits(flip_float32_bits(forms["decohd"].head, 1e-2, derive_seed(9, "bits", "head")))
+    )
+    table = inject_bitflips(forms["prototype"], spec).prototypes
+    expected = flip_float32_bits(forms["prototype"].prototypes, 1e-2, derive_seed(9, "bits", "table"))
+    np.testing.assert_array_equal(bits(table), bits(expected))
+
+
+class TestSparseStored:
+    def test_excludes_masked_out_columns(self, rng):
+        scorer = deployed_forms(rng, dim=48)["sparsehd"]
+        table = scorer.stored()["table"]
+        assert table.shape == (scorer.num_classes, scorer.retained) == (4, 24)
+        np.testing.assert_array_equal(table, scorer.prototypes[:, scorer.mask])
+
+    def test_unit_flip_leaves_masked_out_columns(self, rng):
+        scorer = deployed_forms(rng)["sparsehd"]
+        out = inject_bitflips(scorer, NoiseSpec(1.0, seed=2))
+        keep, drop = scorer.mask, ~scorer.mask
+        np.testing.assert_array_equal(bits(out.prototypes[:, drop]), bits(scorer.prototypes[:, drop]))
+        np.testing.assert_array_equal(bits(out.prototypes[:, keep]), ~bits(scorer.prototypes[:, keep]))
+
+    @pytest.mark.parametrize("fmt", ["bf16", "fp8_e4m3fn", "fp4_e2m1"])
+    def test_quantizing_retained_columns_scores_like_the_whole_table(self, rng, fmt):
+        scorer = deployed_forms(rng)["sparsehd"]
+        h = rng.standard_normal((9, scorer.dim)).astype(np.float32)
+        whole = SparseScorer(quantize_array(scorer.prototypes, fmt), scorer.mask, scorer.budget)
+        out = quantize_model(scorer, fmt)
+        np.testing.assert_array_equal(bits(out.prototypes[:, ~scorer.mask]),
+                                      bits(scorer.prototypes[:, ~scorer.mask]))
+        np.testing.assert_array_equal(bits(out.score_batch(h)), bits(whole.score_batch(h)))
+
+
+PUBLIC_SURFACE = [
+    "BudgetQuery", "BudgetReport", "Classifier", "Dataset", "DecoHDClassifier",
+    "DecomposedScorer", "EncoderConfig", "ModelConfig", "ModelParams", "NoiseSpec",
+    "PRESETS", "PrecisionFormat", "PrototypeTable", "RandomProjectionEncoder",
+    "SparseScorer", "Standardizer", "TrainConfig", "budget_of", "build_prototype_table",
+    "choose_mode", "enumerate_configs", "fit_standardizer", "footprint", "inject_bitflips",
+    "load_classifier", "load_csv", "make_synthetic", "onlinehd_refine",
+    "peak_memory_estimate", "pick_class", "quantize", "quantize_model", "robustness_sweep",
+    "save_classifier", "sparsify_table", "train", "trainable_param_savings",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(decohd.__all__) == sorted(PUBLIC_SURFACE)
+    for name in decohd.__all__:
+        assert getattr(decohd, name) is not None, name

@@ -15,7 +15,7 @@ def stored_arrays(clf) -> dict[str, np.ndarray]:
     elif clf.kind == "sparsehd":
         out.update(table=clf.scorer.prototypes, mask=clf.scorer.mask)
     else:
-        out["table"] = clf.table.prototypes
+        out["table"] = clf.scorer.prototypes
     return out
 
 
