@@ -2,12 +2,15 @@
 
 Subcommands: train, eval, sweep, robustness, budget, synth.  Relative
 dataset paths resolve against $DECOHD_DATA_DIR.  Exit codes: 0 success,
-1 config error, 2 data error, 3 training divergence.
+1 config error, 2 data error (argparse also exits 2 on a malformed
+command line), 3 training divergence.  Any other exception is a bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -37,23 +40,53 @@ from .inference import (
     peak_memory_estimate,
 )
 from .model import pick_class
-from .precision import get_format, quantize_array, quantize_model
+from .precision import PRESETS, get_format, quantize_array, quantize_model
 from .serialize import load_classifier, save_classifier
-from .training import TrainConfig, TrainingDiverged
+from .training import TrainingDiverged
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+def _probability_list(text: str) -> list[float]:
+    try:
+        values = [float(x) for x in text.split(",") if x]
+    except ValueError:
+        values = None
+    if values is None or not all(0.0 <= p <= 1.0 for p in values):
+        raise argparse.ArgumentTypeError(f"expected comma-separated probabilities in [0, 1], got {text!r}")
+    return values
+
+
+@contextlib.contextmanager
+def _rejected_as_config_error(what: str):
+    """The ValueError with which a constructor rejects command-line
+    values is a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _check_width(dataset, num_features: int, path: str) -> None:
+    if dataset.num_features != num_features:
+        raise ParseError(f"{path}: {dataset.num_features} feature columns, expected {num_features}")
 
 
 def _load_pair(train_csv: str, test_csv: str):
     train_ds = load_csv(train_csv, split="train")
     test_ds = load_csv(test_csv, split="test", num_classes=train_ds.num_classes)
+    _check_width(test_ds, train_ds.num_features, test_csv)
     return train_ds, test_ds
+
+
+def _encode_test_set(clf, test_ds, path: str):
+    _check_width(test_ds, clf.encoder.config.num_features, path)
+    return clf.encoder.encode_batch(test_ds.features, clf.standardizer)
 
 
 def cmd_train(args) -> int:
@@ -65,13 +98,13 @@ def cmd_train(args) -> int:
         models=(
             ModelSpec(
                 kind=args.model,
-                channels=tuple(_int_list(args.channels)),
+                channels=tuple(args.channels),
                 latent_dim=args.latent_dim,
                 epochs=args.refine_epochs,
                 budget=args.sparse_budget,
             ),
         ),
-        train=TrainConfig(
+        train=dict(  # validated by ExperimentConfig, which raises ConfigError
             learning_rate=args.learning_rate,
             weight_decay=args.weight_decay,
             epochs=args.epochs,
@@ -120,7 +153,7 @@ def _decomposed_scores(scorer: DecomposedScorer, h: np.ndarray, mode: str) -> np
 def cmd_eval(args) -> int:
     clf = load_classifier(args.model)
     test_ds = load_csv(args.test_csv, split="test")
-    h = clf.encoder.encode_batch(test_ds.features, clf.standardizer)
+    h = _encode_test_set(clf, test_ds, args.test_csv)
     scorer = clf.scorer
     if args.precision != "fp32":
         fmt = get_format(args.precision)
@@ -158,11 +191,11 @@ def cmd_robustness(args) -> int:
         key = (clf.encoder.config.seed, clf.encoder.config.dim)
         if encoder_key is None:
             encoder_key = key
-            h = clf.encoder.encode_batch(test_ds.features, clf.standardizer)
+            h = _encode_test_set(clf, test_ds, args.test_csv)
         elif key != encoder_key:
             raise ConfigError("robustness comparisons require models sharing one encoder")
         scorers[os.path.splitext(os.path.basename(path))[0]] = clf.scorer
-    rows = robustness_sweep(scorers, h, test_ds.labels, _float_list(args.p_grid), args.trials, args.seed)
+    rows = robustness_sweep(scorers, h, test_ds.labels, args.p_grid, args.trials, args.seed)
     write_csv(
         args.output,
         ["model_kind", "p_flip", "trial", "test_accuracy"],
@@ -173,14 +206,15 @@ def cmd_robustness(args) -> int:
 
 
 def cmd_budget(args) -> int:
-    query = BudgetQuery(
-        m_target=args.m,
-        num_classes=args.classes,
-        dim=args.dim,
-        max_channels=args.max_channels,
-        layer_counts=tuple(_int_list(args.layers)),
-        latent_dims=tuple(_int_list(args.d)),
-    )
+    with _rejected_as_config_error("budget"):
+        query = BudgetQuery(
+            m_target=args.m,
+            num_classes=args.classes,
+            dim=args.dim,
+            max_channels=args.max_channels,
+            layer_counts=tuple(args.layers),
+            latent_dims=tuple(args.d),
+        )
     reports = enumerate_configs(query)
     header = ["layers", "channels", "latent_dim", "num_paths", "footprint", "trainable_params", "savings"]
     rows = []
@@ -205,9 +239,10 @@ def cmd_budget(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    train_ds, test_ds = make_synthetic(
-        args.classes, args.features, args.per_class, args.separation, seed=args.seed
-    )
+    with _rejected_as_config_error("synth"):
+        train_ds, test_ds = make_synthetic(
+            args.classes, args.features, args.per_class, args.separation, seed=args.seed
+        )
     save_csv(args.train_out, train_ds)
     save_csv(args.test_out, test_ds)
     print(f"wrote {train_ds.num_samples} train rows to {args.train_out}")
@@ -228,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=10000)
     p.add_argument("--encoder", default="gaussian", choices=["gaussian", "ternary"])
-    p.add_argument("--channels", default="10", help="per-layer channel counts, e.g. 3,3")
+    p.add_argument("--channels", type=_int_list, default="10", help="per-layer channel counts, e.g. 3,3")
     p.add_argument("--latent-dim", type=int, default=4096)
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--batch-size", type=int, default=1024)
@@ -242,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a saved model on a test CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--test-csv", required=True)
-    p.add_argument("--precision", default="fp32")
+    p.add_argument("--precision", default="fp32", choices=sorted(PRESETS))
     p.add_argument("--mode", default="auto",
                    choices=["auto", "score_only", "materialized_prototypes"])
     p.add_argument("--memory-cap-bytes", type=int, default=None)
@@ -256,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("robustness", help="bit-flip robustness curves for saved models")
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--test-csv", required=True)
-    p.add_argument("--p-grid", default="0,1e-7,1e-6,1e-5,1e-4,1e-3")
+    p.add_argument("--p-grid", type=_probability_list, default="0,1e-7,1e-6,1e-5,1e-4,1e-3")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default="robustness.csv")
@@ -266,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--d", default="4096", help="latent-dim options, e.g. 256,1024,4096")
-    p.add_argument("--layers", default="1,2,3")
+    p.add_argument("--d", type=_int_list, default="4096", help="latent-dim options, e.g. 256,1024,4096")
+    p.add_argument("--layers", type=_int_list, default="1,2,3")
     p.add_argument("--max-channels", type=int, default=5)
     p.add_argument("--top", type=int, default=20, help="rows printed to stdout")
     p.add_argument("--output", default=None, help="optional CSV path")
@@ -300,9 +335,6 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -119,7 +119,7 @@ def load_csv(
     offset = 2 if has_header else 1
     bad = np.nonzero(raw_labels != np.floor(raw_labels))[0]
     if bad.size:
-        raise ParseError(f"{path}: line {bad[0] + offset}: label {raw_labels[bad[0]]!r} is not an integer")
+        raise ParseError(f"{path}: line {bad[0] + offset}: label {float(raw_labels[bad[0]])!r} is not an integer")
     labels = raw_labels.astype(np.int64)
     bad = np.nonzero(labels < 0)[0]
     if bad.size:

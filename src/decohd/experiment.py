@@ -30,7 +30,7 @@ from .budget import budget_of
 from .data import Dataset, load_csv, make_synthetic, stratified_subsample
 from .encoding import EncoderConfig, RandomProjectionEncoder, fit_standardizer
 from .faults import robustness_sweep
-from .model import DecoHDClassifier, ModelConfig, pick_class
+from .model import ChannelBank, DecoHDClassifier, ModelConfig, pick_class
 from .ops import derive_seed
 from .precision import get_format, quantize_array, quantize_model
 from .serialize import save_classifier
@@ -97,6 +97,10 @@ class ModelSpec:
         if self.base not in ("onlinehd", "prototype"):
             raise ConfigError("sparsehd base must be 'onlinehd' or 'prototype'")
         object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
+        if not self.channels or min(self.channels) < 1 or self.latent_dim < 1:
+            raise ConfigError("decohd needs at least one layer, every layer >= 1 channel, latent_dim >= 1")
+        if not 0.0 < self.budget <= 1.0:
+            raise ConfigError("sparsehd budget must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,8 @@ class ExperimentConfig:
             models.append(_from_dict(ModelSpec, m, f"models[{i}]") if isinstance(m, dict) else m)
         object.__setattr__(self, "models", tuple(models))
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        if any(d < 1 for d in self.dims):
+            raise ConfigError(f"dims must be >= 1, got {self.dims}")
         object.__setattr__(self, "precisions", tuple(self.precisions))
         for p in self.precisions:
             get_format(p)  # validate early
@@ -243,8 +249,13 @@ def fit_model(
             seed=derive_seed(config.root_seed, "model", label, encoder.config.dim),
         )
         result = train(model_cfg, config.train, h_train, y_train, h_test, y_test)
+        # Reuse the trained channels but not the path basis the evaluation
+        # kept: run_experiment scores only quantized or bit-flipped copies
+        # of this bank, so its own basis is built on first use, if ever.
+        bank = ChannelBank(result.bank.channels) if result.bank is not None else None
         clf = DecoHDClassifier(
-            encoder=encoder, standardizer=standardizer, config=model_cfg, params=result.params
+            encoder=encoder, standardizer=standardizer, config=model_cfg, params=result.params,
+            _bank=bank,
         )
         return clf, result.history
 

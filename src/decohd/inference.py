@@ -33,10 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelBank, ModelParams, layer_index_arrays, materialize_channels, path_basis
+from .model import ChannelBank, layer_index_arrays, path_basis
 from .ops import dot
 
 INFERENCE_MODES = ("score_only", "materialized_prototypes")
+
+# Most rows score_batch squares and scores at once; its working buffer
+# holds this many rows whatever the batch size.
+_SCORE_CHUNK_ROWS = 1024
 
 
 def stream_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
@@ -87,11 +91,26 @@ def infer_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray, mode: str) 
 
 def score_batch(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
     """Batched scoring, shape (n, num_classes), against the path basis
-    the bank keeps (:attr:`~decohd.model.ChannelBank.basis`)."""
+    the bank keeps (:attr:`~decohd.model.ChannelBank.basis`).
+
+    Rows are scored in chunks of at most ``_SCORE_CHUNK_ROWS``, squared
+    into one reused buffer, so working memory does not grow with n.  The
+    rows are split evenly over the chunks rather than leaving a short
+    tail: BLAS computes small products with other kernels, whose rounding
+    differs, and even chunks keep each row's scores equal to those of
+    one whole-batch product.
+    """
     h = np.asarray(h)
+    n = h.shape[0]
+    chunks = max(1, -(-n // _SCORE_CHUNK_ROWS))
+    u = np.empty((min(n, _SCORE_CHUNK_ROWS), h.shape[1]), dtype=h.dtype)
+    out = np.empty((n, head.shape[0]), dtype=np.result_type(h, bank.basis, head))
     with np.errstate(over="ignore", invalid="ignore"):
-        t = (h * h) @ bank.basis.T
-        return t @ head.T
+        for k in range(chunks):
+            lo, hi = k * n // chunks, (k + 1) * n // chunks
+            sq = np.multiply(h[lo:hi], h[lo:hi], out=u[: hi - lo])
+            out[lo:hi] = (sq @ bank.basis.T) @ head.T
+    return out
 
 
 def peak_memory_estimate(mode: str, num_classes: int, dim: int, itemsize: int = 4) -> int:
@@ -126,14 +145,6 @@ class DecomposedScorer:
 
     bank: ChannelBank
     head: np.ndarray
-
-    @classmethod
-    def from_params(
-        cls, params: ModelParams, projectors: list[np.ndarray], dtype=np.float32
-    ) -> "DecomposedScorer":
-        params = params.astype(dtype)
-        projectors = [p.astype(dtype, copy=False) for p in projectors]
-        return cls(bank=materialize_channels(params, projectors), head=params.head)
 
     @property
     def num_classes(self) -> int:

@@ -198,16 +198,29 @@ def materialize_channels(params: ModelParams, projectors: list[np.ndarray]) -> C
     return ChannelBank(channels)
 
 
+def layer_views(channels: list[np.ndarray]) -> list[np.ndarray]:
+    """Layer i's (L_i, dim) channels as a broadcastable view with L_i on
+    axis i and size 1 on the other layer axes, dim last.  A product of
+    views is indexed by per-layer channel choices, so over all layers it
+    reshapes to (num_paths, dim) in flat path order."""
+    n = len(channels)
+    return [
+        c.reshape((1,) * i + (c.shape[0],) + (1,) * (n - 1 - i) + (c.shape[1],))
+        for i, c in enumerate(channels)
+    ]
+
+
 def path_basis(bank: ChannelBank) -> np.ndarray:
     """Input-independent bound-path factors, shape (num_paths, dim).
 
-    Row m is the binding of the channels selected by flat path m.
+    Row m is the binding of the channels selected by flat path m, bound
+    from the first layer to the last by broadcast outer products.
     """
-    idx = layer_index_arrays(bank.channels_per_layer)
-    basis = bank.channels[0][idx[0]].copy()
-    for i in range(1, len(bank.channels)):
-        basis *= bank.channels[i][idx[i]]
-    return basis
+    views = layer_views(bank.channels)
+    basis = views[0].copy()
+    for view in views[1:]:
+        basis = basis * view
+    return basis.reshape(bank.num_paths, bank.dim)
 
 
 def compose_path(h: np.ndarray, bank: ChannelBank, path) -> np.ndarray:
@@ -259,7 +272,12 @@ def pick_class(scores: np.ndarray):
 
 @dataclass
 class DecoHDClassifier:
-    """A trained decomposed classifier over raw feature vectors."""
+    """A trained decomposed classifier over raw feature vectors.
+
+    ``_bank`` may be given the channels already materialized from
+    *params*, as training hands over its final bank; :meth:`channel_bank`
+    rebuilds them when asked for another dtype.
+    """
 
     encoder: RandomProjectionEncoder
     standardizer: Standardizer

@@ -15,8 +15,13 @@ residual ``g_c = p_c - 1{c==y}`` (batch-averaged):
                    d basis_m * (product of the other layers' channels)
 * d latent[i,l] = d channel[i,l] @ projector_i^T
 
-Gradient accumulation happens at the channel level, so the projector
-matmuls run once per optimizer step rather than once per microbatch.
+Paths are row-major, so the channel gradient is a reshape-sum: the
+products ``d basis * complement`` viewed as ``(L_0, ..., L_k, dim)`` are
+summed over every layer axis but i.  Gradient accumulation happens at
+the channel level, so the projector matmuls run once per optimizer step
+rather than once per microbatch.  Channels are materialized once per
+parameter state: the end-of-epoch evaluation scores the bank that the
+next epoch's first batch trains on.
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .inference import score_batch
 from .model import (
     ChannelBank,
     ModelConfig,
     ModelParams,
     check_param_shapes,
     init_params,
-    layer_index_arrays,
+    layer_views,
     materialize_channels,
     materialize_projectors,
     pick_class,
@@ -107,23 +113,6 @@ def batch_cross_entropy(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(lse - shifted[np.arange(len(labels)), labels]))
 
 
-def _layer_complements(gathered: list[np.ndarray]) -> list[np.ndarray]:
-    """For each layer, the product over all *other* layers' gathered
-    channels, per path (prefix*suffix products)."""
-    n = len(gathered)
-    if n == 1:
-        return [np.ones_like(gathered[0])]
-    prefix = [None] * n
-    suffix = [None] * n
-    prefix[0] = np.ones_like(gathered[0])
-    for i in range(1, n):
-        prefix[i] = prefix[i - 1] * gathered[i - 1]
-    suffix[n - 1] = np.ones_like(gathered[0])
-    for i in range(n - 2, -1, -1):
-        suffix[i] = suffix[i + 1] * gathered[i + 1]
-    return [prefix[i] * suffix[i] for i in range(n)]
-
-
 def _microbatch_stats(h: np.ndarray, labels: np.ndarray, basis: np.ndarray, head: np.ndarray):
     """Forward + residuals for one microbatch.
 
@@ -149,17 +138,47 @@ def _microbatch_stats(h: np.ndarray, labels: np.ndarray, basis: np.ndarray, head
     return loss_sum, correct, d_head_sum, d_basis_sum
 
 
-def _channel_grads_from_basis(
-    d_basis: np.ndarray, bank: ChannelBank, idx: list[np.ndarray]
-) -> list[np.ndarray]:
-    gathered = [bank.channels[i][idx[i]] for i in range(len(bank.channels))]
-    complements = _layer_complements(gathered)
+def _channel_grads_from_basis(d_basis: np.ndarray, bank: ChannelBank) -> list[np.ndarray]:
+    """Per-layer channel gradients from the (num_paths, dim) path-basis
+    gradient.
+
+    Layer i's complement is the product of the lower layers' channels in
+    ascending order times the product of the higher layers' channels from
+    the last layer down, built from broadcast :func:`layer_views`.  Each
+    channel sums ``d_basis * complement`` over the paths through it in
+    ascending path order, as a sequential scatter-add would.
+    """
+    views = layer_views(bank.channels)
+    n = len(views)
+    d_basis = d_basis.reshape(bank.channels_per_layer + (bank.dim,))
+    prefix = [None] * n  # prefix[i]: product of views[:i]
+    for i in range(1, n):
+        prefix[i] = views[0] if i == 1 else prefix[i - 1] * views[i - 1]
+    suffix = [None] * n  # suffix[i]: product of views[i+1:], last layer first
+    for i in range(n - 2, -1, -1):
+        suffix[i] = views[-1] if i == n - 2 else suffix[i + 1] * views[i + 1]
     d_channels = []
-    for i, ch in enumerate(bank.channels):
-        d_ch = np.zeros_like(ch)
-        np.add.at(d_ch, idx[i], d_basis * complements[i])
-        d_channels.append(d_ch)
+    for i, num in enumerate(bank.channels_per_layer):
+        parts = [p for p in (prefix[i], suffix[i]) if p is not None]
+        term = d_basis
+        if parts:
+            term = d_basis * (parts[0] if len(parts) == 1 else parts[0] * parts[1])
+        d_channels.append(np.moveaxis(term, i, 0).reshape(num, -1, bank.dim).sum(axis=1))
     return d_channels
+
+
+def _gradients(
+    d_head: np.ndarray, d_basis: np.ndarray, bank: ChannelBank, projectors: list[np.ndarray]
+) -> Gradients:
+    """Latent and head gradients from the head and path-basis gradients.
+
+    ``d latent_i = d channel_i @ projector_i^T`` is computed as
+    ``(projector_i @ d channel_i^T)^T``: with only L_i output rows, the
+    product against a transposed projector takes a slow BLAS path.
+    """
+    d_channels = _channel_grads_from_basis(d_basis, bank)
+    d_latents = [(proj @ d_ch.T).T for d_ch, proj in zip(d_channels, projectors)]
+    return Gradients(d_latents=d_latents, d_head=d_head)
 
 
 def backward(
@@ -172,16 +191,9 @@ def backward(
     h_batch = np.asarray(h_batch)
     labels = np.asarray(labels)
     bank = materialize_channels(params, projectors)
-    idx = layer_index_arrays(bank.channels_per_layer)
-    from .model import path_basis
-
-    basis = path_basis(bank)
-    _, _, d_head_sum, d_basis_sum = _microbatch_stats(h_batch, labels, basis, params.head)
+    _, _, d_head_sum, d_basis_sum = _microbatch_stats(h_batch, labels, bank.basis, params.head)
     b = len(labels)
-    d_head = d_head_sum / b
-    d_channels = _channel_grads_from_basis(d_basis_sum / b, bank, idx)
-    d_latents = [d_ch @ proj.T for d_ch, proj in zip(d_channels, projectors)]
-    return Gradients(d_latents=d_latents, d_head=d_head)
+    return _gradients(d_head_sum / b, d_basis_sum / b, bank, projectors)
 
 
 def batch_loss(
@@ -192,11 +204,9 @@ def batch_loss(
 ) -> float:
     """Mean cross-entropy of the batch; the finite-difference oracle
     pairs this with :func:`backward`."""
-    from .model import path_basis
-
     bank = materialize_channels(params, projectors)
     u = np.asarray(h_batch) * np.asarray(h_batch)
-    t = u @ path_basis(bank).T
+    t = u @ bank.basis.T
     scores = t @ params.head.T
     return batch_cross_entropy(scores, np.asarray(labels))
 
@@ -275,6 +285,8 @@ class EpochStats:
 class TrainResult:
     params: ModelParams
     history: list[EpochStats] = field(default_factory=list)
+    # Channels of the final params when the last epoch evaluated them, else None.
+    bank: ChannelBank | None = None
 
 
 def train(
@@ -294,6 +306,8 @@ def train(
     microbatch split.  ``train_accuracy`` in the history is the running
     accuracy of the pre-update forward passes.  A non-finite epoch loss
     aborts with the last finite checkpoint attached to the exception.
+    Channels are materialized only when the parameters changed since the
+    last bank, and the final bank, if any, is returned with the result.
     """
     dtype = np.dtype(train_config.dtype)
     h_train = np.asarray(h_train)
@@ -306,9 +320,6 @@ def train(
     params = params if init is None else params.astype(dtype)
     check_param_shapes(params, config)
     projectors = materialize_projectors(config, dtype=dtype)
-    idx = layer_index_arrays(config.channels_per_layer)
-    from .model import path_basis
-
     optimizer = AdamW(
         learning_rate=train_config.learning_rate,
         betas=train_config.betas,
@@ -320,6 +331,7 @@ def train(
     shuffle_root = train_config.shuffle_seed if train_config.shuffle_seed is not None else config.seed
     history: list[EpochStats] = []
     last_good = params.copy()
+    bank = None  # channels of the current params; None once a step changes them
     start = time.perf_counter()
 
     for epoch in range(train_config.epochs):
@@ -330,8 +342,9 @@ def train(
             for b_start in range(0, n, train_config.batch_size):
                 b_idx = order[b_start : b_start + train_config.batch_size]
                 b_n = len(b_idx)
-                bank = materialize_channels(params, projectors)
-                basis = path_basis(bank)
+                if bank is None:
+                    bank = materialize_channels(params, projectors)
+                basis = bank.basis
                 d_head = np.zeros_like(params.head)
                 d_basis = np.zeros_like(basis)
                 for m_start in range(0, b_n, train_config.microbatch_size):
@@ -342,9 +355,8 @@ def train(
                     correct += c
                     d_head += dh_sum / b_n
                     d_basis += db_sum / b_n
-                d_channels = _channel_grads_from_basis(d_basis, bank, idx)
-                d_latents = [d_ch @ proj.T for d_ch, proj in zip(d_channels, projectors)]
-                optimizer.step(params, Gradients(d_latents=d_latents, d_head=d_head))
+                optimizer.step(params, _gradients(d_head, d_basis, bank, projectors))
+                bank = None
         except TrainingDiverged:
             raise
         except TrainingError as exc:
@@ -359,7 +371,8 @@ def train(
             )
         test_acc = float("nan")
         if h_test is not None and y_test is not None and (epoch + 1) % train_config.eval_every == 0:
-            test_acc = evaluate(params, projectors, h_test, y_test, dtype=dtype)
+            bank = materialize_channels(params, projectors)
+            test_acc = evaluate(bank, params.head, np.asarray(h_test).astype(dtype, copy=False), y_test)
         history.append(
             EpochStats(
                 epoch=epoch,
@@ -371,22 +384,11 @@ def train(
         )
         last_good = params.copy()
 
-    return TrainResult(params=params, history=history)
+    return TrainResult(params=params, history=history, bank=bank)
 
 
-def evaluate(
-    params: ModelParams,
-    projectors: list[np.ndarray],
-    h: np.ndarray,
-    labels: np.ndarray,
-    dtype=None,
-) -> float:
-    """Classification accuracy of *params* on pre-encoded data."""
-    from .inference import score_batch
-
-    if dtype is not None:
-        params = params.astype(dtype)
-        h = np.asarray(h).astype(dtype, copy=False)
-    bank = materialize_channels(params, projectors)
-    scores = score_batch(h, bank, params.head)
+def evaluate(bank: ChannelBank, head: np.ndarray, h: np.ndarray, labels: np.ndarray) -> float:
+    """Classification accuracy of the model (*bank*, *head*) on
+    pre-encoded data."""
+    scores = score_batch(np.asarray(h), bank, head)
     return float((pick_class(scores) == np.asarray(labels)).mean())

@@ -8,9 +8,21 @@ from decohd.model import DecoHDClassifier, ModelConfig, init_params, materialize
 from decohd.ops import rng_from_seed
 
 
+# Layer shapes on which the broadcast path basis and the reshape-sum
+# channel gradients are checked bit for bit against gather/scatter forms.
+LAYER_SHAPES = [(3, 3), (4, 4, 4), (5, 5, 5), (2, 3, 4), (7,), (2, 2, 2, 2)]
+
+
 @pytest.fixture
 def rng():
     return rng_from_seed(20240917)
+
+
+def assert_same_bits(actual, expected):
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0, NaN payloads count."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
 def random_small_instance(rng, dtype=np.float64):

@@ -16,6 +16,9 @@ from decohd.experiment import (
     prepare_data,
     run_experiment,
 )
+from decohd.model import materialize_channels
+from decohd.ops import generate_matrix
+from tests.conftest import assert_same_bits
 
 PRECISIONS = ("fp32", "bf16", "fp8_e4m3fn")
 P_GRID = (0.0, 1e-3)
@@ -122,3 +125,37 @@ def test_deleted_inference_keys_are_rejected():
     for key, value in (("mode", "auto"), ("memory_cap_bytes", 1024)):
         with pytest.raises(ConfigError, match="unknown keys"):
             ExperimentConfig(data={"synthetic": {}}, inference={key: value})
+
+
+@pytest.mark.parametrize("dtype, generated", [("float32", 2), ("float64", 4)])
+def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, dtype, generated):
+    # A float32 run's final bank is the deployed one, so its two projectors
+    # are generated once; a float64 run's bank is rebuilt at float32.
+    config = ExperimentConfig(
+        data={"synthetic": {"num_classes": 3, "num_features": 8, "samples_per_class": 20}},
+        models=({"kind": "decohd", "channels": [2, 2], "latent_dim": 8},),
+        train={"epochs": 2, "batch_size": 16, "microbatch_size": 8, "dtype": dtype},
+        dims=(64,),
+    )
+    train_ds, test_ds = prepare_data(config.data, config.root_seed)
+    standardizer = fit_standardizer(train_ds.features)
+    encoder = build_encoder(config, train_ds.num_features, 64)
+    h_train = encoder.encode_batch(train_ds.features, standardizer)
+    h_test = encoder.encode_batch(test_ds.features, standardizer)
+    specs = []
+
+    def counting(spec, dtype=np.float32):
+        specs.append(spec)
+        return generate_matrix(spec, dtype=dtype)
+
+    monkeypatch.setattr("decohd.model.generate_matrix", counting)
+    spec = config.models[0]
+    clf, _ = fit_model(spec, spec.kind, config, encoder, standardizer,
+                       h_train, train_ds.labels, h_test, test_ds.labels, 3)
+    scorer = clf.scorer
+    assert len(specs) == generated
+    fresh = materialize_channels(clf.params.astype(np.float32),
+                                 [generate_matrix(s, dtype=np.float32) for s in clf.config.projector_specs()])
+    assert [c.dtype for c in scorer.bank.channels] == [np.float32, np.float32]
+    for got, expected in zip(scorer.bank.channels, fresh.channels):
+        assert_same_bits(got, expected)

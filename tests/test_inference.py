@@ -14,10 +14,11 @@ from decohd.inference import (
     score_batch,
     stream_scores,
 )
+from decohd.encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
 from decohd.faults import NoiseSpec, inject_bitflips
-from decohd.model import ChannelBank, logits, path_basis, pick_class
+from decohd.model import ChannelBank, DecoHDClassifier, logits, path_basis, pick_class
 from decohd.precision import quantize_model
-from tests.conftest import integer_bank_and_head, random_small_instance, score_term_scale
+from tests.conftest import assert_same_bits, integer_bank_and_head, random_small_instance, score_term_scale
 
 
 def random_bank_and_head(rng, dtype=np.float32, channels=(2, 3), dim=32, num_classes=4):
@@ -134,6 +135,35 @@ class TestScoreBatch:
             np.testing.assert_allclose(batch[j], logits(h[j], bank, params.head), rtol=1e-9)
 
 
+class TestChunkedScoreBatch:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2500])
+    def test_equals_whole_batch_product(self, rng, n, dtype):
+        bank, head, _ = random_bank_and_head(rng, dtype, channels=(2, 3, 2), dim=256, num_classes=5)
+        h = rng.standard_normal((n, 256)).astype(dtype)
+        scores = score_batch(h, bank, head)
+        assert_same_bits(scores, ((h * h) @ path_basis(bank).T) @ head.T)
+        assert scores.shape == (n, 5)
+
+    def test_working_memory_does_not_grow_with_rows(self, rng):
+        dim = 256
+        bank, head, _ = random_bank_and_head(rng, channels=(2, 3, 2), dim=dim, num_classes=5)
+        bank.basis  # built before measuring: it is kept, not per call
+        buffer = inference._SCORE_CHUNK_ROWS * dim * 4
+        for n in (2 * inference._SCORE_CHUNK_ROWS, 8 * inference._SCORE_CHUNK_ROWS):
+            h = rng.standard_normal((n, dim)).astype(np.float32)
+            tracemalloc.start()
+            try:
+                scores = score_batch(h, bank, head)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # The output plus one chunk's squares and path terms; squaring
+            # the whole batch at once would take 8x the buffer at the
+            # larger n.
+            assert peak - scores.nbytes <= 1.5 * buffer, n
+
+
 class TestKeptBasis:
     def test_score_batch_equals_fresh_basis(self, rng):
         bank, head, _ = random_bank_and_head(rng, channels=(2, 3, 2), dim=64, num_classes=5)
@@ -207,9 +237,11 @@ class TestChooseMode:
 
 
 class TestDecomposedScorer:
-    def test_from_params_and_predict(self, rng):
+    def test_classifier_scorer_and_predict(self, rng):
         cfg, params, projectors, h, y = random_small_instance(rng)
-        scorer = DecomposedScorer.from_params(params, projectors)
+        encoder = RandomProjectionEncoder(EncoderConfig(num_features=3, dim=cfg.dim))
+        clf = DecoHDClassifier(encoder, Standardizer.identity(3), cfg, params)
+        scorer = clf.scorer
         assert scorer.head.dtype == np.float32
         pred = pick_class(scorer.score_batch(h.astype(np.float32)))
         assert pred.shape == (h.shape[0],)

@@ -18,7 +18,7 @@ from decohd.model import (
     path_basis,
     pick_class,
 )
-from tests.conftest import integer_bank_and_head
+from tests.conftest import LAYER_SHAPES, assert_same_bits, integer_bank_and_head
 
 
 def brute_force_logits(h, bank, head):
@@ -132,6 +132,27 @@ class TestMaterializeChannels:
         params = ModelParams(latents=[np.zeros((1, 3))], head=np.ones((2, 1)))
         with pytest.raises(ValueError, match="does not match"):
             materialize_channels(params, [np.ones((4, 5))])
+
+
+class TestPathBasis:
+    @staticmethod
+    def gather_product(bank):
+        """Oracle: gather each path's channel per layer and multiply in
+        place, first layer to last."""
+        idx = layer_index_arrays(bank.channels_per_layer)
+        basis = bank.channels[0][idx[0]].copy()
+        for channels, index in zip(bank.channels[1:], idx[1:]):
+            basis *= channels[index]
+        return basis
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", LAYER_SHAPES)
+    def test_broadcast_equals_gather_product(self, rng, channels, dtype):
+        bank = ChannelBank([rng.standard_normal((l, 40)).astype(dtype) for l in channels])
+        basis = path_basis(bank)
+        assert_same_bits(basis, self.gather_product(bank))
+        assert basis.flags.c_contiguous
+        assert not any(np.shares_memory(basis, c) for c in bank.channels)
 
 
 class TestComposePath:

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from decohd import training
 from decohd.data import make_synthetic
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
-from decohd.model import ModelConfig, ModelParams, init_params, materialize_projectors
+from decohd.model import (
+    ChannelBank,
+    ModelConfig,
+    ModelParams,
+    init_params,
+    layer_index_arrays,
+    materialize_channels,
+    materialize_projectors,
+)
 from decohd.ops import rng_from_seed
 from decohd.training import (
     AdamW,
@@ -19,7 +28,7 @@ from decohd.training import (
     evaluate,
     train,
 )
-from tests.conftest import random_small_instance
+from tests.conftest import LAYER_SHAPES, assert_same_bits, random_small_instance
 
 
 def finite_difference_grads(h, y, params, projectors, eps=1e-4):
@@ -98,6 +107,50 @@ class TestBackward:
         np.testing.assert_array_equal(g.d_head, np.zeros_like(g.d_head))
         for d in g.d_latents:
             np.testing.assert_array_equal(d, np.zeros_like(d))
+
+
+def scatter_channel_grads(d_basis, bank):
+    """Oracle: gather every path's channels, form each layer's complement
+    as prefix (lower layers, ascending) times suffix (higher layers, last
+    first) and scatter ``d_basis * complement`` with ``np.add.at``."""
+    idx = layer_index_arrays(bank.channels_per_layer)
+    gathered = [c[i] for c, i in zip(bank.channels, idx)]
+    n = len(gathered)
+    prefix = [np.ones_like(gathered[0])]
+    for i in range(1, n):
+        prefix.append(prefix[-1] * gathered[i - 1])
+    suffix = [np.ones_like(gathered[0])]
+    for i in range(n - 2, -1, -1):
+        suffix.insert(0, suffix[0] * gathered[i + 1])
+    d_channels = []
+    for i, c in enumerate(bank.channels):
+        d_c = np.zeros_like(c)
+        np.add.at(d_c, idx[i], d_basis * (prefix[i] * suffix[i]))
+        d_channels.append(d_c)
+    return d_channels
+
+
+class TestChannelGradients:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", LAYER_SHAPES)
+    def test_reshape_sum_equals_scatter(self, rng, channels, dtype):
+        dim = 96
+        bank = ChannelBank([rng.standard_normal((l, dim)).astype(dtype) for l in channels])
+        d_basis = rng.standard_normal((bank.num_paths, dim)).astype(dtype)
+        got = training._channel_grads_from_basis(d_basis, bank)
+        expected = scatter_channel_grads(d_basis, bank)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert_same_bits(g, e)
+
+    def test_latent_grads_equal_direct_product(self, rng):
+        cfg, params, projectors, h, y = random_small_instance(rng)
+        bank = materialize_channels(params, projectors)
+        d_basis = rng.standard_normal((bank.num_paths, cfg.dim))
+        grads = training._gradients(params.head, d_basis, bank, projectors)
+        d_channels = training._channel_grads_from_basis(d_basis, bank)
+        for d_lat, d_ch, proj in zip(grads.d_latents, d_channels, projectors):
+            np.testing.assert_allclose(d_lat, d_ch @ proj.T, rtol=1e-12, atol=1e-12)
 
 
 class TestAdamW:
@@ -179,8 +232,8 @@ class TestTrain:
         tcfg = TrainConfig(epochs=50, batch_size=200, microbatch_size=128,
                            learning_rate=0.05, dtype="float64", eval_every=50)
         result = train(cfg, tcfg, h_tr, y_tr, h_te, y_te)
-        projectors = materialize_projectors(cfg, dtype=np.float64)
-        assert evaluate(result.params, projectors, h_tr, y_tr) >= 0.99
+        bank = materialize_channels(result.params, materialize_projectors(cfg, dtype=np.float64))
+        assert evaluate(bank, result.params.head, h_tr, y_tr) >= 0.99
         assert result.history[-1].mean_loss < result.history[0].mean_loss
 
     def test_zero_epochs_returns_init(self):
@@ -235,6 +288,41 @@ class TestTrain:
         assert math.isnan(result.history[0].test_accuracy)
         assert not math.isnan(result.history[1].test_accuracy)
         assert all(h.wall_seconds >= 0 for h in result.history)
+
+
+class TestOneBankPerParameterState:
+    @pytest.mark.parametrize(
+        "epochs, eval_every, with_test",
+        [(3, 1, True), (3, 2, True), (3, 1, False), (0, 1, True)],
+        ids=["eval-every-epoch", "eval-every-2nd", "no-test-set", "zero-epochs"],
+    )
+    def test_materializes_once_per_parameter_state(self, monkeypatch, epochs, eval_every, with_test):
+        cfg, h_tr, y_tr, h_te, y_te = _blob_setup()
+        states = []
+
+        def counting(params, projectors):
+            states.append([a.copy() for a in params.latents])
+            return materialize_channels(params, projectors)
+
+        monkeypatch.setattr(training, "materialize_channels", counting)
+        tcfg = TrainConfig(epochs=epochs, batch_size=64, microbatch_size=32, dtype="float64",
+                           learning_rate=0.01, eval_every=eval_every)
+        test = (h_te, y_te) if with_test else ()
+        result = train(cfg, tcfg, h_tr, y_tr, *test)
+        steps = epochs * -(-len(y_tr) // 64)
+        # One bank per optimizer step.  An evaluation builds the bank of the
+        # post-step parameters, which the next epoch's first batch reuses;
+        # only one after the last epoch adds a state.
+        final_eval = with_test and epochs > 0 and epochs % eval_every == 0
+        assert len(states) == steps + final_eval
+        for a, b in zip(states, states[1:]):
+            assert any(x.tobytes() != y.tobytes() for x, y in zip(a, b)), "bank rebuilt for unchanged params"
+        if final_eval:
+            fresh = materialize_channels(result.params, materialize_projectors(cfg, dtype=np.float64))
+            for got, expected in zip(result.bank.channels, fresh.channels):
+                assert_same_bits(got, expected)
+        else:
+            assert result.bank is None
 
 
 class TestGradientAccumulationMatchesBackward:
