@@ -116,15 +116,13 @@ class SparseScorer:
 
     Only the retained columns are stored parameters: :meth:`stored`
     returns them alone and :meth:`replace` scatters them back.  Scoring
-    uses masked dot products.
+    uses masked dot products; the masked table is built per call, so a
+    scorer holds one C x dim table.
     """
 
     prototypes: np.ndarray
     mask: np.ndarray  # bool, shape (dim,)
     budget: float
-
-    def __post_init__(self):
-        self.masked = self.prototypes * self.mask
 
     @property
     def num_classes(self) -> int:
@@ -148,7 +146,7 @@ class SparseScorer:
 
     def score_batch(self, h: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.asarray(h) @ self.masked.T
+            return np.asarray(h) @ (self.prototypes * self.mask).T
 
 
 def sparsify_table(table: PrototypeTable, budget: float) -> SparseScorer:

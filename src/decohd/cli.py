@@ -2,9 +2,10 @@
 
 Subcommands: train, eval, sweep, robustness, budget, synth.  Relative
 dataset paths resolve against $DECOHD_DATA_DIR.  Exit codes: 0 success,
-1 config error, 2 data error (argparse also exits 2 on a malformed
-command line), 3 training divergence.  Any other exception is a bug and
-propagates with its traceback.
+1 config error, 2 data error: a malformed CSV or an unusable model
+container (argparse also exits 2 on a malformed command line), 3
+training divergence.  Any other exception is a bug and propagates with
+its traceback.
 """
 
 from __future__ import annotations

@@ -337,23 +337,25 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
                 )
                 if spec.kind == "decohd":
                     derived_seeds[f"model_{label}_D{dim}"] = clf.config.seed
-                scorer = scorers[label] = clf.scorer
+                scorers[label] = clf.scorer
                 save_classifier(os.path.join(models_dir, f"{label}_D{dim}.npz"), clf)
                 for h in history:
                     history_rows.append(
                         [label, h.epoch, h.mean_loss, h.train_accuracy, h.test_accuracy, h.wall_seconds]
                     )
-                stage = f"eval-{label}-D{dim}"
-                m_budget = budget_of(scorer)
-                for precision in config.precisions:
-                    fmt = get_format(precision)
-                    q_scorer = quantize_model(scorer, fmt)
-                    q_h = h_test
-                    if config.inference.quantize_encodings and fmt.name != "fp32":
-                        q_h = quantize_array(h_test, fmt)
-                    acc = _accuracy(q_scorer, q_h, test_ds.labels)
+            # Every model is scored against the same test encodings, so they
+            # are quantized once per precision, by the first evaluation.
+            for precision in config.precisions:
+                fmt = get_format(precision)
+                q_h = None
+                for label, scorer in scorers.items():
+                    stage = f"eval-{label}-D{dim}"
+                    if q_h is None:
+                        quantized = config.inference.quantize_encodings and fmt.name != "fp32"
+                        q_h = quantize_array(h_test, fmt) if quantized else h_test
+                    acc = _accuracy(quantize_model(scorer, fmt), q_h, test_ds.labels)
                     accuracies[(label, precision, dim)] = acc
-                    result_rows.append([label, m_budget, precision, dim, acc])
+                    result_rows.append([label, budget_of(scorer), precision, dim, acc])
                     precision_rows.append([label, precision, dim, acc])
             if config.noise.p_grid:
                 stage = f"robustness-D{dim}"

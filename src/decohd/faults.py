@@ -3,6 +3,8 @@
 Each bit of each targeted float32 word flips independently with the
 configured probability, from a seeded stream derived per parameter
 array, so a given NoiseSpec always produces the same corrupted model.
+At p=0 nothing is drawn: the array is copied as it is.  Since every
+array owns its stream, skipping one changes no other array's flips.
 Flips can produce NaN/Inf values; those are kept as stored, and scoring
 treats NaN logits as minus infinity.
 
@@ -29,20 +31,20 @@ from .ops import derive_seed, rng_from_seed
 class NoiseSpec:
     flip_probability: float
     seed: int = 0
-    target: str = "model_parameters"
 
     def __post_init__(self):
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip_probability must be in [0, 1]")
-        if self.target != "model_parameters":
-            raise ValueError(f"unsupported bit-flip target {self.target!r}")
 
 
 def flip_float32_bits(a: np.ndarray, flip_probability: float, seed: int) -> np.ndarray:
-    """Flip each of the 32 bits of each element independently."""
+    """Flip each of the 32 bits of each element independently; returns
+    a new C-contiguous array.  p=0 draws nothing."""
     a = np.asarray(a)
     if a.dtype != np.float32:
         raise TypeError(f"bit flips are defined on float32 storage, got {a.dtype}")
+    if flip_probability == 0.0:
+        return a.copy(order="C")
     bits = np.ascontiguousarray(a).view(np.uint32).reshape(-1)
     rng = rng_from_seed(seed)
     mask = np.zeros(bits.shape, dtype=np.uint32)

@@ -10,6 +10,15 @@ keeps only NaN) and rounds to infinity for IEEE-style formats.
 Quantization models storage effects only: quantized values are returned
 as ordinary 32-bit-representable reals and later arithmetic stays in
 float32/float64.  No integer quantization or calibration is involved.
+A format must therefore lie on float32's grid: at most 23 mantissa bits
+and normal exponents within float32's.
+
+One kernel does the rounding on the unsigned-integer view of the
+stored bits, for float32 (``uint32``) and float64 (``uint64``) arrays
+alike: :func:`quantize_array` rounds a float32 array on its own bits,
+with no float64 copy, and :func:`quantize` converts any input to
+float64 and rounds that directly.  It works in chunks of 2**20 elements, so its
+temporaries are a fixed few megabytes whatever the input size.
 
 :func:`quantize_model` maps :func:`quantize_array` over a deployed
 scorer's ``stored()`` arrays and rebuilds it with ``replace``.  A
@@ -38,6 +47,12 @@ class PrecisionFormat:
             raise ValueError("need at least 1 exponent bit and a non-negative mantissa width")
         if 1 + self.exponent_bits + self.mantissa_bits > 32:
             raise ValueError("format wider than 32 bits")
+        # Quantized values are float32 values: the grid must lie on float32's.
+        if self.mantissa_bits > 23 or not -126 <= self.min_normal_exponent <= self.max_exponent <= 127:
+            raise ValueError("format must fit float32: at most 23 mantissa bits, "
+                             "normal exponents within [-126, 127]")
+        if self.finite_only and self.mantissa_bits < 1:
+            raise ValueError("a finite-only format needs a mantissa bit for its largest finite value")
 
     @property
     def min_normal_exponent(self) -> int:
@@ -86,49 +101,103 @@ def get_format(name_or_format) -> PrecisionFormat:
         raise ValueError(f"unknown precision format {name_or_format!r}; presets: {sorted(PRESETS)}")
 
 
+# Storage dtype -> (unsigned view, stored mantissa bits, exponent bias,
+# bits a NaN gains on the way through).  A float32 NaN comes back quiet,
+# as from a round trip through float64, so that quantize_array(a) equals
+# quantize(a).astype(np.float32) bit for bit; a float64 NaN is kept as is.
+_STORAGE = {
+    np.dtype(np.float32): (np.uint32, 23, 127, 1 << 22),
+    np.dtype(np.float64): (np.uint64, 52, 1023, 0),
+}
+
+# Elements per pass, so temporaries stay a fixed size whatever the input.
+_CHUNK = 1 << 20
+
+
+def _round_to_format(x: np.ndarray, fmt: PrecisionFormat) -> np.ndarray:
+    """*x* (float32 or float64) rounded onto *fmt*'s grid; same dtype
+    and shape, C-contiguous.
+
+    Works on the unsigned-integer view of the magnitude.  Above the
+    format's smallest normal, rounding to ``m`` mantissa bits is
+    round-to-nearest-even on the stored bits: add half a step minus one
+    plus the lowest kept bit, then clear the ``s = stored - m`` low bits;
+    a carry runs into the exponent.  Below it the grid is fixed at
+    ``2**(emin - m)``, and adding then subtracting ``c = 2**(emin - m +
+    stored)`` rounds there in the float unit (the sum stays in ``c``'s
+    binade, whose spacing is that step).  Then finite-only formats
+    saturate at ``max_finite`` (infinities too) and IEEE-style ones turn
+    every magnitude that rounded to ``2**(emax + 1)`` or beyond into
+    infinity.  The sign bit is put back last, so -0.0 stays -0.0.
+    """
+    uint, stored, bias, nan_bits = _STORAGE[x.dtype]
+    width = 8 * x.dtype.itemsize
+    sign = uint(1 << (width - 1))
+    inf = uint(((1 << (width - 1 - stored)) - 1) << stored)
+    shift = stored - fmt.mantissa_bits
+    keep = uint(~((1 << shift) - 1) & ((1 << width) - 1))
+    # Ties go to the even neighbour, so the lowest kept bit joins the
+    # addend.  With no mantissa bits every normal significand is 1, odd,
+    # and ties go up; with nothing to drop nothing is added.
+    odd = uint(1 if 0 < fmt.mantissa_bits < stored else 0)
+    add = uint((1 << shift >> 1) - odd)
+    min_normal = uint((fmt.min_normal_exponent + bias) << stored)
+    c = x.dtype.type(2.0 ** (fmt.min_normal_exponent - fmt.mantissa_bits + stored))
+    if fmt.finite_only:
+        ceiling = np.array(fmt.max_finite, dtype=x.dtype).view(uint)
+    else:
+        overflow = uint((fmt.max_exponent + 1 + bias) << stored)
+
+    src = np.ascontiguousarray(x).reshape(-1).view(uint)
+    out = np.empty_like(src)
+    with np.errstate(invalid="ignore"):
+        for lo in range(0, src.size, _CHUNK):
+            bits = src[lo:lo + _CHUNK]
+            mag = bits & ~sign
+            r = (mag >> uint(shift)) & odd
+            r += mag
+            r += add
+            r &= keep
+            small = mag < min_normal
+            sub = mag.view(x.dtype) + c
+            sub -= c
+            np.copyto(r, sub.view(uint), where=small)
+            if fmt.finite_only:
+                np.minimum(r, ceiling, out=r)
+            else:
+                np.copyto(r, inf, where=r >= overflow)
+            r |= bits & sign
+            nan = mag > inf
+            np.copyto(r, bits | uint(nan_bits), where=nan)
+            out[lo:lo + _CHUNK] = r
+    return out.view(x.dtype).reshape(x.shape)
+
+
 def quantize(values, fmt: PrecisionFormat | str):
     """Round onto the format's grid (nearest, ties to even).
 
+    Any real input is converted to float64 and rounded there, directly,
+    by the bit-level kernel that :func:`quantize_array` also uses.
     Scalars return a float; arrays return a float64 array whose values
     are all exactly representable in float32.  NaN passes through.
     """
     fmt = get_format(fmt)
     x = np.asarray(values, dtype=np.float64)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x).copy()
-    out = x.copy()
-
-    finite = np.isfinite(x)
-    xf = x[finite]
-    if xf.size:
-        with np.errstate(invalid="ignore", over="ignore"):
-            _, exp = np.frexp(np.abs(xf))
-            e = np.maximum(exp - 1, fmt.min_normal_exponent)
-            step_exp = e - fmt.mantissa_bits
-            # x / 2^step_exp is exact (power-of-two scaling); np.round
-            # implements ties-to-even.
-            q = np.ldexp(np.round(np.ldexp(xf, -step_exp)), step_exp)
-        if fmt.finite_only:
-            q = np.clip(q, -fmt.max_finite, fmt.max_finite)
-        else:
-            # IEEE overflow rule: values at or beyond the midpoint
-            # between max finite and the next power of two round to inf.
-            threshold = 2.0**fmt.max_exponent * (2.0 - 2.0 ** (-fmt.mantissa_bits - 1))
-            over = np.abs(xf) >= threshold
-            q = np.clip(q, -fmt.max_finite, fmt.max_finite)
-            q[over] = np.sign(xf[over]) * np.inf
-        out[finite] = q
-
-    if fmt.finite_only:
-        out[np.isposinf(x)] = fmt.max_finite
-        out[np.isneginf(x)] = -fmt.max_finite
-    if scalar:
-        return float(out[0])
-    return out
+    out = _round_to_format(x, fmt)
+    return float(out) if out.ndim == 0 else out
 
 
 def quantize_array(a: np.ndarray, fmt: PrecisionFormat | str) -> np.ndarray:
-    """Elementwise quantization preserving the input dtype."""
+    """Elementwise quantization preserving the input dtype.
+
+    A float32 array is rounded on its own 32-bit view, without a float64
+    copy; other dtypes go through :func:`quantize`.  Either way the
+    result is bit for bit the float64 rounding cast back to the input
+    dtype.
+    """
+    fmt = get_format(fmt)
+    if a.dtype == np.float32:
+        return _round_to_format(a, fmt)
     return quantize(a, fmt).astype(a.dtype, copy=False)
 
 

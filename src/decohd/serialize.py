@@ -18,10 +18,16 @@ from dataclasses import asdict
 import numpy as np
 
 from .baselines import Classifier, PrototypeTable, SparseScorer
+from .data import ParseError
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
 from .model import DecoHDClassifier, ModelConfig, ModelParams
 
 FORMAT_VERSION = 1
+
+
+class ContainerError(ParseError):
+    """A model container that cannot be used: unreadable or malformed,
+    of another format version, or of an unknown model kind."""
 
 
 def save_arrays(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -39,9 +45,17 @@ def save_arrays(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {k: data[k] for k in data.files if k != "__meta__"}
-        meta = json.loads(data["__meta__"].item())
+    try:
+        # A missing file raises OSError, a non-zip BadZipFile or (pickle
+        # refused) ValueError, a lone .npy TypeError (an array is no
+        # context manager), no __meta__ KeyError, bad JSON ValueError.
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {k: data[k] for k in data.files if k != "__meta__"}
+            meta = json.loads(data["__meta__"].item())
+    except (OSError, zipfile.BadZipFile, ValueError, TypeError, KeyError) as exc:
+        raise ContainerError(f"{path}: not a readable model container: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ContainerError(f"{path}: container metadata is not a JSON object")
     return meta, arrays
 
 
@@ -82,10 +96,10 @@ def save_classifier(path, clf) -> None:
 def load_classifier(path):
     meta, arrays = load_arrays(path)
     if meta.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported container version {meta.get('format_version')}")
+        raise ContainerError(f"{path}: unsupported container version {meta.get('format_version')}")
     encoder = _encoder_from_meta(meta["encoder"])
     standardizer = Standardizer(mean=arrays["standardizer_mean"], std=arrays["standardizer_std"])
-    kind = meta["kind"]
+    kind = meta.get("kind")
     if kind == "decohd":
         model_meta = dict(meta["model"])
         model_meta["channels_per_layer"] = tuple(model_meta["channels_per_layer"])
@@ -100,4 +114,4 @@ def load_classifier(path):
     if kind == "sparsehd":
         scorer = SparseScorer(prototypes=arrays["table"], mask=arrays["mask"], budget=float(meta["budget"]))
         return Classifier(encoder, standardizer, scorer, kind)
-    raise ValueError(f"unknown model kind {kind!r} in container")
+    raise ContainerError(f"{path}: unknown model kind {kind!r} in container")

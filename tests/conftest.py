@@ -6,6 +6,7 @@ from decohd.data import make_synthetic
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder, fit_standardizer
 from decohd.model import DecoHDClassifier, ModelConfig, init_params, materialize_projectors, path_basis
 from decohd.ops import rng_from_seed
+from decohd.precision import get_format
 
 
 # Layer shapes on which the broadcast path basis and the reshape-sum
@@ -106,3 +107,43 @@ def deployed_forms(rng, channels=(2, 3), dim=48, num_classes=4):
         "prototype": table,
         "sparsehd": sparsify_table(table, 0.5),
     }
+
+
+def quantize_oracle(values, fmt):
+    """Rounding onto *fmt*'s grid in float64 through frexp/ldexp: the
+    reference :func:`decohd.precision.quantize` must equal bit for bit.
+
+    Each finite value's step is ``2**(max(exponent, emin) - m)``;
+    scaling by it is exact, and ``np.round`` breaks ties to even.
+    """
+    fmt = get_format(fmt)
+    x = np.asarray(values, dtype=np.float64)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x).copy()
+    out = x.copy()
+
+    finite = np.isfinite(x)
+    xf = x[finite]
+    if xf.size:
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, exp = np.frexp(np.abs(xf))
+            e = np.maximum(exp - 1, fmt.min_normal_exponent)
+            step_exp = e - fmt.mantissa_bits
+            q = np.ldexp(np.round(np.ldexp(xf, -step_exp)), step_exp)
+        if fmt.finite_only:
+            q = np.clip(q, -fmt.max_finite, fmt.max_finite)
+        else:
+            # IEEE overflow rule: values at or beyond the midpoint
+            # between max finite and the next power of two round to inf.
+            threshold = 2.0**fmt.max_exponent * (2.0 - 2.0 ** (-fmt.mantissa_bits - 1))
+            over = np.abs(xf) >= threshold
+            q = np.clip(q, -fmt.max_finite, fmt.max_finite)
+            q[over] = np.sign(xf[over]) * np.inf
+        out[finite] = q
+
+    if fmt.finite_only:
+        out[np.isposinf(x)] = fmt.max_finite
+        out[np.isneginf(x)] = -fmt.max_finite
+    if scalar:
+        return float(out[0])
+    return out

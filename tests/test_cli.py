@@ -5,7 +5,7 @@ from decohd import cli
 from decohd.data import load_csv, make_synthetic, save_csv
 from decohd.inference import infer_scores
 from decohd.model import pick_class
-from decohd.serialize import load_classifier, save_classifier
+from decohd.serialize import load_arrays, load_classifier, save_arrays, save_classifier
 from tests.conftest import small_classifier
 
 
@@ -115,3 +115,29 @@ def test_malformed_command_line_is_rejected_by_argparse(argv, capsys):
         cli.main(argv)
     assert excinfo.value.code == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+def spoil_container(path, how: str) -> None:
+    """Rewrite a saved container so that it cannot be used."""
+    if how == "garbage":
+        with open(path, "wb") as fh:
+            fh.write(b"not a container")
+        return
+    meta, arrays = load_arrays(path)
+    meta.update({"version": {"format_version": 99}, "kind": {"kind": "tree"}}[how])
+    save_arrays(path, meta, arrays)
+
+
+@pytest.mark.parametrize("how", ["version", "kind", "garbage"])
+@pytest.mark.parametrize("command", ["eval", "robustness"])
+def test_unusable_container_exits_2_as_data_error(saved_decohd, tmp_path, capsys, command, how):
+    model_path, csv_path = saved_decohd
+    spoil_container(model_path, how)
+    argv = (["eval", "--model", model_path, "--test-csv", csv_path] if command == "eval" else
+            ["robustness", "--models", model_path, "--test-csv", csv_path, "--p-grid", "0",
+             "--trials", "1", "--output", str(tmp_path / "r.csv")])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
+    if how == "version":
+        assert "unsupported container version 99" in err

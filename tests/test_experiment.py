@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 
@@ -18,6 +19,7 @@ from decohd.experiment import (
 )
 from decohd.model import materialize_channels
 from decohd.ops import generate_matrix
+from decohd.precision import quantize_array
 from tests.conftest import assert_same_bits
 
 PRECISIONS = ("fp32", "bf16", "fp8_e4m3fn")
@@ -159,3 +161,19 @@ def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, dtype, 
     assert [c.dtype for c in scorer.bank.channels] == [np.float32, np.float32]
     for got, expected in zip(scorer.bank.channels, fresh.channels):
         assert_same_bits(got, expected)
+
+
+def test_test_encodings_are_quantized_once_per_precision_and_dim(tmp_path, monkeypatch):
+    # Four models share each quantized copy; the scorers' own arrays go
+    # through precision.quantize_model, which this does not count.
+    config = dataclasses.replace(tiny_config(), dims=(32, 64), noise={"p_grid": []})
+    calls = []
+
+    def counting(a, fmt):
+        calls.append((a.shape, fmt.name))
+        return quantize_array(a, fmt)
+
+    monkeypatch.setattr(experiment, "quantize_array", counting)
+    run_experiment(config, output_dir=str(tmp_path))
+    assert calls == [((60, 32), "bf16"), ((60, 32), "fp8_e4m3fn"),
+                     ((60, 64), "bf16"), ((60, 64), "fp8_e4m3fn")]

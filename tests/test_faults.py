@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from decohd.faults import NoiseSpec, inject_bitflips
-from tests.conftest import deployed_forms
+from decohd import faults
+from decohd.faults import NoiseSpec, flip_float32_bits, inject_bitflips
+from decohd.ops import rng_from_seed
+from tests.conftest import assert_same_bits, deployed_forms
 
 KINDS = ("decohd", "prototype", "sparsehd")
 
@@ -55,5 +57,23 @@ def test_unit_rate_inverts_every_decomposed_word(rng):
 def test_spec_validation():
     with pytest.raises(ValueError):
         NoiseSpec(1.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the only target is the stored parameters
         NoiseSpec(0.1, target="encodings")
+
+
+def test_zero_rate_copies_without_drawing(monkeypatch):
+    seeds = []
+
+    def counting(seed):
+        seeds.append(seed)
+        return rng_from_seed(seed)
+
+    monkeypatch.setattr(faults, "rng_from_seed", counting)
+    a = np.array([[1.5, -0.0, 3e-45], [np.inf, np.nan, -2.0]], dtype=np.float32)
+    a.view(np.uint32)[1, 1] = 0x7FA00001  # a signalling NaN keeps its payload
+    out = flip_float32_bits(a, 0.0, 11)
+    assert_same_bits(out, a)
+    assert not np.shares_memory(out, a)
+    assert seeds == []
+    flip_float32_bits(a, 1e-3, 11)
+    assert seeds == [11]

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from decohd.precision import PRESETS, quantize
+from decohd import precision
+from decohd.precision import PRESETS, PrecisionFormat, quantize, quantize_array
+from tests.conftest import assert_same_bits, quantize_oracle
 
 
 def float32_patterns(rng, n=200_000):
@@ -57,3 +61,102 @@ class TestOracles:
         fmt = PRESETS["fp8_e4m3fn"]
         assert fmt.max_finite == 448.0
         np.testing.assert_array_equal(quantize(np.array([1e6, -np.inf]), fmt), [448.0, -448.0])
+
+
+# The six presets, plus a format without mantissa bits: its normal
+# significands are all odd, so its ties go up, not to the kept bit.
+KERNEL_FORMATS = [*PRESETS.values(), PrecisionFormat("e5m0", 5, 0, 15)]
+
+
+def with_nans_and_infinities(x: np.ndarray) -> np.ndarray:
+    """*x* plus both infinities and quiet and signalling NaNs of either
+    sign with several payloads."""
+    if x.dtype == np.float32:
+        special = [0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00000, 0x7F800001, 0xFF800001,
+                   0x7FA5A5A5, 0x7FFFFFFF, 0xFFBFFFFF, 0x7FC12345]
+        return np.concatenate([x, np.array(special, dtype=np.uint32).view(np.float32)])
+    special = [0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0x7FF0000000000001,
+               0xFFF4000000000ABC, 0x7FFFFFFFFFFFFFFF, 0xFFF8000000012345]
+    return np.concatenate([x, np.array(special, dtype=np.uint64).view(np.float64)])
+
+
+def ties(rng, fmt: PrecisionFormat, dtype, n=20_000) -> np.ndarray:
+    """Exact midpoints between neighbours of *fmt*'s grid, in *dtype*:
+    random normals whose dropped bits are 100...0, and subnormal-range
+    values (k + 1/2) * 2**(emin - m)."""
+    uint, stored = (np.uint32, 23) if dtype == np.float32 else (np.uint64, 52)
+    drop = stored - fmt.mantissa_bits
+    bits = rng.integers(0, 2**63, n, dtype=np.uint64).astype(uint)
+    if drop:
+        bits = (bits >> uint(drop) << uint(drop)) | uint(1 << (drop - 1))
+    k = rng.integers(-(2 ** (fmt.mantissa_bits + 1)), 2 ** (fmt.mantissa_bits + 1), n)
+    grid = ((k + 0.5) * 2.0 ** (fmt.min_normal_exponent - fmt.mantissa_bits)).astype(dtype)
+    return np.concatenate([bits.view(dtype), grid])
+
+
+def float64_patterns(rng, n=200_000) -> np.ndarray:
+    """Random float64 bit patterns (mostly far outside float32's range)
+    and float64 values spread over float32's range and below it."""
+    bits = rng.integers(0, 2**64, n, dtype=np.uint64)
+    spread = rng.standard_normal(n) * np.exp2(rng.integers(-160, 140, n))
+    x = np.concatenate([bits.view(np.float64), spread, [0.0, -0.0, 5e-324, -5e-324]])
+    return x[np.isfinite(x)]
+
+
+@pytest.mark.parametrize("fmt", KERNEL_FORMATS, ids=lambda f: f.name)
+class TestKernelEqualsFloat64Oracle:
+    """The bit-level kernel equals the float64 frexp/ldexp rounding bit
+    for bit, NaN payloads included."""
+
+    def test_float32_arrays(self, rng, fmt):
+        x = with_nans_and_infinities(np.concatenate([float32_patterns(rng), ties(rng, fmt, np.float32)]))
+        with np.errstate(invalid="ignore"):  # float64 casts of signalling NaNs
+            expected = quantize_oracle(x, fmt)
+            assert_same_bits(quantize(x, fmt), expected)
+        assert_same_bits(quantize_array(x, fmt), expected.astype(np.float32))
+
+    def test_float64_inputs(self, rng, fmt):
+        x = with_nans_and_infinities(np.concatenate([float64_patterns(rng), ties(rng, fmt, np.float64)]))
+        expected = quantize_oracle(x, fmt)
+        assert_same_bits(quantize(x, fmt), expected)
+        assert_same_bits(quantize_array(x, fmt), expected)
+
+    def test_shapes_and_scalars(self, rng, fmt):
+        x = rng.standard_normal((3, 4, 5)).astype(np.float32)[:, ::2]  # not contiguous
+        assert_same_bits(quantize_array(x, fmt), quantize_oracle(x, fmt).astype(np.float32))
+        assert quantize(0.3, fmt) == quantize_oracle(0.3, fmt)
+        assert quantize_array(np.zeros((0, 7), dtype=np.float32), fmt).shape == (0, 7)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(exponent_bits=5, mantissa_bits=24, bias=15),  # finer than float32
+    dict(exponent_bits=8, mantissa_bits=7, bias=120),  # max exponent beyond 127
+    dict(exponent_bits=8, mantissa_bits=7, bias=130),  # min normal below 2**-126
+    dict(exponent_bits=1, mantissa_bits=3, bias=0),  # no normal binade
+    dict(exponent_bits=4, mantissa_bits=0, bias=7, finite_only=True),  # max_finite 0
+])
+def test_formats_off_the_float32_grid_are_rejected(kwargs):
+    with pytest.raises(ValueError):
+        PrecisionFormat("x", **kwargs)
+
+
+def quantize_peak_overhead(rows: int) -> int:
+    """Traced peak of one quantize_array call on a float32 (rows,
+    10000) encoding-shaped array, less the output it returns."""
+    h = np.random.default_rng(rows).standard_normal((rows, 10000)).astype(np.float32) / 100.0
+    tracemalloc.start()
+    try:
+        out = quantize_array(h, "fp8_e4m3fn")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - out.nbytes
+
+
+def test_quantize_temporaries_are_a_fixed_chunk_allowance():
+    # A pass holds a handful of chunk-sized temporaries, whatever the
+    # input size.
+    allowance = 8 * precision._CHUNK * 4
+    small, large = quantize_peak_overhead(520), quantize_peak_overhead(1040)
+    assert large <= allowance
+    assert large <= small + (1 << 16)

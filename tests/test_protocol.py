@@ -90,6 +90,14 @@ class TestSparseStored:
         np.testing.assert_array_equal(bits(out.prototypes[:, drop]), bits(scorer.prototypes[:, drop]))
         np.testing.assert_array_equal(bits(out.prototypes[:, keep]), ~bits(scorer.prototypes[:, keep]))
 
+    def test_sparse_scorer_holds_one_table(self, rng):
+        scorer = deployed_forms(rng)["sparsehd"]
+        held = [v for v in vars(scorer).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in held) == scorer.prototypes.nbytes + scorer.mask.nbytes
+        h = rng.standard_normal((9, scorer.dim)).astype(np.float32)
+        masked = scorer.prototypes * scorer.mask
+        np.testing.assert_array_equal(bits(scorer.score_batch(h)), bits(h @ masked.T))
+
     @pytest.mark.parametrize("fmt", ["bf16", "fp8_e4m3fn", "fp4_e2m1"])
     def test_quantizing_retained_columns_scores_like_the_whole_table(self, rng, fmt):
         scorer = deployed_forms(rng)["sparsehd"]
