@@ -17,8 +17,9 @@ One kernel does the rounding on the unsigned-integer view of the
 stored bits, for float32 (``uint32``) and float64 (``uint64``) arrays
 alike: :func:`quantize_array` rounds a float32 array on its own bits,
 with no float64 copy, and :func:`quantize` converts any input to
-float64 and rounds that directly.  It works in chunks of 2**20 elements, so its
-temporaries are a fixed few megabytes whatever the input size.
+float64 and rounds that directly.  It works in chunks of 2**20
+elements, so its temporaries are a fixed few megabytes whatever the
+input size.
 
 :func:`quantize_model` maps :func:`quantize_array` over a deployed
 scorer's ``stored()`` arrays and rebuilds it with ``replace``.  A
@@ -45,9 +46,8 @@ class PrecisionFormat:
     def __post_init__(self):
         if self.exponent_bits < 1 or self.mantissa_bits < 0:
             raise ValueError("need at least 1 exponent bit and a non-negative mantissa width")
-        if 1 + self.exponent_bits + self.mantissa_bits > 32:
-            raise ValueError("format wider than 32 bits")
-        # Quantized values are float32 values: the grid must lie on float32's.
+        # Quantized values are float32 values: the grid must lie on float32's
+        # (which also keeps the format within 32 bits).
         if self.mantissa_bits > 23 or not -126 <= self.min_normal_exponent <= self.max_exponent <= 127:
             raise ValueError("format must fit float32: at most 23 mantissa bits, "
                              "normal exponents within [-126, 127]")
@@ -150,7 +150,7 @@ def _round_to_format(x: np.ndarray, fmt: PrecisionFormat) -> np.ndarray:
 
     src = np.ascontiguousarray(x).reshape(-1).view(uint)
     out = np.empty_like(src)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # signalling NaNs in the float add
         for lo in range(0, src.size, _CHUNK):
             bits = src[lo:lo + _CHUNK]
             mag = bits & ~sign

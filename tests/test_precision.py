@@ -130,6 +130,7 @@ class TestKernelEqualsFloat64Oracle:
 
 @pytest.mark.parametrize("kwargs", [
     dict(exponent_bits=5, mantissa_bits=24, bias=15),  # finer than float32
+    dict(exponent_bits=9, mantissa_bits=23, bias=255),  # 33 bits wide
     dict(exponent_bits=8, mantissa_bits=7, bias=120),  # max exponent beyond 127
     dict(exponent_bits=8, mantissa_bits=7, bias=130),  # min normal below 2**-126
     dict(exponent_bits=1, mantissa_bits=3, bias=0),  # no normal binade
