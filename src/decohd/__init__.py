@@ -4,7 +4,7 @@ Class prototypes are composed on the fly from a small shared bank of
 channel hypervectors via stacked binding and a learned bundling head,
 instead of being stored densely.  The package covers the full loop:
 random-projection encoding, end-to-end training of the decomposition,
-streaming inference regimes, budget planning, prototype-table baselines,
+batched and streamed scoring, budget planning, prototype-table baselines,
 and robustness/precision evaluation harnesses.
 """
 
@@ -29,7 +29,7 @@ from .budget import (
 from .data import Dataset, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import NoiseSpec, inject_bitflips, robustness_sweep
-from .inference import DecomposedScorer, choose_mode, peak_memory_estimate
+from .inference import DecomposedScorer, choose_mode
 from .model import DecoHDClassifier, ModelConfig, ModelParams, pick_class
 from .precision import PRESETS, PrecisionFormat, quantize, quantize_model
 from .serialize import load_classifier, save_classifier
@@ -64,7 +64,6 @@ __all__ = [
     "load_csv",
     "make_synthetic",
     "onlinehd_refine",
-    "peak_memory_estimate",
     "pick_class",
     "quantize",
     "quantize_model",

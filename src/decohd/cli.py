@@ -1,7 +1,11 @@
 """Command-line surface.
 
-Subcommands: train, eval, sweep, robustness, budget, synth.  Relative
-dataset paths resolve against $DECOHD_DATA_DIR.  Exit codes: 0 success,
+Subcommands: train, eval, sweep, robustness, budget, synth.  ``eval``
+scores every model kind with its deployed scorer's batched forward, the
+one ``train`` and ``sweep`` report, so all three print the same accuracy
+for one model and test set.  ``robustness`` compares only models that
+encode alike: equal encoder config and standardizer.  Relative dataset
+paths resolve against $DECOHD_DATA_DIR.  Exit codes: 0 success,
 1 config error, 2 data error: a malformed CSV or an unusable model
 container (argparse also exits 2 on a malformed command line), 3
 training divergence.  Any other exception is a bug and propagates with
@@ -32,14 +36,6 @@ from .experiment import (
     write_csv,
 )
 from .faults import robustness_sweep
-from .inference import (
-    DecomposedScorer,
-    choose_mode,
-    infer_scores,
-    materialize_prototypes,
-    materialized_scores,
-    peak_memory_estimate,
-)
 from .model import pick_class
 from .precision import PRESETS, get_format, quantize_array, quantize_model
 from .serialize import load_classifier, save_classifier
@@ -139,18 +135,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _decomposed_scores(scorer: DecomposedScorer, h: np.ndarray, mode: str) -> np.ndarray:
-    """Scores of every row of *h*, shape (n, num_classes).
-
-    The prototype table is built once and scores all rows in one
-    product.  The streaming modes stay per row: holding one row's state
-    at a time is what they are for.
-    """
-    if mode == "materialized_prototypes":
-        return materialized_scores(h, materialize_prototypes(scorer.bank, scorer.head))
-    return np.stack([infer_scores(hv, scorer.bank, scorer.head, mode) for hv in h])
-
-
 def cmd_eval(args) -> int:
     clf = load_classifier(args.model)
     test_ds = load_csv(args.test_csv, split="test")
@@ -160,16 +144,7 @@ def cmd_eval(args) -> int:
         fmt = get_format(args.precision)
         scorer = quantize_model(scorer, fmt)
         h = quantize_array(h, fmt)
-    mode = args.mode
-    if isinstance(scorer, DecomposedScorer):
-        if mode == "auto":
-            mode = choose_mode(scorer.num_classes, scorer.dim, args.memory_cap_bytes)
-        print(f"inference mode: {mode} "
-              f"(aux memory ~{peak_memory_estimate(mode, scorer.num_classes, scorer.dim)} bytes)")
-        scores = _decomposed_scores(scorer, h, mode)
-    else:
-        scores = scorer.score_batch(h)
-    acc = float((pick_class(scores) == test_ds.labels).mean())
+    acc = float((pick_class(scorer.score_batch(h)) == test_ds.labels).mean())
     print(f"model={clf.kind} n={test_ds.num_samples} precision={args.precision} accuracy={acc:.4f}")
     return 0
 
@@ -182,19 +157,28 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _same_encoding(a, b) -> bool:
+    """Whether classifiers *a* and *b* encode every input alike."""
+    return (
+        a.encoder.config == b.encoder.config
+        and np.array_equal(a.standardizer.mean, b.standardizer.mean)
+        and np.array_equal(a.standardizer.std, b.standardizer.std)
+    )
+
+
 def cmd_robustness(args) -> int:
     test_ds = load_csv(args.test_csv, split="test")
     scorers = {}
-    encoder_key = None
-    h = None
+    first = None
     for path in args.models:
         clf = load_classifier(path)
-        key = (clf.encoder.config.seed, clf.encoder.config.dim)
-        if encoder_key is None:
-            encoder_key = key
+        if first is None:
+            first = clf
             h = _encode_test_set(clf, test_ds, args.test_csv)
-        elif key != encoder_key:
-            raise ConfigError("robustness comparisons require models sharing one encoder")
+        elif not _same_encoding(clf, first):
+            raise ConfigError(
+                f"{path}: robustness comparisons require models sharing one encoder and standardizer"
+            )
         scorers[os.path.splitext(os.path.basename(path))[0]] = clf.scorer
     rows = robustness_sweep(scorers, h, test_ds.labels, args.p_grid, args.trials, args.seed)
     write_csv(
@@ -275,13 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sparse-budget", type=float, default=0.5)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a saved model on a test CSV")
+    p = sub.add_parser(
+        "eval", help="evaluate a saved model on a test CSV",
+        description="Score every test row with the model's batched forward, the one train and "
+                    "sweep report, and print the accuracy.  Under --precision other than fp32 "
+                    "the stored arrays and the encodings are rounded to that format first.",
+    )
     p.add_argument("--model", required=True)
     p.add_argument("--test-csv", required=True)
     p.add_argument("--precision", default="fp32", choices=sorted(PRESETS))
-    p.add_argument("--mode", default="auto",
-                   choices=["auto", "score_only", "materialized_prototypes"])
-    p.add_argument("--memory-cap-bytes", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="run a full experiment config")

@@ -136,10 +136,7 @@ class ExperimentConfig:
         if isinstance(self.data, dict):
             object.__setattr__(self, "data", _from_dict(DataSpec, self.data, "data"))
         if isinstance(self.train, dict):
-            train_dict = dict(self.train)
-            if "betas" in train_dict:
-                train_dict["betas"] = tuple(train_dict["betas"])
-            object.__setattr__(self, "train", _from_dict(TrainConfig, train_dict, "train"))
+            object.__setattr__(self, "train", _from_dict(TrainConfig, self.train, "train"))
         if isinstance(self.noise, dict):
             object.__setattr__(self, "noise", _from_dict(NoiseConfig, self.noise, "noise"))
         if isinstance(self.inference, dict):

@@ -1,23 +1,22 @@
-"""Inference regimes for the decomposed classifier.
+"""Scoring a decomposed model: one batched forward, one streamed forward.
 
-Two equivalent ways to score an encoded input, trading memory for
-per-sample work:
+The score of class c is ``s_c = sum_m head[c,m] * <basis_m, h*h>``, with
+``basis_m`` the bound-path factor of path m (:func:`~decohd.model.path_basis`).
 
-* ``score_only``: stream over paths keeping one working hypervector and
-  C scalar scores (``s_c += head[c,m] * <Z_m(h), h>``); peak auxiliary
-  storage is two float64 hypervectors (the working buffer and *h*
-  widened once) plus C scalars.
-* ``materialized_prototypes``: precompute the C input-independent
-  prototypes ``P_c = sum_m head[c,m] * basis_m`` once, then score each
-  input with C dot products against ``h*h``.
+* :func:`path_terms` computes the input term ``u = h*h`` and the path
+  terms ``t = u @ basis.T``.  :func:`score_batch` runs it per chunk of
+  rows against the basis the bank keeps, and training runs it per
+  microbatch.
+* :func:`stream_scores` scores one hypervector path by path, keeping one
+  float64 working hypervector, *h* widened once and C scalar scores.
 
-The streaming mode works in float64 throughout, whatever the model
-dtype.  The prototype table is stored at the model dtype, so its scores
-carry that dtype's rounding.  The error is bounded relative to the sum
-of the absolute path terms, ``sum_m |head[c,m]| * <|basis_m|, h*h>``,
-not relative to the score: a score that cancels to near zero may differ
-between modes by far more than its own magnitude times eps.  Both modes
-must agree on argmax.
+:meth:`DecomposedScorer.scores` scores one hypervector in the mode that
+:func:`choose_mode` picks under a memory cap: ``score_only`` streams,
+``materialized_prototypes`` scores ``<P_c, h*h>`` against the prototypes
+``P_c = sum_m head[c,m] * basis_m`` stored at the model dtype.  Forms
+differ in rounding by a bound relative to the sum of the absolute path
+terms, ``sum_m |head[c,m]| * <|basis_m|, h*h>``, not to the score, which
+may cancel to near zero.
 
 :class:`DecomposedScorer` is the deployed form of a decomposed model.
 Like the baselines' :class:`~decohd.baselines.PrototypeTable` and
@@ -35,8 +34,6 @@ import numpy as np
 
 from .model import ChannelBank, layer_index_arrays, path_basis
 from .ops import dot
-
-INFERENCE_MODES = ("score_only", "materialized_prototypes")
 
 # Most rows score_batch squares and scores at once; its working buffer
 # holds this many rows whatever the batch size.
@@ -73,20 +70,11 @@ def materialize_prototypes(bank: ChannelBank, head: np.ndarray) -> np.ndarray:
     return protos.astype(np.result_type(head, bank.channels[0]), copy=False)
 
 
-def materialized_scores(h: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    """Conventional scoring against a prototype table: the input enters
-    only through its elementwise square.  *h* is one hypervector, giving
-    shape (num_classes,), or a batch of rows, giving (n, num_classes)."""
-    h = np.asarray(h, dtype=np.float64)
-    return (prototypes.astype(np.float64, copy=False) @ (h * h).T).T
-
-
-def infer_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray, mode: str) -> np.ndarray:
-    if mode == "score_only":
-        return stream_scores(h, bank, head)
-    if mode == "materialized_prototypes":
-        return materialized_scores(h, materialize_prototypes(bank, head))
-    raise ValueError(f"unknown inference mode {mode!r}; expected one of {INFERENCE_MODES}")
+def path_terms(h: np.ndarray, basis: np.ndarray, out: np.ndarray | None = None):
+    """The input term ``u = h*h`` and the path terms ``t = u @ basis.T``
+    of a batch of rows; *out*, if given, receives ``u``."""
+    u = np.multiply(h, h, out=out)
+    return u, u @ basis.T
 
 
 def score_batch(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
@@ -108,24 +96,9 @@ def score_batch(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarra
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(chunks):
             lo, hi = k * n // chunks, (k + 1) * n // chunks
-            sq = np.multiply(h[lo:hi], h[lo:hi], out=u[: hi - lo])
-            out[lo:hi] = (sq @ bank.basis.T) @ head.T
+            _, t = path_terms(h[lo:hi], bank.basis, out=u[: hi - lo])
+            out[lo:hi] = t @ head.T
     return out
-
-
-def peak_memory_estimate(mode: str, num_classes: int, dim: int, itemsize: int = 4) -> int:
-    """Auxiliary inference storage in bytes, by the analytic count of
-    resident floats per mode.
-
-    ``score_only`` holds float64 buffers whatever the model dtype: the
-    working hypervector, the input widened to float64 and C scores.
-    *itemsize* is the width of the stored prototype table.
-    """
-    if mode == "score_only":
-        return (2 * dim + num_classes) * 8
-    if mode == "materialized_prototypes":
-        return num_classes * dim * itemsize
-    raise ValueError(f"unknown inference mode {mode!r}; expected one of {INFERENCE_MODES}")
 
 
 def choose_mode(num_classes: int, dim: int, memory_cap_bytes: int | None, itemsize: int = 4) -> str:
@@ -165,7 +138,17 @@ class DecomposedScorer:
         return DecomposedScorer(bank=ChannelBank(channels), head=arrays["head"])
 
     def scores(self, h: np.ndarray, mode: str = "score_only") -> np.ndarray:
-        return infer_scores(h, self.bank, self.head, mode)
+        """Scores of one hypervector, shape (num_classes,), in a mode of
+        :func:`choose_mode`."""
+        if mode == "score_only":
+            return stream_scores(h, self.bank, self.head)
+        if mode == "materialized_prototypes":
+            prototypes = materialize_prototypes(self.bank, self.head).astype(np.float64, copy=False)
+            h = np.asarray(h, dtype=np.float64)
+            return (prototypes @ (h * h).T).T
+        raise ValueError(
+            f"unknown inference mode {mode!r}; expected 'score_only' or 'materialized_prototypes'"
+        )
 
     def score_batch(self, h: np.ndarray) -> np.ndarray:
         return score_batch(h, self.bank, self.head)

@@ -2,20 +2,22 @@
 
 Class prototypes are never stored directly.  Each layer ``i`` holds
 ``L_i`` trainable low-dimensional latents that a frozen random projector
-expands into channel hypervectors.  Picking one channel per layer defines
-a path; binding the input with the selected channels gives the path
-hypervector, and a small per-class weight matrix (the bundling head)
-aggregates all ``M = prod(L_i)`` paths into class vectors.  Scores are
-dot products of class vectors with the input hypervector.
+expands into channel hypervectors (:func:`materialize_channels`).
+Picking one channel per layer defines a path; binding the selected
+channels gives the path's factor ``basis_m`` (:func:`path_basis`), and
+a small per-class weight matrix, the bundling head, weighs all
+``M = prod(L_i)`` paths.  A class score binds the input with every
+path, bundles by the head and dots with the input.
 
 Because binding is elementwise, a score depends on the input only
 through its elementwise square: ``score_c(h) = <P_c, h*h>`` with
-``P_c = sum_m head[c, m] * basis_m``.  That identity is what the
-streaming and prototype-materialization inference regimes exploit.
+``P_c = sum_m head[c, m] * basis_m``.  :mod:`decohd.inference` scores
+in that form, batched against the kept basis or streamed path by path.
 
 Path enumeration is row-major over the per-layer channel choices (the
-last layer varies fastest).  The head's column order follows this flat
-enumeration and is part of the serialized model format.
+last layer varies fastest, :func:`layer_index_arrays`).  The head's
+column order follows this flat enumeration and is part of the
+serialized model format.
 """
 
 from __future__ import annotations
@@ -123,23 +125,6 @@ def init_params(config: ModelConfig, sigma: float = 1.0, dtype=np.float64) -> Mo
 # Path enumeration (row-major, last layer fastest)
 
 
-def flat_to_multi(flat: int, channels_per_layer: tuple[int, ...]) -> tuple[int, ...]:
-    num_paths = math.prod(channels_per_layer)
-    if not 0 <= flat < num_paths:
-        raise ValueError(f"flat path index {flat} out of range [0, {num_paths})")
-    return tuple(int(i) for i in np.unravel_index(flat, channels_per_layer))
-
-
-def multi_to_flat(multi, channels_per_layer: tuple[int, ...]) -> int:
-    multi = tuple(int(m) for m in multi)
-    if len(multi) != len(channels_per_layer):
-        raise ValueError("path index has wrong number of layers")
-    for i, (m, l) in enumerate(zip(multi, channels_per_layer)):
-        if not 0 <= m < l:
-            raise ValueError(f"channel index {m} out of range for layer {i} (size {l})")
-    return int(np.ravel_multi_index(multi, channels_per_layer))
-
-
 def layer_index_arrays(channels_per_layer: tuple[int, ...]) -> list[np.ndarray]:
     """For each layer, the channel chosen by every flat path index."""
     num_paths = math.prod(channels_per_layer)
@@ -148,7 +133,7 @@ def layer_index_arrays(channels_per_layer: tuple[int, ...]) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Channels and forward pass
+# Channels and path basis
 
 
 @dataclass
@@ -221,41 +206,6 @@ def path_basis(bank: ChannelBank) -> np.ndarray:
     for view in views[1:]:
         basis = basis * view
     return basis.reshape(bank.num_paths, bank.dim)
-
-
-def compose_path(h: np.ndarray, bank: ChannelBank, path) -> np.ndarray:
-    """Bind *h* with the channel selected in every layer along *path*."""
-    h = np.asarray(h)
-    if h.shape != (bank.dim,):
-        raise ValueError(f"hypervector shape {h.shape} does not match bank dim {bank.dim}")
-    path = tuple(int(m) for m in path)
-    if len(path) != len(bank.channels):
-        raise ValueError("path has wrong number of layers")
-    z = h.copy()
-    for i, m in enumerate(path):
-        if not 0 <= m < bank.channels[i].shape[0]:
-            raise ValueError(f"channel index {m} out of range for layer {i}")
-        z = z * bank.channels[i][m]
-    return z
-
-
-def class_bundle(h: np.ndarray, bank: ChannelBank, head: np.ndarray, cls: int) -> np.ndarray:
-    """Weighted superposition of all path hypervectors for one class."""
-    if not 0 <= cls < head.shape[0]:
-        raise ValueError(f"class index {cls} out of range")
-    paths = path_basis(bank) * np.asarray(h)
-    return head[cls] @ paths
-
-
-def logits(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
-    """Per-class scores: bundle every class, then dot with *h*.
-
-    The final reduction runs in float64 (see :func:`decohd.ops.dot`).
-    """
-    h = np.asarray(h)
-    paths = path_basis(bank) * h
-    bundles = head @ paths  # (num_classes, dim)
-    return bundles.astype(np.float64, copy=False) @ h.astype(np.float64, copy=False)
 
 
 def pick_class(scores: np.ndarray):

@@ -1,11 +1,10 @@
 """Primitive operations of the high-dimensional vector space.
 
-Three algebraic primitives carry the whole model:
-
-* binding -- elementwise multiplication; composes hypervectors into a
-  quasi-orthogonal product,
-* bundling -- weighted elementwise addition; superposes hypervectors,
-* dot product -- the similarity measure used for scoring.
+Binding (elementwise multiplication) and bundling (weighted addition)
+are written where the model performs them, in
+:func:`decohd.model.path_basis` and the forwards of
+:mod:`decohd.inference`.  This module holds the dot-product similarity
+:func:`dot`, accumulated in float64.
 
 Frozen random matrices (the input encoder and the per-layer latent
 projectors) are described by :class:`RandomMatrixSpec` and regenerated on
@@ -108,33 +107,6 @@ def generate_matrix(spec: RandomMatrixSpec, dtype=np.float32) -> np.ndarray:
 def _check_same_length(x: np.ndarray, y: np.ndarray) -> None:
     if x.shape != y.shape:
         raise ValueError(f"hypervector shape mismatch: {x.shape} vs {y.shape}")
-
-
-def bind(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bind two hypervectors: elementwise product."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    _check_same_length(x, y)
-    return x * y
-
-
-def bundle_weighted(vectors, weights) -> np.ndarray:
-    """Weighted superposition: ``out[j] = sum_m weights[m] * vectors[m][j]``.
-
-    Reduction runs in float64 regardless of storage dtype; the result is
-    cast back to the common dtype of the inputs.
-    """
-    vectors = [np.asarray(v) for v in vectors]
-    if len(vectors) == 0:
-        raise ValueError("bundle_weighted requires at least one vector")
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(vectors),):
-        raise ValueError(f"expected {len(vectors)} weights, got shape {weights.shape}")
-    for v in vectors[1:]:
-        _check_same_length(vectors[0], v)
-    stacked = np.stack([v.astype(np.float64, copy=False) for v in vectors])
-    out = weights @ stacked
-    return out.astype(np.result_type(*vectors), copy=False)
 
 
 def dot(x: np.ndarray, y: np.ndarray) -> float:

@@ -6,8 +6,10 @@ the latents and the bundling head; the frozen projectors and encoder are
 never touched.
 
 Writing ``u = h*h`` and ``basis_m`` for the bound-path factor of path m,
-the logits are ``s_c = sum_m head[c,m] * <basis_m, u>``.  With softmax
-residual ``g_c = p_c - 1{c==y}`` (batch-averaged):
+the logits are ``s_c = sum_m head[c,m] * <basis_m, u>``; ``u`` and the
+path terms ``t = u @ basis.T`` come from
+:func:`decohd.inference.path_terms`, the forward that batched scoring
+runs too.  With softmax residual ``g_c = p_c - 1{c==y}`` (batch-averaged):
 
 * d head[c,m]   = g_c * <basis_m, u>
 * d basis_m     = (sum_c g_c head[c,m]) * u
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inference import score_batch
+from .inference import path_terms, score_batch
 from .model import (
     ChannelBank,
     ModelConfig,
@@ -66,13 +68,7 @@ class TrainConfig:
     epochs: int = 1000
     batch_size: int = 1024
     microbatch_size: int = 128
-    sigma_init: float = 1.0
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    shuffle_seed: int | None = None
     dtype: str = "float32"
-    decay_latents: bool = True
-    decay_head: bool = True
     eval_every: int = 1
 
     def __post_init__(self):
@@ -82,21 +78,20 @@ class TrainConfig:
             raise ValueError("batch sizes must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
+        try:
+            floating = np.issubdtype(np.dtype(self.dtype), np.floating)
+        except TypeError:
+            floating = False
+        if not floating:
+            raise ValueError(f"dtype must name a floating type, got {self.dtype!r}")
 
 
 @dataclass
 class Gradients:
     d_latents: list[np.ndarray]
     d_head: np.ndarray
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """-log softmax at *label*, via max-shifted log-sum-exp."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= label < logits.shape[0]:
-        raise ValueError(f"label {label} out of range for {logits.shape[0]} classes")
-    shifted = logits - logits.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[label])
 
 
 def softmax_batch(scores: np.ndarray) -> np.ndarray:
@@ -119,8 +114,7 @@ def _microbatch_stats(h: np.ndarray, labels: np.ndarray, basis: np.ndarray, head
     Returns (loss, num_correct, d_head_sum, d_basis_sum) where the grad
     terms are sums over samples (caller divides by the batch size).
     """
-    u = h * h
-    t = u @ basis.T  # (b, num_paths)
+    u, t = path_terms(h, basis)  # t: (b, num_paths)
     scores = t @ head.T  # (b, num_classes)
     if not np.isfinite(scores).all():
         raise TrainingError(
@@ -204,18 +198,17 @@ def batch_loss(
 ) -> float:
     """Mean cross-entropy of the batch; the finite-difference oracle
     pairs this with :func:`backward`."""
+    labels = np.asarray(labels)
     bank = materialize_channels(params, projectors)
-    u = np.asarray(h_batch) * np.asarray(h_batch)
-    t = u @ bank.basis.T
-    scores = t @ params.head.T
-    return batch_cross_entropy(scores, np.asarray(labels))
+    loss_sum, _, _, _ = _microbatch_stats(np.asarray(h_batch), labels, bank.basis, params.head)
+    return loss_sum / len(labels)
 
 
 class AdamW:
     """Decoupled weight-decay Adam over a ModelParams pytree.
 
     Update: p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), with
-    bias-corrected moments.  Decay can be switched off per group.
+    bias-corrected moments.
     """
 
     def __init__(
@@ -224,15 +217,11 @@ class AdamW:
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        decay_latents: bool = True,
-        decay_head: bool = True,
     ):
         self.learning_rate = learning_rate
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self.decay_latents = decay_latents
-        self.decay_head = decay_head
         self.t = 0
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
@@ -250,7 +239,6 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        n_latents = len(params.latents)
         for k, (p, g) in enumerate(zip(arrays, g_arrays)):
             m = self._m[k]
             v = self._v[k]
@@ -259,17 +247,9 @@ class AdamW:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            decay = self.decay_latents if k < n_latents else self.decay_head
-            if decay and self.weight_decay > 0.0:
+            if self.weight_decay > 0.0:
                 update = update + self.weight_decay * p
             p -= self.learning_rate * update
-
-
-def adamw_step(params: ModelParams, grads: Gradients, optimizer: AdamW) -> ModelParams:
-    """Functional wrapper: returns updated params, leaves input intact."""
-    out = params.copy()
-    optimizer.step(out, grads)
-    return out
 
 
 @dataclass
@@ -316,26 +296,18 @@ def train(
     if n == 0:
         raise ValueError("empty training set")
 
-    params = init.copy() if init is not None else init_params(config, train_config.sigma_init, dtype=dtype)
+    params = init.copy() if init is not None else init_params(config, dtype=dtype)
     params = params if init is None else params.astype(dtype)
     check_param_shapes(params, config)
     projectors = materialize_projectors(config, dtype=dtype)
-    optimizer = AdamW(
-        learning_rate=train_config.learning_rate,
-        betas=train_config.betas,
-        eps=train_config.eps,
-        weight_decay=train_config.weight_decay,
-        decay_latents=train_config.decay_latents,
-        decay_head=train_config.decay_head,
-    )
-    shuffle_root = train_config.shuffle_seed if train_config.shuffle_seed is not None else config.seed
+    optimizer = AdamW(learning_rate=train_config.learning_rate, weight_decay=train_config.weight_decay)
     history: list[EpochStats] = []
     last_good = params.copy()
     bank = None  # channels of the current params; None once a step changes them
     start = time.perf_counter()
 
     for epoch in range(train_config.epochs):
-        order = rng_from_seed(derive_seed(shuffle_root, "shuffle", epoch)).permutation(n)
+        order = rng_from_seed(derive_seed(config.seed, "shuffle", epoch)).permutation(n)
         loss_sum = 0.0
         correct = 0
         try:

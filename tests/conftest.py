@@ -57,6 +57,24 @@ def integer_bank_and_head(rng, channels=(2, 3), dim=6, num_classes=3):
     return bank, head, h
 
 
+def brute_force_logits(h, bank, head):
+    """Independent oracle: explicit loops over paths, channels, classes."""
+    channels = bank.channels_per_layer
+    num_paths = int(np.prod(channels))
+    num_classes = head.shape[0]
+    scores = np.zeros(num_classes)
+    for c in range(num_classes):
+        bundle = np.zeros(bank.dim)
+        for m in range(num_paths):
+            multi = np.unravel_index(m, channels)
+            z = np.array(h, dtype=np.float64)
+            for i, mi in enumerate(multi):
+                z = z * bank.channels[i][mi]
+            bundle = bundle + head[c, m] * z
+        scores[c] = float(np.dot(bundle, h))
+    return scores
+
+
 def score_term_scale(bank, head, h):
     """Per-class sum of the absolute path terms of a score, in float64.
 

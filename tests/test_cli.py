@@ -1,11 +1,11 @@
-import numpy as np
+import json
+import re
+
 import pytest
 
 from decohd import cli
-from decohd.data import load_csv, make_synthetic, save_csv
-from decohd.inference import infer_scores
-from decohd.model import pick_class
-from decohd.serialize import load_arrays, load_classifier, save_arrays, save_classifier
+from decohd.data import make_synthetic, save_csv
+from decohd.serialize import load_arrays, save_arrays, save_classifier
 from tests.conftest import small_classifier
 
 
@@ -20,33 +20,6 @@ def saved_decohd(tmp_path, rng):
     return str(model_path), str(csv_path)
 
 
-def per_row_predictions(model_path, csv_path, mode):
-    """Oracle: every row scored on its own through infer_scores."""
-    clf = load_classifier(model_path)
-    test_ds = load_csv(csv_path, split="test")
-    h = clf.encoder.encode_batch(test_ds.features, clf.standardizer)
-    scorer = clf.scorer
-    scores = np.stack([infer_scores(hv, scorer.bank, scorer.head, mode) for hv in h])
-    return pick_class(scores), test_ds.labels, scorer, h
-
-
-@pytest.mark.parametrize("mode", ["materialized_prototypes", "score_only"])
-def test_eval_exits_zero_with_per_row_accuracy(saved_decohd, capsys, mode):
-    model_path, csv_path = saved_decohd
-    assert cli.main(["eval", "--model", model_path, "--test-csv", csv_path, "--mode", mode]) == 0
-    pred, labels, _, _ = per_row_predictions(model_path, csv_path, mode)
-    out = capsys.readouterr().out
-    assert f"inference mode: {mode} " in out
-    assert f"accuracy={(pred == labels).mean():.4f}" in out
-
-
-def test_materialized_one_pass_matches_per_row(saved_decohd):
-    pred, _, scorer, h = per_row_predictions(*saved_decohd, "materialized_prototypes")
-    scores = cli._decomposed_scores(scorer, h, "materialized_prototypes")
-    assert scores.shape == (h.shape[0], scorer.head.shape[0])
-    np.testing.assert_array_equal(np.argmax(scores, axis=1), pred)
-
-
 @pytest.fixture
 def synthetic_csvs(tmp_path):
     train_ds, test_ds = make_synthetic(3, 6, 20, 3.0, seed=11)
@@ -59,6 +32,64 @@ def synthetic_csvs(tmp_path):
 def train_args(csvs, tmp_path, *extra):
     return ["train", "--train-csv", csvs[0], "--test-csv", csvs[1], "--output", str(tmp_path / "m.npz"),
             "--dim", "64", "--latent-dim", "8", "--channels", "2", "--epochs", "3", *extra]
+
+
+def printed(name: str, out: str) -> str:
+    """The value a command printed as ``name=value``."""
+    return re.search(rf"(?<!\w){name}=(\S+)", out).group(1)
+
+
+@pytest.mark.parametrize("model", ["decohd", "prototype"])
+def test_eval_prints_the_accuracy_train_printed(synthetic_csvs, tmp_path, capsys, model):
+    assert cli.main(train_args(synthetic_csvs, tmp_path, "--model", model, "--refine-epochs", "2")) == 0
+    trained = printed("test_accuracy", capsys.readouterr().out)
+    assert cli.main(["eval", "--model", str(tmp_path / "m.npz"), "--test-csv", synthetic_csvs[1]]) == 0
+    out = capsys.readouterr().out
+    assert printed("accuracy", out) == trained
+    assert f"model={model} " in out
+
+
+def save_trained(csvs, tmp_path, name: str, *extra) -> str:
+    path = str(tmp_path / f"{name}.npz")
+    assert cli.main(["train", "--train-csv", csvs[0], "--test-csv", csvs[1], "--output", path,
+                     "--model", "prototype", "--dim", "64", "--seed", "4", *extra]) == 0
+    return path
+
+
+@pytest.mark.parametrize("other", ["same", "encoder", "standardizer"])
+def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, capsys, other):
+    first = save_trained(synthetic_csvs, tmp_path, "first")
+    csvs = synthetic_csvs
+    extra = ["--encoder", "ternary"] if other == "encoder" else []
+    if other == "standardizer":
+        csvs = (str(tmp_path / "other_train.csv"), synthetic_csvs[1])
+        save_csv(csvs[0], make_synthetic(3, 6, 20, 3.0, seed=12)[0])
+    second = save_trained(csvs, tmp_path, "second", *extra)
+    capsys.readouterr()
+    code = cli.main(["robustness", "--models", first, second, "--test-csv", synthetic_csvs[1],
+                     "--p-grid", "0", "--trials", "1", "--output", str(tmp_path / "r.csv")])
+    err = capsys.readouterr().err
+    if other == "same":
+        assert code == 0 and err == ""
+    else:
+        assert code == 1
+        assert err.startswith("config error: ") and "sharing one encoder and standardizer" in err
+
+
+@pytest.mark.parametrize("train", [{"eval_every": 0}, {"dtype": "foo"}, {"dtype": "int32"}],
+                         ids=["eval_every", "dtype-name", "dtype-integer"])
+def test_invalid_train_config_of_a_sweep_exits_1(tmp_path, capsys, train):
+    config = {
+        "data": {"synthetic": {"num_classes": 3, "num_features": 6, "samples_per_class": 10}},
+        "models": [{"kind": "decohd", "channels": [2], "latent_dim": 4}],
+        "train": {"epochs": 1, **train},
+        "dims": [16],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("extra", [["--epochs", "-1"], ["--dim", "0"], ["--channels", "0,2"],

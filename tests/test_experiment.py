@@ -14,6 +14,7 @@ from decohd.experiment import (
     ExperimentConfig,
     build_encoder,
     fit_model,
+    load_config,
     prepare_data,
     run_experiment,
 )
@@ -127,6 +128,15 @@ def test_deleted_inference_keys_are_rejected():
     for key, value in (("mode", "auto"), ("memory_cap_bytes", 1024)):
         with pytest.raises(ConfigError, match="unknown keys"):
             ExperimentConfig(data={"synthetic": {}}, inference={key: value})
+
+
+@pytest.mark.parametrize("key, value", [("sigma_init", 1.0), ("shuffle_seed", 3), ("betas", [0.9, 0.99]),
+                                        ("eps", 1e-8), ("decay_latents", False), ("decay_head", False)])
+def test_deleted_train_keys_are_rejected(tmp_path, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"data": {"synthetic": {}}, "train": {key: value}}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown keys"):
+        load_config(str(path))
 
 
 @pytest.mark.parametrize("dtype, generated", [("float32", 2), ("float64", 4)])

@@ -4,21 +4,24 @@ import numpy as np
 import pytest
 
 from decohd import inference, model
-from decohd.inference import (
-    DecomposedScorer,
-    choose_mode,
-    infer_scores,
-    materialize_prototypes,
-    materialized_scores,
-    peak_memory_estimate,
-    score_batch,
-    stream_scores,
-)
+from decohd.inference import DecomposedScorer, choose_mode, materialize_prototypes, score_batch, stream_scores
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
 from decohd.faults import NoiseSpec, inject_bitflips
-from decohd.model import ChannelBank, DecoHDClassifier, logits, path_basis, pick_class
+from decohd.model import ChannelBank, DecoHDClassifier, path_basis, pick_class
 from decohd.precision import quantize_model
-from tests.conftest import assert_same_bits, integer_bank_and_head, random_small_instance, score_term_scale
+from tests.conftest import (
+    assert_same_bits,
+    brute_force_logits,
+    integer_bank_and_head,
+    random_small_instance,
+    score_term_scale,
+)
+
+MODES = ("score_only", "materialized_prototypes")
+
+
+def materialized_scores(h, bank, head):
+    return DecomposedScorer(bank=bank, head=head).scores(h, "materialized_prototypes")
 
 
 def random_bank_and_head(rng, dtype=np.float32, channels=(2, 3), dim=32, num_classes=4):
@@ -30,15 +33,14 @@ def random_bank_and_head(rng, dtype=np.float32, channels=(2, 3), dim=32, num_cla
 
 class TestStreamScores:
     def test_single_path_equals_logits_exactly(self, rng):
-        bank = ChannelBank([rng.standard_normal((1, 8)).astype(np.float64)])
-        head = rng.standard_normal((3, 1))
-        h = rng.standard_normal(8)
-        np.testing.assert_array_equal(stream_scores(h, bank, head), logits(h, bank, head))
+        # Integer values, so that every summation order is exact.
+        bank, head, h = integer_bank_and_head(rng, channels=(1,), dim=8)
+        np.testing.assert_array_equal(stream_scores(h, bank, head), brute_force_logits(h, bank, head))
 
     def test_matches_batched_forward_fp32(self, rng):
         for _ in range(10):
             bank, head, h = random_bank_and_head(rng, np.float32)
-            ref = logits(h, bank, head)
+            ref = brute_force_logits(h, bank, head)
             out = stream_scores(h, bank, head)
             err = np.abs(out - ref) / score_term_scale(bank, head, h)
             assert err.max() < 1e-5
@@ -46,7 +48,7 @@ class TestStreamScores:
     def test_matches_batched_forward_fp64(self, rng):
         for _ in range(10):
             bank, head, h = random_bank_and_head(rng, np.float64)
-            ref = logits(h, bank, head)
+            ref = brute_force_logits(h, bank, head)
             np.testing.assert_allclose(stream_scores(h, bank, head), ref, rtol=1e-10)
 
     def test_hand_fixture(self):
@@ -57,13 +59,15 @@ class TestStreamScores:
         np.testing.assert_array_equal(stream_scores(h, bank, head), [12.0, 6.0])
 
     def test_single_working_buffer(self, rng):
-        # Real bytes of one call against the analytic count.  Allowed on
-        # top: numpy's ufunc cast buffer (float32 channel rows are cast
-        # into the float64 working buffer in bufsize-element chunks) and
-        # 16 KiB for the path index arrays and per-path head columns.  One
-        # more D-length float64 vector (80 KB at D=10000) exceeds it.
+        # Real bytes of one call against the analytic count: the float64
+        # working hypervector, the input widened to float64 once and C
+        # float64 scores.  Allowed on top: numpy's ufunc cast buffer
+        # (float32 channel rows are cast into the float64 working buffer
+        # in bufsize-element chunks) and 16 KiB for the path index arrays
+        # and per-path head columns.  One more D-length float64 vector
+        # (80 KB at D=10000) exceeds it.
         dim, num_classes = 10000, 26
-        bound = peak_memory_estimate("score_only", num_classes, dim) + np.getbufsize() * 8 + 16 * 1024
+        bound = (2 * dim + num_classes) * 8 + np.getbufsize() * 8 + 16 * 1024
         for channels in [(3, 4), (4, 4, 4), (5, 5, 5)]:
             bank, head, h = random_bank_and_head(rng, channels=channels, dim=dim, num_classes=num_classes)
             tracemalloc.start()
@@ -86,8 +90,7 @@ class TestMaterializedPrototypes:
     def test_matches_stream_scores(self, rng):
         for _ in range(10):
             bank, head, h = random_bank_and_head(rng, np.float32)
-            protos = materialize_prototypes(bank, head)
-            diff = materialized_scores(h, protos) - stream_scores(h, bank, head)
+            diff = materialized_scores(h, bank, head) - stream_scores(h, bank, head)
             err = np.abs(diff) / score_term_scale(bank, head, h)
             assert err.max() < 1e-5
 
@@ -100,8 +103,7 @@ class TestMaterializedPrototypes:
 
     def test_depends_on_h_only_through_square(self, rng):
         bank, head, h = random_bank_and_head(rng)
-        protos = materialize_prototypes(bank, head)
-        np.testing.assert_array_equal(materialized_scores(h, protos), materialized_scores(-h, protos))
+        np.testing.assert_array_equal(materialized_scores(h, bank, head), materialized_scores(-h, bank, head))
 
 
 class TestCrossModeEquivalence:
@@ -112,7 +114,8 @@ class TestCrossModeEquivalence:
                 rng, np.float32, channels=channels,
                 dim=int(rng.integers(8, 65)), num_classes=int(rng.integers(2, 6)),
             )
-            outs = [infer_scores(h, bank, head, mode) for mode in inference.INFERENCE_MODES]
+            scorer = DecomposedScorer(bank=bank, head=head)
+            outs = [scorer.scores(h, mode) for mode in MODES]
             denom = score_term_scale(bank, head, h)
             for other in outs[1:]:
                 assert (np.abs(other - outs[0]) / denom).max() < 1e-5
@@ -121,7 +124,7 @@ class TestCrossModeEquivalence:
     def test_unknown_mode(self, rng):
         bank, head, h = random_bank_and_head(rng)
         with pytest.raises(ValueError, match="unknown inference mode"):
-            infer_scores(h, bank, head, "fastest")
+            DecomposedScorer(bank=bank, head=head).scores(h, "fastest")
 
 
 class TestScoreBatch:
@@ -132,7 +135,7 @@ class TestScoreBatch:
         bank = materialize_channels(params, projectors)
         batch = score_batch(h, bank, params.head)
         for j in range(h.shape[0]):
-            np.testing.assert_allclose(batch[j], logits(h[j], bank, params.head), rtol=1e-9)
+            np.testing.assert_allclose(batch[j], brute_force_logits(h[j], bank, params.head), rtol=1e-9)
 
 
 class TestChunkedScoreBatch:
@@ -208,21 +211,6 @@ class TestKeptBasis:
             expected = ((h * h) @ path_basis(rewritten.bank).T) @ rewritten.head.T
         np.testing.assert_array_equal(after, expected)
         assert not np.array_equal(after, before, equal_nan=True)
-
-
-class TestPeakMemory:
-    def test_score_only_count(self):
-        # One float64 working hypervector, the input widened to float64
-        # once, and 26 float64 scores; the model's itemsize does not
-        # enter: 2*10000*8 + 26*8.
-        assert peak_memory_estimate("score_only", 26, 10000, itemsize=4) == 160208
-
-    def test_materialized_count(self):
-        assert peak_memory_estimate("materialized_prototypes", 26, 10000, itemsize=4) == 26 * 10000 * 4
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            peak_memory_estimate("other", 2, 4)
 
 
 class TestChooseMode:

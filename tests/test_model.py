@@ -2,41 +2,24 @@ import numpy as np
 import pytest
 
 from decohd.baselines import PrototypeTable
+from decohd.inference import materialize_prototypes, score_batch
 from decohd.model import (
     ChannelBank,
     ModelConfig,
     ModelParams,
-    class_bundle,
-    compose_path,
-    flat_to_multi,
     init_params,
     layer_index_arrays,
-    logits,
     materialize_channels,
     materialize_projectors,
-    multi_to_flat,
     path_basis,
     pick_class,
 )
-from tests.conftest import LAYER_SHAPES, assert_same_bits, integer_bank_and_head
+from tests.conftest import LAYER_SHAPES, assert_same_bits, brute_force_logits, integer_bank_and_head
 
 
-def brute_force_logits(h, bank, head):
-    """Independent oracle: explicit loops over paths, channels, classes."""
-    channels = bank.channels_per_layer
-    num_paths = int(np.prod(channels))
-    num_classes = head.shape[0]
-    scores = np.zeros(num_classes)
-    for c in range(num_classes):
-        bundle = np.zeros(bank.dim)
-        for m in range(num_paths):
-            multi = np.unravel_index(m, channels)
-            z = np.array(h, dtype=np.float64)
-            for i, mi in enumerate(multi):
-                z = z * bank.channels[i][mi]
-            bundle = bundle + head[c, m] * z
-        scores[c] = float(np.dot(bundle, h))
-    return scores
+def logits(h, bank, head):
+    """Scores of one hypervector through the batched forward."""
+    return score_batch(np.asarray(h)[None], bank, head)[0]
 
 
 class TestConfig:
@@ -81,32 +64,30 @@ class TestInitParams:
 
 
 class TestPathEnumeration:
+    @staticmethod
+    def path(flat, channels):
+        return tuple(int(a[flat]) for a in layer_index_arrays(channels))
+
     def test_row_major_last_layer_fastest(self):
         channels = (2, 3)
-        assert flat_to_multi(0, channels) == (0, 0)
-        assert flat_to_multi(1, channels) == (0, 1)
-        assert flat_to_multi(3, channels) == (1, 0)
+        assert self.path(0, channels) == (0, 0)
+        assert self.path(1, channels) == (0, 1)
+        assert self.path(3, channels) == (1, 0)
 
     def test_bijection_roundtrip(self):
         channels = (2, 3, 4)
         seen = set()
         for flat in range(24):
-            multi = flat_to_multi(flat, channels)
+            multi = self.path(flat, channels)
             seen.add(multi)
-            assert multi_to_flat(multi, channels) == flat
+            assert np.ravel_multi_index(multi, channels) == flat
         assert len(seen) == 24
 
     def test_index_arrays_match(self):
         channels = (3, 2)
         idx = layer_index_arrays(channels)
         for flat in range(6):
-            assert tuple(a[flat] for a in idx) == flat_to_multi(flat, channels)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            flat_to_multi(6, (2, 3))
-        with pytest.raises(ValueError):
-            multi_to_flat((2, 0), (2, 3))
+            assert tuple(a[flat] for a in idx) == np.unravel_index(flat, channels)
 
 
 class TestMaterializeChannels:
@@ -156,52 +137,50 @@ class TestPathBasis:
 
 
 class TestComposePath:
+    """Binding *h* along a path: *h* times the path's row of the basis."""
+
     def test_identity_channel(self):
         bank = ChannelBank([np.ones((1, 4))])
         h = np.array([1.0, -2.0, 3.0, 0.5])
-        np.testing.assert_array_equal(compose_path(h, bank, (0,)), h)
+        np.testing.assert_array_equal(h * path_basis(bank)[0], h)
 
     def test_hand_two_layer(self):
         bank = ChannelBank([np.array([[1.0, -1.0, 1.0]]), np.array([[2.0, 2.0, 2.0]])])
-        z = compose_path(np.array([1.0, 2.0, 3.0]), bank, (0, 0))
+        z = np.array([1.0, 2.0, 3.0]) * path_basis(bank)[0]
         np.testing.assert_array_equal(z, [2.0, -4.0, 6.0])
 
     def test_layer_order_irrelevant(self, rng):
         a = rng.integers(-3, 4, 5).astype(float)
         b = rng.integers(-3, 4, 5).astype(float)
         h = rng.integers(-3, 4, 5).astype(float)
-        z1 = compose_path(h, ChannelBank([a[None], b[None]]), (0, 0))
-        z2 = compose_path(h, ChannelBank([b[None], a[None]]), (0, 0))
+        z1 = h * path_basis(ChannelBank([a[None], b[None]]))[0]
+        z2 = h * path_basis(ChannelBank([b[None], a[None]]))[0]
         np.testing.assert_array_equal(z1, z2)
-
-    def test_index_out_of_range(self):
-        bank = ChannelBank([np.ones((2, 3))])
-        with pytest.raises(ValueError, match="out of range"):
-            compose_path(np.ones(3), bank, (2,))
 
 
 class TestClassBundle:
+    """The bundle of class c at *h*: its composed prototype times *h*."""
+
+    @staticmethod
+    def class_bundle(h, bank, head, cls):
+        return materialize_prototypes(bank, head)[cls] * h
+
     def test_single_path(self):
         bank = ChannelBank([np.array([[2.0, -1.0]])])
         h = np.array([1.0, 3.0])
         head = np.array([[1.0]])
-        np.testing.assert_array_equal(class_bundle(h, bank, head, 0), h * [2.0, -1.0])
+        np.testing.assert_array_equal(self.class_bundle(h, bank, head, 0), h * [2.0, -1.0])
 
     def test_zero_weights(self):
         bank = ChannelBank([np.ones((3, 4))])
-        out = class_bundle(np.ones(4), bank, np.zeros((2, 3)), 1)
+        out = self.class_bundle(np.ones(4), bank, np.zeros((2, 3)), 1)
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_hand_accumulation(self):
         # Z_1 = [2, 0], Z_2 = [0, 2] via h = [1, 1] and channels [2,0], [0,2]
         bank = ChannelBank([np.array([[2.0, 0.0], [0.0, 2.0]])])
-        out = class_bundle(np.array([1.0, 1.0]), bank, np.array([[0.5, 0.5]]), 0)
+        out = self.class_bundle(np.array([1.0, 1.0]), bank, np.array([[0.5, 0.5]]), 0)
         np.testing.assert_array_equal(out, [1.0, 1.0])
-
-    def test_bad_class(self):
-        bank = ChannelBank([np.ones((1, 2))])
-        with pytest.raises(ValueError, match="class"):
-            class_bundle(np.ones(2), bank, np.ones((2, 1)), 2)
 
 
 class TestLogits:

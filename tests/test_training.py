@@ -21,10 +21,9 @@ from decohd.training import (
     Gradients,
     TrainConfig,
     TrainingDiverged,
-    adamw_step,
     backward,
+    batch_cross_entropy,
     batch_loss,
-    cross_entropy,
     evaluate,
     train,
 )
@@ -67,6 +66,11 @@ def max_relative_error(analytic: Gradients, numeric: Gradients) -> float:
     return worst
 
 
+def cross_entropy(logits, label):
+    """The loss of one row: batch_cross_entropy of a one-row batch."""
+    return batch_cross_entropy(np.asarray(logits)[None], np.array([label]))
+
+
 class TestCrossEntropy:
     def test_uniform_two_class(self):
         assert cross_entropy(np.array([0.0, 0.0]), 0) == pytest.approx(math.log(2.0), abs=1e-12)
@@ -80,10 +84,6 @@ class TestCrossEntropy:
         expected = -math.log(math.exp(3.0) / (math.exp(1.0) + math.exp(2.0) + math.exp(3.0)))
         assert cross_entropy(np.array([1.0, 2.0, 3.0]), 2) == pytest.approx(expected, rel=1e-12)
         assert cross_entropy(np.array([1.0, 2.0, 3.0]), 2) == pytest.approx(0.40761, abs=5e-6)
-
-    def test_bad_label(self):
-        with pytest.raises(ValueError, match="label"):
-            cross_entropy(np.array([0.0, 1.0]), 2)
 
 
 class TestBackward:
@@ -187,7 +187,8 @@ class TestAdamW:
 
         expected_lat = reference(params.latents[0], g.d_latents[0])
         expected_head = reference(params.head, g.d_head)
-        out = adamw_step(params, g, AdamW(learning_rate=lr, betas=(b1, b2), eps=eps))
+        out = params.copy()
+        AdamW(learning_rate=lr, betas=(b1, b2), eps=eps).step(out, g)
         np.testing.assert_allclose(out.latents[0], expected_lat, rtol=1e-12)
         np.testing.assert_allclose(out.head, expected_head, rtol=1e-12)
         # and the direction is sign-like: g / (|g| + eps) up to bias correction
@@ -201,14 +202,6 @@ class TestAdamW:
         opt.step(params, self._zero_grads(params))
         opt.step(params, self._zero_grads(params))
         np.testing.assert_allclose(params.head, expected, rtol=1e-12)
-
-    def test_decay_group_flags(self):
-        params = self._params()
-        before = params.copy()
-        opt = AdamW(learning_rate=0.1, weight_decay=0.5, decay_latents=False)
-        opt.step(params, self._zero_grads(params))
-        assert params.latents[0].tobytes() == before.latents[0].tobytes()
-        assert params.head.tobytes() != before.head.tobytes()
 
 
 def _blob_setup(num_classes=2, dim=512, latent_dim=64, channels=(2,), separation=10.0, seed=3):
@@ -240,7 +233,7 @@ class TestTrain:
         cfg, h_tr, y_tr, _, _ = _blob_setup()
         tcfg = TrainConfig(epochs=0, dtype="float64")
         result = train(cfg, tcfg, h_tr, y_tr)
-        ref = init_params(cfg, tcfg.sigma_init, dtype=np.float64)
+        ref = init_params(cfg, dtype=np.float64)
         assert result.params.head.tobytes() == ref.head.tobytes()
         for a, b in zip(result.params.latents, ref.latents):
             assert a.tobytes() == b.tobytes()
@@ -336,8 +329,8 @@ class TestGradientAccumulationMatchesBackward:
         )
         result = train(cfg, tcfg, h, y, init=params)
         grads = backward(h, y, params, projectors)
-        opt = AdamW(learning_rate=1e-3, weight_decay=5e-5)
-        expected = adamw_step(params, grads, opt)
+        expected = params.copy()
+        AdamW(learning_rate=1e-3, weight_decay=5e-5).step(expected, grads)
         np.testing.assert_allclose(result.params.head, expected.head, rtol=1e-12)
         for a, b in zip(result.params.latents, expected.latents):
             np.testing.assert_allclose(a, b, rtol=1e-12)
