@@ -23,13 +23,12 @@ import numpy as np
 
 from .budget import BudgetQuery, budget_of, enumerate_configs, trainable_param_savings
 from .data import ParseError, load_csv, make_synthetic, save_csv
-from .encoding import fit_standardizer
 from .experiment import (
     ConfigError,
     DataSpec,
     ExperimentConfig,
     ModelSpec,
-    build_encoder,
+    encode_splits,
     fit_model,
     load_config,
     run_experiment,
@@ -111,10 +110,7 @@ def cmd_train(args) -> int:
         dims=(args.dim,),
         encoder_kind=args.encoder,
     )
-    standardizer = fit_standardizer(train_ds.features)
-    encoder = build_encoder(config, train_ds.num_features, args.dim)
-    h_train = encoder.encode_batch(train_ds.features, standardizer)
-    h_test = encoder.encode_batch(test_ds.features, standardizer)
+    standardizer, encoder, h_train, h_test = encode_splits(config, train_ds, test_ds, args.dim)
     clf, history = fit_model(
         config.models[0], args.model, config, encoder, standardizer,
         h_train, train_ds.labels, h_test, test_ds.labels, train_ds.num_classes,

@@ -223,6 +223,17 @@ def build_encoder(config: ExperimentConfig, num_features: int, dim: int) -> Rand
     )
 
 
+def encode_splits(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, dim: int):
+    """Fit the standardizer on the train split, build the encoder of
+    dimension *dim* and encode both splits; returns (standardizer,
+    encoder, h_train, h_test)."""
+    standardizer = fit_standardizer(train_ds.features)
+    encoder = build_encoder(config, train_ds.num_features, dim)
+    h_train = encoder.encode_batch(train_ds.features, standardizer)
+    h_test = encoder.encode_batch(test_ds.features, standardizer)
+    return standardizer, encoder, h_train, h_test
+
+
 def fit_model(
     spec: ModelSpec,
     label: str,
@@ -318,13 +329,10 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
     accuracies = {}
     try:
         train_ds, test_ds = prepare_data(config.data, config.root_seed)
-        standardizer = fit_standardizer(train_ds.features)
         for dim in config.dims:
             stage = f"encode-D{dim}"
-            encoder = build_encoder(config, train_ds.num_features, dim)
+            standardizer, encoder, h_train, h_test = encode_splits(config, train_ds, test_ds, dim)
             derived_seeds[f"encoder_D{dim}"] = encoder.config.seed
-            h_train = encoder.encode_batch(train_ds.features, standardizer)
-            h_test = encoder.encode_batch(test_ds.features, standardizer)
             scorers = {}
             for spec, label in zip(config.models, labels):
                 stage = f"train-{label}-D{dim}"

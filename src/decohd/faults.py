@@ -3,8 +3,13 @@
 Each bit of each targeted float32 word flips independently with the
 configured probability, from a seeded stream derived per parameter
 array, so a given NoiseSpec always produces the same corrupted model.
-At p=0 nothing is drawn: the array is copied as it is.  Since every
-array owns its stream, skipping one changes no other array's flips.
+The flips are sampled by count, not bit by bit: an array of n words
+draws its flip count from Binomial(32n, p), then that many distinct bit
+positions uniformly without replacement.  This is exactly the
+distribution of independent per-bit flips, at a cost that grows with
+the number of flips rather than of bits.  At p=0 nothing is drawn: the
+array is copied as it is.  Since every array owns its stream, skipping
+one changes no other array's flips.
 Flips can produce NaN/Inf values; those are kept as stored, and scoring
 treats NaN logits as minus infinity.
 
@@ -39,18 +44,27 @@ class NoiseSpec:
 
 def flip_float32_bits(a: np.ndarray, flip_probability: float, seed: int) -> np.ndarray:
     """Flip each of the 32 bits of each element independently; returns
-    a new C-contiguous array.  p=0 draws nothing."""
+    a new C-contiguous array.
+
+    The stream draws the flip count k ~ Binomial(32n, p) first, then k
+    distinct positions among the 32n bits (word ``pos // 32``, bit
+    ``pos % 32``), which are XORed into a copy.  Given its count, every
+    set of k bits is equally likely, as it is under independent flips,
+    so the two have the same distribution; p=1 flips every bit.  p=0
+    draws nothing.
+    """
     a = np.asarray(a)
     if a.dtype != np.float32:
         raise TypeError(f"bit flips are defined on float32 storage, got {a.dtype}")
+    out = a.copy(order="C")
     if flip_probability == 0.0:
-        return a.copy(order="C")
-    bits = np.ascontiguousarray(a).view(np.uint32).reshape(-1)
+        return out
+    words = out.view(np.uint32).reshape(-1)
     rng = rng_from_seed(seed)
-    mask = np.zeros(bits.shape, dtype=np.uint32)
-    for k in range(32):
-        mask |= (rng.random(bits.shape[0]) < flip_probability).astype(np.uint32) << np.uint32(k)
-    return (bits ^ mask).view(np.float32).reshape(a.shape).copy()
+    count = rng.binomial(32 * words.size, flip_probability)
+    pos = rng.choice(32 * words.size, size=count, replace=False)
+    np.bitwise_xor.at(words, pos >> 5, np.uint32(1) << (pos & 31).astype(np.uint32))
+    return out
 
 
 def inject_bitflips(scorer, spec: NoiseSpec):

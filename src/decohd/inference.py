@@ -13,7 +13,8 @@ The score of class c is ``s_c = sum_m head[c,m] * <basis_m, h*h>``, with
 :meth:`DecomposedScorer.scores` scores one hypervector in the mode that
 :func:`choose_mode` picks under a memory cap: ``score_only`` streams,
 ``materialized_prototypes`` scores ``<P_c, h*h>`` against the prototypes
-``P_c = sum_m head[c,m] * basis_m`` stored at the model dtype.  Forms
+``P_c = sum_m head[c,m] * basis_m`` stored at the model dtype and built
+once per scorer.  Forms
 differ in rounding by a bound relative to the sum of the absolute path
 terms, ``sum_m |head[c,m]| * <|basis_m|, h*h>``, not to the score, which
 may cancel to near zero.
@@ -28,11 +29,11 @@ work through these two alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ChannelBank, layer_index_arrays, path_basis
+from .model import ChannelBank, layer_index_arrays
 from .ops import dot
 
 # Most rows score_batch squares and scores at once; its working buffer
@@ -64,8 +65,8 @@ def stream_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndar
 
 def materialize_prototypes(bank: ChannelBank, head: np.ndarray) -> np.ndarray:
     """Collapse the decomposition into a conventional C x dim prototype
-    table; input-independent, computed once per model."""
-    basis = path_basis(bank)
+    table, from the path basis the bank keeps; input-independent."""
+    basis = bank.basis
     protos = head.astype(np.float64, copy=False) @ basis.astype(np.float64, copy=False)
     return protos.astype(np.result_type(head, bank.channels[0]), copy=False)
 
@@ -114,10 +115,16 @@ def choose_mode(num_classes: int, dim: int, memory_cap_bytes: int | None, itemsi
 class DecomposedScorer:
     """Inference-resident state of a decomposed model: the materialized
     channel bank plus the bundling head.  :meth:`stored` names them
-    ``"channels:{i}"`` and ``"head"``."""
+    ``"channels:{i}"`` and ``"head"``.
+
+    Like the bank's basis, the prototype table of the
+    ``materialized_prototypes`` mode is built on first use and kept, so
+    the scorer is immutable once scored; :meth:`replace` makes a new one.
+    """
 
     bank: ChannelBank
     head: np.ndarray
+    _prototypes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_classes(self) -> int:
@@ -143,9 +150,11 @@ class DecomposedScorer:
         if mode == "score_only":
             return stream_scores(h, self.bank, self.head)
         if mode == "materialized_prototypes":
-            prototypes = materialize_prototypes(self.bank, self.head).astype(np.float64, copy=False)
+            if self._prototypes is None:
+                table = materialize_prototypes(self.bank, self.head)
+                self._prototypes = table.astype(np.float64, copy=False)
             h = np.asarray(h, dtype=np.float64)
-            return (prototypes @ (h * h).T).T
+            return (self._prototypes @ (h * h).T).T
         raise ValueError(
             f"unknown inference mode {mode!r}; expected 'score_only' or 'materialized_prototypes'"
         )

@@ -23,6 +23,7 @@ serialized model format.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,7 +80,16 @@ class ModelConfig:
 
 
 def materialize_projectors(config: ModelConfig, dtype=np.float32) -> list[np.ndarray]:
-    return [generate_matrix(spec, dtype=dtype) for spec in config.projector_specs()]
+    """Every layer's projector, each drawn on its own thread.
+
+    Each projector owns its Philox stream, and numpy releases the GIL
+    while it fills an array, so the layers draw in parallel and every
+    matrix is bit-identical to a plain :func:`generate_matrix` of its
+    spec.  A thread holds one block buffer besides its output.
+    """
+    specs = config.projector_specs()
+    with ThreadPoolExecutor(max_workers=len(specs)) as pool:
+        return list(pool.map(lambda spec: generate_matrix(spec, dtype=dtype), specs))
 
 
 @dataclass

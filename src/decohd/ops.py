@@ -32,8 +32,12 @@ MATRIX_KINDS = ("gaussian", "ternary")
 # Symmetric default: -1, 0, +1 each with probability 1/3.
 DEFAULT_TERNARY_ZERO_PROB = 1.0 / 3.0
 
-# Rows drawn per float64 block in generate_matrix: 256 x 10000 is 20 MB.
-_GENERATE_BLOCK_ROWS = 256
+# Rows drawn per float64 block in generate_matrix: 16 x 10000 is 1.3 MB,
+# held once per call whatever the matrix size.  Kept small because,
+# under glibc, a buffer freed on a worker thread of
+# materialize_projectors can stay resident in that thread's malloc
+# arena, where the main thread cannot reuse it.
+_GENERATE_BLOCK_ROWS = 16
 
 
 def derive_seed(root: int, *tokens: int | str) -> int:
@@ -76,6 +80,15 @@ class RandomMatrixSpec:
             raise ValueError("ternary_zero_prob must be in [0, 1)")
 
 
+def _uniform_to_ternary(u: np.ndarray, p0: float) -> None:
+    """Map uniforms in place: 0 below *p0*, -1 below the midpoint of the
+    rest, +1 above it.  The two masks die on return."""
+    zero, negative = u < p0, u < p0 + (1.0 - p0) / 2.0
+    u.fill(1.0)
+    np.copyto(u, -1.0, where=negative)
+    np.copyto(u, 0.0, where=zero)
+
+
 def generate_matrix(spec: RandomMatrixSpec, dtype=np.float32) -> np.ndarray:
     """Materialize the matrix described by *spec*.
 
@@ -83,24 +96,25 @@ def generate_matrix(spec: RandomMatrixSpec, dtype=np.float32) -> np.ndarray:
     ternary:  i.i.d. over {-1, 0, +1} times ``scale``; zero carries
     ``ternary_zero_prob`` mass and the remainder splits evenly.
 
-    Sampling runs in float64 blocks of ``_GENERATE_BLOCK_ROWS`` rows,
-    each scaled in place and then cast into the preallocated output, so
-    the stream does not depend on the requested storage dtype and no
-    full-size float64 copy is ever held.  The generator fills
-    sequentially, so the result equals one full-size draw bit for bit.
+    Sampling fills one float64 buffer of ``_GENERATE_BLOCK_ROWS`` rows,
+    reused for every block: each block is drawn into it in place, scaled
+    and cast into the preallocated output.  The stream does not depend
+    on the requested storage dtype, and no full-size float64 copy is
+    ever held.  The generator fills sequentially, so the result equals
+    one full-size draw bit for bit.
     """
     rng = rng_from_seed(spec.seed)
     out = np.empty((spec.rows, spec.cols), dtype=dtype)
-    p0 = spec.ternary_zero_prob
+    buffer = np.empty((min(_GENERATE_BLOCK_ROWS, spec.rows), spec.cols))
     for start in range(0, spec.rows, _GENERATE_BLOCK_ROWS):
-        shape = (min(_GENERATE_BLOCK_ROWS, spec.rows - start), spec.cols)
+        block = buffer[: min(_GENERATE_BLOCK_ROWS, spec.rows - start)]
         if spec.kind == "gaussian":
-            block = rng.standard_normal(shape)
+            rng.standard_normal(out=block)
         else:
-            u = rng.random(shape)
-            block = np.where(u < p0, 0.0, np.where(u < p0 + (1.0 - p0) / 2.0, -1.0, 1.0))
+            rng.random(out=block)
+            _uniform_to_ternary(block, spec.ternary_zero_prob)
         block *= spec.scale
-        out[start : start + shape[0]] = block
+        out[start : start + block.shape[0]] = block
     return out
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .baselines import Classifier, PrototypeTable, SparseScorer
 from .data import ParseError
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
-from .model import DecoHDClassifier, ModelConfig, ModelParams
+from .model import DecoHDClassifier, ModelConfig, ModelParams, check_param_shapes
 
 FORMAT_VERSION = 1
 
@@ -94,12 +94,34 @@ def save_classifier(path, clf) -> None:
 
 
 def load_classifier(path):
+    """Read a container written by :func:`save_classifier`.
+
+    A container that cannot make a usable model raises
+    :class:`ContainerError`: a wrong format version, an unknown kind, a
+    missing metadata key or array, or arrays whose shapes disagree with
+    the configs.
+    """
     meta, arrays = load_arrays(path)
     if meta.get("format_version") != FORMAT_VERSION:
         raise ContainerError(f"{path}: unsupported container version {meta.get('format_version')}")
+    kind = meta.get("kind")
+    if kind not in ("decohd", "prototype", "onlinehd", "sparsehd"):
+        raise ContainerError(f"{path}: unknown model kind {kind!r} in container")
+    try:
+        return _classifier_from(meta, arrays, kind)
+    except KeyError as exc:
+        raise ContainerError(f"{path}: {kind} container has no entry {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ContainerError(f"{path}: malformed {kind} container: {exc}") from exc
+
+
+def _classifier_from(meta: dict, arrays: dict[str, np.ndarray], kind: str):
     encoder = _encoder_from_meta(meta["encoder"])
     standardizer = Standardizer(mean=arrays["standardizer_mean"], std=arrays["standardizer_std"])
-    kind = meta.get("kind")
+    width = (encoder.config.num_features,)
+    if standardizer.mean.shape != width or standardizer.std.shape != width:
+        raise ValueError(f"standardizer shapes {standardizer.mean.shape} and "
+                         f"{standardizer.std.shape}, expected {width}")
     if kind == "decohd":
         model_meta = dict(meta["model"])
         model_meta["channels_per_layer"] = tuple(model_meta["channels_per_layer"])
@@ -108,10 +130,14 @@ def load_classifier(path):
             latents=[arrays[f"latents_{i}"] for i in range(config.num_layers)],
             head=arrays["head"],
         )
+        check_param_shapes(params, config)
+        if config.dim != encoder.config.dim:
+            raise ValueError(f"model dim {config.dim} does not match encoder dim {encoder.config.dim}")
         return DecoHDClassifier(encoder=encoder, standardizer=standardizer, config=config, params=params)
-    if kind in ("prototype", "onlinehd"):
-        return Classifier(encoder, standardizer, PrototypeTable(arrays["table"]), kind)
+    table = arrays["table"]
+    if table.ndim != 2 or table.shape[1] != encoder.config.dim:
+        raise ValueError(f"table has shape {table.shape}, expected (classes, {encoder.config.dim})")
     if kind == "sparsehd":
-        scorer = SparseScorer(prototypes=arrays["table"], mask=arrays["mask"], budget=float(meta["budget"]))
+        scorer = SparseScorer(prototypes=table, mask=arrays["mask"], budget=float(meta["budget"]))
         return Classifier(encoder, standardizer, scorer, kind)
-    raise ContainerError(f"{path}: unknown model kind {kind!r} in container")
+    return Classifier(encoder, standardizer, PrototypeTable(table), kind)

@@ -155,11 +155,18 @@ def spoil_container(path, how: str) -> None:
             fh.write(b"not a container")
         return
     meta, arrays = load_arrays(path)
-    meta.update({"version": {"format_version": 99}, "kind": {"kind": "tree"}}[how])
+    if how == "head":
+        del arrays["head"]
+    elif how == "encoder":
+        del meta["encoder"]
+    elif how == "latents":
+        arrays["latents_0"] = arrays["latents_0"][:, :-1]
+    else:
+        meta.update({"version": {"format_version": 99}, "kind": {"kind": "tree"}}[how])
     save_arrays(path, meta, arrays)
 
 
-@pytest.mark.parametrize("how", ["version", "kind", "garbage"])
+@pytest.mark.parametrize("how", ["version", "kind", "garbage", "head", "encoder", "latents"])
 @pytest.mark.parametrize("command", ["eval", "robustness"])
 def test_unusable_container_exits_2_as_data_error(saved_decohd, tmp_path, capsys, command, how):
     model_path, csv_path = saved_decohd
@@ -172,3 +179,7 @@ def test_unusable_container_exits_2_as_data_error(saved_decohd, tmp_path, capsys
     assert err.startswith("data error: ") and "Traceback" not in err
     if how == "version":
         assert "unsupported container version 99" in err
+    if how in ("head", "encoder"):
+        assert f"has no entry '{how}'" in err
+    if how == "latents":
+        assert "layer 0 latents have shape" in err

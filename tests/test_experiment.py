@@ -8,11 +8,10 @@ import pytest
 
 from decohd import experiment
 from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_table
-from decohd.encoding import fit_standardizer
 from decohd.experiment import (
     ConfigError,
     ExperimentConfig,
-    build_encoder,
+    encode_splits,
     fit_model,
     load_config,
     prepare_data,
@@ -102,10 +101,7 @@ def test_fit_model_refines_only_a_table_it_keeps(monkeypatch, model, refines):
                                                   "samples_per_class": 20}},
                               models=(model,), dims=(64,))
     train_ds, test_ds = prepare_data(config.data, config.root_seed)
-    standardizer = fit_standardizer(train_ds.features)
-    encoder = build_encoder(config, train_ds.num_features, 64)
-    h_train = encoder.encode_batch(train_ds.features, standardizer)
-    h_test = encoder.encode_batch(test_ds.features, standardizer)
+    standardizer, encoder, h_train, h_test = encode_splits(config, train_ds, test_ds, 64)
     calls = []
 
     def counting(*args, **kwargs):
@@ -150,10 +146,7 @@ def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, dtype, 
         dims=(64,),
     )
     train_ds, test_ds = prepare_data(config.data, config.root_seed)
-    standardizer = fit_standardizer(train_ds.features)
-    encoder = build_encoder(config, train_ds.num_features, 64)
-    h_train = encoder.encode_batch(train_ds.features, standardizer)
-    h_test = encoder.encode_batch(test_ds.features, standardizer)
+    standardizer, encoder, h_train, h_test = encode_splits(config, train_ds, test_ds, 64)
     specs = []
 
     def counting(spec, dtype=np.float32):

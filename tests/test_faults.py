@@ -77,3 +77,37 @@ def test_zero_rate_copies_without_drawing(monkeypatch):
     assert seeds == []
     flip_float32_bits(a, 1e-3, 11)
     assert seeds == [11]
+
+
+def flipped_bits(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per word, the bits in which *out* differs from *a*, unpacked to
+    shape (n, 32) with bit k in column k."""
+    diff = (a.view(np.uint32) ^ out.view(np.uint32)).reshape(-1)
+    return ((diff[:, None] >> np.arange(32, dtype=np.uint32)) & 1).astype(bool)
+
+
+def test_flip_counts_fall_within_binomial_bounds(rng):
+    a = rng.standard_normal(10_000).astype(np.float32)
+    p, bits = 1e-3, 32 * 10_000
+    mean, sd = bits * p, np.sqrt(bits * p * (1 - p))
+    counts = [int(flipped_bits(a, flip_float32_bits(a, p, seed)).sum()) for seed in range(10)]
+    assert all(abs(k - mean) <= 5 * sd for k in counts), counts
+    assert abs(np.mean(counts) - mean) <= 5 * sd / np.sqrt(len(counts))
+    assert len(set(counts)) > 1  # the count is drawn, not fixed at its mean
+
+
+def test_every_bit_position_is_hit_uniformly(rng):
+    a = rng.standard_normal(4096).astype(np.float32)
+    hits = sum(flipped_bits(a, flip_float32_bits(a, 1e-2, seed)).sum(axis=0) for seed in range(10))
+    expected = hits.sum() / 32
+    chi2 = float(((hits - expected) ** 2 / expected).sum())
+    assert chi2 < 61.1, chi2  # the 0.999 quantile of chi-square with 31 degrees of freedom
+
+
+def test_flipped_positions_are_distinct(rng):
+    # The stream draws the count first.  Two draws of one position would
+    # cancel in the XOR and leave fewer flipped bits than the count.
+    a = rng.standard_normal((8, 16)).astype(np.float32)
+    for seed in range(20):
+        count = rng_from_seed(seed).binomial(32 * a.size, 0.3)
+        assert flipped_bits(a, flip_float32_bits(a, 0.3, seed)).sum() == count

@@ -1,6 +1,10 @@
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 
+from decohd import model
 from decohd.baselines import PrototypeTable
 from decohd.inference import materialize_prototypes, score_batch
 from decohd.model import (
@@ -14,6 +18,7 @@ from decohd.model import (
     path_basis,
     pick_class,
 )
+from decohd.ops import generate_matrix
 from tests.conftest import LAYER_SHAPES, assert_same_bits, brute_force_logits, integer_bank_and_head
 
 
@@ -249,3 +254,26 @@ class TestProjectors:
         cfg = ModelConfig(channels_per_layer=(2, 2), latent_dim=4, dim=8, num_classes=2, seed=8)
         a, b = materialize_projectors(cfg)
         assert a.tobytes() != b.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 65, 617])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
+    def test_threads_draw_each_spec_bit_for_bit(self, monkeypatch, kind, dtype, rows):
+        specs = ModelConfig.projector_specs
+        monkeypatch.setattr(ModelConfig, "projector_specs",
+                            lambda cfg: [dataclasses.replace(s, kind=kind) for s in specs(cfg)])
+        cfg = ModelConfig(channels_per_layer=(2, 1, 3), latent_dim=rows, dim=40, num_classes=2, seed=8)
+        expected = [generate_matrix(s, dtype=dtype) for s in cfg.projector_specs()]
+        # Every layer must be drawing before any may finish: a serial
+        # loop would break the barrier.
+        barrier = threading.Barrier(cfg.num_layers, timeout=10)
+
+        def together(spec, dtype):
+            barrier.wait()
+            return generate_matrix(spec, dtype=dtype)
+
+        monkeypatch.setattr(model, "generate_matrix", together)
+        got = materialize_projectors(cfg, dtype=dtype)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert_same_bits(a, b)

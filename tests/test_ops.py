@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from decohd import ops
 from decohd.inference import materialize_prototypes
 from decohd.model import ChannelBank, path_basis
 from decohd.ops import RandomMatrixSpec, derive_seed, dot, generate_matrix, rng_from_seed
@@ -119,7 +122,7 @@ class TestGenerateMatrix:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
-    @pytest.mark.parametrize("rows", [1, 256, 257, 600])
+    @pytest.mark.parametrize("rows", [1, 16, 17, 256, 257, 600])
     def test_row_blocks_equal_one_full_draw(self, rows, kind, dtype):
         # Oracle: the whole matrix drawn in one call, scaled, then cast.
         spec = RandomMatrixSpec(rows=rows, cols=9, kind=kind, seed=31, scale=0.3)
@@ -132,6 +135,22 @@ class TestGenerateMatrix:
             full = np.where(u < p0, 0.0, np.where(u < p0 + (1.0 - p0) / 2.0, -1.0, 1.0))
         expected = (full * spec.scale).astype(dtype)
         assert generate_matrix(spec, dtype=dtype).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
+    def test_holds_one_block_buffer_beyond_its_output(self, kind):
+        spec = RandomMatrixSpec(rows=617, cols=500, kind=kind, seed=3)
+        generate_matrix(RandomMatrixSpec(2, 2, kind, seed=3))  # numpy's lazy imports come first
+        buffer = ops._GENERATE_BLOCK_ROWS * spec.cols * 8
+        # Ternary also holds two boolean masks of one block.
+        masks = 0 if kind == "gaussian" else 2 * ops._GENERATE_BLOCK_ROWS * spec.cols
+        tracemalloc.start()
+        try:
+            out = generate_matrix(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A fresh block per iteration would briefly hold two.
+        assert peak - out.nbytes <= buffer + masks + 16384
 
     def test_zero_dims_rejected(self):
         with pytest.raises(ValueError, match="positive"):

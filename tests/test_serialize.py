@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from decohd.serialize import load_arrays, load_classifier, save_classifier
+from decohd.serialize import ContainerError, load_arrays, load_classifier, save_arrays, save_classifier
 from tests.conftest import small_classifier
 
 KINDS = ("decohd", "prototype", "onlinehd", "sparsehd")
@@ -56,3 +56,31 @@ def test_meta_is_stored_zero_dimensional(tmp_path, rng):
         assert data["__meta__"].shape == ()
     meta, _ = load_arrays(tmp_path / "m.npz")
     assert meta["kind"] == "prototype"
+
+
+def narrow_standardizer(meta, arrays):
+    arrays["standardizer_mean"] = arrays["standardizer_mean"][:-1]
+
+
+def wider_model(meta, arrays):
+    meta["model"]["dim"] += 1
+
+
+def narrow_table(meta, arrays):
+    arrays["table"] = arrays["table"][:, :-1]
+
+
+@pytest.mark.parametrize("kind, spoil, message", [
+    ("decohd", narrow_standardizer, "standardizer shapes"),
+    ("decohd", wider_model, "model dim 65 does not match encoder dim 64"),
+    ("prototype", narrow_table, r"table has shape \(3, 63\)"),
+], ids=["standardizer", "dim", "table"])
+def test_shapes_that_disagree_with_the_configs_are_container_errors(tmp_path, rng, kind, spoil, message):
+    # Each would otherwise load and fail later, at encoding or scoring.
+    clf, _ = small_classifier(kind, rng)
+    save_classifier(tmp_path / "m.npz", clf)
+    meta, arrays = load_arrays(tmp_path / "m.npz")
+    spoil(meta, arrays)
+    save_arrays(tmp_path / "m.npz", meta, arrays)
+    with pytest.raises(ContainerError, match=message):
+        load_classifier(tmp_path / "m.npz")
