@@ -23,6 +23,7 @@ import numpy as np
 
 from .budget import BudgetQuery, budget_of, enumerate_configs, trainable_param_savings
 from .data import ParseError, load_csv, make_synthetic, save_csv
+from .encoding import fit_standardizer
 from .experiment import (
     ConfigError,
     DataSpec,
@@ -110,7 +111,8 @@ def cmd_train(args) -> int:
         dims=(args.dim,),
         encoder_kind=args.encoder,
     )
-    standardizer, encoder, h_train, h_test = encode_splits(config, train_ds, test_ds, args.dim)
+    standardizer = fit_standardizer(train_ds.features)
+    encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, args.dim)
     clf, history = fit_model(
         config.models[0], args.model, config, encoder, standardizer,
         h_train, train_ds.labels, h_test, test_ds.labels, train_ds.num_classes,

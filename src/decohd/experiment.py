@@ -28,7 +28,7 @@ from . import __version__
 from .baselines import Classifier, build_prototype_table, onlinehd_refine, sparsify_table
 from .budget import budget_of
 from .data import Dataset, load_csv, make_synthetic, stratified_subsample
-from .encoding import EncoderConfig, RandomProjectionEncoder, fit_standardizer
+from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import robustness_sweep
 from .model import ChannelBank, DecoHDClassifier, ModelConfig, pick_class
 from .ops import derive_seed
@@ -223,15 +223,16 @@ def build_encoder(config: ExperimentConfig, num_features: int, dim: int) -> Rand
     )
 
 
-def encode_splits(config: ExperimentConfig, train_ds: Dataset, test_ds: Dataset, dim: int):
-    """Fit the standardizer on the train split, build the encoder of
-    dimension *dim* and encode both splits; returns (standardizer,
-    encoder, h_train, h_test)."""
-    standardizer = fit_standardizer(train_ds.features)
+def encode_splits(
+    config: ExperimentConfig, standardizer: Standardizer, train_ds: Dataset, test_ds: Dataset, dim: int
+):
+    """Build the encoder of dimension *dim* and encode both splits with
+    a standardizer fitted once on the train split; returns (encoder,
+    h_train, h_test)."""
     encoder = build_encoder(config, train_ds.num_features, dim)
     h_train = encoder.encode_batch(train_ds.features, standardizer)
     h_test = encoder.encode_batch(test_ds.features, standardizer)
-    return standardizer, encoder, h_train, h_test
+    return encoder, h_train, h_test
 
 
 def fit_model(
@@ -329,9 +330,10 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
     accuracies = {}
     try:
         train_ds, test_ds = prepare_data(config.data, config.root_seed)
+        standardizer = fit_standardizer(train_ds.features)
         for dim in config.dims:
             stage = f"encode-D{dim}"
-            standardizer, encoder, h_train, h_test = encode_splits(config, train_ds, test_ds, dim)
+            encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, dim)
             derived_seeds[f"encoder_D{dim}"] = encoder.config.seed
             scorers = {}
             for spec, label in zip(config.models, labels):

@@ -3,12 +3,13 @@
 Each bit of each targeted float32 word flips independently with the
 configured probability, from a seeded stream derived per parameter
 array, so a given NoiseSpec always produces the same corrupted model.
-The flips are sampled by count, not bit by bit: an array of n words
-draws its flip count from Binomial(32n, p), then that many distinct bit
-positions uniformly without replacement.  This is exactly the
-distribution of independent per-bit flips, at a cost that grows with
-the number of flips rather than of bits.  At p=0 nothing is drawn: the
-array is copied as it is.  Since every array owns its stream, skipping
+The flips are sampled by count, not bit by bit: each chunk of m words
+draws its flip count from Binomial(32m, p), then that many distinct bit
+positions uniformly without replacement (above p=1/2, the count and
+positions of the bits kept).  This is exactly the distribution of
+independent per-bit flips; random draws grow with the smaller of the
+flipped and kept bits, and memory with the chunk, not the array.  At
+p=0 nothing is drawn: the array is copied as it is.  Since every array owns its stream, skipping
 one changes no other array's flips.
 Flips can produce NaN/Inf values; those are kept as stored, and scoring
 treats NaN logits as minus infinity.
@@ -42,16 +43,24 @@ class NoiseSpec:
             raise ValueError("flip_probability must be in [0, 1]")
 
 
+# Words whose bits are drawn at once: numpy's choice without replacement
+# may shuffle an int64 array of every candidate bit, so a chunk bounds
+# that at 1 MB whatever the array's size.
+_FLIP_CHUNK_WORDS = 4096
+
+
 def flip_float32_bits(a: np.ndarray, flip_probability: float, seed: int) -> np.ndarray:
     """Flip each of the 32 bits of each element independently; returns
     a new C-contiguous array.
 
-    The stream draws the flip count k ~ Binomial(32n, p) first, then k
-    distinct positions among the 32n bits (word ``pos // 32``, bit
-    ``pos % 32``), which are XORed into a copy.  Given its count, every
-    set of k bits is equally likely, as it is under independent flips,
-    so the two have the same distribution; p=1 flips every bit.  p=0
-    draws nothing.
+    Per chunk of up to ``_FLIP_CHUNK_WORDS`` words (m words, 32m bits,
+    bit b of word w at position ``32*w + b``), the stream draws the flip
+    count k ~ Binomial(32m, p), then k distinct positions, which set a
+    bit mask XORed into a copy.  Above p=1/2 it draws the count and
+    positions of the bits left as they are instead, so at most half the
+    bits are drawn and p=1 draws no position.  Given its count, every set
+    of k bits is equally likely, as it is under independent flips, so the
+    two have the same distribution.  p=0 draws nothing.
     """
     a = np.asarray(a)
     if a.dtype != np.float32:
@@ -61,9 +70,16 @@ def flip_float32_bits(a: np.ndarray, flip_probability: float, seed: int) -> np.n
         return out
     words = out.view(np.uint32).reshape(-1)
     rng = rng_from_seed(seed)
-    count = rng.binomial(32 * words.size, flip_probability)
-    pos = rng.choice(32 * words.size, size=count, replace=False)
-    np.bitwise_xor.at(words, pos >> 5, np.uint32(1) << (pos & 31).astype(np.uint32))
+    flip_drawn = flip_probability <= 0.5
+    q = flip_probability if flip_drawn else 1.0 - flip_probability
+    bits = np.empty(32 * min(_FLIP_CHUNK_WORDS, words.size), dtype=bool)
+    for start in range(0, words.size, _FLIP_CHUNK_WORDS):
+        chunk = words[start:start + _FLIP_CHUNK_WORDS]
+        mask = bits[:32 * chunk.size]
+        count = rng.binomial(mask.size, q)
+        mask.fill(not flip_drawn)
+        mask[rng.choice(mask.size, size=count, replace=False, shuffle=False)] = flip_drawn
+        chunk ^= np.packbits(mask, bitorder="little").view("<u4")
     return out
 
 

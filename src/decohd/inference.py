@@ -13,8 +13,7 @@ The score of class c is ``s_c = sum_m head[c,m] * <basis_m, h*h>``, with
 :meth:`DecomposedScorer.scores` scores one hypervector in the mode that
 :func:`choose_mode` picks under a memory cap: ``score_only`` streams,
 ``materialized_prototypes`` scores ``<P_c, h*h>`` against the prototypes
-``P_c = sum_m head[c,m] * basis_m`` stored at the model dtype and built
-once per scorer.  Forms
+``P_c = sum_m head[c,m] * basis_m`` stored at the model dtype.  Forms
 differ in rounding by a bound relative to the sum of the absolute path
 terms, ``sum_m |head[c,m]| * <|basis_m|, h*h>``, not to the score, which
 may cancel to near zero.
@@ -29,7 +28,7 @@ work through these two alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,16 +114,10 @@ def choose_mode(num_classes: int, dim: int, memory_cap_bytes: int | None, itemsi
 class DecomposedScorer:
     """Inference-resident state of a decomposed model: the materialized
     channel bank plus the bundling head.  :meth:`stored` names them
-    ``"channels:{i}"`` and ``"head"``.
-
-    Like the bank's basis, the prototype table of the
-    ``materialized_prototypes`` mode is built on first use and kept, so
-    the scorer is immutable once scored; :meth:`replace` makes a new one.
-    """
+    ``"channels:{i}"`` and ``"head"``."""
 
     bank: ChannelBank
     head: np.ndarray
-    _prototypes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def num_classes(self) -> int:
@@ -150,11 +143,9 @@ class DecomposedScorer:
         if mode == "score_only":
             return stream_scores(h, self.bank, self.head)
         if mode == "materialized_prototypes":
-            if self._prototypes is None:
-                table = materialize_prototypes(self.bank, self.head)
-                self._prototypes = table.astype(np.float64, copy=False)
+            prototypes = materialize_prototypes(self.bank, self.head).astype(np.float64, copy=False)
             h = np.asarray(h, dtype=np.float64)
-            return (self._prototypes @ (h * h).T).T
+            return (prototypes @ (h * h).T).T
         raise ValueError(
             f"unknown inference mode {mode!r}; expected 'score_only' or 'materialized_prototypes'"
         )

@@ -138,6 +138,10 @@ def _classifier_from(meta: dict, arrays: dict[str, np.ndarray], kind: str):
     if table.ndim != 2 or table.shape[1] != encoder.config.dim:
         raise ValueError(f"table has shape {table.shape}, expected (classes, {encoder.config.dim})")
     if kind == "sparsehd":
-        scorer = SparseScorer(prototypes=table, mask=arrays["mask"], budget=float(meta["budget"]))
+        mask = arrays["mask"]
+        if mask.dtype != np.bool_ or mask.shape != (encoder.config.dim,):
+            raise ValueError(f"mask is {mask.dtype} of shape {mask.shape}, "
+                             f"expected bool of shape ({encoder.config.dim},)")
+        scorer = SparseScorer(prototypes=table, mask=mask, budget=float(meta["budget"]))
         return Classifier(encoder, standardizer, scorer, kind)
     return Classifier(encoder, standardizer, PrototypeTable(table), kind)

@@ -8,6 +8,7 @@ import pytest
 
 from decohd import experiment
 from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_table
+from decohd.encoding import fit_standardizer
 from decohd.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -101,7 +102,8 @@ def test_fit_model_refines_only_a_table_it_keeps(monkeypatch, model, refines):
                                                   "samples_per_class": 20}},
                               models=(model,), dims=(64,))
     train_ds, test_ds = prepare_data(config.data, config.root_seed)
-    standardizer, encoder, h_train, h_test = encode_splits(config, train_ds, test_ds, 64)
+    standardizer = fit_standardizer(train_ds.features)
+    encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, 64)
     calls = []
 
     def counting(*args, **kwargs):
@@ -146,7 +148,8 @@ def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, dtype, 
         dims=(64,),
     )
     train_ds, test_ds = prepare_data(config.data, config.root_seed)
-    standardizer, encoder, h_train, h_test = encode_splits(config, train_ds, test_ds, 64)
+    standardizer = fit_standardizer(train_ds.features)
+    encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, 64)
     specs = []
 
     def counting(spec, dtype=np.float32):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,10 +106,29 @@ def test_every_bit_position_is_hit_uniformly(rng):
     assert chi2 < 61.1, chi2  # the 0.999 quantile of chi-square with 31 degrees of freedom
 
 
-def test_flipped_positions_are_distinct(rng):
-    # The stream draws the count first.  Two draws of one position would
-    # cancel in the XOR and leave fewer flipped bits than the count.
+@pytest.mark.parametrize("p", [0.3, 0.8])
+def test_flipped_positions_are_distinct(rng, p):
+    # The stream draws the count first: of the flipped bits up to p=1/2,
+    # of the kept bits above.  Two draws of one position would leave a
+    # flipped-bit total off the count.
     a = rng.standard_normal((8, 16)).astype(np.float32)
+    bits = 32 * a.size
     for seed in range(20):
-        count = rng_from_seed(seed).binomial(32 * a.size, 0.3)
-        assert flipped_bits(a, flip_float32_bits(a, 0.3, seed)).sum() == count
+        count = rng_from_seed(seed).binomial(bits, min(p, 1 - p))
+        flipped = count if p <= 0.5 else bits - count
+        assert flipped_bits(a, flip_float32_bits(a, p, seed)).sum() == flipped
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+def test_flip_memory_is_bounded_by_the_chunk(rng, p):
+    # numpy's choice without replacement may shuffle every candidate bit
+    # as int64, 256 bytes per word; the chunk bounds that, so the working
+    # memory beyond the copy stays flat as the array grows.
+    a = rng.standard_normal(64 * faults._FLIP_CHUNK_WORDS).astype(np.float32)
+    tracemalloc.start()
+    try:
+        flip_float32_bits(a, p, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - a.nbytes <= 32 * 32 * faults._FLIP_CHUNK_WORDS, peak  # 32 bytes per chunk bit

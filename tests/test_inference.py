@@ -191,29 +191,6 @@ class TestKeptBasis:
             pick_class(scorer.score_batch(h))
         assert len(calls) == 1
 
-    def test_prototype_table_built_once_per_scorer(self, rng, monkeypatch):
-        built, bases = [], []
-
-        def counting_table(bank, head):
-            built.append(bank)
-            return materialize_prototypes(bank, head)
-
-        def counting_basis(bank):
-            bases.append(bank)
-            return path_basis(bank)
-
-        bank, head, _ = random_bank_and_head(rng, channels=(2, 3, 2), dim=40)
-        rows = rng.standard_normal((4, 40)).astype(np.float32)
-        # Oracle: a fresh scorer per row builds its own table.
-        expected = [materialized_scores(h, ChannelBank(list(bank.channels)), head) for h in rows]
-        monkeypatch.setattr(inference, "materialize_prototypes", counting_table)
-        monkeypatch.setattr(model, "path_basis", counting_basis)
-        scorer = DecomposedScorer(bank=bank, head=head)
-        for h, want in zip(rows, expected):
-            assert_same_bits(scorer.scores(h, "materialized_prototypes"), want)
-        scorer.score_batch(rows)  # shares the basis the table was built from
-        assert len(built) == 1 and len(bases) == 1
-
     @pytest.mark.parametrize(
         "rewrite",
         [lambda s: quantize_model(s, "bf16"), lambda s: inject_bitflips(s, NoiseSpec(1.0, seed=3))],

@@ -70,11 +70,21 @@ def narrow_table(meta, arrays):
     arrays["table"] = arrays["table"][:, :-1]
 
 
+def narrow_mask(meta, arrays):
+    arrays["mask"] = arrays["mask"][:-1]
+
+
+def integer_mask(meta, arrays):
+    arrays["mask"] = arrays["mask"].astype(np.int64)
+
+
 @pytest.mark.parametrize("kind, spoil, message", [
     ("decohd", narrow_standardizer, "standardizer shapes"),
     ("decohd", wider_model, "model dim 65 does not match encoder dim 64"),
     ("prototype", narrow_table, r"table has shape \(3, 63\)"),
-], ids=["standardizer", "dim", "table"])
+    ("sparsehd", narrow_mask, r"mask is bool of shape \(63,\)"),
+    ("sparsehd", integer_mask, r"mask is int64 of shape \(64,\)"),
+], ids=["standardizer", "dim", "table", "narrow_mask", "integer_mask"])
 def test_shapes_that_disagree_with_the_configs_are_container_errors(tmp_path, rng, kind, spoil, message):
     # Each would otherwise load and fail later, at encoding or scoring.
     clf, _ = small_classifier(kind, rng)
