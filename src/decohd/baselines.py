@@ -55,15 +55,19 @@ class PrototypeTable:
 def build_prototype_table(h: np.ndarray, labels: np.ndarray, num_classes: int) -> PrototypeTable:
     """Class-wise summation of encoded hypervectors.
 
-    Accumulates in float64, stores in the input dtype.  A class with no
-    samples keeps a zero prototype and triggers a warning.
+    Each row is widened and added into its class's float64 row, in row
+    order.  That is the order ``np.add.at`` adds in, so the sums are the
+    same bit for bit, without a float64 copy of every encoding.  The
+    table is stored in the input dtype.  A class with no samples keeps a
+    zero prototype and triggers a warning.
     """
     h = np.asarray(h)
     labels = np.asarray(labels)
     if labels.min(initial=0) < 0 or (len(labels) and labels.max() >= num_classes):
         raise ValueError("labels out of range for num_classes")
     table = np.zeros((num_classes, h.shape[1]), dtype=np.float64)
-    np.add.at(table, labels, h.astype(np.float64, copy=False))
+    for row, label in zip(h, labels):
+        table[label] += row
     counts = np.bincount(labels, minlength=num_classes)
     for c in np.nonzero(counts == 0)[0]:
         warnings.warn(f"class {c} has no training samples; prototype left at zero")
@@ -91,16 +95,17 @@ def onlinehd_refine(
     For each sample (shuffled every epoch), if the dot-product prediction
     is wrong, pull the true class's prototype toward the sample and push
     the predicted one away, each weighted by (1 - cosine similarity).
-    With learning_rate 0 this is the identity.
+    With learning_rate 0 this is the identity.  Each sample is widened
+    to float64 when it is visited, so no float64 copy of *h* is made.
     """
-    h = np.asarray(h, dtype=np.float64)
+    h = np.asarray(h)
     labels = np.asarray(labels)
     protos = table.prototypes.astype(np.float64)
     n = h.shape[0]
     for epoch in range(epochs):
         order = rng_from_seed(derive_seed(seed, "refine", epoch)).permutation(n)
         for j in order:
-            hv = h[j]
+            hv = h[j].astype(np.float64)
             y = int(labels[j])
             pred = int(pick_class(protos @ hv))
             if pred == y:

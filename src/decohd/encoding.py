@@ -9,6 +9,15 @@ The projection runs in float64.  The encoder widens its float32-rounded
 matrix to float64 once, at construction, and holds that copy, so no
 request pays for the cast and every encoding is bit-identical to a
 float64 product with the float32-rounded matrix.
+
+Rows are projected in chunks of ``_ENCODE_CHUNK_ROWS`` into one float64
+buffer per call.  Each chunk is then normalized and narrowed to the
+output dtype in strips of ``_NORM_STRIP_ROWS`` rows, each while it is
+still in cache: the strip's squares go to a strip-sized scratch, their
+row sums give the norms, the strip is divided in place and cast into
+the output.  These are the operations ``np.linalg.norm`` runs, so the
+encodings are bit for bit its result, without its two chunk-sized
+temporaries.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import numpy as np
 from .ops import DEFAULT_TERNARY_ZERO_PROB, RandomMatrixSpec, derive_seed, generate_matrix
 
 _ENCODE_CHUNK_ROWS = 1024
+_NORM_STRIP_ROWS = 32
 
 
 @dataclass
@@ -121,7 +131,11 @@ class RandomProjectionEncoder:
     def encode_batch(
         self, features: np.ndarray, standardizer: Standardizer, dtype=np.float32
     ) -> np.ndarray:
-        """Encode rows of *features*; projection runs in float64 chunks."""
+        """Encode rows of *features*: projected in float64 chunks, then
+        normalized (when configured) and cast in strips, as the module
+        docstring describes.  A zero row has norm 0 and stays zero.
+        Beyond its output and the standardized input, a call holds one
+        chunk and one strip."""
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.config.num_features:
             raise ValueError(
@@ -130,12 +144,18 @@ class RandomProjectionEncoder:
         if not np.isfinite(features).all():
             raise ValueError("non-finite value in input features")
         z = standardizer.apply(features)
-        out = np.empty((features.shape[0], self.config.dim), dtype=dtype)
-        for start in range(0, features.shape[0], _ENCODE_CHUNK_ROWS):
-            stop = min(start + _ENCODE_CHUNK_ROWS, features.shape[0])
-            block = z[start:stop] @ self.matrix
-            if self.config.normalize_output:
-                norms = np.linalg.norm(block, axis=1, keepdims=True)
-                np.divide(block, norms, out=block, where=norms > 0.0)
-            out[start:stop] = block
+        n = features.shape[0]
+        out = np.empty((n, self.config.dim), dtype=dtype)
+        block = np.empty((min(n, _ENCODE_CHUNK_ROWS), self.config.dim))
+        squares = np.empty((min(n, _NORM_STRIP_ROWS), self.config.dim))
+        for start in range(0, n, _ENCODE_CHUNK_ROWS):
+            stop = min(start + _ENCODE_CHUNK_ROWS, n)
+            product = np.matmul(z[start:stop], self.matrix, out=block[: stop - start])
+            for lo in range(0, stop - start, _NORM_STRIP_ROWS):
+                rows = product[lo:lo + _NORM_STRIP_ROWS]
+                if self.config.normalize_output:
+                    sq = np.multiply(rows, rows, out=squares[: len(rows)])
+                    norms = np.sqrt(np.add.reduce(sq, axis=1, keepdims=True))
+                    np.divide(rows, norms, out=rows, where=norms > 0.0)
+                out[start + lo:start + lo + len(rows)] = rows
         return out

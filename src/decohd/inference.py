@@ -87,16 +87,20 @@ def score_batch(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarra
     tail: BLAS computes small products with other kernels, whose rounding
     differs, and even chunks keep each row's scores equal to those of
     one whole-batch product.
+
+    A bit-flipped bank may overflow: the basis is built, and the rows
+    scored, with overflow and invalid-value warnings silenced.
     """
     h = np.asarray(h)
     n = h.shape[0]
     chunks = max(1, -(-n // _SCORE_CHUNK_ROWS))
     u = np.empty((min(n, _SCORE_CHUNK_ROWS), h.shape[1]), dtype=h.dtype)
-    out = np.empty((n, head.shape[0]), dtype=np.result_type(h, bank.basis, head))
     with np.errstate(over="ignore", invalid="ignore"):
+        basis = bank.basis
+        out = np.empty((n, head.shape[0]), dtype=np.result_type(h, basis, head))
         for k in range(chunks):
             lo, hi = k * n // chunks, (k + 1) * n // chunks
-            _, t = path_terms(h[lo:hi], bank.basis, out=u[: hi - lo])
+            _, t = path_terms(h[lo:hi], basis, out=u[: hi - lo])
             out[lo:hi] = t @ head.T
     return out
 

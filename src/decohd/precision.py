@@ -17,9 +17,9 @@ One kernel does the rounding on the unsigned-integer view of the
 stored bits, for float32 (``uint32``) and float64 (``uint64``) arrays
 alike: :func:`quantize_array` rounds a float32 array on its own bits,
 with no float64 copy, and :func:`quantize` converts any input to
-float64 and rounds that directly.  It works in chunks of 2**20
-elements, so its temporaries are a fixed few megabytes whatever the
-input size.
+float64 and rounds that directly.  It works in chunks of 2**16
+elements, so its temporaries are a fixed few hundred kilobytes
+whatever the input size, and each pass over a chunk runs in cache.
 
 :func:`quantize_model` maps :func:`quantize_array` over a deployed
 scorer's ``stored()`` arrays and rebuilds it with ``replace``.  A
@@ -111,7 +111,9 @@ _STORAGE = {
 }
 
 # Elements per pass, so temporaries stay a fixed size whatever the input.
-_CHUNK = 1 << 20
+# At float32 a chunk's handful of temporaries, 256 KB each, fit together
+# in a 2 MB L2 and stay there between passes.
+_CHUNK = 1 << 16
 
 
 def _round_to_format(x: np.ndarray, fmt: PrecisionFormat) -> np.ndarray:

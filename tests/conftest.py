@@ -127,6 +127,16 @@ def deployed_forms(rng, channels=(2, 3), dim=48, num_classes=4):
     }
 
 
+def add_at_prototype_sums(h, labels, num_classes):
+    """Class sums by ``np.add.at`` over a float64 copy of *h*, stored in
+    *h*'s dtype: the reference :func:`decohd.baselines.build_prototype_table`
+    must equal bit for bit."""
+    h = np.asarray(h)
+    table = np.zeros((num_classes, h.shape[1]), dtype=np.float64)
+    np.add.at(table, np.asarray(labels), h.astype(np.float64))
+    return table.astype(h.dtype)
+
+
 def quantize_oracle(values, fmt):
     """Rounding onto *fmt*'s grid in float64 through frexp/ldexp: the
     reference :func:`decohd.precision.quantize` must equal bit for bit.

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from decohd import encoding
 from decohd.encoding import (
     EncoderConfig,
     RandomProjectionEncoder,
@@ -8,6 +11,7 @@ from decohd.encoding import (
     fit_standardizer,
 )
 from decohd.ops import generate_matrix
+from tests.conftest import assert_same_bits
 
 
 class TestFitStandardizer:
@@ -103,10 +107,13 @@ class TestResidentMatrix:
 
     @staticmethod
     def oracle(cfg, standardizer, x):
+        """One whole-batch product normalized by ``np.linalg.norm``; a
+        zero row stays zero."""
         w = generate_matrix(cfg.matrix_spec(), dtype=np.float32).astype(np.float64)
         block = ((x - standardizer.mean) / standardizer.std) @ w
         if cfg.normalize_output:
-            block = block / np.linalg.norm(block, axis=1, keepdims=True)
+            norms = np.linalg.norm(block, axis=1, keepdims=True)
+            np.divide(block, norms, out=block, where=norms > 0.0)
         return block.astype(np.float32)
 
     def test_matrix_held_in_float64(self):
@@ -116,9 +123,10 @@ class TestResidentMatrix:
         np.testing.assert_array_equal(enc.matrix, generate_matrix(cfg.matrix_spec(), dtype=np.float32))
 
     @pytest.mark.parametrize("normalize", [True, False])
-    @pytest.mark.parametrize("rows", [1, 1500])
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 1025, 1500])
     def test_encode_batch_matches_inline_projection(self, rng, rows, normalize):
-        # 1500 rows crosses the 1024-row encoding chunk.
+        # 31 to 33 rows sit on the 32-row strip boundary; 1025 and 1500
+        # cross the 1024-row encoding chunk, the first by one row.
         cfg = EncoderConfig(num_features=37, dim=300, seed=9, normalize_output=normalize)
         standardizer = fit_standardizer(rng.standard_normal((50, 37)))
         x = 3.0 * rng.standard_normal((rows, 37)) + 1.0
@@ -126,3 +134,35 @@ class TestResidentMatrix:
         expected = self.oracle(cfg, standardizer, x)
         assert enc.encode_batch(x, standardizer).tobytes() == expected.tobytes()
         assert enc.encode(x[-1], standardizer).tobytes() == expected[-1].tobytes()
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_zero_row_in_a_batch_matches_inline_projection(self, rng, normalize):
+        # The mean row standardizes to zero and projects to a zero row,
+        # whose norm is 0: it stays zero and its strip-mates are unharmed.
+        cfg = EncoderConfig(num_features=37, dim=300, seed=9, normalize_output=normalize)
+        standardizer = fit_standardizer(rng.standard_normal((50, 37)))
+        x = 3.0 * rng.standard_normal((70, 37)) + 1.0
+        x[33] = standardizer.mean
+        out = RandomProjectionEncoder(cfg).encode_batch(x, standardizer)
+        assert out.tobytes() == self.oracle(cfg, standardizer, x).tobytes()
+        assert_same_bits(out[33], np.zeros(300, dtype=np.float32))
+        assert np.isfinite(out).all()
+
+    def test_holds_one_chunk_and_one_strip_beyond_its_output(self, rng):
+        # Beyond the output and the standardized input, a call holds the
+        # float64 product chunk and the strip of squares; np.linalg.norm
+        # on the whole chunk would add two more chunk-sized temporaries.
+        rows, features, dim = 2100, 8, 512
+        enc = RandomProjectionEncoder(EncoderConfig(num_features=features, dim=dim, seed=3))
+        standardizer = fit_standardizer(rng.standard_normal((50, features)))
+        x = rng.standard_normal((rows, features))
+        chunk = encoding._ENCODE_CHUNK_ROWS * dim * 8
+        strip = encoding._NORM_STRIP_ROWS * dim * 8
+        standardized = rows * features * 8
+        tracemalloc.start()
+        try:
+            out = enc.encode_batch(x, standardizer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= chunk + strip + standardized + (1 << 18)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,19 @@ class TestKeptBasis:
             expected = ((h * h) @ path_basis(rewritten.bank).T) @ rewritten.head.T
         np.testing.assert_array_equal(after, expected)
         assert not np.array_equal(after, before, equal_nan=True)
+
+
+def test_flipped_bank_scores_without_warnings():
+    # Channels near float32's limit, as a flipped exponent bit leaves
+    # them: binding overflows to inf and inf * 0 terms give NaN.
+    channels = [np.full((2, 8), 3e38, dtype=np.float32), np.full((2, 8), 3e38, dtype=np.float32)]
+    channels[1][0, :4] = 0.0
+    bank = ChannelBank(channels)
+    head = np.ones((3, 4), dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = score_batch(np.ones((2, 8), dtype=np.float32), bank, head)
+    assert not np.isfinite(scores).any()
 
 
 class TestChooseMode:

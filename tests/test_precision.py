@@ -128,6 +128,17 @@ class TestKernelEqualsFloat64Oracle:
         assert quantize_array(np.zeros((0, 7), dtype=np.float32), fmt).shape == (0, 7)
 
 
+@pytest.mark.parametrize("fmt", ["bf16", "fp8_e4m3fn", "fp4_e2m1"])
+@pytest.mark.parametrize("size", [precision._CHUNK - 1, precision._CHUNK + 1, 3 * precision._CHUNK + 5])
+def test_sizes_around_the_chunk_equal_the_oracle(rng, size, fmt):
+    # Short last chunks, and a chunk of one element, round like the rest.
+    x = rng.choice(float32_patterns(rng), size)
+    with np.errstate(invalid="ignore"):
+        expected = quantize_oracle(x, fmt)
+    assert_same_bits(quantize_array(x, fmt), expected.astype(np.float32))
+    assert_same_bits(quantize(x.astype(np.float64), fmt), expected)
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(exponent_bits=5, mantissa_bits=24, bias=15),  # finer than float32
     dict(exponent_bits=9, mantissa_bits=23, bias=255),  # 33 bits wide
