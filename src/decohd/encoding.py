@@ -16,8 +16,8 @@ output dtype in strips of ``_NORM_STRIP_ROWS`` rows, each while it is
 still in cache: the strip's squares go to a strip-sized scratch, their
 row sums give the norms, the strip is divided in place and cast into
 the output.  These are the operations ``np.linalg.norm`` runs, so the
-encodings are bit for bit its result, without its two chunk-sized
-temporaries.
+encodings are bit for bit its result, without its chunk-sized array of
+squares.
 """
 
 from __future__ import annotations

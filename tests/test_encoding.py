@@ -151,7 +151,7 @@ class TestResidentMatrix:
     def test_holds_one_chunk_and_one_strip_beyond_its_output(self, rng):
         # Beyond the output and the standardized input, a call holds the
         # float64 product chunk and the strip of squares; np.linalg.norm
-        # on the whole chunk would add two more chunk-sized temporaries.
+        # on the whole chunk would add a chunk-sized array of squares.
         rows, features, dim = 2100, 8, 512
         enc = RandomProjectionEncoder(EncoderConfig(num_features=features, dim=dim, seed=3))
         standardizer = fit_standardizer(rng.standard_normal((50, features)))
