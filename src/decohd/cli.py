@@ -29,6 +29,7 @@ from .experiment import (
     DataSpec,
     ExperimentConfig,
     ModelSpec,
+    accuracy,
     encode_splits,
     fit_model,
     load_config,
@@ -36,7 +37,6 @@ from .experiment import (
     write_csv,
 )
 from .faults import robustness_sweep
-from .model import pick_class
 from .precision import PRESETS, get_format, quantize_array, quantize_model
 from .serialize import load_classifier, save_classifier
 from .training import TrainingDiverged
@@ -127,7 +127,7 @@ def cmd_train(args) -> int:
         )
         print(f"history written to {hist_path}")
     scorer = clf.scorer
-    acc = float((pick_class(scorer.score_batch(h_test)) == test_ds.labels).mean())
+    acc = accuracy(scorer, h_test, test_ds.labels)
     print(f"model={args.model} D={args.dim} m_budget={budget_of(scorer):.4f} test_accuracy={acc:.4f}")
     print(f"saved {args.output}")
     return 0
@@ -142,7 +142,7 @@ def cmd_eval(args) -> int:
         fmt = get_format(args.precision)
         scorer = quantize_model(scorer, fmt)
         h = quantize_array(h, fmt)
-    acc = float((pick_class(scorer.score_batch(h)) == test_ds.labels).mean())
+    acc = accuracy(scorer, h, test_ds.labels)
     print(f"model={clf.kind} n={test_ds.num_samples} precision={args.precision} accuracy={acc:.4f}")
     return 0
 

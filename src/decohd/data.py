@@ -185,27 +185,3 @@ def make_synthetic(
         )
 
     return build("train"), build("test")
-
-
-def stratified_subsample(dataset: Dataset, max_rows: int, seed: int = 0) -> Dataset:
-    """Per-class proportional subsample down to at most *max_rows*;
-    returns the dataset unchanged when it is already small enough."""
-    n = dataset.num_samples
-    if n <= max_rows:
-        return dataset
-    rng = rng_from_seed(derive_seed(seed, "subsample", dataset.name, dataset.split))
-    frac = max_rows / n
-    keep = []
-    for c in range(dataset.num_classes):
-        rows = np.nonzero(dataset.labels == c)[0]
-        take = max(1, int(round(len(rows) * frac))) if len(rows) else 0
-        if take:
-            keep.append(rng.choice(rows, size=min(take, len(rows)), replace=False))
-    keep = np.sort(np.concatenate(keep))
-    return Dataset(
-        features=dataset.features[keep],
-        labels=dataset.labels[keep],
-        split=dataset.split,
-        name=dataset.name,
-        num_classes=dataset.num_classes,
-    )

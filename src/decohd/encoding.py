@@ -8,11 +8,11 @@ matrix is regenerated from its seed and never trained or stored.
 The projection runs in float64.  The encoder widens its float32-rounded
 matrix to float64 once, at construction, and holds that copy, so no
 request pays for the cast and every encoding is bit-identical to a
-float64 product with the float32-rounded matrix.
+float64 product with the float32-rounded matrix.  Encodings are float32.
 
 Rows are projected in chunks of ``_ENCODE_CHUNK_ROWS`` into one float64
-buffer per call.  Each chunk is then normalized and narrowed to the
-output dtype in strips of ``_NORM_STRIP_ROWS`` rows, each while it is
+buffer per call.  Each chunk is then normalized and narrowed to
+float32 in strips of ``_NORM_STRIP_ROWS`` rows, each while it is
 still in cache: the strip's squares go to a strip-sized scratch, their
 row sums give the norms, the strip is divided in place and cast into
 the output.  These are the operations ``np.linalg.norm`` runs, so the
@@ -38,11 +38,6 @@ class Standardizer:
 
     mean: np.ndarray
     std: np.ndarray
-
-    @classmethod
-    def identity(cls, num_features: int) -> "Standardizer":
-        """Pass-through standardizer (mean 0, std 1)."""
-        return cls(np.zeros(num_features), np.ones(num_features))
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
@@ -106,31 +101,19 @@ class EncoderConfig:
 class RandomProjectionEncoder:
     """Applies the frozen projection; immutable after construction.
 
-    ``matrix`` is held in float64: a generated matrix is drawn at
-    float32 and widened once.  An explicit ``matrix`` can be passed to
-    pin the projection in tests.
+    ``matrix`` is held in float64: it is drawn at float32 and widened
+    once.
     """
 
-    def __init__(self, config: EncoderConfig, matrix: np.ndarray | None = None):
+    def __init__(self, config: EncoderConfig):
         self.config = config
-        if matrix is None:
-            matrix = generate_matrix(config.matrix_spec(), dtype=np.float32)
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape != (config.num_features, config.dim):
-            raise ValueError(
-                f"encoder matrix shape {matrix.shape} does not match config "
-                f"({config.num_features}, {config.dim})"
-            )
-        self.matrix = matrix
+        self.matrix = generate_matrix(config.matrix_spec(), dtype=np.float32).astype(np.float64)
 
-    def encode(self, x: np.ndarray, standardizer: Standardizer, dtype=np.float32) -> np.ndarray:
+    def encode(self, x: np.ndarray, standardizer: Standardizer) -> np.ndarray:
         """Encode a single sample into a hypervector."""
-        h = self.encode_batch(np.asarray(x)[None, :], standardizer, dtype=dtype)
-        return h[0]
+        return self.encode_batch(np.asarray(x)[None, :], standardizer)[0]
 
-    def encode_batch(
-        self, features: np.ndarray, standardizer: Standardizer, dtype=np.float32
-    ) -> np.ndarray:
+    def encode_batch(self, features: np.ndarray, standardizer: Standardizer) -> np.ndarray:
         """Encode rows of *features*: projected in float64 chunks, then
         normalized (when configured) and cast in strips, as the module
         docstring describes.  A zero row has norm 0 and stays zero.
@@ -145,7 +128,7 @@ class RandomProjectionEncoder:
             raise ValueError("non-finite value in input features")
         z = standardizer.apply(features)
         n = features.shape[0]
-        out = np.empty((n, self.config.dim), dtype=dtype)
+        out = np.empty((n, self.config.dim), dtype=np.float32)
         block = np.empty((min(n, _ENCODE_CHUNK_ROWS), self.config.dim))
         squares = np.empty((min(n, _NORM_STRIP_ROWS), self.config.dim))
         for start in range(0, n, _ENCODE_CHUNK_ROWS):

@@ -4,7 +4,9 @@ A run is fully described by one JSON config; the manifest written next
 to the results contains the resolved config plus every derived seed, and
 re-running from the manifest reproduces the run bit-exactly (modulo the
 wall-clock column of the history file).  Unknown config keys are errors:
-silent typos in sweep grids are the main operational hazard.
+silent typos in sweep grids are the main operational hazard.  At every
+precision but fp32 the test encodings are rounded to the format before
+they are scored, as the models' stored arrays are.
 
 Output files (all UTF-8 CSV with header rows):
 
@@ -27,7 +29,7 @@ import numpy as np
 from . import __version__
 from .baselines import Classifier, build_prototype_table, onlinehd_refine, sparsify_table
 from .budget import budget_of
-from .data import Dataset, load_csv, make_synthetic, stratified_subsample
+from .data import Dataset, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import robustness_sweep
 from .model import ChannelBank, DecoHDClassifier, ModelConfig, pick_class
@@ -70,7 +72,6 @@ class DataSpec:
     train_csv: str | None = None
     test_csv: str | None = None
     synthetic: SyntheticSpec | dict | None = None
-    max_train_rows: int | None = None
 
     def __post_init__(self):
         if isinstance(self.synthetic, dict):
@@ -83,7 +84,6 @@ class DataSpec:
 @dataclass(frozen=True)
 class ModelSpec:
     kind: str
-    label: str | None = None
     channels: tuple[int, ...] = (2,)  # decohd
     latent_dim: int = 4096  # decohd
     epochs: int = 200  # onlinehd refinement passes
@@ -113,11 +113,6 @@ class NoiseConfig:
 
 
 @dataclass(frozen=True)
-class InferenceConfig:
-    quantize_encodings: bool = True
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     name: str = "experiment"
     root_seed: int = 0
@@ -125,11 +120,9 @@ class ExperimentConfig:
     models: tuple = (ModelSpec(kind="prototype"),)
     train: TrainConfig | dict = field(default_factory=TrainConfig)
     encoder_kind: str = "gaussian"
-    normalize_encodings: bool = True
     dims: tuple[int, ...] = (10000,)
     precisions: tuple[str, ...] = ("fp32",)
     noise: NoiseConfig | dict = field(default_factory=NoiseConfig)
-    inference: InferenceConfig | dict = field(default_factory=InferenceConfig)
     output_dir: str = "results"
 
     def __post_init__(self):
@@ -139,8 +132,6 @@ class ExperimentConfig:
             object.__setattr__(self, "train", _from_dict(TrainConfig, self.train, "train"))
         if isinstance(self.noise, dict):
             object.__setattr__(self, "noise", _from_dict(NoiseConfig, self.noise, "noise"))
-        if isinstance(self.inference, dict):
-            object.__setattr__(self, "inference", _from_dict(InferenceConfig, self.inference, "inference"))
         models = []
         for i, m in enumerate(self.models):
             models.append(_from_dict(ModelSpec, m, f"models[{i}]") if isinstance(m, dict) else m)
@@ -153,21 +144,19 @@ class ExperimentConfig:
             get_format(p)  # validate early
 
     def model_labels(self) -> list[str]:
+        """A model's kind, or ``kind<n>`` for the n-th of several models
+        of one kind; no kind ends in a digit, so labels are unique."""
         counts = {}
         for m in self.models:
             counts[m.kind] = counts.get(m.kind, 0) + 1
         seen = {}
         labels = []
         for m in self.models:
-            if m.label:
-                labels.append(m.label)
-            elif counts[m.kind] == 1:
+            if counts[m.kind] == 1:
                 labels.append(m.kind)
             else:
                 seen[m.kind] = seen.get(m.kind, 0) + 1
                 labels.append(f"{m.kind}{seen[m.kind]}")
-        if len(set(labels)) != len(labels):
-            raise ConfigError(f"duplicate model labels: {labels}")
         return labels
 
 
@@ -182,10 +171,6 @@ def load_config(path: str) -> ExperimentConfig:
     if isinstance(raw, dict) and "config" in raw and "derived_seeds" in raw:
         raw = raw["config"]  # manifests reload as configs
     return _from_dict(ExperimentConfig, raw, "config")
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    return asdict(config)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +191,6 @@ def prepare_data(spec: DataSpec, root_seed: int) -> tuple[Dataset, Dataset]:
     else:
         train_ds = load_csv(spec.train_csv, name=spec.name, split="train")
         test_ds = load_csv(spec.test_csv, name=spec.name, split="test", num_classes=train_ds.num_classes)
-    if spec.max_train_rows is not None:
-        train_ds = stratified_subsample(train_ds, spec.max_train_rows, seed=derive_seed(root_seed, "subsample"))
     return train_ds, test_ds
 
 
@@ -218,7 +201,6 @@ def build_encoder(config: ExperimentConfig, num_features: int, dim: int) -> Rand
             dim=dim,
             kind=config.encoder_kind,
             seed=derive_seed(config.root_seed, "encoder", dim),
-            normalize_output=config.normalize_encodings,
         )
     )
 
@@ -283,7 +265,8 @@ def fit_model(
     return Classifier(encoder, standardizer, table, spec.kind), []
 
 
-def _accuracy(scorer, h: np.ndarray, y: np.ndarray) -> float:
+def accuracy(scorer, h: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of rows of *h* whose batched score picks the label in *y*."""
     return float((pick_class(scorer.score_batch(h)) == y).mean())
 
 
@@ -358,9 +341,8 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
                 for label, scorer in scorers.items():
                     stage = f"eval-{label}-D{dim}"
                     if q_h is None:
-                        quantized = config.inference.quantize_encodings and fmt.name != "fp32"
-                        q_h = quantize_array(h_test, fmt) if quantized else h_test
-                    acc = _accuracy(quantize_model(scorer, fmt), q_h, test_ds.labels)
+                        q_h = quantize_array(h_test, fmt) if fmt.name != "fp32" else h_test
+                    acc = accuracy(quantize_model(scorer, fmt), q_h, test_ds.labels)
                     accuracies[(label, precision, dim)] = acc
                     result_rows.append([label, budget_of(scorer), precision, dim, acc])
                     precision_rows.append([label, precision, dim, acc])
@@ -400,7 +382,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
         manifest_path = os.path.join(out, "manifest.json")
         manifest = {
             "package_version": __version__,
-            "config": config_to_dict(config),
+            "config": asdict(config),
             "derived_seeds": derived_seeds,
             "dataset": {
                 "name": train_ds.name,

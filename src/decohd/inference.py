@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ChannelBank, layer_index_arrays
-from .ops import dot
 
 # Most rows score_batch squares and scores at once; its working buffer
 # holds this many rows whatever the batch size.
@@ -58,7 +57,7 @@ def stream_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndar
         z[:] = h
         for i, ch in enumerate(bank.channels):
             np.multiply(z, ch[idx[i][m]], out=z)
-        scores += head[:, m].astype(np.float64) * dot(z, h)
+        scores += head[:, m].astype(np.float64) * np.dot(z, h)
     return scores
 
 
@@ -147,9 +146,11 @@ class DecomposedScorer:
         if mode == "score_only":
             return stream_scores(h, self.bank, self.head)
         if mode == "materialized_prototypes":
-            prototypes = materialize_prototypes(self.bank, self.head).astype(np.float64, copy=False)
             h = np.asarray(h, dtype=np.float64)
-            return (prototypes @ (h * h).T).T
+            # A bit-flipped bank may overflow, as in score_batch.
+            with np.errstate(over="ignore", invalid="ignore"):
+                prototypes = materialize_prototypes(self.bank, self.head).astype(np.float64, copy=False)
+                return (prototypes @ (h * h).T).T
         raise ValueError(
             f"unknown inference mode {mode!r}; expected 'score_only' or 'materialized_prototypes'"
         )

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -119,14 +120,12 @@ def check_param_shapes(params: ModelParams, config: ModelConfig) -> None:
         )
 
 
-def init_params(config: ModelConfig, sigma: float = 1.0, dtype=np.float64) -> ModelParams:
-    """Latents i.i.d. normal(0, sigma^2); every head entry exactly 1/M."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+def init_params(config: ModelConfig, dtype=np.float64) -> ModelParams:
+    """Latents i.i.d. normal(0, 1); every head entry exactly 1/M."""
     latents = []
     for i, l in enumerate(config.channels_per_layer):
         rng = rng_from_seed(derive_seed(config.seed, "latents", i))
-        latents.append((rng.standard_normal((l, config.latent_dim)) * sigma).astype(dtype))
+        latents.append(rng.standard_normal((l, config.latent_dim)).astype(dtype))
     head = np.full((config.num_classes, config.num_paths), 1.0 / config.num_paths, dtype=dtype)
     return ModelParams(latents=latents, head=head)
 
@@ -243,7 +242,7 @@ class DecoHDClassifier:
     standardizer: Standardizer
     config: ModelConfig
     params: ModelParams
-    kind: str = "decohd"
+    kind: ClassVar[str] = "decohd"
     _bank: ChannelBank | None = field(default=None, repr=False, compare=False)
 
     def channel_bank(self, dtype=np.float32) -> ChannelBank:

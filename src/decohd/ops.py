@@ -1,10 +1,9 @@
 """Primitive operations of the high-dimensional vector space.
 
-Binding (elementwise multiplication) and bundling (weighted addition)
-are written where the model performs them, in
-:func:`decohd.model.path_basis` and the forwards of
-:mod:`decohd.inference`.  This module holds the dot-product similarity
-:func:`dot`, accumulated in float64.
+Binding (elementwise multiplication), bundling (weighted addition) and
+the dot-product similarity are written where the model performs them,
+in :func:`decohd.model.path_basis` and the forwards of
+:mod:`decohd.inference`.
 
 Frozen random matrices (the input encoder and the per-layer latent
 projectors) are described by :class:`RandomMatrixSpec` and regenerated on
@@ -116,20 +115,3 @@ def generate_matrix(spec: RandomMatrixSpec, dtype=np.float32) -> np.ndarray:
         block *= spec.scale
         out[start : start + block.shape[0]] = block
     return out
-
-
-def _check_same_length(x: np.ndarray, y: np.ndarray) -> None:
-    if x.shape != y.shape:
-        raise ValueError(f"hypervector shape mismatch: {x.shape} vs {y.shape}")
-
-
-def dot(x: np.ndarray, y: np.ndarray) -> float:
-    """Dot-product similarity, accumulated in 64-bit precision.
-
-    At D ~ 1e4 a 32-bit accumulator loses digits the gradient checks
-    need, so the sum is always performed in float64.
-    """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    _check_same_length(x, y)
-    return float(np.dot(x.astype(np.float64, copy=False), y.astype(np.float64, copy=False)))

@@ -59,14 +59,6 @@ def load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, arrays
 
 
-def _encoder_meta(enc: RandomProjectionEncoder) -> dict:
-    return asdict(enc.config)
-
-
-def _encoder_from_meta(meta: dict) -> RandomProjectionEncoder:
-    return RandomProjectionEncoder(EncoderConfig(**meta))
-
-
 def save_classifier(path, clf) -> None:
     """Serialize a :class:`DecoHDClassifier` or a baseline
     :class:`Classifier`, tagged by model kind.
@@ -75,7 +67,7 @@ def save_classifier(path, clf) -> None:
     materialized bank; a baseline stores its full table, plus the mask
     and budget when sparsified.
     """
-    meta = {"format_version": FORMAT_VERSION, "kind": clf.kind, "encoder": _encoder_meta(clf.encoder)}
+    meta = {"format_version": FORMAT_VERSION, "kind": clf.kind, "encoder": asdict(clf.encoder.config)}
     arrays = {
         "standardizer_mean": clf.standardizer.mean,
         "standardizer_std": clf.standardizer.std,
@@ -116,7 +108,7 @@ def load_classifier(path):
 
 
 def _classifier_from(meta: dict, arrays: dict[str, np.ndarray], kind: str):
-    encoder = _encoder_from_meta(meta["encoder"])
+    encoder = RandomProjectionEncoder(EncoderConfig(**meta["encoder"]))
     standardizer = Standardizer(mean=arrays["standardizer_mean"], std=arrays["standardizer_std"])
     width = (encoder.config.num_features,)
     if standardizer.mean.shape != width or standardizer.std.shape != width:

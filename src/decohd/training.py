@@ -9,7 +9,9 @@ Writing ``u = h*h`` and ``basis_m`` for the bound-path factor of path m,
 the logits are ``s_c = sum_m head[c,m] * <basis_m, u>``; ``u`` and the
 path terms ``t = u @ basis.T`` come from
 :func:`decohd.inference.path_terms`, the forward that batched scoring
-runs too.  With softmax residual ``g_c = p_c - 1{c==y}`` (batch-averaged):
+runs too.  The softmax ``p`` and the loss share one exponential
+(:func:`softmax_cross_entropy`).  With softmax residual
+``g_c = p_c - 1{c==y}`` (batch-averaged):
 
 * d head[c,m]   = g_c * <basis_m, u>
 * d basis_m     = (sum_c g_c head[c,m]) * u
@@ -23,7 +25,8 @@ summed over every layer axis but i.  Gradient accumulation happens at
 the channel level, so the projector matmuls run once per optimizer step
 rather than once per microbatch.  Channels are materialized once per
 parameter state: the end-of-epoch evaluation scores the bank that the
-next epoch's first batch trains on.
+next epoch's first batch trains on.  The test suite checks these
+gradients against central differences of the loss.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .model import (
     ChannelBank,
     ModelConfig,
     ModelParams,
-    check_param_shapes,
     init_params,
     layer_views,
     materialize_channels,
@@ -94,18 +96,15 @@ class Gradients:
     d_head: np.ndarray
 
 
-def softmax_batch(scores: np.ndarray) -> np.ndarray:
+def softmax_cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:
+    """Softmax probabilities of a batch of logits and their mean
+    cross-entropy, both in float64 from one shifted exponential."""
     scores = np.asarray(scores, dtype=np.float64)
     shifted = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def batch_cross_entropy(scores: np.ndarray, labels: np.ndarray) -> float:
-    scores = np.asarray(scores, dtype=np.float64)
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(lse - shifted[np.arange(len(labels)), labels]))
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - shifted[np.arange(len(labels)), labels]))
+    return e / total, loss
 
 
 def _microbatch_stats(h: np.ndarray, labels: np.ndarray, basis: np.ndarray, head: np.ndarray):
@@ -115,14 +114,15 @@ def _microbatch_stats(h: np.ndarray, labels: np.ndarray, basis: np.ndarray, head
     terms are sums over samples (caller divides by the batch size).
     """
     u, t = path_terms(h, basis)  # t: (b, num_paths)
-    scores = t @ head.T  # (b, num_classes)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging step; checked below
+        scores = t @ head.T  # (b, num_classes)
     if not np.isfinite(scores).all():
         raise TrainingError(
             f"non-finite logits in microbatch (|h|max={np.abs(h).max():.3g}, "
             f"|head|max={np.abs(head).max():.3g})"
         )
-    probs = softmax_batch(scores)
-    loss_sum = batch_cross_entropy(scores, labels) * len(labels)
+    probs, loss = softmax_cross_entropy(scores, labels)
+    loss_sum = loss * len(labels)
     correct = int((np.argmax(scores, axis=1) == labels).sum())
     resid = probs
     resid[np.arange(len(labels)), labels] -= 1.0
@@ -175,35 +175,6 @@ def _gradients(
     return Gradients(d_latents=d_latents, d_head=d_head)
 
 
-def backward(
-    h_batch: np.ndarray,
-    labels: np.ndarray,
-    params: ModelParams,
-    projectors: list[np.ndarray],
-) -> Gradients:
-    """Analytic gradient of the mean cross-entropy over the batch."""
-    h_batch = np.asarray(h_batch)
-    labels = np.asarray(labels)
-    bank = materialize_channels(params, projectors)
-    _, _, d_head_sum, d_basis_sum = _microbatch_stats(h_batch, labels, bank.basis, params.head)
-    b = len(labels)
-    return _gradients(d_head_sum / b, d_basis_sum / b, bank, projectors)
-
-
-def batch_loss(
-    h_batch: np.ndarray,
-    labels: np.ndarray,
-    params: ModelParams,
-    projectors: list[np.ndarray],
-) -> float:
-    """Mean cross-entropy of the batch; the finite-difference oracle
-    pairs this with :func:`backward`."""
-    labels = np.asarray(labels)
-    bank = materialize_channels(params, projectors)
-    loss_sum, _, _, _ = _microbatch_stats(np.asarray(h_batch), labels, bank.basis, params.head)
-    return loss_sum / len(labels)
-
-
 class AdamW:
     """Decoupled weight-decay Adam over a ModelParams pytree.
 
@@ -211,16 +182,12 @@ class AdamW:
     bias-corrected moments.
     """
 
-    def __init__(
-        self,
-        learning_rate: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, learning_rate: float = 1e-3, weight_decay: float = 0.0):
         self.learning_rate = learning_rate
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m: list[np.ndarray] | None = None
@@ -276,10 +243,10 @@ def train(
     y_train: np.ndarray,
     h_test: np.ndarray | None = None,
     y_test: np.ndarray | None = None,
-    init: ModelParams | None = None,
 ) -> TrainResult:
     """Run the full optimization loop over pre-encoded hypervectors.
 
+    Training starts from :func:`~decohd.model.init_params` of *config*.
     Each epoch shuffles the data, walks it in batches, and accumulates
     gradients over microbatches before a single optimizer step; the
     accumulated gradient is the exact batch mean regardless of the
@@ -296,9 +263,7 @@ def train(
     if n == 0:
         raise ValueError("empty training set")
 
-    params = init.copy() if init is not None else init_params(config, dtype=dtype)
-    params = params if init is None else params.astype(dtype)
-    check_param_shapes(params, config)
+    params = init_params(config, dtype=dtype)
     projectors = materialize_projectors(config, dtype=dtype)
     optimizer = AdamW(learning_rate=train_config.learning_rate, weight_decay=train_config.weight_decay)
     history: list[EpochStats] = []
@@ -329,8 +294,6 @@ def train(
                     d_basis += db_sum / b_n
                 optimizer.step(params, _gradients(d_head, d_basis, bank, projectors))
                 bank = None
-        except TrainingDiverged:
-            raise
         except TrainingError as exc:
             raise TrainingDiverged(
                 f"training diverged at epoch {epoch}: {exc}", last_good, history

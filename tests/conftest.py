@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
 
+from decohd import training
 from decohd.baselines import Classifier, build_prototype_table, onlinehd_refine, sparsify_table
 from decohd.data import make_synthetic
-from decohd.encoding import EncoderConfig, RandomProjectionEncoder, fit_standardizer
-from decohd.model import DecoHDClassifier, ModelConfig, init_params, materialize_projectors, path_basis
+from decohd.encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
+from decohd.model import (
+    DecoHDClassifier,
+    ModelConfig,
+    ModelParams,
+    init_params,
+    materialize_channels,
+    materialize_projectors,
+    path_basis,
+)
 from decohd.ops import rng_from_seed
 from decohd.precision import get_format
 
@@ -26,8 +35,14 @@ def assert_same_bits(actual, expected):
     assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
 
 
+def identity_standardizer(num_features: int) -> Standardizer:
+    """Pass-through standardizer (mean 0, std 1)."""
+    return Standardizer(np.zeros(num_features), np.ones(num_features))
+
+
 def random_small_instance(rng, dtype=np.float64):
-    """A random tiny model + batch for gradient and equivalence checks."""
+    """A random tiny model + batch for gradient and equivalence checks;
+    the initial latents are scaled by 0.7."""
     num_layers = int(rng.integers(1, 4))
     channels = tuple(int(rng.integers(1, 4)) for _ in range(num_layers))
     cfg = ModelConfig(
@@ -37,12 +52,35 @@ def random_small_instance(rng, dtype=np.float64):
         num_classes=int(rng.integers(2, 5)),
         seed=int(rng.integers(0, 2**31)),
     )
-    params = init_params(cfg, sigma=0.7, dtype=dtype)
+    unit = init_params(cfg)
+    params = ModelParams([(a * 0.7).astype(dtype) for a in unit.latents], unit.head.astype(dtype))
     projectors = materialize_projectors(cfg, dtype=dtype)
     batch = int(rng.integers(1, 9))
     h = rng.standard_normal((batch, cfg.dim)).astype(dtype)
     y = rng.integers(0, cfg.num_classes, batch)
     return cfg, params, projectors, h, y
+
+
+def backward(h_batch, labels, params: ModelParams, projectors) -> training.Gradients:
+    """Analytic gradient of the mean cross-entropy over the batch, from
+    the forward and gradient steps that :func:`decohd.training.train`
+    runs on one microbatch."""
+    labels = np.asarray(labels)
+    bank = materialize_channels(params, projectors)
+    _, _, d_head_sum, d_basis_sum = training._microbatch_stats(
+        np.asarray(h_batch), labels, bank.basis, params.head
+    )
+    b = len(labels)
+    return training._gradients(d_head_sum / b, d_basis_sum / b, bank, projectors)
+
+
+def batch_loss(h_batch, labels, params: ModelParams, projectors) -> float:
+    """Mean cross-entropy of the batch; the finite-difference oracle
+    pairs this with :func:`backward`."""
+    labels = np.asarray(labels)
+    bank = materialize_channels(params, projectors)
+    loss_sum, _, _, _ = training._microbatch_stats(np.asarray(h_batch), labels, bank.basis, params.head)
+    return loss_sum / len(labels)
 
 
 def integer_bank_and_head(rng, channels=(2, 3), dim=6, num_classes=3):

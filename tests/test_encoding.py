@@ -7,11 +7,10 @@ from decohd import encoding
 from decohd.encoding import (
     EncoderConfig,
     RandomProjectionEncoder,
-    Standardizer,
     fit_standardizer,
 )
 from decohd.ops import generate_matrix
-from tests.conftest import assert_same_bits
+from tests.conftest import assert_same_bits, identity_standardizer
 
 
 class TestFitStandardizer:
@@ -56,28 +55,30 @@ class TestEncode:
 
     def test_unit_norm(self, rng):
         enc = RandomProjectionEncoder(EncoderConfig(num_features=5, dim=300, seed=1))
-        h = enc.encode_batch(rng.standard_normal((20, 5)), Standardizer.identity(5))
+        h = enc.encode_batch(rng.standard_normal((20, 5)), identity_standardizer(5))
         np.testing.assert_allclose(np.linalg.norm(h, axis=1), 1.0, atol=1e-6)
 
     def test_forced_identity_matrix(self):
-        # test hook: pin the projection and check the hand oracle
+        # pin the projection and check the hand oracle
         cfg = EncoderConfig(num_features=2, dim=2, seed=0, normalize_output=False)
-        enc = RandomProjectionEncoder(cfg, matrix=np.eye(2))
-        h = enc.encode(np.array([3.0, 4.0]), Standardizer.identity(2))
+        enc = RandomProjectionEncoder(cfg)
+        enc.matrix = np.eye(2)
+        h = enc.encode(np.array([3.0, 4.0]), identity_standardizer(2))
         np.testing.assert_allclose(h, [3.0, 4.0])
         cfg_n = EncoderConfig(num_features=2, dim=2, seed=0, normalize_output=True)
-        enc_n = RandomProjectionEncoder(cfg_n, matrix=np.eye(2))
-        h_n = enc_n.encode(np.array([3.0, 4.0]), Standardizer.identity(2))
+        enc_n = RandomProjectionEncoder(cfg_n)
+        enc_n.matrix = np.eye(2)
+        h_n = enc_n.encode(np.array([3.0, 4.0]), identity_standardizer(2))
         np.testing.assert_allclose(h_n, [0.6, 0.8], atol=1e-7)
 
     def test_nan_input_rejected(self):
         enc = RandomProjectionEncoder(EncoderConfig(num_features=2, dim=4, seed=0))
         with pytest.raises(ValueError, match="non-finite"):
-            enc.encode(np.array([1.0, np.nan]), Standardizer.identity(2))
+            enc.encode(np.array([1.0, np.nan]), identity_standardizer(2))
 
     def test_deterministic(self, rng):
         x = rng.standard_normal((4, 7))
-        s = Standardizer.identity(7)
+        s = identity_standardizer(7)
         cfg = EncoderConfig(num_features=7, dim=128, seed=21)
         h1 = RandomProjectionEncoder(cfg).encode_batch(x, s)
         h2 = RandomProjectionEncoder(cfg).encode_batch(x, s)
@@ -86,7 +87,7 @@ class TestEncode:
     def test_positive_rescaling_invariant_when_normalized(self, rng):
         x = rng.standard_normal(9)
         enc = RandomProjectionEncoder(EncoderConfig(num_features=9, dim=200, seed=4))
-        s = Standardizer.identity(9)
+        s = identity_standardizer(9)
         np.testing.assert_allclose(enc.encode(x, s), enc.encode(3.0 * x, s), atol=1e-6)
 
     def test_ternary_kind(self):
@@ -94,11 +95,6 @@ class TestEncode:
         enc = RandomProjectionEncoder(cfg)
         support = set(np.unique(enc.matrix * np.sqrt(10)))
         assert all(round(v) in (-1, 0, 1) for v in support)
-
-    def test_matrix_shape_validated(self):
-        cfg = EncoderConfig(num_features=3, dim=4, seed=0)
-        with pytest.raises(ValueError, match="shape"):
-            RandomProjectionEncoder(cfg, matrix=np.eye(3))
 
 
 class TestResidentMatrix:

@@ -11,7 +11,9 @@ from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_ta
 from decohd.encoding import fit_standardizer
 from decohd.experiment import (
     ConfigError,
+    DataSpec,
     ExperimentConfig,
+    ModelSpec,
     encode_splits,
     fit_model,
     load_config,
@@ -21,6 +23,7 @@ from decohd.experiment import (
 from decohd.model import materialize_channels
 from decohd.ops import generate_matrix
 from decohd.precision import quantize_array
+from decohd.training import TrainConfig
 from tests.conftest import assert_same_bits
 
 PRECISIONS = ("fp32", "bf16", "fp8_e4m3fn")
@@ -122,10 +125,29 @@ def test_fit_model_refines_only_a_table_it_keeps(monkeypatch, model, refines):
         np.testing.assert_array_equal(clf.scorer.mask, expected.mask)
 
 
-def test_deleted_inference_keys_are_rejected():
-    for key, value in (("mode", "auto"), ("memory_cap_bytes", 1024)):
-        with pytest.raises(ConfigError, match="unknown keys"):
-            ExperimentConfig(data={"synthetic": {}}, inference={key: value})
+# Every settable config field; a key added or removed changes what
+# configs and manifests load, so it must be changed here on purpose.
+CONFIG_SCHEMA = {
+    ExperimentConfig: ["name", "root_seed", "data", "models", "train", "encoder_kind", "dims",
+                       "precisions", "noise", "output_dir"],
+    DataSpec: ["name", "train_csv", "test_csv", "synthetic"],
+    ModelSpec: ["kind", "channels", "latent_dim", "epochs", "learning_rate", "budget", "base"],
+    TrainConfig: ["learning_rate", "weight_decay", "epochs", "batch_size", "microbatch_size", "dtype",
+                  "eval_every"],
+}
+
+
+@pytest.mark.parametrize("cls", list(CONFIG_SCHEMA), ids=lambda cls: cls.__name__)
+def test_config_schema_is_pinned(cls):
+    assert [f.name for f in dataclasses.fields(cls)] == CONFIG_SCHEMA[cls]
+
+
+def test_deleted_inference_keys_are_rejected(tmp_path):
+    path = tmp_path / "config.json"
+    for key, value in (("inference", {"quantize_encodings": True}), ("normalize_encodings", True)):
+        path.write_text(json.dumps({"data": {"synthetic": {}}, key: value}), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"unknown keys \\['{key}'\\]"):
+            load_config(str(path))
 
 
 @pytest.mark.parametrize("key, value", [("sigma_init", 1.0), ("shuffle_seed", 3), ("betas", [0.9, 0.99]),

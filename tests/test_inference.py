@@ -6,13 +6,14 @@ import pytest
 
 from decohd import inference, model
 from decohd.inference import DecomposedScorer, choose_mode, materialize_prototypes, score_batch, stream_scores
-from decohd.encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
+from decohd.encoding import EncoderConfig, RandomProjectionEncoder
 from decohd.faults import NoiseSpec, inject_bitflips
 from decohd.model import ChannelBank, DecoHDClassifier, path_basis, pick_class
 from decohd.precision import quantize_model
 from tests.conftest import (
     assert_same_bits,
     brute_force_logits,
+    identity_standardizer,
     integer_bank_and_head,
     random_small_instance,
     score_term_scale,
@@ -214,16 +215,27 @@ class TestKeptBasis:
         assert not np.array_equal(after, before, equal_nan=True)
 
 
-def test_flipped_bank_scores_without_warnings():
-    # Channels near float32's limit, as a flipped exponent bit leaves
-    # them: binding overflows to inf and inf * 0 terms give NaN.
+def overflowing_bank_and_head():
+    """Channels near float32's limit, as a flipped exponent bit leaves
+    them: binding overflows to inf and inf * 0 terms give NaN."""
     channels = [np.full((2, 8), 3e38, dtype=np.float32), np.full((2, 8), 3e38, dtype=np.float32)]
     channels[1][0, :4] = 0.0
-    bank = ChannelBank(channels)
-    head = np.ones((3, 4), dtype=np.float32)
+    return ChannelBank(channels), np.ones((3, 4), dtype=np.float32)
+
+
+def test_flipped_bank_scores_without_warnings():
+    bank, head = overflowing_bank_and_head()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         scores = score_batch(np.ones((2, 8), dtype=np.float32), bank, head)
+    assert not np.isfinite(scores).any()
+
+
+def test_flipped_bank_scores_materialized_without_warnings():
+    bank, head = overflowing_bank_and_head()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = DecomposedScorer(bank, head).scores(np.ones(8, dtype=np.float32), "materialized_prototypes")
     assert not np.isfinite(scores).any()
 
 
@@ -242,7 +254,7 @@ class TestDecomposedScorer:
     def test_classifier_scorer_and_predict(self, rng):
         cfg, params, projectors, h, y = random_small_instance(rng)
         encoder = RandomProjectionEncoder(EncoderConfig(num_features=3, dim=cfg.dim))
-        clf = DecoHDClassifier(encoder, Standardizer.identity(3), cfg, params)
+        clf = DecoHDClassifier(encoder, identity_standardizer(3), cfg, params)
         scorer = clf.scorer
         assert scorer.head.dtype == np.float32
         pred = pick_class(scorer.score_batch(h.astype(np.float32)))

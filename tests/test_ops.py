@@ -6,7 +6,7 @@ import pytest
 from decohd import ops
 from decohd.inference import materialize_prototypes
 from decohd.model import ChannelBank, path_basis
-from decohd.ops import RandomMatrixSpec, derive_seed, dot, generate_matrix, rng_from_seed
+from decohd.ops import RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed
 
 
 def bind(*vectors):
@@ -65,33 +65,13 @@ class TestBundleWeighted:
 
 
 class TestDot:
-    def test_zero_annihilates(self):
-        assert dot(np.array([1.0, 2.0, 3.0]), np.zeros(3)) == 0.0
-
-    def test_sum_of_squares(self):
-        v = np.array([1.0, 2.0, -1.0, 0.0])
-        assert dot(v, v) == 6.0
-
-    def test_hand_dot(self):
-        assert dot(np.array([1.0, -2.0, -2.0, 0.0]), np.array([1.0, 2.0, -1.0, 0.0])) == -1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            dot(np.ones(3), np.ones(4))
-
     def test_bind_square_identity_on_integers(self, rng):
         # <bind(h, b), h> == <b, h*h>: the identity behind prototype
         # materialization.
         for _ in range(20):
             h = rng.integers(-4, 5, 12).astype(np.float64)
             b = rng.integers(-4, 5, 12).astype(np.float64)
-            assert dot(h * b, h) == dot(b, h * h)
-
-    def test_float32_storage_accumulates_in_64bit(self):
-        # Alternating large/small terms that a float32 accumulator drops.
-        x = np.array([1e8, 1.0, -1e8, 1.0] * 64, dtype=np.float32)
-        y = np.ones(256, dtype=np.float32)
-        assert dot(x, y) == 128.0
+            assert np.dot(h * b, h) == np.dot(b, h * h)
 
 
 class TestGenerateMatrix:

@@ -5,7 +5,7 @@ import pytest
 
 from decohd import training
 from decohd.data import make_synthetic
-from decohd.encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
+from decohd.encoding import EncoderConfig, RandomProjectionEncoder
 from decohd.model import (
     ChannelBank,
     ModelConfig,
@@ -21,13 +21,18 @@ from decohd.training import (
     Gradients,
     TrainConfig,
     TrainingDiverged,
-    backward,
-    batch_cross_entropy,
-    batch_loss,
     evaluate,
+    softmax_cross_entropy,
     train,
 )
-from tests.conftest import LAYER_SHAPES, assert_same_bits, random_small_instance
+from tests.conftest import (
+    LAYER_SHAPES,
+    assert_same_bits,
+    backward,
+    batch_loss,
+    identity_standardizer,
+    random_small_instance,
+)
 
 
 def finite_difference_grads(h, y, params, projectors, eps=1e-4):
@@ -67,8 +72,8 @@ def max_relative_error(analytic: Gradients, numeric: Gradients) -> float:
 
 
 def cross_entropy(logits, label):
-    """The loss of one row: batch_cross_entropy of a one-row batch."""
-    return batch_cross_entropy(np.asarray(logits)[None], np.array([label]))
+    """The loss of one row: softmax_cross_entropy of a one-row batch."""
+    return softmax_cross_entropy(np.asarray(logits)[None], np.array([label]))[1]
 
 
 class TestCrossEntropy:
@@ -188,7 +193,8 @@ class TestAdamW:
         expected_lat = reference(params.latents[0], g.d_latents[0])
         expected_head = reference(params.head, g.d_head)
         out = params.copy()
-        AdamW(learning_rate=lr, betas=(b1, b2), eps=eps).step(out, g)
+        assert (AdamW.beta1, AdamW.beta2, AdamW.eps) == (b1, b2, eps)
+        AdamW(learning_rate=lr).step(out, g)
         np.testing.assert_allclose(out.latents[0], expected_lat, rtol=1e-12)
         np.testing.assert_allclose(out.head, expected_head, rtol=1e-12)
         # and the direction is sign-like: g / (|g| + eps) up to bias correction
@@ -209,7 +215,7 @@ def _blob_setup(num_classes=2, dim=512, latent_dim=64, channels=(2,), separation
     enc = RandomProjectionEncoder(EncoderConfig(num_features=8, dim=dim, seed=11))
     # raw (uncentered) encoding: scores are even functions of h, and
     # centering two balanced blobs would fold them onto each other
-    ident = Standardizer.identity(8)
+    ident = identity_standardizer(8)
     h_train = enc.encode_batch(train_ds.features, ident)
     h_test = enc.encode_batch(test_ds.features, ident)
     cfg = ModelConfig(
@@ -320,14 +326,15 @@ class TestOneBankPerParameterState:
 
 class TestGradientAccumulationMatchesBackward:
     def test_one_step_equals_explicit_backward(self, rng):
-        # one full-batch step of train() must equal AdamW applied to
-        # backward()'s gradients
-        cfg, params, projectors, h, y = random_small_instance(rng)
+        # one full-batch step of train() from init_params must equal AdamW
+        # applied to backward()'s gradients there
+        cfg, _, projectors, h, y = random_small_instance(rng)
+        params = init_params(cfg, dtype=np.float64)
         tcfg = TrainConfig(
             epochs=1, batch_size=len(y), microbatch_size=len(y),
             learning_rate=1e-3, weight_decay=5e-5, dtype="float64",
         )
-        result = train(cfg, tcfg, h, y, init=params)
+        result = train(cfg, tcfg, h, y)
         grads = backward(h, y, params, projectors)
         expected = params.copy()
         AdamW(learning_rate=1e-3, weight_decay=5e-5).step(expected, grads)
