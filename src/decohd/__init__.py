@@ -31,7 +31,7 @@ from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_
 from .faults import NoiseSpec, inject_bitflips, robustness_sweep
 from .inference import DecomposedScorer, choose_mode
 from .model import DecoHDClassifier, ModelConfig, ModelParams, pick_class
-from .precision import PRESETS, PrecisionFormat, quantize, quantize_model
+from .precision import PRESETS, PrecisionFormat, quantize_model
 from .serialize import load_classifier, save_classifier
 from .training import TrainConfig, train
 
@@ -65,7 +65,6 @@ __all__ = [
     "make_synthetic",
     "onlinehd_refine",
     "pick_class",
-    "quantize",
     "quantize_model",
     "robustness_sweep",
     "save_classifier",

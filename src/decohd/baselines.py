@@ -10,9 +10,11 @@
   outputs).
 
 Both deployed forms share the decomposed scorer's protocol:
-``stored()`` returns the arrays the form keeps, under the name
-``"table"``, and ``replace(arrays)`` builds the same form over rewritten
-arrays.  A sparsified table stores only its retained columns.
+``stored()`` returns the float32 array the form holds, under the name
+``"table"``, and ``replace(arrays)`` wraps rewritten arrays in the same
+form.  A sparsified table holds only its retained columns, C x
+floor(budget * dim), and scores the retained dimensions of the
+encodings against them.
 """
 
 from __future__ import annotations
@@ -119,44 +121,46 @@ def onlinehd_refine(
 class SparseScorer:
     """Prototype table restricted to a shared subset of dimensions.
 
-    Only the retained columns are stored parameters: :meth:`stored`
-    returns them alone and :meth:`replace` scatters them back.  Scoring
-    uses masked dot products; the masked table is built per call, so a
-    scorer holds one C x dim table.
+    ``table`` holds only the retained columns, ``table[:, j]`` being the
+    prototypes' ``j``-th retained dimension in index order; ``mask``
+    marks those dimensions among ``dim``.  :meth:`stored` returns the
+    table itself and :meth:`replace` wraps new arrays as they are.
+    Scoring reads only the retained columns of the encodings.
     """
 
-    prototypes: np.ndarray
+    table: np.ndarray  # (num_classes, retained)
     mask: np.ndarray  # bool, shape (dim,)
     budget: float
 
     @property
     def num_classes(self) -> int:
-        return self.prototypes.shape[0]
+        return self.table.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.prototypes.shape[1]
+        return self.mask.shape[0]
 
     @property
-    def retained(self) -> int:
-        return int(self.mask.sum())
+    def prototypes(self) -> np.ndarray:
+        # Read by the benchmark's tracer, which counts stored words as
+        # mask.sum() * prototypes.shape[0].
+        return self.table
 
     def stored(self) -> dict[str, np.ndarray]:
-        return {"table": np.ascontiguousarray(self.prototypes[:, self.mask])}
+        return {"table": self.table}
 
     def replace(self, arrays: dict[str, np.ndarray]) -> "SparseScorer":
-        prototypes = self.prototypes.copy()
-        prototypes[:, self.mask] = arrays["table"]
-        return SparseScorer(prototypes=prototypes, mask=self.mask, budget=self.budget)
+        return SparseScorer(table=arrays["table"], mask=self.mask, budget=self.budget)
 
     def score_batch(self, h: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.asarray(h) @ (self.prototypes * self.mask).T
+            return np.asarray(h)[..., self.mask] @ self.table.T
 
 
 def sparsify_table(table: PrototypeTable, budget: float) -> SparseScorer:
     """Keep the top floor(budget * dim) dimensions by summed |prototype|
-    magnitude across classes; the mask is shared by all classes.
+    magnitude across classes; the mask is shared by all classes, and
+    only the retained columns are copied.
 
     Ties break toward the lower dimension index, so the mask is a pure
     function of the table.
@@ -170,7 +174,7 @@ def sparsify_table(table: PrototypeTable, budget: float) -> SparseScorer:
     order = np.argsort(-magnitude, kind="stable")
     mask = np.zeros(table.dim, dtype=bool)
     mask[order[:keep]] = True
-    return SparseScorer(prototypes=table.prototypes.copy(), mask=mask, budget=budget)
+    return SparseScorer(table=np.ascontiguousarray(table.prototypes[:, mask]), mask=mask, budget=budget)
 
 
 @dataclass

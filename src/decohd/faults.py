@@ -9,18 +9,18 @@ positions uniformly without replacement (above p=1/2, the count and
 positions of the bits kept).  This is exactly the distribution of
 independent per-bit flips; random draws grow with the smaller of the
 flipped and kept bits, and memory with the chunk, not the array.  At
-p=0 nothing is drawn: the array is copied as it is.  Since every array owns its stream, skipping
-one changes no other array's flips.
+p=0 nothing is drawn: the array is copied as it is.  Since every array
+owns its stream, skipping one changes no other array's flips.
 Flips can produce NaN/Inf values; those are kept as stored, and scoring
 treats NaN logits as minus infinity.
 
 Targets are stored model parameters (the deployed inference state):
 :func:`inject_bitflips` maps over a scorer's ``stored()`` arrays, which
-are the materialized channel bank plus the bundling head of a decomposed
-model and the prototype table of a baseline (only the retained columns
-of a sparsified table, since masked-out entries are not stored).  Each
-array's stream is derived from the spec's seed, ``"bits"`` and the
-array's ``stored()`` key.
+are exactly the float32 arrays the scorer holds: the materialized
+channel bank plus the bundling head of a decomposed model, the prototype
+table of a baseline, and the retained columns of a sparsified table.
+Any other dtype is refused.  Each array's stream is derived from the
+spec's seed, ``"bits"`` and the array's ``stored()`` key.
 """
 
 from __future__ import annotations

@@ -104,11 +104,9 @@ def score_batch(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarra
     return out
 
 
-def choose_mode(num_classes: int, dim: int, memory_cap_bytes: int | None, itemsize: int = 4) -> str:
-    """Prefer the prototype table when it fits the cap, else stream."""
-    if memory_cap_bytes is None:
-        return "materialized_prototypes"
-    if num_classes * dim * itemsize <= memory_cap_bytes:
+def choose_mode(num_classes: int, dim: int, memory_cap_bytes: int | None) -> str:
+    """Prefer the float32 prototype table when it fits the cap, else stream."""
+    if memory_cap_bytes is None or num_classes * dim * 4 <= memory_cap_bytes:
         return "materialized_prototypes"
     return "score_only"
 

@@ -235,7 +235,7 @@ class DecoHDClassifier:
 
     ``_bank`` may be given the channels already materialized from
     *params*, as training hands over its final bank; :meth:`channel_bank`
-    rebuilds them when asked for another dtype.
+    rebuilds them at float32 when they are of another dtype.
     """
 
     encoder: RandomProjectionEncoder
@@ -245,16 +245,16 @@ class DecoHDClassifier:
     kind: ClassVar[str] = "decohd"
     _bank: ChannelBank | None = field(default=None, repr=False, compare=False)
 
-    def channel_bank(self, dtype=np.float32) -> ChannelBank:
-        """Materialized channels, cached; this plus the head is the
-        inference-resident state of the model."""
-        if self._bank is None or self._bank.channels[0].dtype != np.dtype(dtype):
-            projectors = materialize_projectors(self.config, dtype=dtype)
-            self._bank = materialize_channels(self.params.astype(dtype), projectors)
+    def channel_bank(self) -> ChannelBank:
+        """Materialized float32 channels, cached; this plus the head is
+        the inference-resident state of the model."""
+        if self._bank is None or self._bank.channels[0].dtype != np.float32:
+            projectors = materialize_projectors(self.config)
+            self._bank = materialize_channels(self.params.astype(np.float32), projectors)
         return self._bank
 
-    def head(self, dtype=np.float32) -> np.ndarray:
-        return self.params.head.astype(dtype)
+    def head(self) -> np.ndarray:
+        return self.params.head.astype(np.float32)
 
     @property
     def scorer(self):

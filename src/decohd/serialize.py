@@ -64,8 +64,8 @@ def save_classifier(path, clf) -> None:
     :class:`Classifier`, tagged by model kind.
 
     A decomposed model stores its trainable latents and head, not the
-    materialized bank; a baseline stores its full table, plus the mask
-    and budget when sparsified.
+    materialized bank; a baseline stores its table, plus the mask and
+    budget when sparsified.
     """
     meta = {"format_version": FORMAT_VERSION, "kind": clf.kind, "encoder": asdict(clf.encoder.config)}
     arrays = {
@@ -77,11 +77,16 @@ def save_classifier(path, clf) -> None:
         for i, a in enumerate(clf.params.latents):
             arrays[f"latents_{i}"] = a
         arrays["head"] = clf.params.head
+    elif clf.kind == "sparsehd":
+        # The v1 layout keeps a full-width table: masked-out columns are
+        # written as zeros and dropped again on load.
+        scorer = clf.scorer
+        table = np.zeros((scorer.num_classes, scorer.dim), dtype=scorer.table.dtype)
+        table[:, scorer.mask] = scorer.table
+        meta["budget"] = scorer.budget
+        arrays.update(table=table, mask=scorer.mask)
     else:
         arrays["table"] = clf.scorer.prototypes
-        if clf.kind == "sparsehd":
-            meta["budget"] = clf.scorer.budget
-            arrays["mask"] = clf.scorer.mask
     save_arrays(path, meta, arrays)
 
 
@@ -127,13 +132,14 @@ def _classifier_from(meta: dict, arrays: dict[str, np.ndarray], kind: str):
             raise ValueError(f"model dim {config.dim} does not match encoder dim {encoder.config.dim}")
         return DecoHDClassifier(encoder=encoder, standardizer=standardizer, config=config, params=params)
     table = arrays["table"]
-    if table.ndim != 2 or table.shape[1] != encoder.config.dim:
-        raise ValueError(f"table has shape {table.shape}, expected (classes, {encoder.config.dim})")
+    if table.dtype != np.float32 or table.ndim != 2 or table.shape[1] != encoder.config.dim:
+        raise ValueError(f"table is {table.dtype} of shape {table.shape}, "
+                         f"expected float32 of shape (classes, {encoder.config.dim})")
     if kind == "sparsehd":
         mask = arrays["mask"]
         if mask.dtype != np.bool_ or mask.shape != (encoder.config.dim,):
             raise ValueError(f"mask is {mask.dtype} of shape {mask.shape}, "
                              f"expected bool of shape ({encoder.config.dim},)")
-        scorer = SparseScorer(prototypes=table, mask=mask, budget=float(meta["budget"]))
-        return Classifier(encoder, standardizer, scorer, kind)
+        retained = np.ascontiguousarray(table[:, mask])
+        return Classifier(encoder, standardizer, SparseScorer(retained, mask, float(meta["budget"])), kind)
     return Classifier(encoder, standardizer, PrototypeTable(table), kind)

@@ -177,7 +177,8 @@ def add_at_prototype_sums(h, labels, num_classes):
 
 def quantize_oracle(values, fmt):
     """Rounding onto *fmt*'s grid in float64 through frexp/ldexp: the
-    reference :func:`decohd.precision.quantize` must equal bit for bit.
+    reference :func:`decohd.precision.quantize_array` must equal bit for
+    bit, once cast back to float32.
 
     Each finite value's step is ``2**(max(exponent, emin) - m)``;
     scaling by it is exact, and ``np.round`` breaks ties to even.

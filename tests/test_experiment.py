@@ -121,7 +121,7 @@ def test_fit_model_refines_only_a_table_it_keeps(monkeypatch, model, refines):
     assert clf.kind == spec.kind and history == []
     if spec.kind == "sparsehd" and spec.base == "prototype":
         expected = sparsify_table(build_prototype_table(h_train, train_ds.labels, 3), spec.budget)
-        np.testing.assert_array_equal(clf.scorer.prototypes, expected.prototypes)
+        assert_same_bits(clf.scorer.table, expected.table)
         np.testing.assert_array_equal(clf.scorer.mask, expected.mask)
 
 
@@ -189,6 +189,32 @@ def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, dtype, 
     assert [c.dtype for c in scorer.bank.channels] == [np.float32, np.float32]
     for got, expected in zip(scorer.bank.channels, fresh.channels):
         assert_same_bits(got, expected)
+
+
+@pytest.mark.parametrize("model, dtype", [
+    ({"kind": "decohd", "channels": [2, 2], "latent_dim": 8}, "float32"),
+    ({"kind": "decohd", "channels": [2, 2], "latent_dim": 8}, "float64"),
+    ({"kind": "prototype"}, "float32"),
+    ({"kind": "onlinehd", "epochs": 2}, "float32"),
+    ({"kind": "sparsehd", "budget": 0.5, "epochs": 2}, "float32"),
+], ids=["decohd", "decohd-float64", "prototype", "onlinehd", "sparsehd"])
+def test_every_deployed_array_is_float32(model, dtype):
+    # Quantization and bit flips read float32 storage only; every model
+    # fit_model builds must deploy it, whatever dtype training ran in.
+    config = ExperimentConfig(
+        data={"synthetic": {"num_classes": 3, "num_features": 8, "samples_per_class": 20}},
+        models=(model,),
+        train={"epochs": 1, "batch_size": 16, "microbatch_size": 8, "dtype": dtype},
+        dims=(64,),
+    )
+    train_ds, test_ds = prepare_data(config.data, config.root_seed)
+    standardizer = fit_standardizer(train_ds.features)
+    encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, 64)
+    spec = config.models[0]
+    clf, _ = fit_model(spec, spec.kind, config, encoder, standardizer,
+                       h_train, train_ds.labels, h_test, test_ds.labels, 3)
+    stored = clf.scorer.stored()
+    assert stored and {key: a.dtype for key, a in stored.items()} == dict.fromkeys(stored, np.float32)
 
 
 def test_test_encodings_are_quantized_once_per_precision_and_dim(tmp_path, monkeypatch):

@@ -16,8 +16,10 @@ def words(scorer) -> dict[str, np.ndarray]:
     if hasattr(scorer, "bank"):
         out = {f"channels{i}": c for i, c in enumerate(scorer.bank.channels)}
         out["head"] = scorer.head
+    elif hasattr(scorer, "mask"):
+        out = {"table": scorer.table}
     else:
-        out = {"prototypes": scorer.prototypes}
+        out = {"table": scorer.prototypes}
     return {k: np.ascontiguousarray(a).view(np.uint32) for k, a in out.items()}
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from decohd import precision
-from decohd.precision import PRESETS, PrecisionFormat, quantize, quantize_array
+from decohd.precision import PRESETS, PrecisionFormat, quantize_array
 from tests.conftest import assert_same_bits, quantize_oracle
 
 
@@ -35,32 +35,34 @@ class TestOracles:
         x = float32_patterns(rng)
         with np.errstate(over="ignore"):
             expected = x.astype(np.float16)
-        got = quantize(x, "fp16").astype(np.float16)
+        got = quantize_array(x, "fp16").astype(np.float16)
         np.testing.assert_array_equal(got.view(np.uint16), expected.view(np.uint16))
 
     def test_bf16_equals_rne_truncation(self, rng):
         x = float32_patterns(rng)
-        got = quantize(x, "bf16").astype(np.float32)
+        got = quantize_array(x, "bf16")
         np.testing.assert_array_equal(got.view(np.uint32), bf16_oracle(x).view(np.uint32))
 
     def test_patterns_cover_subnormals_and_overflow(self, rng):
         x = float32_patterns(rng)
         assert ((x != 0) & (np.abs(x) < np.finfo(np.float32).tiny)).sum() > 100
-        assert np.isposinf(quantize(np.float32(3.4e38), "bf16"))
-        assert np.isneginf(quantize(-np.float32(65520.0), "fp16"))
+        assert np.isposinf(quantize_array(np.float32(3.4e38), "bf16"))
+        assert np.isneginf(quantize_array(-np.float32(65520.0), "fp16"))
 
     @pytest.mark.parametrize("name", ["fp16", "bf16"])
     def test_infinities_pass_through(self, name):
-        np.testing.assert_array_equal(quantize(np.array([np.inf, -np.inf]), name), [np.inf, -np.inf])
+        x = np.array([np.inf, -np.inf], dtype=np.float32)
+        np.testing.assert_array_equal(quantize_array(x, name), [np.inf, -np.inf])
 
     def test_fp32_is_identity_on_float32(self, rng):
         x = float32_patterns(rng, 10_000)
-        np.testing.assert_array_equal(quantize(x, "fp32").astype(np.float32).view(np.uint32), x.view(np.uint32))
+        np.testing.assert_array_equal(quantize_array(x, "fp32").view(np.uint32), x.view(np.uint32))
 
     def test_finite_only_saturates(self):
         fmt = PRESETS["fp8_e4m3fn"]
         assert fmt.max_finite == 448.0
-        np.testing.assert_array_equal(quantize(np.array([1e6, -np.inf]), fmt), [448.0, -448.0])
+        x = np.array([1e6, -np.inf], dtype=np.float32)
+        np.testing.assert_array_equal(quantize_array(x, fmt), [448.0, -448.0])
 
 
 # The six presets, plus a format without mantissa bits: its normal
@@ -69,63 +71,55 @@ KERNEL_FORMATS = [*PRESETS.values(), PrecisionFormat("e5m0", 5, 0, 15)]
 
 
 def with_nans_and_infinities(x: np.ndarray) -> np.ndarray:
-    """*x* plus both infinities and quiet and signalling NaNs of either
-    sign with several payloads."""
-    if x.dtype == np.float32:
-        special = [0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00000, 0x7F800001, 0xFF800001,
-                   0x7FA5A5A5, 0x7FFFFFFF, 0xFFBFFFFF, 0x7FC12345]
-        return np.concatenate([x, np.array(special, dtype=np.uint32).view(np.float32)])
-    special = [0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000, 0x7FF0000000000001,
-               0xFFF4000000000ABC, 0x7FFFFFFFFFFFFFFF, 0xFFF8000000012345]
-    return np.concatenate([x, np.array(special, dtype=np.uint64).view(np.float64)])
+    """Float32 *x* plus both infinities and quiet and signalling NaNs of
+    either sign with several payloads."""
+    special = [0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00000, 0x7F800001, 0xFF800001,
+               0x7FA5A5A5, 0x7FFFFFFF, 0xFFBFFFFF, 0x7FC12345]
+    return np.concatenate([x, np.array(special, dtype=np.uint32).view(np.float32)])
 
 
-def ties(rng, fmt: PrecisionFormat, dtype, n=20_000) -> np.ndarray:
-    """Exact midpoints between neighbours of *fmt*'s grid, in *dtype*:
+def ties(rng, fmt: PrecisionFormat, n=20_000) -> np.ndarray:
+    """Exact midpoints between neighbours of *fmt*'s grid, in float32:
     random normals whose dropped bits are 100...0, and subnormal-range
     values (k + 1/2) * 2**(emin - m)."""
-    uint, stored = (np.uint32, 23) if dtype == np.float32 else (np.uint64, 52)
-    drop = stored - fmt.mantissa_bits
-    bits = rng.integers(0, 2**63, n, dtype=np.uint64).astype(uint)
+    drop = 23 - fmt.mantissa_bits
+    bits = rng.integers(0, 2**63, n, dtype=np.uint64).astype(np.uint32)
     if drop:
-        bits = (bits >> uint(drop) << uint(drop)) | uint(1 << (drop - 1))
+        bits = (bits >> np.uint32(drop) << np.uint32(drop)) | np.uint32(1 << (drop - 1))
     k = rng.integers(-(2 ** (fmt.mantissa_bits + 1)), 2 ** (fmt.mantissa_bits + 1), n)
-    grid = ((k + 0.5) * 2.0 ** (fmt.min_normal_exponent - fmt.mantissa_bits)).astype(dtype)
-    return np.concatenate([bits.view(dtype), grid])
+    grid = ((k + 0.5) * 2.0 ** (fmt.min_normal_exponent - fmt.mantissa_bits)).astype(np.float32)
+    return np.concatenate([bits.view(np.float32), grid])
 
 
-def float64_patterns(rng, n=200_000) -> np.ndarray:
-    """Random float64 bit patterns (mostly far outside float32's range)
-    and float64 values spread over float32's range and below it."""
-    bits = rng.integers(0, 2**64, n, dtype=np.uint64)
-    spread = rng.standard_normal(n) * np.exp2(rng.integers(-160, 140, n))
-    x = np.concatenate([bits.view(np.float64), spread, [0.0, -0.0, 5e-324, -5e-324]])
-    return x[np.isfinite(x)]
+def oracle32(x: np.ndarray, fmt) -> np.ndarray:
+    """:func:`quantize_oracle` of float32 *x*, cast back to float32."""
+    with np.errstate(invalid="ignore"):  # float64 casts of signalling NaNs
+        return quantize_oracle(x, fmt).astype(np.float32)
 
 
 @pytest.mark.parametrize("fmt", KERNEL_FORMATS, ids=lambda f: f.name)
 class TestKernelEqualsFloat64Oracle:
-    """The bit-level kernel equals the float64 frexp/ldexp rounding bit
-    for bit, NaN payloads included."""
+    """The bit-level float32 kernel equals the float64 frexp/ldexp
+    rounding cast back to float32, bit for bit, NaN payloads included."""
 
     def test_float32_arrays(self, rng, fmt):
-        x = with_nans_and_infinities(np.concatenate([float32_patterns(rng), ties(rng, fmt, np.float32)]))
-        with np.errstate(invalid="ignore"):  # float64 casts of signalling NaNs
-            expected = quantize_oracle(x, fmt)
-            assert_same_bits(quantize(x, fmt), expected)
-        assert_same_bits(quantize_array(x, fmt), expected.astype(np.float32))
-
-    def test_float64_inputs(self, rng, fmt):
-        x = with_nans_and_infinities(np.concatenate([float64_patterns(rng), ties(rng, fmt, np.float64)]))
-        expected = quantize_oracle(x, fmt)
-        assert_same_bits(quantize(x, fmt), expected)
-        assert_same_bits(quantize_array(x, fmt), expected)
+        x = with_nans_and_infinities(np.concatenate([float32_patterns(rng), ties(rng, fmt)]))
+        assert_same_bits(quantize_array(x, fmt), oracle32(x, fmt))
 
     def test_shapes_and_scalars(self, rng, fmt):
         x = rng.standard_normal((3, 4, 5)).astype(np.float32)[:, ::2]  # not contiguous
-        assert_same_bits(quantize_array(x, fmt), quantize_oracle(x, fmt).astype(np.float32))
-        assert quantize(0.3, fmt) == quantize_oracle(0.3, fmt)
+        assert_same_bits(quantize_array(x, fmt), oracle32(x, fmt))
+        scalar = np.array(0.3, dtype=np.float32)
+        assert quantize_array(scalar, fmt).shape == ()
+        assert_same_bits(quantize_array(scalar, fmt).reshape(1), oracle32(scalar.reshape(1), fmt))
         assert quantize_array(np.zeros((0, 7), dtype=np.float32), fmt).shape == (0, 7)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int32, np.uint32])
+def test_only_float32_is_quantized(dtype):
+    # Deployed arrays and encodings are float32; the kernel reads no other.
+    with pytest.raises(TypeError, match="float32"):
+        quantize_array(np.ones(4, dtype=dtype), "bf16")
 
 
 @pytest.mark.parametrize("fmt", ["bf16", "fp8_e4m3fn", "fp4_e2m1"])
@@ -133,10 +127,7 @@ class TestKernelEqualsFloat64Oracle:
 def test_sizes_around_the_chunk_equal_the_oracle(rng, size, fmt):
     # Short last chunks, and a chunk of one element, round like the rest.
     x = rng.choice(float32_patterns(rng), size)
-    with np.errstate(invalid="ignore"):
-        expected = quantize_oracle(x, fmt)
-    assert_same_bits(quantize_array(x, fmt), expected.astype(np.float32))
-    assert_same_bits(quantize(x.astype(np.float64), fmt), expected)
+    assert_same_bits(quantize_array(x, fmt), oracle32(x, fmt))
 
 
 @pytest.mark.parametrize("kwargs", [

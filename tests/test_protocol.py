@@ -79,35 +79,47 @@ def test_flip_streams_keep_their_seed_tokens(rng):
 
 class TestSparseStored:
     def test_excludes_masked_out_columns(self, rng):
-        scorer = deployed_forms(rng, dim=48)["sparsehd"]
+        forms = deployed_forms(rng, dim=48)
+        scorer = forms["sparsehd"]
         table = scorer.stored()["table"]
-        assert table.shape == (scorer.num_classes, scorer.retained) == (4, 24)
-        np.testing.assert_array_equal(table, scorer.prototypes[:, scorer.mask])
+        assert table is scorer.table
+        assert table.shape == (scorer.num_classes, scorer.mask.sum()) == (4, 24)
+        np.testing.assert_array_equal(table, forms["prototype"].prototypes[:, scorer.mask])
 
     def test_unit_flip_leaves_masked_out_columns(self, rng):
+        # Only retained words are held, so a unit flip inverts them all
+        # and leaves the mask, the choice of columns, as it was.
         scorer = deployed_forms(rng)["sparsehd"]
         out = inject_bitflips(scorer, NoiseSpec(1.0, seed=2))
-        keep, drop = scorer.mask, ~scorer.mask
-        np.testing.assert_array_equal(bits(out.prototypes[:, drop]), bits(scorer.prototypes[:, drop]))
-        np.testing.assert_array_equal(bits(out.prototypes[:, keep]), ~bits(scorer.prototypes[:, keep]))
+        assert out.mask is scorer.mask
+        np.testing.assert_array_equal(bits(out.table), ~bits(scorer.table))
 
     def test_sparse_scorer_holds_one_table(self, rng):
-        scorer = deployed_forms(rng)["sparsehd"]
+        forms = deployed_forms(rng)
+        scorer = forms["sparsehd"]
         held = [v for v in vars(scorer).values() if isinstance(v, np.ndarray)]
-        assert sum(a.nbytes for a in held) == scorer.prototypes.nbytes + scorer.mask.nbytes
+        assert sum(a.nbytes for a in held) == scorer.table.nbytes + scorer.mask.nbytes
+        assert scorer.table.shape == (scorer.num_classes, scorer.mask.sum())
         h = rng.standard_normal((9, scorer.dim)).astype(np.float32)
-        masked = scorer.prototypes * scorer.mask
-        np.testing.assert_array_equal(bits(scorer.score_batch(h)), bits(h @ masked.T))
+        scores = scorer.score_batch(h)
+        np.testing.assert_array_equal(bits(scores), bits(h[:, scorer.mask] @ scorer.table.T))
+        # The masked full-table product sums dim float32 terms, so each
+        # of the two products is within dim * 2**-24 * sum |h_j P_cj| of
+        # the exact score.
+        masked = forms["prototype"].prototypes * scorer.mask
+        bound = 2 * scorer.dim * 2.0**-24 * (np.abs(h).astype(np.float64) @ np.abs(masked).T)
+        assert np.all(np.abs(scores - (h @ masked.T).astype(np.float64)) <= bound)
 
     @pytest.mark.parametrize("fmt", ["bf16", "fp8_e4m3fn", "fp4_e2m1"])
     def test_quantizing_retained_columns_scores_like_the_whole_table(self, rng, fmt):
-        scorer = deployed_forms(rng)["sparsehd"]
+        forms = deployed_forms(rng)
+        scorer = forms["sparsehd"]
         h = rng.standard_normal((9, scorer.dim)).astype(np.float32)
-        whole = SparseScorer(quantize_array(scorer.prototypes, fmt), scorer.mask, scorer.budget)
+        whole = quantize_array(forms["prototype"].prototypes, fmt)
         out = quantize_model(scorer, fmt)
-        np.testing.assert_array_equal(bits(out.prototypes[:, ~scorer.mask]),
-                                      bits(scorer.prototypes[:, ~scorer.mask]))
-        np.testing.assert_array_equal(bits(out.score_batch(h)), bits(whole.score_batch(h)))
+        np.testing.assert_array_equal(bits(out.table), bits(whole[:, scorer.mask]))
+        expected = SparseScorer(np.ascontiguousarray(whole[:, scorer.mask]), scorer.mask, scorer.budget)
+        np.testing.assert_array_equal(bits(out.score_batch(h)), bits(expected.score_batch(h)))
 
 
 PUBLIC_SURFACE = [
@@ -117,7 +129,7 @@ PUBLIC_SURFACE = [
     "SparseScorer", "Standardizer", "TrainConfig", "budget_of", "build_prototype_table",
     "choose_mode", "enumerate_configs", "fit_standardizer", "footprint", "inject_bitflips",
     "load_classifier", "load_csv", "make_synthetic", "onlinehd_refine",
-    "pick_class", "quantize", "quantize_model", "robustness_sweep",
+    "pick_class", "quantize_model", "robustness_sweep",
     "save_classifier", "sparsify_table", "train", "trainable_param_savings",
 ]
 

@@ -13,7 +13,7 @@ def stored_arrays(clf) -> dict[str, np.ndarray]:
     if clf.kind == "decohd":
         out.update({f"latents_{i}": a for i, a in enumerate(clf.params.latents)}, head=clf.params.head)
     elif clf.kind == "sparsehd":
-        out.update(table=clf.scorer.prototypes, mask=clf.scorer.mask)
+        out.update(table=clf.scorer.table, mask=clf.scorer.mask)
     else:
         out["table"] = clf.scorer.prototypes
     return out
@@ -70,6 +70,10 @@ def narrow_table(meta, arrays):
     arrays["table"] = arrays["table"][:, :-1]
 
 
+def float64_table(meta, arrays):
+    arrays["table"] = arrays["table"].astype(np.float64)
+
+
 def narrow_mask(meta, arrays):
     arrays["mask"] = arrays["mask"][:-1]
 
@@ -81,12 +85,14 @@ def integer_mask(meta, arrays):
 @pytest.mark.parametrize("kind, spoil, message", [
     ("decohd", narrow_standardizer, "standardizer shapes"),
     ("decohd", wider_model, "model dim 65 does not match encoder dim 64"),
-    ("prototype", narrow_table, r"table has shape \(3, 63\)"),
+    ("prototype", narrow_table, r"table is float32 of shape \(3, 63\)"),
+    ("sparsehd", float64_table, r"table is float64 of shape \(3, 64\)"),
     ("sparsehd", narrow_mask, r"mask is bool of shape \(63,\)"),
     ("sparsehd", integer_mask, r"mask is int64 of shape \(64,\)"),
-], ids=["standardizer", "dim", "table", "narrow_mask", "integer_mask"])
+], ids=["standardizer", "dim", "table", "float64_table", "narrow_mask", "integer_mask"])
 def test_shapes_that_disagree_with_the_configs_are_container_errors(tmp_path, rng, kind, spoil, message):
-    # Each would otherwise load and fail later, at encoding or scoring.
+    # Each would otherwise load and fail later, at encoding, scoring,
+    # quantization or bit flips.
     clf, _ = small_classifier(kind, rng)
     save_classifier(tmp_path / "m.npz", clf)
     meta, arrays = load_arrays(tmp_path / "m.npz")
@@ -94,3 +100,24 @@ def test_shapes_that_disagree_with_the_configs_are_container_errors(tmp_path, rn
     save_arrays(tmp_path / "m.npz", meta, arrays)
     with pytest.raises(ContainerError, match=message):
         load_classifier(tmp_path / "m.npz")
+
+
+def test_full_width_sparse_container_loads_its_retained_columns(tmp_path, rng):
+    # Containers keep a full-width table.  Older writers kept the dense
+    # values in the masked-out columns; a loaded scorer drops them and
+    # holds only the retained columns.
+    clf, features = small_classifier("sparsehd", rng)
+    save_classifier(tmp_path / "m.npz", clf)
+    meta, arrays = load_arrays(tmp_path / "m.npz")
+    mask = arrays["mask"]
+    np.testing.assert_array_equal(arrays["table"][:, ~mask], 0.0)
+    full = rng.standard_normal(arrays["table"].shape).astype(np.float32)
+    full[:, mask] = clf.scorer.table
+    arrays["table"] = full
+    save_arrays(tmp_path / "m.npz", meta, arrays)
+    loaded = load_classifier(tmp_path / "m.npz")
+    held = [v for v in vars(loaded.scorer).values() if isinstance(v, np.ndarray)]
+    assert sum(a.nbytes for a in held) == loaded.scorer.table.nbytes + loaded.scorer.mask.nbytes
+    assert loaded.scorer.table.shape == (3, mask.sum())
+    assert loaded.scorer.table.tobytes() == clf.scorer.table.tobytes()
+    np.testing.assert_array_equal(loaded.predict_batch(features), clf.predict_batch(features))
