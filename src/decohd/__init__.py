@@ -29,7 +29,7 @@ from .budget import (
 from .data import Dataset, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import NoiseSpec, inject_bitflips, robustness_sweep
-from .inference import DecomposedScorer, choose_mode
+from .inference import DecomposedScorer
 from .model import DecoHDClassifier, ModelConfig, ModelParams, pick_class
 from .precision import PRESETS, PrecisionFormat, quantize_model
 from .serialize import load_classifier, save_classifier
@@ -55,7 +55,6 @@ __all__ = [
     "TrainConfig",
     "budget_of",
     "build_prototype_table",
-    "choose_mode",
     "enumerate_configs",
     "fit_standardizer",
     "footprint",

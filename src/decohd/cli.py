@@ -3,13 +3,14 @@
 Subcommands: train, eval, sweep, robustness, budget, synth.  ``eval``
 scores every model kind with its deployed scorer's batched forward, the
 one ``train`` and ``sweep`` report, so all three print the same accuracy
-for one model and test set.  ``robustness`` compares only models that
-encode alike: equal encoder config and standardizer.  Relative dataset
-paths resolve against $DECOHD_DATA_DIR.  Exit codes: 0 success,
-1 config error, 2 data error: a malformed CSV or an unusable model
-container (argparse also exits 2 on a malformed command line), 3
-training divergence.  Any other exception is a bug and propagates with
-its traceback.
+for one model and test set; a test label the model has no class for is
+a data error.  ``robustness`` compares only models that encode alike,
+equal encoder config and standardizer, and that its rows can tell apart
+by file stem.  Relative dataset paths resolve against $DECOHD_DATA_DIR.
+Exit codes: 0 success, 1 config error, 2 data error: a malformed CSV or
+an unusable model container (argparse also exits 2 on a malformed
+command line), 3 training divergence.  Any other exception is a bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ from .experiment import (
     ExperimentConfig,
     ModelSpec,
     accuracy,
+    check_width,
     encode_splits,
     fit_model,
     load_config,
+    prepare_data,
     run_experiment,
     write_csv,
 )
@@ -69,29 +72,19 @@ def _rejected_as_config_error(what: str):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _check_width(dataset, num_features: int, path: str) -> None:
-    if dataset.num_features != num_features:
-        raise ParseError(f"{path}: {dataset.num_features} feature columns, expected {num_features}")
-
-
-def _load_pair(train_csv: str, test_csv: str):
-    train_ds = load_csv(train_csv, split="train")
-    test_ds = load_csv(test_csv, split="test", num_classes=train_ds.num_classes)
-    _check_width(test_ds, train_ds.num_features, test_csv)
-    return train_ds, test_ds
-
-
-def _encode_test_set(clf, test_ds, path: str):
-    _check_width(test_ds, clf.encoder.config.num_features, path)
-    return clf.encoder.encode_batch(test_ds.features, clf.standardizer)
+def _encode_test_set(clf, path: str):
+    """The test CSV at *path*, read against *clf*'s width and classes, and its encodings."""
+    test_ds = load_csv(path, split="test", num_classes=clf.scorer.num_classes)
+    check_width(test_ds, clf.encoder.config.num_features, path)
+    return test_ds, clf.encoder.encode_batch(test_ds.features, clf.standardizer)
 
 
 def cmd_train(args) -> int:
-    train_ds, test_ds = _load_pair(args.train_csv, args.test_csv)
     config = ExperimentConfig(
         name=args.name,
         root_seed=args.seed,
-        data=DataSpec(name=train_ds.name, train_csv=args.train_csv, test_csv=args.test_csv),
+        data=DataSpec(name=os.path.splitext(os.path.basename(args.train_csv))[0],
+                      train_csv=args.train_csv, test_csv=args.test_csv),
         models=(
             ModelSpec(
                 kind=args.model,
@@ -111,6 +104,7 @@ def cmd_train(args) -> int:
         dims=(args.dim,),
         encoder_kind=args.encoder,
     )
+    train_ds, test_ds = prepare_data(config.data, config.root_seed)
     standardizer = fit_standardizer(train_ds.features)
     encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, args.dim)
     clf, history = fit_model(
@@ -135,8 +129,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     clf = load_classifier(args.model)
-    test_ds = load_csv(args.test_csv, split="test")
-    h = _encode_test_set(clf, test_ds, args.test_csv)
+    test_ds, h = _encode_test_set(clf, args.test_csv)
     scorer = clf.scorer
     if args.precision != "fp32":
         fmt = get_format(args.precision)
@@ -165,19 +158,21 @@ def _same_encoding(a, b) -> bool:
 
 
 def cmd_robustness(args) -> int:
-    test_ds = load_csv(args.test_csv, split="test")
-    scorers = {}
-    first = None
+    scorers, paths, first = {}, {}, None
     for path in args.models:
+        stem = os.path.splitext(os.path.basename(path))[0]
+        if stem in paths:  # rows name a model by its file stem
+            raise ConfigError(f"{paths[stem]} and {path}: robustness models need distinct file stems")
+        paths[stem] = path
         clf = load_classifier(path)
         if first is None:
             first = clf
-            h = _encode_test_set(clf, test_ds, args.test_csv)
         elif not _same_encoding(clf, first):
             raise ConfigError(
                 f"{path}: robustness comparisons require models sharing one encoder and standardizer"
             )
-        scorers[os.path.splitext(os.path.basename(path))[0]] = clf.scorer
+        scorers[stem] = clf.scorer
+    test_ds, h = _encode_test_set(first, args.test_csv)
     rows = robustness_sweep(scorers, h, test_ds.labels, args.p_grid, args.trials, args.seed)
     write_csv(
         args.output,

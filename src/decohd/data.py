@@ -98,8 +98,9 @@ def load_csv(
     num_classes: int | None = None,
 ) -> Dataset:
     """Parse a dataset CSV; raises :class:`ParseError` with a line
-    number on malformed input.  The class count is max(label)+1 unless
-    given explicitly, in which case labels are validated against it."""
+    number on malformed input, a NaN or inf cell included.  The class
+    count is max(label)+1 unless given explicitly, in which case labels
+    are validated against it."""
     path = resolve_data_path(path)
     if not os.path.exists(path):
         raise ParseError(f"dataset file not found: {path}")
@@ -114,9 +115,13 @@ def load_csv(
         _diagnose_csv(path, has_header)
     if raw.shape[1] < 2:
         raise ParseError(f"{path}: need at least one feature column plus a label column")
+    offset = 2 if has_header else 1
+    nonfinite = np.argwhere(~np.isfinite(raw))
+    if nonfinite.size:
+        row, col = nonfinite[0]
+        raise ParseError(f"{path}: line {row + offset}: non-finite cell {str(raw[row, col])!r}")
     features = raw[:, :-1]
     raw_labels = raw[:, -1]
-    offset = 2 if has_header else 1
     bad = np.nonzero(raw_labels != np.floor(raw_labels))[0]
     if bad.size:
         raise ParseError(f"{path}: line {bad[0] + offset}: label {float(raw_labels[bad[0]])!r} is not an integer")

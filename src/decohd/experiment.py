@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .baselines import Classifier, build_prototype_table, onlinehd_refine, sparsify_table
 from .budget import budget_of
-from .data import Dataset, load_csv, make_synthetic
+from .data import Dataset, ParseError, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import robustness_sweep
 from .model import ChannelBank, DecoHDClassifier, ModelConfig, pick_class
@@ -177,7 +177,14 @@ def load_config(path: str) -> ExperimentConfig:
 # Pipelines
 
 
+def check_width(dataset: Dataset, num_features: int, path: str) -> None:
+    """A :class:`ParseError` unless *dataset*, read from *path*, is *num_features* wide."""
+    if dataset.num_features != num_features:
+        raise ParseError(f"{path}: {dataset.num_features} feature columns, expected {num_features}")
+
+
 def prepare_data(spec: DataSpec, root_seed: int) -> tuple[Dataset, Dataset]:
+    """The (train, test) pair of *spec*; a test CSV must fit the train CSV."""
     if spec.synthetic is not None:
         s = spec.synthetic
         train_ds, test_ds = make_synthetic(
@@ -191,6 +198,7 @@ def prepare_data(spec: DataSpec, root_seed: int) -> tuple[Dataset, Dataset]:
     else:
         train_ds = load_csv(spec.train_csv, name=spec.name, split="train")
         test_ds = load_csv(spec.test_csv, name=spec.name, split="test", num_classes=train_ds.num_classes)
+        check_width(test_ds, train_ds.num_features, spec.test_csv)
     return train_ds, test_ds
 
 

@@ -2,21 +2,19 @@
 
 The score of class c is ``s_c = sum_m head[c,m] * <basis_m, h*h>``, with
 ``basis_m`` the bound-path factor of path m (:func:`~decohd.model.path_basis`).
+No class prototype is stored; a decomposed model has two forwards:
 
-* :func:`path_terms` computes the input term ``u = h*h`` and the path
-  terms ``t = u @ basis.T``.  :func:`score_batch` runs it per chunk of
-  rows against the basis the bank keeps, and training runs it per
-  microbatch.
-* :func:`stream_scores` scores one hypervector path by path, keeping one
-  float64 working hypervector, *h* widened once and C scalar scores.
+* :func:`score_batch` scores rows against the basis the bank keeps, via
+  :func:`path_terms` (``u = h*h``, ``t = u @ basis.T``), which training
+  runs per microbatch too.  It serves batches and ``predict``.
+* :func:`stream_scores` scores one hypervector path by path without a
+  basis, keeping one float64 working hypervector, *h* widened once and
+  C scalar scores.
 
-:meth:`DecomposedScorer.scores` scores one hypervector in the mode that
-:func:`choose_mode` picks under a memory cap: ``score_only`` streams,
-``materialized_prototypes`` scores ``<P_c, h*h>`` against the prototypes
-``P_c = sum_m head[c,m] * basis_m`` stored at the model dtype.  Forms
-differ in rounding by a bound relative to the sum of the absolute path
-terms, ``sum_m |head[c,m]| * <|basis_m|, h*h>``, not to the score, which
-may cancel to near zero.
+Forms differ in rounding by a bound relative to the sum of the absolute
+path terms, ``sum_m |head[c,m]| * <|basis_m|, h*h>``, not to the score,
+which may cancel to near zero.  :func:`choose_mode` and the *mode* of
+:meth:`DecomposedScorer.scores` stay only for callers that pass them.
 
 :class:`DecomposedScorer` is the deployed form of a decomposed model.
 Like the baselines' :class:`~decohd.baselines.PrototypeTable` and
@@ -44,7 +42,8 @@ def stream_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndar
 
     *h* is widened to float64 once.  The working buffer is float64 and is
     rebound from it on every path; binding, the dot product and the score
-    accumulation all run in float64.
+    accumulation all run in float64.  A bit-flipped bank may overflow:
+    as in :func:`score_batch`, its warnings are silenced.
     """
     h = np.asarray(h)
     if h.shape != (bank.dim,):
@@ -53,20 +52,13 @@ def stream_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndar
     idx = layer_index_arrays(bank.channels_per_layer)
     scores = np.zeros(head.shape[0], dtype=np.float64)
     z = np.empty(bank.dim, dtype=np.float64)
-    for m in range(bank.num_paths):
-        z[:] = h
-        for i, ch in enumerate(bank.channels):
-            np.multiply(z, ch[idx[i][m]], out=z)
-        scores += head[:, m].astype(np.float64) * np.dot(z, h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(bank.num_paths):
+            z[:] = h
+            for i, ch in enumerate(bank.channels):
+                np.multiply(z, ch[idx[i][m]], out=z)
+            scores += head[:, m].astype(np.float64) * np.dot(z, h)
     return scores
-
-
-def materialize_prototypes(bank: ChannelBank, head: np.ndarray) -> np.ndarray:
-    """Collapse the decomposition into a conventional C x dim prototype
-    table, from the path basis the bank keeps; input-independent."""
-    basis = bank.basis
-    protos = head.astype(np.float64, copy=False) @ basis.astype(np.float64, copy=False)
-    return protos.astype(np.result_type(head, bank.channels[0]), copy=False)
 
 
 def path_terms(h: np.ndarray, basis: np.ndarray, out: np.ndarray | None = None):
@@ -105,9 +97,9 @@ def score_batch(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarra
 
 
 def choose_mode(num_classes: int, dim: int, memory_cap_bytes: int | None) -> str:
-    """Prefer the float32 prototype table when it fits the cap, else stream."""
-    if memory_cap_bytes is None or num_classes * dim * 4 <= memory_cap_bytes:
-        return "materialized_prototypes"
+    """``"score_only"`` under every cap: a kept basis scores faster than a
+    C x dim table rebuilt per call, and streaming needs neither.  The
+    arguments stay only for callers that pass them."""
     return "score_only"
 
 
@@ -139,19 +131,11 @@ class DecomposedScorer:
         return DecomposedScorer(bank=ChannelBank(channels), head=arrays["head"])
 
     def scores(self, h: np.ndarray, mode: str = "score_only") -> np.ndarray:
-        """Scores of one hypervector, shape (num_classes,), in a mode of
-        :func:`choose_mode`."""
-        if mode == "score_only":
-            return stream_scores(h, self.bank, self.head)
-        if mode == "materialized_prototypes":
-            h = np.asarray(h, dtype=np.float64)
-            # A bit-flipped bank may overflow, as in score_batch.
-            with np.errstate(over="ignore", invalid="ignore"):
-                prototypes = materialize_prototypes(self.bank, self.head).astype(np.float64, copy=False)
-                return (prototypes @ (h * h).T).T
-        raise ValueError(
-            f"unknown inference mode {mode!r}; expected 'score_only' or 'materialized_prototypes'"
-        )
+        """Scores of one hypervector, shape (num_classes,), streamed by
+        :func:`stream_scores`; ``score_only`` is the one *mode*."""
+        if mode != "score_only":
+            raise ValueError(f"unknown inference mode {mode!r}; expected 'score_only'")
+        return stream_scores(h, self.bank, self.head)
 
     def score_batch(self, h: np.ndarray) -> np.ndarray:
         return score_batch(h, self.bank, self.head)

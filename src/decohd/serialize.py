@@ -96,7 +96,7 @@ def load_classifier(path):
     A container that cannot make a usable model raises
     :class:`ContainerError`: a wrong format version, an unknown kind, a
     missing metadata key or array, or arrays whose shapes disagree with
-    the configs.
+    the configs, or a standardizer that cannot scale features.
     """
     meta, arrays = load_arrays(path)
     if meta.get("format_version") != FORMAT_VERSION:
@@ -119,6 +119,11 @@ def _classifier_from(meta: dict, arrays: dict[str, np.ndarray], kind: str):
     if standardizer.mean.shape != width or standardizer.std.shape != width:
         raise ValueError(f"standardizer shapes {standardizer.mean.shape} and "
                          f"{standardizer.std.shape}, expected {width}")
+    # fit_standardizer clamps a tiny std to 1, so every fitted one passes.
+    if not np.isfinite(standardizer.mean).all():
+        raise ValueError("standardizer mean is not finite")
+    if not (np.isfinite(standardizer.std) & (standardizer.std > 0)).all():
+        raise ValueError("standardizer std is not finite and positive")
     if kind == "decohd":
         model_meta = dict(meta["model"])
         model_meta["channels_per_layer"] = tuple(model_meta["channels_per_layer"])

@@ -123,6 +123,66 @@ def test_test_set_of_wrong_width_exits_2_as_data_error(saved_decohd, tmp_path, c
     assert "5 feature columns, expected 6" in capsys.readouterr().err
 
 
+def test_non_finite_test_feature_exits_2_as_data_error(saved_decohd, tmp_path, capsys):
+    model_path, _ = saved_decohd
+    spoiled = tmp_path / "nan.csv"
+    spoiled.write_text("1,2,3,4,5,6,0\n1,nan,3,4,5,6,1\n", encoding="utf-8")
+    assert cli.main(["eval", "--model", model_path, "--test-csv", str(spoiled)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "line 2: non-finite cell 'nan'" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "robustness"])
+def test_label_the_model_lacks_exits_2_as_data_error(saved_decohd, tmp_path, capsys, command):
+    model_path, _ = saved_decohd  # 3 classes
+    beyond = tmp_path / "beyond.csv"
+    beyond.write_text("1,2,3,4,5,6,0\n1,2,3,4,5,6,2\n6,5,4,3,2,1,4\n", encoding="utf-8")
+    argv = (["eval", "--model", model_path, "--test-csv", str(beyond)] if command == "eval" else
+            ["robustness", "--models", model_path, "--test-csv", str(beyond), "--p-grid", "0",
+             "--trials", "1", "--output", str(tmp_path / "r.csv")])
+    assert cli.main(argv) == 2
+    assert "line 3: label 4 out of range [0, 3)" in capsys.readouterr().err
+
+
+def test_robustness_refuses_models_that_share_a_file_stem(synthetic_csvs, tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = save_trained(synthetic_csvs, tmp_path, "a/m")
+    second = save_trained(synthetic_csvs, tmp_path, "b/m")
+    capsys.readouterr()
+    output = tmp_path / "r.csv"
+    code = cli.main(["robustness", "--models", first, second, "--test-csv", synthetic_csvs[1],
+                     "--p-grid", "0", "--trials", "1", "--output", str(output)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: ") and first in err and second in err
+    assert not output.exists()
+
+
+def test_train_with_a_wider_test_csv_exits_2(synthetic_csvs, tmp_path, capsys):
+    wide = str(tmp_path / "wide.csv")
+    save_csv(wide, make_synthetic(3, 7, 4, 3.0, seed=1)[1])
+    assert cli.main(train_args((synthetic_csvs[0], wide), tmp_path)) == 2
+    assert f"{wide}: 7 feature columns, expected 6" in capsys.readouterr().err
+
+
+def test_sweep_with_a_wider_test_csv_exits_2_at_prepare_data(synthetic_csvs, tmp_path, capsys):
+    wide = str(tmp_path / "wide.csv")
+    save_csv(wide, make_synthetic(3, 7, 4, 3.0, seed=1)[1])
+    config = {
+        "data": {"train_csv": synthetic_csvs[0], "test_csv": wide},
+        "models": [{"kind": "prototype"}],
+        "dims": [16],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(path), "--output-dir", str(out)]) == 2
+    assert f"{wide}: 7 feature columns, expected 6" in capsys.readouterr().err
+    failure = json.loads((out / "failure_manifest.json").read_text(encoding="utf-8"))
+    assert failure["stage"] == "prepare-data"
+
+
 def test_divergence_exits_3(synthetic_csvs, tmp_path, capsys):
     assert cli.main(train_args(synthetic_csvs, tmp_path, "--epochs", "50", "--learning-rate", "1e18")) == 3
     assert "training diverged: " in capsys.readouterr().err

@@ -65,9 +65,13 @@ class TestLoadCsv:
             ("f0,f1,label\n1,2,0\n3,4,1\n5,6,2.5\n", "line 4: label 2.5 is not an integer"),
             ("1,2,0\n3,4,-1\n", "line 2: negative label -1"),
             ("", "line 1: empty file"),
+            ("1,2,0\n3,nan,1\n", "line 2: non-finite cell 'nan'"),
+            ("f0,f1,label\n1,2,0\n-inf,4,1\n", "line 3: non-finite cell '-inf'"),
+            ("1,2,0\n3,4,inf\n", "line 2: non-finite cell 'inf'"),
         ],
         ids=["ragged", "ragged-after-header", "non-numeric", "non-integer-label",
-             "non-integer-label-after-header", "negative-label", "empty"],
+             "non-integer-label-after-header", "negative-label", "empty",
+             "nan-feature", "inf-feature-after-header", "inf-label"],
     )
     def test_malformed_rows_name_their_line(self, write, text, message):
         with pytest.raises(ParseError, match=message):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from decohd import inference, model
-from decohd.inference import DecomposedScorer, choose_mode, materialize_prototypes, score_batch, stream_scores
+from decohd.inference import DecomposedScorer, choose_mode, score_batch, stream_scores
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder
 from decohd.faults import NoiseSpec, inject_bitflips
 from decohd.model import ChannelBank, DecoHDClassifier, path_basis, pick_class
@@ -18,13 +18,6 @@ from tests.conftest import (
     random_small_instance,
     score_term_scale,
 )
-
-MODES = ("score_only", "materialized_prototypes")
-
-
-def materialized_scores(h, bank, head):
-    return DecomposedScorer(bank=bank, head=head).scores(h, "materialized_prototypes")
-
 
 def random_bank_and_head(rng, dtype=np.float32, channels=(2, 3), dim=32, num_classes=4):
     bank = ChannelBank([rng.standard_normal((l, dim)).astype(dtype) for l in channels])
@@ -83,32 +76,9 @@ class TestStreamScores:
             assert peak <= bound, channels
 
 
-class TestMaterializedPrototypes:
-    def test_identity_head_selects_channels(self, rng):
-        bank = ChannelBank([rng.standard_normal((3, 8)).astype(np.float32)])
-        protos = materialize_prototypes(bank, np.eye(3, dtype=np.float32))
-        np.testing.assert_allclose(protos, bank.channels[0], rtol=1e-6)
-
-    def test_matches_stream_scores(self, rng):
-        for _ in range(10):
-            bank, head, h = random_bank_and_head(rng, np.float32)
-            diff = materialized_scores(h, bank, head) - stream_scores(h, bank, head)
-            err = np.abs(diff) / score_term_scale(bank, head, h)
-            assert err.max() < 1e-5
-
-    def test_uniform_head_identical_prototypes(self, rng):
-        bank, _, _ = random_bank_and_head(rng)
-        head = np.full((4, bank.num_paths), 1.0 / bank.num_paths, dtype=np.float32)
-        protos = materialize_prototypes(bank, head)
-        for c in range(1, 4):
-            np.testing.assert_array_equal(protos[c], protos[0])
-
-    def test_depends_on_h_only_through_square(self, rng):
-        bank, head, h = random_bank_and_head(rng)
-        np.testing.assert_array_equal(materialized_scores(h, bank, head), materialized_scores(-h, bank, head))
-
-
 class TestCrossModeEquivalence:
+    """The streamed forward against the batched one on the kept basis."""
+
     def test_hundred_random_fixtures(self, rng):
         for _ in range(100):
             channels = tuple(int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4))))
@@ -117,16 +87,27 @@ class TestCrossModeEquivalence:
                 dim=int(rng.integers(8, 65)), num_classes=int(rng.integers(2, 6)),
             )
             scorer = DecomposedScorer(bank=bank, head=head)
-            outs = [scorer.scores(h, mode) for mode in MODES]
-            denom = score_term_scale(bank, head, h)
-            for other in outs[1:]:
-                assert (np.abs(other - outs[0]) / denom).max() < 1e-5
-            assert len({pick_class(o) for o in outs}) == 1
+            streamed, batched = scorer.scores(h), scorer.score_batch(h[None])[0]
+            assert (np.abs(batched - streamed) / score_term_scale(bank, head, h)).max() < 1e-5
+            assert pick_class(streamed) == pick_class(batched)
+
+    def test_uniform_head_scores_every_class_alike(self, rng):
+        bank, _, h = random_bank_and_head(rng)
+        head = np.full((4, bank.num_paths), 1.0 / bank.num_paths, dtype=np.float32)
+        for scores in (stream_scores(h, bank, head), score_batch(h[None], bank, head)[0]):
+            for c in range(1, 4):
+                assert_same_bits(scores[c], scores[0])
+
+    def test_depends_on_h_only_through_square(self, rng):
+        bank, head, h = random_bank_and_head(rng)
+        assert_same_bits(stream_scores(h, bank, head), stream_scores(-h, bank, head))
+        assert_same_bits(score_batch(h[None], bank, head), score_batch(-h[None], bank, head))
 
     def test_unknown_mode(self, rng):
         bank, head, h = random_bank_and_head(rng)
-        with pytest.raises(ValueError, match="unknown inference mode"):
-            DecomposedScorer(bank=bank, head=head).scores(h, "fastest")
+        for mode in ("fastest", "materialized_prototypes"):
+            with pytest.raises(ValueError, match="unknown inference mode"):
+                DecomposedScorer(bank=bank, head=head).scores(h, mode)
 
 
 class TestScoreBatch:
@@ -216,38 +197,38 @@ class TestKeptBasis:
 
 
 def overflowing_bank_and_head():
-    """Channels near float32's limit, as a flipped exponent bit leaves
-    them: binding overflows to inf and inf * 0 terms give NaN."""
+    """Channels as flipped exponent bits leave them: near float32's limit,
+    and one channel inf.  Binding overflows to inf, and the path that
+    binds inf to 0 gives NaN in float32 and in float64 alike."""
     channels = [np.full((2, 8), 3e38, dtype=np.float32), np.full((2, 8), 3e38, dtype=np.float32)]
+    channels[0][1] = np.inf
     channels[1][0, :4] = 0.0
     return ChannelBank(channels), np.ones((3, 4), dtype=np.float32)
 
 
-def test_flipped_bank_scores_without_warnings():
+@pytest.mark.parametrize("form", ["score_batch", "score_only"])
+def test_flipped_bank_scores_without_warnings(form):
     bank, head = overflowing_bank_and_head()
+    scorer = DecomposedScorer(bank, head)
+    h = np.ones(8, dtype=np.float32)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scores = score_batch(np.ones((2, 8), dtype=np.float32), bank, head)
-    assert not np.isfinite(scores).any()
-
-
-def test_flipped_bank_scores_materialized_without_warnings():
-    bank, head = overflowing_bank_and_head()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        scores = DecomposedScorer(bank, head).scores(np.ones(8, dtype=np.float32), "materialized_prototypes")
-    assert not np.isfinite(scores).any()
+        scores = scorer.score_batch(h[None])[0] if form == "score_batch" else scorer.scores(h, form)
+    assert np.isnan(scores).all()
 
 
 class TestChooseMode:
-    def test_prefers_prototypes_when_fits(self):
-        assert choose_mode(26, 10000, memory_cap_bytes=26 * 10000 * 4) == "materialized_prototypes"
+    """Every cap streams: no cap makes a materialized table the better mode."""
+
+    def test_streams_when_the_table_fits(self):
+        assert choose_mode(26, 10000, memory_cap_bytes=26 * 10000 * 4) == "score_only"
 
     def test_falls_back_to_streaming(self):
         assert choose_mode(26, 10000, memory_cap_bytes=26 * 10000 * 4 - 1) == "score_only"
+        assert choose_mode(26, 10000, memory_cap_bytes=0) == "score_only"
 
     def test_no_cap(self):
-        assert choose_mode(26, 10000, memory_cap_bytes=None) == "materialized_prototypes"
+        assert choose_mode(26, 10000, memory_cap_bytes=None) == "score_only"
 
 
 class TestDecomposedScorer:
@@ -263,6 +244,4 @@ class TestDecomposedScorer:
     def test_integer_exactness_across_modes(self, rng):
         bank, head, h = integer_bank_and_head(rng)
         scorer = DecomposedScorer(bank=bank, head=head)
-        a = scorer.scores(h, "score_only")
-        c = scorer.scores(h, "materialized_prototypes")
-        np.testing.assert_array_equal(a, c)
+        assert_same_bits(scorer.scores(h, "score_only"), scorer.score_batch(h[None])[0])

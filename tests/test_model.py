@@ -6,7 +6,7 @@ import pytest
 
 from decohd import model
 from decohd.baselines import PrototypeTable
-from decohd.inference import materialize_prototypes, score_batch
+from decohd.inference import score_batch
 from decohd.model import (
     ChannelBank,
     ModelConfig,
@@ -164,7 +164,7 @@ class TestClassBundle:
 
     @staticmethod
     def class_bundle(h, bank, head, cls):
-        return materialize_prototypes(bank, head)[cls] * h
+        return (head @ path_basis(bank))[cls] * h
 
     def test_single_path(self):
         bank = ChannelBank([np.array([[2.0, -1.0]])])

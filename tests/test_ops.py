@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from decohd import ops
-from decohd.inference import materialize_prototypes
 from decohd.model import ChannelBank, path_basis
 from decohd.ops import RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed
 
@@ -18,7 +17,7 @@ def bind(*vectors):
 def bundle_weighted(vectors, weights):
     """Bundling as the model performs it: the prototype that a one-row
     head composes from a single layer holding *vectors*."""
-    return materialize_prototypes(ChannelBank([np.stack(vectors)]), np.asarray(weights)[None])[0]
+    return (np.asarray(weights)[None] @ path_basis(ChannelBank([np.stack(vectors)])))[0]
 
 
 class TestBind:
@@ -66,8 +65,8 @@ class TestBundleWeighted:
 
 class TestDot:
     def test_bind_square_identity_on_integers(self, rng):
-        # <bind(h, b), h> == <b, h*h>: the identity behind prototype
-        # materialization.
+        # <bind(h, b), h> == <b, h*h>: the identity behind scoring
+        # against the path basis.
         for _ in range(20):
             h = rng.integers(-4, 5, 12).astype(np.float64)
             b = rng.integers(-4, 5, 12).astype(np.float64)

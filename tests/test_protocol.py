@@ -127,7 +127,7 @@ PUBLIC_SURFACE = [
     "DecomposedScorer", "EncoderConfig", "ModelConfig", "ModelParams", "NoiseSpec",
     "PRESETS", "PrecisionFormat", "PrototypeTable", "RandomProjectionEncoder",
     "SparseScorer", "Standardizer", "TrainConfig", "budget_of", "build_prototype_table",
-    "choose_mode", "enumerate_configs", "fit_standardizer", "footprint", "inject_bitflips",
+    "enumerate_configs", "fit_standardizer", "footprint", "inject_bitflips",
     "load_classifier", "load_csv", "make_synthetic", "onlinehd_refine",
     "pick_class", "quantize_model", "robustness_sweep",
     "save_classifier", "sparsify_table", "train", "trainable_param_savings",

@@ -82,6 +82,18 @@ def integer_mask(meta, arrays):
     arrays["mask"] = arrays["mask"].astype(np.int64)
 
 
+def zero_std(meta, arrays):
+    arrays["standardizer_std"] = np.zeros_like(arrays["standardizer_std"])
+
+
+def nan_std(meta, arrays):
+    arrays["standardizer_std"][2] = np.nan
+
+
+def inf_mean(meta, arrays):
+    arrays["standardizer_mean"][0] = np.inf
+
+
 @pytest.mark.parametrize("kind, spoil, message", [
     ("decohd", narrow_standardizer, "standardizer shapes"),
     ("decohd", wider_model, "model dim 65 does not match encoder dim 64"),
@@ -89,7 +101,11 @@ def integer_mask(meta, arrays):
     ("sparsehd", float64_table, r"table is float64 of shape \(3, 64\)"),
     ("sparsehd", narrow_mask, r"mask is bool of shape \(63,\)"),
     ("sparsehd", integer_mask, r"mask is int64 of shape \(64,\)"),
-], ids=["standardizer", "dim", "table", "float64_table", "narrow_mask", "integer_mask"])
+    ("decohd", zero_std, "standardizer std is not finite and positive"),
+    ("prototype", nan_std, "standardizer std is not finite and positive"),
+    ("sparsehd", inf_mean, "standardizer mean is not finite"),
+], ids=["standardizer", "dim", "table", "float64_table", "narrow_mask", "integer_mask",
+        "zero_std", "nan_std", "inf_mean"])
 def test_shapes_that_disagree_with_the_configs_are_container_errors(tmp_path, rng, kind, spoil, message):
     # Each would otherwise load and fail later, at encoding, scoring,
     # quantization or bit flips.
