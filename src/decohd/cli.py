@@ -5,12 +5,13 @@ scores every model kind with its deployed scorer's batched forward, the
 one ``train`` and ``sweep`` report, so all three print the same accuracy
 for one model and test set; a test label the model has no class for is
 a data error.  ``robustness`` compares only models that encode alike,
-equal encoder config and standardizer, and that its rows can tell apart
-by file stem.  Relative dataset paths resolve against $DECOHD_DATA_DIR.
-Exit codes: 0 success, 1 config error, 2 data error: a malformed CSV or
-an unusable model container (argparse also exits 2 on a malformed
-command line), 3 training divergence.  Any other exception is a bug and
-propagates with its traceback.
+equal encoder config and standardizer, that have one class count and
+that its rows can tell apart by file stem.  Relative dataset paths
+resolve against $DECOHD_DATA_DIR.  Exit codes: 0 success, 1 config
+error, 2 data error: a malformed CSV or an unusable model container
+(argparse also exits 2 on a malformed command line), 3 training
+divergence.  Any other exception is a bug and propagates with its
+traceback.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import contextlib
 import os
 import sys
+from dataclasses import astuple, fields
 
 import numpy as np
 
@@ -30,7 +32,6 @@ from .experiment import (
     DataSpec,
     ExperimentConfig,
     ModelSpec,
-    accuracy,
     check_width,
     encode_splits,
     fit_model,
@@ -39,10 +40,11 @@ from .experiment import (
     run_experiment,
     write_csv,
 )
-from .faults import robustness_sweep
+from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
+from .model import accuracy
 from .precision import PRESETS, get_format, quantize_array, quantize_model
 from .serialize import load_classifier, save_classifier
-from .training import TrainingDiverged
+from .training import EpochStats, TrainingDiverged
 
 
 def _int_list(text: str) -> list[int]:
@@ -60,6 +62,12 @@ def _probability_list(text: str) -> list[float]:
     if values is None or not all(0.0 <= p <= 1.0 for p in values):
         raise argparse.ArgumentTypeError(f"expected comma-separated probabilities in [0, 1], got {text!r}")
     return values
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 @contextlib.contextmanager
@@ -114,11 +122,7 @@ def cmd_train(args) -> int:
     save_classifier(args.output, clf)
     if history:
         hist_path = os.path.splitext(args.output)[0] + "_history.csv"
-        write_csv(
-            hist_path,
-            ["epoch", "mean_loss", "train_accuracy", "test_accuracy", "wall_seconds"],
-            [[h.epoch, h.mean_loss, h.train_accuracy, h.test_accuracy, h.wall_seconds] for h in history],
-        )
+        write_csv(hist_path, [f.name for f in fields(EpochStats)], [astuple(h) for h in history])
         print(f"history written to {hist_path}")
     scorer = clf.scorer
     acc = accuracy(scorer, h_test, test_ds.labels)
@@ -148,12 +152,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _same_encoding(a, b) -> bool:
-    """Whether classifiers *a* and *b* encode every input alike."""
+def _comparable(a, b) -> bool:
+    """Whether classifiers *a* and *b* encode every input alike into one class count."""
     return (
         a.encoder.config == b.encoder.config
         and np.array_equal(a.standardizer.mean, b.standardizer.mean)
         and np.array_equal(a.standardizer.std, b.standardizer.std)
+        and a.scorer.num_classes == b.scorer.num_classes
     )
 
 
@@ -167,18 +172,15 @@ def cmd_robustness(args) -> int:
         clf = load_classifier(path)
         if first is None:
             first = clf
-        elif not _same_encoding(clf, first):
+        elif not _comparable(clf, first):
             raise ConfigError(
-                f"{path}: robustness comparisons require models sharing one encoder and standardizer"
+                f"{path}: robustness comparisons require models sharing one encoder, "
+                "standardizer and class count"
             )
         scorers[stem] = clf.scorer
     test_ds, h = _encode_test_set(first, args.test_csv)
     rows = robustness_sweep(scorers, h, test_ds.labels, args.p_grid, args.trials, args.seed)
-    write_csv(
-        args.output,
-        ["model_kind", "p_flip", "trial", "test_accuracy"],
-        [[r["model_kind"], r["p_flip"], r["trial"], r["test_accuracy"]] for r in rows],
-    )
+    write_csv(args.output, ROBUSTNESS_COLUMNS, rows)
     print(f"robustness curves written to {args.output}")
     return 0
 
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--test-csv", required=True)
     p.add_argument("--p-grid", type=_probability_list, default="0,1e-7,1e-6,1e-5,1e-4,1e-3")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", default="robustness.csv")
     p.set_defaults(func=cmd_robustness)

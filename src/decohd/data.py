@@ -59,36 +59,17 @@ def resolve_data_path(path: str) -> str:
     return path
 
 
-def _is_numeric_row(cells: list[str]) -> bool:
-    try:
-        for c in cells:
+def _cells(line: str) -> list[str]:
+    return line.split("#", 1)[0].strip().split(",")
+
+
+def _first_non_numeric(cells: list[str]) -> str | None:
+    for c in cells:
+        try:
             float(c)
-    except ValueError:
-        return False
-    return True
-
-
-def _diagnose_csv(path: str, has_header: bool) -> None:
-    """Slow pass after a failed fast parse: pin the offending line."""
-    width = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if has_header and lineno == 1:
-                continue
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width is None:
-                width = len(cells)
-            elif len(cells) != width:
-                raise ParseError(f"{path}: line {lineno}: expected {width} columns, got {len(cells)}")
-            for c in cells:
-                try:
-                    float(c)
-                except ValueError:
-                    raise ParseError(f"{path}: line {lineno}: non-numeric cell {c!r}")
-    raise ParseError(f"{path}: malformed CSV")
+        except ValueError:
+            return c
+    return None
 
 
 def load_csv(
@@ -104,36 +85,47 @@ def load_csv(
     path = resolve_data_path(path)
     if not os.path.exists(path):
         raise ParseError(f"dataset file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    if not first.strip():
+    with open(path, encoding="utf-8") as fh:  # the lines np.loadtxt reads: not blank, not a comment
+        rows = [(n, line) for n, line in enumerate(fh, start=1) if line[0] not in "#\n"]
+    if not rows:
         raise ParseError(f"{path}: line 1: empty file")
-    has_header = not _is_numeric_row(first.strip().split(","))
+    if _first_non_numeric(_cells(rows[0][1])) is not None:  # a header
+        header_line = rows.pop(0)[0]
+        if not rows:
+            raise ParseError(f"{path}: line {header_line}: a header and no data rows")
+    lines, texts = zip(*rows)
     try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1 if has_header else 0, ndmin=2)
+        raw = np.loadtxt(texts, delimiter=",", ndmin=2)
     except ValueError:
-        _diagnose_csv(path, has_header)
+        width = len(_cells(rows[0][1]))
+        for lineno, text in rows:
+            cells = _cells(text)
+            if len(cells) != width:
+                raise ParseError(f"{path}: line {lineno}: expected {width} columns, got {len(cells)}")
+            bad = _first_non_numeric(cells)
+            if bad is not None:
+                raise ParseError(f"{path}: line {lineno}: non-numeric cell {bad!r}")
+        raise ParseError(f"{path}: malformed CSV")
     if raw.shape[1] < 2:
         raise ParseError(f"{path}: need at least one feature column plus a label column")
-    offset = 2 if has_header else 1
     nonfinite = np.argwhere(~np.isfinite(raw))
     if nonfinite.size:
         row, col = nonfinite[0]
-        raise ParseError(f"{path}: line {row + offset}: non-finite cell {str(raw[row, col])!r}")
+        raise ParseError(f"{path}: line {lines[row]}: non-finite cell {str(raw[row, col])!r}")
     features = raw[:, :-1]
     raw_labels = raw[:, -1]
     bad = np.nonzero(raw_labels != np.floor(raw_labels))[0]
     if bad.size:
-        raise ParseError(f"{path}: line {bad[0] + offset}: label {float(raw_labels[bad[0]])!r} is not an integer")
+        raise ParseError(f"{path}: line {lines[bad[0]]}: label {float(raw_labels[bad[0]])!r} is not an integer")
     labels = raw_labels.astype(np.int64)
     bad = np.nonzero(labels < 0)[0]
     if bad.size:
-        raise ParseError(f"{path}: line {bad[0] + offset}: negative label {labels[bad[0]]}")
+        raise ParseError(f"{path}: line {lines[bad[0]]}: negative label {labels[bad[0]]}")
     if num_classes is not None:
         bad = np.nonzero(labels >= num_classes)[0]
         if bad.size:
             raise ParseError(
-                f"{path}: line {bad[0] + offset}: label {labels[bad[0]]} out of range "
+                f"{path}: line {lines[bad[0]]}: label {labels[bad[0]]} out of range "
                 f"[0, {num_classes})"
             )
     else:

@@ -22,7 +22,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from collections.abc import Sequence
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -31,12 +32,12 @@ from .baselines import Classifier, build_prototype_table, onlinehd_refine, spars
 from .budget import budget_of
 from .data import Dataset, ParseError, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
-from .faults import robustness_sweep
-from .model import ChannelBank, DecoHDClassifier, ModelConfig, pick_class
-from .ops import derive_seed
+from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
+from .model import ChannelBank, DecoHDClassifier, ModelConfig, accuracy
+from .ops import MATRIX_KINDS, derive_seed
 from .precision import get_format, quantize_array, quantize_model
 from .serialize import save_classifier
-from .training import TrainConfig, train
+from .training import EpochStats, TrainConfig, train
 
 MODEL_KINDS = ("decohd", "prototype", "onlinehd", "sparsehd")
 
@@ -110,6 +111,8 @@ class NoiseConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
+        if self.trials < 1 or not all(0.0 <= p <= 1.0 for p in self.p_grid):
+            raise ConfigError(f"need trials >= 1 and every p in [0, 1], got {self.trials} and {self.p_grid}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +139,8 @@ class ExperimentConfig:
         for i, m in enumerate(self.models):
             models.append(_from_dict(ModelSpec, m, f"models[{i}]") if isinstance(m, dict) else m)
         object.__setattr__(self, "models", tuple(models))
+        if self.encoder_kind not in MATRIX_KINDS:
+            raise ConfigError(f"encoder_kind {self.encoder_kind!r} not one of {MATRIX_KINDS}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if any(d < 1 for d in self.dims):
             raise ConfigError(f"dims must be >= 1, got {self.dims}")
@@ -273,12 +278,7 @@ def fit_model(
     return Classifier(encoder, standardizer, table, spec.kind), []
 
 
-def accuracy(scorer, h: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of rows of *h* whose batched score picks the label in *y*."""
-    return float((pick_class(scorer.score_batch(h)) == y).mean())
-
-
-def write_csv(path, header: list[str], rows: list[list]) -> None:
+def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     def fmt(v):
         if isinstance(v, float):
             return format(v, ".10g")
@@ -337,10 +337,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
                     derived_seeds[f"model_{label}_D{dim}"] = clf.config.seed
                 scorers[label] = clf.scorer
                 save_classifier(os.path.join(models_dir, f"{label}_D{dim}.npz"), clf)
-                for h in history:
-                    history_rows.append(
-                        [label, h.epoch, h.mean_loss, h.train_accuracy, h.test_accuracy, h.wall_seconds]
-                    )
+                history_rows += [[label, *astuple(h)] for h in history]
             # Every model is scored against the same test encodings, so they
             # are quantized once per precision, by the first evaluation.
             for precision in config.precisions:
@@ -358,12 +355,9 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
                 stage = f"robustness-D{dim}"
                 noise_seed = derive_seed(config.root_seed, "noise", dim)
                 derived_seeds[f"noise_D{dim}"] = noise_seed
-                for row in robustness_sweep(
+                robustness_rows += robustness_sweep(
                     scorers, h_test, test_ds.labels, config.noise.p_grid, config.noise.trials, noise_seed
-                ):
-                    robustness_rows.append(
-                        [row["model_kind"], row["p_flip"], row["trial"], row["test_accuracy"]]
-                    )
+                )
         stage = "write-results"
         result_rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
         precision_rows.sort(key=lambda r: (r[0], r[1], r[2]))
@@ -376,17 +370,10 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
             precision_rows,
         )
         if robustness_rows:
-            write_csv(
-                os.path.join(out, "robustness.csv"),
-                ["model_kind", "p_flip", "trial", "test_accuracy"],
-                robustness_rows,
-            )
+            write_csv(os.path.join(out, "robustness.csv"), ROBUSTNESS_COLUMNS, robustness_rows)
         if history_rows:
-            write_csv(
-                os.path.join(out, "history.csv"),
-                ["model", "epoch", "mean_loss", "train_accuracy", "test_accuracy", "wall_seconds"],
-                history_rows,
-            )
+            header = ["model", *(f.name for f in fields(EpochStats))]
+            write_csv(os.path.join(out, "history.csv"), header, history_rows)
         manifest_path = os.path.join(out, "manifest.json")
         manifest = {
             "package_version": __version__,

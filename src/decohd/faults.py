@@ -21,6 +21,7 @@ channel bank plus the bundling head of a decomposed model, the prototype
 table of a baseline, and the retained columns of a sparsified table.
 Any other dtype is refused.  Each array's stream is derived from the
 spec's seed, ``"bits"`` and the array's ``stored()`` key.
+:func:`robustness_sweep` rows are lists in ``ROBUSTNESS_COLUMNS`` order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import pick_class
+from .model import accuracy
 from .ops import derive_seed, rng_from_seed
 
 
@@ -42,6 +43,8 @@ class NoiseSpec:
         if not 0.0 <= self.flip_probability <= 1.0:
             raise ValueError("flip_probability must be in [0, 1]")
 
+
+ROBUSTNESS_COLUMNS = ("model_kind", "p_flip", "trial", "test_accuracy")
 
 # Words whose bits are drawn at once: numpy's choice without replacement
 # may shuffle an int64 array of every candidate bit, so a chunk bounds
@@ -101,28 +104,19 @@ def robustness_sweep(
     p_grid,
     trials: int,
     seed: int = 0,
-) -> list[dict]:
+) -> list[list]:
     """Accuracy-under-noise curves for several models on one test set.
 
     Every (p, trial) cell owns an independent stream derived from
     (seed, p index, trial index); all models in a cell share that stream
-    root.  Returns one row per (model, p, trial), sorted.
+    root.  Returns one ``ROBUSTNESS_COLUMNS`` row per (model, p, trial), sorted.
     """
-    y_test = np.asarray(y_test)
     rows = []
     for p_idx, p in enumerate(p_grid):
         for trial in range(trials):
             cell_seed = derive_seed(seed, "noise", p_idx, trial)
             for name in sorted(scorers):
                 corrupted = inject_bitflips(scorers[name], NoiseSpec(p, seed=cell_seed))
-                pred = pick_class(corrupted.score_batch(h_test))
-                rows.append(
-                    {
-                        "model_kind": name,
-                        "p_flip": float(p),
-                        "trial": trial,
-                        "test_accuracy": float((pred == y_test).mean()),
-                    }
-                )
-    rows.sort(key=lambda r: (r["model_kind"], r["p_flip"], r["trial"]))
+                rows.append([name, float(p), trial, accuracy(corrupted, h_test, y_test)])
+    rows.sort(key=lambda r: r[:3])
     return rows

@@ -1,18 +1,19 @@
-"""Scoring a decomposed model: one batched forward, one streamed forward.
+"""Scoring a decomposed model: one input term, two forwards.
 
-The score of class c is ``s_c = sum_m head[c,m] * <basis_m, h*h>``, with
-``basis_m`` the bound-path factor of path m (:func:`~decohd.model.path_basis`).
-No class prototype is stored; a decomposed model has two forwards:
+The score of class c is ``s_c = sum_m head[c,m] * <basis_m, u>``, with
+``basis_m`` the bound-path factor of path m (:func:`~decohd.model.path_basis`)
+and ``u = h*h`` the one input term (:func:`input_term`).  No class
+prototype is stored; a decomposed model has two forwards:
 
 * :func:`score_batch` scores rows against the basis the bank keeps, via
-  :func:`path_terms` (``u = h*h``, ``t = u @ basis.T``), which training
-  runs per microbatch too.  It serves batches and ``predict``.
-* :func:`stream_scores` scores one hypervector path by path without a
-  basis, keeping one float64 working hypervector, *h* widened once and
-  C scalar scores.
+  :func:`path_terms` (``t = u @ basis.T``), which training runs per
+  microbatch too.  It serves batches and ``predict``.
+* :func:`stream_scores` scores one hypervector path by path, in
+  ``itertools.product`` order, without a basis: it keeps ``u`` and one
+  working hypervector in float64 and C scalar scores.
 
 Forms differ in rounding by a bound relative to the sum of the absolute
-path terms, ``sum_m |head[c,m]| * <|basis_m|, h*h>``, not to the score,
+path terms, ``sum_m |head[c,m]| * <|basis_m|, u>``, not to the score,
 which may cancel to near zero.  :func:`choose_mode` and the *mode* of
 :meth:`DecomposedScorer.scores` stay only for callers that pass them.
 
@@ -26,45 +27,50 @@ work through these two alone.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelBank, layer_index_arrays
+from .model import ChannelBank
 
 # Most rows score_batch squares and scores at once; its working buffer
 # holds this many rows whatever the batch size.
 _SCORE_CHUNK_ROWS = 1024
 
 
+def input_term(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``h*h``, the input term of every score; *out*, if given, receives it."""
+    return np.multiply(h, h, out=out)
+
+
 def stream_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
     """Score-only streaming: one path hypervector alive at a time.
 
-    *h* is widened to float64 once.  The working buffer is float64 and is
-    rebound from it on every path; binding, the dot product and the score
-    accumulation all run in float64.  A bit-flipped bank may overflow:
-    as in :func:`score_batch`, its warnings are silenced.
+    *h* is widened to float64 once and squared in place into ``u``; each
+    path binds its channel rows into a float64 working buffer, its basis
+    row, and adds the row's dot with ``u`` to the scores.  A bit-flipped
+    bank may overflow: as in :func:`score_batch`, its warnings are silenced.
     """
-    h = np.asarray(h)
-    if h.shape != (bank.dim,):
-        raise ValueError(f"hypervector shape {h.shape} does not match bank dim {bank.dim}")
-    h = h.astype(np.float64, copy=False)
-    idx = layer_index_arrays(bank.channels_per_layer)
+    u = np.array(h, dtype=np.float64)
+    if u.shape != (bank.dim,):
+        raise ValueError(f"hypervector shape {u.shape} does not match bank dim {bank.dim}")
     scores = np.zeros(head.shape[0], dtype=np.float64)
     z = np.empty(bank.dim, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(bank.num_paths):
-            z[:] = h
-            for i, ch in enumerate(bank.channels):
-                np.multiply(z, ch[idx[i][m]], out=z)
-            scores += head[:, m].astype(np.float64) * np.dot(z, h)
+        input_term(u, out=u)
+        for m, rows in enumerate(itertools.product(*bank.channels)):
+            z[:] = rows[0]
+            for row in rows[1:]:
+                np.multiply(z, row, out=z)
+            scores += head[:, m].astype(np.float64) * np.dot(z, u)
     return scores
 
 
 def path_terms(h: np.ndarray, basis: np.ndarray, out: np.ndarray | None = None):
-    """The input term ``u = h*h`` and the path terms ``t = u @ basis.T``
-    of a batch of rows; *out*, if given, receives ``u``."""
-    u = np.multiply(h, h, out=out)
+    """The input term ``u`` (:func:`input_term`) and the path terms
+    ``t = u @ basis.T`` of a batch of rows; *out*, if given, receives ``u``."""
+    u = input_term(h, out=out)
     return u, u @ basis.T
 
 

@@ -11,13 +11,13 @@ path, bundles by the head and dots with the input.
 
 Because binding is elementwise, a score depends on the input only
 through its elementwise square: ``score_c(h) = <P_c, h*h>`` with
-``P_c = sum_m head[c, m] * basis_m``.  :mod:`decohd.inference` scores
-in that form, batched against the kept basis or streamed path by path.
+``P_c = sum_m head[c, m] * basis_m``.  :mod:`decohd.inference` forms
+``h*h`` in one function, ``input_term``, for its batched and streamed forwards.
 
-Path enumeration is row-major over the per-layer channel choices (the
-last layer varies fastest, :func:`layer_index_arrays`).  The head's
-column order follows this flat enumeration and is part of the
-serialized model format.
+Path enumeration is row-major over the per-layer channel choices: the
+last layer varies fastest, as in ``itertools.product`` of the layers'
+channels.  The head's column order follows this flat enumeration and is
+part of the serialized model format.
 """
 
 from __future__ import annotations
@@ -106,6 +106,10 @@ class ModelParams:
     def astype(self, dtype) -> "ModelParams":
         return ModelParams([a.astype(dtype) for a in self.latents], self.head.astype(dtype))
 
+    def arrays(self) -> list[np.ndarray]:
+        """The latents, then the head."""
+        return [*self.latents, self.head]
+
 
 def check_param_shapes(params: ModelParams, config: ModelConfig) -> None:
     if len(params.latents) != config.num_layers:
@@ -128,17 +132,6 @@ def init_params(config: ModelConfig, dtype=np.float64) -> ModelParams:
         latents.append(rng.standard_normal((l, config.latent_dim)).astype(dtype))
     head = np.full((config.num_classes, config.num_paths), 1.0 / config.num_paths, dtype=dtype)
     return ModelParams(latents=latents, head=head)
-
-
-# ---------------------------------------------------------------------------
-# Path enumeration (row-major, last layer fastest)
-
-
-def layer_index_arrays(channels_per_layer: tuple[int, ...]) -> list[np.ndarray]:
-    """For each layer, the channel chosen by every flat path index."""
-    num_paths = math.prod(channels_per_layer)
-    grids = np.unravel_index(np.arange(num_paths), channels_per_layer)
-    return [np.asarray(g) for g in grids]
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +216,11 @@ def pick_class(scores: np.ndarray):
     index.  One score vector gives one index, (n, C) scores give n."""
     scores = np.asarray(scores)
     return np.argmax(np.where(np.isnan(scores), -np.inf, scores), axis=-1)
+
+
+def accuracy(scorer, h: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of rows of *h* whose batched score picks the label in *labels*."""
+    return float((pick_class(scorer.score_batch(h)) == np.asarray(labels)).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,18 @@
 """End-to-end optimization of the decomposed classifier.
 
-The loss is mean cross-entropy over dot-product logits.  Gradients are
+The loss is mean cross-entropy over dot-product logits.  Its gradients are
 analytic and flow through the bind -> bundle -> score pipeline back to
 the latents and the bundling head; the frozen projectors and encoder are
-never touched.
+never touched.  A gradient is a :class:`~decohd.model.ModelParams` whose
+latents and head hold the derivatives of the loss with respect to them.
 
-Writing ``u = h*h`` and ``basis_m`` for the bound-path factor of path m,
-the logits are ``s_c = sum_m head[c,m] * <basis_m, u>``; ``u`` and the
-path terms ``t = u @ basis.T`` come from
-:func:`decohd.inference.path_terms`, the forward that batched scoring
-runs too.  The softmax ``p`` and the loss share one exponential
-(:func:`softmax_cross_entropy`).  With softmax residual
-``g_c = p_c - 1{c==y}`` (batch-averaged):
+Writing ``u = h*h`` (:func:`decohd.inference.input_term`) and
+``basis_m`` for the bound-path factor of path m, the logits are
+``s_c = sum_m head[c,m] * <basis_m, u>``; ``u`` and the path terms
+``t = u @ basis.T`` come from :func:`decohd.inference.path_terms`, the
+forward that batched scoring runs too.  The softmax ``p`` and the loss
+share one exponential (:func:`softmax_cross_entropy`).  With softmax
+residual ``g_c = p_c - 1{c==y}`` (batch-averaged):
 
 * d head[c,m]   = g_c * <basis_m, u>
 * d basis_m     = (sum_c g_c head[c,m]) * u
@@ -36,16 +37,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inference import path_terms, score_batch
+from .inference import DecomposedScorer, path_terms
 from .model import (
     ChannelBank,
     ModelConfig,
     ModelParams,
+    accuracy,
     init_params,
     layer_views,
     materialize_channels,
     materialize_projectors,
-    pick_class,
 )
 from .ops import derive_seed, rng_from_seed
 
@@ -88,12 +89,6 @@ class TrainConfig:
             floating = False
         if not floating:
             raise ValueError(f"dtype must name a floating type, got {self.dtype!r}")
-
-
-@dataclass
-class Gradients:
-    d_latents: list[np.ndarray]
-    d_head: np.ndarray
 
 
 def softmax_cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:
@@ -163,7 +158,7 @@ def _channel_grads_from_basis(d_basis: np.ndarray, bank: ChannelBank) -> list[np
 
 def _gradients(
     d_head: np.ndarray, d_basis: np.ndarray, bank: ChannelBank, projectors: list[np.ndarray]
-) -> Gradients:
+) -> ModelParams:
     """Latent and head gradients from the head and path-basis gradients.
 
     ``d latent_i = d channel_i @ projector_i^T`` is computed as
@@ -172,7 +167,7 @@ def _gradients(
     """
     d_channels = _channel_grads_from_basis(d_basis, bank)
     d_latents = [(proj @ d_ch.T).T for d_ch, proj in zip(d_channels, projectors)]
-    return Gradients(d_latents=d_latents, d_head=d_head)
+    return ModelParams(latents=d_latents, head=d_head)
 
 
 class AdamW:
@@ -193,20 +188,16 @@ class AdamW:
         self._m: list[np.ndarray] | None = None
         self._v: list[np.ndarray] | None = None
 
-    def _flat(self, params: ModelParams) -> list[np.ndarray]:
-        return list(params.latents) + [params.head]
-
-    def step(self, params: ModelParams, grads: Gradients) -> None:
-        """One in-place update of latents and head."""
-        arrays = self._flat(params)
-        g_arrays = list(grads.d_latents) + [grads.d_head]
+    def step(self, params: ModelParams, grads: ModelParams) -> None:
+        """One in-place update of latents and head by their gradients."""
+        arrays = params.arrays()
         if self._m is None:
             self._m = [np.zeros_like(a) for a in arrays]
             self._v = [np.zeros_like(a) for a in arrays]
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for k, (p, g) in enumerate(zip(arrays, g_arrays)):
+        for k, (p, g) in enumerate(zip(arrays, grads.arrays())):
             m = self._m[k]
             v = self._v[k]
             m *= self.beta1
@@ -221,6 +212,8 @@ class AdamW:
 
 @dataclass
 class EpochStats:
+    """One epoch of a run; its fields, in order, are a history CSV's columns."""
+
     epoch: int
     mean_loss: float
     train_accuracy: float
@@ -325,5 +318,4 @@ def train(
 def evaluate(bank: ChannelBank, head: np.ndarray, h: np.ndarray, labels: np.ndarray) -> float:
     """Classification accuracy of the model (*bank*, *head*) on
     pre-encoded data."""
-    scores = score_batch(np.asarray(h), bank, head)
-    return float((pick_class(scores) == np.asarray(labels)).mean())
+    return accuracy(DecomposedScorer(bank=bank, head=head), h, labels)

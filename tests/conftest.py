@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,13 @@ from decohd.precision import get_format
 # Layer shapes on which the broadcast path basis and the reshape-sum
 # channel gradients are checked bit for bit against gather/scatter forms.
 LAYER_SHAPES = [(3, 3), (4, 4, 4), (5, 5, 5), (2, 3, 4), (7,), (2, 2, 2, 2)]
+
+
+def layer_index_arrays(channels_per_layer) -> list[np.ndarray]:
+    """Path-order oracle: for each layer, the channel chosen by every
+    flat path index, row-major with the last layer fastest."""
+    grids = np.unravel_index(np.arange(math.prod(channels_per_layer)), channels_per_layer)
+    return [np.asarray(g) for g in grids]
 
 
 @pytest.fixture
@@ -61,7 +70,7 @@ def random_small_instance(rng, dtype=np.float64):
     return cfg, params, projectors, h, y
 
 
-def backward(h_batch, labels, params: ModelParams, projectors) -> training.Gradients:
+def backward(h_batch, labels, params: ModelParams, projectors) -> ModelParams:
     """Analytic gradient of the mean cross-entropy over the batch, from
     the forward and gradient steps that :func:`decohd.training.train`
     runs on one microbatch."""

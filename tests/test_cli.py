@@ -4,7 +4,7 @@ import re
 import pytest
 
 from decohd import cli
-from decohd.data import make_synthetic, save_csv
+from decohd.data import Dataset, make_synthetic, save_csv
 from decohd.serialize import load_arrays, save_arrays, save_classifier
 from tests.conftest import small_classifier
 
@@ -56,7 +56,7 @@ def save_trained(csvs, tmp_path, name: str, *extra) -> str:
     return path
 
 
-@pytest.mark.parametrize("other", ["same", "encoder", "standardizer"])
+@pytest.mark.parametrize("other", ["same", "encoder", "standardizer", "classes"])
 def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, capsys, other):
     first = save_trained(synthetic_csvs, tmp_path, "first")
     csvs = synthetic_csvs
@@ -64,6 +64,10 @@ def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, 
     if other == "standardizer":
         csvs = (str(tmp_path / "other_train.csv"), synthetic_csvs[1])
         save_csv(csvs[0], make_synthetic(3, 6, 20, 3.0, seed=12)[0])
+    if other == "classes":  # the same features, labels folded onto two classes
+        csvs = (str(tmp_path / "two_train.csv"), str(tmp_path / "two_test.csv"))
+        for path, ds in zip(csvs, make_synthetic(3, 6, 20, 3.0, seed=11)):
+            save_csv(path, Dataset(ds.features, ds.labels % 2, ds.split, "two", 2))
     second = save_trained(csvs, tmp_path, "second", *extra)
     capsys.readouterr()
     code = cli.main(["robustness", "--models", first, second, "--test-csv", synthetic_csvs[1],
@@ -73,23 +77,31 @@ def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, 
         assert code == 0 and err == ""
     else:
         assert code == 1
-        assert err.startswith("config error: ") and "sharing one encoder and standardizer" in err
+        assert err.startswith(f"config error: {second}: ")
+        assert "sharing one encoder, standardizer and class count" in err
 
 
-@pytest.mark.parametrize("train", [{"eval_every": 0}, {"dtype": "foo"}, {"dtype": "int32"}],
-                         ids=["eval_every", "dtype-name", "dtype-integer"])
+@pytest.mark.parametrize("train", [{"eval_every": 0}, {"dtype": "foo"}, {"dtype": "int32"},
+                                   {"noise": {"p_grid": [2.0]}}, {"noise": {"p_grid": [0.0], "trials": 0}},
+                                   {"encoder_kind": "ternery"}],
+                         ids=["eval_every", "dtype-name", "dtype-integer", "noise-p", "noise-trials",
+                              "encoder-kind"])
 def test_invalid_train_config_of_a_sweep_exits_1(tmp_path, capsys, train):
+    # Top-level keys replace the config's own; any other key goes into its train config.
+    top = {k: v for k, v in train.items() if k in ("noise", "encoder_kind")}
     config = {
         "data": {"synthetic": {"num_classes": 3, "num_features": 6, "samples_per_class": 10}},
         "models": [{"kind": "decohd", "channels": [2], "latent_dim": 4}],
-        "train": {"epochs": 1, **train},
+        "train": {"epochs": 1, **{k: v for k, v in train.items() if k not in top}},
         "dims": [16],
+        **top,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     assert cli.main(["sweep", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "out" / "models").exists()  # rejected before any model trains
 
 
 @pytest.mark.parametrize("extra", [["--epochs", "-1"], ["--dim", "0"], ["--channels", "0,2"],
@@ -200,7 +212,8 @@ def test_internal_value_error_is_not_reported_as_config_error(synthetic_csvs, tm
 
 @pytest.mark.parametrize("argv", [["budget", "--m", "0.5", "--classes", "3", "--dim", "64", "--layers", "1,x"],
                                   ["robustness", "--models", "m.npz", "--test-csv", "t.csv", "--p-grid", "0,2"],
-                                  ["eval", "--model", "m.npz", "--test-csv", "t.csv", "--precision", "fp7"]])
+                                  ["eval", "--model", "m.npz", "--test-csv", "t.csv", "--precision", "fp7"],
+                                  ["robustness", "--models", "m.npz", "--test-csv", "t.csv", "--trials", "0"]])
 def test_malformed_command_line_is_rejected_by_argparse(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)

@@ -68,14 +68,25 @@ class TestLoadCsv:
             ("1,2,0\n3,nan,1\n", "line 2: non-finite cell 'nan'"),
             ("f0,f1,label\n1,2,0\n-inf,4,1\n", "line 3: non-finite cell '-inf'"),
             ("1,2,0\n3,4,inf\n", "line 2: non-finite cell 'inf'"),
+            ("1,2,0\n\n3,nan,1\n", "line 3: non-finite cell 'nan'"),
+            ("1,2,0\n\n3,4,-1\n", "line 3: negative label -1"),
+            ("1,2,0\n# note\n3,4,1\n5,x,1\n", "line 4: non-numeric cell 'x'"),
+            ("f0,f1,label\n", "line 1: a header and no data rows"),
         ],
         ids=["ragged", "ragged-after-header", "non-numeric", "non-integer-label",
              "non-integer-label-after-header", "negative-label", "empty",
-             "nan-feature", "inf-feature-after-header", "inf-label"],
+             "nan-feature", "inf-feature-after-header", "inf-label",
+             "nan-feature-after-blank-line", "negative-label-after-blank-line",
+             "non-numeric-after-comment", "header-only"],
     )
     def test_malformed_rows_name_their_line(self, write, text, message):
         with pytest.raises(ParseError, match=message):
             load_csv(write(text))
+
+    def test_leading_blank_line_and_comments_are_skipped(self, write):
+        ds = load_csv(write("\n# two rows\n1,2,0\n3,4,1 # second\n"))
+        np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(ds.labels, [0, 1])
 
     def test_label_beyond_given_class_count(self, write):
         with pytest.raises(ParseError, match=r"line 2: label 3 out of range \[0, 3\)"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from decohd import faults
-from decohd.faults import NoiseSpec, flip_float32_bits, inject_bitflips
+from decohd.faults import ROBUSTNESS_COLUMNS, NoiseSpec, flip_float32_bits, inject_bitflips, robustness_sweep
 from decohd.ops import rng_from_seed
 from tests.conftest import assert_same_bits, deployed_forms
 
@@ -134,3 +134,31 @@ def test_flip_memory_is_bounded_by_the_chunk(rng, p):
     finally:
         tracemalloc.stop()
     assert peak - a.nbytes <= 32 * 32 * faults._FLIP_CHUNK_WORDS, peak  # 32 bytes per chunk bit
+
+
+def sweep_inputs(rng):
+    """Every deployed form, 40 float32 test rows for them and labels."""
+    scorers = deployed_forms(rng)
+    h = rng.standard_normal((40, 48)).astype(np.float32)
+    return scorers, h, rng.integers(0, 4, 40)
+
+
+def test_robustness_rows_follow_the_columns_sorted(rng):
+    scorers, h, y = sweep_inputs(rng)
+    rows = robustness_sweep(scorers, h, y, p_grid=[1e-2, 0.0, 0.5], trials=2, seed=3)
+    assert len(rows) == len(scorers) * 3 * 2
+    assert all(len(row) == len(ROBUSTNESS_COLUMNS) for row in rows)
+    assert [row[:3] for row in rows] == sorted(
+        [name, p, trial] for name in scorers for p in (1e-2, 0.0, 0.5) for trial in range(2)
+    )
+    for row in rows:
+        assert 0.0 <= row[3] <= 1.0
+
+
+def test_robustness_rows_of_a_model_do_not_depend_on_the_others(rng):
+    # Every model in a (p, trial) cell draws from that cell's streams alone.
+    scorers, h, y = sweep_inputs(rng)
+    together = robustness_sweep(scorers, h, y, p_grid=[0.0, 1e-2, 0.3], trials=2, seed=5)
+    for name, scorer in scorers.items():
+        alone = robustness_sweep({name: scorer}, h, y, p_grid=[0.0, 1e-2, 0.3], trials=2, seed=5)
+        assert alone == [row for row in together if row[0] == name]

@@ -53,14 +53,21 @@ class TestStreamScores:
         # Z = [2, -4, 6]; <Z, h> = 2 - 8 + 18 = 12
         np.testing.assert_array_equal(stream_scores(h, bank, head), [12.0, 6.0])
 
+    def test_leaves_a_float64_input_unchanged(self, rng):
+        # The input term is squared in place, into a float64 copy of h.
+        bank, head, h = random_bank_and_head(rng, np.float64)
+        before = h.copy()
+        stream_scores(h, bank, head)
+        assert_same_bits(h, before)
+
     def test_single_working_buffer(self, rng):
         # Real bytes of one call against the analytic count: the float64
-        # working hypervector, the input widened to float64 once and C
-        # float64 scores.  Allowed on top: numpy's ufunc cast buffer
-        # (float32 channel rows are cast into the float64 working buffer
-        # in bufsize-element chunks) and 16 KiB for the path index arrays
-        # and per-path head columns.  One more D-length float64 vector
-        # (80 KB at D=10000) exceeds it.
+        # working hypervector, the input widened to float64 once and
+        # squared in place, and C float64 scores.  Allowed on top: numpy's
+        # ufunc cast buffer (float32 channel rows are cast into the float64
+        # working buffer in bufsize-element chunks) and 16 KiB for the
+        # per-layer tuples of channel rows and per-path head columns.  One
+        # more D-length float64 vector (80 KB at D=10000) exceeds it.
         dim, num_classes = 10000, 26
         bound = (2 * dim + num_classes) * 8 + np.getbufsize() * 8 + 16 * 1024
         for channels in [(3, 4), (4, 4, 4), (5, 5, 5)]:

@@ -6,20 +6,25 @@ import pytest
 
 from decohd import model
 from decohd.baselines import PrototypeTable
-from decohd.inference import score_batch
+from decohd.inference import score_batch, stream_scores
 from decohd.model import (
     ChannelBank,
     ModelConfig,
     ModelParams,
     init_params,
-    layer_index_arrays,
     materialize_channels,
     materialize_projectors,
     path_basis,
     pick_class,
 )
 from decohd.ops import generate_matrix
-from tests.conftest import LAYER_SHAPES, assert_same_bits, brute_force_logits, integer_bank_and_head
+from tests.conftest import (
+    LAYER_SHAPES,
+    assert_same_bits,
+    brute_force_logits,
+    integer_bank_and_head,
+    layer_index_arrays,
+)
 
 
 def logits(h, bank, head):
@@ -64,10 +69,29 @@ class TestInitParams:
         assert abs(latents.std() - 1.0) < 0.05
 
 
+def counting_bank(channels):
+    """A bank of dim len(channels) whose layer-i channel l is l + 1 in
+    entry i and 1 elsewhere: entry i of a path's binding is 1 + the
+    channel that path takes in layer i."""
+    n = len(channels)
+    return ChannelBank([1.0 + np.arange(l)[:, None] * np.eye(n)[i] for i, l in enumerate(channels)])
+
+
 class TestPathEnumeration:
+    """The flat path order of the kept basis and of the streamed forward."""
+
     @staticmethod
     def path(flat, channels):
-        return tuple(int(a[flat]) for a in layer_index_arrays(channels))
+        """Each layer's channel on flat path *flat*, read off the basis."""
+        return tuple(int(v) - 1 for v in path_basis(counting_bank(channels))[flat])
+
+    @staticmethod
+    def streamed_path(flat, channels):
+        """The same, read off the streamed forward: a one-hot head picks
+        path *flat* and a unit input picks the layer's entry."""
+        bank = counting_bank(channels)
+        head = np.eye(bank.num_paths)[[flat]]
+        return tuple(int(stream_scores(e, bank, head)[0]) - 1 for e in np.eye(len(channels)))
 
     def test_row_major_last_layer_fastest(self):
         channels = (2, 3)
@@ -85,10 +109,12 @@ class TestPathEnumeration:
         assert len(seen) == 24
 
     def test_index_arrays_match(self):
-        channels = (3, 2)
+        channels = (3, 2, 2)
         idx = layer_index_arrays(channels)
-        for flat in range(6):
-            assert tuple(a[flat] for a in idx) == np.unravel_index(flat, channels)
+        for flat in range(12):
+            expected = tuple(int(a[flat]) for a in idx)
+            assert self.path(flat, channels) == expected
+            assert self.streamed_path(flat, channels) == expected
 
 
 class TestMaterializeChannels:

@@ -11,14 +11,12 @@ from decohd.model import (
     ModelConfig,
     ModelParams,
     init_params,
-    layer_index_arrays,
     materialize_channels,
     materialize_projectors,
 )
 from decohd.ops import rng_from_seed
 from decohd.training import (
     AdamW,
-    Gradients,
     TrainConfig,
     TrainingDiverged,
     evaluate,
@@ -31,6 +29,7 @@ from tests.conftest import (
     backward,
     batch_loss,
     identity_standardizer,
+    layer_index_arrays,
     random_small_instance,
 )
 
@@ -60,12 +59,12 @@ def finite_difference_grads(h, y, params, projectors, eps=1e-4):
         lm = batch_loss(h, y, params, projectors)
         params.head[i] = orig
         d_head[i] = (lp - lm) / (2 * eps)
-    return Gradients(d_latents=d_latents, d_head=d_head)
+    return ModelParams(latents=d_latents, head=d_head)
 
 
-def max_relative_error(analytic: Gradients, numeric: Gradients) -> float:
+def max_relative_error(analytic: ModelParams, numeric: ModelParams) -> float:
     worst = 0.0
-    for a, n in zip(analytic.d_latents + [analytic.d_head], numeric.d_latents + [numeric.d_head]):
+    for a, n in zip(analytic.latents + [analytic.head], numeric.latents + [numeric.head]):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
         worst = max(worst, float((np.abs(a - n) / denom).max()))
     return worst
@@ -95,7 +94,7 @@ class TestBackward:
     def test_head_residuals_sum_to_zero(self, rng):
         cfg, params, projectors, h, y = random_small_instance(rng)
         g = backward(h, y, params, projectors)
-        np.testing.assert_allclose(g.d_head.sum(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(g.head.sum(axis=0), 0.0, atol=1e-10)
 
     def test_matches_finite_differences(self, rng):
         for _ in range(5):
@@ -109,8 +108,8 @@ class TestBackward:
         g = backward(np.zeros_like(h), y, params, projectors)
         # u = 0 annihilates everything except the (constant-logit) softmax,
         # whose head gradient is t == 0.
-        np.testing.assert_array_equal(g.d_head, np.zeros_like(g.d_head))
-        for d in g.d_latents:
+        np.testing.assert_array_equal(g.head, np.zeros_like(g.head))
+        for d in g.latents:
             np.testing.assert_array_equal(d, np.zeros_like(d))
 
 
@@ -154,7 +153,7 @@ class TestChannelGradients:
         d_basis = rng.standard_normal((bank.num_paths, cfg.dim))
         grads = training._gradients(params.head, d_basis, bank, projectors)
         d_channels = training._channel_grads_from_basis(d_basis, bank)
-        for d_lat, d_ch, proj in zip(grads.d_latents, d_channels, projectors):
+        for d_lat, d_ch, proj in zip(grads.latents, d_channels, projectors):
             np.testing.assert_allclose(d_lat, d_ch @ proj.T, rtol=1e-12, atol=1e-12)
 
 
@@ -163,9 +162,9 @@ class TestAdamW:
         return ModelParams(latents=[np.array([[1.0, -2.0]])], head=np.array([[0.5], [0.25]]))
 
     def _zero_grads(self, params):
-        return Gradients(
-            d_latents=[np.zeros_like(a) for a in params.latents],
-            d_head=np.zeros_like(params.head),
+        return ModelParams(
+            latents=[np.zeros_like(a) for a in params.latents],
+            head=np.zeros_like(params.head),
         )
 
     def test_zero_grad_no_decay_fixed_point(self):
@@ -180,7 +179,7 @@ class TestAdamW:
     def test_first_step_matches_reference_recurrence(self, rng):
         # 64-bit reference implementation of the published update
         params = self._params()
-        g = Gradients(d_latents=[rng.standard_normal((1, 2))], d_head=rng.standard_normal((2, 1)))
+        g = ModelParams(latents=[rng.standard_normal((1, 2))], head=rng.standard_normal((2, 1)))
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
 
         def reference(p, grad, t=1):
@@ -190,8 +189,8 @@ class TestAdamW:
             v_hat = v / (1 - b2**t)
             return p - lr * m_hat / (np.sqrt(v_hat) + eps)
 
-        expected_lat = reference(params.latents[0], g.d_latents[0])
-        expected_head = reference(params.head, g.d_head)
+        expected_lat = reference(params.latents[0], g.latents[0])
+        expected_head = reference(params.head, g.head)
         out = params.copy()
         assert (AdamW.beta1, AdamW.beta2, AdamW.eps) == (b1, b2, eps)
         AdamW(learning_rate=lr).step(out, g)
@@ -199,7 +198,7 @@ class TestAdamW:
         np.testing.assert_allclose(out.head, expected_head, rtol=1e-12)
         # and the direction is sign-like: g / (|g| + eps) up to bias correction
         step_dir = (params.latents[0] - out.latents[0]) / lr
-        np.testing.assert_allclose(step_dir, np.sign(g.d_latents[0]), atol=1e-3)
+        np.testing.assert_allclose(step_dir, np.sign(g.latents[0]), atol=1e-3)
 
     def test_decoupled_decay_shrinks(self):
         params = self._params()
