@@ -5,19 +5,23 @@ split only, then projected by a frozen random matrix into the
 high-dimensional space: ``h = ((x - mean) / std) @ W``.  The projection
 matrix is regenerated from its seed and never trained or stored.
 
-The projection runs in float64.  The encoder widens its float32-rounded
-matrix to float64 once, at construction, and holds that copy, so no
-request pays for the cast and every encoding is bit-identical to a
-float64 product with the float32-rounded matrix.  Encodings are float32.
+The projection runs in float32, the precision at which the matrix is
+drawn and the encodings are stored.  The encoder holds the float32
+matrix ``generate_matrix`` returns; a call casts the standardized rows
+to float32 once and runs one product straight into the float32 output.
+For batches of at least 2 rows the product accumulates every entry in
+the same order whatever the batch size, so a row's encoding does not
+depend on the rows it is batched with; a single row runs through a
+matrix-vector product and may differ from its batched twin in the last
+bit.
 
-Rows are projected in chunks of ``_ENCODE_CHUNK_ROWS`` into one float64
-buffer per call.  Each chunk is then normalized and narrowed to
-float32 in strips of ``_NORM_STRIP_ROWS`` rows, each while it is
-still in cache: the strip's squares go to a strip-sized scratch, their
-row sums give the norms, the strip is divided in place and cast into
-the output.  These are the operations ``np.linalg.norm`` runs, so the
-encodings are bit for bit its result, without its chunk-sized array of
-squares.
+With ``normalize_output`` the output is then normalized in place in
+strips of ``_NORM_STRIP_ROWS`` rows, each while it is still in cache:
+the strip's float32 squares go to a strip-sized scratch, their row
+sums give the norms, and the strip is divided in place.  A zero row has
+norm 0 and stays zero.  The squares overflow float32 once an entry
+passes about 1.8e19, which standardized inputs stay many orders of
+magnitude below.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import numpy as np
 
 from .ops import DEFAULT_TERNARY_ZERO_PROB, RandomMatrixSpec, derive_seed, generate_matrix
 
-_ENCODE_CHUNK_ROWS = 1024
 _NORM_STRIP_ROWS = 32
 
 
@@ -101,24 +104,24 @@ class EncoderConfig:
 class RandomProjectionEncoder:
     """Applies the frozen projection; immutable after construction.
 
-    ``matrix`` is held in float64: it is drawn at float32 and widened
-    once.
+    ``matrix`` is the float32 matrix ``generate_matrix`` draws, held as
+    drawn.
     """
 
     def __init__(self, config: EncoderConfig):
         self.config = config
-        self.matrix = generate_matrix(config.matrix_spec(), dtype=np.float32).astype(np.float64)
+        self.matrix = generate_matrix(config.matrix_spec(), dtype=np.float32)
 
     def encode(self, x: np.ndarray, standardizer: Standardizer) -> np.ndarray:
         """Encode a single sample into a hypervector."""
         return self.encode_batch(np.asarray(x)[None, :], standardizer)[0]
 
     def encode_batch(self, features: np.ndarray, standardizer: Standardizer) -> np.ndarray:
-        """Encode rows of *features*: projected in float64 chunks, then
-        normalized (when configured) and cast in strips, as the module
-        docstring describes.  A zero row has norm 0 and stays zero.
-        Beyond its output and the standardized input, a call holds one
-        chunk and one strip."""
+        """Encode rows of *features*: one float32 product into the
+        output, then (when configured) normalized in float32 strips, as
+        the module docstring describes.  A zero row stays zero.  Beyond
+        its output and the standardized input, a call holds one strip
+        of squares."""
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.config.num_features:
             raise ValueError(
@@ -126,19 +129,14 @@ class RandomProjectionEncoder:
             )
         if not np.isfinite(features).all():
             raise ValueError("non-finite value in input features")
-        z = standardizer.apply(features)
+        z = standardizer.apply(features).astype(np.float32)
         n = features.shape[0]
-        out = np.empty((n, self.config.dim), dtype=np.float32)
-        block = np.empty((min(n, _ENCODE_CHUNK_ROWS), self.config.dim))
-        squares = np.empty((min(n, _NORM_STRIP_ROWS), self.config.dim))
-        for start in range(0, n, _ENCODE_CHUNK_ROWS):
-            stop = min(start + _ENCODE_CHUNK_ROWS, n)
-            product = np.matmul(z[start:stop], self.matrix, out=block[: stop - start])
-            for lo in range(0, stop - start, _NORM_STRIP_ROWS):
-                rows = product[lo:lo + _NORM_STRIP_ROWS]
-                if self.config.normalize_output:
-                    sq = np.multiply(rows, rows, out=squares[: len(rows)])
-                    norms = np.sqrt(np.add.reduce(sq, axis=1, keepdims=True))
-                    np.divide(rows, norms, out=rows, where=norms > 0.0)
-                out[start + lo:start + lo + len(rows)] = rows
+        out = np.matmul(z, self.matrix)
+        if self.config.normalize_output:
+            squares = np.empty((min(n, _NORM_STRIP_ROWS), self.config.dim), dtype=np.float32)
+            for lo in range(0, n, _NORM_STRIP_ROWS):
+                rows = out[lo:lo + _NORM_STRIP_ROWS]
+                sq = np.multiply(rows, rows, out=squares[: len(rows)])
+                norms = np.sqrt(np.add.reduce(sq, axis=1, keepdims=True))
+                np.divide(rows, norms, out=rows, where=norms > 0.0)
         return out
