@@ -12,7 +12,7 @@ Output files (all UTF-8 CSV with header rows):
 
 * results.csv     model, m_budget, precision, D, accuracy
 * precision.csv   model_kind, format_name, D, test_accuracy
-* robustness.csv  model_kind, p_flip, trial, test_accuracy
+* robustness.csv  model_kind, D, p_flip, trial, test_accuracy
 * history.csv     model, epoch, mean_loss, train_accuracy,
                   test_accuracy, wall_seconds
 """
@@ -361,7 +361,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
         stage = "write-results"
         result_rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
         precision_rows.sort(key=lambda r: (r[0], r[1], r[2]))
-        robustness_rows.sort(key=lambda r: (r[0], r[1], r[2]))
+        robustness_rows.sort(key=lambda r: r[:4])
         results_csv = os.path.join(out, "results.csv")
         write_csv(results_csv, ["model", "m_budget", "precision", "D", "accuracy"], result_rows)
         write_csv(

@@ -44,7 +44,7 @@ class NoiseSpec:
             raise ValueError("flip_probability must be in [0, 1]")
 
 
-ROBUSTNESS_COLUMNS = ("model_kind", "p_flip", "trial", "test_accuracy")
+ROBUSTNESS_COLUMNS = ("model_kind", "D", "p_flip", "trial", "test_accuracy")
 
 # Words whose bits are drawn at once: numpy's choice without replacement
 # may shuffle an int64 array of every candidate bit, so a chunk bounds
@@ -109,14 +109,25 @@ def robustness_sweep(
 
     Every (p, trial) cell owns an independent stream derived from
     (seed, p index, trial index); all models in a cell share that stream
-    root.  Returns one ``ROBUSTNESS_COLUMNS`` row per (model, p, trial), sorted.
+    root.  p=0 flips no bit, so each model is scored once, unflipped,
+    and that accuracy fills all of its p=0 rows.  Returns one
+    ``ROBUSTNESS_COLUMNS`` row per (model, p, trial), ``D`` being the
+    model's dimension, sorted.
     """
+    # A fresh scorer over the same arrays, as a flipped copy would be:
+    # the model itself keeps no path basis from this scoring.
+    unflipped = {name: accuracy(s.replace(s.stored()), h_test, y_test)
+                 for name, s in scorers.items()} if 0.0 in p_grid else {}
     rows = []
     for p_idx, p in enumerate(p_grid):
         for trial in range(trials):
             cell_seed = derive_seed(seed, "noise", p_idx, trial)
             for name in sorted(scorers):
-                corrupted = inject_bitflips(scorers[name], NoiseSpec(p, seed=cell_seed))
-                rows.append([name, float(p), trial, accuracy(corrupted, h_test, y_test)])
-    rows.sort(key=lambda r: r[:3])
+                if p == 0.0:
+                    acc = unflipped[name]
+                else:
+                    corrupted = inject_bitflips(scorers[name], NoiseSpec(p, seed=cell_seed))
+                    acc = accuracy(corrupted, h_test, y_test)
+                rows.append([name, scorers[name].dim, float(p), trial, acc])
+    rows.sort(key=lambda r: r[:4])
     return rows

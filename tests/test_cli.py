@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -5,6 +6,7 @@ import pytest
 
 from decohd import cli
 from decohd.data import Dataset, make_synthetic, save_csv
+from decohd.faults import ROBUSTNESS_COLUMNS
 from decohd.serialize import load_arrays, save_arrays, save_classifier
 from tests.conftest import small_classifier
 
@@ -75,6 +77,10 @@ def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, 
     err = capsys.readouterr().err
     if other == "same":
         assert code == 0 and err == ""
+        with open(tmp_path / "r.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == list(ROBUSTNESS_COLUMNS)
+        assert [row[:4] for row in rows[1:]] == [["first", "64", "0", "0"], ["second", "64", "0", "0"]]
     else:
         assert code == 1
         assert err.startswith(f"config error: {second}: ")

@@ -90,6 +90,23 @@ def test_four_model_sweep_writes_every_row(tmp_path):
     assert sorted(os.listdir(tmp_path / "models")) == sorted(f"{l}_D64.npz" for l in labels)
 
 
+def test_two_dimension_sweep_tells_its_robustness_rows_apart(tmp_path):
+    # Each (model, p, trial) is run once per dimension; the D column
+    # keeps the two rows apart, and each D's p=0 rows reproduce that
+    # D's fp32 accuracy.
+    config = dataclasses.replace(tiny_config(), dims=(32, 64), precisions=("fp32",))
+    run_experiment(config, output_dir=str(tmp_path))
+    rows = read(tmp_path / "robustness.csv")
+    keys = [(r["model_kind"], int(r["D"]), float(r["p_flip"]), int(r["trial"])) for r in rows]
+    labels = config.model_labels()
+    assert keys == sorted((label, d, p, trial) for label in labels for d in (32, 64)
+                          for p in P_GRID for trial in range(TRIALS))
+    fp32 = {(r["model"], int(r["D"])): r["accuracy"] for r in read(tmp_path / "results.csv")}
+    for row, (label, d, p, _) in zip(rows, keys):
+        if p == 0.0:
+            assert row["test_accuracy"] == fp32[(label, d)]
+
+
 @pytest.mark.parametrize(
     "model, refines",
     [

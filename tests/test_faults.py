@@ -5,6 +5,7 @@ import pytest
 
 from decohd import faults
 from decohd.faults import ROBUSTNESS_COLUMNS, NoiseSpec, flip_float32_bits, inject_bitflips, robustness_sweep
+from decohd.model import accuracy
 from decohd.ops import rng_from_seed
 from tests.conftest import assert_same_bits, deployed_forms
 
@@ -148,11 +149,30 @@ def test_robustness_rows_follow_the_columns_sorted(rng):
     rows = robustness_sweep(scorers, h, y, p_grid=[1e-2, 0.0, 0.5], trials=2, seed=3)
     assert len(rows) == len(scorers) * 3 * 2
     assert all(len(row) == len(ROBUSTNESS_COLUMNS) for row in rows)
-    assert [row[:3] for row in rows] == sorted(
-        [name, p, trial] for name in scorers for p in (1e-2, 0.0, 0.5) for trial in range(2)
+    assert [row[:4] for row in rows] == sorted(
+        [name, 48, p, trial] for name in scorers for p in (1e-2, 0.0, 0.5) for trial in range(2)
     )
     for row in rows:
-        assert 0.0 <= row[3] <= 1.0
+        assert 0.0 <= row[4] <= 1.0
+
+
+def test_unflipped_rows_score_each_model_once(rng, monkeypatch):
+    # p=0 draws no bit, so its trials would score exact copies: each
+    # model is scored once for them, and once per trial at every other p.
+    scorers, h, y = sweep_inputs(rng)
+    scored = []
+
+    def counting(scorer, h_test, y_test):
+        scored.append(type(scorer))
+        return accuracy(scorer, h_test, y_test)
+
+    monkeypatch.setattr(faults, "accuracy", counting)
+    rows = robustness_sweep(scorers, h, y, p_grid=[0.0, 1e-2], trials=3, seed=4)
+    assert len(scored) == len(scorers) * (1 + 3)
+    for name, scorer in scorers.items():
+        assert scored.count(type(scorer)) == 1 + 3
+        unflipped = accuracy(scorer, h, y)
+        assert [row[4] for row in rows if row[0] == name and row[2] == 0.0] == [unflipped] * 3
 
 
 def test_robustness_rows_of_a_model_do_not_depend_on_the_others(rng):
