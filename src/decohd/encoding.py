@@ -5,23 +5,21 @@ split only, then projected by a frozen random matrix into the
 high-dimensional space: ``h = ((x - mean) / std) @ W``.  The projection
 matrix is regenerated from its seed and never trained or stored.
 
-The projection runs in float32, the precision at which the matrix is
-drawn and the encodings are stored.  The encoder holds the float32
-matrix ``generate_matrix`` returns; a call casts the standardized rows
-to float32 once and runs one product straight into the float32 output.
-For batches of at least 2 rows the product accumulates every entry in
-the same order whatever the batch size, so a row's encoding does not
-depend on the rows it is batched with; a single row runs through a
+The projection runs in float32, the precision the matrix is drawn at
+and the encodings are stored in: the encoder holds the float32 matrix
+``generate_matrix`` returns, and a call casts the standardized rows to
+float32 once and runs one product into the output.  A product of 2 or
+more rows accumulates each entry in one order whatever the row count,
+so a row's encoding does not depend on its batch; a single row runs a
 matrix-vector product and may differ from its batched twin in the last
 bit.
 
-With ``normalize_output`` the output is then normalized in place in
-strips of ``_NORM_STRIP_ROWS`` rows, each while it is still in cache:
-the strip's float32 squares go to a strip-sized scratch, their row
-sums give the norms, and the strip is divided in place.  A zero row has
-norm 0 and stays zero.  The squares overflow float32 once an entry
-passes about 1.8e19, which standardized inputs stay many orders of
-magnitude below.
+With ``normalize_output`` the output is normalized in place in strips
+of ``_NORM_STRIP_ROWS`` rows while each is in cache: the strip's
+float32 squares go to a strip-sized scratch, their row sums give the
+norms and the strip is divided by them; a zero row stays zero.  The
+squares overflow float32 beyond about 1.8e19, far above standardized
+inputs.
 """
 
 from __future__ import annotations
@@ -118,10 +116,9 @@ class RandomProjectionEncoder:
 
     def encode_batch(self, features: np.ndarray, standardizer: Standardizer) -> np.ndarray:
         """Encode rows of *features*: one float32 product into the
-        output, then (when configured) normalized in float32 strips, as
-        the module docstring describes.  A zero row stays zero.  Beyond
-        its output and the standardized input, a call holds one strip
-        of squares."""
+        output, normalized (when configured) in float32 strips, as the
+        module docstring describes.  Beyond its output and the
+        standardized input, a call holds one strip of squares."""
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.config.num_features:
             raise ValueError(

@@ -114,8 +114,7 @@ def robustness_sweep(
     ``ROBUSTNESS_COLUMNS`` row per (model, p, trial), ``D`` being the
     model's dimension, sorted.
     """
-    # A fresh scorer over the same arrays, as a flipped copy would be:
-    # the model itself keeps no path basis from this scoring.
+    # Scored as a fresh scorer, like a flipped copy, so the model keeps no path basis.
     unflipped = {name: accuracy(s.replace(s.stored()), h_test, y_test)
                  for name, s in scorers.items()} if 0.0 in p_grid else {}
     rows = []
