@@ -132,22 +132,25 @@ class TestResidentMatrix:
         """
         u = 2.0**-24
         k, d = cfg.num_features, cfg.dim
-        gamma = lambda n: n * u / (1.0 - n * u)  # noqa: E731
+
+        def gamma(n):
+            return n * u / (1.0 - n * u)
+
         w = generate_matrix(cfg.matrix_spec(), dtype=np.float32).astype(np.float64)
         z = (x - standardizer.mean) / standardizer.std
         a = np.abs(z) @ np.abs(w)
         g = gamma(k + 2)
         if not cfg.normalize_output:
             return g * a
-        h = np.abs(z @ w)
-        norm_h = np.linalg.norm(h, axis=1, keepdims=True)
+        abs_h = np.abs(z @ w)
+        norm_h = np.linalg.norm(abs_h, axis=1, keepdims=True)
         norm_a = np.linalg.norm(a, axis=1, keepdims=True)
         eta = (1.0 + gamma(d) / 2.0) * (1.0 + u) - 1.0
         norm_error = g * norm_a + eta * (norm_h + g * norm_a)  # |‖h‖ - computed norm|
         norm_low = (norm_h - g * norm_a) * (1.0 - eta)
         assert (norm_low[norm_h > 0.0] > 0.0).all()
         with np.errstate(divide="ignore", invalid="ignore"):
-            bound = (g * a + h * norm_error / norm_h + u * (h + g * a)) / norm_low + u * h / norm_h
+            bound = (g * a + abs_h * norm_error / norm_h + u * (abs_h + g * a)) / norm_low + u * abs_h / norm_h
         return np.where(norm_h > 0.0, bound, 0.0)
 
     def assert_within_bound(self, out, cfg, standardizer, x):
