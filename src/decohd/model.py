@@ -2,7 +2,7 @@
 
 Class prototypes are never stored directly.  Each layer ``i`` holds
 ``L_i`` trainable low-dimensional latents that a frozen random projector
-expands into channel hypervectors (:func:`materialize_channels`).
+expands into channel hypervectors.
 Picking one channel per layer defines a path; binding the selected
 channels gives the path's factor ``basis_m`` (:func:`path_basis`), and
 a small per-class weight matrix, the bundling head, weighs all
@@ -13,6 +13,15 @@ Because binding is elementwise, a score depends on the input only
 through its elementwise square: ``score_c(h) = <P_c, h*h>`` with
 ``P_c = sum_m head[c, m] * basis_m``.  :mod:`decohd.inference` forms
 ``h*h`` in one function, ``input_term``, for its batched and streamed forwards.
+
+The expansion ``lat @ P`` is computed one way everywhere: as the sum of
+``lat[:, j:j+B] @ P[j:j+B]`` over the projector's row blocks, in order,
+with ``B = _CHANNEL_BLOCK_ROWS``.  Training holds its projectors and
+slices them (:func:`materialize_channels`).  A deployed model never holds
+a whole projector: :func:`stream_channels` draws each block fresh from
+the layer's :class:`~decohd.ops.RandomMatrixSpec` and drops it once
+added.  Block boundaries and products are the same on both sides, so the
+trained, served and reloaded banks are bit-identical.
 
 Path enumeration is row-major over the per-layer channel choices: the
 last layer varies fastest, as in ``itertools.product`` of the layers'
@@ -30,7 +39,13 @@ from typing import ClassVar
 import numpy as np
 
 from .encoding import RandomProjectionEncoder, Standardizer
-from .ops import RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed
+from .ops import RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed, row_blocks
+
+# Projector rows per block of a channel expansion.  At 10000 dims a
+# 1024-row float32 block is 41 MB, above glibc's 32 MB mmap ceiling, so a
+# block freed on a stream_channels thread goes back to the OS; 512-row
+# blocks (20 MB) stayed resident in the threads' malloc arenas.
+_CHANNEL_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -81,7 +96,9 @@ class ModelConfig:
 
 
 def materialize_projectors(config: ModelConfig, dtype=np.float32) -> list[np.ndarray]:
-    """Every layer's projector, each drawn on its own thread.
+    """Every layer's projector, each drawn on its own thread.  Only
+    training holds these: a deployed model streams its channels instead
+    (:func:`stream_channels`).
 
     Each projector owns its Philox stream, and numpy releases the GIL
     while it fills an array, so the layers draw in parallel and every
@@ -171,8 +188,23 @@ class ChannelBank:
         return self._basis
 
 
+def _expand(lat: np.ndarray, blocks) -> np.ndarray:
+    """``lat @ P`` summed block by block, in order, over the row blocks
+    of ``P`` that *blocks* yields; each block is used before the next is
+    asked for."""
+    channels, start = None, 0
+    for block in blocks:
+        part = lat[:, start : start + block.shape[0]] @ block
+        if channels is None:
+            channels = part
+        else:
+            channels += part
+        start += block.shape[0]
+    return channels
+
+
 def materialize_channels(params: ModelParams, projectors: list[np.ndarray]) -> ChannelBank:
-    """Expand each latent through its layer's frozen projector."""
+    """Expand each latent through row blocks of its layer's held projector."""
     if len(projectors) != len(params.latents):
         raise ValueError("projector count does not match latent layer count")
     channels = []
@@ -181,8 +213,28 @@ def materialize_channels(params: ModelParams, projectors: list[np.ndarray]) -> C
             raise ValueError(
                 f"layer {i}: latent dim {lat.shape[1]} does not match projector rows {proj.shape[0]}"
             )
-        channels.append(lat @ proj)
+        b = _CHANNEL_BLOCK_ROWS
+        channels.append(_expand(lat, (proj[j : j + b] for j in range(0, proj.shape[0], b))))
     return ChannelBank(channels)
+
+
+def stream_channels(params: ModelParams, config: ModelConfig) -> ChannelBank:
+    """``materialize_channels(params, materialize_projectors(config,
+    dtype))`` bit for bit, at the latents' dtype, without holding any
+    projector whole.
+
+    Each layer expands on its own thread from blocks that
+    :func:`~decohd.ops.row_blocks` draws from its spec, so a thread holds
+    one block, one draw buffer and its channels.
+    """
+    check_param_shapes(params, config)
+    specs = config.projector_specs()
+
+    def layer(lat, spec):
+        return _expand(lat, row_blocks(spec, _CHANNEL_BLOCK_ROWS, lat.dtype))
+
+    with ThreadPoolExecutor(max_workers=len(specs)) as pool:
+        return ChannelBank(list(pool.map(layer, params.latents, specs)))
 
 
 def layer_views(channels: list[np.ndarray]) -> list[np.ndarray]:
@@ -232,8 +284,11 @@ class DecoHDClassifier:
     """A trained decomposed classifier over raw feature vectors.
 
     ``_bank`` may be given the channels already materialized from
-    *params*, as training hands over its final bank; :meth:`channel_bank`
-    rebuilds them at float32 when they are of another dtype.
+    *params*, as training hands over its final bank.  Otherwise, or when
+    that bank is not float32, :meth:`channel_bank` builds the bank with
+    :func:`stream_channels`: the projectors are redrawn block by block
+    from their seeds and never held whole, and the bank equals the one a
+    float32 training run ends with bit for bit.
     """
 
     encoder: RandomProjectionEncoder
@@ -247,8 +302,7 @@ class DecoHDClassifier:
         """Materialized float32 channels, cached; this plus the head is
         the inference-resident state of the model."""
         if self._bank is None or self._bank.channels[0].dtype != np.float32:
-            projectors = materialize_projectors(self.config)
-            self._bank = materialize_channels(self.params.astype(np.float32), projectors)
+            self._bank = stream_channels(self.params.astype(np.float32), self.config)
         return self._bank
 
     def head(self) -> np.ndarray:

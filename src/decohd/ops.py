@@ -31,11 +31,12 @@ MATRIX_KINDS = ("gaussian", "ternary")
 # Symmetric default: -1, 0, +1 each with probability 1/3.
 DEFAULT_TERNARY_ZERO_PROB = 1.0 / 3.0
 
-# Rows drawn per float64 block in generate_matrix: 16 x 10000 is 1.3 MB,
-# held once per call whatever the matrix size.  Kept small because,
-# under glibc, a buffer freed on a worker thread of
-# materialize_projectors can stay resident in that thread's malloc
-# arena, where the main thread cannot reuse it.
+# Rows drawn per float64 buffer in row_blocks: 16 x 10000 is 1.3 MB, held
+# once per stream whatever the matrix or block size.  Kept small because,
+# under glibc, a buffer below the 32 MB mmap ceiling that is freed on a
+# worker thread (the per-layer draws of materialize_projectors and
+# stream_channels) can stay resident in that thread's malloc arena, where
+# the main thread cannot reuse it.
 _GENERATE_BLOCK_ROWS = 16
 
 
@@ -88,30 +89,40 @@ def _uniform_to_ternary(u: np.ndarray, p0: float) -> None:
     np.copyto(u, 0.0, where=zero)
 
 
-def generate_matrix(spec: RandomMatrixSpec, dtype=np.float32) -> np.ndarray:
-    """Materialize the matrix described by *spec*.
+def row_blocks(spec: RandomMatrixSpec, block_rows: int, dtype=np.float32):
+    """Yield the matrix described by *spec* top to bottom, *block_rows*
+    rows at a time (the last block may be shorter).
 
     gaussian: i.i.d. normal(0, 1) entries times ``scale``.
     ternary:  i.i.d. over {-1, 0, +1} times ``scale``; zero carries
     ``ternary_zero_prob`` mass and the remainder splits evenly.
 
+    Every yield is a view of one *dtype* block array, overwritten by the
+    next yield, so a caller keeps what it needs before asking for more.
     Sampling fills one float64 buffer of ``_GENERATE_BLOCK_ROWS`` rows,
-    reused for every block: each block is drawn into it in place, scaled
-    and cast into the preallocated output.  The stream does not depend
-    on the requested storage dtype, and no full-size float64 copy is
-    ever held.  The generator fills sequentially, so the result equals
-    one full-size draw bit for bit.
+    reused throughout: each strip is drawn into it in place, scaled and
+    cast into the block.  The stream does not depend on the block size
+    or the storage dtype, and the generator fills sequentially, so the
+    blocks stacked equal one full-size draw bit for bit.
     """
     rng = rng_from_seed(spec.seed)
-    out = np.empty((spec.rows, spec.cols), dtype=dtype)
-    buffer = np.empty((min(_GENERATE_BLOCK_ROWS, spec.rows), spec.cols))
-    for start in range(0, spec.rows, _GENERATE_BLOCK_ROWS):
-        block = buffer[: min(_GENERATE_BLOCK_ROWS, spec.rows - start)]
-        if spec.kind == "gaussian":
-            rng.standard_normal(out=block)
-        else:
-            rng.random(out=block)
-            _uniform_to_ternary(block, spec.ternary_zero_prob)
-        block *= spec.scale
-        out[start : start + block.shape[0]] = block
-    return out
+    out = np.empty((min(block_rows, spec.rows), spec.cols), dtype=dtype)
+    buffer = np.empty((min(_GENERATE_BLOCK_ROWS, out.shape[0]), spec.cols))
+    for block_start in range(0, spec.rows, block_rows):
+        block = out[: min(block_rows, spec.rows - block_start)]
+        for start in range(0, block.shape[0], buffer.shape[0]):
+            strip = buffer[: min(buffer.shape[0], block.shape[0] - start)]
+            if spec.kind == "gaussian":
+                rng.standard_normal(out=strip)
+            else:
+                rng.random(out=strip)
+                _uniform_to_ternary(strip, spec.ternary_zero_prob)
+            strip *= spec.scale
+            block[start : start + strip.shape[0]] = strip
+        yield block
+
+
+def generate_matrix(spec: RandomMatrixSpec, dtype=np.float32) -> np.ndarray:
+    """Materialize the matrix described by *spec*: :func:`row_blocks` as
+    one block, so it holds one draw buffer besides its output."""
+    return next(row_blocks(spec, spec.rows, dtype))

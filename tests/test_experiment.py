@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from decohd import experiment
+from decohd import experiment, model
 from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_table
 from decohd.encoding import fit_standardizer
 from decohd.experiment import (
@@ -20,9 +20,9 @@ from decohd.experiment import (
     prepare_data,
     run_experiment,
 )
-from decohd.model import materialize_channels
-from decohd.ops import generate_matrix
+from decohd.ops import generate_matrix, row_blocks
 from decohd.precision import quantize_array
+from decohd.serialize import load_classifier, save_classifier
 from decohd.training import TrainConfig
 from tests.conftest import assert_same_bits
 
@@ -176,10 +176,13 @@ def test_deleted_train_keys_are_rejected(tmp_path, key, value):
         load_config(str(path))
 
 
-@pytest.mark.parametrize("dtype, generated", [("float32", 2), ("float64", 4)])
-def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, dtype, generated):
-    # A float32 run's final bank is the deployed one, so its two projectors
-    # are generated once; a float64 run's bank is rebuilt at float32.
+@pytest.mark.parametrize("dtype, dense, streamed", [("float32", 2, 0), ("float64", 2, 2)])
+def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, tmp_path, dtype, dense, streamed):
+    # Training draws its two projectors whole, once.  A float32 run's final
+    # bank is the deployed one, so nothing is drawn again; a float64 run's
+    # bank is rebuilt at float32 by streaming both projectors in blocks.
+    # Blocks of 3 rows split the 8 latent rows into 3 + 3 + 2.
+    monkeypatch.setattr(model, "_CHANNEL_BLOCK_ROWS", 3)
     config = ExperimentConfig(
         data={"synthetic": {"num_classes": 3, "num_features": 8, "samples_per_class": 20}},
         models=({"kind": "decohd", "channels": [2, 2], "latent_dim": 8},),
@@ -189,22 +192,28 @@ def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, dtype, 
     train_ds, test_ds = prepare_data(config.data, config.root_seed)
     standardizer = fit_standardizer(train_ds.features)
     encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, 64)
-    specs = []
+    draws = {"dense": 0, "streamed": 0}
 
-    def counting(spec, dtype=np.float32):
-        specs.append(spec)
+    def counting_dense(spec, dtype=np.float32):
+        draws["dense"] += 1
         return generate_matrix(spec, dtype=dtype)
 
-    monkeypatch.setattr("decohd.model.generate_matrix", counting)
+    def counting_streamed(spec, block_rows, dtype=np.float32):
+        draws["streamed"] += 1
+        return row_blocks(spec, block_rows, dtype)
+
+    monkeypatch.setattr(model, "generate_matrix", counting_dense)
+    monkeypatch.setattr(model, "row_blocks", counting_streamed)
     spec = config.models[0]
     clf, _ = fit_model(spec, spec.kind, config, encoder, standardizer,
                        h_train, train_ds.labels, h_test, test_ds.labels, 3)
     scorer = clf.scorer
-    assert len(specs) == generated
-    fresh = materialize_channels(clf.params.astype(np.float32),
-                                 [generate_matrix(s, dtype=np.float32) for s in clf.config.projector_specs()])
+    assert (draws["dense"], draws["streamed"]) == (dense, streamed)
+    path = tmp_path / "decohd.npz"
+    save_classifier(path, clf)
+    loaded = load_classifier(path).scorer
     assert [c.dtype for c in scorer.bank.channels] == [np.float32, np.float32]
-    for got, expected in zip(scorer.bank.channels, fresh.channels):
+    for got, expected in zip(scorer.bank.channels, loaded.bank.channels):
         assert_same_bits(got, expected)
 
 

@@ -1,10 +1,11 @@
 import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from decohd import model
+from decohd import model, ops
 from decohd.baselines import PrototypeTable
 from decohd.inference import score_batch, stream_scores
 from decohd.model import (
@@ -16,12 +17,15 @@ from decohd.model import (
     materialize_projectors,
     path_basis,
     pick_class,
+    stream_channels,
 )
+from decohd.encoding import EncoderConfig, RandomProjectionEncoder
 from decohd.ops import generate_matrix
 from tests.conftest import (
     LAYER_SHAPES,
     assert_same_bits,
     brute_force_logits,
+    identity_standardizer,
     integer_bank_and_head,
     layer_index_arrays,
 )
@@ -140,6 +144,15 @@ class TestMaterializeChannels:
         params = ModelParams(latents=[np.zeros((1, 3))], head=np.ones((2, 1)))
         with pytest.raises(ValueError, match="does not match"):
             materialize_channels(params, [np.ones((4, 5))])
+
+    @pytest.mark.parametrize("latent_dim", [1, 3, 7, 9])
+    def test_row_blocks_sum_to_the_product(self, monkeypatch, rng, latent_dim):
+        # Small integers keep every blocked partial sum exact.
+        monkeypatch.setattr(model, "_CHANNEL_BLOCK_ROWS", 3)
+        lat = rng.integers(-4, 5, (2, latent_dim)).astype(np.float64)
+        proj = rng.integers(-4, 5, (latent_dim, 11)).astype(np.float64)
+        bank = materialize_channels(ModelParams([lat], np.ones((2, 2))), [proj])
+        assert_same_bits(bank.channels[0], lat @ proj)
 
 
 class TestPathBasis:
@@ -299,3 +312,79 @@ class TestProjectors:
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert_same_bits(a, b)
+
+
+def kind_specs(monkeypatch, kind):
+    """Make every projector spec of the kind *kind*."""
+    specs = ModelConfig.projector_specs
+    monkeypatch.setattr(ModelConfig, "projector_specs",
+                        lambda cfg: [dataclasses.replace(s, kind=kind) for s in specs(cfg)])
+
+
+class TestStreamChannels:
+    @pytest.mark.parametrize("latent_dim", [1, 48, 65])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
+    def test_equals_the_bank_of_held_projectors(self, monkeypatch, kind, dtype, latent_dim):
+        # 16-row blocks: 1 is one short block, 48 three whole ones and 65
+        # four whole ones plus a one-row remainder.
+        monkeypatch.setattr(model, "_CHANNEL_BLOCK_ROWS", 16)
+        kind_specs(monkeypatch, kind)
+        cfg = ModelConfig(channels_per_layer=(2, 1, 3), latent_dim=latent_dim, dim=40, num_classes=2, seed=8)
+        params = init_params(cfg, dtype=dtype)
+        expected = materialize_channels(params, materialize_projectors(cfg, dtype=dtype))
+        # Every layer must be drawing before any may finish: a serial
+        # loop would break the barrier.
+        barrier = threading.Barrier(cfg.num_layers, timeout=10)
+
+        def together(spec, block_rows, dtype):
+            barrier.wait()
+            yield from ops.row_blocks(spec, block_rows, dtype)
+
+        monkeypatch.setattr(model, "row_blocks", together)
+        got = stream_channels(params, cfg)
+        assert len(got.channels) == cfg.num_layers
+        for a, b in zip(got.channels, expected.channels):
+            assert_same_bits(a, b)
+
+    def test_channel_bank_draws_no_whole_projector(self, monkeypatch):
+        monkeypatch.setattr(model, "_CHANNEL_BLOCK_ROWS", 16)
+        cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=50, dim=40, num_classes=3, seed=8)
+        params = init_params(cfg, dtype=np.float32)
+        expected = materialize_channels(params, materialize_projectors(cfg))
+        clf = model.DecoHDClassifier(
+            encoder=RandomProjectionEncoder(EncoderConfig(num_features=5, dim=40, seed=1)),
+            standardizer=identity_standardizer(5), config=cfg, params=params)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a deployed model drew a whole projector")
+
+        for target in (model, ops):
+            monkeypatch.setattr(target, "generate_matrix", refuse)
+        monkeypatch.setattr(model, "materialize_projectors", refuse)
+        for a, b in zip(clf.channel_bank().channels, expected.channels):
+            assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
+    def test_holds_a_block_per_layer_not_a_projector(self, monkeypatch, kind):
+        monkeypatch.setattr(model, "_CHANNEL_BLOCK_ROWS", 64)
+        kind_specs(monkeypatch, kind)
+        cfg = ModelConfig(channels_per_layer=(2, 2, 2), latent_dim=2048, dim=1000, num_classes=2, seed=8)
+        params = init_params(cfg, dtype=np.float32)
+        tiny = ModelConfig(channels_per_layer=(1,), latent_dim=2, dim=2, num_classes=2)
+        stream_channels(init_params(tiny, np.float32), tiny)  # the pool's lazy imports come first
+        block = 64 * cfg.dim * 4
+        draw_buffer = ops._GENERATE_BLOCK_ROWS * cfg.dim * 8
+        # Ternary also holds two boolean masks of one draw buffer's rows.
+        masks = 0 if kind == "gaussian" else 2 * ops._GENERATE_BLOCK_ROWS * cfg.dim
+        # Each layer also holds one (2, dim) product before adding it.
+        channels = 2 * sum(cfg.channels_per_layer) * cfg.dim * 4
+        tracemalloc.start()
+        try:
+            bank = stream_channels(params, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One projector alone is 2048 x 1000 x 4 = 8.2 MB.
+        assert peak <= cfg.num_layers * (block + draw_buffer + masks) + channels + 65536
+        assert bank.channels[0].shape == (2, cfg.dim)

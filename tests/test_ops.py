@@ -6,6 +6,7 @@ import pytest
 from decohd import ops
 from decohd.model import ChannelBank, path_basis
 from decohd.ops import RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed
+from tests.conftest import assert_same_bits
 
 
 def bind(*vectors):
@@ -114,6 +115,21 @@ class TestGenerateMatrix:
             full = np.where(u < p0, 0.0, np.where(u < p0 + (1.0 - p0) / 2.0, -1.0, 1.0))
         expected = (full * spec.scale).astype(dtype)
         assert generate_matrix(spec, dtype=dtype).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
+    @pytest.mark.parametrize("block_rows", [1, 7, 16, 33, 65, 200])
+    def test_row_blocks_stack_to_the_whole_matrix(self, block_rows, kind, dtype):
+        spec = RandomMatrixSpec(rows=65, cols=9, kind=kind, seed=31, scale=0.3)
+        blocks = [b.copy() for b in ops.row_blocks(spec, block_rows, dtype)]
+        assert [len(b) for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= block_rows
+        assert_same_bits(np.concatenate(blocks), generate_matrix(spec, dtype=dtype))
+
+    def test_row_blocks_reuse_one_block_array(self):
+        spec = RandomMatrixSpec(rows=40, cols=9, kind="gaussian", seed=31)
+        first, *rest = ops.row_blocks(spec, 16)
+        assert all(np.shares_memory(first, b) for b in rest)
 
     @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
     def test_holds_one_block_buffer_beyond_its_output(self, kind):
