@@ -14,14 +14,12 @@ through its elementwise square: ``score_c(h) = <P_c, h*h>`` with
 ``P_c = sum_m head[c, m] * basis_m``.  :mod:`decohd.inference` forms
 ``h*h`` in one function, ``input_term``, for its batched and streamed forwards.
 
-The expansion ``lat @ P`` is computed one way everywhere: as the sum of
-``lat[:, j:j+B] @ P[j:j+B]`` over the projector's row blocks, in order,
-with ``B = _CHANNEL_BLOCK_ROWS``.  Training holds its projectors and
-slices them (:func:`materialize_channels`).  A deployed model never holds
-a whole projector: :func:`stream_channels` draws each block fresh from
-the layer's :class:`~decohd.ops.RandomMatrixSpec` and drops it once
-added.  Block boundaries and products are the same on both sides, so the
-trained, served and reloaded banks are bit-identical.
+A channel expansion ``lat @ P`` is always the in-order sum of
+``lat[:, j:j+B] @ P[j:j+B]`` over ``B = _CHANNEL_BLOCK_ROWS``-row blocks.
+Training slices the projectors it holds (:func:`materialize_channels`); a
+deployed model draws each block fresh from its seed and never holds a
+whole projector (:func:`stream_channels`).  Both run the same products,
+so trained, served and reloaded banks are bit-identical.
 
 Path enumeration is row-major over the per-layer channel choices: the
 last layer varies fastest, as in ``itertools.product`` of the layers'
@@ -194,12 +192,9 @@ def _expand(lat: np.ndarray, blocks) -> np.ndarray:
     asked for."""
     channels, start = None, 0
     for block in blocks:
-        part = lat[:, start : start + block.shape[0]] @ block
-        if channels is None:
-            channels = part
-        else:
-            channels += part
-        start += block.shape[0]
+        part = lat[:, start : start + len(block)] @ block
+        channels = part if channels is None else np.add(channels, part, out=channels)
+        start += len(block)
     return channels
 
 
@@ -285,10 +280,8 @@ class DecoHDClassifier:
 
     ``_bank`` may be given the channels already materialized from
     *params*, as training hands over its final bank.  Otherwise, or when
-    that bank is not float32, :meth:`channel_bank` builds the bank with
-    :func:`stream_channels`: the projectors are redrawn block by block
-    from their seeds and never held whole, and the bank equals the one a
-    float32 training run ends with bit for bit.
+    that bank is not float32, :meth:`channel_bank` streams them at
+    float32 (:func:`stream_channels`), never holding a whole projector.
     """
 
     encoder: RandomProjectionEncoder

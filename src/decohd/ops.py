@@ -7,7 +7,8 @@ in :func:`decohd.model.path_basis` and the forwards of
 
 Frozen random matrices (the input encoder and the per-layer latent
 projectors) are described by :class:`RandomMatrixSpec` and regenerated on
-demand, so they never need to be stored.
+demand, so they never need to be stored: whole (:func:`generate_matrix`)
+or as a stream of row blocks (:func:`row_blocks`) with the same bits.
 
 Seed derivation
 ---------------
