@@ -386,5 +386,5 @@ class TestStreamChannels:
         finally:
             tracemalloc.stop()
         # One projector alone is 2048 x 1000 x 4 = 8.2 MB.
-        assert peak <= cfg.num_layers * (block + draw_buffer + masks) + channels + 65536
+        assert peak <= cfg.num_layers * (block + draw_buffer + masks) + channels + 131072
         assert bank.channels[0].shape == (2, cfg.dim)
