@@ -176,7 +176,9 @@ def test_deleted_train_keys_are_rejected(tmp_path, key, value):
         load_config(str(path))
 
 
-@pytest.mark.parametrize("dtype, dense, streamed", [("float32", 2, 0), ("float64", 2, 2)])
+# Ids name the dtype and the total projector draws, dense plus streamed.
+@pytest.mark.parametrize("dtype, dense, streamed", [("float32", 2, 0), ("float64", 2, 2)],
+                         ids=["float32-2", "float64-4"])
 def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, tmp_path, dtype, dense, streamed):
     # Training draws its two projectors whole, once.  A float32 run's final
     # bank is the deployed one, so nothing is drawn again; a float64 run's
