@@ -7,6 +7,7 @@ import pytest
 
 from decohd import model, ops
 from decohd.baselines import PrototypeTable
+from decohd.encoding import EncoderConfig, RandomProjectionEncoder
 from decohd.inference import score_batch, stream_scores
 from decohd.model import (
     ChannelBank,
@@ -19,7 +20,6 @@ from decohd.model import (
     pick_class,
     stream_channels,
 )
-from decohd.encoding import EncoderConfig, RandomProjectionEncoder
 from decohd.ops import generate_matrix
 from tests.conftest import (
     LAYER_SHAPES,
