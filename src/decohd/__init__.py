@@ -30,7 +30,7 @@ from .data import Dataset, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import NoiseSpec, inject_bitflips, robustness_sweep
 from .inference import DecomposedScorer
-from .model import DecoHDClassifier, ModelConfig, ModelParams, pick_class
+from .model import ModelConfig, ModelParams, pick_class
 from .precision import PRESETS, PrecisionFormat, quantize_model
 from .serialize import load_classifier, save_classifier
 from .training import TrainConfig, train
@@ -40,7 +40,6 @@ __all__ = [
     "BudgetReport",
     "Classifier",
     "Dataset",
-    "DecoHDClassifier",
     "DecomposedScorer",
     "EncoderConfig",
     "ModelConfig",

@@ -9,12 +9,12 @@
   retraining-based sparsification methods, hence "sparsehd-style" in all
   outputs).
 
-Both deployed forms share the decomposed scorer's protocol:
+The two table forms share the decomposed scorer's protocol:
 ``stored()`` returns the float32 array the form holds, under the name
 ``"table"``, and ``replace(arrays)`` wraps rewritten arrays in the same
 form.  A sparsified table holds only its retained columns, C x
 floor(budget * dim), and scores the retained dimensions of the
-encodings against them.
+encodings against them.  :class:`Classifier` deploys every model kind.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import RandomProjectionEncoder, Standardizer
+from .inference import DecomposedScorer
 from .model import pick_class
 from .ops import derive_seed, rng_from_seed
 
@@ -179,13 +180,13 @@ def sparsify_table(table: PrototypeTable, budget: float) -> SparseScorer:
 
 @dataclass
 class Classifier:
-    """End-to-end baseline classifier over raw features: the shared
-    encoder, the standardizer and a deployed scorer."""
+    """End-to-end classifier over raw features, as trained or loaded for
+    every model kind: the encoder, the standardizer and a deployed scorer."""
 
     encoder: RandomProjectionEncoder
     standardizer: Standardizer
-    scorer: PrototypeTable | SparseScorer
-    kind: str  # "prototype", "onlinehd" or "sparsehd"
+    scorer: DecomposedScorer | PrototypeTable | SparseScorer
+    kind: str  # "decohd", "prototype", "onlinehd" or "sparsehd"
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         h = self.encoder.encode_batch(features, self.standardizer)

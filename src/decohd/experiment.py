@@ -33,7 +33,8 @@ from .budget import budget_of
 from .data import Dataset, ParseError, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
-from .model import ChannelBank, DecoHDClassifier, ModelConfig, accuracy
+from .inference import DecomposedScorer
+from .model import ChannelBank, ModelConfig, accuracy, stream_channels
 from .ops import MATRIX_KINDS, derive_seed
 from .precision import get_format, quantize_array, quantize_model
 from .serialize import save_classifier
@@ -102,6 +103,8 @@ class ModelSpec:
             raise ConfigError("decohd needs at least one layer, every layer >= 1 channel, latent_dim >= 1")
         if not 0.0 < self.budget <= 1.0:
             raise ConfigError("sparsehd budget must be in (0, 1]")
+        if self.epochs < 0 or self.learning_rate < 0:
+            raise ConfigError("onlinehd refinement needs epochs >= 0 and learning_rate >= 0")
 
 
 @dataclass(frozen=True)
@@ -253,15 +256,13 @@ def fit_model(
             seed=derive_seed(config.root_seed, "model", label, encoder.config.dim),
         )
         result = train(model_cfg, config.train, h_train, y_train, h_test, y_test)
-        # Reuse the trained channels but not the path basis the evaluation
+        # Deploy the trained channels but not the path basis the evaluation
         # kept: run_experiment scores only quantized or bit-flipped copies
         # of this bank, so its own basis is built on first use, if ever.
-        bank = ChannelBank(result.bank.channels) if result.bank is not None else None
-        clf = DecoHDClassifier(
-            encoder=encoder, standardizer=standardizer, config=model_cfg, params=result.params,
-            _bank=bank,
-        )
-        return clf, result.history
+        # Without a final evaluation there is no trained bank to reuse.
+        bank = ChannelBank(result.bank.channels) if result.bank else stream_channels(result.params, model_cfg)
+        scorer = DecomposedScorer(bank, result.params.head)
+        return Classifier(encoder, standardizer, scorer, spec.kind), result.history
 
     table = build_prototype_table(h_train, y_train, num_classes)
     if spec.kind == "onlinehd" or (spec.kind == "sparsehd" and spec.base == "onlinehd"):
@@ -334,7 +335,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
                     h_train, train_ds.labels, h_test, test_ds.labels, train_ds.num_classes,
                 )
                 if spec.kind == "decohd":
-                    derived_seeds[f"model_{label}_D{dim}"] = clf.config.seed
+                    derived_seeds[f"model_{label}_D{dim}"] = derive_seed(config.root_seed, "model", label, dim)
                 scorers[label] = clf.scorer
                 save_classifier(os.path.join(models_dir, f"{label}_D{dim}.npz"), clf)
                 history_rows += [[label, *astuple(h)] for h in history]

@@ -1,17 +1,19 @@
 """Model containers: deterministic npz files.
 
-A container holds a JSON metadata record plus the stored parameter
-arrays.  Frozen random matrices are never written; only their seeds and
-shapes travel (inside the encoder/model configs), and the matrices are
-regenerated on load.  Round-trips are bit-exact, and writing the same
-model twice produces byte-identical files (entries are stored
-uncompressed, sorted, with zeroed zip timestamps).
+A container holds a JSON metadata record, the standardizer and what
+the model scores with: its scorer's ``stored()`` arrays (channels and
+head, or a table) plus a sparse table's mask.  Loading draws only the
+encoder's matrix, from its seed; no latent or projector travels.
+Round-trips are bit-exact, and writing the same model twice produces
+byte-identical files (entries are stored uncompressed, sorted, with
+zeroed zip timestamps).
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 import zipfile
 from dataclasses import asdict
 
@@ -20,9 +22,10 @@ import numpy as np
 from .baselines import Classifier, PrototypeTable, SparseScorer
 from .data import ParseError
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
-from .model import DecoHDClassifier, ModelConfig, ModelParams, check_param_shapes
+from .inference import DecomposedScorer
+from .model import ChannelBank
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ContainerError(ParseError):
@@ -48,55 +51,38 @@ def load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
     try:
         # A missing file raises OSError, a non-zip BadZipFile or (pickle
         # refused) ValueError, a lone .npy TypeError (an array is no
-        # context manager), no __meta__ KeyError, bad JSON ValueError.
+        # context manager), no __meta__ KeyError, bad or non-object JSON
+        # ValueError or TypeError.
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files if k != "__meta__"}
-            meta = json.loads(data["__meta__"].item())
+            meta = dict(json.loads(data["__meta__"].item()))
     except (OSError, zipfile.BadZipFile, ValueError, TypeError, KeyError) as exc:
         raise ContainerError(f"{path}: not a readable model container: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ContainerError(f"{path}: container metadata is not a JSON object")
     return meta, arrays
 
 
 def save_classifier(path, clf) -> None:
-    """Serialize a :class:`DecoHDClassifier` or a baseline
-    :class:`Classifier`, tagged by model kind.
-
-    A decomposed model stores its trainable latents and head, not the
-    materialized bank; a baseline stores its table, plus the mask and
-    budget when sparsified.
-    """
+    """Serialize a classifier of any kind, tagged by its kind: the
+    encoder config, the standardizer and its scorer's ``stored()``
+    arrays, plus the mask and budget of a sparse table."""
+    scorer = clf.scorer
     meta = {"format_version": FORMAT_VERSION, "kind": clf.kind, "encoder": asdict(clf.encoder.config)}
-    arrays = {
-        "standardizer_mean": clf.standardizer.mean,
-        "standardizer_std": clf.standardizer.std,
-    }
-    if isinstance(clf, DecoHDClassifier):
-        meta["model"] = asdict(clf.config)
-        for i, a in enumerate(clf.params.latents):
-            arrays[f"latents_{i}"] = a
-        arrays["head"] = clf.params.head
-    elif clf.kind == "sparsehd":
-        # The v1 layout keeps a full-width table: masked-out columns are
-        # written as zeros and dropped again on load.
-        scorer = clf.scorer
-        table = np.zeros((scorer.num_classes, scorer.dim), dtype=scorer.table.dtype)
-        table[:, scorer.mask] = scorer.table
+    arrays = {"standardizer_mean": clf.standardizer.mean, "standardizer_std": clf.standardizer.std,
+              **scorer.stored()}
+    if clf.kind == "sparsehd":
         meta["budget"] = scorer.budget
-        arrays.update(table=table, mask=scorer.mask)
-    else:
-        arrays["table"] = clf.scorer.prototypes
+        arrays["mask"] = scorer.mask
     save_arrays(path, meta, arrays)
 
 
-def load_classifier(path):
+def load_classifier(path) -> Classifier:
     """Read a container written by :func:`save_classifier`.
 
     A container that cannot make a usable model raises
     :class:`ContainerError`: a wrong format version, an unknown kind, a
-    missing metadata key or array, or arrays whose shapes disagree with
-    the configs, or a standardizer that cannot scale features.
+    missing metadata key or array, stored arrays that are not float32
+    matrices as wide as the encoding they score, or a standardizer that
+    cannot scale features.
     """
     meta, arrays = load_arrays(path)
     if meta.get("format_version") != FORMAT_VERSION:
@@ -112,7 +98,15 @@ def load_classifier(path):
         raise ContainerError(f"{path}: malformed {kind} container: {exc}") from exc
 
 
-def _classifier_from(meta: dict, arrays: dict[str, np.ndarray], kind: str):
+def _matrix(arrays: dict[str, np.ndarray], name: str, width: int) -> np.ndarray:
+    """Stored array *name*, which must be a float32 matrix *width* columns wide."""
+    a = arrays[name]
+    if a.dtype != np.float32 or a.ndim != 2 or a.shape[1] != width:
+        raise ValueError(f"{name} is {a.dtype} of shape {a.shape}, expected float32 of shape (rows, {width})")
+    return a
+
+
+def _classifier_from(meta: dict, arrays: dict[str, np.ndarray], kind: str) -> Classifier:
     encoder = RandomProjectionEncoder(EncoderConfig(**meta["encoder"]))
     standardizer = Standardizer(mean=arrays["standardizer_mean"], std=arrays["standardizer_std"])
     width = (encoder.config.num_features,)
@@ -124,27 +118,18 @@ def _classifier_from(meta: dict, arrays: dict[str, np.ndarray], kind: str):
         raise ValueError("standardizer mean is not finite")
     if not (np.isfinite(standardizer.std) & (standardizer.std > 0)).all():
         raise ValueError("standardizer std is not finite and positive")
+    dim = encoder.config.dim
     if kind == "decohd":
-        model_meta = dict(meta["model"])
-        model_meta["channels_per_layer"] = tuple(model_meta["channels_per_layer"])
-        config = ModelConfig(**model_meta)
-        params = ModelParams(
-            latents=[arrays[f"latents_{i}"] for i in range(config.num_layers)],
-            head=arrays["head"],
-        )
-        check_param_shapes(params, config)
-        if config.dim != encoder.config.dim:
-            raise ValueError(f"model dim {config.dim} does not match encoder dim {encoder.config.dim}")
-        return DecoHDClassifier(encoder=encoder, standardizer=standardizer, config=config, params=params)
-    table = arrays["table"]
-    if table.dtype != np.float32 or table.ndim != 2 or table.shape[1] != encoder.config.dim:
-        raise ValueError(f"table is {table.dtype} of shape {table.shape}, "
-                         f"expected float32 of shape (classes, {encoder.config.dim})")
-    if kind == "sparsehd":
+        # A container with no channels at all lacks "channels:0".
+        layers = max(1, sum(name.startswith("channels:") for name in arrays))
+        channels = [_matrix(arrays, f"channels:{i}", dim) for i in range(layers)]
+        head = _matrix(arrays, "head", math.prod(len(c) for c in channels))
+        scorer = DecomposedScorer(ChannelBank(channels), head)
+    elif kind == "sparsehd":
         mask = arrays["mask"]
-        if mask.dtype != np.bool_ or mask.shape != (encoder.config.dim,):
-            raise ValueError(f"mask is {mask.dtype} of shape {mask.shape}, "
-                             f"expected bool of shape ({encoder.config.dim},)")
-        retained = np.ascontiguousarray(table[:, mask])
-        return Classifier(encoder, standardizer, SparseScorer(retained, mask, float(meta["budget"])), kind)
-    return Classifier(encoder, standardizer, PrototypeTable(table), kind)
+        if mask.dtype != np.bool_ or mask.shape != (dim,):
+            raise ValueError(f"mask is {mask.dtype} of shape {mask.shape}, expected bool of shape ({dim},)")
+        scorer = SparseScorer(_matrix(arrays, "table", int(mask.sum())), mask, float(meta["budget"]))
+    else:
+        scorer = PrototypeTable(_matrix(arrays, "table", dim))
+    return Classifier(encoder, standardizer, scorer, kind)

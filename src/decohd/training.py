@@ -71,7 +71,6 @@ class TrainConfig:
     epochs: int = 1000
     batch_size: int = 1024
     microbatch_size: int = 128
-    dtype: str = "float32"
     eval_every: int = 1
 
     def __post_init__(self):
@@ -81,14 +80,10 @@ class TrainConfig:
             raise ValueError("batch sizes must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
-        try:
-            floating = np.issubdtype(np.dtype(self.dtype), np.floating)
-        except TypeError:
-            floating = False
-        if not floating:
-            raise ValueError(f"dtype must name a floating type, got {self.dtype!r}")
 
 
 def softmax_cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, float]:
@@ -248,9 +243,13 @@ def train(
     aborts with the last finite checkpoint attached to the exception.
     Channels are materialized only when the parameters changed since the
     last bank, and the final bank, if any, is returned with the result.
+    Training runs in the floating dtype of *h_train*: the encoder's
+    float32, or float64 as a precision reference.
     """
-    dtype = np.dtype(train_config.dtype)
     h_train = np.asarray(h_train)
+    dtype = h_train.dtype
+    if not np.issubdtype(dtype, np.floating):
+        raise ValueError(f"training encodings must be floating, got {dtype}")
     y_train = np.asarray(y_train, dtype=np.int64)
     n = h_train.shape[0]
     if n == 0:
@@ -279,8 +278,7 @@ def train(
                 d_basis = np.zeros_like(basis)
                 for m_start in range(0, b_n, train_config.microbatch_size):
                     mb = b_idx[m_start : m_start + train_config.microbatch_size]
-                    h = h_train[mb].astype(dtype, copy=False)
-                    l_sum, c, dh_sum, db_sum = _microbatch_stats(h, y_train[mb], basis, params.head)
+                    l_sum, c, dh_sum, db_sum = _microbatch_stats(h_train[mb], y_train[mb], basis, params.head)
                     loss_sum += l_sum
                     correct += c
                     d_head += dh_sum / b_n

@@ -87,14 +87,16 @@ def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, 
         assert "sharing one encoder, standardizer and class count" in err
 
 
-@pytest.mark.parametrize("train", [{"eval_every": 0}, {"dtype": "foo"}, {"dtype": "int32"},
+@pytest.mark.parametrize("train", [{"eval_every": 0}, {"weight_decay": -0.5},
                                    {"noise": {"p_grid": [2.0]}}, {"noise": {"p_grid": [0.0], "trials": 0}},
-                                   {"encoder_kind": "ternery"}],
-                         ids=["eval_every", "dtype-name", "dtype-integer", "noise-p", "noise-trials",
-                              "encoder-kind"])
+                                   {"encoder_kind": "ternery"},
+                                   {"models": [{"kind": "onlinehd", "epochs": -3}]},
+                                   {"models": [{"kind": "onlinehd", "learning_rate": -0.1}]}],
+                         ids=["eval_every", "weight_decay", "noise-p", "noise-trials", "encoder-kind",
+                              "refine-epochs", "refine-learning-rate"])
 def test_invalid_train_config_of_a_sweep_exits_1(tmp_path, capsys, train):
     # Top-level keys replace the config's own; any other key goes into its train config.
-    top = {k: v for k, v in train.items() if k in ("noise", "encoder_kind")}
+    top = {k: v for k, v in train.items() if k in ("noise", "encoder_kind", "models")}
     config = {
         "data": {"synthetic": {"num_classes": 3, "num_features": 6, "samples_per_class": 10}},
         "models": [{"kind": "decohd", "channels": [2], "latent_dim": 4}],
@@ -111,7 +113,8 @@ def test_invalid_train_config_of_a_sweep_exits_1(tmp_path, capsys, train):
 
 
 @pytest.mark.parametrize("extra", [["--epochs", "-1"], ["--dim", "0"], ["--channels", "0,2"],
-                                   ["--model", "sparsehd", "--sparse-budget", "0"]])
+                                   ["--model", "sparsehd", "--sparse-budget", "0"],
+                                   ["--weight-decay", "-0.5"], ["--model", "onlinehd", "--refine-epochs", "-3"]])
 def test_invalid_option_values_exit_1_as_config_errors(synthetic_csvs, tmp_path, capsys, extra):
     assert cli.main(train_args(synthetic_csvs, tmp_path, *extra)) == 1
     assert capsys.readouterr().err.startswith("config error: ")
@@ -234,18 +237,21 @@ def spoil_container(path, how: str) -> None:
             fh.write(b"not a container")
         return
     meta, arrays = load_arrays(path)
-    if how == "head":
+    if how == "meta-list":
+        meta = list(meta)
+    elif how == "head":
         del arrays["head"]
     elif how == "encoder":
         del meta["encoder"]
-    elif how == "latents":
-        arrays["latents_0"] = arrays["latents_0"][:, :-1]
+    elif how == "channels":
+        arrays["channels:0"] = arrays["channels:0"][:, :-1]
     else:
-        meta.update({"version": {"format_version": 99}, "kind": {"kind": "tree"}}[how])
+        meta.update({"version": {"format_version": 99}, "v1": {"format_version": 1},
+                     "kind": {"kind": "tree"}}[how])
     save_arrays(path, meta, arrays)
 
 
-@pytest.mark.parametrize("how", ["version", "kind", "garbage", "head", "encoder", "latents"])
+@pytest.mark.parametrize("how", ["version", "v1", "kind", "garbage", "meta-list", "head", "encoder", "channels"])
 @pytest.mark.parametrize("command", ["eval", "robustness"])
 def test_unusable_container_exits_2_as_data_error(saved_decohd, tmp_path, capsys, command, how):
     model_path, csv_path = saved_decohd
@@ -256,9 +262,11 @@ def test_unusable_container_exits_2_as_data_error(saved_decohd, tmp_path, capsys
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "Traceback" not in err
-    if how == "version":
-        assert "unsupported container version 99" in err
+    if how in ("version", "v1"):
+        assert f"unsupported container version {99 if how == 'version' else 1}" in err
     if how in ("head", "encoder"):
         assert f"has no entry '{how}'" in err
-    if how == "latents":
-        assert "layer 0 latents have shape" in err
+    if how == "meta-list":
+        assert "not a readable model container" in err
+    if how == "channels":
+        assert "channels:0 is float32 of shape" in err

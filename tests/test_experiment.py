@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from decohd import experiment, model
-from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_table
+from decohd import encoding, experiment, model
+from decohd.baselines import Classifier, build_prototype_table, onlinehd_refine, sparsify_table
 from decohd.encoding import fit_standardizer
 from decohd.experiment import (
     ConfigError,
@@ -149,8 +149,7 @@ CONFIG_SCHEMA = {
                        "precisions", "noise", "output_dir"],
     DataSpec: ["name", "train_csv", "test_csv", "synthetic"],
     ModelSpec: ["kind", "channels", "latent_dim", "epochs", "learning_rate", "budget", "base"],
-    TrainConfig: ["learning_rate", "weight_decay", "epochs", "batch_size", "microbatch_size", "dtype",
-                  "eval_every"],
+    TrainConfig: ["learning_rate", "weight_decay", "epochs", "batch_size", "microbatch_size", "eval_every"],
 }
 
 
@@ -168,7 +167,8 @@ def test_deleted_inference_keys_are_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("sigma_init", 1.0), ("shuffle_seed", 3), ("betas", [0.9, 0.99]),
-                                        ("eps", 1e-8), ("decay_latents", False), ("decay_head", False)])
+                                        ("eps", 1e-8), ("decay_latents", False), ("decay_head", False),
+                                        ("dtype", "float64")])
 def test_deleted_train_keys_are_rejected(tmp_path, key, value):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"data": {"synthetic": {}}, "train": {key: value}}), encoding="utf-8")
@@ -176,63 +176,67 @@ def test_deleted_train_keys_are_rejected(tmp_path, key, value):
         load_config(str(path))
 
 
-# Ids name the dtype and the total projector draws, dense plus streamed.
-@pytest.mark.parametrize("dtype, dense, streamed", [("float32", 2, 0), ("float64", 2, 2)],
-                         ids=["float32-2", "float64-4"])
-def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, tmp_path, dtype, dense, streamed):
-    # Training draws its two projectors whole, once.  A float32 run's final
-    # bank is the deployed one, so nothing is drawn again; a float64 run's
-    # bank is rebuilt at float32 by streaming both projectors in blocks.
-    # Blocks of 3 rows split the 8 latent rows into 3 + 3 + 2.
+# Ids name whether the final epoch evaluated, and the projector draws
+# fit_model makes, dense plus streamed.
+@pytest.mark.parametrize("epochs, dense, streamed", [(2, 2, 0), (0, 2, 2)],
+                         ids=["trained-2", "untrained-4"])
+def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, tmp_path, epochs, dense, streamed):
+    # Training draws its two projectors whole, once.  When its last epoch
+    # evaluated, that bank is the deployed one, so nothing is drawn again;
+    # with zero epochs there is none, and fit_model streams both projectors
+    # in blocks.  Blocks of 3 rows split the 8 latent rows into 3 + 3 + 2.
+    # A container holds the channels, so loading it and predicting draws
+    # one matrix: the encoder's.
     monkeypatch.setattr(model, "_CHANNEL_BLOCK_ROWS", 3)
     config = ExperimentConfig(
         data={"synthetic": {"num_classes": 3, "num_features": 8, "samples_per_class": 20}},
         models=({"kind": "decohd", "channels": [2, 2], "latent_dim": 8},),
-        train={"epochs": 2, "batch_size": 16, "microbatch_size": 8, "dtype": dtype},
+        train={"epochs": epochs, "batch_size": 16, "microbatch_size": 8},
         dims=(64,),
     )
     train_ds, test_ds = prepare_data(config.data, config.root_seed)
     standardizer = fit_standardizer(train_ds.features)
     encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, 64)
-    draws = {"dense": 0, "streamed": 0}
+    draws = {"dense": 0, "streamed": 0, "encoder": 0}
 
-    def counting_dense(spec, dtype=np.float32):
-        draws["dense"] += 1
-        return generate_matrix(spec, dtype=dtype)
+    def counting(name, draw):
+        def wrapped(*args, **kwargs):
+            draws[name] += 1
+            return draw(*args, **kwargs)
+        return wrapped
 
-    def counting_streamed(spec, block_rows, dtype=np.float32):
-        draws["streamed"] += 1
-        return row_blocks(spec, block_rows, dtype)
-
-    monkeypatch.setattr(model, "generate_matrix", counting_dense)
-    monkeypatch.setattr(model, "row_blocks", counting_streamed)
+    monkeypatch.setattr(model, "generate_matrix", counting("dense", generate_matrix))
+    monkeypatch.setattr(model, "row_blocks", counting("streamed", row_blocks))
+    monkeypatch.setattr(encoding, "generate_matrix", counting("encoder", generate_matrix))
     spec = config.models[0]
     clf, _ = fit_model(spec, spec.kind, config, encoder, standardizer,
                        h_train, train_ds.labels, h_test, test_ds.labels, 3)
     scorer = clf.scorer
-    assert (draws["dense"], draws["streamed"]) == (dense, streamed)
+    assert draws == {"dense": dense, "streamed": streamed, "encoder": 0}
     path = tmp_path / "decohd.npz"
     save_classifier(path, clf)
-    loaded = load_classifier(path).scorer
+    loaded = load_classifier(path)
+    predicted = loaded.predict_batch(test_ds.features)
+    assert draws == {"dense": dense, "streamed": streamed, "encoder": 1}
+    np.testing.assert_array_equal(predicted, clf.predict_batch(test_ds.features))
     assert [c.dtype for c in scorer.bank.channels] == [np.float32, np.float32]
-    for got, expected in zip(scorer.bank.channels, loaded.bank.channels):
+    for got, expected in zip(scorer.bank.channels, loaded.scorer.bank.channels):
         assert_same_bits(got, expected)
 
 
-@pytest.mark.parametrize("model, dtype", [
-    ({"kind": "decohd", "channels": [2, 2], "latent_dim": 8}, "float32"),
-    ({"kind": "decohd", "channels": [2, 2], "latent_dim": 8}, "float64"),
-    ({"kind": "prototype"}, "float32"),
-    ({"kind": "onlinehd", "epochs": 2}, "float32"),
-    ({"kind": "sparsehd", "budget": 0.5, "epochs": 2}, "float32"),
-], ids=["decohd", "decohd-float64", "prototype", "onlinehd", "sparsehd"])
-def test_every_deployed_array_is_float32(model, dtype):
+@pytest.mark.parametrize("model", [
+    {"kind": "decohd", "channels": [2, 2], "latent_dim": 8},
+    {"kind": "prototype"},
+    {"kind": "onlinehd", "epochs": 2},
+    {"kind": "sparsehd", "budget": 0.5, "epochs": 2},
+], ids=["decohd", "prototype", "onlinehd", "sparsehd"])
+def test_every_deployed_array_is_float32(model):
     # Quantization and bit flips read float32 storage only; every model
-    # fit_model builds must deploy it, whatever dtype training ran in.
+    # fit_model builds must deploy it.
     config = ExperimentConfig(
         data={"synthetic": {"num_classes": 3, "num_features": 8, "samples_per_class": 20}},
         models=(model,),
-        train={"epochs": 1, "batch_size": 16, "microbatch_size": 8, "dtype": dtype},
+        train={"epochs": 1, "batch_size": 16, "microbatch_size": 8},
         dims=(64,),
     )
     train_ds, test_ds = prepare_data(config.data, config.root_seed)
@@ -241,6 +245,7 @@ def test_every_deployed_array_is_float32(model, dtype):
     spec = config.models[0]
     clf, _ = fit_model(spec, spec.kind, config, encoder, standardizer,
                        h_train, train_ds.labels, h_test, test_ds.labels, 3)
+    assert isinstance(clf, Classifier)
     stored = clf.scorer.stored()
     assert stored and {key: a.dtype for key, a in stored.items()} == dict.fromkeys(stored, np.float32)
 

@@ -347,6 +347,16 @@ class TestStreamChannels:
         for a, b in zip(got.channels, expected.channels):
             assert_same_bits(a, b)
 
+    @pytest.mark.parametrize("spoil", [
+        lambda p: ModelParams(p.latents[:-1], p.head),
+        lambda p: ModelParams([p.latents[0][:, :-1], *p.latents[1:]], p.head),
+        lambda p: ModelParams(p.latents, p.head[:, :-1]),
+    ], ids=["layers", "latent_dim", "head"])
+    def test_refuses_params_of_another_shape(self, spoil):
+        cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=5, dim=8, num_classes=3, seed=8)
+        with pytest.raises(ValueError, match=r"latent and head shapes .*, expected \[\(2, 5\), \(3, 5\), \(3, 6\)\]"):
+            stream_channels(spoil(init_params(cfg, dtype=np.float32)), cfg)
+
     def test_channel_bank_draws_no_whole_projector(self, monkeypatch):
         monkeypatch.setattr(model, "_CHANNEL_BLOCK_ROWS", 16)
         cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=50, dim=40, num_classes=3, seed=8)

@@ -123,8 +123,8 @@ class TestSparseStored:
 
 
 PUBLIC_SURFACE = [
-    "BudgetQuery", "BudgetReport", "Classifier", "Dataset", "DecoHDClassifier",
-    "DecomposedScorer", "EncoderConfig", "ModelConfig", "ModelParams", "NoiseSpec",
+    "BudgetQuery", "BudgetReport", "Classifier", "Dataset", "DecomposedScorer",
+    "EncoderConfig", "ModelConfig", "ModelParams", "NoiseSpec",
     "PRESETS", "PrecisionFormat", "PrototypeTable", "RandomProjectionEncoder",
     "SparseScorer", "Standardizer", "TrainConfig", "budget_of", "build_prototype_table",
     "enumerate_configs", "fit_standardizer", "footprint", "inject_bitflips",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from decohd.baselines import Classifier
 from decohd.serialize import ContainerError, load_arrays, load_classifier, save_arrays, save_classifier
 from tests.conftest import small_classifier
 
@@ -8,14 +9,11 @@ KINDS = ("decohd", "prototype", "onlinehd", "sparsehd")
 
 
 def stored_arrays(clf) -> dict[str, np.ndarray]:
-    """Every array a classifier of *clf*'s kind stores, by name."""
-    out = {"mean": clf.standardizer.mean, "std": clf.standardizer.std}
-    if clf.kind == "decohd":
-        out.update({f"latents_{i}": a for i, a in enumerate(clf.params.latents)}, head=clf.params.head)
-    elif clf.kind == "sparsehd":
-        out.update(table=clf.scorer.table, mask=clf.scorer.mask)
-    else:
-        out["table"] = clf.scorer.prototypes
+    """Every array a classifier of *clf*'s kind stores, by name: what
+    its scorer scores with, plus a sparse table's mask."""
+    out = {"mean": clf.standardizer.mean, "std": clf.standardizer.std, **clf.scorer.stored()}
+    if clf.kind == "sparsehd":
+        out["mask"] = clf.scorer.mask
     return out
 
 
@@ -25,7 +23,7 @@ class TestRoundTrip:
         clf, _ = small_classifier(kind, rng)
         save_classifier(tmp_path / "m.npz", clf)
         loaded = load_classifier(tmp_path / "m.npz")
-        assert loaded.kind == kind
+        assert isinstance(loaded, Classifier) and loaded.kind == kind
         assert loaded.encoder.config == clf.encoder.config
         before, after = stored_arrays(clf), stored_arrays(loaded)
         assert sorted(before) == sorted(after)
@@ -62,8 +60,12 @@ def narrow_standardizer(meta, arrays):
     arrays["standardizer_mean"] = arrays["standardizer_mean"][:-1]
 
 
-def wider_model(meta, arrays):
-    meta["model"]["dim"] += 1
+def narrow_channels(meta, arrays):
+    arrays["channels:1"] = arrays["channels:1"][:, :-1]
+
+
+def narrow_head(meta, arrays):
+    arrays["head"] = arrays["head"][:, :-1]
 
 
 def narrow_table(meta, arrays):
@@ -72,6 +74,10 @@ def narrow_table(meta, arrays):
 
 def float64_table(meta, arrays):
     arrays["table"] = arrays["table"].astype(np.float64)
+
+
+def full_width_table(meta, arrays):
+    arrays["table"] = np.zeros((3, 64), dtype=np.float32)
 
 
 def narrow_mask(meta, arrays):
@@ -96,16 +102,18 @@ def inf_mean(meta, arrays):
 
 @pytest.mark.parametrize("kind, spoil, message", [
     ("decohd", narrow_standardizer, "standardizer shapes"),
-    ("decohd", wider_model, "model dim 65 does not match encoder dim 64"),
+    ("decohd", narrow_channels, r"channels:1 is float32 of shape \(3, 63\), expected float32 of shape \(rows, 64\)"),
+    ("decohd", narrow_head, r"head is float32 of shape \(3, 5\), expected float32 of shape \(rows, 6\)"),
     ("prototype", narrow_table, r"table is float32 of shape \(3, 63\)"),
-    ("sparsehd", float64_table, r"table is float64 of shape \(3, 64\)"),
+    ("sparsehd", float64_table, r"table is float64 of shape \(3, 32\)"),
+    ("sparsehd", full_width_table, r"table is float32 of shape \(3, 64\), expected float32 of shape \(rows, 32\)"),
     ("sparsehd", narrow_mask, r"mask is bool of shape \(63,\)"),
     ("sparsehd", integer_mask, r"mask is int64 of shape \(64,\)"),
     ("decohd", zero_std, "standardizer std is not finite and positive"),
     ("prototype", nan_std, "standardizer std is not finite and positive"),
     ("sparsehd", inf_mean, "standardizer mean is not finite"),
-], ids=["standardizer", "dim", "table", "float64_table", "narrow_mask", "integer_mask",
-        "zero_std", "nan_std", "inf_mean"])
+], ids=["standardizer", "dim", "head", "table", "float64_table", "full_width_table", "narrow_mask",
+        "integer_mask", "zero_std", "nan_std", "inf_mean"])
 def test_shapes_that_disagree_with_the_configs_are_container_errors(tmp_path, rng, kind, spoil, message):
     # Each would otherwise load and fail later, at encoding, scoring,
     # quantization or bit flips.
@@ -118,22 +126,14 @@ def test_shapes_that_disagree_with_the_configs_are_container_errors(tmp_path, rn
         load_classifier(tmp_path / "m.npz")
 
 
-def test_full_width_sparse_container_loads_its_retained_columns(tmp_path, rng):
-    # Containers keep a full-width table.  Older writers kept the dense
-    # values in the masked-out columns; a loaded scorer drops them and
-    # holds only the retained columns.
+def test_sparse_container_stores_only_its_retained_columns(tmp_path, rng):
+    # The table is stored as the scorer holds it, C x retained; a loaded
+    # scorer holds that table and the mask, nothing full-width.
     clf, features = small_classifier("sparsehd", rng)
     save_classifier(tmp_path / "m.npz", clf)
-    meta, arrays = load_arrays(tmp_path / "m.npz")
-    mask = arrays["mask"]
-    np.testing.assert_array_equal(arrays["table"][:, ~mask], 0.0)
-    full = rng.standard_normal(arrays["table"].shape).astype(np.float32)
-    full[:, mask] = clf.scorer.table
-    arrays["table"] = full
-    save_arrays(tmp_path / "m.npz", meta, arrays)
+    _, arrays = load_arrays(tmp_path / "m.npz")
+    assert arrays["table"].shape == (3, arrays["mask"].sum()) == (3, 32)
     loaded = load_classifier(tmp_path / "m.npz")
     held = [v for v in vars(loaded.scorer).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in held) == loaded.scorer.table.nbytes + loaded.scorer.mask.nbytes
-    assert loaded.scorer.table.shape == (3, mask.sum())
-    assert loaded.scorer.table.tobytes() == clf.scorer.table.tobytes()
     np.testing.assert_array_equal(loaded.predict_batch(features), clf.predict_batch(features))

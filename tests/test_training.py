@@ -209,14 +209,16 @@ class TestAdamW:
         np.testing.assert_allclose(params.head, expected, rtol=1e-12)
 
 
-def _blob_setup(num_classes=2, dim=512, latent_dim=64, channels=(2,), separation=10.0, seed=3):
+def _blob_setup(num_classes=2, dim=512, latent_dim=64, channels=(2,), separation=10.0, seed=3,
+                dtype=np.float32):
+    """Blob encodings in *dtype*, the precision :func:`train` runs in."""
     train_ds, test_ds = make_synthetic(num_classes, 8, 100, separation=separation, seed=seed)
     enc = RandomProjectionEncoder(EncoderConfig(num_features=8, dim=dim, seed=11))
     # raw (uncentered) encoding: scores are even functions of h, and
     # centering two balanced blobs would fold them onto each other
     ident = identity_standardizer(8)
-    h_train = enc.encode_batch(train_ds.features, ident)
-    h_test = enc.encode_batch(test_ds.features, ident)
+    h_train = enc.encode_batch(train_ds.features, ident).astype(dtype, copy=False)
+    h_test = enc.encode_batch(test_ds.features, ident).astype(dtype, copy=False)
     cfg = ModelConfig(
         channels_per_layer=channels, latent_dim=latent_dim, dim=dim,
         num_classes=num_classes, seed=5,
@@ -226,26 +228,28 @@ def _blob_setup(num_classes=2, dim=512, latent_dim=64, channels=(2,), separation
 
 class TestTrain:
     def test_synthetic_separability(self):
-        cfg, h_tr, y_tr, h_te, y_te = _blob_setup()
+        cfg, h_tr, y_tr, h_te, y_te = _blob_setup(dtype=np.float64)
         tcfg = TrainConfig(epochs=50, batch_size=200, microbatch_size=128,
-                           learning_rate=0.05, dtype="float64", eval_every=50)
+                           learning_rate=0.05, eval_every=50)
         result = train(cfg, tcfg, h_tr, y_tr, h_te, y_te)
         bank = materialize_channels(result.params, materialize_projectors(cfg, dtype=np.float64))
         assert evaluate(bank, result.params.head, h_tr, y_tr) >= 0.99
         assert result.history[-1].mean_loss < result.history[0].mean_loss
 
     def test_zero_epochs_returns_init(self):
-        cfg, h_tr, y_tr, _, _ = _blob_setup()
-        tcfg = TrainConfig(epochs=0, dtype="float64")
+        # Training runs in the encodings' dtype, which must be floating.
+        cfg, h_tr, y_tr, _, _ = _blob_setup(dtype=np.float64)
+        tcfg = TrainConfig(epochs=0)
         result = train(cfg, tcfg, h_tr, y_tr)
         ref = init_params(cfg, dtype=np.float64)
-        assert result.params.head.tobytes() == ref.head.tobytes()
-        for a, b in zip(result.params.latents, ref.latents):
-            assert a.tobytes() == b.tobytes()
+        for a, b in zip(result.params.arrays(), ref.arrays()):
+            assert_same_bits(a, b)
+        with pytest.raises(ValueError, match="training encodings must be floating, got int64"):
+            train(cfg, tcfg, h_tr.astype(np.int64), y_tr)
 
     def test_bit_identical_reruns(self):
         cfg, h_tr, y_tr, _, _ = _blob_setup()
-        tcfg = TrainConfig(epochs=5, batch_size=64, microbatch_size=32, dtype="float32")
+        tcfg = TrainConfig(epochs=5, batch_size=64, microbatch_size=32)
         a = train(cfg, tcfg, h_tr, y_tr).params
         b = train(cfg, tcfg, h_tr, y_tr).params
         assert a.head.tobytes() == b.head.tobytes()
@@ -253,17 +257,17 @@ class TestTrain:
             assert la.tobytes() == lb.tobytes()
 
     def test_frozen_matrices_untouched(self):
-        cfg, h_tr, y_tr, _, _ = _blob_setup()
+        cfg, h_tr, y_tr, _, _ = _blob_setup(dtype=np.float64)
         before = [p.tobytes() for p in materialize_projectors(cfg, dtype=np.float64)]
-        train(cfg, TrainConfig(epochs=3, dtype="float64"), h_tr, y_tr)
+        train(cfg, TrainConfig(epochs=3), h_tr, y_tr)
         after = [p.tobytes() for p in materialize_projectors(cfg, dtype=np.float64)]
         assert before == after
 
     def test_microbatch_invariance(self):
-        cfg, h_tr, y_tr, _, _ = _blob_setup()
+        cfg, h_tr, y_tr, _, _ = _blob_setup(dtype=np.float64)
         h = h_tr[:256]
         y = y_tr[:256]
-        base = dict(epochs=1, batch_size=256, learning_rate=0.01, dtype="float64")
+        base = dict(epochs=1, batch_size=256, learning_rate=0.01)
         split = train(cfg, TrainConfig(microbatch_size=128, **base), h, y).params
         whole = train(cfg, TrainConfig(microbatch_size=256, **base), h, y).params
         np.testing.assert_allclose(split.head, whole.head, rtol=1e-6)
@@ -272,15 +276,15 @@ class TestTrain:
 
     def test_divergence_aborts_with_checkpoint(self):
         cfg, h_tr, y_tr, _, _ = _blob_setup()
-        tcfg = TrainConfig(epochs=50, learning_rate=1e18, dtype="float32")
+        tcfg = TrainConfig(epochs=50, learning_rate=1e18)
         with pytest.raises(TrainingDiverged) as excinfo:
             train(cfg, tcfg, h_tr, y_tr)
         assert excinfo.value.last_good is not None
         assert np.isfinite(excinfo.value.last_good.head).all()
 
     def test_running_history_columns(self):
-        cfg, h_tr, y_tr, h_te, y_te = _blob_setup()
-        tcfg = TrainConfig(epochs=3, learning_rate=0.01, dtype="float64", eval_every=2)
+        cfg, h_tr, y_tr, h_te, y_te = _blob_setup(dtype=np.float64)
+        tcfg = TrainConfig(epochs=3, learning_rate=0.01, eval_every=2)
         result = train(cfg, tcfg, h_tr, y_tr, h_te, y_te)
         assert [h.epoch for h in result.history] == [0, 1, 2]
         assert math.isnan(result.history[0].test_accuracy)
@@ -295,7 +299,7 @@ class TestOneBankPerParameterState:
         ids=["eval-every-epoch", "eval-every-2nd", "no-test-set", "zero-epochs"],
     )
     def test_materializes_once_per_parameter_state(self, monkeypatch, epochs, eval_every, with_test):
-        cfg, h_tr, y_tr, h_te, y_te = _blob_setup()
+        cfg, h_tr, y_tr, h_te, y_te = _blob_setup(dtype=np.float64)
         states = []
 
         def counting(params, projectors):
@@ -303,7 +307,7 @@ class TestOneBankPerParameterState:
             return materialize_channels(params, projectors)
 
         monkeypatch.setattr(training, "materialize_channels", counting)
-        tcfg = TrainConfig(epochs=epochs, batch_size=64, microbatch_size=32, dtype="float64",
+        tcfg = TrainConfig(epochs=epochs, batch_size=64, microbatch_size=32,
                            learning_rate=0.01, eval_every=eval_every)
         test = (h_te, y_te) if with_test else ()
         result = train(cfg, tcfg, h_tr, y_tr, *test)
@@ -331,7 +335,7 @@ class TestGradientAccumulationMatchesBackward:
         params = init_params(cfg, dtype=np.float64)
         tcfg = TrainConfig(
             epochs=1, batch_size=len(y), microbatch_size=len(y),
-            learning_rate=1e-3, weight_decay=5e-5, dtype="float64",
+            learning_rate=1e-3, weight_decay=5e-5,
         )
         result = train(cfg, tcfg, h, y)
         grads = backward(h, y, params, projectors)
