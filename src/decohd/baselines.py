@@ -155,7 +155,7 @@ class SparseScorer:
 
     def score_batch(self, h: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.asarray(h)[..., self.mask] @ self.table.T
+            return np.take(h, np.flatnonzero(self.mask), axis=-1) @ self.table.T
 
 
 def sparsify_table(table: PrototypeTable, budget: float) -> SparseScorer:

@@ -66,8 +66,10 @@ class BudgetQuery:
             raise ValueError("m_target must be positive")
         if self.num_classes < 1 or self.dim < 1:
             raise ValueError("num_classes and dim must be >= 1")
-        if self.max_channels < 1 or not self.layer_counts:
+        if self.max_channels < 1 or not self.layer_counts or not self.latent_dims:
             raise ValueError("invalid grid bounds")
+        if min(self.layer_counts) < 1 or min(self.latent_dims) < 1:
+            raise ValueError("layer counts and latent dims must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,13 @@ through its elementwise square: ``score_c(h) = <P_c, h*h>`` with
 ``h*h`` in one function, ``input_term``, for its batched and streamed forwards.
 
 A channel expansion ``lat @ P`` is always the in-order sum of
-``lat[:, j:j+B] @ P[j:j+B]`` over ``B = _CHANNEL_BLOCK_ROWS``-row blocks.
-Training slices the projectors it holds (:func:`materialize_channels`); a
-model built from latents draws each block fresh from its seed and never
-holds a whole projector (:func:`stream_channels`).  Both run the same
-products, so their banks are bit-identical.  Containers store channels.
+``lat[:, j:j+S] @ P[j:j+S]`` over the projector's ``S``-row draw strips
+(``decohd.ops._GENERATE_BLOCK_ROWS``, 16 rows).  Training slices the
+projectors it holds (:func:`materialize_channels`); a model built from
+latents multiplies each strip into its channels as soon as it is drawn
+from the seed, and never holds a whole projector (:func:`stream_channels`).
+Both run the same products, so their banks are bit-identical.  Containers
+store channels.
 
 Path enumeration is row-major over the per-layer channel choices: the
 last layer varies fastest, as in ``itertools.product`` of the layers'
@@ -37,13 +39,7 @@ from typing import ClassVar
 import numpy as np
 
 from .encoding import RandomProjectionEncoder, Standardizer
-from .ops import RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed, row_blocks
-
-# Projector rows per block of a channel expansion.  At 10000 dims a
-# 1024-row float32 block is 41 MB, above glibc's 32 MB mmap ceiling, so a
-# block freed on a stream_channels thread goes back to the OS; 512-row
-# blocks (20 MB) stayed resident in the threads' malloc arenas.
-_CHANNEL_BLOCK_ROWS = 1024
+from .ops import _GENERATE_BLOCK_ROWS, RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed, row_blocks
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ def materialize_projectors(config: ModelConfig, dtype=np.float32) -> list[np.nda
     Each projector owns its Philox stream, and numpy releases the GIL
     while it fills an array, so the layers draw in parallel and every
     matrix is bit-identical to a plain :func:`generate_matrix` of its
-    spec.  A thread holds one block buffer besides its output.
+    spec.  A thread holds one draw buffer besides its output.
     """
     specs = config.projector_specs()
     with ThreadPoolExecutor(max_workers=len(specs)) as pool:
@@ -182,20 +178,20 @@ class ChannelBank:
         return self._basis
 
 
-def _expand(lat: np.ndarray, blocks) -> np.ndarray:
-    """``lat @ P`` summed block by block, in order, over the row blocks
-    of ``P`` that *blocks* yields; each block is used before the next is
-    asked for."""
+def _expand(lat: np.ndarray, strips) -> np.ndarray:
+    """``lat @ P`` summed strip by strip, in order, over the row strips
+    of ``P`` that *strips* yields, each cast to the latents' dtype and
+    used before the next is asked for."""
     channels, start = None, 0
-    for block in blocks:
-        part = lat[:, start : start + len(block)] @ block
+    for strip in strips:
+        part = lat[:, start : start + len(strip)] @ strip.astype(lat.dtype, copy=False)
         channels = part if channels is None else np.add(channels, part, out=channels)
-        start += len(block)
+        start += len(strip)
     return channels
 
 
 def materialize_channels(params: ModelParams, projectors: list[np.ndarray]) -> ChannelBank:
-    """Expand each latent through row blocks of its layer's held projector."""
+    """Expand each latent through the draw strips of its layer's held projector."""
     if len(projectors) != len(params.latents):
         raise ValueError("projector count does not match latent layer count")
     channels = []
@@ -204,8 +200,8 @@ def materialize_channels(params: ModelParams, projectors: list[np.ndarray]) -> C
             raise ValueError(
                 f"layer {i}: latent dim {lat.shape[1]} does not match projector rows {proj.shape[0]}"
             )
-        b = _CHANNEL_BLOCK_ROWS
-        channels.append(_expand(lat, (proj[j : j + b] for j in range(0, proj.shape[0], b))))
+        s = _GENERATE_BLOCK_ROWS
+        channels.append(_expand(lat, (proj[j : j + s] for j in range(0, proj.shape[0], s))))
     return ChannelBank(channels)
 
 
@@ -214,15 +210,15 @@ def stream_channels(params: ModelParams, config: ModelConfig) -> ChannelBank:
     dtype))`` bit for bit, at the latents' dtype, without holding any
     projector whole.
 
-    Each layer expands on its own thread from blocks that
+    Each layer expands on its own thread from the strips that
     :func:`~decohd.ops.row_blocks` draws from its spec, so a thread holds
-    one block, one draw buffer and its channels.
+    one draw buffer, its cast and its channels.
     """
     check_param_shapes(params, config)
     specs = config.projector_specs()
 
     def layer(lat, spec):
-        return _expand(lat, row_blocks(spec, _CHANNEL_BLOCK_ROWS, lat.dtype))
+        return _expand(lat, row_blocks(spec))
 
     with ThreadPoolExecutor(max_workers=len(specs)) as pool:
         return ChannelBank(list(pool.map(layer, params.latents, specs)))

@@ -8,7 +8,7 @@ in :func:`decohd.model.path_basis` and the forwards of
 Frozen random matrices (the input encoder and the per-layer latent
 projectors) are described by :class:`RandomMatrixSpec` and regenerated on
 demand, so they never need to be stored: whole (:func:`generate_matrix`)
-or as a stream of row blocks (:func:`row_blocks`) with the same bits.
+or as a stream of row strips (:func:`row_blocks`) with the same bits.
 
 Seed derivation
 ---------------
@@ -32,12 +32,15 @@ MATRIX_KINDS = ("gaussian", "ternary")
 # Symmetric default: -1, 0, +1 each with probability 1/3.
 DEFAULT_TERNARY_ZERO_PROB = 1.0 / 3.0
 
-# Rows drawn per float64 buffer in row_blocks: 16 x 10000 is 1.3 MB, held
-# once per stream whatever the matrix or block size.  Kept small because,
-# under glibc, a buffer below the 32 MB mmap ceiling that is freed on a
-# worker thread (the per-layer draws of materialize_projectors and
-# stream_channels) can stay resident in that thread's malloc arena, where
-# the main thread cannot reuse it.
+# Rows per draw strip: 16 x 10000 is a 1.3 MB float64 buffer, held once
+# per stream whatever the matrix.  Kept small because, under glibc, a
+# buffer below the 32 MB mmap ceiling that is freed on a worker thread (the
+# per-layer draws of materialize_projectors and stream_channels) can stay
+# resident in that thread's malloc arena, where the main thread cannot
+# reuse it.  A strip is also the row block of every channel expansion
+# (decohd.model): OpenBLAS runs a 4 x 16 @ 16 x 10000 product on the
+# calling thread alone, so one layer's expansion wakes no BLAS threads to
+# compete with the other layers' draws.  32- and 64-row blocks were slower.
 _GENERATE_BLOCK_ROWS = 16
 
 
@@ -90,40 +93,37 @@ def _uniform_to_ternary(u: np.ndarray, p0: float) -> None:
     np.copyto(u, 0.0, where=zero)
 
 
-def row_blocks(spec: RandomMatrixSpec, block_rows: int, dtype=np.float32):
-    """Yield the matrix described by *spec* top to bottom, *block_rows*
-    rows at a time (the last block may be shorter).
+def row_blocks(spec: RandomMatrixSpec):
+    """Yield the float64 matrix described by *spec* top to bottom, one
+    draw strip of ``_GENERATE_BLOCK_ROWS`` rows at a time (the last strip
+    may be shorter).
 
     gaussian: i.i.d. normal(0, 1) entries times ``scale``.
     ternary:  i.i.d. over {-1, 0, +1} times ``scale``; zero carries
     ``ternary_zero_prob`` mass and the remainder splits evenly.
 
-    Every yield is a view of one *dtype* block array, overwritten by the
-    next yield, so a caller keeps what it needs before asking for more.
-    Sampling fills one float64 buffer of ``_GENERATE_BLOCK_ROWS`` rows,
-    reused throughout: each strip is drawn into it in place, scaled and
-    cast into the block.  The stream does not depend on the block size
-    or the storage dtype, and the generator fills sequentially, so the
-    blocks stacked equal one full-size draw bit for bit.
+    Every yield is a view of one float64 buffer, drawn into in place,
+    scaled and overwritten by the next yield, so a caller casts or keeps
+    what it needs before asking for more.  The generator fills
+    sequentially, so the strips stacked equal one full-size draw bit for bit.
     """
     rng = rng_from_seed(spec.seed)
-    out = np.empty((min(block_rows, spec.rows), spec.cols), dtype=dtype)
-    buffer = np.empty((min(_GENERATE_BLOCK_ROWS, out.shape[0]), spec.cols))
-    for block_start in range(0, spec.rows, block_rows):
-        block = out[: min(block_rows, spec.rows - block_start)]
-        for start in range(0, block.shape[0], buffer.shape[0]):
-            strip = buffer[: min(buffer.shape[0], block.shape[0] - start)]
-            if spec.kind == "gaussian":
-                rng.standard_normal(out=strip)
-            else:
-                rng.random(out=strip)
-                _uniform_to_ternary(strip, spec.ternary_zero_prob)
-            strip *= spec.scale
-            block[start : start + strip.shape[0]] = strip
-        yield block
+    buffer = np.empty((min(_GENERATE_BLOCK_ROWS, spec.rows), spec.cols))
+    for start in range(0, spec.rows, len(buffer)):
+        strip = buffer[: spec.rows - start]
+        if spec.kind == "gaussian":
+            rng.standard_normal(out=strip)
+        else:
+            rng.random(out=strip)
+            _uniform_to_ternary(strip, spec.ternary_zero_prob)
+        strip *= spec.scale
+        yield strip
 
 
 def generate_matrix(spec: RandomMatrixSpec, dtype=np.float32) -> np.ndarray:
-    """Materialize the matrix described by *spec*: :func:`row_blocks` as
-    one block, so it holds one draw buffer besides its output."""
-    return next(row_blocks(spec, spec.rows, dtype))
+    """Materialize the matrix described by *spec* in *dtype*, filled from
+    :func:`row_blocks`, so it holds one draw buffer besides its output."""
+    out = np.empty((spec.rows, spec.cols), dtype=dtype)
+    for start, strip in zip(range(0, spec.rows, _GENERATE_BLOCK_ROWS), row_blocks(spec)):
+        out[start : start + len(strip)] = strip
+    return out

@@ -28,6 +28,21 @@ class TestFootprint:
         assert reports and all(r.footprint <= 0.1 for r in reports)
 
 
+class TestBudgetQuery:
+    @pytest.mark.parametrize("grid", [
+        {"latent_dims": (0,)}, {"latent_dims": (-5,)}, {"latent_dims": ()},
+        {"layer_counts": (0,)}, {"layer_counts": (-1,)}, {"layer_counts": (1, 0)}, {"layer_counts": ()},
+    ], ids=["d0", "d-5", "d-empty", "layers0", "layers-1", "layers1-0", "layers-empty"])
+    def test_refuses_grid_entries_below_one(self, grid):
+        with pytest.raises(ValueError, match="must be >= 1|invalid grid bounds"):
+            BudgetQuery(m_target=0.5, num_classes=3, dim=64, **grid)
+
+    def test_smallest_grid_is_accepted(self):
+        reports = enumerate_configs(BudgetQuery(m_target=10.0, num_classes=3, dim=64, layer_counts=(1,),
+                                                max_channels=1, latent_dims=(1,)))
+        assert [(r.channels_per_layer, r.latent_dim) for r in reports] == [((1,), 1)]
+
+
 class TestBudgetOf:
     def test_decomposed_equals_footprint(self, rng):
         scorer = deployed_forms(rng, channels=(2, 3), dim=48, num_classes=4)["decohd"]

@@ -120,12 +120,22 @@ def test_invalid_option_values_exit_1_as_config_errors(synthetic_csvs, tmp_path,
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+BUDGET = ["budget", "--m", "0.5", "--classes", "3", "--dim", "64"]
+
+
 @pytest.mark.parametrize("argv", [["budget", "--m", "0", "--classes", "3", "--dim", "64"],
-                                  ["synth", "--classes", "1"]], ids=["budget", "synth"])
+                                  ["synth", "--classes", "1"],
+                                  BUDGET + ["--d", "0"], BUDGET + ["--d", "-5"], BUDGET + ["--d", ","],
+                                  BUDGET + ["--layers", "0"], BUDGET + ["--layers", "-1"],
+                                  BUDGET + ["--layers", "1,0"], BUDGET + ["--top", "-1"]],
+                         ids=["budget", "synth", "budget-d0", "budget-d-5", "budget-d-empty", "budget-layers0",
+                              "budget-layers-1", "budget-layers1-0", "budget-top-1"])
 def test_invalid_values_of_other_subcommands_exit_1(argv, tmp_path, capsys):
     outputs = ["--train-out", str(tmp_path / "a.csv"), "--test-out", str(tmp_path / "b.csv")]
     assert cli.main(argv + (outputs if argv[0] == "synth" else [])) == 1
-    assert capsys.readouterr().err.startswith("config error: ")
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert out == ""  # refused before any row is printed
 
 
 def test_malformed_csv_exits_2_as_data_error(saved_decohd, tmp_path, capsys):

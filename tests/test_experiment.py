@@ -184,13 +184,12 @@ def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, tmp_pat
     # Training draws its two projectors whole, once.  When its last epoch
     # evaluated, that bank is the deployed one, so nothing is drawn again;
     # with zero epochs there is none, and fit_model streams both projectors
-    # in blocks.  Blocks of 3 rows split the 8 latent rows into 3 + 3 + 2.
+    # in 16-row strips, which split the 17 latent rows into 16 + 1.
     # A container holds the channels, so loading it and predicting draws
     # one matrix: the encoder's.
-    monkeypatch.setattr(model, "_CHANNEL_BLOCK_ROWS", 3)
     config = ExperimentConfig(
         data={"synthetic": {"num_classes": 3, "num_features": 8, "samples_per_class": 20}},
-        models=({"kind": "decohd", "channels": [2, 2], "latent_dim": 8},),
+        models=({"kind": "decohd", "channels": [2, 2], "latent_dim": 17},),
         train={"epochs": epochs, "batch_size": 16, "microbatch_size": 8},
         dims=(64,),
     )

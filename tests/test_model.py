@@ -145,10 +145,9 @@ class TestMaterializeChannels:
         with pytest.raises(ValueError, match="does not match"):
             materialize_channels(params, [np.ones((4, 5))])
 
-    @pytest.mark.parametrize("latent_dim", [1, 3, 7, 9])
-    def test_row_blocks_sum_to_the_product(self, monkeypatch, rng, latent_dim):
-        # Small integers keep every blocked partial sum exact.
-        monkeypatch.setattr(model, "_CHANNEL_BLOCK_ROWS", 3)
+    @pytest.mark.parametrize("latent_dim", [1, 16, 17, 48, 65])
+    def test_row_blocks_sum_to_the_product(self, rng, latent_dim):
+        # Small integers keep every partial sum over 16-row strips exact.
         lat = rng.integers(-4, 5, (2, latent_dim)).astype(np.float64)
         proj = rng.integers(-4, 5, (latent_dim, 11)).astype(np.float64)
         bank = materialize_channels(ModelParams([lat], np.ones((2, 2))), [proj])
@@ -326,9 +325,8 @@ class TestStreamChannels:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
     def test_equals_the_bank_of_held_projectors(self, monkeypatch, kind, dtype, latent_dim):
-        # 16-row blocks: 1 is one short block, 48 three whole ones and 65
+        # 16-row strips: 1 is one short strip, 48 three whole ones and 65
         # four whole ones plus a one-row remainder.
-        monkeypatch.setattr(model, "_CHANNEL_BLOCK_ROWS", 16)
         kind_specs(monkeypatch, kind)
         cfg = ModelConfig(channels_per_layer=(2, 1, 3), latent_dim=latent_dim, dim=40, num_classes=2, seed=8)
         params = init_params(cfg, dtype=dtype)
@@ -337,9 +335,9 @@ class TestStreamChannels:
         # loop would break the barrier.
         barrier = threading.Barrier(cfg.num_layers, timeout=10)
 
-        def together(spec, block_rows, dtype):
+        def together(spec):
             barrier.wait()
-            yield from ops.row_blocks(spec, block_rows, dtype)
+            yield from ops.row_blocks(spec)
 
         monkeypatch.setattr(model, "row_blocks", together)
         got = stream_channels(params, cfg)
@@ -358,7 +356,6 @@ class TestStreamChannels:
             stream_channels(spoil(init_params(cfg, dtype=np.float32)), cfg)
 
     def test_channel_bank_draws_no_whole_projector(self, monkeypatch):
-        monkeypatch.setattr(model, "_CHANNEL_BLOCK_ROWS", 16)
         cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=50, dim=40, num_classes=3, seed=8)
         params = init_params(cfg, dtype=np.float32)
         expected = materialize_channels(params, materialize_projectors(cfg))
@@ -377,13 +374,13 @@ class TestStreamChannels:
 
     @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
     def test_holds_a_block_per_layer_not_a_projector(self, monkeypatch, kind):
-        monkeypatch.setattr(model, "_CHANNEL_BLOCK_ROWS", 64)
         kind_specs(monkeypatch, kind)
         cfg = ModelConfig(channels_per_layer=(2, 2, 2), latent_dim=2048, dim=1000, num_classes=2, seed=8)
         params = init_params(cfg, dtype=np.float32)
         tiny = ModelConfig(channels_per_layer=(1,), latent_dim=2, dim=2, num_classes=2)
         stream_channels(init_params(tiny, np.float32), tiny)  # the pool's lazy imports come first
-        block = 64 * cfg.dim * 4
+        # Each layer holds the float32 cast of one strip of its float64 draw buffer.
+        strip = ops._GENERATE_BLOCK_ROWS * cfg.dim * 4
         draw_buffer = ops._GENERATE_BLOCK_ROWS * cfg.dim * 8
         # Ternary also holds two boolean masks of one draw buffer's rows.
         masks = 0 if kind == "gaussian" else 2 * ops._GENERATE_BLOCK_ROWS * cfg.dim
@@ -396,5 +393,5 @@ class TestStreamChannels:
         finally:
             tracemalloc.stop()
         # One projector alone is 2048 x 1000 x 4 = 8.2 MB.
-        assert peak <= cfg.num_layers * (block + draw_buffer + masks) + channels + 131072
+        assert peak <= cfg.num_layers * (strip + draw_buffer + masks) + channels + 131072
         assert bank.channels[0].shape == (2, cfg.dim)

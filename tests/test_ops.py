@@ -118,18 +118,20 @@ class TestGenerateMatrix:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
-    @pytest.mark.parametrize("block_rows", [1, 7, 16, 33, 65, 200])
-    def test_row_blocks_stack_to_the_whole_matrix(self, block_rows, kind, dtype):
-        spec = RandomMatrixSpec(rows=65, cols=9, kind=kind, seed=31, scale=0.3)
-        blocks = [b.copy() for b in ops.row_blocks(spec, block_rows, dtype)]
-        assert [len(b) for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
-        assert 1 <= len(blocks[-1]) <= block_rows
-        assert_same_bits(np.concatenate(blocks), generate_matrix(spec, dtype=dtype))
+    @pytest.mark.parametrize("rows", [1, 7, 16, 33, 65, 200])
+    def test_row_blocks_stack_to_the_whole_matrix(self, rows, kind, dtype):
+        spec = RandomMatrixSpec(rows=rows, cols=9, kind=kind, seed=31, scale=0.3)
+        strips = [b.copy() for b in ops.row_blocks(spec)]
+        strip_rows = ops._GENERATE_BLOCK_ROWS
+        assert [len(b) for b in strips] == [min(strip_rows, rows - j) for j in range(0, rows, strip_rows)]
+        assert {b.dtype for b in strips} == {np.dtype(np.float64)}
+        # Casting each strip equals the matrix drawn whole in that dtype.
+        assert_same_bits(np.concatenate([b.astype(dtype) for b in strips]), generate_matrix(spec, dtype=dtype))
 
     def test_row_blocks_reuse_one_block_array(self):
         spec = RandomMatrixSpec(rows=40, cols=9, kind="gaussian", seed=31)
-        first, *rest = ops.row_blocks(spec, 16)
-        assert all(np.shares_memory(first, b) for b in rest)
+        first, *rest = ops.row_blocks(spec)
+        assert len(rest) == 2 and all(np.shares_memory(first, b) for b in rest)
 
     @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
     def test_holds_one_block_buffer_beyond_its_output(self, kind):
