@@ -186,9 +186,9 @@ def cmd_robustness(args) -> int:
 
 
 def cmd_budget(args) -> int:
+    if args.top < 0:
+        raise ConfigError("budget: top must be >= 0")
     with _rejected_as_config_error("budget"):
-        if args.top < 0:
-            raise ValueError("top must be >= 0")
         query = BudgetQuery(
             m_target=args.m,
             num_classes=args.classes,
