@@ -17,9 +17,10 @@ bit.
 With ``normalize_output`` the output is normalized in place in strips
 of ``_NORM_STRIP_ROWS`` rows while each is in cache: the strip's
 float32 squares go to a strip-sized scratch, their row sums give the
-norms and the strip is divided by them; a zero row stays zero.  The
-squares overflow float32 beyond about 1.8e19, far above standardized
-inputs.
+norms and the strip is divided by them in one plain in-place divide,
+zero norms first set to 1: a zero row stays zero, and a row whose
+squares all underflow to zero stays as it is.  The squares overflow
+float32 beyond about 1.8e19, far above standardized inputs.
 """
 
 from __future__ import annotations
@@ -135,5 +136,6 @@ class RandomProjectionEncoder:
                 rows = out[lo:lo + _NORM_STRIP_ROWS]
                 sq = np.multiply(rows, rows, out=squares[: len(rows)])
                 norms = np.sqrt(np.add.reduce(sq, axis=1, keepdims=True))
-                np.divide(rows, norms, out=rows, where=norms > 0.0)
+                norms[norms == 0.0] = 1.0  # a zero row stays as it is
+                np.divide(rows, norms, out=rows)
         return out

@@ -147,6 +147,10 @@ class ExperimentConfig:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if any(d < 1 for d in self.dims):
             raise ConfigError(f"dims must be >= 1, got {self.dims}")
+        for i, m in enumerate(self.models):
+            for d in self.dims if m.kind == "sparsehd" else ():
+                if int(np.floor(m.budget * d)) < 1:  # as sparsify_table keeps
+                    raise ConfigError(f"models[{i}]: sparsehd budget {m.budget} retains zero of {d} dimensions")
         object.__setattr__(self, "precisions", tuple(self.precisions))
         for p in self.precisions:
             get_format(p)  # validate early
@@ -259,7 +263,7 @@ def fit_model(
         # Deploy the trained channels but not the path basis the evaluation
         # kept: run_experiment scores only quantized or bit-flipped copies
         # of this bank, so its own basis is built on first use, if ever.
-        # Without a final evaluation there is no trained bank to reuse.
+        # Only a zero-epoch fit has no trained bank to reuse.
         bank = ChannelBank(result.bank.channels) if result.bank else stream_channels(result.params, model_cfg)
         scorer = DecomposedScorer(bank, result.params.head)
         return Classifier(encoder, standardizer, scorer, spec.kind), result.history

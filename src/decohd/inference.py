@@ -7,7 +7,9 @@ prototype is stored; a decomposed model has two forwards:
 
 * :func:`score_batch` scores rows against the basis the bank keeps, via
   :func:`path_terms` (``t = u @ basis.T``), which training runs per
-  microbatch too.  It serves batches and ``predict``.
+  microbatch too.  It serves batches and ``predict``, squaring at most
+  256 rows at a time into one reused buffer, so its working memory is
+  bounded whatever the batch size.
 * :func:`stream_scores` scores one hypervector path by path, in
   ``itertools.product`` order, without a basis: it keeps ``u`` and one
   working hypervector in float64 and C scalar scores.
@@ -35,8 +37,12 @@ import numpy as np
 from .model import ChannelBank
 
 # Most rows score_batch squares and scores at once; its working buffer
-# holds this many rows whatever the batch size.
-_SCORE_CHUNK_ROWS = 1024
+# holds this many rows whatever the batch size.  At D=10000 float32 it is
+# 10 MB, under glibc's 32 MB mmap threshold, so the heap reuses it rather
+# than mapping and zero-filling it per call, and a chunk's squares are
+# still in cache for the product; 512 rows was no faster, 128 slower.
+# Scoring against <P_c, h> (ROADMAP Direction 1) removes the buffer.
+_SCORE_CHUNK_ROWS = 256
 
 
 def input_term(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

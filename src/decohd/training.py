@@ -24,10 +24,14 @@ Paths are row-major, so the channel gradient is a reshape-sum: the
 products ``d basis * complement`` viewed as ``(L_0, ..., L_k, dim)`` are
 summed over every layer axis but i.  Gradient accumulation happens at
 the channel level, so the projector matmuls run once per optimizer step
-rather than once per microbatch.  Channels are materialized once per
-parameter state: the end-of-epoch evaluation scores the bank that the
-next epoch's first batch trains on.  The test suite checks these
-gradients against central differences of the loss.
+rather than once per microbatch.  Each microbatch's rows are gathered
+into one buffer of ``microbatch_size`` rows that the run reuses, and
+squared there in place into ``u``, so a step's working memory does not
+grow with the batch or the training set.  Channels are materialized
+once per parameter state: the end-of-epoch evaluation scores the bank
+that the next epoch's first batch trains on, and the final bank is
+returned.  The test suite checks these gradients against central
+differences of the loss.
 """
 
 from __future__ import annotations
@@ -97,18 +101,21 @@ def softmax_cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[np.nd
     return e / total, loss
 
 
-def _microbatch_stats(h: np.ndarray, labels: np.ndarray, basis: np.ndarray, head: np.ndarray):
-    """Forward + residuals for one microbatch.
+def _microbatch_stats(
+    h: np.ndarray, labels: np.ndarray, basis: np.ndarray, head: np.ndarray, out: np.ndarray | None = None
+):
+    """Forward + residuals for one microbatch; *out*, if given, receives
+    the input term ``u`` (*h* itself, to square it in place).
 
     Returns (loss, num_correct, d_head_sum, d_basis_sum) where the grad
     terms are sums over samples (caller divides by the batch size).
     """
-    u, t = path_terms(h, basis)  # t: (b, num_paths)
+    u, t = path_terms(h, basis, out=out)  # t: (b, num_paths)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging step; checked below
         scores = t @ head.T  # (b, num_classes)
     if not np.isfinite(scores).all():
         raise TrainingError(
-            f"non-finite logits in microbatch (|h|max={np.abs(h).max():.3g}, "
+            f"non-finite logits in microbatch (|h*h|max={np.abs(u).max():.3g}, "
             f"|head|max={np.abs(head).max():.3g})"
         )
     probs, loss = softmax_cross_entropy(scores, labels)
@@ -220,7 +227,7 @@ class EpochStats:
 class TrainResult:
     params: ModelParams
     history: list[EpochStats] = field(default_factory=list)
-    # Channels of the final params when the last epoch evaluated them, else None.
+    # Channels of the final params; None only when no epoch ran.
     bank: ChannelBank | None = None
 
 
@@ -242,9 +249,11 @@ def train(
     accuracy of the pre-update forward passes.  A non-finite epoch loss
     aborts with the last finite checkpoint attached to the exception.
     Channels are materialized only when the parameters changed since the
-    last bank, and the final bank, if any, is returned with the result.
-    Training runs in the floating dtype of *h_train*: the encoder's
-    float32, or float64 as a precision reference.
+    last bank, and the final bank is returned with the result whenever an
+    epoch ran, so no caller draws the projectors again.  Training runs in
+    the floating dtype of *h_train*: the encoder's float32, or float64 as
+    a precision reference.  *h_train* is only read: each microbatch is
+    gathered into, and squared in, one buffer that the run reuses.
     """
     h_train = np.asarray(h_train)
     dtype = h_train.dtype
@@ -261,6 +270,9 @@ def train(
     history: list[EpochStats] = []
     last_good = params.copy()
     bank = None  # channels of the current params; None once a step changes them
+    # Each microbatch's rows are gathered into this one buffer and squared
+    # there in place; mode="clip" lets np.take write into it unbuffered.
+    h_mb = np.empty((min(train_config.microbatch_size, n), h_train.shape[1]), dtype=dtype)
     start = time.perf_counter()
 
     for epoch in range(train_config.epochs):
@@ -278,11 +290,14 @@ def train(
                 d_basis = np.zeros_like(basis)
                 for m_start in range(0, b_n, train_config.microbatch_size):
                     mb = b_idx[m_start : m_start + train_config.microbatch_size]
-                    l_sum, c, dh_sum, db_sum = _microbatch_stats(h_train[mb], y_train[mb], basis, params.head)
+                    h = np.take(h_train, mb, axis=0, out=h_mb[: len(mb)], mode="clip")
+                    l_sum, c, dh_sum, db_sum = _microbatch_stats(h, y_train[mb], basis, params.head, out=h)
                     loss_sum += l_sum
                     correct += c
-                    d_head += dh_sum / b_n
-                    d_basis += db_sum / b_n
+                    dh_sum /= b_n
+                    d_head += dh_sum
+                    db_sum /= b_n
+                    d_basis += db_sum
                 optimizer.step(params, _gradients(d_head, d_basis, bank, projectors))
                 bank = None
         except TrainingError as exc:
@@ -310,6 +325,8 @@ def train(
         )
         last_good = params.copy()
 
+    if bank is None and history:
+        bank = materialize_channels(params, projectors)
     return TrainResult(params=params, history=history, bank=bank)
 
 

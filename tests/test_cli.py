@@ -91,9 +91,10 @@ def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, 
                                    {"noise": {"p_grid": [2.0]}}, {"noise": {"p_grid": [0.0], "trials": 0}},
                                    {"encoder_kind": "ternery"},
                                    {"models": [{"kind": "onlinehd", "epochs": -3}]},
-                                   {"models": [{"kind": "onlinehd", "learning_rate": -0.1}]}],
+                                   {"models": [{"kind": "onlinehd", "learning_rate": -0.1}]},
+                                   {"models": [{"kind": "sparsehd", "budget": 0.05}]}],
                          ids=["eval_every", "weight_decay", "noise-p", "noise-trials", "encoder-kind",
-                              "refine-epochs", "refine-learning-rate"])
+                              "refine-epochs", "refine-learning-rate", "sparse-budget-keeps-none"])
 def test_invalid_train_config_of_a_sweep_exits_1(tmp_path, capsys, train):
     # Top-level keys replace the config's own; any other key goes into its train config.
     top = {k: v for k, v in train.items() if k in ("noise", "encoder_kind", "models")}
@@ -114,10 +115,15 @@ def test_invalid_train_config_of_a_sweep_exits_1(tmp_path, capsys, train):
 
 @pytest.mark.parametrize("extra", [["--epochs", "-1"], ["--dim", "0"], ["--channels", "0,2"],
                                    ["--model", "sparsehd", "--sparse-budget", "0"],
+                                   ["--model", "sparsehd", "--sparse-budget", "1e-9"],
+                                   ["--model", "sparsehd", "--sparse-budget", "0.0156"],
                                    ["--weight-decay", "-0.5"], ["--model", "onlinehd", "--refine-epochs", "-3"]])
 def test_invalid_option_values_exit_1_as_config_errors(synthetic_csvs, tmp_path, capsys, extra):
+    # At --dim 64 a sparse budget below 1/64 keeps no dimension.
     assert cli.main(train_args(synthetic_csvs, tmp_path, *extra)) == 1
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+    assert not (tmp_path / "m.npz").exists()
 
 
 BUDGET = ["budget", "--m", "0.5", "--classes", "3", "--dim", "64"]

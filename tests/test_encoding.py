@@ -189,6 +189,37 @@ class TestResidentMatrix:
         assert_same_bits(out[33], np.zeros(300, dtype=np.float32))
         assert np.isfinite(out).all()
 
+    @pytest.mark.parametrize("zero_rows", [[0], [31, 32], list(range(32, 64)), [69]],
+                             ids=["first", "strip-edge", "whole-strip", "last"])
+    def test_zero_rows_stay_zero(self, rng, zero_rows):
+        # A zero norm divides by 1: no 0/0, and the other rows are
+        # normalized as they would be without the zero rows.
+        cfg = EncoderConfig(num_features=37, dim=300, seed=9)
+        standardizer = fit_standardizer(rng.standard_normal((50, 37)))
+        x = 3.0 * rng.standard_normal((70, 37)) + 1.0
+        x[zero_rows] = standardizer.mean
+        enc = RandomProjectionEncoder(cfg)
+        out = enc.encode_batch(x, standardizer)
+        assert_same_bits(out[zero_rows], np.zeros((len(zero_rows), 300), dtype=np.float32))
+        others = np.setdiff1d(np.arange(70), zero_rows)
+        assert_same_bits(out[others], enc.encode_batch(x[others], standardizer))
+
+    def test_rows_whose_squares_underflow_stay_as_projected(self, rng):
+        # Entries near 1e-26 square below float32's smallest subnormal, so
+        # the row's norm is 0 and the row is left unnormalized, nonzero.
+        cfg = EncoderConfig(num_features=37, dim=300, seed=9)
+        ident = identity_standardizer(37)
+        x = rng.standard_normal((70, 37))
+        tiny = [5, 31, 32, 69]
+        x[tiny] *= 1e-26
+        out = RandomProjectionEncoder(cfg).encode_batch(x, ident)
+        raw = RandomProjectionEncoder(EncoderConfig(num_features=37, dim=300, seed=9, normalize_output=False))
+        projected = raw.encode_batch(x, ident)[tiny]
+        assert (projected != 0.0).any(axis=1).all() and (projected * projected == 0.0).all()
+        assert_same_bits(out[tiny], projected)
+        others = np.setdiff1d(np.arange(70), tiny)
+        np.testing.assert_allclose(np.linalg.norm(out[others], axis=1), 1.0, atol=1e-6)
+
     @pytest.mark.parametrize("normalize", [True, False])
     def test_rows_do_not_depend_on_their_batch(self, rng, normalize):
         # A matrix product accumulates each entry in one order whatever

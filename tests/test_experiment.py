@@ -153,6 +153,24 @@ CONFIG_SCHEMA = {
 }
 
 
+@pytest.mark.parametrize("budget, dims", [(1e-9, (64,)), (0.0156, (64,)), (0.01, (1000, 64))],
+                         ids=["tiny", "below-one-over-D", "second-dim"])
+def test_sparse_budget_that_keeps_no_dimension_is_a_config_error(budget, dims):
+    # sparsify_table keeps floor(budget * D) dimensions; a model that keeps
+    # none at some D is refused before anything trains.
+    models = ({"kind": "prototype"}, {"kind": "sparsehd", "budget": budget})
+    with pytest.raises(ConfigError, match=f"models\\[1\\]: sparsehd budget {budget} retains zero of 64 dimensions"):
+        ExperimentConfig(data={"synthetic": {}}, models=models, dims=dims)
+
+
+@pytest.mark.parametrize("budget, dims", [(1 / 64, (64,)), (0.01, (100, 1000)), (1e-9, (10**9,))],
+                         ids=["one-of-64", "one-of-100", "one-of-1e9"])
+def test_sparse_budget_that_keeps_one_dimension_is_accepted(budget, dims):
+    ExperimentConfig(data={"synthetic": {}}, models=({"kind": "sparsehd", "budget": budget},), dims=dims)
+    # The budget of another kind is not read.
+    ExperimentConfig(data={"synthetic": {}}, models=({"kind": "onlinehd", "budget": 1e-9},), dims=(64,))
+
+
 @pytest.mark.parametrize("cls", list(CONFIG_SCHEMA), ids=lambda cls: cls.__name__)
 def test_config_schema_is_pinned(cls):
     assert [f.name for f in dataclasses.fields(cls)] == CONFIG_SCHEMA[cls]
@@ -176,21 +194,23 @@ def test_deleted_train_keys_are_rejected(tmp_path, key, value):
         load_config(str(path))
 
 
-# Ids name whether the final epoch evaluated, and the projector draws
-# fit_model makes, dense plus streamed.
-@pytest.mark.parametrize("epochs, dense, streamed", [(2, 2, 0), (0, 2, 2)],
-                         ids=["trained-2", "untrained-4"])
-def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, tmp_path, epochs, dense, streamed):
-    # Training draws its two projectors whole, once.  When its last epoch
-    # evaluated, that bank is the deployed one, so nothing is drawn again;
-    # with zero epochs there is none, and fit_model streams both projectors
-    # in 16-row strips, which split the 17 latent rows into 16 + 1.
+# Ids name whether training ran and whether its last epoch evaluated, and
+# the projector draws fit_model makes, dense plus streamed.
+@pytest.mark.parametrize("epochs, eval_every, dense, streamed", [(2, 1, 2, 0), (3, 2, 2, 0), (0, 1, 2, 2)],
+                         ids=["trained-2", "trained-no-final-eval-2", "untrained-4"])
+def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, tmp_path, epochs, eval_every,
+                                                            dense, streamed):
+    # Training draws its two projectors whole, once, and returns the final
+    # bank whether or not its last epoch evaluated: that bank is the
+    # deployed one, so nothing is drawn again.  With zero epochs there is
+    # none, and fit_model streams both projectors in 16-row strips, which
+    # split the 17 latent rows into 16 + 1.
     # A container holds the channels, so loading it and predicting draws
     # one matrix: the encoder's.
     config = ExperimentConfig(
         data={"synthetic": {"num_classes": 3, "num_features": 8, "samples_per_class": 20}},
         models=({"kind": "decohd", "channels": [2, 2], "latent_dim": 17},),
-        train={"epochs": epochs, "batch_size": 16, "microbatch_size": 8},
+        train={"epochs": epochs, "batch_size": 16, "microbatch_size": 8, "eval_every": eval_every},
         dims=(64,),
     )
     train_ds, test_ds = prepare_data(config.data, config.root_seed)

@@ -130,8 +130,9 @@ class TestScoreBatch:
 
 class TestChunkedScoreBatch:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2500])
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513, 1023, 1024, 1025, 2500])
     def test_equals_whole_batch_product(self, rng, n, dtype):
+        # 255 to 257 and 513 sit on the 256-row chunk boundaries.
         bank, head, _ = random_bank_and_head(rng, dtype, channels=(2, 3, 2), dim=256, num_classes=5)
         h = rng.standard_normal((n, 256)).astype(dtype)
         scores = score_batch(h, bank, head)
