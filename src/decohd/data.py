@@ -7,6 +7,7 @@ Feature count and class count are inferred and reported.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -160,8 +161,8 @@ def make_synthetic(
     separation 0 makes the classes indistinguishable (a chance-level
     fixture); large separation makes them trivially separable.
     """
-    if separation < 0:
-        raise ValueError("separation must be >= 0")
+    if not 0.0 <= separation < math.inf:
+        raise ValueError(f"separation must be finite and >= 0, got {separation}")
     if num_classes < 2 or num_features < 1 or samples_per_class < 1:
         raise ValueError("invalid synthetic dataset shape")
     centers = np.zeros((num_classes, num_features))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from collections.abc import Sequence
 from dataclasses import asdict, astuple, dataclass, field, fields
@@ -67,6 +68,10 @@ class SyntheticSpec:
     samples_per_class: int = 200
     separation: float = 3.0
 
+    def __post_init__(self):
+        if not 0.0 <= self.separation < math.inf:
+            raise ConfigError(f"data.synthetic: separation must be finite and >= 0, got {self.separation}")
+
 
 @dataclass(frozen=True)
 class DataSpec:
@@ -103,8 +108,8 @@ class ModelSpec:
             raise ConfigError("decohd needs at least one layer, every layer >= 1 channel, latent_dim >= 1")
         if not 0.0 < self.budget <= 1.0:
             raise ConfigError("sparsehd budget must be in (0, 1]")
-        if self.epochs < 0 or self.learning_rate < 0:
-            raise ConfigError("onlinehd refinement needs epochs >= 0 and learning_rate >= 0")
+        if self.epochs < 0 or not 0.0 <= self.learning_rate < math.inf:
+            raise ConfigError("onlinehd refinement needs epochs >= 0 and a finite learning_rate >= 0")
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,15 @@ through its elementwise square: ``score_c(h) = <P_c, h*h>`` with
 
 A channel expansion ``lat @ P`` is always the in-order sum of
 ``lat[:, j:j+S] @ P[j:j+S]`` over the projector's ``S``-row draw strips
-(``decohd.ops._GENERATE_BLOCK_ROWS``, 16 rows).  Training slices the
-projectors it holds (:func:`materialize_channels`); a model built from
-latents multiplies each strip into its channels as soon as it is drawn
-from the seed, and never holds a whole projector (:func:`stream_channels`).
-Both run the same products, so their banks are bit-identical.  Containers
-store channels.
+(``decohd.ops._GENERATE_BLOCK_ROWS``, 16 rows), in one function,
+``_expand``.  Training slices the projectors it holds
+(:func:`materialize_channels`), and each optimizer step feeds it the
+strips of its one pass over them, updating a panel's latent columns
+before it yields the panel's strips (:mod:`decohd.training`).  A model
+built from latents multiplies each strip into its channels as soon as it
+is drawn from the seed, and never holds a whole projector
+(:func:`stream_channels`).  All three run the same products, so their
+banks are bit-identical.  Containers store channels.
 
 Path enumeration is row-major over the per-layer channel choices: the
 last layer varies fastest, as in ``itertools.product`` of the layers'
@@ -181,11 +184,16 @@ class ChannelBank:
 def _expand(lat: np.ndarray, strips) -> np.ndarray:
     """``lat @ P`` summed strip by strip, in order, over the row strips
     of ``P`` that *strips* yields, each cast to the latents' dtype and
-    used before the next is asked for."""
-    channels, start = None, 0
+    used before the next is asked for.  A strip's latent columns are read
+    only once it has been yielded.  The first strip's product is the sum;
+    every later one is multiplied into one reused buffer and added."""
+    channels, product, start = None, None, 0
     for strip in strips:
-        part = lat[:, start : start + len(strip)] @ strip.astype(lat.dtype, copy=False)
-        channels = part if channels is None else np.add(channels, part, out=channels)
+        part = np.matmul(lat[:, start : start + len(strip)], strip.astype(lat.dtype, copy=False), out=product)
+        if channels is None:
+            channels, product = part, np.empty_like(part)
+        else:
+            channels += part
         start += len(strip)
     return channels
 

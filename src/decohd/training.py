@@ -23,12 +23,20 @@ residual ``g_c = p_c - 1{c==y}`` (batch-averaged):
 Paths are row-major, so the channel gradient is a reshape-sum: the
 products ``d basis * complement`` viewed as ``(L_0, ..., L_k, dim)`` are
 summed over every layer axis but i.  Gradient accumulation happens at
-the channel level, so the projector matmuls run once per optimizer step
+the channel level, so the projectors are read once per optimizer step
 rather than once per microbatch.  Each microbatch's rows are gathered
 into one buffer of ``microbatch_size`` rows that the run reuses, and
 squared there in place into ``u``, so a step's working memory does not
-grow with the batch or the training set.  Channels are materialized
-once per parameter state: the end-of-epoch evaluation scores the bank
+grow with the batch or the training set.
+
+A step makes one pass over each layer's projector, in panels of
+``_PANEL_ROWS`` rows.  For each panel it forms the panel's columns of
+``d latent``, applies AdamW to those latent columns and expands the
+panel's draw strips into the next channels
+(:func:`~decohd.model._expand`), which read the columns just updated.
+So the step returns the bank of the updated parameters, and there is
+one bank per parameter state: :func:`~decohd.model.materialize_channels`
+builds only the first, each end-of-epoch evaluation scores the bank
 that the next epoch's first batch trains on, and the final bank is
 returned.  The test suite checks these gradients against central
 differences of the loss.
@@ -36,6 +44,7 @@ differences of the loss.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -46,13 +55,21 @@ from .model import (
     ChannelBank,
     ModelConfig,
     ModelParams,
+    _expand,
     accuracy,
     init_params,
     layer_views,
     materialize_channels,
     materialize_projectors,
 )
-from .ops import derive_seed, rng_from_seed
+from .ops import _GENERATE_BLOCK_ROWS, derive_seed, rng_from_seed
+
+# Projector rows per panel of a step's pass: four draw strips.  On
+# OpenBLAS a 64-row panel's latent-gradient product is bit-identical to
+# the whole-projector product; 32, 96 and 128 rows were too but slower,
+# 40, 48, 56 and 80 rows were not, and 16-row panels take a small-matrix
+# kernel that rounds differently.
+_PANEL_ROWS = 64
 
 
 class TrainingError(RuntimeError):
@@ -82,10 +99,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1 or self.microbatch_size < 1:
             raise ValueError("batch sizes must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
 
@@ -110,8 +127,8 @@ def _microbatch_stats(
     Returns (loss, num_correct, d_head_sum, d_basis_sum) where the grad
     terms are sums over samples (caller divides by the batch size).
     """
-    u, t = path_terms(h, basis, out=out)  # t: (b, num_paths)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging step; checked below
+        u, t = path_terms(h, basis, out=out)  # t: (b, num_paths)
         scores = t @ head.T  # (b, num_classes)
     if not np.isfinite(scores).all():
         raise TrainingError(
@@ -158,58 +175,97 @@ def _channel_grads_from_basis(d_basis: np.ndarray, bank: ChannelBank) -> list[np
     return d_channels
 
 
-def _gradients(
-    d_head: np.ndarray, d_basis: np.ndarray, bank: ChannelBank, projectors: list[np.ndarray]
-) -> ModelParams:
-    """Latent and head gradients from the head and path-basis gradients.
-
-    ``d latent_i = d channel_i @ projector_i^T`` is computed as
-    ``(projector_i @ d channel_i^T)^T``: with only L_i output rows, the
-    product against a transposed projector takes a slow BLAS path.
-    """
-    d_channels = _channel_grads_from_basis(d_basis, bank)
-    d_latents = [(proj @ d_ch.T).T for d_ch, proj in zip(d_channels, projectors)]
-    return ModelParams(latents=d_latents, head=d_head)
-
-
 class AdamW:
-    """Decoupled weight-decay Adam over a ModelParams pytree.
+    """Decoupled weight-decay Adam over the arrays of a ModelParams.
 
     Update: p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), with
-    bias-corrected moments.
+    bias-corrected moments.  A step is one :meth:`step`, then one
+    :meth:`update` of every column of every array, in any column ranges
+    and any order; each entry's update is elementwise, so updating an
+    array in column ranges gives its whole-array update bit for bit.
     """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, learning_rate: float = 1e-3, weight_decay: float = 0.0):
+    def __init__(self, arrays: list[np.ndarray], learning_rate: float = 1e-3, weight_decay: float = 0.0):
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
         self.t = 0
-        self._m: list[np.ndarray] | None = None
-        self._v: list[np.ndarray] | None = None
+        self._arrays = arrays
+        self._m = [np.zeros_like(a) for a in arrays]
+        self._v = [np.zeros_like(a) for a in arrays]
 
-    def step(self, params: ModelParams, grads: ModelParams) -> None:
-        """One in-place update of latents and head by their gradients."""
-        arrays = params.arrays()
-        if self._m is None:
-            self._m = [np.zeros_like(a) for a in arrays]
-            self._v = [np.zeros_like(a) for a in arrays]
+    def step(self) -> None:
+        """Start a step: advance ``t`` and its bias corrections."""
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for k, (p, g) in enumerate(zip(arrays, grads.arrays())):
-            m = self._m[k]
-            v = self._v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay > 0.0:
-                update = update + self.weight_decay * p
-            p -= self.learning_rate * update
+        self._bc1 = 1.0 - self.beta1**self.t
+        self._bc2 = 1.0 - self.beta2**self.t
+
+    def update(self, k: int, grad: np.ndarray, cols: slice = slice(None)) -> None:
+        """In-place update of columns *cols* of the k-th array by their gradient *grad*."""
+        p, m, v = self._arrays[k][:, cols], self._m[k][:, cols], self._v[k][:, cols]
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (grad * grad)
+        update = (m / self._bc1) / (np.sqrt(v / self._bc2) + self.eps)
+        if self.weight_decay > 0.0:
+            update = update + self.weight_decay * p
+        p -= self.learning_rate * update
+
+
+def _updated_strips(optimizer: AdamW, k: int, d_channels: np.ndarray, projector: np.ndarray):
+    """The draw strips of *projector*, the k-th layer's.  Before a panel's
+    first strip is yielded, the panel's columns of the latent gradient,
+    ``(panel @ d_channels^T)^T``, update those latent columns."""
+    for p in range(0, projector.shape[0], _PANEL_ROWS):
+        panel = projector[p : p + _PANEL_ROWS]
+        optimizer.update(k, (panel @ d_channels.T).T, slice(p, p + len(panel)))
+        for j in range(0, len(panel), _GENERATE_BLOCK_ROWS):
+            yield panel[j : j + _GENERATE_BLOCK_ROWS]
+
+
+def _train_batch(h_train, y_train, b_idx, h_mb, params: ModelParams, bank: ChannelBank,
+                 projectors: list[np.ndarray], optimizer: AdamW, loss_sum: float):
+    """One optimizer step on the batch *b_idx*, whose microbatches are
+    gathered into *h_mb*.  Returns *loss_sum* plus each microbatch's loss
+    sum in turn, the number of correct pre-update predictions and the bank
+    of the updated parameters; the gradients and the old basis die with
+    the call.
+
+    ``d latent_i = d channel_i @ projector_i^T`` is formed panel by panel
+    as ``(panel @ d channel_i^T)^T``: with only L_i output rows, the
+    product against a transposed projector takes a slow BLAS path.  Each
+    layer's latents are updated and re-expanded in the same pass over its
+    projector (:func:`_updated_strips`).
+    """
+    b_n = len(b_idx)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged step; the forward checks it
+        basis = bank.basis
+    correct = 0
+    d_head = np.zeros_like(params.head)
+    d_basis = np.zeros_like(basis)
+    for m_start in range(0, b_n, len(h_mb)):
+        mb = b_idx[m_start : m_start + len(h_mb)]
+        h = np.take(h_train, mb, axis=0, out=h_mb[: len(mb)], mode="clip")
+        l_sum, c, dh_sum, db_sum = _microbatch_stats(h, y_train[mb], basis, params.head, out=h)
+        loss_sum += l_sum
+        correct += c
+        dh_sum /= b_n
+        d_head += dh_sum
+        db_sum /= b_n
+        d_basis += db_sum
+    optimizer.step()
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging step; checked after it
+        d_channels = _channel_grads_from_basis(d_basis, bank)
+        channels = [
+            _expand(lat, _updated_strips(optimizer, k, d_ch, proj))
+            for k, (lat, d_ch, proj) in enumerate(zip(params.latents, d_channels, projectors))
+        ]
+        optimizer.update(len(params.latents), d_head)
+    return loss_sum, correct, ChannelBank(channels)
 
 
 @dataclass
@@ -246,13 +302,14 @@ def train(
     gradients over microbatches before a single optimizer step; the
     accumulated gradient is the exact batch mean regardless of the
     microbatch split.  ``train_accuracy`` in the history is the running
-    accuracy of the pre-update forward passes.  A non-finite epoch loss
-    aborts with the last finite checkpoint attached to the exception.
-    Channels are materialized only when the parameters changed since the
-    last bank, and the final bank is returned with the result whenever an
-    epoch ran, so no caller draws the projectors again.  Training runs in
-    the floating dtype of *h_train*: the encoder's float32, or float64 as
-    a precision reference.  *h_train* is only read: each microbatch is
+    accuracy of the pre-update forward passes.  An epoch that ends with
+    a non-finite loss or path basis aborts with the last finite checkpoint
+    attached to the exception.  Channels are materialized once, before
+    the first step; each step returns the bank of its updated parameters,
+    and the final bank is returned with the result whenever an epoch ran,
+    so no caller draws the projectors again.  Training runs in the
+    floating dtype of *h_train*: the encoder's float32, or float64 as a
+    precision reference.  *h_train* is only read: each microbatch is
     gathered into, and squared in, one buffer that the run reuses.
     """
     h_train = np.asarray(h_train)
@@ -266,14 +323,15 @@ def train(
 
     params = init_params(config, dtype=dtype)
     projectors = materialize_projectors(config, dtype=dtype)
-    optimizer = AdamW(learning_rate=train_config.learning_rate, weight_decay=train_config.weight_decay)
+    optimizer = AdamW(params.arrays(), train_config.learning_rate, train_config.weight_decay)
     history: list[EpochStats] = []
     last_good = params.copy()
-    bank = None  # channels of the current params; None once a step changes them
     # Each microbatch's rows are gathered into this one buffer and squared
     # there in place; mode="clip" lets np.take write into it unbuffered.
     h_mb = np.empty((min(train_config.microbatch_size, n), h_train.shape[1]), dtype=dtype)
     start = time.perf_counter()
+    # The channels of the current params: each step returns its successor.
+    bank = materialize_channels(params, projectors) if train_config.epochs else None
 
     for epoch in range(train_config.epochs):
         order = rng_from_seed(derive_seed(config.seed, "shuffle", epoch)).permutation(n)
@@ -282,24 +340,10 @@ def train(
         try:
             for b_start in range(0, n, train_config.batch_size):
                 b_idx = order[b_start : b_start + train_config.batch_size]
-                b_n = len(b_idx)
-                if bank is None:
-                    bank = materialize_channels(params, projectors)
-                basis = bank.basis
-                d_head = np.zeros_like(params.head)
-                d_basis = np.zeros_like(basis)
-                for m_start in range(0, b_n, train_config.microbatch_size):
-                    mb = b_idx[m_start : m_start + train_config.microbatch_size]
-                    h = np.take(h_train, mb, axis=0, out=h_mb[: len(mb)], mode="clip")
-                    l_sum, c, dh_sum, db_sum = _microbatch_stats(h, y_train[mb], basis, params.head, out=h)
-                    loss_sum += l_sum
-                    correct += c
-                    dh_sum /= b_n
-                    d_head += dh_sum
-                    db_sum /= b_n
-                    d_basis += db_sum
-                optimizer.step(params, _gradients(d_head, d_basis, bank, projectors))
-                bank = None
+                loss_sum, c, bank = _train_batch(
+                    h_train, y_train, b_idx, h_mb, params, bank, projectors, optimizer, loss_sum
+                )
+                correct += c
         except TrainingError as exc:
             raise TrainingDiverged(
                 f"training diverged at epoch {epoch}: {exc}", last_good, history
@@ -310,9 +354,13 @@ def train(
             raise TrainingDiverged(
                 f"loss became non-finite at epoch {epoch}", last_good, history
             )
+        with np.errstate(over="ignore", invalid="ignore"):  # the last step may have diverged
+            if not np.isfinite(bank.basis).all():
+                raise TrainingDiverged(
+                    f"path basis became non-finite at epoch {epoch}", last_good, history
+                )
         test_acc = float("nan")
         if h_test is not None and y_test is not None and (epoch + 1) % train_config.eval_every == 0:
-            bank = materialize_channels(params, projectors)
             test_acc = evaluate(bank, params.head, np.asarray(h_test).astype(dtype, copy=False), y_test)
         history.append(
             EpochStats(
@@ -325,8 +373,6 @@ def train(
         )
         last_good = params.copy()
 
-    if bank is None and history:
-        bank = materialize_channels(params, projectors)
     return TrainResult(params=params, history=history, bank=bank)
 
 

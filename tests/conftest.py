@@ -72,15 +72,24 @@ def random_small_instance(rng, dtype=np.float64):
 
 def backward(h_batch, labels, params: ModelParams, projectors) -> ModelParams:
     """Analytic gradient of the mean cross-entropy over the batch, from
-    the forward and gradient steps that :func:`decohd.training.train`
-    runs on one microbatch."""
+    the forward and channel-gradient steps that :func:`decohd.training.train`
+    runs on one microbatch, with ``d latent = d channel @ projector^T``
+    formed whole rather than panel by panel as a training step does."""
     labels = np.asarray(labels)
     bank = materialize_channels(params, projectors)
     _, _, d_head_sum, d_basis_sum = training._microbatch_stats(
         np.asarray(h_batch), labels, bank.basis, params.head
     )
     b = len(labels)
-    return training._gradients(d_head_sum / b, d_basis_sum / b, bank, projectors)
+    d_channels = training._channel_grads_from_basis(d_basis_sum / b, bank)
+    return ModelParams([d_ch @ proj.T for d_ch, proj in zip(d_channels, projectors)], d_head_sum / b)
+
+
+def adamw_step(optimizer, grads: ModelParams) -> None:
+    """One whole-array AdamW step: :meth:`step`, then every array's update."""
+    optimizer.step()
+    for k, g in enumerate(grads.arrays()):
+        optimizer.update(k, g)
 
 
 def batch_loss(h_batch, labels, params: ModelParams, projectors) -> float:

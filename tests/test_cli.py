@@ -92,12 +92,17 @@ def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, 
                                    {"encoder_kind": "ternery"},
                                    {"models": [{"kind": "onlinehd", "epochs": -3}]},
                                    {"models": [{"kind": "onlinehd", "learning_rate": -0.1}]},
-                                   {"models": [{"kind": "sparsehd", "budget": 0.05}]}],
+                                   {"models": [{"kind": "sparsehd", "budget": 0.05}]},
+                                   {"learning_rate": float("nan")}, {"weight_decay": float("inf")},
+                                   {"models": [{"kind": "onlinehd", "learning_rate": float("nan")}]},
+                                   {"data": {"synthetic": {"num_classes": 3, "separation": float("nan")}}}],
                          ids=["eval_every", "weight_decay", "noise-p", "noise-trials", "encoder-kind",
-                              "refine-epochs", "refine-learning-rate", "sparse-budget-keeps-none"])
+                              "refine-epochs", "refine-learning-rate", "sparse-budget-keeps-none",
+                              "learning-rate-nan", "weight-decay-inf", "refine-learning-rate-nan",
+                              "separation-nan"])
 def test_invalid_train_config_of_a_sweep_exits_1(tmp_path, capsys, train):
     # Top-level keys replace the config's own; any other key goes into its train config.
-    top = {k: v for k, v in train.items() if k in ("noise", "encoder_kind", "models")}
+    top = {k: v for k, v in train.items() if k in ("noise", "encoder_kind", "models", "data")}
     config = {
         "data": {"synthetic": {"num_classes": 3, "num_features": 6, "samples_per_class": 10}},
         "models": [{"kind": "decohd", "channels": [2], "latent_dim": 4}],
@@ -117,7 +122,9 @@ def test_invalid_train_config_of_a_sweep_exits_1(tmp_path, capsys, train):
                                    ["--model", "sparsehd", "--sparse-budget", "0"],
                                    ["--model", "sparsehd", "--sparse-budget", "1e-9"],
                                    ["--model", "sparsehd", "--sparse-budget", "0.0156"],
-                                   ["--weight-decay", "-0.5"], ["--model", "onlinehd", "--refine-epochs", "-3"]])
+                                   ["--weight-decay", "-0.5"], ["--model", "onlinehd", "--refine-epochs", "-3"],
+                                   ["--learning-rate", "nan"], ["--learning-rate", "inf"],
+                                   ["--weight-decay", "nan"], ["--weight-decay", "inf"]])
 def test_invalid_option_values_exit_1_as_config_errors(synthetic_csvs, tmp_path, capsys, extra):
     # At --dim 64 a sparse budget below 1/64 keeps no dimension.
     assert cli.main(train_args(synthetic_csvs, tmp_path, *extra)) == 1
@@ -133,9 +140,11 @@ BUDGET = ["budget", "--m", "0.5", "--classes", "3", "--dim", "64"]
                                   ["synth", "--classes", "1"],
                                   BUDGET + ["--d", "0"], BUDGET + ["--d", "-5"], BUDGET + ["--d", ","],
                                   BUDGET + ["--layers", "0"], BUDGET + ["--layers", "-1"],
-                                  BUDGET + ["--layers", "1,0"], BUDGET + ["--top", "-1"]],
+                                  BUDGET + ["--layers", "1,0"], BUDGET + ["--top", "-1"],
+                                  ["synth", "--separation", "nan"], ["synth", "--separation", "inf"]],
                          ids=["budget", "synth", "budget-d0", "budget-d-5", "budget-d-empty", "budget-layers0",
-                              "budget-layers-1", "budget-layers1-0", "budget-top-1"])
+                              "budget-layers-1", "budget-layers1-0", "budget-top-1",
+                              "synth-separation-nan", "synth-separation-inf"])
 def test_invalid_values_of_other_subcommands_exit_1(argv, tmp_path, capsys):
     outputs = ["--train-out", str(tmp_path / "a.csv"), "--test-out", str(tmp_path / "b.csv")]
     assert cli.main(argv + (outputs if argv[0] == "synth" else [])) == 1
@@ -223,6 +232,17 @@ def test_sweep_with_a_wider_test_csv_exits_2_at_prepare_data(synthetic_csvs, tmp
 def test_divergence_exits_3(synthetic_csvs, tmp_path, capsys):
     assert cli.main(train_args(synthetic_csvs, tmp_path, "--epochs", "50", "--learning-rate", "1e18")) == 3
     assert "training diverged: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epochs", ["1", "2"])
+def test_a_step_that_overflows_the_basis_exits_3_and_saves_nothing(synthetic_csvs, tmp_path, capsys, epochs):
+    # lr 1e30 overflows the three-layer float32 basis in the first step,
+    # the run's last at one epoch; no warning leaks (warnings fail the suite).
+    argv = train_args(synthetic_csvs, tmp_path, "--channels", "2,2,2", "--epochs", epochs, "--learning-rate", "1e30")
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("training diverged: ") and "path basis became non-finite at epoch 0" in err
+    assert not (tmp_path / "m.npz").exists()
 
 
 def test_internal_value_error_is_not_reported_as_config_error(synthetic_csvs, tmp_path, capsys, monkeypatch):

@@ -28,6 +28,11 @@ class TestMakeSynthetic:
         with pytest.raises(ValueError):
             make_synthetic(*args)
 
+    @pytest.mark.parametrize("separation", [float("nan"), float("inf")])
+    def test_rejects_non_finite_separation(self, separation):
+        with pytest.raises(ValueError, match="separation must be finite and >= 0"):
+            make_synthetic(3, 3, 5, separation)
+
 
 class TestLoadCsv:
     @pytest.fixture

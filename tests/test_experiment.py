@@ -171,6 +171,21 @@ def test_sparse_budget_that_keeps_one_dimension_is_accepted(budget, dims):
     ExperimentConfig(data={"synthetic": {}}, models=({"kind": "onlinehd", "budget": 1e-9},), dims=(64,))
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"data": {"synthetic": {"separation": float("nan")}}}, "separation must be finite"),
+    ({"data": {"synthetic": {"separation": float("inf")}}}, "separation must be finite"),
+    ({"models": [{"kind": "onlinehd", "learning_rate": float("nan")}]}, "finite learning_rate"),
+    ({"models": [{"kind": "onlinehd", "learning_rate": float("inf")}]}, "finite learning_rate"),
+    ({"train": {"learning_rate": float("nan")}}, "learning_rate must be positive and finite"),
+    ({"train": {"weight_decay": float("nan")}}, "weight_decay must be finite"),
+], ids=["separation-nan", "separation-inf", "refine-lr-nan", "refine-lr-inf", "train-lr-nan", "weight-decay-nan"])
+def test_non_finite_config_values_are_config_errors(tmp_path, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"data": {"synthetic": {}}, **config}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(path))
+
+
 @pytest.mark.parametrize("cls", list(CONFIG_SCHEMA), ids=lambda cls: cls.__name__)
 def test_config_schema_is_pinned(cls):
     assert [f.name for f in dataclasses.fields(cls)] == CONFIG_SCHEMA[cls]

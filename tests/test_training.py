@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decohd import training
+from decohd import model, training
 from decohd.data import make_synthetic
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder
 from decohd.model import (
@@ -26,6 +26,7 @@ from decohd.training import (
 )
 from tests.conftest import (
     LAYER_SHAPES,
+    adamw_step,
     assert_same_bits,
     backward,
     batch_loss,
@@ -149,13 +150,23 @@ class TestChannelGradients:
             assert_same_bits(g, e)
 
     def test_latent_grads_equal_direct_product(self, rng):
-        cfg, params, projectors, h, y = random_small_instance(rng)
-        bank = materialize_channels(params, projectors)
-        d_basis = rng.standard_normal((bank.num_paths, cfg.dim))
-        grads = training._gradients(params.head, d_basis, bank, projectors)
-        d_channels = training._channel_grads_from_basis(d_basis, bank)
-        for d_lat, d_ch, proj in zip(grads.latents, d_channels, projectors):
-            np.testing.assert_allclose(d_lat, d_ch @ proj.T, rtol=1e-12, atol=1e-12)
+        # A step forms d latent = d channel @ projector^T one 64-row panel of
+        # the projector at a time (here 64, 64 and 22 rows), and updates a
+        # panel's latent columns before it yields the panel's draw strips.
+        proj = rng.standard_normal((150, 40))
+        d_ch = rng.standard_normal((3, 40))
+        updates = []
+
+        class Recorder:
+            def update(self, k, grad, cols):
+                updates.append((k, grad.copy(), cols))
+
+        seen = [(len(strip), len(updates)) for strip in training._updated_strips(Recorder(), 1, d_ch, proj)]
+        assert seen == [(16, 1)] * 4 + [(16, 2)] * 4 + [(16, 3), (6, 3)]
+        assert [cols for _, _, cols in updates] == [slice(0, 64), slice(64, 128), slice(128, 150)]
+        assert {k for k, _, _ in updates} == {1}
+        d_lat = np.concatenate([g for _, g, _ in updates], axis=1)
+        np.testing.assert_allclose(d_lat, d_ch @ proj.T, rtol=1e-12, atol=1e-12)
 
 
 class TestAdamW:
@@ -171,9 +182,9 @@ class TestAdamW:
     def test_zero_grad_no_decay_fixed_point(self):
         params = self._params()
         before = params.copy()
-        opt = AdamW(learning_rate=0.1, weight_decay=0.0)
+        opt = AdamW(params.arrays(), learning_rate=0.1, weight_decay=0.0)
         for _ in range(3):
-            opt.step(params, self._zero_grads(params))
+            adamw_step(opt, self._zero_grads(params))
         assert params.head.tobytes() == before.head.tobytes()
         assert params.latents[0].tobytes() == before.latents[0].tobytes()
 
@@ -194,7 +205,7 @@ class TestAdamW:
         expected_head = reference(params.head, g.head)
         out = params.copy()
         assert (AdamW.beta1, AdamW.beta2, AdamW.eps) == (b1, b2, eps)
-        AdamW(learning_rate=lr).step(out, g)
+        adamw_step(AdamW(out.arrays(), learning_rate=lr), g)
         np.testing.assert_allclose(out.latents[0], expected_lat, rtol=1e-12)
         np.testing.assert_allclose(out.head, expected_head, rtol=1e-12)
         # and the direction is sign-like: g / (|g| + eps) up to bias correction
@@ -203,11 +214,35 @@ class TestAdamW:
 
     def test_decoupled_decay_shrinks(self):
         params = self._params()
-        opt = AdamW(learning_rate=0.1, weight_decay=0.5)
+        opt = AdamW(params.arrays(), learning_rate=0.1, weight_decay=0.5)
         expected = params.head * (1.0 - 0.1 * 0.5) ** 2
-        opt.step(params, self._zero_grads(params))
-        opt.step(params, self._zero_grads(params))
+        adamw_step(opt, self._zero_grads(params))
+        adamw_step(opt, self._zero_grads(params))
         np.testing.assert_allclose(params.head, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [1, 64, 148], ids=["width-1", "width-64-tail-22", "width-148-tail-2"])
+    def test_column_range_update_equals_whole_array_update(self, rng, width, dtype):
+        # Three steps with decay: updating the latents in column ranges of
+        # *width* (the last range shorter) gives the whole-array bits.
+        def state():
+            return ModelParams([rng_from_seed(1).standard_normal((3, 150)).astype(dtype)],
+                               np.full((2, 3), 0.25, dtype=dtype))
+
+        whole, ranged = state(), state()
+        opt_whole = AdamW(whole.arrays(), learning_rate=0.01, weight_decay=0.1)
+        opt_ranged = AdamW(ranged.arrays(), learning_rate=0.01, weight_decay=0.1)
+        for _ in range(3):
+            g = ModelParams([rng.standard_normal((3, 150)).astype(dtype)],
+                            rng.standard_normal((2, 3)).astype(dtype))
+            adamw_step(opt_whole, g)
+            opt_ranged.step()
+            for start in range(0, 150, width):
+                cols = slice(start, start + width)
+                opt_ranged.update(0, g.latents[0][:, cols], cols)
+            opt_ranged.update(1, g.head)
+        for a, b in zip(ranged.arrays(), whole.arrays()):
+            assert_same_bits(a, b)
 
 
 def _blob_setup(num_classes=2, dim=512, latent_dim=64, channels=(2,), separation=10.0, seed=3,
@@ -225,6 +260,14 @@ def _blob_setup(num_classes=2, dim=512, latent_dim=64, channels=(2,), separation
         num_classes=num_classes, seed=5,
     )
     return cfg, h_train, train_ds.labels, h_test, test_ds.labels
+
+
+@pytest.mark.parametrize("key, value", [("learning_rate", math.nan), ("learning_rate", math.inf),
+                                        ("learning_rate", 0.0), ("weight_decay", math.nan),
+                                        ("weight_decay", math.inf), ("weight_decay", -0.5)])
+def test_learning_rate_and_weight_decay_must_be_finite(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        TrainConfig(**{key: value})
 
 
 class TestTrain:
@@ -283,6 +326,25 @@ class TestTrain:
         assert excinfo.value.last_good is not None
         assert np.isfinite(excinfo.value.last_good.head).all()
 
+    @pytest.mark.parametrize("epochs, batch_size, reason", [
+        (1, 1024, "path basis became non-finite"),
+        (2, 1024, "path basis became non-finite"),
+        (1, 64, "non-finite logits"),
+    ], ids=["one-epoch", "two-epochs", "four-steps-per-epoch"])
+    def test_huge_learning_rate_diverges_without_a_warning(self, epochs, batch_size, reason):
+        # At lr 1e30 the first step takes the float32 channels past 1e26,
+        # so the three-layer path basis overflows.  Whether that step
+        # ends the epoch or the next batch's forward follows it, the run
+        # raises, and no warning leaks (the suite turns warnings into errors).
+        cfg, h_tr, y_tr, _, _ = _blob_setup(channels=(2, 2, 2))
+        tcfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=1e30)
+        with pytest.raises(TrainingDiverged, match=reason) as excinfo:
+            train(cfg, tcfg, h_tr, y_tr)
+        assert "at epoch 0" in str(excinfo.value)
+        assert excinfo.value.history == []
+        for a, b in zip(excinfo.value.last_good.arrays(), init_params(cfg, dtype=np.float32).arrays()):
+            assert_same_bits(a, b)
+
     def test_running_history_columns(self):
         cfg, h_tr, y_tr, h_te, y_te = _blob_setup(dtype=np.float64)
         tcfg = TrainConfig(epochs=3, learning_rate=0.01, eval_every=2)
@@ -339,29 +401,55 @@ class TestOneBankPerParameterState:
     )
     def test_materializes_once_per_parameter_state(self, monkeypatch, epochs, eval_every, with_test):
         cfg, h_tr, y_tr, h_te, y_te = _blob_setup(dtype=np.float64)
-        states = []
+        materialized, expansions, stepped, scored = [], [], [], []
 
-        def counting(params, projectors):
-            states.append([a.copy() for a in params.latents])
+        def counting_materialize(params, projectors):
+            materialized.append([a.copy() for a in params.latents])
             return materialize_channels(params, projectors)
 
-        monkeypatch.setattr(training, "materialize_channels", counting)
+        def counting_expand(lat, strips):
+            expansions.append(lat.shape)
+            return expand(lat, strips)
+
+        def recording_step(h_train, y_train, b_idx, h_mb, params, *args):
+            loss_sum, correct, bank = step(h_train, y_train, b_idx, h_mb, params, *args)
+            stepped.append((params.copy(), bank))
+            return loss_sum, correct, bank
+
+        def recording_evaluate(bank, *args):
+            scored.append(bank)
+            return evaluate(bank, *args)
+
+        expand, step = model._expand, training._train_batch
+        monkeypatch.setattr(training, "materialize_channels", counting_materialize)
+        monkeypatch.setattr(model, "_expand", counting_expand)
+        monkeypatch.setattr(training, "_expand", counting_expand)
+        monkeypatch.setattr(training, "_train_batch", recording_step)
+        monkeypatch.setattr(training, "evaluate", recording_evaluate)
         tcfg = TrainConfig(epochs=epochs, batch_size=64, microbatch_size=32,
                            learning_rate=0.01, eval_every=eval_every)
         test = (h_te, y_te) if with_test else ()
         result = train(cfg, tcfg, h_tr, y_tr, *test)
         steps = epochs * -(-len(y_tr) // 64)
-        # One bank per optimizer step.  An evaluation builds the bank of the
-        # post-step parameters, which the next epoch's first batch reuses.
-        # The final parameters' bank is built once, by the last epoch's
-        # evaluation or after it, and returned, so nothing draws the
-        # projectors again to deploy it.
-        assert len(states) == steps + (epochs > 0)
-        for a, b in zip(states, states[1:]):
-            assert any(x.tobytes() != y.tobytes() for x, y in zip(a, b)), "bank rebuilt for unchanged params"
+        # The first bank is materialized; every step expands the bank of
+        # its updated parameters in its one pass over the projectors.
+        assert len(materialized) == (epochs > 0)
+        assert len(stepped) == steps
+        assert len(expansions) == cfg.num_layers * (steps + (epochs > 0))
+        # Every bank a step returns, which the evaluations score and the
+        # run returns, is the bank of the parameters it belongs to.
+        projectors = materialize_projectors(cfg, dtype=np.float64)
+        for params, bank in stepped:
+            for got, expected in zip(bank.channels, materialize_channels(params, projectors).channels):
+                assert_same_bits(got, expected)
+        per_epoch = steps // epochs if epochs else 0
+        evaluated = [e for e in range(epochs) if with_test and (e + 1) % eval_every == 0]
+        assert len(scored) == len(evaluated)
+        for bank, e in zip(scored, evaluated):
+            assert bank is stepped[(e + 1) * per_epoch - 1][1]
         if epochs > 0:
-            fresh = materialize_channels(result.params, materialize_projectors(cfg, dtype=np.float64))
-            for got, expected in zip(result.bank.channels, fresh.channels):
+            assert result.bank is stepped[-1][1]
+            for got, expected in zip(stepped[-1][0].arrays(), result.params.arrays()):
                 assert_same_bits(got, expected)
         else:
             assert result.bank is None
@@ -372,6 +460,22 @@ class TestGradientAccumulationMatchesBackward:
         # one full-batch step of train() from init_params must equal AdamW
         # applied to backward()'s gradients there
         cfg, _, projectors, h, y = random_small_instance(rng)
+        self._check_one_step(cfg, projectors, h, y)
+
+    def test_multi_panel_step_equals_explicit_backward(self, rng):
+        # latent 150: the step's pass walks panels of 64, 64 and 22
+        # projector rows, the last of them a 16-row and a 6-row strip
+        cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=150, dim=40, num_classes=3, seed=9)
+        projectors = materialize_projectors(cfg, dtype=np.float64)
+        h = rng.standard_normal((7, cfg.dim))
+        y = rng.integers(0, cfg.num_classes, 7)
+        result = self._check_one_step(cfg, projectors, h, y)
+        fresh = materialize_channels(result.params, projectors)
+        for got, expected in zip(result.bank.channels, fresh.channels):
+            assert_same_bits(got, expected)
+
+    @staticmethod
+    def _check_one_step(cfg, projectors, h, y):
         params = init_params(cfg, dtype=np.float64)
         tcfg = TrainConfig(
             epochs=1, batch_size=len(y), microbatch_size=len(y),
@@ -380,7 +484,8 @@ class TestGradientAccumulationMatchesBackward:
         result = train(cfg, tcfg, h, y)
         grads = backward(h, y, params, projectors)
         expected = params.copy()
-        AdamW(learning_rate=1e-3, weight_decay=5e-5).step(expected, grads)
+        adamw_step(AdamW(expected.arrays(), learning_rate=1e-3, weight_decay=5e-5), grads)
         np.testing.assert_allclose(result.params.head, expected.head, rtol=1e-12)
         for a, b in zip(result.params.latents, expected.latents):
             np.testing.assert_allclose(a, b, rtol=1e-12)
+        return result
