@@ -17,9 +17,11 @@ through its elementwise square: ``score_c(h) = <P_c, h*h>`` with
 A channel expansion ``lat @ P`` is always the in-order sum of
 ``lat[:, j:j+S] @ P[j:j+S]`` over the projector's ``S``-row draw strips
 (``decohd.ops._GENERATE_BLOCK_ROWS``, 16 rows), in one function,
-``_expand``.  Training slices the projectors it holds
-(:func:`materialize_channels`), and each optimizer step feeds it the
-strips of its one pass over them, updating a panel's latent columns
+``_expand``.  Training holds each projector as its 64-row panels
+(``_PANEL_ROWS``), all allocated on the calling thread
+(:func:`materialize_projectors`).  :func:`materialize_channels` expands
+the panels' strips, and each optimizer step feeds ``_expand`` the strips
+of its one pass over the panels, updating a panel's latent columns
 before it yields the panel's strips (:mod:`decohd.training`).  A model
 built from latents multiplies each strip into its channels as soon as it
 is drawn from the seed, and never holds a whole projector
@@ -42,7 +44,23 @@ from typing import ClassVar
 import numpy as np
 
 from .encoding import RandomProjectionEncoder, Standardizer
-from .ops import _GENERATE_BLOCK_ROWS, RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed, row_blocks
+from .ops import RandomMatrixSpec, _strips, derive_seed, generate_matrix, rng_from_seed, row_blocks
+
+# Projector rows per panel, the unit in which training holds a projector
+# and a step walks it: four draw strips.  Gradient bits: on OpenBLAS a
+# 64-row panel's latent-gradient product (decohd.training) equals the
+# whole-projector product bit for bit; 32, 96 and 128 rows did too but
+# were slower, 40, 48, 56 and 80 rows did not, and 16-row panels take a
+# small-matrix kernel that rounds differently.  Heap reuse: the panels
+# are allocated on the calling thread (a worker thread allocates from its
+# own malloc arena).  glibc maps any request above its dynamic mmap
+# threshold, and freeing a mapped chunk of up to 32 MiB raises the
+# threshold to that chunk's size.  So once a process has freed, say, a
+# 23.5 MiB encoder matrix, a 2.56 MB panel comes from the main heap and
+# reuses memory freed there, while a 156 MiB whole projector, above the
+# 32 MiB ceiling, always gets a fresh mapping.  In a process that has
+# freed nothing, each panel gets its own mapping, as a projector would.
+_PANEL_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -92,19 +110,25 @@ class ModelConfig:
         ]
 
 
-def materialize_projectors(config: ModelConfig, dtype=np.float32) -> list[np.ndarray]:
-    """Every layer's projector, each drawn on its own thread.  Only
-    training holds these: a model built from latents streams its
-    channels instead (:func:`stream_channels`).
+def materialize_projectors(config: ModelConfig, dtype=np.float32) -> list[list[np.ndarray]]:
+    """Every layer's projector, held as its ``_PANEL_ROWS``-row panels,
+    top to bottom.  Only training holds these: a model built from latents
+    streams its channels instead (:func:`stream_channels`).
 
-    Each projector owns its Philox stream, and numpy releases the GIL
-    while it fills an array, so the layers draw in parallel and every
-    matrix is bit-identical to a plain :func:`generate_matrix` of its
-    spec.  A thread holds one draw buffer besides its output.
+    Every panel is allocated here, on the calling thread; then each layer
+    fills its panels on its own thread.  Each projector owns its Philox
+    stream, and numpy releases the GIL while it fills an array, so the
+    layers draw in parallel and each layer's panels stack bit for bit to
+    a plain :func:`generate_matrix` of its spec.  A thread holds one draw
+    buffer.
     """
     specs = config.projector_specs()
+    held = [
+        [np.empty((min(_PANEL_ROWS, s.rows - p), s.cols), dtype=dtype) for p in range(0, s.rows, _PANEL_ROWS)]
+        for s in specs
+    ]
     with ThreadPoolExecutor(max_workers=len(specs)) as pool:
-        return list(pool.map(lambda spec: generate_matrix(spec, dtype=dtype), specs))
+        return list(pool.map(lambda spec, panels: generate_matrix(spec, dtype, panels), specs, held))
 
 
 @dataclass
@@ -198,18 +222,17 @@ def _expand(lat: np.ndarray, strips) -> np.ndarray:
     return channels
 
 
-def materialize_channels(params: ModelParams, projectors: list[np.ndarray]) -> ChannelBank:
-    """Expand each latent through the draw strips of its layer's held projector."""
+def materialize_channels(params: ModelParams, projectors: list[list[np.ndarray]]) -> ChannelBank:
+    """Expand each latent through the draw strips of its layer's held
+    projector, a list of panels (:func:`materialize_projectors`)."""
     if len(projectors) != len(params.latents):
         raise ValueError("projector count does not match latent layer count")
     channels = []
-    for i, (lat, proj) in enumerate(zip(params.latents, projectors)):
-        if lat.shape[1] != proj.shape[0]:
-            raise ValueError(
-                f"layer {i}: latent dim {lat.shape[1]} does not match projector rows {proj.shape[0]}"
-            )
-        s = _GENERATE_BLOCK_ROWS
-        channels.append(_expand(lat, (proj[j : j + s] for j in range(0, proj.shape[0], s))))
+    for i, (lat, panels) in enumerate(zip(params.latents, projectors)):
+        rows = sum(len(panel) for panel in panels)
+        if lat.shape[1] != rows:
+            raise ValueError(f"layer {i}: latent dim {lat.shape[1]} does not match projector rows {rows}")
+        channels.append(_expand(lat, _strips(panels)))
     return ChannelBank(channels)
 
 

@@ -7,8 +7,9 @@ in :func:`decohd.model.path_basis` and the forwards of
 
 Frozen random matrices (the input encoder and the per-layer latent
 projectors) are described by :class:`RandomMatrixSpec` and regenerated on
-demand, so they never need to be stored: whole (:func:`generate_matrix`)
-or as a stream of row strips (:func:`row_blocks`) with the same bits.
+demand, so they never need to be stored: whole or into panels that the
+caller allocated (:func:`generate_matrix`), or as a stream of row strips
+(:func:`row_blocks`), all with the same bits.
 
 Seed derivation
 ---------------
@@ -37,10 +38,12 @@ DEFAULT_TERNARY_ZERO_PROB = 1.0 / 3.0
 # buffer below the 32 MB mmap ceiling that is freed on a worker thread (the
 # per-layer draws of materialize_projectors and stream_channels) can stay
 # resident in that thread's malloc arena, where the main thread cannot
-# reuse it.  A strip is also the row block of every channel expansion
-# (decohd.model): OpenBLAS runs a 4 x 16 @ 16 x 10000 product on the
-# calling thread alone, so one layer's expansion wakes no BLAS threads to
-# compete with the other layers' draws.  32- and 64-row blocks were slower.
+# reuse it; for the same reason a held projector's panels are allocated
+# on the calling thread (decohd.model._PANEL_ROWS).  A strip is also the
+# row block of every channel expansion (decohd.model): OpenBLAS runs a
+# 4 x 16 @ 16 x 10000 product on the calling thread alone, so one layer's
+# expansion wakes no BLAS threads to compete with the other layers'
+# draws.  32- and 64-row blocks were slower.
 _GENERATE_BLOCK_ROWS = 16
 
 
@@ -120,10 +123,23 @@ def row_blocks(spec: RandomMatrixSpec):
         yield strip
 
 
-def generate_matrix(spec: RandomMatrixSpec, dtype=np.float32) -> np.ndarray:
+def generate_matrix(spec: RandomMatrixSpec, dtype=np.float32, panels=None):
     """Materialize the matrix described by *spec* in *dtype*, filled from
-    :func:`row_blocks`, so it holds one draw buffer besides its output."""
-    out = np.empty((spec.rows, spec.cols), dtype=dtype)
-    for start, strip in zip(range(0, spec.rows, _GENERATE_BLOCK_ROWS), row_blocks(spec)):
-        out[start : start + len(strip)] = strip
-    return out
+    :func:`row_blocks`, so it holds one draw buffer besides its output.
+
+    Given *panels*, arrays allocated by the caller whose rows stack to the
+    matrix, each but the last a whole number of draw strips, it fills
+    those in their own dtype instead and returns them."""
+    whole = panels is None
+    if whole:
+        panels = [np.empty((spec.rows, spec.cols), dtype=dtype)]
+    for target, strip in zip(_strips(panels), row_blocks(spec)):
+        target[...] = strip
+    return panels[0] if whole else panels
+
+
+def _strips(panels):
+    """Views of the draw strips of *panels*, top to bottom: arrays whose
+    rows stack to a matrix, each but the last a whole number of strips."""
+    s = _GENERATE_BLOCK_ROWS
+    return (panel[j : j + s] for panel in panels for j in range(0, len(panel), s))

@@ -29,10 +29,11 @@ into one buffer of ``microbatch_size`` rows that the run reuses, and
 squared there in place into ``u``, so a step's working memory does not
 grow with the batch or the training set.
 
-A step makes one pass over each layer's projector, in panels of
-``_PANEL_ROWS`` rows.  For each panel it forms the panel's columns of
-``d latent``, applies AdamW to those latent columns and expands the
-panel's draw strips into the next channels
+A step makes one pass over each layer's projector, walking the 64-row
+panels in which training holds it (``decohd.model._PANEL_ROWS``,
+:func:`~decohd.model.materialize_projectors`).  For each panel it forms
+the panel's columns of ``d latent``, applies AdamW to those latent
+columns and expands the panel's draw strips into the next channels
 (:func:`~decohd.model._expand`), which read the columns just updated.
 So the step returns the bank of the updated parameters, and there is
 one bank per parameter state: :func:`~decohd.model.materialize_channels`
@@ -50,26 +51,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inference import DecomposedScorer, path_terms
+from .inference import path_terms, score_batch
 from .model import (
     ChannelBank,
     ModelConfig,
     ModelParams,
     _expand,
-    accuracy,
     init_params,
     layer_views,
     materialize_channels,
     materialize_projectors,
+    pick_class,
 )
-from .ops import _GENERATE_BLOCK_ROWS, derive_seed, rng_from_seed
-
-# Projector rows per panel of a step's pass: four draw strips.  On
-# OpenBLAS a 64-row panel's latent-gradient product is bit-identical to
-# the whole-projector product; 32, 96 and 128 rows were too but slower,
-# 40, 48, 56 and 80 rows were not, and 16-row panels take a small-matrix
-# kernel that rounds differently.
-_PANEL_ROWS = 64
+from .ops import _strips, derive_seed, rng_from_seed
 
 
 class TrainingError(RuntimeError):
@@ -216,19 +210,20 @@ class AdamW:
         p -= self.learning_rate * update
 
 
-def _updated_strips(optimizer: AdamW, k: int, d_channels: np.ndarray, projector: np.ndarray):
-    """The draw strips of *projector*, the k-th layer's.  Before a panel's
-    first strip is yielded, the panel's columns of the latent gradient,
-    ``(panel @ d_channels^T)^T``, update those latent columns."""
-    for p in range(0, projector.shape[0], _PANEL_ROWS):
-        panel = projector[p : p + _PANEL_ROWS]
-        optimizer.update(k, (panel @ d_channels.T).T, slice(p, p + len(panel)))
-        for j in range(0, len(panel), _GENERATE_BLOCK_ROWS):
-            yield panel[j : j + _GENERATE_BLOCK_ROWS]
+def _updated_strips(optimizer: AdamW, k: int, d_channels: np.ndarray, panels: list[np.ndarray]):
+    """The draw strips of *panels*, the k-th layer's held projector.
+    Before a panel's first strip is yielded, the panel's columns of the
+    latent gradient, ``(panel @ d_channels^T)^T``, update those latent
+    columns."""
+    start = 0
+    for panel in panels:
+        optimizer.update(k, (panel @ d_channels.T).T, slice(start, start + len(panel)))
+        start += len(panel)
+        yield from _strips((panel,))
 
 
 def _train_batch(h_train, y_train, b_idx, h_mb, params: ModelParams, bank: ChannelBank,
-                 projectors: list[np.ndarray], optimizer: AdamW, loss_sum: float):
+                 projectors: list[list[np.ndarray]], optimizer: AdamW, loss_sum: float):
     """One optimizer step on the batch *b_idx*, whose microbatches are
     gathered into *h_mb*.  Returns *loss_sum* plus each microbatch's loss
     sum in turn, the number of correct pre-update predictions and the bank
@@ -303,8 +298,9 @@ def train(
     accumulated gradient is the exact batch mean regardless of the
     microbatch split.  ``train_accuracy`` in the history is the running
     accuracy of the pre-update forward passes.  An epoch that ends with
-    a non-finite loss or path basis aborts with the last finite checkpoint
-    attached to the exception.  Channels are materialized once, before
+    a non-finite loss, path basis or score (of the evaluation, else of
+    one microbatch) aborts with the last finite checkpoint attached to
+    the exception.  Channels are materialized once, before
     the first step; each step returns the bank of its updated parameters,
     and the final bank is returned with the result whenever an epoch ran,
     so no caller draws the projectors again.  Training runs in the
@@ -354,14 +350,23 @@ def train(
             raise TrainingDiverged(
                 f"loss became non-finite at epoch {epoch}", last_good, history
             )
+        test_acc = float("nan")
         with np.errstate(over="ignore", invalid="ignore"):  # the last step may have diverged
             if not np.isfinite(bank.basis).all():
                 raise TrainingDiverged(
                     f"path basis became non-finite at epoch {epoch}", last_good, history
                 )
-        test_acc = float("nan")
-        if h_test is not None and y_test is not None and (epoch + 1) % train_config.eval_every == 0:
-            test_acc = evaluate(bank, params.head, np.asarray(h_test).astype(dtype, copy=False), y_test)
+            # A step may diverge in the head alone, so one forward's scores
+            # must be finite too: the evaluation's when it runs, else those
+            # of the first microbatch of training rows.
+            if h_test is not None and y_test is not None and (epoch + 1) % train_config.eval_every == 0:
+                test_acc = evaluate(bank, params.head, np.asarray(h_test).astype(dtype, copy=False), y_test)
+                finite = not math.isnan(test_acc)
+            else:
+                np.copyto(h_mb, h_train[: len(h_mb)])
+                finite = np.isfinite(path_terms(h_mb, bank.basis, out=h_mb)[1] @ params.head.T).all()
+            if not finite:
+                raise TrainingDiverged(f"scores became non-finite at epoch {epoch}", last_good, history)
         history.append(
             EpochStats(
                 epoch=epoch,
@@ -378,5 +383,9 @@ def train(
 
 def evaluate(bank: ChannelBank, head: np.ndarray, h: np.ndarray, labels: np.ndarray) -> float:
     """Classification accuracy of the model (*bank*, *head*) on
-    pre-encoded data."""
-    return accuracy(DecomposedScorer(bank=bank, head=head), h, labels)
+    pre-encoded data, or NaN if a score is not finite, as a diverged
+    model's are."""
+    scores = score_batch(h, bank, head)
+    if not np.isfinite(scores).all():
+        return math.nan
+    return float((pick_class(scores) == np.asarray(labels)).mean())

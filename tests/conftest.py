@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from decohd import training
+from decohd import model, training
 from decohd.baselines import Classifier, build_prototype_table, onlinehd_refine, sparsify_table
 from decohd.data import make_synthetic
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
@@ -49,6 +49,12 @@ def identity_standardizer(num_features: int) -> Standardizer:
     return Standardizer(np.zeros(num_features), np.ones(num_features))
 
 
+def held(matrix: np.ndarray) -> list[np.ndarray]:
+    """*matrix* as training holds a projector: its 64-row panels."""
+    rows = model._PANEL_ROWS
+    return [matrix[p : p + rows] for p in range(0, len(matrix), rows)]
+
+
 def random_small_instance(rng, dtype=np.float64):
     """A random tiny model + batch for gradient and equivalence checks;
     the initial latents are scaled by 0.7."""
@@ -74,7 +80,8 @@ def backward(h_batch, labels, params: ModelParams, projectors) -> ModelParams:
     """Analytic gradient of the mean cross-entropy over the batch, from
     the forward and channel-gradient steps that :func:`decohd.training.train`
     runs on one microbatch, with ``d latent = d channel @ projector^T``
-    formed whole rather than panel by panel as a training step does."""
+    formed on the stacked panels rather than panel by panel as a training
+    step does."""
     labels = np.asarray(labels)
     bank = materialize_channels(params, projectors)
     _, _, d_head_sum, d_basis_sum = training._microbatch_stats(
@@ -82,7 +89,8 @@ def backward(h_batch, labels, params: ModelParams, projectors) -> ModelParams:
     )
     b = len(labels)
     d_channels = training._channel_grads_from_basis(d_basis_sum / b, bank)
-    return ModelParams([d_ch @ proj.T for d_ch, proj in zip(d_channels, projectors)], d_head_sum / b)
+    return ModelParams([d_ch @ np.vstack(panels).T for d_ch, panels in zip(d_channels, projectors)],
+                       d_head_sum / b)
 
 
 def adamw_step(optimizer, grads: ModelParams) -> None:

@@ -245,6 +245,14 @@ def test_a_step_that_overflows_the_basis_exits_3_and_saves_nothing(synthetic_csv
     assert not (tmp_path / "m.npz").exists()
 
 
+def test_a_step_that_diverges_in_the_head_alone_exits_3_and_saves_nothing(synthetic_csvs, tmp_path, capsys):
+    # lr 1e30 on one layer leaves the basis finite and overflows every score.
+    assert cli.main(train_args(synthetic_csvs, tmp_path, "--epochs", "1", "--learning-rate", "1e30")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("training diverged: ") and "scores became non-finite at epoch 0" in err
+    assert not (tmp_path / "m.npz").exists()
+
+
 def test_internal_value_error_is_not_reported_as_config_error(synthetic_csvs, tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("shapes (3,) and (4,) not aligned")

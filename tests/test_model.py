@@ -25,6 +25,7 @@ from tests.conftest import (
     LAYER_SHAPES,
     assert_same_bits,
     brute_force_logits,
+    held,
     identity_standardizer,
     integer_bank_and_head,
     layer_index_arrays,
@@ -124,33 +125,33 @@ class TestPathEnumeration:
 class TestMaterializeChannels:
     def test_zero_latent_zero_channel(self):
         params = ModelParams(latents=[np.zeros((1, 3))], head=np.ones((2, 1)))
-        bank = materialize_channels(params, [np.ones((3, 5))])
+        bank = materialize_channels(params, [held(np.ones((3, 5)))])
         np.testing.assert_array_equal(bank.channels[0], np.zeros((1, 5)))
 
     def test_hand_matrix_vector(self):
         params = ModelParams(latents=[np.array([[2.0, 3.0]])], head=np.ones((2, 1)))
         proj = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-        bank = materialize_channels(params, [proj])
+        bank = materialize_channels(params, [held(proj)])
         np.testing.assert_array_equal(bank.channels[0][0], [2.0, 3.0, 5.0])
 
     def test_homogeneity(self, rng):
         lat = rng.standard_normal((2, 4))
         proj = rng.standard_normal((4, 7))
-        a = materialize_channels(ModelParams([lat], np.ones((2, 2))), [proj])
-        b = materialize_channels(ModelParams([2.0 * lat], np.ones((2, 2))), [proj])
+        a = materialize_channels(ModelParams([lat], np.ones((2, 2))), [held(proj)])
+        b = materialize_channels(ModelParams([2.0 * lat], np.ones((2, 2))), [held(proj)])
         np.testing.assert_allclose(b.channels[0], 2.0 * a.channels[0], rtol=1e-12)
 
     def test_shape_mismatch(self):
         params = ModelParams(latents=[np.zeros((1, 3))], head=np.ones((2, 1)))
         with pytest.raises(ValueError, match="does not match"):
-            materialize_channels(params, [np.ones((4, 5))])
+            materialize_channels(params, [held(np.ones((4, 5)))])
 
     @pytest.mark.parametrize("latent_dim", [1, 16, 17, 48, 65])
     def test_row_blocks_sum_to_the_product(self, rng, latent_dim):
         # Small integers keep every partial sum over 16-row strips exact.
         lat = rng.integers(-4, 5, (2, latent_dim)).astype(np.float64)
         proj = rng.integers(-4, 5, (latent_dim, 11)).astype(np.float64)
-        bank = materialize_channels(ModelParams([lat], np.ones((2, 2))), [proj])
+        bank = materialize_channels(ModelParams([lat], np.ones((2, 2))), [held(proj)])
         assert_same_bits(bank.channels[0], lat @ proj)
 
 
@@ -280,37 +281,84 @@ class TestPickClass:
 class TestProjectors:
     def test_projector_scale(self):
         cfg = ModelConfig(channels_per_layer=(1,), latent_dim=400, dim=500, num_classes=2, seed=8)
-        proj = materialize_projectors(cfg, dtype=np.float64)[0]
+        proj = np.vstack(materialize_projectors(cfg, dtype=np.float64)[0])
         assert proj.shape == (400, 500)
         assert abs(proj.std() - 1.0 / 20.0) / (1.0 / 20.0) < 0.05
 
     def test_per_layer_streams_differ(self):
         cfg = ModelConfig(channels_per_layer=(2, 2), latent_dim=4, dim=8, num_classes=2, seed=8)
         a, b = materialize_projectors(cfg)
-        assert a.tobytes() != b.tobytes()
+        assert np.vstack(a).tobytes() != np.vstack(b).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
+    def test_held_as_64_row_panels(self, monkeypatch, kind, dtype):
+        # Latent 150: panels of 64, 64 and 22 rows, each its own array,
+        # that stack to the whole draw bit for bit.
+        kind_specs(monkeypatch, kind)
+        cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=150, dim=40, num_classes=2, seed=8)
+        for panels, spec in zip(materialize_projectors(cfg, dtype=dtype), cfg.projector_specs()):
+            assert [p.shape for p in panels] == [(64, 40), (64, 40), (22, 40)]
+            assert all(p.base is None and p.dtype == dtype for p in panels)
+            assert_same_bits(np.vstack(panels), generate_matrix(spec, dtype=dtype))
 
     @pytest.mark.parametrize("rows", [1, 65, 617])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
     def test_threads_draw_each_spec_bit_for_bit(self, monkeypatch, kind, dtype, rows):
-        specs = ModelConfig.projector_specs
-        monkeypatch.setattr(ModelConfig, "projector_specs",
-                            lambda cfg: [dataclasses.replace(s, kind=kind) for s in specs(cfg)])
+        kind_specs(monkeypatch, kind)
         cfg = ModelConfig(channels_per_layer=(2, 1, 3), latent_dim=rows, dim=40, num_classes=2, seed=8)
         expected = [generate_matrix(s, dtype=dtype) for s in cfg.projector_specs()]
         # Every layer must be drawing before any may finish: a serial
         # loop would break the barrier.
         barrier = threading.Barrier(cfg.num_layers, timeout=10)
 
-        def together(spec, dtype):
+        def together(spec, dtype, panels):
             barrier.wait()
-            return generate_matrix(spec, dtype=dtype)
+            return generate_matrix(spec, dtype, panels)
 
         monkeypatch.setattr(model, "generate_matrix", together)
         got = materialize_projectors(cfg, dtype=dtype)
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
-            assert_same_bits(a, b)
+            assert_same_bits(np.vstack(a), b)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
+    def test_draw_threads_allocate_one_draw_buffer_each(self, monkeypatch, kind):
+        # The panels come from the calling thread's heap, where freed
+        # memory can be reused (model._PANEL_ROWS); a draw thread allocates
+        # only its draw buffer.  When every layer has drawn its last strip,
+        # before any copies it into a panel, the traces whose stacks pass
+        # through a worker thread must hold no more than those buffers.
+        kind_specs(monkeypatch, kind)
+        cfg = ModelConfig(channels_per_layer=(2, 2, 2), latent_dim=300, dim=1000, num_classes=2, seed=8)
+        draw_buffer = ops._GENERATE_BLOCK_ROWS * cfg.dim * 8
+        barrier = threading.Barrier(cfg.num_layers, timeout=10)
+        snapshots = []
+
+        def holding(spec, draw=ops.row_blocks):
+            last = -(-spec.rows // ops._GENERATE_BLOCK_ROWS) - 1
+            for i, strip in enumerate(draw(spec)):
+                if i == last:
+                    if barrier.wait() == 0:
+                        snapshots.append(tracemalloc.take_snapshot())
+                    barrier.wait()
+                yield strip
+
+        materialize_projectors(cfg)  # the pool's lazy imports come first
+        monkeypatch.setattr(ops, "row_blocks", holding)
+        tracemalloc.start(64)
+        try:
+            projectors = materialize_projectors(cfg)
+        finally:
+            tracemalloc.stop()
+        on_threads = sum(
+            trace.size for trace in snapshots[0].traces
+            if any(frame.filename == threading.__file__ for frame in trace.traceback)
+        )
+        # The panels are 300 x 1000 x 4 = 1.2 MB per layer.
+        assert on_threads <= cfg.num_layers * draw_buffer + 65536
+        assert sum(p.nbytes for layer in projectors for p in layer) == 3 * 1_200_000
 
 
 def kind_specs(monkeypatch, kind):

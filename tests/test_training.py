@@ -30,6 +30,7 @@ from tests.conftest import (
     assert_same_bits,
     backward,
     batch_loss,
+    held,
     identity_standardizer,
     layer_index_arrays,
     random_small_instance,
@@ -150,9 +151,10 @@ class TestChannelGradients:
             assert_same_bits(g, e)
 
     def test_latent_grads_equal_direct_product(self, rng):
-        # A step forms d latent = d channel @ projector^T one 64-row panel of
-        # the projector at a time (here 64, 64 and 22 rows), and updates a
-        # panel's latent columns before it yields the panel's draw strips.
+        # A step forms d latent = d channel @ projector^T one held 64-row
+        # panel of the projector at a time (here 64, 64 and 22 rows), and
+        # updates a panel's latent columns before it yields the panel's
+        # draw strips.
         proj = rng.standard_normal((150, 40))
         d_ch = rng.standard_normal((3, 40))
         updates = []
@@ -161,7 +163,7 @@ class TestChannelGradients:
             def update(self, k, grad, cols):
                 updates.append((k, grad.copy(), cols))
 
-        seen = [(len(strip), len(updates)) for strip in training._updated_strips(Recorder(), 1, d_ch, proj)]
+        seen = [(len(strip), len(updates)) for strip in training._updated_strips(Recorder(), 1, d_ch, held(proj))]
         assert seen == [(16, 1)] * 4 + [(16, 2)] * 4 + [(16, 3), (6, 3)]
         assert [cols for _, _, cols in updates] == [slice(0, 64), slice(64, 128), slice(128, 150)]
         assert {k for k, _, _ in updates} == {1}
@@ -302,9 +304,9 @@ class TestTrain:
 
     def test_frozen_matrices_untouched(self):
         cfg, h_tr, y_tr, _, _ = _blob_setup(dtype=np.float64)
-        before = [p.tobytes() for p in materialize_projectors(cfg, dtype=np.float64)]
+        before = [np.vstack(p).tobytes() for p in materialize_projectors(cfg, dtype=np.float64)]
         train(cfg, TrainConfig(epochs=3), h_tr, y_tr)
-        after = [p.tobytes() for p in materialize_projectors(cfg, dtype=np.float64)]
+        after = [np.vstack(p).tobytes() for p in materialize_projectors(cfg, dtype=np.float64)]
         assert before == after
 
     def test_microbatch_invariance(self):
@@ -345,6 +347,31 @@ class TestTrain:
         for a, b in zip(excinfo.value.last_good.arrays(), init_params(cfg, dtype=np.float32).arrays()):
             assert_same_bits(a, b)
 
+    @pytest.mark.parametrize("with_test", [True, False], ids=["evaluated", "no-test-set"])
+    def test_a_head_only_divergence_raises_after_one_forward(self, monkeypatch, with_test):
+        # At lr 1e30 one step leaves a one-layer model's basis finite but
+        # its head near 1e30, so every score overflows.  The run checks the
+        # scores of one forward after the epoch's last step: the
+        # evaluation's when it runs, else one more microbatch's, never both.
+        cfg, h_tr, y_tr, h_te, y_te = _blob_setup(channels=(2,))
+        forwards = []
+
+        def counting_path_terms(h, *args, **kwargs):
+            forwards.append(len(h))
+            return path_terms(h, *args, **kwargs)
+
+        path_terms = training.path_terms
+        monkeypatch.setattr(training, "path_terms", counting_path_terms)
+        tcfg = TrainConfig(epochs=1, batch_size=len(y_tr), microbatch_size=64, learning_rate=1e30)
+        test = (h_te, y_te) if with_test else ()
+        with pytest.raises(TrainingDiverged, match="scores became non-finite at epoch 0") as excinfo:
+            train(cfg, tcfg, h_tr, y_tr, *test)
+        steps = [64, 64, 64, 8]
+        assert forwards == (steps if with_test else steps + [64])
+        assert excinfo.value.history == []
+        for a, b in zip(excinfo.value.last_good.arrays(), init_params(cfg, dtype=np.float32).arrays()):
+            assert_same_bits(a, b)
+
     def test_running_history_columns(self):
         cfg, h_tr, y_tr, h_te, y_te = _blob_setup(dtype=np.float64)
         tcfg = TrainConfig(epochs=3, learning_rate=0.01, eval_every=2)
@@ -380,7 +407,7 @@ class TestMicrobatchBuffer:
         h = rng.standard_normal((n, dim)).astype(np.float32)
         y = rng.integers(0, 5, n)
         cfg = ModelConfig(channels_per_layer=channels, latent_dim=64, dim=dim, num_classes=5, seed=5)
-        projectors = sum(p.nbytes for p in materialize_projectors(cfg, dtype=np.float32))
+        projectors = sum(p.nbytes for layer in materialize_projectors(cfg, dtype=np.float32) for p in layer)
         basis = math.prod(channels) * dim * 4
         tcfg = TrainConfig(epochs=2, batch_size=n, microbatch_size=microbatch, learning_rate=0.01)
         tracemalloc.start()
