@@ -81,7 +81,7 @@ class DataSpec:
     synthetic: SyntheticSpec | dict | None = None
 
     def __post_init__(self):
-        if isinstance(self.synthetic, dict):
+        if self.synthetic is not None and not isinstance(self.synthetic, SyntheticSpec):
             object.__setattr__(self, "synthetic", _from_dict(SyntheticSpec, self.synthetic, "data.synthetic"))
         has_csv = self.train_csv is not None and self.test_csv is not None
         if has_csv == (self.synthetic is not None):
@@ -137,15 +137,13 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        if isinstance(self.data, dict):
-            object.__setattr__(self, "data", _from_dict(DataSpec, self.data, "data"))
-        if isinstance(self.train, dict):
-            object.__setattr__(self, "train", _from_dict(TrainConfig, self.train, "train"))
-        if isinstance(self.noise, dict):
-            object.__setattr__(self, "noise", _from_dict(NoiseConfig, self.noise, "noise"))
-        models = []
-        for i, m in enumerate(self.models):
-            models.append(_from_dict(ModelSpec, m, f"models[{i}]") if isinstance(m, dict) else m)
+        for name, cls in (("data", DataSpec), ("train", TrainConfig), ("noise", NoiseConfig)):
+            if not isinstance(getattr(self, name), cls):
+                object.__setattr__(self, name, _from_dict(cls, getattr(self, name), name))
+        if not isinstance(self.models, (list, tuple)):
+            raise ConfigError(f"models: expected a list, got {type(self.models).__name__}")
+        models = [m if isinstance(m, ModelSpec) else _from_dict(ModelSpec, m, f"models[{i}]")
+                  for i, m in enumerate(self.models)]
         object.__setattr__(self, "models", tuple(models))
         if self.encoder_kind not in MATRIX_KINDS:
             raise ConfigError(f"encoder_kind {self.encoder_kind!r} not one of {MATRIX_KINDS}")

@@ -15,18 +15,18 @@ through its elementwise square: ``score_c(h) = <P_c, h*h>`` with
 ``h*h`` in one function, ``input_term``, for its batched and streamed forwards.
 
 A channel expansion ``lat @ P`` is always the in-order sum of
-``lat[:, j:j+S] @ P[j:j+S]`` over the projector's ``S``-row draw strips
-(``decohd.ops._GENERATE_BLOCK_ROWS``, 16 rows), in one function,
-``_expand``.  Training holds each projector as its 64-row panels
-(``_PANEL_ROWS``), all allocated on the calling thread
-(:func:`materialize_projectors`).  :func:`materialize_channels` expands
-the panels' strips, and each optimizer step feeds ``_expand`` the strips
-of its one pass over the panels, updating a panel's latent columns
-before it yields the panel's strips (:mod:`decohd.training`).  A model
-built from latents multiplies each strip into its channels as soon as it
-is drawn from the seed, and never holds a whole projector
-(:func:`stream_channels`).  All three run the same products, so their
-banks are bit-identical.  Containers store channels.
+``lat[:, j:j+16] @ P[j:j+16]`` over the projector's 16-row strips, in
+one function, ``_expand``, which is the only code that walks a
+projector.  Training holds each projector as its 64-row panels, all
+allocated on the calling thread (:func:`materialize_projectors`), and
+builds every bank with :func:`materialize_channels`: the first from the
+initial latents, then one per optimizer step, whose hook updates a
+panel's latent columns before the panel's strips are read
+(:mod:`decohd.training`).  A model built from latents multiplies each
+strip into its channels as soon as it is drawn from the seed, and never
+holds a whole projector (:func:`stream_channels`).  All of them run the
+same products, so their banks are bit-identical.  Containers store
+channels.
 
 Path enumeration is row-major over the per-layer channel choices: the
 last layer varies fastest, as in ``itertools.product`` of the layers'
@@ -39,12 +39,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
 
 from .encoding import RandomProjectionEncoder, Standardizer
-from .ops import RandomMatrixSpec, _strips, derive_seed, generate_matrix, rng_from_seed, row_blocks
+from .ops import RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed, row_blocks
 
 # Projector rows per panel, the unit in which training holds a projector
 # and a step walks it: four draw strips.  Gradient bits: on OpenBLAS a
@@ -205,26 +206,45 @@ class ChannelBank:
         return self._basis
 
 
-def _expand(lat: np.ndarray, strips) -> np.ndarray:
-    """``lat @ P`` summed strip by strip, in order, over the row strips
-    of ``P`` that *strips* yields, each cast to the latents' dtype and
-    used before the next is asked for.  A strip's latent columns are read
-    only once it has been yielded.  The first strip's product is the sum;
-    every later one is multiplied into one reused buffer and added."""
+# Projector rows per product of a channel expansion, as many as a draw
+# strip of decohd.ops.row_blocks.  Every block an expansion walks but the
+# last (a drawn strip, a held panel) is a whole number of strips, so all
+# expansions run the same products.  OpenBLAS runs a 4 x 16 @ 16 x 10000
+# product on the calling thread alone, so one layer's expansion wakes no
+# BLAS threads to compete with the other layers' draws.  32- and 64-row
+# blocks were slower.
+_STRIP_ROWS = 16
+
+
+def _expand(lat: np.ndarray, blocks, before=None) -> np.ndarray:
+    """``lat @ P`` summed strip by strip, in order, over the row blocks of
+    ``P`` that *blocks* yields: a held projector's panels, or the strips
+    that :func:`~decohd.ops.row_blocks` draws.  Each block is used before
+    the next is asked for, one ``_STRIP_ROWS``-row strip at a time, each
+    cast to the latents' dtype.  ``before(block, cols)``, if given, runs
+    before the block's strips are read; *cols* are the block's latent
+    columns.  The first strip's product is the sum; every later one is
+    multiplied into one reused buffer and added."""
     channels, product, start = None, None, 0
-    for strip in strips:
-        part = np.matmul(lat[:, start : start + len(strip)], strip.astype(lat.dtype, copy=False), out=product)
-        if channels is None:
-            channels, product = part, np.empty_like(part)
-        else:
-            channels += part
-        start += len(strip)
+    for block in blocks:
+        if before is not None:
+            before(block, slice(start, start + len(block)))
+        for j in range(0, len(block), _STRIP_ROWS):
+            strip = block[j : j + _STRIP_ROWS]
+            part = np.matmul(lat[:, start : start + len(strip)], strip.astype(lat.dtype, copy=False), out=product)
+            if channels is None:
+                channels, product = part, np.empty_like(part)
+            else:
+                channels += part
+            start += len(strip)
     return channels
 
 
-def materialize_channels(params: ModelParams, projectors: list[list[np.ndarray]]) -> ChannelBank:
-    """Expand each latent through the draw strips of its layer's held
-    projector, a list of panels (:func:`materialize_projectors`)."""
+def materialize_channels(params: ModelParams, projectors: list[list[np.ndarray]], before=None) -> ChannelBank:
+    """Expand each latent through its layer's held projector, a list of
+    panels (:func:`materialize_projectors`).  ``before(i, panel, cols)``,
+    if given, runs before the strips of each panel of layer i are read;
+    *cols* are the panel's latent columns."""
     if len(projectors) != len(params.latents):
         raise ValueError("projector count does not match latent layer count")
     channels = []
@@ -232,7 +252,7 @@ def materialize_channels(params: ModelParams, projectors: list[list[np.ndarray]]
         rows = sum(len(panel) for panel in panels)
         if lat.shape[1] != rows:
             raise ValueError(f"layer {i}: latent dim {lat.shape[1]} does not match projector rows {rows}")
-        channels.append(_expand(lat, _strips(panels)))
+        channels.append(_expand(lat, panels, None if before is None else partial(before, i)))
     return ChannelBank(channels)
 
 

@@ -39,11 +39,8 @@ DEFAULT_TERNARY_ZERO_PROB = 1.0 / 3.0
 # per-layer draws of materialize_projectors and stream_channels) can stay
 # resident in that thread's malloc arena, where the main thread cannot
 # reuse it; for the same reason a held projector's panels are allocated
-# on the calling thread (decohd.model._PANEL_ROWS).  A strip is also the
-# row block of every channel expansion (decohd.model): OpenBLAS runs a
-# 4 x 16 @ 16 x 10000 product on the calling thread alone, so one layer's
-# expansion wakes no BLAS threads to compete with the other layers'
-# draws.  32- and 64-row blocks were slower.
+# on the calling thread (decohd.model.materialize_projectors).  A strip is
+# also the row block of every channel expansion (decohd.model).
 _GENERATE_BLOCK_ROWS = 16
 
 
@@ -133,13 +130,8 @@ def generate_matrix(spec: RandomMatrixSpec, dtype=np.float32, panels=None):
     whole = panels is None
     if whole:
         panels = [np.empty((spec.rows, spec.cols), dtype=dtype)]
-    for target, strip in zip(_strips(panels), row_blocks(spec)):
+    s = _GENERATE_BLOCK_ROWS
+    targets = (panel[j : j + s] for panel in panels for j in range(0, len(panel), s))
+    for target, strip in zip(targets, row_blocks(spec)):
         target[...] = strip
     return panels[0] if whole else panels
-
-
-def _strips(panels):
-    """Views of the draw strips of *panels*, top to bottom: arrays whose
-    rows stack to a matrix, each but the last a whole number of strips."""
-    s = _GENERATE_BLOCK_ROWS
-    return (panel[j : j + s] for panel in panels for j in range(0, len(panel), s))

@@ -29,18 +29,16 @@ into one buffer of ``microbatch_size`` rows that the run reuses, and
 squared there in place into ``u``, so a step's working memory does not
 grow with the batch or the training set.
 
-A step makes one pass over each layer's projector, walking the 64-row
-panels in which training holds it (``decohd.model._PANEL_ROWS``,
-:func:`~decohd.model.materialize_projectors`).  For each panel it forms
-the panel's columns of ``d latent``, applies AdamW to those latent
-columns and expands the panel's draw strips into the next channels
-(:func:`~decohd.model._expand`), which read the columns just updated.
-So the step returns the bank of the updated parameters, and there is
-one bank per parameter state: :func:`~decohd.model.materialize_channels`
-builds only the first, each end-of-epoch evaluation scores the bank
-that the next epoch's first batch trains on, and the final bank is
-returned.  The test suite checks these gradients against central
-differences of the loss.
+A step makes one pass over each layer's projector, walking the panels
+in which training holds it (:func:`~decohd.model.materialize_projectors`):
+it builds the next bank with :func:`~decohd.model.materialize_channels`,
+whose hook, before each panel is expanded, forms the panel's columns of
+``d latent`` and applies AdamW to those latent columns.  So the step
+returns the bank of the updated parameters, and there is one bank per
+parameter state: one more is built before the first step, each
+end-of-epoch evaluation scores the bank that the next epoch's first
+batch trains on, and the final bank is returned.  The test suite checks
+these gradients against central differences of the loss.
 """
 
 from __future__ import annotations
@@ -56,14 +54,13 @@ from .model import (
     ChannelBank,
     ModelConfig,
     ModelParams,
-    _expand,
     init_params,
     layer_views,
     materialize_channels,
     materialize_projectors,
     pick_class,
 )
-from .ops import _strips, derive_seed, rng_from_seed
+from .ops import derive_seed, rng_from_seed
 
 
 class TrainingError(RuntimeError):
@@ -210,18 +207,6 @@ class AdamW:
         p -= self.learning_rate * update
 
 
-def _updated_strips(optimizer: AdamW, k: int, d_channels: np.ndarray, panels: list[np.ndarray]):
-    """The draw strips of *panels*, the k-th layer's held projector.
-    Before a panel's first strip is yielded, the panel's columns of the
-    latent gradient, ``(panel @ d_channels^T)^T``, update those latent
-    columns."""
-    start = 0
-    for panel in panels:
-        optimizer.update(k, (panel @ d_channels.T).T, slice(start, start + len(panel)))
-        start += len(panel)
-        yield from _strips((panel,))
-
-
 def _train_batch(h_train, y_train, b_idx, h_mb, params: ModelParams, bank: ChannelBank,
                  projectors: list[list[np.ndarray]], optimizer: AdamW, loss_sum: float):
     """One optimizer step on the batch *b_idx*, whose microbatches are
@@ -234,7 +219,7 @@ def _train_batch(h_train, y_train, b_idx, h_mb, params: ModelParams, bank: Chann
     as ``(panel @ d channel_i^T)^T``: with only L_i output rows, the
     product against a transposed projector takes a slow BLAS path.  Each
     layer's latents are updated and re-expanded in the same pass over its
-    projector (:func:`_updated_strips`).
+    projector.
     """
     b_n = len(b_idx)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged step; the forward checks it
@@ -255,12 +240,11 @@ def _train_batch(h_train, y_train, b_idx, h_mb, params: ModelParams, bank: Chann
     optimizer.step()
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging step; checked after it
         d_channels = _channel_grads_from_basis(d_basis, bank)
-        channels = [
-            _expand(lat, _updated_strips(optimizer, k, d_ch, proj))
-            for k, (lat, d_ch, proj) in enumerate(zip(params.latents, d_channels, projectors))
-        ]
+        bank = materialize_channels(
+            params, projectors, lambda k, panel, cols: optimizer.update(k, (panel @ d_channels[k].T).T, cols)
+        )
         optimizer.update(len(params.latents), d_head)
-    return loss_sum, correct, ChannelBank(channels)
+    return loss_sum, correct, bank
 
 
 @dataclass
@@ -316,6 +300,8 @@ def train(
     n = h_train.shape[0]
     if n == 0:
         raise ValueError("empty training set")
+    if h_test is not None and len(h_test) == 0:
+        raise ValueError("empty test set")
 
     params = init_params(config, dtype=dtype)
     projectors = materialize_projectors(config, dtype=dtype)

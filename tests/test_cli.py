@@ -95,14 +95,17 @@ def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, 
                                    {"models": [{"kind": "sparsehd", "budget": 0.05}]},
                                    {"learning_rate": float("nan")}, {"weight_decay": float("inf")},
                                    {"models": [{"kind": "onlinehd", "learning_rate": float("nan")}]},
-                                   {"data": {"synthetic": {"num_classes": 3, "separation": float("nan")}}}],
+                                   {"data": {"synthetic": {"num_classes": 3, "separation": float("nan")}}},
+                                   {"models": ["decohd"]}, {"models": [1]}, {"models": {"kind": "decohd"}},
+                                   {"data": "x"}, {"data": {"synthetic": 3}}, {"noise": 5}, {"train": 3}],
                          ids=["eval_every", "weight_decay", "noise-p", "noise-trials", "encoder-kind",
                               "refine-epochs", "refine-learning-rate", "sparse-budget-keeps-none",
                               "learning-rate-nan", "weight-decay-inf", "refine-learning-rate-nan",
-                              "separation-nan"])
+                              "separation-nan", "model-a-string", "model-a-number", "models-an-object",
+                              "data-a-string", "synthetic-a-number", "noise-a-number", "train-a-number"])
 def test_invalid_train_config_of_a_sweep_exits_1(tmp_path, capsys, train):
     # Top-level keys replace the config's own; any other key goes into its train config.
-    top = {k: v for k, v in train.items() if k in ("noise", "encoder_kind", "models", "data")}
+    top = {k: v for k, v in train.items() if k in ("noise", "encoder_kind", "models", "data", "train")}
     config = {
         "data": {"synthetic": {"num_classes": 3, "num_features": 6, "samples_per_class": 10}},
         "models": [{"kind": "decohd", "channels": [2], "latent_dim": 4}],

@@ -1,6 +1,9 @@
 """The deployed-scorer protocol shared by the decomposed, prototype and
 sparse forms, and the package's public surface."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -154,3 +157,16 @@ def test_benchmark_finds_every_layer_it_traces():
     finally:
         tracer.uninstall()
     assert inference.score_batch is original
+
+
+def test_no_module_imports_a_sibling_private_name():
+    # A name with one leading underscore belongs to its own module; a
+    # module that needs one from a sibling shows a decision leaking across
+    # them.  Dunders such as __version__ are public.
+    leaks = []
+    for path in sorted(Path(decohd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("decohd")):
+                leaks += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert leaks == []

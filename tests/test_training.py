@@ -151,24 +151,29 @@ class TestChannelGradients:
             assert_same_bits(g, e)
 
     def test_latent_grads_equal_direct_product(self, rng):
-        # A step forms d latent = d channel @ projector^T one held 64-row
-        # panel of the projector at a time (here 64, 64 and 22 rows), and
-        # updates a panel's latent columns before it yields the panel's
-        # draw strips.
-        proj = rng.standard_normal((150, 40))
-        d_ch = rng.standard_normal((3, 40))
-        updates = []
+        # A step's hook runs before each held 64-row panel of a layer's
+        # projector is expanded (here 64, 64 and 22 rows).  It forms the
+        # panel's columns of d latent = d channel @ projector^T and may
+        # rewrite those latent columns, which the panel's strips then read.
+        projectors = [held(rng.standard_normal((150, 40))) for _ in range(2)]
+        params = ModelParams([rng.standard_normal((l, 150)) for l in (2, 3)], np.zeros((2, 6)))
+        rewritten = [rng.standard_normal(a.shape) for a in params.latents]
+        d_ch = [rng.standard_normal((l, 40)) for l in (2, 3)]
+        calls, grads = [], [[], []]
 
-        class Recorder:
-            def update(self, k, grad, cols):
-                updates.append((k, grad.copy(), cols))
+        def before(i, panel, cols):
+            calls.append((i, cols))
+            grads[i].append((panel @ d_ch[i].T).T)
+            params.latents[i][:, cols] = rewritten[i][:, cols]
 
-        seen = [(len(strip), len(updates)) for strip in training._updated_strips(Recorder(), 1, d_ch, held(proj))]
-        assert seen == [(16, 1)] * 4 + [(16, 2)] * 4 + [(16, 3), (6, 3)]
-        assert [cols for _, _, cols in updates] == [slice(0, 64), slice(64, 128), slice(128, 150)]
-        assert {k for k, _, _ in updates} == {1}
-        d_lat = np.concatenate([g for _, g, _ in updates], axis=1)
-        np.testing.assert_allclose(d_lat, d_ch @ proj.T, rtol=1e-12, atol=1e-12)
+        bank = materialize_channels(params, projectors, before)
+        panels = [slice(0, 64), slice(64, 128), slice(128, 150)]
+        assert calls == [(0, cols) for cols in panels] + [(1, cols) for cols in panels]
+        expected = materialize_channels(ModelParams(rewritten, params.head), projectors)
+        for got, want in zip(bank.channels, expected.channels):
+            assert_same_bits(got, want)
+        for g, d, proj in zip(grads, d_ch, projectors):
+            np.testing.assert_allclose(np.concatenate(g, axis=1), d @ np.vstack(proj).T, rtol=1e-12, atol=1e-12)
 
 
 class TestAdamW:
@@ -292,6 +297,13 @@ class TestTrain:
             assert_same_bits(a, b)
         with pytest.raises(ValueError, match="training encodings must be floating, got int64"):
             train(cfg, tcfg, h_tr.astype(np.int64), y_tr)
+
+    def test_empty_test_set_is_refused_before_training(self, monkeypatch):
+        # Refused before any projector is drawn, not scored as a diverged run.
+        cfg, h_tr, y_tr, _, _ = _blob_setup()
+        monkeypatch.setattr(training, "materialize_projectors", None)
+        with pytest.raises(ValueError, match="^empty test set$"):
+            train(cfg, TrainConfig(epochs=1), h_tr, y_tr, h_tr[:0], y_tr[:0])
 
     def test_bit_identical_reruns(self):
         cfg, h_tr, y_tr, _, _ = _blob_setup()
@@ -430,13 +442,13 @@ class TestOneBankPerParameterState:
         cfg, h_tr, y_tr, h_te, y_te = _blob_setup(dtype=np.float64)
         materialized, expansions, stepped, scored = [], [], [], []
 
-        def counting_materialize(params, projectors):
+        def counting_materialize(params, projectors, before=None):
             materialized.append([a.copy() for a in params.latents])
-            return materialize_channels(params, projectors)
+            return materialize_channels(params, projectors, before)
 
-        def counting_expand(lat, strips):
+        def counting_expand(lat, blocks, before=None):
             expansions.append(lat.shape)
-            return expand(lat, strips)
+            return expand(lat, blocks, before)
 
         def recording_step(h_train, y_train, b_idx, h_mb, params, *args):
             loss_sum, correct, bank = step(h_train, y_train, b_idx, h_mb, params, *args)
@@ -450,7 +462,6 @@ class TestOneBankPerParameterState:
         expand, step = model._expand, training._train_batch
         monkeypatch.setattr(training, "materialize_channels", counting_materialize)
         monkeypatch.setattr(model, "_expand", counting_expand)
-        monkeypatch.setattr(training, "_expand", counting_expand)
         monkeypatch.setattr(training, "_train_batch", recording_step)
         monkeypatch.setattr(training, "evaluate", recording_evaluate)
         tcfg = TrainConfig(epochs=epochs, batch_size=64, microbatch_size=32,
@@ -458,9 +469,10 @@ class TestOneBankPerParameterState:
         test = (h_te, y_te) if with_test else ()
         result = train(cfg, tcfg, h_tr, y_tr, *test)
         steps = epochs * -(-len(y_tr) // 64)
-        # The first bank is materialized; every step expands the bank of
-        # its updated parameters in its one pass over the projectors.
-        assert len(materialized) == (epochs > 0)
+        # The first bank is materialized before the first step; every step
+        # materializes the bank of its updated parameters in its one pass
+        # over the projectors.
+        assert len(materialized) == steps + (epochs > 0)
         assert len(stepped) == steps
         assert len(expansions) == cfg.num_layers * (steps + (epochs > 0))
         # Every bank a step returns, which the evaluations score and the
