@@ -178,6 +178,9 @@ def sparsify_table(table: PrototypeTable, budget: float) -> SparseScorer:
     return SparseScorer(table=np.ascontiguousarray(table.prototypes[:, mask]), mask=mask, budget=budget)
 
 
+MODEL_KINDS = ("decohd", "prototype", "onlinehd", "sparsehd")
+
+
 @dataclass
 class Classifier:
     """End-to-end classifier over raw features, as trained or loaded for
@@ -186,7 +189,7 @@ class Classifier:
     encoder: RandomProjectionEncoder
     standardizer: Standardizer
     scorer: DecomposedScorer | PrototypeTable | SparseScorer
-    kind: str  # "decohd", "prototype", "onlinehd" or "sparsehd"
+    kind: str  # one of MODEL_KINDS
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         h = self.encoder.encode_batch(features, self.standardizer)

@@ -24,6 +24,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
+from .baselines import MODEL_KINDS
 from .budget import BudgetQuery, budget_of, enumerate_configs, trainable_param_savings
 from .data import ParseError, load_csv, make_synthetic, save_csv
 from .encoding import fit_standardizer
@@ -42,6 +43,7 @@ from .experiment import (
 )
 from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
 from .model import accuracy
+from .ops import MATRIX_KINDS
 from .precision import PRESETS, get_format, quantize_array, quantize_model
 from .serialize import load_classifier, save_classifier
 from .training import EpochStats, TrainingDiverged
@@ -239,12 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model and save its container")
     p.add_argument("--train-csv", required=True)
     p.add_argument("--test-csv", required=True)
-    p.add_argument("--model", default="decohd", choices=["decohd", "prototype", "onlinehd", "sparsehd"])
+    p.add_argument("--model", default="decohd", choices=MODEL_KINDS)
     p.add_argument("--output", required=True, help="model container path (.npz)")
     p.add_argument("--name", default="run")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=10000)
-    p.add_argument("--encoder", default="gaussian", choices=["gaussian", "ternary"])
+    p.add_argument("--encoder", default="gaussian", choices=MATRIX_KINDS)
     p.add_argument("--channels", type=_int_list, default="10", help="per-layer channel counts, e.g. 3,3")
     p.add_argument("--latent-dim", type=int, default=4096)
     p.add_argument("--epochs", type=int, default=1000)

@@ -23,38 +23,58 @@ import csv
 import json
 import math
 import os
+import types
+import typing
 from collections.abc import Sequence
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
-from .baselines import Classifier, build_prototype_table, onlinehd_refine, sparsify_table
+from .baselines import MODEL_KINDS, Classifier, build_prototype_table, onlinehd_refine, sparsify_table
 from .budget import budget_of
 from .data import Dataset, ParseError, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
 from .inference import DecomposedScorer
-from .model import ChannelBank, ModelConfig, accuracy, stream_channels
+from .model import ChannelBank, ModelConfig, accuracy
 from .ops import MATRIX_KINDS, derive_seed
 from .precision import get_format, quantize_array, quantize_model
 from .serialize import save_classifier
 from .training import EpochStats, TrainConfig, train
-
-MODEL_KINDS = ("decohd", "prototype", "onlinehd", "sparsehd")
 
 
 class ConfigError(ValueError):
     """Malformed experiment configuration."""
 
 
+_JSON_TYPES = {int: ("an integer", int), float: ("a number", (int, float)), str: ("a string", str),
+               tuple: ("a list", (list, tuple))}
+
+
+def _check_type(value, hint, key: str) -> None:
+    """A :class:`ConfigError` unless the JSON *value* at *key* fits the field
+    annotation *hint*; a spec class takes an object, and a bool no number."""
+    options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    if value is None and type(None) in options:
+        return
+    hint = options[0]
+    if typing.get_origin(hint) is tuple:
+        for i, item in enumerate(value if isinstance(value, (list, tuple)) else ()):
+            _check_type(item, typing.get_args(hint)[0], f"{key}[{i}]")
+    expected, accepted = _JSON_TYPES.get(typing.get_origin(hint) or hint, ("an object", (dict, hint)))
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        raise ConfigError(f"{key}: expected {expected}, got {type(value).__name__}")
+
+
 def _from_dict(cls, data: dict, context: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context}: expected an object, got {type(data).__name__}")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+    _check_type(data, cls, context)
+    hints = typing.get_type_hints(cls)  # one per field
+    unknown = set(data) - hints.keys()
     if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
+        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}; allowed: {sorted(hints)}")
+    for name, value in data.items():
+        _check_type(value, hints[name], name if context == "config" else f"{context}.{name}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -128,7 +148,7 @@ class ExperimentConfig:
     name: str = "experiment"
     root_seed: int = 0
     data: DataSpec | dict = field(default_factory=DataSpec)
-    models: tuple = (ModelSpec(kind="prototype"),)
+    models: tuple[ModelSpec | dict, ...] = (ModelSpec(kind="prototype"),)
     train: TrainConfig | dict = field(default_factory=TrainConfig)
     encoder_kind: str = "gaussian"
     dims: tuple[int, ...] = (10000,)
@@ -140,8 +160,9 @@ class ExperimentConfig:
         for name, cls in (("data", DataSpec), ("train", TrainConfig), ("noise", NoiseConfig)):
             if not isinstance(getattr(self, name), cls):
                 object.__setattr__(self, name, _from_dict(cls, getattr(self, name), name))
-        if not isinstance(self.models, (list, tuple)):
-            raise ConfigError(f"models: expected a list, got {type(self.models).__name__}")
+        for name in ("models", "dims", "precisions"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name}: expected at least one entry")
         models = [m if isinstance(m, ModelSpec) else _from_dict(ModelSpec, m, f"models[{i}]")
                   for i, m in enumerate(self.models)]
         object.__setattr__(self, "models", tuple(models))
@@ -266,9 +287,7 @@ def fit_model(
         # Deploy the trained channels but not the path basis the evaluation
         # kept: run_experiment scores only quantized or bit-flipped copies
         # of this bank, so its own basis is built on first use, if ever.
-        # Only a zero-epoch fit has no trained bank to reuse.
-        bank = ChannelBank(result.bank.channels) if result.bank else stream_channels(result.params, model_cfg)
-        scorer = DecomposedScorer(bank, result.params.head)
+        scorer = DecomposedScorer(ChannelBank(result.bank.channels), result.params.head)
         return Classifier(encoder, standardizer, scorer, spec.kind), result.history
 
     table = build_prototype_table(h_train, y_train, num_classes)
@@ -287,24 +306,17 @@ def fit_model(
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    def fmt(v):
-        if isinstance(v, float):
-            return format(v, ".10g")
-        return v
-
+    """Write *header* and *rows*, each float to 10 significant digits."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        writer.writerows([format(v, ".10g") if isinstance(v, float) else v for v in row] for row in rows)
 
 
 @dataclass
 class ExperimentResult:
-    output_dir: str
     results_csv: str
     manifest_path: str
-    accuracies: dict  # (label, precision, dim) -> accuracy
 
 
 def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> ExperimentResult:
@@ -323,10 +335,8 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
     stage = "prepare-data"
     derived_seeds: dict[str, int] = {}
     result_rows = []
-    precision_rows = []
     robustness_rows = []
     history_rows = []
-    accuracies = {}
     try:
         train_ds, test_ds = prepare_data(config.data, config.root_seed)
         standardizer = fit_standardizer(train_ds.features)
@@ -356,9 +366,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
                     if q_h is None:
                         q_h = quantize_array(h_test, fmt) if fmt.name != "fp32" else h_test
                     acc = accuracy(quantize_model(scorer, fmt), q_h, test_ds.labels)
-                    accuracies[(label, precision, dim)] = acc
                     result_rows.append([label, budget_of(scorer), precision, dim, acc])
-                    precision_rows.append([label, precision, dim, acc])
             if config.noise.p_grid:
                 stage = f"robustness-D{dim}"
                 noise_seed = derive_seed(config.root_seed, "noise", dim)
@@ -367,16 +375,12 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
                     scorers, h_test, test_ds.labels, config.noise.p_grid, config.noise.trials, noise_seed
                 )
         stage = "write-results"
-        result_rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
-        precision_rows.sort(key=lambda r: (r[0], r[1], r[2]))
+        result_rows.sort(key=lambda r: r[:4])
         robustness_rows.sort(key=lambda r: r[:4])
         results_csv = os.path.join(out, "results.csv")
         write_csv(results_csv, ["model", "m_budget", "precision", "D", "accuracy"], result_rows)
-        write_csv(
-            os.path.join(out, "precision.csv"),
-            ["model_kind", "format_name", "D", "test_accuracy"],
-            precision_rows,
-        )
+        write_csv(os.path.join(out, "precision.csv"), ["model_kind", "format_name", "D", "test_accuracy"],
+                  sorted(([m, p, d, acc] for m, _, p, d, acc in result_rows), key=lambda r: r[:3]))
         if robustness_rows:
             write_csv(os.path.join(out, "robustness.csv"), ROBUSTNESS_COLUMNS, robustness_rows)
         if history_rows:
@@ -405,9 +409,4 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
             json.dump(failure, fh, indent=2, sort_keys=True)
             fh.write("\n")
         raise
-    return ExperimentResult(
-        output_dir=out,
-        results_csv=results_csv,
-        manifest_path=manifest_path,
-        accuracies=accuracies,
-    )
+    return ExperimentResult(results_csv=results_csv, manifest_path=manifest_path)

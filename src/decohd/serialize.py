@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .baselines import Classifier, PrototypeTable, SparseScorer
+from .baselines import MODEL_KINDS, Classifier, PrototypeTable, SparseScorer
 from .data import ParseError
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
 from .inference import DecomposedScorer
@@ -88,7 +88,7 @@ def load_classifier(path) -> Classifier:
     if meta.get("format_version") != FORMAT_VERSION:
         raise ContainerError(f"{path}: unsupported container version {meta.get('format_version')}")
     kind = meta.get("kind")
-    if kind not in ("decohd", "prototype", "onlinehd", "sparsehd"):
+    if kind not in MODEL_KINDS:
         raise ContainerError(f"{path}: unknown model kind {kind!r} in container")
     try:
         return _classifier_from(meta, arrays, kind)

@@ -35,17 +35,19 @@ it builds the next bank with :func:`~decohd.model.materialize_channels`,
 whose hook, before each panel is expanded, forms the panel's columns of
 ``d latent`` and applies AdamW to those latent columns.  So the step
 returns the bank of the updated parameters, and there is one bank per
-parameter state: one more is built before the first step, each
+parameter state: one more is built from the initial parameters, each
 end-of-epoch evaluation scores the bank that the next epoch's first
-batch trains on, and the final bank is returned.  The test suite checks
-these gradients against central differences of the loss.
+batch trains on, and the returned parameters come with their bank,
+after zero epochs too.  The test suite checks these gradients against
+central differences of the loss.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,20 +150,11 @@ def _channel_grads_from_basis(d_basis: np.ndarray, bank: ChannelBank) -> list[np
     ascending path order, as a sequential scatter-add would.
     """
     views = layer_views(bank.channels)
-    n = len(views)
     d_basis = d_basis.reshape(bank.channels_per_layer + (bank.dim,))
-    prefix = [None] * n  # prefix[i]: product of views[:i]
-    for i in range(1, n):
-        prefix[i] = views[0] if i == 1 else prefix[i - 1] * views[i - 1]
-    suffix = [None] * n  # suffix[i]: product of views[i+1:], last layer first
-    for i in range(n - 2, -1, -1):
-        suffix[i] = views[-1] if i == n - 2 else suffix[i + 1] * views[i + 1]
     d_channels = []
     for i, num in enumerate(bank.channels_per_layer):
-        parts = [p for p in (prefix[i], suffix[i]) if p is not None]
-        term = d_basis
-        if parts:
-            term = d_basis * (parts[0] if len(parts) == 1 else parts[0] * parts[1])
+        parts = [functools.reduce(np.multiply, p) for p in (views[:i], views[:i:-1]) if p]
+        term = d_basis * functools.reduce(np.multiply, parts) if parts else d_basis
         d_channels.append(np.moveaxis(term, i, 0).reshape(num, -1, bank.dim).sum(axis=1))
     return d_channels
 
@@ -261,9 +254,8 @@ class EpochStats:
 @dataclass
 class TrainResult:
     params: ModelParams
-    history: list[EpochStats] = field(default_factory=list)
-    # Channels of the final params; None only when no epoch ran.
-    bank: ChannelBank | None = None
+    bank: ChannelBank  # the channels of params
+    history: list[EpochStats]
 
 
 def train(
@@ -284,12 +276,12 @@ def train(
     accuracy of the pre-update forward passes.  An epoch that ends with
     a non-finite loss, path basis or score (of the evaluation, else of
     one microbatch) aborts with the last finite checkpoint attached to
-    the exception.  Channels are materialized once, before
-    the first step; each step returns the bank of its updated parameters,
-    and the final bank is returned with the result whenever an epoch ran,
-    so no caller draws the projectors again.  Training runs in the
-    floating dtype of *h_train*: the encoder's float32, or float64 as a
-    precision reference.  *h_train* is only read: each microbatch is
+    the exception.  Channels are materialized once, from the initial
+    parameters; each step returns the bank of its updated parameters, and
+    the returned parameters always come with their bank, after zero
+    epochs too, so no caller draws the projectors again.  Training runs
+    in the floating dtype of *h_train*: the encoder's float32, or float64
+    as a precision reference.  *h_train* is only read: each microbatch is
     gathered into, and squared in, one buffer that the run reuses.
     """
     h_train = np.asarray(h_train)
@@ -313,7 +305,7 @@ def train(
     h_mb = np.empty((min(train_config.microbatch_size, n), h_train.shape[1]), dtype=dtype)
     start = time.perf_counter()
     # The channels of the current params: each step returns its successor.
-    bank = materialize_channels(params, projectors) if train_config.epochs else None
+    bank = materialize_channels(params, projectors)
 
     for epoch in range(train_config.epochs):
         order = rng_from_seed(derive_seed(config.seed, "shuffle", epoch)).permutation(n)
@@ -364,7 +356,7 @@ def train(
         )
         last_good = params.copy()
 
-    return TrainResult(params=params, history=history, bank=bank)
+    return TrainResult(params=params, bank=bank, history=history)
 
 
 def evaluate(bank: ChannelBank, head: np.ndarray, h: np.ndarray, labels: np.ndarray) -> float:

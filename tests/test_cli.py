@@ -97,15 +97,33 @@ def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, 
                                    {"models": [{"kind": "onlinehd", "learning_rate": float("nan")}]},
                                    {"data": {"synthetic": {"num_classes": 3, "separation": float("nan")}}},
                                    {"models": ["decohd"]}, {"models": [1]}, {"models": {"kind": "decohd"}},
-                                   {"data": "x"}, {"data": {"synthetic": 3}}, {"noise": 5}, {"train": 3}],
+                                   {"data": "x"}, {"data": {"synthetic": 3}}, {"noise": 5}, {"train": 3},
+                                   {"dims": "64"}, {"dims": [64.7]}, {"dims": []}, {"precisions": []},
+                                   {"models": []}, {"models": [{"kind": "decohd", "channels": "22"}]},
+                                   {"models": [{"kind": "decohd", "channels": [True, 2]}]},
+                                   {"models": [{"kind": "decohd", "latent_dim": 4.5}]},
+                                   {"models": [{"kind": "onlinehd", "epochs": 1.5}]},
+                                   {"root_seed": 1.5}, {"root_seed": "x"}, {"epochs": True}, {"epochs": 1.5},
+                                   {"eval_every": 1.5}, {"batch_size": 2.5},
+                                   {"noise": {"p_grid": [0.0], "trials": 1.5}},
+                                   {"data": {"synthetic": {"samples_per_class": 10.5}}},
+                                   {"data": {"synthetic": {"num_classes": 3.5}}},
+                                   {"data": {"train_csv": 3, "test_csv": "test.csv"}}],
                          ids=["eval_every", "weight_decay", "noise-p", "noise-trials", "encoder-kind",
                               "refine-epochs", "refine-learning-rate", "sparse-budget-keeps-none",
                               "learning-rate-nan", "weight-decay-inf", "refine-learning-rate-nan",
                               "separation-nan", "model-a-string", "model-a-number", "models-an-object",
-                              "data-a-string", "synthetic-a-number", "noise-a-number", "train-a-number"])
+                              "data-a-string", "synthetic-a-number", "noise-a-number", "train-a-number",
+                              "dims-a-string", "dims-a-float", "dims-empty", "precisions-empty", "models-empty",
+                              "channels-a-string", "channels-a-bool", "latent-dim-a-float",
+                              "refine-epochs-a-float", "root-seed-a-float", "root-seed-a-string",
+                              "epochs-a-bool", "epochs-a-float", "eval-every-a-float", "batch-size-a-float",
+                              "trials-a-float", "samples-per-class-a-float", "num-classes-a-float",
+                              "train-csv-a-number"])
 def test_invalid_train_config_of_a_sweep_exits_1(tmp_path, capsys, train):
     # Top-level keys replace the config's own; any other key goes into its train config.
-    top = {k: v for k, v in train.items() if k in ("noise", "encoder_kind", "models", "data", "train")}
+    top = {k: v for k, v in train.items()
+           if k in ("noise", "encoder_kind", "models", "data", "train", "dims", "precisions", "root_seed")}
     config = {
         "data": {"synthetic": {"num_classes": 3, "num_features": 6, "samples_per_class": 10}},
         "models": [{"kind": "decohd", "channels": [2], "latent_dim": 4}],

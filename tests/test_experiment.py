@@ -75,7 +75,6 @@ def test_four_model_sweep_writes_every_row(tmp_path):
             row = results[(label, p, "64")]
             acc = float(row["accuracy"])
             assert 0.0 <= acc <= 1.0
-            assert format(result.accuracies[(label, p, 64)], ".10g") == row["accuracy"]
             assert precision[(label, p, "64")]["test_accuracy"] == row["accuracy"]
         fp32 = results[(label, "fp32", "64")]["accuracy"]
         for trial in range(TRIALS):
@@ -88,6 +87,13 @@ def test_four_model_sweep_writes_every_row(tmp_path):
         manifest = json.load(fh)
     assert manifest["model_labels"] == labels
     assert sorted(os.listdir(tmp_path / "models")) == sorted(f"{l}_D64.npz" for l in labels)
+
+
+def test_a_manifest_reloads_as_its_config(tmp_path):
+    # JSON turns the config's tuples into lists and its unused CSV paths
+    # into nulls; the type check of load_config must take both back.
+    result = run_experiment(tiny_config(), output_dir=str(tmp_path))
+    assert load_config(result.manifest_path) == tiny_config()
 
 
 def test_two_dimension_sweep_tells_its_robustness_rows_apart(tmp_path):
@@ -211,15 +217,14 @@ def test_deleted_train_keys_are_rejected(tmp_path, key, value):
 
 # Ids name whether training ran and whether its last epoch evaluated, and
 # the projector draws fit_model makes, dense plus streamed.
-@pytest.mark.parametrize("epochs, eval_every, dense, streamed", [(2, 1, 2, 0), (3, 2, 2, 0), (0, 1, 2, 2)],
-                         ids=["trained-2", "trained-no-final-eval-2", "untrained-4"])
+@pytest.mark.parametrize("epochs, eval_every, dense, streamed", [(2, 1, 2, 0), (3, 2, 2, 0), (0, 1, 2, 0)],
+                         ids=["trained-2", "trained-no-final-eval-2", "untrained-2"])
 def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, tmp_path, epochs, eval_every,
                                                             dense, streamed):
-    # Training draws its two projectors whole, once, and returns the final
-    # bank whether or not its last epoch evaluated: that bank is the
-    # deployed one, so nothing is drawn again.  With zero epochs there is
-    # none, and fit_model streams both projectors in 16-row strips, which
-    # split the 17 latent rows into 16 + 1.
+    # Training draws its two projectors whole, once, and returns the bank
+    # of its final params, after any number of epochs and whether or not
+    # the last one evaluated: that bank is the deployed one, so nothing
+    # is drawn again.
     # A container holds the channels, so loading it and predicting draws
     # one matrix: the encoder's.
     config = ExperimentConfig(

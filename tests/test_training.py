@@ -469,12 +469,12 @@ class TestOneBankPerParameterState:
         test = (h_te, y_te) if with_test else ()
         result = train(cfg, tcfg, h_tr, y_tr, *test)
         steps = epochs * -(-len(y_tr) // 64)
-        # The first bank is materialized before the first step; every step
-        # materializes the bank of its updated parameters in its one pass
-        # over the projectors.
-        assert len(materialized) == steps + (epochs > 0)
+        # The first bank is materialized before the first step, even when
+        # no step runs; every step materializes the bank of its updated
+        # parameters in its one pass over the projectors.
+        assert len(materialized) == steps + 1
         assert len(stepped) == steps
-        assert len(expansions) == cfg.num_layers * (steps + (epochs > 0))
+        assert len(expansions) == cfg.num_layers * (steps + 1)
         # Every bank a step returns, which the evaluations score and the
         # run returns, is the bank of the parameters it belongs to.
         projectors = materialize_projectors(cfg, dtype=np.float64)
@@ -491,7 +491,10 @@ class TestOneBankPerParameterState:
             for got, expected in zip(stepped[-1][0].arrays(), result.params.arrays()):
                 assert_same_bits(got, expected)
         else:
-            assert result.bank is None
+            # The bank of the initial params, built once from the held projectors.
+            initial = materialize_channels(init_params(cfg, dtype=np.float64), projectors)
+            for got, expected in zip(result.bank.channels, initial.channels):
+                assert_same_bits(got, expected)
 
 
 class TestGradientAccumulationMatchesBackward:
