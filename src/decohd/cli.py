@@ -32,7 +32,6 @@ from .experiment import (
     ConfigError,
     DataSpec,
     ExperimentConfig,
-    ModelSpec,
     check_width,
     encode_splits,
     fit_model,
@@ -61,7 +60,7 @@ def _probability_list(text: str) -> list[float]:
         values = [float(x) for x in text.split(",") if x]
     except ValueError:
         values = None
-    if values is None or not all(0.0 <= p <= 1.0 for p in values):
+    if not values or not all(0.0 <= p <= 1.0 for p in values):
         raise argparse.ArgumentTypeError(f"expected comma-separated probabilities in [0, 1], got {text!r}")
     return values
 
@@ -95,16 +94,16 @@ def cmd_train(args) -> int:
         root_seed=args.seed,
         data=DataSpec(name=os.path.splitext(os.path.basename(args.train_csv))[0],
                       train_csv=args.train_csv, test_csv=args.test_csv),
-        models=(
-            ModelSpec(
+        models=(  # dicts, built and checked by ExperimentConfig, which raises ConfigError
+            dict(
                 kind=args.model,
-                channels=tuple(args.channels),
+                channels=args.channels,
                 latent_dim=args.latent_dim,
                 epochs=args.refine_epochs,
                 budget=args.sparse_budget,
             ),
         ),
-        train=dict(  # validated by ExperimentConfig, which raises ConfigError
+        train=dict(
             learning_rate=args.learning_rate,
             weight_decay=args.weight_decay,
             epochs=args.epochs,

@@ -4,7 +4,9 @@ A run is fully described by one JSON config; the manifest written next
 to the results contains the resolved config plus every derived seed, and
 re-running from the manifest reproduces the run bit-exactly (modulo the
 wall-clock column of the history file).  Unknown config keys are errors:
-silent typos in sweep grids are the main operational hazard.  At every
+silent typos in sweep grids are the main operational hazard.  A config
+error names the key path of the value refused, once, as in
+``data.synthetic.num_classes`` or ``models[1].channels[0]``.  At every
 precision but fp32 the test encodings are rounded to the format before
 they are scored, as the models' stored arrays are.
 
@@ -26,7 +28,7 @@ import os
 import types
 import typing
 from collections.abc import Sequence
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
 from .inference import DecomposedScorer
 from .model import ChannelBank, ModelConfig, accuracy
 from .ops import MATRIX_KINDS, derive_seed
-from .precision import get_format, quantize_array, quantize_model
+from .precision import PRESETS, get_format, quantize_array, quantize_model
 from .serialize import save_classifier
 from .training import EpochStats, TrainConfig, train
 
@@ -52,33 +54,37 @@ _JSON_TYPES = {int: ("an integer", int), float: ("a number", (int, float)), str:
                tuple: ("a list", (list, tuple))}
 
 
-def _check_type(value, hint, key: str) -> None:
-    """A :class:`ConfigError` unless the JSON *value* at *key* fits the field
-    annotation *hint*; a spec class takes an object, and a bool no number."""
+def _build(hint, value, key: str):
+    """*value*, from JSON or Python, as the field annotation *hint* at *key*
+    takes it: a list as a tuple of built items, an object as its spec with
+    each field built under ``key.field``, a number as a float where a float
+    is expected (a bool is no number); anything else is a ConfigError."""
     options = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
     if value is None and type(None) in options:
-        return
+        return None
     hint = options[0]
-    if typing.get_origin(hint) is tuple:
-        for i, item in enumerate(value if isinstance(value, (list, tuple)) else ()):
-            _check_type(item, typing.get_args(hint)[0], f"{key}[{i}]")
-    expected, accepted = _JSON_TYPES.get(typing.get_origin(hint) or hint, ("an object", (dict, hint)))
+    origin = typing.get_origin(hint) or hint
+    if is_dataclass(origin) and isinstance(value, origin):  # a spec built in Python
+        return value
+    expected, accepted = _JSON_TYPES.get(origin, ("an object", dict))
     if not isinstance(value, accepted) or isinstance(value, bool):
         raise ConfigError(f"{key}: expected {expected}, got {type(value).__name__}")
-
-
-def _from_dict(cls, data: dict, context: str):
-    _check_type(data, cls, context)
-    hints = typing.get_type_hints(cls)  # one per field
-    unknown = set(data) - hints.keys()
+    if origin is tuple:
+        return tuple(_build(typing.get_args(hint)[0], item, f"{key}[{i}]") for i, item in enumerate(value))
+    if not is_dataclass(origin):
+        return float(value) if origin is float else value
+    hints = typing.get_type_hints(origin)  # one per field
+    unknown = value.keys() - hints.keys()
     if unknown:
-        raise ConfigError(f"{context}: unknown keys {sorted(unknown)}; allowed: {sorted(hints)}")
-    for name, value in data.items():
-        _check_type(value, hints[name], name if context == "config" else f"{context}.{name}")
+        raise ConfigError(f"{key}: unknown keys {sorted(unknown)}; allowed: {sorted(hints)}")
+    built = {name: _build(hints[name], item, name if key == "config" else f"{key}.{name}")
+             for name, item in value.items()}
     try:
-        return cls(**data)
+        return origin(**built)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -89,8 +95,10 @@ class SyntheticSpec:
     separation: float = 3.0
 
     def __post_init__(self):
+        if self.num_classes < 2 or self.num_features < 1 or self.samples_per_class < 1:  # as make_synthetic
+            raise ValueError("need num_classes >= 2, num_features >= 1 and samples_per_class >= 1")
         if not 0.0 <= self.separation < math.inf:
-            raise ConfigError(f"data.synthetic: separation must be finite and >= 0, got {self.separation}")
+            raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
 
 
 @dataclass(frozen=True)
@@ -101,11 +109,10 @@ class DataSpec:
     synthetic: SyntheticSpec | dict | None = None
 
     def __post_init__(self):
-        if self.synthetic is not None and not isinstance(self.synthetic, SyntheticSpec):
-            object.__setattr__(self, "synthetic", _from_dict(SyntheticSpec, self.synthetic, "data.synthetic"))
+        object.__setattr__(self, "synthetic", _build(SyntheticSpec | None, self.synthetic, "data.synthetic"))
         has_csv = self.train_csv is not None and self.test_csv is not None
         if has_csv == (self.synthetic is not None):
-            raise ConfigError("data: give either train_csv+test_csv or synthetic, not both")
+            raise ValueError("give either train_csv+test_csv or synthetic, not both")
 
 
 @dataclass(frozen=True)
@@ -120,16 +127,15 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
-            raise ConfigError(f"model kind {self.kind!r} not one of {MODEL_KINDS}")
+            raise ValueError(f"model kind {self.kind!r} not one of {MODEL_KINDS}")
         if self.base not in ("onlinehd", "prototype"):
-            raise ConfigError("sparsehd base must be 'onlinehd' or 'prototype'")
-        object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
+            raise ValueError("sparsehd base must be 'onlinehd' or 'prototype'")
         if not self.channels or min(self.channels) < 1 or self.latent_dim < 1:
-            raise ConfigError("decohd needs at least one layer, every layer >= 1 channel, latent_dim >= 1")
+            raise ValueError("decohd needs at least one layer, every layer >= 1 channel, latent_dim >= 1")
         if not 0.0 < self.budget <= 1.0:
-            raise ConfigError("sparsehd budget must be in (0, 1]")
+            raise ValueError("sparsehd budget must be in (0, 1]")
         if self.epochs < 0 or not 0.0 <= self.learning_rate < math.inf:
-            raise ConfigError("onlinehd refinement needs epochs >= 0 and a finite learning_rate >= 0")
+            raise ValueError("onlinehd refinement needs epochs >= 0 and a finite learning_rate >= 0")
 
 
 @dataclass(frozen=True)
@@ -138,16 +144,17 @@ class NoiseConfig:
     trials: int = 5
 
     def __post_init__(self):
-        object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
         if self.trials < 1 or not all(0.0 <= p <= 1.0 for p in self.p_grid):
-            raise ConfigError(f"need trials >= 1 and every p in [0, 1], got {self.trials} and {self.p_grid}")
+            raise ValueError(f"need trials >= 1 and every p in [0, 1], got {self.trials} and {self.p_grid}")
+        if len(set(self.p_grid)) < len(self.p_grid):
+            raise ValueError(f"p_grid repeats a value: {self.p_grid}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str = "experiment"
     root_seed: int = 0
-    data: DataSpec | dict = field(default_factory=DataSpec)
+    data: DataSpec | dict = field(default_factory=dict)  # DataSpec() has no data; refused under "data"
     models: tuple[ModelSpec | dict, ...] = (ModelSpec(kind="prototype"),)
     train: TrainConfig | dict = field(default_factory=TrainConfig)
     encoder_kind: str = "gaussian"
@@ -157,43 +164,31 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self):
-        for name, cls in (("data", DataSpec), ("train", TrainConfig), ("noise", NoiseConfig)):
-            if not isinstance(getattr(self, name), cls):
-                object.__setattr__(self, name, _from_dict(cls, getattr(self, name), name))
+        for name, hint in typing.get_type_hints(ExperimentConfig).items():
+            object.__setattr__(self, name, _build(hint, getattr(self, name), name))
         for name in ("models", "dims", "precisions"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(f"{name}: expected at least one entry")
-        models = [m if isinstance(m, ModelSpec) else _from_dict(ModelSpec, m, f"models[{i}]")
-                  for i, m in enumerate(self.models)]
-        object.__setattr__(self, "models", tuple(models))
+            if name != "models" and len(set(values)) < len(values):  # repeated models get labels kind1, kind2
+                raise ConfigError(f"{name}: repeats a value: {values}")
         if self.encoder_kind not in MATRIX_KINDS:
-            raise ConfigError(f"encoder_kind {self.encoder_kind!r} not one of {MATRIX_KINDS}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if any(d < 1 for d in self.dims):
-            raise ConfigError(f"dims must be >= 1, got {self.dims}")
+            raise ConfigError(f"encoder_kind: {self.encoder_kind!r} not one of {MATRIX_KINDS}")
+        if min(self.dims) < 1:
+            raise ConfigError(f"dims: every value must be >= 1, got {self.dims}")
+        unknown = sorted(set(self.precisions) - PRESETS.keys())
+        if unknown:
+            raise ConfigError(f"precisions: unknown formats {unknown}; presets: {sorted(PRESETS)}")
         for i, m in enumerate(self.models):
             for d in self.dims if m.kind == "sparsehd" else ():
                 if int(np.floor(m.budget * d)) < 1:  # as sparsify_table keeps
                     raise ConfigError(f"models[{i}]: sparsehd budget {m.budget} retains zero of {d} dimensions")
-        object.__setattr__(self, "precisions", tuple(self.precisions))
-        for p in self.precisions:
-            get_format(p)  # validate early
 
     def model_labels(self) -> list[str]:
         """A model's kind, or ``kind<n>`` for the n-th of several models
         of one kind; no kind ends in a digit, so labels are unique."""
-        counts = {}
-        for m in self.models:
-            counts[m.kind] = counts.get(m.kind, 0) + 1
-        seen = {}
-        labels = []
-        for m in self.models:
-            if counts[m.kind] == 1:
-                labels.append(m.kind)
-            else:
-                seen[m.kind] = seen.get(m.kind, 0) + 1
-                labels.append(f"{m.kind}{seen[m.kind]}")
-        return labels
+        kinds = [m.kind for m in self.models]
+        return [k if kinds.count(k) == 1 else f"{k}{kinds[:i + 1].count(k)}" for i, k in enumerate(kinds)]
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -206,7 +201,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(raw, dict) and "config" in raw and "derived_seeds" in raw:
         raw = raw["config"]  # manifests reload as configs
-    return _from_dict(ExperimentConfig, raw, "config")
+    return _build(ExperimentConfig, raw, "config")
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,12 @@ def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, 
                                    {"noise": {"p_grid": [0.0], "trials": 1.5}},
                                    {"data": {"synthetic": {"samples_per_class": 10.5}}},
                                    {"data": {"synthetic": {"num_classes": 3.5}}},
-                                   {"data": {"train_csv": 3, "test_csv": "test.csv"}}],
+                                   {"data": {"train_csv": 3, "test_csv": "test.csv"}},
+                                   {"data": {"synthetic": {"num_classes": 1}}},
+                                   {"data": {"synthetic": {"num_features": 0}}},
+                                   {"data": {"synthetic": {"samples_per_class": 0}}},
+                                   {"dims": [32, 32]}, {"precisions": ["fp32", "fp32"]},
+                                   {"noise": {"p_grid": [0, 0]}}],
                          ids=["eval_every", "weight_decay", "noise-p", "noise-trials", "encoder-kind",
                               "refine-epochs", "refine-learning-rate", "sparse-budget-keeps-none",
                               "learning-rate-nan", "weight-decay-inf", "refine-learning-rate-nan",
@@ -119,7 +124,8 @@ def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, 
                               "refine-epochs-a-float", "root-seed-a-float", "root-seed-a-string",
                               "epochs-a-bool", "epochs-a-float", "eval-every-a-float", "batch-size-a-float",
                               "trials-a-float", "samples-per-class-a-float", "num-classes-a-float",
-                              "train-csv-a-number"])
+                              "train-csv-a-number", "one-class", "no-features", "no-samples-per-class",
+                              "dims-repeated", "precisions-repeated", "p-grid-repeated"])
 def test_invalid_train_config_of_a_sweep_exits_1(tmp_path, capsys, train):
     # Top-level keys replace the config's own; any other key goes into its train config.
     top = {k: v for k, v in train.items()
@@ -137,6 +143,25 @@ def test_invalid_train_config_of_a_sweep_exits_1(tmp_path, capsys, train):
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Traceback" not in err
     assert not (tmp_path / "out" / "models").exists()  # rejected before any model trains
+
+
+SYNTHETIC = {"data": {"synthetic": {}}}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"data": {"synthetic": {"num_classes": 3.5}}}, "data.synthetic.num_classes: expected an integer, got float"),
+    ({**SYNTHETIC, "noise": {"p_grid": [0.1], "trials": 0}},
+     "noise: need trials >= 1 and every p in [0, 1], got 0 and (0.1,)"),
+    ({**SYNTHETIC, "train": {"batch_size": 0}}, "train: batch sizes must be >= 1"),
+    ({**SYNTHETIC, "models": [{"kind": "decohd", "channels": [2, True]}]},
+     "models[0].channels[1]: expected an integer, got bool"),
+    ({}, "data: give either train_csv+test_csv or synthetic, not both"),
+], ids=["nested-type", "noise-range", "train-range", "list-item-type", "no-data"])
+def test_a_config_error_names_its_key_once(tmp_path, capsys, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("extra", [["--epochs", "-1"], ["--dim", "0"], ["--channels", "0,2"],
@@ -287,7 +312,8 @@ def test_internal_value_error_is_not_reported_as_config_error(synthetic_csvs, tm
 @pytest.mark.parametrize("argv", [["budget", "--m", "0.5", "--classes", "3", "--dim", "64", "--layers", "1,x"],
                                   ["robustness", "--models", "m.npz", "--test-csv", "t.csv", "--p-grid", "0,2"],
                                   ["eval", "--model", "m.npz", "--test-csv", "t.csv", "--precision", "fp7"],
-                                  ["robustness", "--models", "m.npz", "--test-csv", "t.csv", "--trials", "0"]])
+                                  ["robustness", "--models", "m.npz", "--test-csv", "t.csv", "--trials", "0"],
+                                  ["robustness", "--models", "m.npz", "--test-csv", "t.csv", "--p-grid", ""]])
 def test_malformed_command_line_is_rejected_by_argparse(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)

@@ -91,9 +91,32 @@ def test_four_model_sweep_writes_every_row(tmp_path):
 
 def test_a_manifest_reloads_as_its_config(tmp_path):
     # JSON turns the config's tuples into lists and its unused CSV paths
-    # into nulls; the type check of load_config must take both back.
+    # into nulls; the walk of load_config must take both back.
     result = run_experiment(tiny_config(), output_dir=str(tmp_path))
     assert load_config(result.manifest_path) == tiny_config()
+
+
+def test_a_config_built_in_python_equals_its_json_load(tmp_path):
+    # Python callers pass dicts and lists where JSON has objects and
+    # arrays; one walk builds both into the same specs, tuples and floats.
+    raw = {
+        "root_seed": 3,
+        "data": {"synthetic": {"num_classes": 3, "separation": 2}},
+        "models": [{"kind": "decohd", "channels": [2, 3]}, {"kind": "sparsehd", "budget": 1}],
+        "train": {"epochs": 2, "learning_rate": 1},
+        "dims": [64, 128],
+        "precisions": ["fp32", "bf16"],
+        "noise": {"p_grid": [0, 1e-3], "trials": 2},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    config = ExperimentConfig(**raw)
+    assert config == load_config(str(path))
+    assert json.dumps(dataclasses.asdict(config)) == json.dumps(dataclasses.asdict(load_config(str(path))))
+    assert config.models[0] == ModelSpec(kind="decohd", channels=(2, 3))
+    assert config.dims == (64, 128) and config.precisions == ("fp32", "bf16")
+    assert [type(v) for v in (config.data.synthetic.separation, config.train.learning_rate,
+                              *config.noise.p_grid)] == [float] * 4
 
 
 def test_two_dimension_sweep_tells_its_robustness_rows_apart(tmp_path):
