@@ -42,7 +42,6 @@ from .experiment import (
 )
 from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
 from .model import accuracy
-from .ops import MATRIX_KINDS
 from .precision import PRESETS, get_format, quantize_array, quantize_model
 from .serialize import load_classifier, save_classifier
 from .training import EpochStats, TrainingDiverged
@@ -60,8 +59,8 @@ def _probability_list(text: str) -> list[float]:
         values = [float(x) for x in text.split(",") if x]
     except ValueError:
         values = None
-    if not values or not all(0.0 <= p <= 1.0 for p in values):
-        raise argparse.ArgumentTypeError(f"expected comma-separated probabilities in [0, 1], got {text!r}")
+    if not values or not all(0.0 <= p <= 1.0 for p in values) or len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected distinct comma-separated probabilities in [0, 1], got {text!r}")
     return values
 
 
@@ -111,7 +110,6 @@ def cmd_train(args) -> int:
             microbatch_size=args.microbatch_size,
         ),
         dims=(args.dim,),
-        encoder_kind=args.encoder,
     )
     train_ds, test_ds = prepare_data(config.data, config.root_seed)
     standardizer = fit_standardizer(train_ds.features)
@@ -245,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="run")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=10000)
-    p.add_argument("--encoder", default="gaussian", choices=MATRIX_KINDS)
     p.add_argument("--channels", type=_int_list, default="10", help="per-layer channel counts, e.g. 3,3")
     p.add_argument("--latent-dim", type=int, default=4096)
     p.add_argument("--epochs", type=int, default=1000)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ops import DEFAULT_TERNARY_ZERO_PROB, RandomMatrixSpec, derive_seed, generate_matrix
+from .ops import RandomMatrixSpec, derive_seed, generate_matrix
 
 _NORM_STRIP_ROWS = 32
 
@@ -68,7 +68,7 @@ def fit_standardizer(train_features: np.ndarray) -> Standardizer:
 class EncoderConfig:
     """Shape and seed of the frozen encoder.
 
-    The matrix is regenerable from (seed, kind, num_features, dim) alone.
+    The matrix is regenerable from (seed, num_features, dim) alone.
     ``normalize_output`` rescales each hypervector to unit L2 norm; a
     positive per-sample rescaling cannot change downstream argmax, and it
     bounds logit magnitude at large D.
@@ -76,10 +76,8 @@ class EncoderConfig:
 
     num_features: int
     dim: int
-    kind: str = "gaussian"
     seed: int = 0
     normalize_output: bool = True
-    ternary_zero_prob: float = DEFAULT_TERNARY_ZERO_PROB
 
     def __post_init__(self):
         if self.num_features < 1:
@@ -88,16 +86,10 @@ class EncoderConfig:
             raise ValueError("dim must be >= 1")
 
     def matrix_spec(self) -> RandomMatrixSpec:
-        # 1/sqrt(num_features) keeps hypervector entries O(1) regardless
-        # of the input feature count.
-        return RandomMatrixSpec(
-            rows=self.num_features,
-            cols=self.dim,
-            kind=self.kind,
-            seed=derive_seed(self.seed, "encoder", self.num_features, self.dim),
-            scale=1.0 / np.sqrt(self.num_features),
-            ternary_zero_prob=self.ternary_zero_prob,
-        )
+        # Entries of variance 1/num_features (ops.row_blocks) keep
+        # hypervector entries O(1) regardless of the input feature count.
+        seed = derive_seed(self.seed, "encoder", self.num_features, self.dim)
+        return RandomMatrixSpec(rows=self.num_features, cols=self.dim, seed=seed)
 
 
 class RandomProjectionEncoder:

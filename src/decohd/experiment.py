@@ -40,7 +40,7 @@ from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_
 from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
 from .inference import DecomposedScorer
 from .model import ChannelBank, ModelConfig, accuracy
-from .ops import MATRIX_KINDS, derive_seed
+from .ops import derive_seed
 from .precision import PRESETS, get_format, quantize_array, quantize_model
 from .serialize import save_classifier
 from .training import EpochStats, TrainConfig, train
@@ -157,7 +157,6 @@ class ExperimentConfig:
     data: DataSpec | dict = field(default_factory=dict)  # DataSpec() has no data; refused under "data"
     models: tuple[ModelSpec | dict, ...] = (ModelSpec(kind="prototype"),)
     train: TrainConfig | dict = field(default_factory=TrainConfig)
-    encoder_kind: str = "gaussian"
     dims: tuple[int, ...] = (10000,)
     precisions: tuple[str, ...] = ("fp32",)
     noise: NoiseConfig | dict = field(default_factory=NoiseConfig)
@@ -172,8 +171,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: expected at least one entry")
             if name != "models" and len(set(values)) < len(values):  # repeated models get labels kind1, kind2
                 raise ConfigError(f"{name}: repeats a value: {values}")
-        if self.encoder_kind not in MATRIX_KINDS:
-            raise ConfigError(f"encoder_kind: {self.encoder_kind!r} not one of {MATRIX_KINDS}")
         if min(self.dims) < 1:
             raise ConfigError(f"dims: every value must be >= 1, got {self.dims}")
         unknown = sorted(set(self.precisions) - PRESETS.keys())
@@ -235,12 +232,7 @@ def prepare_data(spec: DataSpec, root_seed: int) -> tuple[Dataset, Dataset]:
 
 def build_encoder(config: ExperimentConfig, num_features: int, dim: int) -> RandomProjectionEncoder:
     return RandomProjectionEncoder(
-        EncoderConfig(
-            num_features=num_features,
-            dim=dim,
-            kind=config.encoder_kind,
-            seed=derive_seed(config.root_seed, "encoder", dim),
-        )
+        EncoderConfig(num_features=num_features, dim=dim, seed=derive_seed(config.root_seed, "encoder", dim))
     )
 
 

@@ -96,17 +96,12 @@ class ModelConfig:
     def projector_specs(self) -> list[RandomMatrixSpec]:
         """One frozen latent_dim x dim projector per layer.
 
-        Entries are normal(0, 1/latent_dim): with unit-variance latents
-        the channel entries come out O(1) independent of latent_dim.
+        Entries are normal(0, 1/latent_dim) (ops.row_blocks): with
+        unit-variance latents the channel entries come out O(1)
+        independent of latent_dim.
         """
         return [
-            RandomMatrixSpec(
-                rows=self.latent_dim,
-                cols=self.dim,
-                kind="gaussian",
-                seed=derive_seed(self.seed, "projector", i),
-                scale=1.0 / np.sqrt(self.latent_dim),
-            )
+            RandomMatrixSpec(rows=self.latent_dim, cols=self.dim, seed=derive_seed(self.seed, "projector", i))
             for i in range(self.num_layers)
         ]
 

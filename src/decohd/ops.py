@@ -6,9 +6,10 @@ in :func:`decohd.model.path_basis` and the forwards of
 :mod:`decohd.inference`.
 
 Frozen random matrices (the input encoder and the per-layer latent
-projectors) are described by :class:`RandomMatrixSpec` and regenerated on
-demand, so they never need to be stored: whole or into panels that the
-caller allocated (:func:`generate_matrix`), or as a stream of row strips
+projectors) are Gaussian, described by a :class:`RandomMatrixSpec` of
+shape and seed alone and regenerated on demand, so they never need to
+be stored: whole or into panels that the caller allocated
+(:func:`generate_matrix`), or as a stream of row strips
 (:func:`row_blocks`), all with the same bits.
 
 Seed derivation
@@ -27,11 +28,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-
-MATRIX_KINDS = ("gaussian", "ternary")
-
-# Symmetric default: -1, 0, +1 each with probability 1/3.
-DEFAULT_TERNARY_ZERO_PROB = 1.0 / 3.0
 
 # Rows per draw strip: 16 x 10000 is a 1.3 MB float64 buffer, held once
 # per stream whatever the matrix.  Kept small because, under glibc, a
@@ -70,27 +66,11 @@ class RandomMatrixSpec:
 
     rows: int
     cols: int
-    kind: str
     seed: int
-    scale: float = 1.0
-    ternary_zero_prob: float = DEFAULT_TERNARY_ZERO_PROB
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"matrix shape must be positive, got {self.rows}x{self.cols}")
-        if self.kind not in MATRIX_KINDS:
-            raise ValueError(f"unknown matrix kind {self.kind!r}; expected one of {MATRIX_KINDS}")
-        if not 0.0 <= self.ternary_zero_prob < 1.0:
-            raise ValueError("ternary_zero_prob must be in [0, 1)")
-
-
-def _uniform_to_ternary(u: np.ndarray, p0: float) -> None:
-    """Map uniforms in place: 0 below *p0*, -1 below the midpoint of the
-    rest, +1 above it.  The two masks die on return."""
-    zero, negative = u < p0, u < p0 + (1.0 - p0) / 2.0
-    u.fill(1.0)
-    np.copyto(u, -1.0, where=negative)
-    np.copyto(u, 0.0, where=zero)
 
 
 def row_blocks(spec: RandomMatrixSpec):
@@ -98,9 +78,9 @@ def row_blocks(spec: RandomMatrixSpec):
     draw strip of ``_GENERATE_BLOCK_ROWS`` rows at a time (the last strip
     may be shorter).
 
-    gaussian: i.i.d. normal(0, 1) entries times ``scale``.
-    ternary:  i.i.d. over {-1, 0, +1} times ``scale``; zero carries
-    ``ternary_zero_prob`` mass and the remainder splits evenly.
+    Entries are i.i.d. normal(0, 1/rows): standard normals times
+    ``1/sqrt(rows)``, so a unit-variance input of ``rows`` entries
+    projects to entries of unit variance whatever ``rows`` is.
 
     Every yield is a view of one float64 buffer, drawn into in place,
     scaled and overwritten by the next yield, so a caller casts or keeps
@@ -108,15 +88,12 @@ def row_blocks(spec: RandomMatrixSpec):
     sequentially, so the strips stacked equal one full-size draw bit for bit.
     """
     rng = rng_from_seed(spec.seed)
+    scale = 1.0 / np.sqrt(spec.rows)
     buffer = np.empty((min(_GENERATE_BLOCK_ROWS, spec.rows), spec.cols))
     for start in range(0, spec.rows, len(buffer)):
         strip = buffer[: spec.rows - start]
-        if spec.kind == "gaussian":
-            rng.standard_normal(out=strip)
-        else:
-            rng.random(out=strip)
-            _uniform_to_ternary(strip, spec.ternary_zero_prob)
-        strip *= spec.scale
+        rng.standard_normal(out=strip)
+        strip *= scale
         yield strip
 
 

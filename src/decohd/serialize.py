@@ -25,7 +25,7 @@ from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
 from .inference import DecomposedScorer
 from .model import ChannelBank
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class ContainerError(ParseError):

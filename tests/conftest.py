@@ -139,6 +139,13 @@ def brute_force_logits(h, bank, head):
     return scores
 
 
+def product_scores(h, bank, head):
+    """Scores as two whole products in the operands' dtype,
+    ``((h * h) @ path_basis(bank).T) @ head.T``: the form that
+    :func:`decohd.inference.score_batch` must equal bit for bit."""
+    return ((h * h) @ path_basis(bank).T) @ head.T
+
+
 def score_term_scale(bank, head, h):
     """Per-class sum of the absolute path terms of a score, in float64.
 

@@ -62,7 +62,7 @@ def save_trained(csvs, tmp_path, name: str, *extra) -> str:
 def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, capsys, other):
     first = save_trained(synthetic_csvs, tmp_path, "first")
     csvs = synthetic_csvs
-    extra = ["--encoder", "ternary"] if other == "encoder" else []
+    extra = ["--seed", "5"] if other == "encoder" else []  # the same data, another encoder draw
     if other == "standardizer":
         csvs = (str(tmp_path / "other_train.csv"), synthetic_csvs[1])
         save_csv(csvs[0], make_synthetic(3, 6, 20, 3.0, seed=12)[0])
@@ -89,7 +89,7 @@ def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, 
 
 @pytest.mark.parametrize("train", [{"eval_every": 0}, {"weight_decay": -0.5},
                                    {"noise": {"p_grid": [2.0]}}, {"noise": {"p_grid": [0.0], "trials": 0}},
-                                   {"encoder_kind": "ternery"},
+                                   {"encoder_kind": "gaussian"},  # an unknown key, as old manifests hold
                                    {"models": [{"kind": "onlinehd", "epochs": -3}]},
                                    {"models": [{"kind": "onlinehd", "learning_rate": -0.1}]},
                                    {"models": [{"kind": "sparsehd", "budget": 0.05}]},
@@ -313,7 +313,8 @@ def test_internal_value_error_is_not_reported_as_config_error(synthetic_csvs, tm
                                   ["robustness", "--models", "m.npz", "--test-csv", "t.csv", "--p-grid", "0,2"],
                                   ["eval", "--model", "m.npz", "--test-csv", "t.csv", "--precision", "fp7"],
                                   ["robustness", "--models", "m.npz", "--test-csv", "t.csv", "--trials", "0"],
-                                  ["robustness", "--models", "m.npz", "--test-csv", "t.csv", "--p-grid", ""]])
+                                  ["robustness", "--models", "m.npz", "--test-csv", "t.csv", "--p-grid", ""],
+                                  ["robustness", "--models", "m.npz", "--test-csv", "t.csv", "--p-grid", "0,0"]])
 def test_malformed_command_line_is_rejected_by_argparse(argv, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
@@ -338,11 +339,12 @@ def spoil_container(path, how: str) -> None:
         arrays["channels:0"] = arrays["channels:0"][:, :-1]
     else:
         meta.update({"version": {"format_version": 99}, "v1": {"format_version": 1},
-                     "kind": {"kind": "tree"}}[how])
+                     "v2": {"format_version": 2}, "kind": {"kind": "tree"}}[how])
     save_arrays(path, meta, arrays)
 
 
-@pytest.mark.parametrize("how", ["version", "v1", "kind", "garbage", "meta-list", "head", "encoder", "channels"])
+@pytest.mark.parametrize("how", ["version", "v1", "v2", "kind", "garbage", "meta-list", "head", "encoder",
+                                 "channels"])
 @pytest.mark.parametrize("command", ["eval", "robustness"])
 def test_unusable_container_exits_2_as_data_error(saved_decohd, tmp_path, capsys, command, how):
     model_path, csv_path = saved_decohd
@@ -353,8 +355,8 @@ def test_unusable_container_exits_2_as_data_error(saved_decohd, tmp_path, capsys
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "Traceback" not in err
-    if how in ("version", "v1"):
-        assert f"unsupported container version {99 if how == 'version' else 1}" in err
+    if how in ("version", "v1", "v2"):
+        assert f"unsupported container version {99 if how == 'version' else how[1]}" in err
     if how in ("head", "encoder"):
         assert f"has no entry '{how}'" in err
     if how == "meta-list":

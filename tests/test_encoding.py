@@ -90,12 +90,6 @@ class TestEncode:
         s = identity_standardizer(9)
         np.testing.assert_allclose(enc.encode(x, s), enc.encode(3.0 * x, s), atol=1e-6)
 
-    def test_ternary_kind(self):
-        cfg = EncoderConfig(num_features=10, dim=50, kind="ternary", seed=5)
-        enc = RandomProjectionEncoder(cfg)
-        support = set(np.unique(enc.matrix * np.sqrt(10)))
-        assert all(round(v) in (-1, 0, 1) for v in support)
-
 
 class TestResidentMatrix:
     """The encoder holds its float32 matrix as drawn and projects in

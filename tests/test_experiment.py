@@ -174,8 +174,8 @@ def test_fit_model_refines_only_a_table_it_keeps(monkeypatch, model, refines):
 # Every settable config field; a key added or removed changes what
 # configs and manifests load, so it must be changed here on purpose.
 CONFIG_SCHEMA = {
-    ExperimentConfig: ["name", "root_seed", "data", "models", "train", "encoder_kind", "dims",
-                       "precisions", "noise", "output_dir"],
+    ExperimentConfig: ["name", "root_seed", "data", "models", "train", "dims", "precisions", "noise",
+                       "output_dir"],
     DataSpec: ["name", "train_csv", "test_csv", "synthetic"],
     ModelSpec: ["kind", "channels", "latent_dim", "epochs", "learning_rate", "budget", "base"],
     TrainConfig: ["learning_rate", "weight_decay", "epochs", "batch_size", "microbatch_size", "eval_every"],

@@ -15,6 +15,7 @@ from tests.conftest import (
     brute_force_logits,
     identity_standardizer,
     integer_bank_and_head,
+    product_scores,
     random_small_instance,
     score_term_scale,
 )
@@ -136,7 +137,7 @@ class TestChunkedScoreBatch:
         bank, head, _ = random_bank_and_head(rng, dtype, channels=(2, 3, 2), dim=256, num_classes=5)
         h = rng.standard_normal((n, 256)).astype(dtype)
         scores = score_batch(h, bank, head)
-        assert_same_bits(scores, ((h * h) @ path_basis(bank).T) @ head.T)
+        assert_same_bits(scores, product_scores(h, bank, head))
         assert scores.shape == (n, 5)
 
     def test_working_memory_does_not_grow_with_rows(self, rng):
@@ -163,7 +164,7 @@ class TestKeptBasis:
         bank, head, _ = random_bank_and_head(rng, channels=(2, 3, 2), dim=64, num_classes=5)
         h = rng.standard_normal((7, 64)).astype(np.float32)
         for _ in range(3):
-            fresh = ((h * h) @ path_basis(bank).T) @ head.T
+            fresh = product_scores(h, bank, head)
             np.testing.assert_array_equal(score_batch(h, bank, head), fresh)
 
     def test_basis_built_once_per_bank(self, rng, monkeypatch):
@@ -199,7 +200,7 @@ class TestKeptBasis:
         after = rewritten.score_batch(h)
         np.testing.assert_array_equal(after, fresh.score_batch(h))
         with np.errstate(over="ignore", invalid="ignore"):
-            expected = ((h * h) @ path_basis(rewritten.bank).T) @ rewritten.head.T
+            expected = product_scores(h, rewritten.bank, rewritten.head)
         np.testing.assert_array_equal(after, expected)
         assert not np.array_equal(after, before, equal_nan=True)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import threading
 import tracemalloc
 
@@ -291,11 +290,9 @@ class TestProjectors:
         assert np.vstack(a).tobytes() != np.vstack(b).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
-    def test_held_as_64_row_panels(self, monkeypatch, kind, dtype):
+    def test_held_as_64_row_panels(self, dtype):
         # Latent 150: panels of 64, 64 and 22 rows, each its own array,
         # that stack to the whole draw bit for bit.
-        kind_specs(monkeypatch, kind)
         cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=150, dim=40, num_classes=2, seed=8)
         for panels, spec in zip(materialize_projectors(cfg, dtype=dtype), cfg.projector_specs()):
             assert [p.shape for p in panels] == [(64, 40), (64, 40), (22, 40)]
@@ -304,9 +301,7 @@ class TestProjectors:
 
     @pytest.mark.parametrize("rows", [1, 65, 617])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
-    def test_threads_draw_each_spec_bit_for_bit(self, monkeypatch, kind, dtype, rows):
-        kind_specs(monkeypatch, kind)
+    def test_threads_draw_each_spec_bit_for_bit(self, monkeypatch, dtype, rows):
         cfg = ModelConfig(channels_per_layer=(2, 1, 3), latent_dim=rows, dim=40, num_classes=2, seed=8)
         expected = [generate_matrix(s, dtype=dtype) for s in cfg.projector_specs()]
         # Every layer must be drawing before any may finish: a serial
@@ -323,14 +318,12 @@ class TestProjectors:
         for a, b in zip(got, expected):
             assert_same_bits(np.vstack(a), b)
 
-    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
-    def test_draw_threads_allocate_one_draw_buffer_each(self, monkeypatch, kind):
+    def test_draw_threads_allocate_one_draw_buffer_each(self, monkeypatch):
         # The panels come from the calling thread's heap, where freed
         # memory can be reused (model._PANEL_ROWS); a draw thread allocates
         # only its draw buffer.  When every layer has drawn its last strip,
         # before any copies it into a panel, the traces whose stacks pass
         # through a worker thread must hold no more than those buffers.
-        kind_specs(monkeypatch, kind)
         cfg = ModelConfig(channels_per_layer=(2, 2, 2), latent_dim=300, dim=1000, num_classes=2, seed=8)
         draw_buffer = ops._GENERATE_BLOCK_ROWS * cfg.dim * 8
         barrier = threading.Barrier(cfg.num_layers, timeout=10)
@@ -361,21 +354,12 @@ class TestProjectors:
         assert sum(p.nbytes for layer in projectors for p in layer) == 3 * 1_200_000
 
 
-def kind_specs(monkeypatch, kind):
-    """Make every projector spec of the kind *kind*."""
-    specs = ModelConfig.projector_specs
-    monkeypatch.setattr(ModelConfig, "projector_specs",
-                        lambda cfg: [dataclasses.replace(s, kind=kind) for s in specs(cfg)])
-
-
 class TestStreamChannels:
     @pytest.mark.parametrize("latent_dim", [1, 48, 65])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
-    def test_equals_the_bank_of_held_projectors(self, monkeypatch, kind, dtype, latent_dim):
+    def test_equals_the_bank_of_held_projectors(self, monkeypatch, dtype, latent_dim):
         # 16-row strips: 1 is one short strip, 48 three whole ones and 65
         # four whole ones plus a one-row remainder.
-        kind_specs(monkeypatch, kind)
         cfg = ModelConfig(channels_per_layer=(2, 1, 3), latent_dim=latent_dim, dim=40, num_classes=2, seed=8)
         params = init_params(cfg, dtype=dtype)
         expected = materialize_channels(params, materialize_projectors(cfg, dtype=dtype))
@@ -420,9 +404,7 @@ class TestStreamChannels:
         for a, b in zip(clf.channel_bank().channels, expected.channels):
             assert_same_bits(a, b)
 
-    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
-    def test_holds_a_block_per_layer_not_a_projector(self, monkeypatch, kind):
-        kind_specs(monkeypatch, kind)
+    def test_holds_a_block_per_layer_not_a_projector(self):
         cfg = ModelConfig(channels_per_layer=(2, 2, 2), latent_dim=2048, dim=1000, num_classes=2, seed=8)
         params = init_params(cfg, dtype=np.float32)
         tiny = ModelConfig(channels_per_layer=(1,), latent_dim=2, dim=2, num_classes=2)
@@ -430,8 +412,6 @@ class TestStreamChannels:
         # Each layer holds the float32 cast of one strip of its float64 draw buffer.
         strip = ops._GENERATE_BLOCK_ROWS * cfg.dim * 4
         draw_buffer = ops._GENERATE_BLOCK_ROWS * cfg.dim * 8
-        # Ternary also holds two boolean masks of one draw buffer's rows.
-        masks = 0 if kind == "gaussian" else 2 * ops._GENERATE_BLOCK_ROWS * cfg.dim
         # Each layer also holds one (2, dim) product before adding it.
         channels = 2 * sum(cfg.channels_per_layer) * cfg.dim * 4
         tracemalloc.start()
@@ -441,5 +421,5 @@ class TestStreamChannels:
         finally:
             tracemalloc.stop()
         # One projector alone is 2048 x 1000 x 4 = 8.2 MB.
-        assert peak <= cfg.num_layers * (strip + draw_buffer + masks) + channels + 131072
+        assert peak <= cfg.num_layers * (strip + draw_buffer) + channels + 131072
         assert bank.channels[0].shape == (2, cfg.dim)

@@ -76,51 +76,35 @@ class TestDot:
 
 class TestGenerateMatrix:
     def test_same_spec_bit_identical(self):
-        spec = RandomMatrixSpec(rows=13, cols=17, kind="gaussian", seed=99, scale=0.5)
+        spec = RandomMatrixSpec(rows=13, cols=17, seed=99)
         a = generate_matrix(spec)
         b = generate_matrix(spec)
         assert a.tobytes() == b.tobytes()
 
     def test_different_seed_differs(self):
-        a = generate_matrix(RandomMatrixSpec(4, 4, "gaussian", seed=1))
-        b = generate_matrix(RandomMatrixSpec(4, 4, "gaussian", seed=2))
+        a = generate_matrix(RandomMatrixSpec(4, 4, seed=1))
+        b = generate_matrix(RandomMatrixSpec(4, 4, seed=2))
         assert a.tobytes() != b.tobytes()
 
     def test_gaussian_moments(self):
-        spec = RandomMatrixSpec(rows=100, cols=1000, kind="gaussian", seed=7, scale=1.0)
+        spec = RandomMatrixSpec(rows=100, cols=1000, seed=7)
         m = generate_matrix(spec, dtype=np.float64)
-        assert abs(m.mean()) < 0.02
-        assert abs(m.var() - 1.0) < 0.05
-
-    def test_ternary_support(self):
-        spec = RandomMatrixSpec(rows=100, cols=1000, kind="ternary", seed=7, scale=0.25)
-        m = generate_matrix(spec, dtype=np.float64)
-        assert set(np.unique(m)) <= {-0.25, 0.0, 0.25}
-        # equal 1/3 mass per symbol within sampling noise
-        frac_zero = (m == 0.0).mean()
-        assert abs(frac_zero - 1.0 / 3.0) < 0.01
+        # The unit-variance bounds, at the scale of entries of variance 1/rows.
+        assert abs(m.mean()) < 0.02 / np.sqrt(spec.rows)
+        assert abs(m.var() - 1.0 / spec.rows) < 0.05 / spec.rows
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
     @pytest.mark.parametrize("rows", [1, 16, 17, 256, 257, 600])
-    def test_row_blocks_equal_one_full_draw(self, rows, kind, dtype):
+    def test_row_blocks_equal_one_full_draw(self, rows, dtype):
         # Oracle: the whole matrix drawn in one call, scaled, then cast.
-        spec = RandomMatrixSpec(rows=rows, cols=9, kind=kind, seed=31, scale=0.3)
-        rng = rng_from_seed(spec.seed)
-        if kind == "gaussian":
-            full = rng.standard_normal((rows, 9))
-        else:
-            u = rng.random((rows, 9))
-            p0 = spec.ternary_zero_prob
-            full = np.where(u < p0, 0.0, np.where(u < p0 + (1.0 - p0) / 2.0, -1.0, 1.0))
-        expected = (full * spec.scale).astype(dtype)
-        assert generate_matrix(spec, dtype=dtype).tobytes() == expected.tobytes()
+        spec = RandomMatrixSpec(rows=rows, cols=9, seed=31)
+        full = rng_from_seed(spec.seed).standard_normal((rows, 9)) * (1.0 / np.sqrt(rows))
+        assert generate_matrix(spec, dtype=dtype).tobytes() == full.astype(dtype).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
     @pytest.mark.parametrize("rows", [1, 7, 16, 33, 65, 200])
-    def test_row_blocks_stack_to_the_whole_matrix(self, rows, kind, dtype):
-        spec = RandomMatrixSpec(rows=rows, cols=9, kind=kind, seed=31, scale=0.3)
+    def test_row_blocks_stack_to_the_whole_matrix(self, rows, dtype):
+        spec = RandomMatrixSpec(rows=rows, cols=9, seed=31)
         strips = [b.copy() for b in ops.row_blocks(spec)]
         strip_rows = ops._GENERATE_BLOCK_ROWS
         assert [len(b) for b in strips] == [min(strip_rows, rows - j) for j in range(0, rows, strip_rows)]
@@ -129,17 +113,14 @@ class TestGenerateMatrix:
         assert_same_bits(np.concatenate([b.astype(dtype) for b in strips]), generate_matrix(spec, dtype=dtype))
 
     def test_row_blocks_reuse_one_block_array(self):
-        spec = RandomMatrixSpec(rows=40, cols=9, kind="gaussian", seed=31)
+        spec = RandomMatrixSpec(rows=40, cols=9, seed=31)
         first, *rest = ops.row_blocks(spec)
         assert len(rest) == 2 and all(np.shares_memory(first, b) for b in rest)
 
-    @pytest.mark.parametrize("kind", ["gaussian", "ternary"])
-    def test_holds_one_block_buffer_beyond_its_output(self, kind):
-        spec = RandomMatrixSpec(rows=617, cols=500, kind=kind, seed=3)
-        generate_matrix(RandomMatrixSpec(2, 2, kind, seed=3))  # numpy's lazy imports come first
+    def test_holds_one_block_buffer_beyond_its_output(self):
+        spec = RandomMatrixSpec(rows=617, cols=500, seed=3)
+        generate_matrix(RandomMatrixSpec(2, 2, seed=3))  # numpy's lazy imports come first
         buffer = ops._GENERATE_BLOCK_ROWS * spec.cols * 8
-        # Ternary also holds two boolean masks of one block.
-        masks = 0 if kind == "gaussian" else 2 * ops._GENERATE_BLOCK_ROWS * spec.cols
         tracemalloc.start()
         try:
             out = generate_matrix(spec)
@@ -147,15 +128,11 @@ class TestGenerateMatrix:
         finally:
             tracemalloc.stop()
         # A fresh block per iteration would briefly hold two.
-        assert peak - out.nbytes <= buffer + masks + 16384
+        assert peak - out.nbytes <= buffer + 16384
 
     def test_zero_dims_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            RandomMatrixSpec(rows=0, cols=3, kind="gaussian", seed=0)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
-            RandomMatrixSpec(rows=2, cols=2, kind="binary", seed=0)
+            RandomMatrixSpec(rows=0, cols=3, seed=0)
 
 
 class TestSeedDerivation:

@@ -56,6 +56,16 @@ def test_meta_is_stored_zero_dimensional(tmp_path, rng):
     assert meta["kind"] == "prototype"
 
 
+def test_encoder_meta_is_pinned(tmp_path, rng):
+    # A field added to EncoderConfig changes what containers hold, so it
+    # must come with a new FORMAT_VERSION and a change here.
+    clf, _ = small_classifier("prototype", rng)
+    save_classifier(tmp_path / "m.npz", clf)
+    meta, _ = load_arrays(tmp_path / "m.npz")
+    assert meta["format_version"] == 3
+    assert meta["encoder"] == {"num_features": 6, "dim": 64, "seed": 4, "normalize_output": True}
+
+
 def narrow_standardizer(meta, arrays):
     arrays["standardizer_mean"] = arrays["standardizer_mean"][:-1]
 
