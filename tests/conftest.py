@@ -20,6 +20,11 @@ from decohd.ops import rng_from_seed
 from decohd.precision import get_format
 
 
+# Every frozen random matrix is Gaussian (decohd.ops.row_blocks); the
+# tests that draw one name the kind in their ids.
+GAUSSIAN_DTYPES = [pytest.param(np.float32, id="gaussian-float32"), pytest.param(np.float64, id="gaussian-float64")]
+
+
 # Layer shapes on which the broadcast path basis and the reshape-sum
 # channel gradients are checked bit for bit against gather/scatter forms.
 LAYER_SHAPES = [(3, 3), (4, 4, 4), (5, 5, 5), (2, 3, 4), (7,), (2, 2, 2, 2)]

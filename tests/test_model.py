@@ -21,6 +21,7 @@ from decohd.model import (
 )
 from decohd.ops import generate_matrix
 from tests.conftest import (
+    GAUSSIAN_DTYPES,
     LAYER_SHAPES,
     assert_same_bits,
     brute_force_logits,
@@ -289,7 +290,7 @@ class TestProjectors:
         a, b = materialize_projectors(cfg)
         assert np.vstack(a).tobytes() != np.vstack(b).tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", GAUSSIAN_DTYPES)
     def test_held_as_64_row_panels(self, dtype):
         # Latent 150: panels of 64, 64 and 22 rows, each its own array,
         # that stack to the whole draw bit for bit.
@@ -300,7 +301,7 @@ class TestProjectors:
             assert_same_bits(np.vstack(panels), generate_matrix(spec, dtype=dtype))
 
     @pytest.mark.parametrize("rows", [1, 65, 617])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", GAUSSIAN_DTYPES)
     def test_threads_draw_each_spec_bit_for_bit(self, monkeypatch, dtype, rows):
         cfg = ModelConfig(channels_per_layer=(2, 1, 3), latent_dim=rows, dim=40, num_classes=2, seed=8)
         expected = [generate_matrix(s, dtype=dtype) for s in cfg.projector_specs()]
@@ -318,13 +319,14 @@ class TestProjectors:
         for a, b in zip(got, expected):
             assert_same_bits(np.vstack(a), b)
 
-    def test_draw_threads_allocate_one_draw_buffer_each(self, monkeypatch):
+    @pytest.mark.parametrize("cfg", [pytest.param(
+        ModelConfig(channels_per_layer=(2, 2, 2), latent_dim=300, dim=1000, num_classes=2, seed=8), id="gaussian")])
+    def test_draw_threads_allocate_one_draw_buffer_each(self, monkeypatch, cfg):
         # The panels come from the calling thread's heap, where freed
         # memory can be reused (model._PANEL_ROWS); a draw thread allocates
         # only its draw buffer.  When every layer has drawn its last strip,
         # before any copies it into a panel, the traces whose stacks pass
         # through a worker thread must hold no more than those buffers.
-        cfg = ModelConfig(channels_per_layer=(2, 2, 2), latent_dim=300, dim=1000, num_classes=2, seed=8)
         draw_buffer = ops._GENERATE_BLOCK_ROWS * cfg.dim * 8
         barrier = threading.Barrier(cfg.num_layers, timeout=10)
         snapshots = []
@@ -356,7 +358,7 @@ class TestProjectors:
 
 class TestStreamChannels:
     @pytest.mark.parametrize("latent_dim", [1, 48, 65])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", GAUSSIAN_DTYPES)
     def test_equals_the_bank_of_held_projectors(self, monkeypatch, dtype, latent_dim):
         # 16-row strips: 1 is one short strip, 48 three whole ones and 65
         # four whole ones plus a one-row remainder.
@@ -404,8 +406,9 @@ class TestStreamChannels:
         for a, b in zip(clf.channel_bank().channels, expected.channels):
             assert_same_bits(a, b)
 
-    def test_holds_a_block_per_layer_not_a_projector(self):
-        cfg = ModelConfig(channels_per_layer=(2, 2, 2), latent_dim=2048, dim=1000, num_classes=2, seed=8)
+    @pytest.mark.parametrize("cfg", [pytest.param(
+        ModelConfig(channels_per_layer=(2, 2, 2), latent_dim=2048, dim=1000, num_classes=2, seed=8), id="gaussian")])
+    def test_holds_a_block_per_layer_not_a_projector(self, cfg):
         params = init_params(cfg, dtype=np.float32)
         tiny = ModelConfig(channels_per_layer=(1,), latent_dim=2, dim=2, num_classes=2)
         stream_channels(init_params(tiny, np.float32), tiny)  # the pool's lazy imports come first

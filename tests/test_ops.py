@@ -6,7 +6,7 @@ import pytest
 from decohd import ops
 from decohd.model import ChannelBank, path_basis
 from decohd.ops import RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed
-from tests.conftest import assert_same_bits
+from tests.conftest import GAUSSIAN_DTYPES, assert_same_bits
 
 
 def bind(*vectors):
@@ -93,7 +93,7 @@ class TestGenerateMatrix:
         assert abs(m.mean()) < 0.02 / np.sqrt(spec.rows)
         assert abs(m.var() - 1.0 / spec.rows) < 0.05 / spec.rows
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", GAUSSIAN_DTYPES)
     @pytest.mark.parametrize("rows", [1, 16, 17, 256, 257, 600])
     def test_row_blocks_equal_one_full_draw(self, rows, dtype):
         # Oracle: the whole matrix drawn in one call, scaled, then cast.
@@ -101,7 +101,7 @@ class TestGenerateMatrix:
         full = rng_from_seed(spec.seed).standard_normal((rows, 9)) * (1.0 / np.sqrt(rows))
         assert generate_matrix(spec, dtype=dtype).tobytes() == full.astype(dtype).tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", GAUSSIAN_DTYPES)
     @pytest.mark.parametrize("rows", [1, 7, 16, 33, 65, 200])
     def test_row_blocks_stack_to_the_whole_matrix(self, rows, dtype):
         spec = RandomMatrixSpec(rows=rows, cols=9, seed=31)
@@ -117,8 +117,8 @@ class TestGenerateMatrix:
         first, *rest = ops.row_blocks(spec)
         assert len(rest) == 2 and all(np.shares_memory(first, b) for b in rest)
 
-    def test_holds_one_block_buffer_beyond_its_output(self):
-        spec = RandomMatrixSpec(rows=617, cols=500, seed=3)
+    @pytest.mark.parametrize("spec", [pytest.param(RandomMatrixSpec(rows=617, cols=500, seed=3), id="gaussian")])
+    def test_holds_one_block_buffer_beyond_its_output(self, spec):
         generate_matrix(RandomMatrixSpec(2, 2, seed=3))  # numpy's lazy imports come first
         buffer = ops._GENERATE_BLOCK_ROWS * spec.cols * 8
         tracemalloc.start()
