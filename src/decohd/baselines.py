@@ -131,7 +131,6 @@ class SparseScorer:
 
     table: np.ndarray  # (num_classes, retained)
     mask: np.ndarray  # bool, shape (dim,)
-    budget: float
 
     @property
     def num_classes(self) -> int:
@@ -151,7 +150,7 @@ class SparseScorer:
         return {"table": self.table}
 
     def replace(self, arrays: dict[str, np.ndarray]) -> "SparseScorer":
-        return SparseScorer(table=arrays["table"], mask=self.mask, budget=self.budget)
+        return SparseScorer(table=arrays["table"], mask=self.mask)
 
     def score_batch(self, h: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -175,7 +174,7 @@ def sparsify_table(table: PrototypeTable, budget: float) -> SparseScorer:
     order = np.argsort(-magnitude, kind="stable")
     mask = np.zeros(table.dim, dtype=bool)
     mask[order[:keep]] = True
-    return SparseScorer(table=np.ascontiguousarray(table.prototypes[:, mask]), mask=mask, budget=budget)
+    return SparseScorer(table=np.ascontiguousarray(table.prototypes[:, mask]), mask=mask)
 
 
 MODEL_KINDS = ("decohd", "prototype", "onlinehd", "sparsehd")

@@ -70,6 +70,8 @@ class BudgetQuery:
             raise ValueError("invalid grid bounds")
         if min(self.layer_counts) < 1 or min(self.latent_dims) < 1:
             raise ValueError("layer counts and latent dims must be >= 1")
+        if any(len(set(grid)) < len(grid) for grid in (self.layer_counts, self.latent_dims)):
+            raise ValueError(f"a grid repeats a value: layers {self.layer_counts}, latent dims {self.latent_dims}")
 
 
 @dataclass(frozen=True)

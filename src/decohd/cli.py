@@ -82,17 +82,15 @@ def _rejected_as_config_error(what: str):
 
 def _encode_test_set(clf, path: str):
     """The test CSV at *path*, read against *clf*'s width and classes, and its encodings."""
-    test_ds = load_csv(path, split="test", num_classes=clf.scorer.num_classes)
+    test_ds = load_csv(path, num_classes=clf.scorer.num_classes)
     check_width(test_ds, clf.encoder.config.num_features, path)
     return test_ds, clf.encoder.encode_batch(test_ds.features, clf.standardizer)
 
 
 def cmd_train(args) -> int:
     config = ExperimentConfig(
-        name=args.name,
         root_seed=args.seed,
-        data=DataSpec(name=os.path.splitext(os.path.basename(args.train_csv))[0],
-                      train_csv=args.train_csv, test_csv=args.test_csv),
+        data=DataSpec(train_csv=args.train_csv, test_csv=args.test_csv),
         models=(  # dicts, built and checked by ExperimentConfig, which raises ConfigError
             dict(
                 kind=args.model,
@@ -240,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-csv", required=True)
     p.add_argument("--model", default="decohd", choices=MODEL_KINDS)
     p.add_argument("--output", required=True, help="model container path (.npz)")
-    p.add_argument("--name", default="run")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=10000)
     p.add_argument("--channels", type=_int_list, default="10", help="per-layer channel counts, e.g. 3,3")

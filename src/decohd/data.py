@@ -26,8 +26,6 @@ class ParseError(ValueError):
 class Dataset:
     features: np.ndarray  # (n, num_features) float64
     labels: np.ndarray  # (n,) int64
-    split: str
-    name: str
     num_classes: int
 
     def __post_init__(self):
@@ -73,12 +71,7 @@ def _first_non_numeric(cells: list[str]) -> str | None:
     return None
 
 
-def load_csv(
-    path: str,
-    name: str | None = None,
-    split: str = "train",
-    num_classes: int | None = None,
-) -> Dataset:
+def load_csv(path: str, num_classes: int | None = None) -> Dataset:
     """Parse a dataset CSV; raises :class:`ParseError` with a line
     number on malformed input, a NaN or inf cell included.  The class
     count is max(label)+1 unless given explicitly, in which case labels
@@ -131,13 +124,7 @@ def load_csv(
             )
     else:
         num_classes = int(labels.max()) + 1
-    return Dataset(
-        features=features,
-        labels=labels,
-        split=split,
-        name=name or os.path.splitext(os.path.basename(path))[0],
-        num_classes=num_classes,
-    )
+    return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 
 def save_csv(path: str, dataset: Dataset) -> None:
@@ -153,7 +140,6 @@ def make_synthetic(
     samples_per_class: int,
     separation: float,
     seed: int = 0,
-    name: str = "synthetic",
 ) -> tuple[Dataset, Dataset]:
     """Gaussian blobs: class c is centered at separation * e_{c mod d},
     unit isotropic noise; returns a (train, test) pair of equal size.
@@ -174,12 +160,6 @@ def make_synthetic(
         labels = np.repeat(np.arange(num_classes), samples_per_class)
         features = centers[labels] + rng.standard_normal((len(labels), num_features))
         order = rng.permutation(len(labels))
-        return Dataset(
-            features=features[order],
-            labels=labels[order],
-            split=split,
-            name=name,
-            num_classes=num_classes,
-        )
+        return Dataset(features=features[order], labels=labels[order], num_classes=num_classes)
 
     return build("train"), build("test")

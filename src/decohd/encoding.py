@@ -15,7 +15,7 @@ matrix-vector product and may differ from its batched twin in the last
 bit.
 
 With ``normalize_output`` the output is normalized in place in strips
-of ``_NORM_STRIP_ROWS`` rows while each is in cache: the strip's
+of ``_NORM_ROWS`` rows while each is in cache: the strip's
 float32 squares go to a strip-sized scratch, their row sums give the
 norms and the strip is divided by them in one plain in-place divide,
 zero norms first set to 1: a zero row stays zero, and a row whose
@@ -31,7 +31,7 @@ import numpy as np
 
 from .ops import RandomMatrixSpec, derive_seed, generate_matrix
 
-_NORM_STRIP_ROWS = 32
+_NORM_ROWS = 32
 
 
 @dataclass
@@ -123,9 +123,9 @@ class RandomProjectionEncoder:
         n = features.shape[0]
         out = np.matmul(z, self.matrix)
         if self.config.normalize_output:
-            squares = np.empty((min(n, _NORM_STRIP_ROWS), self.config.dim), dtype=np.float32)
-            for lo in range(0, n, _NORM_STRIP_ROWS):
-                rows = out[lo:lo + _NORM_STRIP_ROWS]
+            squares = np.empty((min(n, _NORM_ROWS), self.config.dim), dtype=np.float32)
+            for lo in range(0, n, _NORM_ROWS):
+                rows = out[lo:lo + _NORM_ROWS]
                 sq = np.multiply(rows, rows, out=squares[: len(rows)])
                 norms = np.sqrt(np.add.reduce(sq, axis=1, keepdims=True))
                 norms[norms == 0.0] = 1.0  # a zero row stays as it is

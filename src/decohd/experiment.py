@@ -1,14 +1,15 @@
 """Experiment orchestration: config files, sweeps, and result emission.
 
 A run is fully described by one JSON config; the manifest written next
-to the results contains the resolved config plus every derived seed, and
-re-running from the manifest reproduces the run bit-exactly (modulo the
-wall-clock column of the history file).  Unknown config keys are errors:
-silent typos in sweep grids are the main operational hazard.  A config
-error names the key path of the value refused, once, as in
-``data.synthetic.num_classes`` or ``models[1].channels[0]``.  At every
-precision but fp32 the test encodings are rounded to the format before
-they are scored, as the models' stored arrays are.
+to the results holds the resolved config, whose root_seed every random
+stream derives from, and re-running from the manifest reproduces the
+run bit-exactly (modulo the wall-clock column of the history file).
+Unknown config keys are errors: silent typos in sweep grids are the
+main operational hazard.  A config error names the key path of the
+value refused, once, as in ``data.synthetic.num_classes`` or
+``models[1].channels[0]``.  At every precision but fp32 the test
+encodings are rounded to the format before they are scored, as the
+models' stored arrays are.
 
 Output files (all UTF-8 CSV with header rows):
 
@@ -196,7 +197,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if isinstance(raw, dict) and "config" in raw and "derived_seeds" in raw:
+    if isinstance(raw, dict) and "config" in raw and "package_version" in raw:
         raw = raw["config"]  # manifests reload as configs
     return _build(ExperimentConfig, raw, "config")
 
@@ -221,11 +222,10 @@ def prepare_data(spec: DataSpec, root_seed: int) -> tuple[Dataset, Dataset]:
             s.samples_per_class,
             s.separation,
             seed=derive_seed(root_seed, "data"),
-            name=spec.name,
         )
     else:
-        train_ds = load_csv(spec.train_csv, name=spec.name, split="train")
-        test_ds = load_csv(spec.test_csv, name=spec.name, split="test", num_classes=train_ds.num_classes)
+        train_ds = load_csv(spec.train_csv)
+        test_ds = load_csv(spec.test_csv, num_classes=train_ds.num_classes)
         check_width(test_ds, train_ds.num_features, spec.test_csv)
     return train_ds, test_ds
 
@@ -320,7 +320,6 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
 
     labels = config.model_labels()
     stage = "prepare-data"
-    derived_seeds: dict[str, int] = {}
     result_rows = []
     robustness_rows = []
     history_rows = []
@@ -330,7 +329,6 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
         for dim in config.dims:
             stage = f"encode-D{dim}"
             encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, dim)
-            derived_seeds[f"encoder_D{dim}"] = encoder.config.seed
             scorers = {}
             for spec, label in zip(config.models, labels):
                 stage = f"train-{label}-D{dim}"
@@ -338,8 +336,6 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
                     spec, label, config, encoder, standardizer,
                     h_train, train_ds.labels, h_test, test_ds.labels, train_ds.num_classes,
                 )
-                if spec.kind == "decohd":
-                    derived_seeds[f"model_{label}_D{dim}"] = derive_seed(config.root_seed, "model", label, dim)
                 scorers[label] = clf.scorer
                 save_classifier(os.path.join(models_dir, f"{label}_D{dim}.npz"), clf)
                 history_rows += [[label, *astuple(h)] for h in history]
@@ -356,10 +352,9 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
                     result_rows.append([label, budget_of(scorer), precision, dim, acc])
             if config.noise.p_grid:
                 stage = f"robustness-D{dim}"
-                noise_seed = derive_seed(config.root_seed, "noise", dim)
-                derived_seeds[f"noise_D{dim}"] = noise_seed
                 robustness_rows += robustness_sweep(
-                    scorers, h_test, test_ds.labels, config.noise.p_grid, config.noise.trials, noise_seed
+                    scorers, h_test, test_ds.labels, config.noise.p_grid, config.noise.trials,
+                    derive_seed(config.root_seed, "noise", dim),
                 )
         stage = "write-results"
         result_rows.sort(key=lambda r: r[:4])
@@ -377,9 +372,8 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
         manifest = {
             "package_version": __version__,
             "config": asdict(config),
-            "derived_seeds": derived_seeds,
             "dataset": {
-                "name": train_ds.name,
+                "name": config.data.name,
                 "num_features": train_ds.num_features,
                 "num_classes": train_ds.num_classes,
                 "num_train": train_ds.num_samples,

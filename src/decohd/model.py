@@ -45,7 +45,7 @@ from typing import ClassVar
 import numpy as np
 
 from .encoding import RandomProjectionEncoder, Standardizer
-from .ops import RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed, row_blocks
+from .ops import STRIP_ROWS, RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed, row_blocks
 
 # Projector rows per panel, the unit in which training holds a projector
 # and a step walks it: four draw strips.  Gradient bits: on OpenBLAS a
@@ -201,21 +201,11 @@ class ChannelBank:
         return self._basis
 
 
-# Projector rows per product of a channel expansion, as many as a draw
-# strip of decohd.ops.row_blocks.  Every block an expansion walks but the
-# last (a drawn strip, a held panel) is a whole number of strips, so all
-# expansions run the same products.  OpenBLAS runs a 4 x 16 @ 16 x 10000
-# product on the calling thread alone, so one layer's expansion wakes no
-# BLAS threads to compete with the other layers' draws.  32- and 64-row
-# blocks were slower.
-_STRIP_ROWS = 16
-
-
 def _expand(lat: np.ndarray, blocks, before=None) -> np.ndarray:
     """``lat @ P`` summed strip by strip, in order, over the row blocks of
     ``P`` that *blocks* yields: a held projector's panels, or the strips
     that :func:`~decohd.ops.row_blocks` draws.  Each block is used before
-    the next is asked for, one ``_STRIP_ROWS``-row strip at a time, each
+    the next is asked for, one ``STRIP_ROWS``-row strip at a time, each
     cast to the latents' dtype.  ``before(block, cols)``, if given, runs
     before the block's strips are read; *cols* are the block's latent
     columns.  The first strip's product is the sum; every later one is
@@ -224,8 +214,8 @@ def _expand(lat: np.ndarray, blocks, before=None) -> np.ndarray:
     for block in blocks:
         if before is not None:
             before(block, slice(start, start + len(block)))
-        for j in range(0, len(block), _STRIP_ROWS):
-            strip = block[j : j + _STRIP_ROWS]
+        for j in range(0, len(block), STRIP_ROWS):
+            strip = block[j : j + STRIP_ROWS]
             part = np.matmul(lat[:, start : start + len(strip)], strip.astype(lat.dtype, copy=False), out=product)
             if channels is None:
                 channels, product = part, np.empty_like(part)

@@ -29,15 +29,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Rows per draw strip: 16 x 10000 is a 1.3 MB float64 buffer, held once
+# Rows per draw strip, and projector rows per product of a channel
+# expansion (decohd.model._expand).  Every block an expansion walks but
+# the last (a drawn strip, a held panel) is a whole number of strips, so
+# held and streamed projectors run the same products and give
+# bit-identical banks.  16 x 10000 is a 1.3 MB float64 buffer, held once
 # per stream whatever the matrix.  Kept small because, under glibc, a
 # buffer below the 32 MB mmap ceiling that is freed on a worker thread (the
 # per-layer draws of materialize_projectors and stream_channels) can stay
 # resident in that thread's malloc arena, where the main thread cannot
 # reuse it; for the same reason a held projector's panels are allocated
-# on the calling thread (decohd.model.materialize_projectors).  A strip is
-# also the row block of every channel expansion (decohd.model).
-_GENERATE_BLOCK_ROWS = 16
+# on the calling thread (decohd.model.materialize_projectors).  OpenBLAS
+# runs a 4 x 16 @ 16 x 10000 product on the calling thread alone, so one
+# layer's expansion wakes no BLAS threads to compete with the other
+# layers' draws; 32- and 64-row blocks were slower.
+STRIP_ROWS = 16
 
 
 def derive_seed(root: int, *tokens: int | str) -> int:
@@ -75,7 +81,7 @@ class RandomMatrixSpec:
 
 def row_blocks(spec: RandomMatrixSpec):
     """Yield the float64 matrix described by *spec* top to bottom, one
-    draw strip of ``_GENERATE_BLOCK_ROWS`` rows at a time (the last strip
+    draw strip of ``STRIP_ROWS`` rows at a time (the last strip
     may be shorter).
 
     Entries are i.i.d. normal(0, 1/rows): standard normals times
@@ -89,7 +95,7 @@ def row_blocks(spec: RandomMatrixSpec):
     """
     rng = rng_from_seed(spec.seed)
     scale = 1.0 / np.sqrt(spec.rows)
-    buffer = np.empty((min(_GENERATE_BLOCK_ROWS, spec.rows), spec.cols))
+    buffer = np.empty((min(STRIP_ROWS, spec.rows), spec.cols))
     for start in range(0, spec.rows, len(buffer)):
         strip = buffer[: spec.rows - start]
         rng.standard_normal(out=strip)
@@ -107,7 +113,7 @@ def generate_matrix(spec: RandomMatrixSpec, dtype=np.float32, panels=None):
     whole = panels is None
     if whole:
         panels = [np.empty((spec.rows, spec.cols), dtype=dtype)]
-    s = _GENERATE_BLOCK_ROWS
+    s = STRIP_ROWS
     targets = (panel[j : j + s] for panel in panels for j in range(0, len(panel), s))
     for target, strip in zip(targets, row_blocks(spec)):
         target[...] = strip

@@ -64,13 +64,12 @@ def load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
 def save_classifier(path, clf) -> None:
     """Serialize a classifier of any kind, tagged by its kind: the
     encoder config, the standardizer and its scorer's ``stored()``
-    arrays, plus the mask and budget of a sparse table."""
+    arrays, plus the mask of a sparse table."""
     scorer = clf.scorer
     meta = {"format_version": FORMAT_VERSION, "kind": clf.kind, "encoder": asdict(clf.encoder.config)}
     arrays = {"standardizer_mean": clf.standardizer.mean, "standardizer_std": clf.standardizer.std,
               **scorer.stored()}
     if clf.kind == "sparsehd":
-        meta["budget"] = scorer.budget
         arrays["mask"] = scorer.mask
     save_arrays(path, meta, arrays)
 
@@ -129,7 +128,7 @@ def _classifier_from(meta: dict, arrays: dict[str, np.ndarray], kind: str) -> Cl
         mask = arrays["mask"]
         if mask.dtype != np.bool_ or mask.shape != (dim,):
             raise ValueError(f"mask is {mask.dtype} of shape {mask.shape}, expected bool of shape ({dim},)")
-        scorer = SparseScorer(_matrix(arrays, "table", int(mask.sum())), mask, float(meta["budget"]))
+        scorer = SparseScorer(_matrix(arrays, "table", int(mask.sum())), mask)
     else:
         scorer = PrototypeTable(_matrix(arrays, "table", dim))
     return Classifier(encoder, standardizer, scorer, kind)

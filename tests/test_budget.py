@@ -37,6 +37,13 @@ class TestBudgetQuery:
         with pytest.raises(ValueError, match="must be >= 1|invalid grid bounds"):
             BudgetQuery(m_target=0.5, num_classes=3, dim=64, **grid)
 
+    @pytest.mark.parametrize("grid", [{"layer_counts": (1, 1)}, {"latent_dims": (64, 64)}],
+                             ids=["layers-repeated", "d-repeated"])
+    def test_refuses_a_repeated_grid_value(self, grid):
+        # A repeated value would list each of its configurations again.
+        with pytest.raises(ValueError, match="a grid repeats a value"):
+            BudgetQuery(m_target=0.5, num_classes=3, dim=64, **grid)
+
     def test_smallest_grid_is_accepted(self):
         reports = enumerate_configs(BudgetQuery(m_target=10.0, num_classes=3, dim=64, layer_counts=(1,),
                                                 max_channels=1, latent_dims=(1,)))

@@ -69,7 +69,7 @@ def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, 
     if other == "classes":  # the same features, labels folded onto two classes
         csvs = (str(tmp_path / "two_train.csv"), str(tmp_path / "two_test.csv"))
         for path, ds in zip(csvs, make_synthetic(3, 6, 20, 3.0, seed=11)):
-            save_csv(path, Dataset(ds.features, ds.labels % 2, ds.split, "two", 2))
+            save_csv(path, Dataset(ds.features, ds.labels % 2, 2))
     second = save_trained(csvs, tmp_path, "second", *extra)
     capsys.readouterr()
     code = cli.main(["robustness", "--models", first, second, "--test-csv", synthetic_csvs[1],
@@ -187,10 +187,12 @@ BUDGET = ["budget", "--m", "0.5", "--classes", "3", "--dim", "64"]
                                   BUDGET + ["--d", "0"], BUDGET + ["--d", "-5"], BUDGET + ["--d", ","],
                                   BUDGET + ["--layers", "0"], BUDGET + ["--layers", "-1"],
                                   BUDGET + ["--layers", "1,0"], BUDGET + ["--top", "-1"],
-                                  ["synth", "--separation", "nan"], ["synth", "--separation", "inf"]],
+                                  ["synth", "--separation", "nan"], ["synth", "--separation", "inf"],
+                                  BUDGET + ["--layers", "1,1"], BUDGET + ["--d", "64,64"]],
                          ids=["budget", "synth", "budget-d0", "budget-d-5", "budget-d-empty", "budget-layers0",
                               "budget-layers-1", "budget-layers1-0", "budget-top-1",
-                              "synth-separation-nan", "synth-separation-inf"])
+                              "synth-separation-nan", "synth-separation-inf",
+                              "budget-layers-repeated", "budget-d-repeated"])
 def test_invalid_values_of_other_subcommands_exit_1(argv, tmp_path, capsys):
     outputs = ["--train-out", str(tmp_path / "a.csv"), "--test-out", str(tmp_path / "b.csv")]
     assert cli.main(argv + (outputs if argv[0] == "synth" else [])) == 1

@@ -17,8 +17,8 @@ class TestMakeSynthetic:
 
     def test_shapes_and_label_ranges(self):
         train_ds, test_ds = make_synthetic(5, 3, 12, 2.0, seed=1)
-        for ds, split in ((train_ds, "train"), (test_ds, "test")):
-            assert ds.split == split and ds.num_classes == 5
+        for ds in (train_ds, test_ds):
+            assert ds.num_classes == 5
             assert ds.features.shape == (60, 3) and ds.features.dtype == np.float64
             assert ds.labels.shape == (60,) and ds.labels.dtype == np.int64
             np.testing.assert_array_equal(np.bincount(ds.labels, minlength=5), [12] * 5)
@@ -50,10 +50,10 @@ class TestLoadCsv:
         train_ds, _ = make_synthetic(3, 4, 5, 3.0, seed=2)
         path = str(tmp_path / "train.csv")
         save_csv(path, train_ds)
-        loaded = load_csv(path, split="train")
+        loaded = load_csv(path)
         np.testing.assert_allclose(loaded.features, train_ds.features, rtol=1e-9)
         np.testing.assert_array_equal(loaded.labels, train_ds.labels)
-        assert loaded.num_classes == 3 and loaded.name == "train"
+        assert loaded.num_classes == 3
 
     def test_header_is_skipped(self, write):
         ds = load_csv(write("f0,f1,label\n1,2,0\n3,4,1\n"))

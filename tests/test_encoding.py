@@ -237,7 +237,7 @@ class TestResidentMatrix:
         enc = RandomProjectionEncoder(EncoderConfig(num_features=features, dim=dim, seed=3))
         standardizer = fit_standardizer(rng.standard_normal((50, features)))
         x = rng.standard_normal((rows, features))
-        strip = encoding._NORM_STRIP_ROWS * dim * 4
+        strip = encoding._NORM_ROWS * dim * 4
         standardized = rows * features * (8 + 4)
         tracemalloc.start()
         try:

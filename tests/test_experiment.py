@@ -96,6 +96,17 @@ def test_a_manifest_reloads_as_its_config(tmp_path):
     assert load_config(result.manifest_path) == tiny_config()
 
 
+def test_manifest_keys_are_pinned(tmp_path):
+    config = ExperimentConfig(data={"synthetic": {"num_classes": 3, "num_features": 4, "samples_per_class": 5}},
+                              dims=(16,))
+    result = run_experiment(config, output_dir=str(tmp_path))
+    with open(result.manifest_path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert manifest.keys() == {"package_version", "config", "dataset", "model_labels"}
+    assert manifest["dataset"]["name"] == config.data.name
+    assert load_config(result.manifest_path) == config
+
+
 def test_a_config_built_in_python_equals_its_json_load(tmp_path):
     # Python callers pass dicts and lists where JSON has objects and
     # arrays; one walk builds both into the same specs, tuples and floats.

@@ -327,12 +327,12 @@ class TestProjectors:
         # only its draw buffer.  When every layer has drawn its last strip,
         # before any copies it into a panel, the traces whose stacks pass
         # through a worker thread must hold no more than those buffers.
-        draw_buffer = ops._GENERATE_BLOCK_ROWS * cfg.dim * 8
+        draw_buffer = ops.STRIP_ROWS * cfg.dim * 8
         barrier = threading.Barrier(cfg.num_layers, timeout=10)
         snapshots = []
 
         def holding(spec, draw=ops.row_blocks):
-            last = -(-spec.rows // ops._GENERATE_BLOCK_ROWS) - 1
+            last = -(-spec.rows // ops.STRIP_ROWS) - 1
             for i, strip in enumerate(draw(spec)):
                 if i == last:
                     if barrier.wait() == 0:
@@ -413,8 +413,8 @@ class TestStreamChannels:
         tiny = ModelConfig(channels_per_layer=(1,), latent_dim=2, dim=2, num_classes=2)
         stream_channels(init_params(tiny, np.float32), tiny)  # the pool's lazy imports come first
         # Each layer holds the float32 cast of one strip of its float64 draw buffer.
-        strip = ops._GENERATE_BLOCK_ROWS * cfg.dim * 4
-        draw_buffer = ops._GENERATE_BLOCK_ROWS * cfg.dim * 8
+        strip = ops.STRIP_ROWS * cfg.dim * 4
+        draw_buffer = ops.STRIP_ROWS * cfg.dim * 8
         # Each layer also holds one (2, dim) product before adding it.
         channels = 2 * sum(cfg.channels_per_layer) * cfg.dim * 4
         tracemalloc.start()

@@ -106,7 +106,7 @@ class TestGenerateMatrix:
     def test_row_blocks_stack_to_the_whole_matrix(self, rows, dtype):
         spec = RandomMatrixSpec(rows=rows, cols=9, seed=31)
         strips = [b.copy() for b in ops.row_blocks(spec)]
-        strip_rows = ops._GENERATE_BLOCK_ROWS
+        strip_rows = ops.STRIP_ROWS
         assert [len(b) for b in strips] == [min(strip_rows, rows - j) for j in range(0, rows, strip_rows)]
         assert {b.dtype for b in strips} == {np.dtype(np.float64)}
         # Casting each strip equals the matrix drawn whole in that dtype.
@@ -120,7 +120,7 @@ class TestGenerateMatrix:
     @pytest.mark.parametrize("spec", [pytest.param(RandomMatrixSpec(rows=617, cols=500, seed=3), id="gaussian")])
     def test_holds_one_block_buffer_beyond_its_output(self, spec):
         generate_matrix(RandomMatrixSpec(2, 2, seed=3))  # numpy's lazy imports come first
-        buffer = ops._GENERATE_BLOCK_ROWS * spec.cols * 8
+        buffer = ops.STRIP_ROWS * spec.cols * 8
         tracemalloc.start()
         try:
             out = generate_matrix(spec)

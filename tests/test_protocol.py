@@ -121,7 +121,7 @@ class TestSparseStored:
         whole = quantize_array(forms["prototype"].prototypes, fmt)
         out = quantize_model(scorer, fmt)
         np.testing.assert_array_equal(bits(out.table), bits(whole[:, scorer.mask]))
-        expected = SparseScorer(np.ascontiguousarray(whole[:, scorer.mask]), scorer.mask, scorer.budget)
+        expected = SparseScorer(np.ascontiguousarray(whole[:, scorer.mask]), scorer.mask)
         np.testing.assert_array_equal(bits(out.score_batch(h)), bits(expected.score_batch(h)))
 
 

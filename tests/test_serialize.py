@@ -3,7 +3,7 @@ import pytest
 
 from decohd.baselines import Classifier
 from decohd.serialize import ContainerError, load_arrays, load_classifier, save_arrays, save_classifier
-from tests.conftest import small_classifier
+from tests.conftest import assert_same_bits, small_classifier
 
 KINDS = ("decohd", "prototype", "onlinehd", "sparsehd")
 
@@ -31,8 +31,6 @@ class TestRoundTrip:
             assert after[name].dtype == a.dtype, name
             assert after[name].shape == a.shape, name
             assert after[name].tobytes() == a.tobytes(), name
-        if kind == "sparsehd":
-            assert loaded.scorer.budget == clf.scorer.budget
 
     def test_rewrite_is_byte_identical(self, tmp_path, rng, kind):
         clf, _ = small_classifier(kind, rng)
@@ -64,6 +62,33 @@ def test_encoder_meta_is_pinned(tmp_path, rng):
     meta, _ = load_arrays(tmp_path / "m.npz")
     assert meta["format_version"] == 3
     assert meta["encoder"] == {"num_features": 6, "dim": 64, "seed": 4, "normalize_output": True}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_container_meta_keys_are_pinned(tmp_path, rng, kind):
+    clf, _ = small_classifier(kind, rng)
+    save_classifier(tmp_path / "m.npz", clf)
+    meta, _ = load_arrays(tmp_path / "m.npz")
+    assert meta.keys() == {"format_version", "kind", "encoder"}
+
+
+def test_sparse_container_arrays_are_pinned(tmp_path, rng):
+    clf, _ = small_classifier("sparsehd", rng)
+    save_classifier(tmp_path / "m.npz", clf)
+    _, arrays = load_arrays(tmp_path / "m.npz")
+    assert arrays.keys() == {"standardizer_mean", "standardizer_std", "table", "mask"}
+
+
+def test_a_sparse_container_with_a_budget_key_scores_alike(tmp_path, rng):
+    # Format-3 sparse containers once held the sparsified fraction under
+    # "budget"; nothing reads it, so it loads and is ignored.
+    clf, features = small_classifier("sparsehd", rng)
+    save_classifier(tmp_path / "m.npz", clf)
+    meta, arrays = load_arrays(tmp_path / "m.npz")
+    save_arrays(tmp_path / "budget.npz", {**meta, "budget": 0.5}, arrays)
+    plain, budgeted = load_classifier(tmp_path / "m.npz"), load_classifier(tmp_path / "budget.npz")
+    h = plain.encoder.encode_batch(features, plain.standardizer)
+    assert_same_bits(budgeted.scorer.score_batch(h), plain.scorer.score_batch(h))
 
 
 def narrow_standardizer(meta, arrays):
