@@ -11,7 +11,6 @@ and robustness/precision evaluation harnesses.
 __version__ = "0.1.0"
 
 from .baselines import (
-    Classifier,
     PrototypeTable,
     SparseScorer,
     build_prototype_table,
@@ -30,7 +29,7 @@ from .data import Dataset, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import NoiseSpec, inject_bitflips, robustness_sweep
 from .inference import DecomposedScorer
-from .model import ModelConfig, ModelParams, pick_class
+from .model import Classifier, ModelConfig, ModelParams, pick_class
 from .precision import PRESETS, PrecisionFormat, quantize_model
 from .serialize import load_classifier, save_classifier
 from .training import TrainConfig, train

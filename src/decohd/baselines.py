@@ -14,7 +14,7 @@ The two table forms share the decomposed scorer's protocol:
 ``"table"``, and ``replace(arrays)`` wraps rewritten arrays in the same
 form.  A sparsified table holds only its retained columns, C x
 floor(budget * dim), and scores the retained dimensions of the
-encodings against them.  :class:`Classifier` deploys every model kind.
+encodings against them.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import RandomProjectionEncoder, Standardizer
-from .inference import DecomposedScorer
 from .model import pick_class
 from .ops import derive_seed, rng_from_seed
 
@@ -178,18 +176,3 @@ def sparsify_table(table: PrototypeTable, budget: float) -> SparseScorer:
 
 
 MODEL_KINDS = ("decohd", "prototype", "onlinehd", "sparsehd")
-
-
-@dataclass
-class Classifier:
-    """End-to-end classifier over raw features, as trained or loaded for
-    every model kind: the encoder, the standardizer and a deployed scorer."""
-
-    encoder: RandomProjectionEncoder
-    standardizer: Standardizer
-    scorer: DecomposedScorer | PrototypeTable | SparseScorer
-    kind: str  # one of MODEL_KINDS
-
-    def predict_batch(self, features: np.ndarray) -> np.ndarray:
-        h = self.encoder.encode_batch(features, self.standardizer)
-        return pick_class(self.scorer.score_batch(h))

@@ -34,13 +34,13 @@ from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
 import numpy as np
 
 from . import __version__
-from .baselines import MODEL_KINDS, Classifier, build_prototype_table, onlinehd_refine, sparsify_table
+from .baselines import MODEL_KINDS, build_prototype_table, onlinehd_refine, sparsify_table
 from .budget import budget_of
 from .data import Dataset, ParseError, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
 from .inference import DecomposedScorer
-from .model import ChannelBank, ModelConfig, accuracy
+from .model import ChannelBank, Classifier, ModelConfig, accuracy
 from .ops import derive_seed
 from .precision import PRESETS, get_format, quantize_array, quantize_model
 from .serialize import save_classifier
@@ -104,7 +104,7 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class DataSpec:
-    name: str = "synthetic"
+    name: str | None = None
     train_csv: str | None = None
     test_csv: str | None = None
     synthetic: SyntheticSpec | dict | None = None
@@ -213,7 +213,7 @@ def check_width(dataset: Dataset, num_features: int, path: str) -> None:
 
 
 def prepare_data(spec: DataSpec, root_seed: int) -> tuple[Dataset, Dataset]:
-    """The (train, test) pair of *spec*; a test CSV must fit the train CSV."""
+    """The (train, test) pair of *spec*: a train CSV of 2 rows and 2 classes or more, a test CSV that fits it."""
     if spec.synthetic is not None:
         s = spec.synthetic
         train_ds, test_ds = make_synthetic(
@@ -225,6 +225,9 @@ def prepare_data(spec: DataSpec, root_seed: int) -> tuple[Dataset, Dataset]:
         )
     else:
         train_ds = load_csv(spec.train_csv)
+        if train_ds.num_samples < 2 or train_ds.num_classes < 2:
+            raise ParseError(f"{spec.train_csv}: training needs at least 2 rows and 2 classes, "
+                             f"got {train_ds.num_samples} and {train_ds.num_classes}")
         test_ds = load_csv(spec.test_csv, num_classes=train_ds.num_classes)
         check_width(test_ds, train_ds.num_features, spec.test_csv)
     return train_ds, test_ds

@@ -22,16 +22,19 @@ allocated on the calling thread (:func:`materialize_projectors`), and
 builds every bank with :func:`materialize_channels`: the first from the
 initial latents, then one per optimizer step, whose hook updates a
 panel's latent columns before the panel's strips are read
-(:mod:`decohd.training`).  A model built from latents multiplies each
-strip into its channels as soon as it is drawn from the seed, and never
-holds a whole projector (:func:`stream_channels`).  All of them run the
-same products, so their banks are bit-identical.  Containers store
-channels.
+(:mod:`decohd.training`).  A model built from latents, a
+:class:`DecoHDClassifier`, multiplies each strip into its channels as
+soon as it is drawn from the seed, and never holds a whole projector
+(:func:`stream_channels`).  All of them run the same products, so their
+banks are bit-identical.  Containers store channels.
 
 Path enumeration is row-major over the per-layer channel choices: the
 last layer varies fastest, as in ``itertools.product`` of the layers'
 channels.  The head's column order follows this flat enumeration and is
 part of the serialized model format.
+
+One :class:`Classifier` deploys every model kind, trained, loaded or
+built from latents.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import ClassVar
 
 import numpy as np
 
@@ -299,41 +301,18 @@ def accuracy(scorer, h: np.ndarray, labels: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end classifier (encoder + standardizer + trained parameters)
+# End-to-end classifier: one Classifier deploys every model kind
 
 
 @dataclass
-class DecoHDClassifier:
-    """A decomposed classifier built from latents, not trained or loaded
-    (the benchmark's serve workload starts from one).  :meth:`channel_bank`
-    streams its float32 channels once (:func:`stream_channels`); it saves
-    as channels and head, which load as a :class:`~decohd.baselines.Classifier`.
-    """
+class Classifier:
+    """End-to-end classifier over raw features for every model kind: the
+    encoder, the standardizer and a deployed scorer."""
 
     encoder: RandomProjectionEncoder
     standardizer: Standardizer
-    config: ModelConfig
-    params: ModelParams
-    kind: ClassVar[str] = "decohd"
-    _bank: ChannelBank | None = field(default=None, init=False, repr=False, compare=False)
-
-    def channel_bank(self) -> ChannelBank:
-        """Materialized float32 channels, cached; this plus the head is
-        the inference-resident state of the model."""
-        if self._bank is None:
-            self._bank = stream_channels(self.params.astype(np.float32), self.config)
-        return self._bank
-
-    def head(self) -> np.ndarray:
-        return self.params.head.astype(np.float32)
-
-    @property
-    def scorer(self):
-        """The deployed form: a :class:`~decohd.inference.DecomposedScorer`
-        over the cached float32 bank and head."""
-        from .inference import DecomposedScorer  # local import avoids a cycle
-
-        return DecomposedScorer(bank=self.channel_bank(), head=self.head())
+    scorer: DecomposedScorer | PrototypeTable | SparseScorer  # not imported: their modules import this one
+    kind: str  # one of baselines.MODEL_KINDS
 
     def predict(self, x: np.ndarray) -> int:
         return int(self.predict_batch(np.asarray(x)[None, :])[0])
@@ -341,3 +320,22 @@ class DecoHDClassifier:
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         h = self.encoder.encode_batch(features, self.standardizer)
         return pick_class(self.scorer.score_batch(h))
+
+
+class DecoHDClassifier(Classifier):
+    """The :class:`Classifier` of a decomposed model built from latents
+    (the benchmark's serve workload starts from one); it streams its
+    float32 channels once, at construction (:func:`stream_channels`)."""
+
+    def __init__(self, encoder, standardizer, config: ModelConfig, params: ModelParams):
+        from .inference import DecomposedScorer  # local import avoids a cycle
+
+        bank = stream_channels(params.astype(np.float32), config)
+        super().__init__(encoder, standardizer, DecomposedScorer(bank, params.head.astype(np.float32)), "decohd")
+
+    def channel_bank(self) -> ChannelBank:
+        """The float32 channels, with the head the model's inference-resident state."""
+        return self.scorer.bank
+
+    def head(self) -> np.ndarray:
+        return self.scorer.head

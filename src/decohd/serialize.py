@@ -19,11 +19,11 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .baselines import MODEL_KINDS, Classifier, PrototypeTable, SparseScorer
+from .baselines import MODEL_KINDS, PrototypeTable, SparseScorer
 from .data import ParseError
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
 from .inference import DecomposedScorer
-from .model import ChannelBank
+from .model import ChannelBank, Classifier
 
 FORMAT_VERSION = 3
 

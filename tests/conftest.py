@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from decohd import model, training
-from decohd.baselines import Classifier, build_prototype_table, onlinehd_refine, sparsify_table
+from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_table
 from decohd.data import make_synthetic
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from decohd.model import (
+    Classifier,
     DecoHDClassifier,
     ModelConfig,
     ModelParams,

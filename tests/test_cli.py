@@ -277,6 +277,46 @@ def test_sweep_with_a_wider_test_csv_exits_2_at_prepare_data(synthetic_csvs, tmp
     assert failure["stage"] == "prepare-data"
 
 
+def spoiled_csv(tmp_path, shape: str) -> str:
+    """A train CSV of one row, or of rows that all carry label 0."""
+    train_ds = make_synthetic(3, 6, 20, 3.0, seed=11)[0]
+    if shape == "one-row":
+        ds = Dataset(train_ds.features[:1], train_ds.labels[:1], 3)
+    else:
+        ds = Dataset(train_ds.features, 0 * train_ds.labels, 1)
+    path = str(tmp_path / f"{shape}.csv")
+    save_csv(path, ds)
+    return path
+
+
+@pytest.mark.parametrize("shape, got", [("one-row", "1 and 3"), ("one-class", "60 and 1")],
+                         ids=["one-row", "one-class"])
+def test_a_train_csv_of_one_row_or_one_class_exits_2_and_saves_nothing(tmp_path, capsys, shape, got):
+    path = spoiled_csv(tmp_path, shape)
+    assert cli.main(train_args((path, path), tmp_path, "--model", "decohd")) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {path}: training needs at least 2 rows and 2 classes, got {got}" in err
+    assert not (tmp_path / "m.npz").exists()
+
+
+@pytest.mark.parametrize("shape", ["one-row", "one-class"])
+def test_sweep_of_a_train_csv_of_one_row_or_one_class_exits_2_at_prepare_data(tmp_path, capsys, shape):
+    path = spoiled_csv(tmp_path, shape)
+    config = {
+        "data": {"train_csv": path, "test_csv": path},
+        "models": [{"kind": "decohd", "latent_dim": 8}],
+        "train": {"epochs": 1},
+        "dims": [16],
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(config_path), "--output-dir", str(out)]) == 2
+    assert f"data error: {path}: " in capsys.readouterr().err
+    failure = json.loads((out / "failure_manifest.json").read_text(encoding="utf-8"))
+    assert failure["stage"] == "prepare-data"
+
+
 def test_divergence_exits_3(synthetic_csvs, tmp_path, capsys):
     assert cli.main(train_args(synthetic_csvs, tmp_path, "--epochs", "50", "--learning-rate", "1e18")) == 3
     assert "training diverged: " in capsys.readouterr().err

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from decohd import encoding, experiment, model
-from decohd.baselines import Classifier, build_prototype_table, onlinehd_refine, sparsify_table
+from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_table
+from decohd.data import make_synthetic, save_csv
 from decohd.encoding import fit_standardizer
 from decohd.experiment import (
     ConfigError,
@@ -20,6 +21,7 @@ from decohd.experiment import (
     prepare_data,
     run_experiment,
 )
+from decohd.model import Classifier
 from decohd.ops import generate_matrix, row_blocks
 from decohd.precision import quantize_array
 from decohd.serialize import load_classifier, save_classifier
@@ -105,6 +107,17 @@ def test_manifest_keys_are_pinned(tmp_path):
     assert manifest.keys() == {"package_version", "config", "dataset", "model_labels"}
     assert manifest["dataset"]["name"] == config.data.name
     assert load_config(result.manifest_path) == config
+
+
+def test_a_csv_sweep_with_no_name_writes_a_null_dataset_name(tmp_path):
+    train_ds, test_ds = make_synthetic(3, 4, 5, 3.0, seed=2)
+    paths = str(tmp_path / "train.csv"), str(tmp_path / "test.csv")
+    save_csv(paths[0], train_ds)
+    save_csv(paths[1], test_ds)
+    config = ExperimentConfig(data={"train_csv": paths[0], "test_csv": paths[1]}, dims=(16,))
+    result = run_experiment(config, output_dir=str(tmp_path / "out"))
+    with open(result.manifest_path, encoding="utf-8") as fh:
+        assert json.load(fh)["dataset"]["name"] is None
 
 
 def test_a_config_built_in_python_equals_its_json_load(tmp_path):

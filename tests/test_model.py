@@ -393,9 +393,7 @@ class TestStreamChannels:
         cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=50, dim=40, num_classes=3, seed=8)
         params = init_params(cfg, dtype=np.float32)
         expected = materialize_channels(params, materialize_projectors(cfg))
-        clf = model.DecoHDClassifier(
-            encoder=RandomProjectionEncoder(EncoderConfig(num_features=5, dim=40, seed=1)),
-            standardizer=identity_standardizer(5), config=cfg, params=params)
+        encoder = RandomProjectionEncoder(EncoderConfig(num_features=5, dim=40, seed=1))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a deployed model drew a whole projector")
@@ -403,6 +401,8 @@ class TestStreamChannels:
         for target in (model, ops):
             monkeypatch.setattr(target, "generate_matrix", refuse)
         monkeypatch.setattr(model, "materialize_projectors", refuse)
+        # The bank is streamed at construction, so the model is built under the patches.
+        clf = model.DecoHDClassifier(encoder=encoder, standardizer=identity_standardizer(5), config=cfg, params=params)
         for a, b in zip(clf.channel_bank().channels, expected.channels):
             assert_same_bits(a, b)
 

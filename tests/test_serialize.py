@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from decohd.baselines import Classifier
+from decohd.model import Classifier, DecoHDClassifier
 from decohd.serialize import ContainerError, load_arrays, load_classifier, save_arrays, save_classifier
 from tests.conftest import assert_same_bits, small_classifier
 
@@ -43,6 +45,24 @@ class TestRoundTrip:
         save_classifier(tmp_path / "m.npz", clf)
         loaded = load_classifier(tmp_path / "m.npz")
         np.testing.assert_array_equal(loaded.predict_batch(features), clf.predict_batch(features))
+
+
+@pytest.mark.parametrize("source", ["built", "loaded"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_predict_is_a_batch_of_one_row(tmp_path, rng, kind, source):
+    clf, features = small_classifier(kind, rng)
+    if source == "loaded":
+        save_classifier(tmp_path / "m.npz", clf)
+        clf = load_classifier(tmp_path / "m.npz")
+    for x in features[:5]:
+        prediction = clf.predict(x)
+        assert type(prediction) is int and prediction == clf.predict_batch(x[None])[0]
+
+
+def test_a_model_built_from_latents_is_a_classifier(rng):
+    clf, _ = small_classifier("decohd", rng)
+    assert isinstance(clf, DecoHDClassifier) and isinstance(clf, Classifier) and clf.kind == "decohd"
+    assert [f.name for f in dataclasses.fields(clf)] == ["encoder", "standardizer", "scorer", "kind"]
 
 
 def test_meta_is_stored_zero_dimensional(tmp_path, rng):
