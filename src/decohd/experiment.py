@@ -213,7 +213,7 @@ def check_width(dataset: Dataset, num_features: int, path: str) -> None:
 
 
 def prepare_data(spec: DataSpec, root_seed: int) -> tuple[Dataset, Dataset]:
-    """The (train, test) pair of *spec*: a train CSV of 2 rows and 2 classes or more, a test CSV that fits it."""
+    """The (train, test) pair of *spec*: a train CSV of 2 rows and 2 labels or more, a test CSV that fits it."""
     if spec.synthetic is not None:
         s = spec.synthetic
         train_ds, test_ds = make_synthetic(
@@ -225,9 +225,10 @@ def prepare_data(spec: DataSpec, root_seed: int) -> tuple[Dataset, Dataset]:
         )
     else:
         train_ds = load_csv(spec.train_csv)
-        if train_ds.num_samples < 2 or train_ds.num_classes < 2:
+        present = len(np.unique(train_ds.labels))
+        if train_ds.num_samples < 2 or present < 2:
             raise ParseError(f"{spec.train_csv}: training needs at least 2 rows and 2 classes, "
-                             f"got {train_ds.num_samples} and {train_ds.num_classes}")
+                             f"got {train_ds.num_samples} and {present}")
         test_ds = load_csv(spec.test_csv, num_classes=train_ds.num_classes)
         check_width(test_ds, train_ds.num_features, spec.test_csv)
     return train_ds, test_ds

@@ -14,19 +14,14 @@ through its elementwise square: ``score_c(h) = <P_c, h*h>`` with
 ``P_c = sum_m head[c, m] * basis_m``.  :mod:`decohd.inference` forms
 ``h*h`` in one function, ``input_term``, for its batched and streamed forwards.
 
-A channel expansion ``lat @ P`` is always the in-order sum of
-``lat[:, j:j+16] @ P[j:j+16]`` over the projector's 16-row strips, in
-one function, ``_expand``, which is the only code that walks a
-projector.  Training holds each projector as its 64-row panels, all
-allocated on the calling thread (:func:`materialize_projectors`), and
-builds every bank with :func:`materialize_channels`: the first from the
-initial latents, then one per optimizer step, whose hook updates a
-panel's latent columns before the panel's strips are read
-(:mod:`decohd.training`).  A model built from latents, a
-:class:`DecoHDClassifier`, multiplies each strip into its channels as
-soon as it is drawn from the seed, and never holds a whole projector
-(:func:`stream_channels`).  All of them run the same products, so their
-banks are bit-identical.  Containers store channels.
+Each layer's latents are expanded by a frozen projector of
+:meth:`ModelConfig.projector_specs`.  Training expands them through
+matrix-free projectors (:class:`~decohd.ops.HadamardProjector`) with
+:func:`materialize_channels`, and containers store those channels.
+A :class:`DecoHDClassifier`, a model built from latents, uses dense
+Gaussian projectors of the same specs instead, streamed a strip at a
+time (:func:`stream_channels`): the benchmark's serve oracle regenerates
+exactly those, so this dense fence stays until the benchmark changes.
 
 Path enumeration is row-major over the per-layer channel choices: the
 last layer varies fastest, as in ``itertools.product`` of the layers'
@@ -42,28 +37,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .encoding import RandomProjectionEncoder, Standardizer
-from .ops import STRIP_ROWS, RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed, row_blocks
-
-# Projector rows per panel, the unit in which training holds a projector
-# and a step walks it: four draw strips.  Gradient bits: on OpenBLAS a
-# 64-row panel's latent-gradient product (decohd.training) equals the
-# whole-projector product bit for bit; 32, 96 and 128 rows did too but
-# were slower, 40, 48, 56 and 80 rows did not, and 16-row panels take a
-# small-matrix kernel that rounds differently.  Heap reuse: the panels
-# are allocated on the calling thread (a worker thread allocates from its
-# own malloc arena).  glibc maps any request above its dynamic mmap
-# threshold, and freeing a mapped chunk of up to 32 MiB raises the
-# threshold to that chunk's size.  So once a process has freed, say, a
-# 23.5 MiB encoder matrix, a 2.56 MB panel comes from the main heap and
-# reuses memory freed there, while a 156 MiB whole projector, above the
-# 32 MiB ceiling, always gets a fresh mapping.  In a process that has
-# freed nothing, each panel gets its own mapping, as a projector would.
-_PANEL_ROWS = 64
+from .ops import HadamardProjector, RandomMatrixSpec, derive_seed, rng_from_seed, row_blocks
 
 
 @dataclass(frozen=True)
@@ -96,37 +74,17 @@ class ModelConfig:
         return math.prod(self.channels_per_layer)
 
     def projector_specs(self) -> list[RandomMatrixSpec]:
-        """One frozen latent_dim x dim projector per layer.
+        """The seeds of each layer's frozen latent_dim x dim projector.
 
-        Entries are normal(0, 1/latent_dim) (ops.row_blocks): with
-        unit-variance latents the channel entries come out O(1)
+        Either kind gives entries of variance 1/latent_dim
+        (:class:`~decohd.ops.HadamardProjector`, :func:`~decohd.ops.row_blocks`):
+        with unit-variance latents the channel entries come out O(1)
         independent of latent_dim.
         """
         return [
             RandomMatrixSpec(rows=self.latent_dim, cols=self.dim, seed=derive_seed(self.seed, "projector", i))
             for i in range(self.num_layers)
         ]
-
-
-def materialize_projectors(config: ModelConfig, dtype=np.float32) -> list[list[np.ndarray]]:
-    """Every layer's projector, held as its ``_PANEL_ROWS``-row panels,
-    top to bottom.  Only training holds these: a model built from latents
-    streams its channels instead (:func:`stream_channels`).
-
-    Every panel is allocated here, on the calling thread; then each layer
-    fills its panels on its own thread.  Each projector owns its Philox
-    stream, and numpy releases the GIL while it fills an array, so the
-    layers draw in parallel and each layer's panels stack bit for bit to
-    a plain :func:`generate_matrix` of its spec.  A thread holds one draw
-    buffer.
-    """
-    specs = config.projector_specs()
-    held = [
-        [np.empty((min(_PANEL_ROWS, s.rows - p), s.cols), dtype=dtype) for p in range(0, s.rows, _PANEL_ROWS)]
-        for s in specs
-    ]
-    with ThreadPoolExecutor(max_workers=len(specs)) as pool:
-        return list(pool.map(lambda spec, panels: generate_matrix(spec, dtype, panels), specs, held))
 
 
 @dataclass
@@ -203,63 +161,46 @@ class ChannelBank:
         return self._basis
 
 
-def _expand(lat: np.ndarray, blocks, before=None) -> np.ndarray:
-    """``lat @ P`` summed strip by strip, in order, over the row blocks of
-    ``P`` that *blocks* yields: a held projector's panels, or the strips
-    that :func:`~decohd.ops.row_blocks` draws.  Each block is used before
-    the next is asked for, one ``STRIP_ROWS``-row strip at a time, each
-    cast to the latents' dtype.  ``before(block, cols)``, if given, runs
-    before the block's strips are read; *cols* are the block's latent
-    columns.  The first strip's product is the sum; every later one is
-    multiplied into one reused buffer and added."""
-    channels, product, start = None, None, 0
-    for block in blocks:
-        if before is not None:
-            before(block, slice(start, start + len(block)))
-        for j in range(0, len(block), STRIP_ROWS):
-            strip = block[j : j + STRIP_ROWS]
+def materialize_channels(params: ModelParams, projectors: list[HadamardProjector]) -> ChannelBank:
+    """Expand each layer's latents through its matrix-free projector:
+    the bank of *params* as training builds it."""
+    if len(projectors) != len(params.latents):
+        raise ValueError("projector count does not match latent layer count")
+    channels = []
+    for i, (lat, projector) in enumerate(zip(params.latents, projectors)):
+        if lat.shape[1] != projector.rows:
+            raise ValueError(f"layer {i}: latent dim {lat.shape[1]} does not match projector rows {projector.rows}")
+        channels.append(projector.apply(lat))
+    return ChannelBank(channels)
+
+
+def stream_channels(params: ModelParams, config: ModelConfig) -> ChannelBank:
+    """The channels of *params* through the dense Gaussian projectors of
+    ``config.projector_specs()``, at the latents' dtype: the fence for
+    models built from latents.  Training expands latents through other,
+    matrix-free projectors, so deploy a trained model from its container,
+    not by rebuilding it here from its latents.
+
+    Each layer, on its own thread, sums ``lat[:, j:j+16] @ P[j:j+16]`` in
+    order over the strips that :func:`~decohd.ops.row_blocks` draws,
+    multiplying each into one reused buffer, so it holds one draw buffer,
+    its cast and its channels, never a whole projector.
+    """
+    check_param_shapes(params, config)
+
+    def layer(lat, spec):
+        channels, product, start = None, None, 0
+        for strip in row_blocks(spec):
             part = np.matmul(lat[:, start : start + len(strip)], strip.astype(lat.dtype, copy=False), out=product)
             if channels is None:
                 channels, product = part, np.empty_like(part)
             else:
                 channels += part
             start += len(strip)
-    return channels
+        return channels
 
-
-def materialize_channels(params: ModelParams, projectors: list[list[np.ndarray]], before=None) -> ChannelBank:
-    """Expand each latent through its layer's held projector, a list of
-    panels (:func:`materialize_projectors`).  ``before(i, panel, cols)``,
-    if given, runs before the strips of each panel of layer i are read;
-    *cols* are the panel's latent columns."""
-    if len(projectors) != len(params.latents):
-        raise ValueError("projector count does not match latent layer count")
-    channels = []
-    for i, (lat, panels) in enumerate(zip(params.latents, projectors)):
-        rows = sum(len(panel) for panel in panels)
-        if lat.shape[1] != rows:
-            raise ValueError(f"layer {i}: latent dim {lat.shape[1]} does not match projector rows {rows}")
-        channels.append(_expand(lat, panels, None if before is None else partial(before, i)))
-    return ChannelBank(channels)
-
-
-def stream_channels(params: ModelParams, config: ModelConfig) -> ChannelBank:
-    """``materialize_channels(params, materialize_projectors(config,
-    dtype))`` bit for bit, at the latents' dtype, without holding any
-    projector whole.
-
-    Each layer expands on its own thread from the strips that
-    :func:`~decohd.ops.row_blocks` draws from its spec, so a thread holds
-    one draw buffer, its cast and its channels.
-    """
-    check_param_shapes(params, config)
-    specs = config.projector_specs()
-
-    def layer(lat, spec):
-        return _expand(lat, row_blocks(spec))
-
-    with ThreadPoolExecutor(max_workers=len(specs)) as pool:
-        return ChannelBank(list(pool.map(layer, params.latents, specs)))
+    with ThreadPoolExecutor(max_workers=config.num_layers) as pool:
+        return ChannelBank(list(pool.map(layer, params.latents, config.projector_specs())))
 
 
 def layer_views(channels: list[np.ndarray]) -> list[np.ndarray]:
@@ -325,7 +266,9 @@ class Classifier:
 class DecoHDClassifier(Classifier):
     """The :class:`Classifier` of a decomposed model built from latents
     (the benchmark's serve workload starts from one); it streams its
-    float32 channels once, at construction (:func:`stream_channels`)."""
+    float32 channels once, at construction, through the dense projectors
+    of :func:`stream_channels`, not the matrix-free ones of training: a
+    trained model is deployed from its container, not rebuilt here."""
 
     def __init__(self, encoder, standardizer, config: ModelConfig, params: ModelParams):
         from .inference import DecomposedScorer  # local import avoids a cycle

@@ -5,12 +5,15 @@ the dot-product similarity are written where the model performs them,
 in :func:`decohd.model.path_basis` and the forwards of
 :mod:`decohd.inference`.
 
-Frozen random matrices (the input encoder and the per-layer latent
-projectors) are Gaussian, described by a :class:`RandomMatrixSpec` of
+Frozen random matrices are described by a :class:`RandomMatrixSpec` of
 shape and seed alone and regenerated on demand, so they never need to
-be stored: whole or into panels that the caller allocated
-(:func:`generate_matrix`), or as a stream of row strips
-(:func:`row_blocks`), all with the same bits.
+be stored.  Two kinds are drawn from a spec.  The dense Gaussian kind
+(the input encoder, and the projectors of a model built from latents)
+is materialized whole (:func:`generate_matrix`) or streamed as row
+strips (:func:`row_blocks`), with the same bits.  The structured kind,
+a :class:`HadamardProjector`, is the latent projector that training
+uses: it multiplies by a randomized Walsh-Hadamard transform and never
+forms its matrix.
 
 Seed derivation
 ---------------
@@ -29,20 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Rows per draw strip, and projector rows per product of a channel
-# expansion (decohd.model._expand).  Every block an expansion walks but
-# the last (a drawn strip, a held panel) is a whole number of strips, so
-# held and streamed projectors run the same products and give
-# bit-identical banks.  16 x 10000 is a 1.3 MB float64 buffer, held once
-# per stream whatever the matrix.  Kept small because, under glibc, a
-# buffer below the 32 MB mmap ceiling that is freed on a worker thread (the
-# per-layer draws of materialize_projectors and stream_channels) can stay
-# resident in that thread's malloc arena, where the main thread cannot
-# reuse it; for the same reason a held projector's panels are allocated
-# on the calling thread (decohd.model.materialize_projectors).  OpenBLAS
-# runs a 4 x 16 @ 16 x 10000 product on the calling thread alone, so one
-# layer's expansion wakes no BLAS threads to compete with the other
-# layers' draws; 32- and 64-row blocks were slower.
+# Rows per draw strip of a dense matrix (row_blocks), and per product of a
+# streamed channel expansion (decohd.model.stream_channels): a 1.3 MB
+# float64 buffer at 10000 columns.  Kept small because, under glibc, a
+# buffer below the 32 MB mmap ceiling that a worker thread frees can stay
+# in that thread's malloc arena; and OpenBLAS runs a 4 x 16 @ 16 x 10000
+# product on the calling thread alone, so the layers' expansions do not
+# compete for BLAS threads.  32- and 64-row blocks were slower.
 STRIP_ROWS = 16
 
 
@@ -103,18 +99,88 @@ def row_blocks(spec: RandomMatrixSpec):
         yield strip
 
 
-def generate_matrix(spec: RandomMatrixSpec, dtype=np.float32, panels=None):
+def generate_matrix(spec: RandomMatrixSpec, dtype=np.float32) -> np.ndarray:
     """Materialize the matrix described by *spec* in *dtype*, filled from
-    :func:`row_blocks`, so it holds one draw buffer besides its output.
+    :func:`row_blocks`, so it holds one draw buffer besides its output."""
+    out = np.empty((spec.rows, spec.cols), dtype=dtype)
+    for start, strip in zip(range(0, spec.rows, STRIP_ROWS), row_blocks(spec)):
+        out[start : start + len(strip)] = strip
+    return out
 
-    Given *panels*, arrays allocated by the caller whose rows stack to the
-    matrix, each but the last a whole number of draw strips, it fills
-    those in their own dtype instead and returns them."""
-    whole = panels is None
-    if whole:
-        panels = [np.empty((spec.rows, spec.cols), dtype=dtype)]
-    s = STRIP_ROWS
-    targets = (panel[j : j + s] for panel in panels for j in range(0, len(panel), s))
-    for target, strip in zip(targets, row_blocks(spec)):
-        target[...] = strip
-    return panels[0] if whole else panels
+
+def _sylvester(n: int) -> np.ndarray:
+    """The ``n x n`` Walsh-Hadamard matrix, n a power of two, by Sylvester's doubling."""
+    h = np.ones((1, 1))
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+class HadamardProjector:
+    """The seeded ``rows x cols`` latent projector P of *spec*, applied
+    without forming it (after Ailon & Chazelle, STOC 2006, and Fastfood,
+    Le, Sarlos & Smola, ICML 2013).
+
+    A latent, zero-padded to ``n``, the next power of two at or above
+    ``rows``, goes through ``ceil(cols / n)`` blocks ``H G Pi H B``: B
+    random signs, H the ``n``-point Walsh-Hadamard transform, Pi a
+    permutation and G a Gaussian diagonal.  The blocks' outputs, side by
+    side and truncated to ``cols``, are ``lat @ P``.  Each G is divided by
+    its norm (as Fastfood's S is) and by ``sqrt(rows)``, so P's entries
+    have the dense kind's mean square ``1/rows`` (:func:`row_blocks`).
+    The diagonals, signs first, come from the spec's Philox stream, so an
+    equal spec rebuilds P bit for bit.  H is applied as ``H_a kron H_b``
+    with ``a * b = n``, two products with ``sqrt(n)``-sized matrices, so P
+    costs 13 bytes a column and two such matrices.
+    """
+
+    def __init__(self, spec: RandomMatrixSpec):
+        self.rows, self.cols = spec.rows, spec.cols
+        n = 1 << (spec.rows - 1).bit_length()
+        blocks = -(-spec.cols // n)
+        rng = rng_from_seed(spec.seed)
+        # Per block: the signs that meet the latent's *rows* nonzero
+        # entries, the permutation (Pi x)_j = x[perms[j]] and G, scaled.
+        self.signs = (2 * rng.integers(0, 2, (blocks, n), dtype=np.int8) - 1)[:, : spec.rows].copy()
+        self.perms = rng.permuted(np.tile(np.arange(n, dtype=np.int32), (blocks, 1)), axis=1)
+        gauss = rng.standard_normal((blocks, n))
+        self.gauss = gauss / (np.linalg.norm(gauss, axis=1, keepdims=True) * np.sqrt(spec.rows))
+        a = 1 << (n.bit_length() - 1) // 2
+        self._factors = (_sylvester(a), _sylvester(n // a))
+
+    def _hadamard(self, x: np.ndarray) -> np.ndarray:
+        """H on every block of the (L, blocks, n) *x*: ``a @ X @ b`` for
+        each block reshaped to an ``a x b`` matrix X."""
+        a, b = (f.astype(x.dtype, copy=False) for f in self._factors)
+        return (a @ x.reshape(x.shape[:-1] + (len(a), len(b))) @ b).reshape(x.shape)
+
+    def _permute(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """Pi, or its inverse, applied to every block of the (L, blocks, n) *x*."""
+        blocks, n = self.perms.shape
+        index = (self.perms + n * np.arange(blocks)[:, None]).reshape(-1)
+        flat = x.reshape(len(x), -1)
+        if inverse:
+            out = np.empty_like(flat)
+            out[:, index] = flat
+        else:
+            out = np.take(flat, index, axis=1)
+        return out.reshape(x.shape)
+
+    def apply(self, lat: np.ndarray) -> np.ndarray:
+        """``lat @ P``: (L, rows) latents to (L, cols) channels, in the latents' dtype."""
+        x = np.zeros((len(lat),) + self.gauss.shape, dtype=lat.dtype)
+        np.multiply(lat[:, None, :], self.signs, out=x[:, :, : self.rows])
+        y = self._permute(self._hadamard(x))
+        y *= self.gauss.astype(lat.dtype, copy=False)
+        return self._hadamard(y).reshape(len(lat), -1)[:, : self.cols].copy()
+
+    def apply_T(self, g: np.ndarray) -> np.ndarray:
+        """``g @ P.T``: (L, cols) channel gradients to (L, rows) latent
+        gradients, in their dtype; the adjoint of :meth:`apply`."""
+        y = np.zeros((len(g),) + self.gauss.shape, dtype=g.dtype)
+        y.reshape(len(g), -1)[:, : self.cols] = g
+        y = self._hadamard(y)
+        y *= self.gauss.astype(g.dtype, copy=False)
+        x = self._hadamard(self._permute(y, inverse=True))[:, :, : self.rows]
+        x *= self.signs
+        return x.sum(axis=1)

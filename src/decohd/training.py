@@ -18,23 +18,22 @@ residual ``g_c = p_c - 1{c==y}`` (batch-averaged):
 * d basis_m     = (sum_c g_c head[c,m]) * u
 * d channel[i,l] = sum over paths with m_i == l of
                    d basis_m * (product of the other layers' channels)
-* d latent[i,l] = d channel[i,l] @ projector_i^T
+* d latent_i    = d channel_i @ P_i^T, the projector's ``apply_T``
 
 Paths are row-major, so the channel gradient is a reshape-sum: the
 products ``d basis * complement`` viewed as ``(L_0, ..., L_k, dim)`` are
 summed over every layer axis but i.  Gradient accumulation happens at
-the channel level, so the projectors are read once per optimizer step
-rather than once per microbatch.  Each microbatch's rows are gathered
-into one buffer of ``microbatch_size`` rows that the run reuses, and
-squared there in place into ``u``, so a step's working memory does not
-grow with the batch or the training set.
+the channel level, so each projector is applied twice per optimizer
+step, not per microbatch.  Each microbatch's rows are gathered into one
+buffer of ``microbatch_size`` rows that the run reuses, and squared
+there in place into ``u``, so a step's working memory does not grow with
+the batch or the training set.
 
-A step makes one pass over each layer's projector, walking the panels
-in which training holds it (:func:`~decohd.model.materialize_projectors`):
-it builds the next bank with :func:`~decohd.model.materialize_channels`,
-whose hook, before each panel is expanded, forms the panel's columns of
-``d latent`` and applies AdamW to those latent columns.  So the step
-returns the bank of the updated parameters, and there is one bank per
+The projectors are matrix-free (:class:`~decohd.ops.HadamardProjector`),
+so training holds no ``latent_dim x dim`` array.  A step makes one
+``apply_T`` call and one whole-array AdamW update per latent, one update
+of the head, and builds the next bank with
+:func:`~decohd.model.materialize_channels`.  So there is one bank per
 parameter state: one more is built from the initial parameters, each
 end-of-epoch evaluation scores the bank that the next epoch's first
 batch trains on, and the returned parameters come with their bank,
@@ -59,10 +58,9 @@ from .model import (
     init_params,
     layer_views,
     materialize_channels,
-    materialize_projectors,
     pick_class,
 )
-from .ops import derive_seed, rng_from_seed
+from .ops import HadamardProjector, derive_seed, rng_from_seed
 
 
 class TrainingError(RuntimeError):
@@ -164,9 +162,7 @@ class AdamW:
 
     Update: p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), with
     bias-corrected moments.  A step is one :meth:`step`, then one
-    :meth:`update` of every column of every array, in any column ranges
-    and any order; each entry's update is elementwise, so updating an
-    array in column ranges gives its whole-array update bit for bit.
+    :meth:`update` of every array, in any order.
     """
 
     beta1 = 0.9
@@ -187,9 +183,9 @@ class AdamW:
         self._bc1 = 1.0 - self.beta1**self.t
         self._bc2 = 1.0 - self.beta2**self.t
 
-    def update(self, k: int, grad: np.ndarray, cols: slice = slice(None)) -> None:
-        """In-place update of columns *cols* of the k-th array by their gradient *grad*."""
-        p, m, v = self._arrays[k][:, cols], self._m[k][:, cols], self._v[k][:, cols]
+    def update(self, k: int, grad: np.ndarray) -> None:
+        """In-place update of the k-th array by its gradient *grad*."""
+        p, m, v = self._arrays[k], self._m[k], self._v[k]
         m *= self.beta1
         m += (1.0 - self.beta1) * grad
         v *= self.beta2
@@ -201,18 +197,12 @@ class AdamW:
 
 
 def _train_batch(h_train, y_train, b_idx, h_mb, params: ModelParams, bank: ChannelBank,
-                 projectors: list[list[np.ndarray]], optimizer: AdamW, loss_sum: float):
+                 projectors: list[HadamardProjector], optimizer: AdamW, loss_sum: float):
     """One optimizer step on the batch *b_idx*, whose microbatches are
     gathered into *h_mb*.  Returns *loss_sum* plus each microbatch's loss
     sum in turn, the number of correct pre-update predictions and the bank
     of the updated parameters; the gradients and the old basis die with
     the call.
-
-    ``d latent_i = d channel_i @ projector_i^T`` is formed panel by panel
-    as ``(panel @ d channel_i^T)^T``: with only L_i output rows, the
-    product against a transposed projector takes a slow BLAS path.  Each
-    layer's latents are updated and re-expanded in the same pass over its
-    projector.
     """
     b_n = len(b_idx)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged step; the forward checks it
@@ -233,10 +223,10 @@ def _train_batch(h_train, y_train, b_idx, h_mb, params: ModelParams, bank: Chann
     optimizer.step()
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging step; checked after it
         d_channels = _channel_grads_from_basis(d_basis, bank)
-        bank = materialize_channels(
-            params, projectors, lambda k, panel, cols: optimizer.update(k, (panel @ d_channels[k].T).T, cols)
-        )
+        for k, (projector, d_channel) in enumerate(zip(projectors, d_channels)):
+            optimizer.update(k, projector.apply_T(d_channel))
         optimizer.update(len(params.latents), d_head)
+        bank = materialize_channels(params, projectors)
     return loss_sum, correct, bank
 
 
@@ -279,7 +269,7 @@ def train(
     the exception.  Channels are materialized once, from the initial
     parameters; each step returns the bank of its updated parameters, and
     the returned parameters always come with their bank, after zero
-    epochs too, so no caller draws the projectors again.  Training runs
+    epochs too, so no caller expands the latents again.  Training runs
     in the floating dtype of *h_train*: the encoder's float32, or float64
     as a precision reference.  *h_train* is only read: each microbatch is
     gathered into, and squared in, one buffer that the run reuses.
@@ -296,7 +286,7 @@ def train(
         raise ValueError("empty test set")
 
     params = init_params(config, dtype=dtype)
-    projectors = materialize_projectors(config, dtype=dtype)
+    projectors = [HadamardProjector(spec) for spec in config.projector_specs()]
     optimizer = AdamW(params.arrays(), train_config.learning_rate, train_config.weight_decay)
     history: list[EpochStats] = []
     last_good = params.copy()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from decohd import model, training
+from decohd import training
 from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_table
 from decohd.data import make_synthetic
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
@@ -14,14 +14,14 @@ from decohd.model import (
     ModelParams,
     init_params,
     materialize_channels,
-    materialize_projectors,
     path_basis,
 )
-from decohd.ops import rng_from_seed
+from decohd.ops import HadamardProjector, rng_from_seed
 from decohd.precision import get_format
 
 
-# Every frozen random matrix is Gaussian (decohd.ops.row_blocks); the
+# Every dense frozen random matrix is Gaussian (decohd.ops.row_blocks):
+# the encoder's, and the projectors of a model built from latents.  The
 # tests that draw one name the kind in their ids.
 GAUSSIAN_DTYPES = [pytest.param(np.float32, id="gaussian-float32"), pytest.param(np.float64, id="gaussian-float64")]
 
@@ -55,10 +55,9 @@ def identity_standardizer(num_features: int) -> Standardizer:
     return Standardizer(np.zeros(num_features), np.ones(num_features))
 
 
-def held(matrix: np.ndarray) -> list[np.ndarray]:
-    """*matrix* as training holds a projector: its 64-row panels."""
-    rows = model._PANEL_ROWS
-    return [matrix[p : p + rows] for p in range(0, len(matrix), rows)]
+def projectors_of(cfg: ModelConfig) -> list[HadamardProjector]:
+    """The matrix-free projectors that training builds for *cfg*."""
+    return [HadamardProjector(spec) for spec in cfg.projector_specs()]
 
 
 def random_small_instance(rng, dtype=np.float64):
@@ -75,7 +74,7 @@ def random_small_instance(rng, dtype=np.float64):
     )
     unit = init_params(cfg)
     params = ModelParams([(a * 0.7).astype(dtype) for a in unit.latents], unit.head.astype(dtype))
-    projectors = materialize_projectors(cfg, dtype=dtype)
+    projectors = projectors_of(cfg)
     batch = int(rng.integers(1, 9))
     h = rng.standard_normal((batch, cfg.dim)).astype(dtype)
     y = rng.integers(0, cfg.num_classes, batch)
@@ -84,10 +83,8 @@ def random_small_instance(rng, dtype=np.float64):
 
 def backward(h_batch, labels, params: ModelParams, projectors) -> ModelParams:
     """Analytic gradient of the mean cross-entropy over the batch, from
-    the forward and channel-gradient steps that :func:`decohd.training.train`
-    runs on one microbatch, with ``d latent = d channel @ projector^T``
-    formed on the stacked panels rather than panel by panel as a training
-    step does."""
+    the forward, channel-gradient and ``d latent = apply_T(d channel)``
+    steps that :func:`decohd.training.train` runs on one microbatch."""
     labels = np.asarray(labels)
     bank = materialize_channels(params, projectors)
     _, _, d_head_sum, d_basis_sum = training._microbatch_stats(
@@ -95,8 +92,7 @@ def backward(h_batch, labels, params: ModelParams, projectors) -> ModelParams:
     )
     b = len(labels)
     d_channels = training._channel_grads_from_basis(d_basis_sum / b, bank)
-    return ModelParams([d_ch @ np.vstack(panels).T for d_ch, panels in zip(d_channels, projectors)],
-                       d_head_sum / b)
+    return ModelParams([p.apply_T(d_ch) for d_ch, p in zip(d_channels, projectors)], d_head_sum / b)
 
 
 def adamw_step(optimizer, grads: ModelParams) -> None:

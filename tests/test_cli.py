@@ -278,10 +278,12 @@ def test_sweep_with_a_wider_test_csv_exits_2_at_prepare_data(synthetic_csvs, tmp
 
 
 def spoiled_csv(tmp_path, shape: str) -> str:
-    """A train CSV of one row, or of rows that all carry label 0."""
+    """A train CSV of one row, or of rows that all carry label 0 or all label 1."""
     train_ds = make_synthetic(3, 6, 20, 3.0, seed=11)[0]
     if shape == "one-row":
         ds = Dataset(train_ds.features[:1], train_ds.labels[:1], 3)
+    elif shape == "labels-all-1":
+        ds = Dataset(train_ds.features, 0 * train_ds.labels + 1, 2)
     else:
         ds = Dataset(train_ds.features, 0 * train_ds.labels, 1)
     path = str(tmp_path / f"{shape}.csv")
@@ -289,7 +291,8 @@ def spoiled_csv(tmp_path, shape: str) -> str:
     return path
 
 
-@pytest.mark.parametrize("shape, got", [("one-row", "1 and 3"), ("one-class", "60 and 1")],
+# A row count and the number of distinct labels: one row holds one class.
+@pytest.mark.parametrize("shape, got", [("one-row", "1 and 1"), ("one-class", "60 and 1")],
                          ids=["one-row", "one-class"])
 def test_a_train_csv_of_one_row_or_one_class_exits_2_and_saves_nothing(tmp_path, capsys, shape, got):
     path = spoiled_csv(tmp_path, shape)
@@ -299,7 +302,17 @@ def test_a_train_csv_of_one_row_or_one_class_exits_2_and_saves_nothing(tmp_path,
     assert not (tmp_path / "m.npz").exists()
 
 
-@pytest.mark.parametrize("shape", ["one-row", "one-class"])
+@pytest.mark.parametrize("model", ["prototype", "decohd"])
+def test_a_train_csv_whose_labels_are_all_1_exits_2_and_saves_nothing(tmp_path, capsys, model):
+    # max(label) + 1 counts 2 classes here, but the rows hold one.
+    path = spoiled_csv(tmp_path, "labels-all-1")
+    assert cli.main(train_args((path, path), tmp_path, "--model", model)) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {path}: training needs at least 2 rows and 2 classes, got 60 and 1" in err
+    assert not (tmp_path / "m.npz").exists()
+
+
+@pytest.mark.parametrize("shape", ["one-row", "one-class", "labels-all-1"])
 def test_sweep_of_a_train_csv_of_one_row_or_one_class_exits_2_at_prepare_data(tmp_path, capsys, shape):
     path = spoiled_csv(tmp_path, shape)
     config = {

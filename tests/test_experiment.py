@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from decohd import encoding, experiment, model
+from decohd import encoding, experiment, model, ops, training
 from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_table
 from decohd.data import make_synthetic, save_csv
 from decohd.encoding import fit_standardizer
@@ -22,7 +22,7 @@ from decohd.experiment import (
     run_experiment,
 )
 from decohd.model import Classifier
-from decohd.ops import generate_matrix, row_blocks
+from decohd.ops import HadamardProjector, generate_matrix, row_blocks
 from decohd.precision import quantize_array
 from decohd.serialize import load_classifier, save_classifier
 from decohd.training import TrainConfig
@@ -263,17 +263,18 @@ def test_deleted_train_keys_are_rejected(tmp_path, key, value):
 
 
 # Ids name whether training ran and whether its last epoch evaluated, and
-# the projector draws fit_model makes, dense plus streamed.
-@pytest.mark.parametrize("epochs, eval_every, dense, streamed", [(2, 1, 2, 0), (3, 2, 2, 0), (0, 1, 2, 0)],
+# the projectors fit_model builds: two matrix-free ones, no dense draw.
+@pytest.mark.parametrize("epochs, eval_every, matrix_free", [(2, 1, 2), (3, 2, 2), (0, 1, 2)],
                          ids=["trained-2", "trained-no-final-eval-2", "untrained-2"])
 def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, tmp_path, epochs, eval_every,
-                                                            dense, streamed):
-    # Training draws its two projectors whole, once, and returns the bank
-    # of its final params, after any number of epochs and whether or not
-    # the last one evaluated: that bank is the deployed one, so nothing
-    # is drawn again.
+                                                            matrix_free):
+    # Training builds its two matrix-free projectors once, draws no dense
+    # matrix, and returns the bank of its final params, after any number
+    # of epochs and whether or not the last one evaluated: that bank is
+    # the deployed one, so nothing is drawn again.
     # A container holds the channels, so loading it and predicting draws
-    # one matrix: the encoder's.
+    # one dense matrix: the encoder's.  Every dense draw reads
+    # ops.row_blocks, a streamed bank's through model.row_blocks.
     config = ExperimentConfig(
         data={"synthetic": {"num_classes": 3, "num_features": 8, "samples_per_class": 20}},
         models=({"kind": "decohd", "channels": [2, 2], "latent_dim": 17},),
@@ -283,7 +284,7 @@ def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, tmp_pat
     train_ds, test_ds = prepare_data(config.data, config.root_seed)
     standardizer = fit_standardizer(train_ds.features)
     encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, 64)
-    draws = {"dense": 0, "streamed": 0, "encoder": 0}
+    draws = {"dense": 0, "streamed": 0, "matrix_free": 0, "encoder": 0}
 
     def counting(name, draw):
         def wrapped(*args, **kwargs):
@@ -291,19 +292,20 @@ def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, tmp_pat
             return draw(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(model, "generate_matrix", counting("dense", generate_matrix))
+    monkeypatch.setattr(ops, "row_blocks", counting("dense", row_blocks))
     monkeypatch.setattr(model, "row_blocks", counting("streamed", row_blocks))
+    monkeypatch.setattr(training, "HadamardProjector", counting("matrix_free", HadamardProjector))
     monkeypatch.setattr(encoding, "generate_matrix", counting("encoder", generate_matrix))
     spec = config.models[0]
     clf, _ = fit_model(spec, spec.kind, config, encoder, standardizer,
                        h_train, train_ds.labels, h_test, test_ds.labels, 3)
     scorer = clf.scorer
-    assert draws == {"dense": dense, "streamed": streamed, "encoder": 0}
+    assert draws == {"dense": 0, "streamed": 0, "matrix_free": matrix_free, "encoder": 0}
     path = tmp_path / "decohd.npz"
     save_classifier(path, clf)
     loaded = load_classifier(path)
     predicted = loaded.predict_batch(test_ds.features)
-    assert draws == {"dense": dense, "streamed": streamed, "encoder": 1}
+    assert draws == {"dense": 1, "streamed": 0, "matrix_free": matrix_free, "encoder": 1}
     np.testing.assert_array_equal(predicted, clf.predict_batch(test_ds.features))
     assert [c.dtype for c in scorer.bank.channels] == [np.float32, np.float32]
     for got, expected in zip(scorer.bank.channels, loaded.scorer.bank.channels):

@@ -14,21 +14,20 @@ from decohd.model import (
     ModelParams,
     init_params,
     materialize_channels,
-    materialize_projectors,
     path_basis,
     pick_class,
     stream_channels,
 )
-from decohd.ops import generate_matrix
+from decohd.ops import HadamardProjector, RandomMatrixSpec, generate_matrix
 from tests.conftest import (
     GAUSSIAN_DTYPES,
     LAYER_SHAPES,
     assert_same_bits,
     brute_force_logits,
-    held,
     identity_standardizer,
     integer_bank_and_head,
     layer_index_arrays,
+    projectors_of,
 )
 
 
@@ -122,37 +121,53 @@ class TestPathEnumeration:
             assert self.streamed_path(flat, channels) == expected
 
 
+def hadamard(rows, cols, seed=1):
+    return HadamardProjector(RandomMatrixSpec(rows, cols, seed))
+
+
 class TestMaterializeChannels:
     def test_zero_latent_zero_channel(self):
         params = ModelParams(latents=[np.zeros((1, 3))], head=np.ones((2, 1)))
-        bank = materialize_channels(params, [held(np.ones((3, 5)))])
+        bank = materialize_channels(params, [hadamard(3, 5)])
         np.testing.assert_array_equal(bank.channels[0], np.zeros((1, 5)))
 
     def test_hand_matrix_vector(self):
-        params = ModelParams(latents=[np.array([[2.0, 3.0]])], head=np.ones((2, 1)))
-        proj = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-        bank = materialize_channels(params, [held(proj)])
-        np.testing.assert_array_equal(bank.channels[0][0], [2.0, 3.0, 5.0])
+        # Latent 2, dim 3: two 2-point blocks H G Pi H B, the second cut
+        # to one entry, with H = [[1, 1], [1, -1]].
+        x = np.array([2.0, 3.0])
+        proj = hadamard(2, 3)
+        params = ModelParams(latents=[x[None]], head=np.ones((2, 1)))
+        expected = []
+        for signs, perm, gauss in zip(proj.signs, proj.perms, proj.gauss):
+            a, b = signs * x
+            z = np.array([a + b, a - b])[perm] * gauss
+            expected += [z[0] + z[1], z[0] - z[1]]
+        bank = materialize_channels(params, [proj])
+        np.testing.assert_allclose(bank.channels[0][0], expected[:3], rtol=1e-15, atol=1e-15)
 
     def test_homogeneity(self, rng):
         lat = rng.standard_normal((2, 4))
-        proj = rng.standard_normal((4, 7))
-        a = materialize_channels(ModelParams([lat], np.ones((2, 2))), [held(proj)])
-        b = materialize_channels(ModelParams([2.0 * lat], np.ones((2, 2))), [held(proj)])
+        proj = hadamard(4, 7)
+        a = materialize_channels(ModelParams([lat], np.ones((2, 2))), [proj])
+        b = materialize_channels(ModelParams([2.0 * lat], np.ones((2, 2))), [proj])
         np.testing.assert_allclose(b.channels[0], 2.0 * a.channels[0], rtol=1e-12)
 
     def test_shape_mismatch(self):
         params = ModelParams(latents=[np.zeros((1, 3))], head=np.ones((2, 1)))
         with pytest.raises(ValueError, match="does not match"):
-            materialize_channels(params, [held(np.ones((4, 5)))])
+            materialize_channels(params, [hadamard(4, 5)])
 
     @pytest.mark.parametrize("latent_dim", [1, 16, 17, 48, 65])
     def test_row_blocks_sum_to_the_product(self, rng, latent_dim):
-        # Small integers keep every partial sum over 16-row strips exact.
+        # The expansion is lat @ P for the matrix P that apply(eye)
+        # densifies to: summed over 16-row strips of P, which for these
+        # sizes pads the latent to 1, 16, 32, 64 and 128 points.
         lat = rng.integers(-4, 5, (2, latent_dim)).astype(np.float64)
-        proj = rng.integers(-4, 5, (latent_dim, 11)).astype(np.float64)
-        bank = materialize_channels(ModelParams([lat], np.ones((2, 2))), [held(proj)])
-        assert_same_bits(bank.channels[0], lat @ proj)
+        proj = hadamard(latent_dim, 11)
+        dense = proj.apply(np.eye(latent_dim))
+        expected = sum(lat[:, j : j + 16] @ dense[j : j + 16] for j in range(0, latent_dim, 16))
+        bank = materialize_channels(ModelParams([lat], np.ones((2, 2))), [proj])
+        np.testing.assert_allclose(bank.channels[0], expected, rtol=1e-12, atol=1e-12)
 
 
 class TestPathBasis:
@@ -280,80 +295,42 @@ class TestPickClass:
 
 class TestProjectors:
     def test_projector_scale(self):
+        # The dense kind, which a model built from latents streams.
         cfg = ModelConfig(channels_per_layer=(1,), latent_dim=400, dim=500, num_classes=2, seed=8)
-        proj = np.vstack(materialize_projectors(cfg, dtype=np.float64)[0])
+        proj = generate_matrix(cfg.projector_specs()[0], dtype=np.float64)
         assert proj.shape == (400, 500)
         assert abs(proj.std() - 1.0 / 20.0) / (1.0 / 20.0) < 0.05
 
+    @pytest.mark.parametrize("latent_dim, dim", [(400, 500), (1024, 3000), (4096, 10000)])
+    def test_matrix_free_channels_have_unit_mean_square(self, latent_dim, dim):
+        # The matrix-free kind, which training expands through: unit-variance
+        # latents give channels of unit mean square, as dense projectors do.
+        # 64 latents per layer: one latent's mean square varies by about
+        # sqrt(2 / latent_dim) * sqrt(1 + 2 / blocks), 5.7% at latent 1024.
+        cfg = ModelConfig(channels_per_layer=(64, 64), latent_dim=latent_dim, dim=dim, num_classes=2, seed=8)
+        bank = materialize_channels(init_params(cfg), projectors_of(cfg))
+        for channels in bank.channels:
+            assert abs(np.mean(channels**2) - 1.0) < 0.05
+
     def test_per_layer_streams_differ(self):
         cfg = ModelConfig(channels_per_layer=(2, 2), latent_dim=4, dim=8, num_classes=2, seed=8)
-        a, b = materialize_projectors(cfg)
-        assert np.vstack(a).tobytes() != np.vstack(b).tobytes()
+        a, b = (generate_matrix(spec) for spec in cfg.projector_specs())
+        assert a.tobytes() != b.tobytes()
+        a, b = (p.apply(np.eye(4)) for p in projectors_of(cfg))
+        assert a.tobytes() != b.tobytes()
 
-    @pytest.mark.parametrize("dtype", GAUSSIAN_DTYPES)
-    def test_held_as_64_row_panels(self, dtype):
-        # Latent 150: panels of 64, 64 and 22 rows, each its own array,
-        # that stack to the whole draw bit for bit.
-        cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=150, dim=40, num_classes=2, seed=8)
-        for panels, spec in zip(materialize_projectors(cfg, dtype=dtype), cfg.projector_specs()):
-            assert [p.shape for p in panels] == [(64, 40), (64, 40), (22, 40)]
-            assert all(p.base is None and p.dtype == dtype for p in panels)
-            assert_same_bits(np.vstack(panels), generate_matrix(spec, dtype=dtype))
 
-    @pytest.mark.parametrize("rows", [1, 65, 617])
-    @pytest.mark.parametrize("dtype", GAUSSIAN_DTYPES)
-    def test_threads_draw_each_spec_bit_for_bit(self, monkeypatch, dtype, rows):
-        cfg = ModelConfig(channels_per_layer=(2, 1, 3), latent_dim=rows, dim=40, num_classes=2, seed=8)
-        expected = [generate_matrix(s, dtype=dtype) for s in cfg.projector_specs()]
-        # Every layer must be drawing before any may finish: a serial
-        # loop would break the barrier.
-        barrier = threading.Barrier(cfg.num_layers, timeout=10)
-
-        def together(spec, dtype, panels):
-            barrier.wait()
-            return generate_matrix(spec, dtype, panels)
-
-        monkeypatch.setattr(model, "generate_matrix", together)
-        got = materialize_projectors(cfg, dtype=dtype)
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert_same_bits(np.vstack(a), b)
-
-    @pytest.mark.parametrize("cfg", [pytest.param(
-        ModelConfig(channels_per_layer=(2, 2, 2), latent_dim=300, dim=1000, num_classes=2, seed=8), id="gaussian")])
-    def test_draw_threads_allocate_one_draw_buffer_each(self, monkeypatch, cfg):
-        # The panels come from the calling thread's heap, where freed
-        # memory can be reused (model._PANEL_ROWS); a draw thread allocates
-        # only its draw buffer.  When every layer has drawn its last strip,
-        # before any copies it into a panel, the traces whose stacks pass
-        # through a worker thread must hold no more than those buffers.
-        draw_buffer = ops.STRIP_ROWS * cfg.dim * 8
-        barrier = threading.Barrier(cfg.num_layers, timeout=10)
-        snapshots = []
-
-        def holding(spec, draw=ops.row_blocks):
-            last = -(-spec.rows // ops.STRIP_ROWS) - 1
-            for i, strip in enumerate(draw(spec)):
-                if i == last:
-                    if barrier.wait() == 0:
-                        snapshots.append(tracemalloc.take_snapshot())
-                    barrier.wait()
-                yield strip
-
-        materialize_projectors(cfg)  # the pool's lazy imports come first
-        monkeypatch.setattr(ops, "row_blocks", holding)
-        tracemalloc.start(64)
-        try:
-            projectors = materialize_projectors(cfg)
-        finally:
-            tracemalloc.stop()
-        on_threads = sum(
-            trace.size for trace in snapshots[0].traces
-            if any(frame.filename == threading.__file__ for frame in trace.traceback)
-        )
-        # The panels are 300 x 1000 x 4 = 1.2 MB per layer.
-        assert on_threads <= cfg.num_layers * draw_buffer + 65536
-        assert sum(p.nbytes for layer in projectors for p in layer) == 3 * 1_200_000
+def dense_channels(params: ModelParams, cfg: ModelConfig) -> list[np.ndarray]:
+    """Each layer's latents times its whole dense projector, drawn at the
+    latents' dtype and summed over 16-row strips in order."""
+    channels = []
+    for lat, spec in zip(params.latents, cfg.projector_specs()):
+        proj, s = generate_matrix(spec, dtype=lat.dtype), ops.STRIP_ROWS
+        total = lat[:, :s] @ proj[:s]
+        for j in range(s, spec.rows, s):
+            total += lat[:, j : j + s] @ proj[j : j + s]
+        channels.append(total)
+    return channels
 
 
 class TestStreamChannels:
@@ -364,7 +341,7 @@ class TestStreamChannels:
         # four whole ones plus a one-row remainder.
         cfg = ModelConfig(channels_per_layer=(2, 1, 3), latent_dim=latent_dim, dim=40, num_classes=2, seed=8)
         params = init_params(cfg, dtype=dtype)
-        expected = materialize_channels(params, materialize_projectors(cfg, dtype=dtype))
+        expected = dense_channels(params, cfg)
         # Every layer must be drawing before any may finish: a serial
         # loop would break the barrier.
         barrier = threading.Barrier(cfg.num_layers, timeout=10)
@@ -376,8 +353,18 @@ class TestStreamChannels:
         monkeypatch.setattr(model, "row_blocks", together)
         got = stream_channels(params, cfg)
         assert len(got.channels) == cfg.num_layers
-        for a, b in zip(got.channels, expected.channels):
+        for a, b in zip(got.channels, expected):
             assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("latent_dim", [1, 16, 17, 48, 65])
+    def test_row_blocks_sum_to_the_product(self, monkeypatch, rng, latent_dim):
+        # Small integers keep every partial sum over 16-row strips exact.
+        lat = rng.integers(-4, 5, (2, latent_dim)).astype(np.float64)
+        proj = rng.integers(-4, 5, (latent_dim, 11)).astype(np.float64)
+        monkeypatch.setattr(model, "row_blocks", lambda spec: (proj[j : j + 16] for j in range(0, spec.rows, 16)))
+        cfg = ModelConfig(channels_per_layer=(2,), latent_dim=latent_dim, dim=11, num_classes=2)
+        bank = stream_channels(ModelParams([lat], np.ones((2, 2))), cfg)
+        assert_same_bits(bank.channels[0], lat @ proj)
 
     @pytest.mark.parametrize("spoil", [
         lambda p: ModelParams(p.latents[:-1], p.head),
@@ -392,18 +379,16 @@ class TestStreamChannels:
     def test_channel_bank_draws_no_whole_projector(self, monkeypatch):
         cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=50, dim=40, num_classes=3, seed=8)
         params = init_params(cfg, dtype=np.float32)
-        expected = materialize_channels(params, materialize_projectors(cfg))
+        expected = dense_channels(params, cfg)
         encoder = RandomProjectionEncoder(EncoderConfig(num_features=5, dim=40, seed=1))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a deployed model drew a whole projector")
 
-        for target in (model, ops):
-            monkeypatch.setattr(target, "generate_matrix", refuse)
-        monkeypatch.setattr(model, "materialize_projectors", refuse)
+        monkeypatch.setattr(ops, "generate_matrix", refuse)
         # The bank is streamed at construction, so the model is built under the patches.
         clf = model.DecoHDClassifier(encoder=encoder, standardizer=identity_standardizer(5), config=cfg, params=params)
-        for a, b in zip(clf.channel_bank().channels, expected.channels):
+        for a, b in zip(clf.channel_bank().channels, expected):
             assert_same_bits(a, b)
 
     @pytest.mark.parametrize("cfg", [pytest.param(

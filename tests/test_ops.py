@@ -5,7 +5,7 @@ import pytest
 
 from decohd import ops
 from decohd.model import ChannelBank, path_basis
-from decohd.ops import RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed
+from decohd.ops import HadamardProjector, RandomMatrixSpec, derive_seed, generate_matrix, rng_from_seed
 from tests.conftest import GAUSSIAN_DTYPES, assert_same_bits
 
 
@@ -133,6 +133,82 @@ class TestGenerateMatrix:
     def test_zero_dims_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             RandomMatrixSpec(rows=0, cols=3, seed=0)
+
+
+def sylvester(n: int) -> np.ndarray:
+    """The n x n Walsh-Hadamard matrix, by Sylvester's doubling."""
+    h = np.ones((1, 1))
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+# (latent_dim, dim): a padded and an exact power of two, and a latent
+# padded from 100 to 128 whose dim is not a whole number of blocks.
+PROJECTOR_SHAPES = [(rows, cols) for rows in (17, 64, 100) for cols in (250, 256)]
+
+
+class TestHadamardProjector:
+    @pytest.mark.parametrize("rows, cols", PROJECTOR_SHAPES)
+    def test_equals_its_blocks_composed_as_dense_matrices(self, rows, cols):
+        # Oracle: each block H G Pi H B built as an n x n matrix from the
+        # projector's own diagonals, the blocks stacked and truncated.
+        proj = HadamardProjector(RandomMatrixSpec(rows, cols, seed=5))
+        n = proj.gauss.shape[1]
+        h = sylvester(n)
+        blocks = []
+        for signs, perm, gauss in zip(proj.signs, proj.perms, proj.gauss):
+            b = np.zeros((n, rows))
+            b[np.arange(rows), np.arange(rows)] = signs
+            blocks.append(h @ np.diag(gauss) @ np.eye(n)[perm] @ h @ b)
+        dense = np.vstack(blocks)[:cols].T
+        lat = rng_from_seed(1).standard_normal((3, rows))
+        np.testing.assert_allclose(proj.apply(lat), lat @ dense, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows, cols", PROJECTOR_SHAPES)
+    def test_apply_is_the_product_with_its_densified_matrix(self, rows, cols):
+        proj = HadamardProjector(RandomMatrixSpec(rows, cols, seed=5))
+        dense = proj.apply(np.eye(rows))
+        assert dense.shape == (rows, cols)
+        lat = rng_from_seed(2).standard_normal((4, rows))
+        np.testing.assert_allclose(proj.apply(lat), lat @ dense, rtol=0, atol=1e-12)
+        g = rng_from_seed(3).standard_normal((4, cols))
+        np.testing.assert_allclose(proj.apply_T(g), g @ dense.T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows, cols", PROJECTOR_SHAPES + [(1, 5), (4096, 10000)])
+    def test_apply_t_is_the_adjoint(self, rows, cols):
+        # <apply(x), y> == <x, apply_T(y)> in float64.
+        proj = HadamardProjector(RandomMatrixSpec(rows, cols, seed=5))
+        x = rng_from_seed(4).standard_normal((3, rows))
+        y = rng_from_seed(5).standard_normal((3, cols))
+        left, right = np.sum(proj.apply(x) * y), np.sum(x * proj.apply_T(y))
+        assert abs(left - right) <= 1e-12 * abs(left)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_the_latents_dtype(self, dtype):
+        proj = HadamardProjector(RandomMatrixSpec(20, 50, seed=5))
+        assert proj.apply(np.ones((2, 20), dtype=dtype)).dtype == dtype
+        assert proj.apply_T(np.ones((2, 50), dtype=dtype)).dtype == dtype
+
+    def test_equal_spec_rebuilds_bit_for_bit(self):
+        spec = RandomMatrixSpec(rows=100, cols=300, seed=99)
+        a, b = HadamardProjector(spec), HadamardProjector(spec)
+        for name in ("signs", "perms", "gauss"):
+            assert_same_bits(getattr(a, name), getattr(b, name))
+        lat = rng_from_seed(6).standard_normal((2, 100)).astype(np.float32)
+        assert_same_bits(a.apply(lat), b.apply(lat))
+
+    def test_different_seed_differs(self):
+        a = HadamardProjector(RandomMatrixSpec(16, 32, seed=1)).apply(np.eye(16))
+        b = HadamardProjector(RandomMatrixSpec(16, 32, seed=2)).apply(np.eye(16))
+        assert a.tobytes() != b.tobytes()
+
+    @pytest.mark.parametrize("rows, cols", [(400, 500), (100, 1000), (1000, 3000)])
+    def test_entries_have_the_dense_mean_square(self, rows, cols):
+        # The dense kind's entries have variance 1/rows (test_gaussian_moments).
+        proj = HadamardProjector(RandomMatrixSpec(rows, cols, seed=7))
+        dense = proj.apply(np.eye(rows))
+        assert abs(np.mean(dense**2) - 1.0 / rows) < 0.01 / rows
 
 
 class TestSeedDerivation:

@@ -2,6 +2,7 @@
 sparse forms, and the package's public surface."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,14 @@ def test_public_surface_is_pinned():
     assert sorted(decohd.__all__) == sorted(PUBLIC_SURFACE)
     for name in decohd.__all__:
         assert getattr(decohd, name) is not None, name
+
+
+def test_package_version_matches_pyproject():
+    # A manifest's package_version tells apart runs whose equal configs
+    # train different channels, so the two version strings must agree.
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    match = re.search(r'^version = "([^"]+)"$', pyproject.read_text(encoding="utf-8"), re.MULTILINE)
+    assert match is not None and match.group(1) == decohd.__version__
 
 
 def test_benchmark_finds_every_layer_it_traces():

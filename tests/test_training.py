@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decohd import model, training
+from decohd import training
 from decohd.data import make_synthetic
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder
 from decohd.model import (
@@ -13,9 +13,8 @@ from decohd.model import (
     ModelParams,
     init_params,
     materialize_channels,
-    materialize_projectors,
 )
-from decohd.ops import rng_from_seed
+from decohd.ops import HadamardProjector, RandomMatrixSpec
 from decohd.training import (
     AdamW,
     TrainConfig,
@@ -30,9 +29,9 @@ from tests.conftest import (
     assert_same_bits,
     backward,
     batch_loss,
-    held,
     identity_standardizer,
     layer_index_arrays,
+    projectors_of,
     random_small_instance,
 )
 
@@ -151,29 +150,12 @@ class TestChannelGradients:
             assert_same_bits(g, e)
 
     def test_latent_grads_equal_direct_product(self, rng):
-        # A step's hook runs before each held 64-row panel of a layer's
-        # projector is expanded (here 64, 64 and 22 rows).  It forms the
-        # panel's columns of d latent = d channel @ projector^T and may
-        # rewrite those latent columns, which the panel's strips then read.
-        projectors = [held(rng.standard_normal((150, 40))) for _ in range(2)]
-        params = ModelParams([rng.standard_normal((l, 150)) for l in (2, 3)], np.zeros((2, 6)))
-        rewritten = [rng.standard_normal(a.shape) for a in params.latents]
+        # A step forms d latent = d channel @ P^T in one apply_T call per
+        # layer; latent 150 pads to 256, so dim 40 is one truncated block.
+        projectors = [HadamardProjector(RandomMatrixSpec(150, 40, seed=s)) for s in (1, 2)]
         d_ch = [rng.standard_normal((l, 40)) for l in (2, 3)]
-        calls, grads = [], [[], []]
-
-        def before(i, panel, cols):
-            calls.append((i, cols))
-            grads[i].append((panel @ d_ch[i].T).T)
-            params.latents[i][:, cols] = rewritten[i][:, cols]
-
-        bank = materialize_channels(params, projectors, before)
-        panels = [slice(0, 64), slice(64, 128), slice(128, 150)]
-        assert calls == [(0, cols) for cols in panels] + [(1, cols) for cols in panels]
-        expected = materialize_channels(ModelParams(rewritten, params.head), projectors)
-        for got, want in zip(bank.channels, expected.channels):
-            assert_same_bits(got, want)
-        for g, d, proj in zip(grads, d_ch, projectors):
-            np.testing.assert_allclose(np.concatenate(g, axis=1), d @ np.vstack(proj).T, rtol=1e-12, atol=1e-12)
+        for proj, d in zip(projectors, d_ch):
+            np.testing.assert_allclose(proj.apply_T(d), d @ proj.apply(np.eye(150)).T, rtol=0, atol=1e-12)
 
 
 class TestAdamW:
@@ -227,30 +209,6 @@ class TestAdamW:
         adamw_step(opt, self._zero_grads(params))
         np.testing.assert_allclose(params.head, expected, rtol=1e-12)
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("width", [1, 64, 148], ids=["width-1", "width-64-tail-22", "width-148-tail-2"])
-    def test_column_range_update_equals_whole_array_update(self, rng, width, dtype):
-        # Three steps with decay: updating the latents in column ranges of
-        # *width* (the last range shorter) gives the whole-array bits.
-        def state():
-            return ModelParams([rng_from_seed(1).standard_normal((3, 150)).astype(dtype)],
-                               np.full((2, 3), 0.25, dtype=dtype))
-
-        whole, ranged = state(), state()
-        opt_whole = AdamW(whole.arrays(), learning_rate=0.01, weight_decay=0.1)
-        opt_ranged = AdamW(ranged.arrays(), learning_rate=0.01, weight_decay=0.1)
-        for _ in range(3):
-            g = ModelParams([rng.standard_normal((3, 150)).astype(dtype)],
-                            rng.standard_normal((2, 3)).astype(dtype))
-            adamw_step(opt_whole, g)
-            opt_ranged.step()
-            for start in range(0, 150, width):
-                cols = slice(start, start + width)
-                opt_ranged.update(0, g.latents[0][:, cols], cols)
-            opt_ranged.update(1, g.head)
-        for a, b in zip(ranged.arrays(), whole.arrays()):
-            assert_same_bits(a, b)
-
 
 def _blob_setup(num_classes=2, dim=512, latent_dim=64, channels=(2,), separation=10.0, seed=3,
                 dtype=np.float32):
@@ -283,7 +241,7 @@ class TestTrain:
         tcfg = TrainConfig(epochs=50, batch_size=200, microbatch_size=128,
                            learning_rate=0.05, eval_every=50)
         result = train(cfg, tcfg, h_tr, y_tr, h_te, y_te)
-        bank = materialize_channels(result.params, materialize_projectors(cfg, dtype=np.float64))
+        bank = materialize_channels(result.params, projectors_of(cfg))
         assert evaluate(bank, result.params.head, h_tr, y_tr) >= 0.99
         assert result.history[-1].mean_loss < result.history[0].mean_loss
 
@@ -299,9 +257,9 @@ class TestTrain:
             train(cfg, tcfg, h_tr.astype(np.int64), y_tr)
 
     def test_empty_test_set_is_refused_before_training(self, monkeypatch):
-        # Refused before any projector is drawn, not scored as a diverged run.
+        # Refused before any projector is built, not scored as a diverged run.
         cfg, h_tr, y_tr, _, _ = _blob_setup()
-        monkeypatch.setattr(training, "materialize_projectors", None)
+        monkeypatch.setattr(training, "HadamardProjector", None)
         with pytest.raises(ValueError, match="^empty test set$"):
             train(cfg, TrainConfig(epochs=1), h_tr, y_tr, h_tr[:0], y_tr[:0])
 
@@ -314,12 +272,21 @@ class TestTrain:
         for la, lb in zip(a.latents, b.latents):
             assert la.tobytes() == lb.tobytes()
 
-    def test_frozen_matrices_untouched(self):
+    def test_frozen_matrices_untouched(self, monkeypatch):
         cfg, h_tr, y_tr, _, _ = _blob_setup(dtype=np.float64)
-        before = [np.vstack(p).tobytes() for p in materialize_projectors(cfg, dtype=np.float64)]
+        projectors = []
+
+        def keeping(spec):
+            projectors.append(HadamardProjector(spec))
+            return projectors[-1]
+
+        monkeypatch.setattr(training, "HadamardProjector", keeping)
         train(cfg, TrainConfig(epochs=3), h_tr, y_tr)
-        after = [np.vstack(p).tobytes() for p in materialize_projectors(cfg, dtype=np.float64)]
-        assert before == after
+        fresh = projectors_of(cfg)
+        assert len(projectors) == len(fresh) == cfg.num_layers
+        for used, new in zip(projectors, fresh):
+            for name in ("signs", "perms", "gauss"):
+                assert_same_bits(getattr(used, name), getattr(new, name))
 
     def test_microbatch_invariance(self):
         cfg, h_tr, y_tr, _, _ = _blob_setup(dtype=np.float64)
@@ -410,16 +377,17 @@ class TestMicrobatchBuffer:
     @pytest.mark.parametrize("channels, microbatch", [((2, 3, 2), 128), ((4, 4, 4), 16)],
                              ids=["12-paths-mb128", "64-paths-mb16"])
     def test_working_memory_is_bounded_by_microbatch_not_batch(self, rng, channels, microbatch):
-        # Beyond its inputs a run holds its projectors, one microbatch of
-        # rows (gathered and squared in one buffer) and a few arrays of the
-        # basis's shape: the basis, its gradient and the channel-gradient
-        # products.  Gathering the 2000-row batch, copying the inputs or a
-        # second microbatch-sized array would exceed the bound.
+        # Beyond its inputs a run holds one microbatch of rows (gathered and
+        # squared in one buffer) and a few arrays of the basis's shape: the
+        # basis, its gradient and the channel-gradient products.  Its
+        # projectors are matrix-free, so the bound has no room for a
+        # latent_dim x dim array (128 KiB here), nor for gathering the
+        # 2000-row batch, copying the inputs or a second microbatch-sized
+        # array.
         n, dim = 2000, 512
         h = rng.standard_normal((n, dim)).astype(np.float32)
         y = rng.integers(0, 5, n)
         cfg = ModelConfig(channels_per_layer=channels, latent_dim=64, dim=dim, num_classes=5, seed=5)
-        projectors = sum(p.nbytes for layer in materialize_projectors(cfg, dtype=np.float32) for p in layer)
         basis = math.prod(channels) * dim * 4
         tcfg = TrainConfig(epochs=2, batch_size=n, microbatch_size=microbatch, learning_rate=0.01)
         tracemalloc.start()
@@ -428,7 +396,7 @@ class TestMicrobatchBuffer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= projectors + microbatch * dim * 4 + 8 * basis + (1 << 16)
+        assert peak <= microbatch * dim * 4 + 8 * basis + (1 << 16)
         assert result.bank is not None
 
 
@@ -442,13 +410,13 @@ class TestOneBankPerParameterState:
         cfg, h_tr, y_tr, h_te, y_te = _blob_setup(dtype=np.float64)
         materialized, expansions, stepped, scored = [], [], [], []
 
-        def counting_materialize(params, projectors, before=None):
+        def counting_materialize(params, projectors):
             materialized.append([a.copy() for a in params.latents])
-            return materialize_channels(params, projectors, before)
+            return materialize_channels(params, projectors)
 
-        def counting_expand(lat, blocks, before=None):
+        def counting_apply(self, lat):
             expansions.append(lat.shape)
-            return expand(lat, blocks, before)
+            return apply(self, lat)
 
         def recording_step(h_train, y_train, b_idx, h_mb, params, *args):
             loss_sum, correct, bank = step(h_train, y_train, b_idx, h_mb, params, *args)
@@ -459,9 +427,9 @@ class TestOneBankPerParameterState:
             scored.append(bank)
             return evaluate(bank, *args)
 
-        expand, step = model._expand, training._train_batch
+        apply, step = HadamardProjector.apply, training._train_batch
         monkeypatch.setattr(training, "materialize_channels", counting_materialize)
-        monkeypatch.setattr(model, "_expand", counting_expand)
+        monkeypatch.setattr(HadamardProjector, "apply", counting_apply)
         monkeypatch.setattr(training, "_train_batch", recording_step)
         monkeypatch.setattr(training, "evaluate", recording_evaluate)
         tcfg = TrainConfig(epochs=epochs, batch_size=64, microbatch_size=32,
@@ -471,13 +439,13 @@ class TestOneBankPerParameterState:
         steps = epochs * -(-len(y_tr) // 64)
         # The first bank is materialized before the first step, even when
         # no step runs; every step materializes the bank of its updated
-        # parameters in its one pass over the projectors.
+        # parameters, with one apply per layer.
         assert len(materialized) == steps + 1
         assert len(stepped) == steps
         assert len(expansions) == cfg.num_layers * (steps + 1)
         # Every bank a step returns, which the evaluations score and the
         # run returns, is the bank of the parameters it belongs to.
-        projectors = materialize_projectors(cfg, dtype=np.float64)
+        projectors = projectors_of(cfg)
         for params, bank in stepped:
             for got, expected in zip(bank.channels, materialize_channels(params, projectors).channels):
                 assert_same_bits(got, expected)
@@ -491,7 +459,7 @@ class TestOneBankPerParameterState:
             for got, expected in zip(stepped[-1][0].arrays(), result.params.arrays()):
                 assert_same_bits(got, expected)
         else:
-            # The bank of the initial params, built once from the held projectors.
+            # The bank of the initial params, built once.
             initial = materialize_channels(init_params(cfg, dtype=np.float64), projectors)
             for got, expected in zip(result.bank.channels, initial.channels):
                 assert_same_bits(got, expected)
@@ -504,11 +472,11 @@ class TestGradientAccumulationMatchesBackward:
         cfg, _, projectors, h, y = random_small_instance(rng)
         self._check_one_step(cfg, projectors, h, y)
 
-    def test_multi_panel_step_equals_explicit_backward(self, rng):
-        # latent 150: the step's pass walks panels of 64, 64 and 22
-        # projector rows, the last of them a 16-row and a 6-row strip
-        cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=150, dim=40, num_classes=3, seed=9)
-        projectors = materialize_projectors(cfg, dtype=np.float64)
+    def test_multi_block_step_equals_explicit_backward(self, rng):
+        # latent 100 pads to 128, so dim 300 takes three Hadamard blocks,
+        # the last cut to 44 entries
+        cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=100, dim=300, num_classes=3, seed=9)
+        projectors = projectors_of(cfg)
         h = rng.standard_normal((7, cfg.dim))
         y = rng.integers(0, cfg.num_classes, 7)
         result = self._check_one_step(cfg, projectors, h, y)
