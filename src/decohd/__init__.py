@@ -8,7 +8,7 @@ batched and streamed scoring, budget planning, prototype-table baselines,
 and robustness/precision evaluation harnesses.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .baselines import (
     PrototypeTable,

@@ -1,21 +1,28 @@
-"""Scoring a decomposed model: one input term, two forwards.
+"""Scoring a decomposed model: two forwards of one score.
 
-The score of class c is ``s_c = sum_m head[c,m] * <basis_m, u>``, with
-``basis_m`` the bound-path factor of path m (:func:`~decohd.model.path_basis`)
-and ``u = h*h`` the one input term (:func:`input_term`).  No class
-prototype is stored; a decomposed model has two forwards:
+The score of class c is ``s_c = <P_c, h> = sum_m head[c,m] * <basis_m, h>``,
+with ``basis_m`` the bound-path factor of path m
+(:func:`~decohd.model.path_basis`) and ``P_c`` the class's composed
+prototype, which is never stored.  A decomposed model has two forwards:
 
-* :func:`score_batch` scores rows against the basis the bank keeps, via
-  :func:`path_terms` (``t = u @ basis.T``), which training runs per
-  microbatch too.  It serves batches and ``predict``, squaring at most
-  256 rows at a time into one reused buffer, so its working memory is
-  bounded whatever the batch size.
+* :func:`score_batch` scores rows against the basis the bank keeps: the
+  path terms ``t = h @ basis.T``, then ``t @ head.T``.  It serves
+  batches and ``predict``, in chunks of at most 256 rows, so its working
+  memory is bounded whatever the batch size.  Training contracts each
+  microbatch against the narrower of ``basis`` and the class table
+  ``head @ basis`` instead (:mod:`decohd.training`); serving keeps the
+  basis, which a rewritten bank rebuilds once, not per call.
 * :func:`stream_scores` scores one hypervector path by path, in
-  ``itertools.product`` order, without a basis: it keeps ``u`` and one
+  ``itertools.product`` order, without a basis: it keeps ``h`` and one
   working hypervector in float64 and C scalar scores.
 
+The fenced bank that :func:`~decohd.model.stream_channels` returns
+(:attr:`~decohd.model.ChannelBank.squared`) scores ``<P_c, h*h>``, the
+form the benchmark's serve oracle checks; both forwards square the
+input for it alone, until ROADMAP Direction 7 removes the fence.
+
 Forms differ in rounding by a bound relative to the sum of the absolute
-path terms, ``sum_m |head[c,m]| * <|basis_m|, u>``, not to the score,
+path terms, ``sum_m |head[c,m]| * <|basis_m|, |h|>``, not to the score,
 which may cancel to near zero.  :func:`choose_mode` and the *mode* of
 :meth:`DecomposedScorer.scores` stay only for callers that pass them.
 
@@ -36,27 +43,23 @@ import numpy as np
 
 from .model import ChannelBank
 
-# Most rows score_batch squares and scores at once; its working buffer
-# holds this many rows whatever the batch size.  At D=10000 float32 it is
-# 10 MB, under glibc's 32 MB mmap threshold, so the heap reuses it rather
-# than mapping and zero-filling it per call, and a chunk's squares are
-# still in cache for the product; 512 rows was no faster, 128 slower.
-# Scoring against <P_c, h> (ROADMAP Direction 1) removes the buffer.
+# Most rows score_batch scores at once.  A fenced bank's chunk is squared
+# into one buffer of this many rows whatever the batch size: at D=10000
+# float32 it is 10 MB, under glibc's 32 MB mmap threshold, so the heap
+# reuses it rather than mapping and zero-filling it per call, and a
+# chunk's squares are still in cache for the product; 512 rows was no
+# faster, 128 slower.
 _SCORE_CHUNK_ROWS = 256
-
-
-def input_term(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``h*h``, the input term of every score; *out*, if given, receives it."""
-    return np.multiply(h, h, out=out)
 
 
 def stream_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
     """Score-only streaming: one path hypervector alive at a time.
 
-    *h* is widened to float64 once and squared in place into ``u``; each
-    path binds its channel rows into a float64 working buffer, its basis
-    row, and adds the row's dot with ``u`` to the scores.  A bit-flipped
-    bank may overflow: as in :func:`score_batch`, its warnings are silenced.
+    *h* is widened to float64 once, into ``u`` (squared in place for a
+    fenced bank); each path binds its channel rows into a float64 working
+    buffer, its basis row, and adds the row's dot with ``u`` to the
+    scores.  A bit-flipped bank may overflow: as in :func:`score_batch`,
+    its warnings are silenced.
     """
     u = np.array(h, dtype=np.float64)
     if u.shape != (bank.dim,):
@@ -64,7 +67,8 @@ def stream_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndar
     scores = np.zeros(head.shape[0], dtype=np.float64)
     z = np.empty(bank.dim, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        input_term(u, out=u)
+        if bank.squared:
+            np.multiply(u, u, out=u)
         for m, rows in enumerate(itertools.product(*bank.channels)):
             z[:] = rows[0]
             for row in rows[1:]:
@@ -73,23 +77,17 @@ def stream_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndar
     return scores
 
 
-def path_terms(h: np.ndarray, basis: np.ndarray, out: np.ndarray | None = None):
-    """The input term ``u`` (:func:`input_term`) and the path terms
-    ``t = u @ basis.T`` of a batch of rows; *out*, if given, receives ``u``."""
-    u = input_term(h, out=out)
-    return u, u @ basis.T
-
-
 def score_batch(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
     """Batched scoring, shape (n, num_classes), against the path basis
-    the bank keeps (:attr:`~decohd.model.ChannelBank.basis`).
+    the bank keeps (:attr:`~decohd.model.ChannelBank.basis`):
+    ``(h @ basis.T) @ head.T``.
 
-    Rows are scored in chunks of at most ``_SCORE_CHUNK_ROWS``, squared
-    into one reused buffer, so working memory does not grow with n.  The
-    rows are split evenly over the chunks rather than leaving a short
-    tail: BLAS computes small products with other kernels, whose rounding
-    differs, and even chunks keep each row's scores equal to those of
-    one whole-batch product.
+    Rows are scored in chunks of at most ``_SCORE_CHUNK_ROWS``, a fenced
+    bank's squared into one reused buffer, so working memory does not
+    grow with n.  The rows are split evenly over the chunks rather than
+    leaving a short tail: BLAS computes small products with other
+    kernels, whose rounding differs, and even chunks keep each row's
+    scores equal to those of one whole-batch product.
 
     A bit-flipped bank may overflow: the basis is built, and the rows
     scored, with overflow and invalid-value warnings silenced.
@@ -97,14 +95,14 @@ def score_batch(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarra
     h = np.asarray(h)
     n = h.shape[0]
     chunks = max(1, -(-n // _SCORE_CHUNK_ROWS))
-    u = np.empty((min(n, _SCORE_CHUNK_ROWS), h.shape[1]), dtype=h.dtype)
+    u = np.empty((min(n, _SCORE_CHUNK_ROWS), h.shape[1]), dtype=h.dtype) if bank.squared else None
     with np.errstate(over="ignore", invalid="ignore"):
         basis = bank.basis
         out = np.empty((n, head.shape[0]), dtype=np.result_type(h, basis, head))
         for k in range(chunks):
             lo, hi = k * n // chunks, (k + 1) * n // chunks
-            _, t = path_terms(h[lo:hi], basis, out=u[: hi - lo])
-            out[lo:hi] = t @ head.T
+            x = h[lo:hi] if u is None else np.multiply(h[lo:hi], h[lo:hi], out=u[: hi - lo])
+            out[lo:hi] = (x @ basis.T) @ head.T
     return out
 
 
@@ -138,9 +136,10 @@ class DecomposedScorer:
         return out
 
     def replace(self, arrays: dict[str, np.ndarray]) -> "DecomposedScorer":
-        """A new scorer over a fresh bank, so no kept basis goes stale."""
+        """A new scorer over a fresh bank, so no kept basis goes stale;
+        the bank keeps its score form (:attr:`~decohd.model.ChannelBank.squared`)."""
         channels = [arrays[f"channels:{i}"] for i in range(len(self.bank.channels))]
-        return DecomposedScorer(bank=ChannelBank(channels), head=arrays["head"])
+        return DecomposedScorer(bank=ChannelBank(channels, squared=self.bank.squared), head=arrays["head"])
 
     def scores(self, h: np.ndarray, mode: str = "score_only") -> np.ndarray:
         """Scores of one hypervector, shape (num_classes,), streamed by

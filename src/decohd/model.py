@@ -6,13 +6,13 @@ expands into channel hypervectors.
 Picking one channel per layer defines a path; binding the selected
 channels gives the path's factor ``basis_m`` (:func:`path_basis`), and
 a small per-class weight matrix, the bundling head, weighs all
-``M = prod(L_i)`` paths.  A class score binds the input with every
-path, bundles by the head and dots with the input.
-
-Because binding is elementwise, a score depends on the input only
-through its elementwise square: ``score_c(h) = <P_c, h*h>`` with
-``P_c = sum_m head[c, m] * basis_m``.  :mod:`decohd.inference` forms
-``h*h`` in one function, ``input_term``, for its batched and streamed forwards.
+``M = prod(L_i)`` paths.  Bundling the path factors by the head
+composes class c's prototype ``P_c = sum_m head[c, m] * basis_m``, and
+the class scores ``<P_c, h>``: bind, bundle and score in the
+hypervector space itself, with only the channels and the head stored.
+Training contracts each row against the C prototypes when there are
+fewer classes than paths, else against the M path factors: 2*C*dim
+against 2*M*dim multiply-accumulates per row (:mod:`decohd.training`).
 
 Each layer's latents are expanded by a frozen projector of
 :meth:`ModelConfig.projector_specs`.  Training expands them through
@@ -21,7 +21,10 @@ matrix-free projectors (:class:`~decohd.ops.HadamardProjector`) with
 A :class:`DecoHDClassifier`, a model built from latents, uses dense
 Gaussian projectors of the same specs instead, streamed a strip at a
 time (:func:`stream_channels`): the benchmark's serve oracle regenerates
-exactly those, so this dense fence stays until the benchmark changes.
+exactly those, and scores the earlier form ``<P_c, h*h>``.  So the bank
+that :func:`stream_channels` returns is the one marked
+:attr:`ChannelBank.squared`, and it alone scores ``h*h``; that fence
+stays until the benchmark serves from a container (ROADMAP Direction 7).
 
 Path enumeration is row-major over the per-layer channel choices: the
 last layer varies fastest, as in ``itertools.product`` of the layers'
@@ -136,9 +139,13 @@ class ChannelBank:
     on first use and keeps it for every later batch, so writing into
     ``channels`` afterwards would leave it stale.  Quantization, bit-flip
     injection and training build fresh banks instead.
+
+    *squared* marks the fenced bank of :func:`stream_channels`, the only
+    code that sets it: its classes score ``<P_c, h*h>``, not ``<P_c, h>``.
     """
 
     channels: list[np.ndarray]
+    squared: bool = False
     _basis: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -184,7 +191,8 @@ def stream_channels(params: ModelParams, config: ModelConfig) -> ChannelBank:
     Each layer, on its own thread, sums ``lat[:, j:j+16] @ P[j:j+16]`` in
     order over the strips that :func:`~decohd.ops.row_blocks` draws,
     multiplying each into one reused buffer, so it holds one draw buffer,
-    its cast and its channels, never a whole projector.
+    its cast and its channels, never a whole projector.  The bank is
+    :attr:`~ChannelBank.squared`, as the benchmark's serve oracle scores it.
     """
     check_param_shapes(params, config)
 
@@ -200,7 +208,7 @@ def stream_channels(params: ModelParams, config: ModelConfig) -> ChannelBank:
         return channels
 
     with ThreadPoolExecutor(max_workers=config.num_layers) as pool:
-        return ChannelBank(list(pool.map(layer, params.latents, config.projector_specs())))
+        return ChannelBank(list(pool.map(layer, params.latents, config.projector_specs())), squared=True)
 
 
 def layer_views(channels: list[np.ndarray]) -> list[np.ndarray]:

@@ -131,7 +131,10 @@ class HadamardProjector:
     The diagonals, signs first, come from the spec's Philox stream, so an
     equal spec rebuilds P bit for bit.  H is applied as ``H_a kron H_b``
     with ``a * b = n``, two products with ``sqrt(n)``-sized matrices, so P
-    costs 13 bytes a column and two such matrices.
+    costs 13 bytes a column and two such matrices, plus a 4-byte gather
+    index a column, and G and the matrices cast once to each dtype that
+    P is applied in: at tiny shapes the casts and the index, made per
+    call, took a third of an apply.
     """
 
     def __init__(self, spec: RandomMatrixSpec):
@@ -147,31 +150,28 @@ class HadamardProjector:
         self.gauss = gauss / (np.linalg.norm(gauss, axis=1, keepdims=True) * np.sqrt(spec.rows))
         a = 1 << (n.bit_length() - 1) // 2
         self._factors = (_sylvester(a), _sylvester(n // a))
+        # Pi as one gather over a row's blocks laid side by side.
+        self._index = (self.perms + n * np.arange(blocks, dtype=np.int32)[:, None]).reshape(-1)
+        self._cast = {}
+
+    def _operands(self, dtype):
+        """H's two factors and G, cast to *dtype* once and kept."""
+        if dtype not in self._cast:
+            self._cast[dtype] = tuple(a.astype(dtype) for a in (*self._factors, self.gauss))
+        return self._cast[dtype]
 
     def _hadamard(self, x: np.ndarray) -> np.ndarray:
         """H on every block of the (L, blocks, n) *x*: ``a @ X @ b`` for
         each block reshaped to an ``a x b`` matrix X."""
-        a, b = (f.astype(x.dtype, copy=False) for f in self._factors)
+        a, b, _ = self._operands(x.dtype)
         return (a @ x.reshape(x.shape[:-1] + (len(a), len(b))) @ b).reshape(x.shape)
-
-    def _permute(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """Pi, or its inverse, applied to every block of the (L, blocks, n) *x*."""
-        blocks, n = self.perms.shape
-        index = (self.perms + n * np.arange(blocks)[:, None]).reshape(-1)
-        flat = x.reshape(len(x), -1)
-        if inverse:
-            out = np.empty_like(flat)
-            out[:, index] = flat
-        else:
-            out = np.take(flat, index, axis=1)
-        return out.reshape(x.shape)
 
     def apply(self, lat: np.ndarray) -> np.ndarray:
         """``lat @ P``: (L, rows) latents to (L, cols) channels, in the latents' dtype."""
         x = np.zeros((len(lat),) + self.gauss.shape, dtype=lat.dtype)
         np.multiply(lat[:, None, :], self.signs, out=x[:, :, : self.rows])
-        y = self._permute(self._hadamard(x))
-        y *= self.gauss.astype(lat.dtype, copy=False)
+        y = np.take(self._hadamard(x).reshape(len(x), -1), self._index, axis=1).reshape(x.shape)
+        y *= self._operands(lat.dtype)[2]
         return self._hadamard(y).reshape(len(lat), -1)[:, : self.cols].copy()
 
     def apply_T(self, g: np.ndarray) -> np.ndarray:
@@ -180,7 +180,9 @@ class HadamardProjector:
         y = np.zeros((len(g),) + self.gauss.shape, dtype=g.dtype)
         y.reshape(len(g), -1)[:, : self.cols] = g
         y = self._hadamard(y)
-        y *= self.gauss.astype(g.dtype, copy=False)
-        x = self._hadamard(self._permute(y, inverse=True))[:, :, : self.rows]
+        y *= self._operands(g.dtype)[2]
+        x = np.empty_like(y)
+        x.reshape(len(x), -1)[:, self._index] = y.reshape(len(y), -1)
+        x = self._hadamard(x)[:, :, : self.rows]
         x *= self.signs
         return x.sum(axis=1)

@@ -2,7 +2,9 @@
 
 A container holds a JSON metadata record, the standardizer and what
 the model scores with: its scorer's ``stored()`` arrays (channels and
-head, or a table) plus a sparse table's mask.  Loading draws only the
+head, or a table) plus a sparse table's mask.  A decomposed model's
+record also names its score form, ``squared``
+(:attr:`~decohd.model.ChannelBank.squared`).  Loading draws only the
 encoder's matrix, from its seed; no latent or projector travels.
 Round-trips are bit-exact, and writing the same model twice produces
 byte-identical files (entries are stored uncompressed, sorted, with
@@ -25,7 +27,7 @@ from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
 from .inference import DecomposedScorer
 from .model import ChannelBank, Classifier
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class ContainerError(ParseError):
@@ -64,11 +66,14 @@ def load_arrays(path) -> tuple[dict, dict[str, np.ndarray]]:
 def save_classifier(path, clf) -> None:
     """Serialize a classifier of any kind, tagged by its kind: the
     encoder config, the standardizer and its scorer's ``stored()``
-    arrays, plus the mask of a sparse table."""
+    arrays, plus the score form of a decomposed model and the mask of a
+    sparse table."""
     scorer = clf.scorer
     meta = {"format_version": FORMAT_VERSION, "kind": clf.kind, "encoder": asdict(clf.encoder.config)}
     arrays = {"standardizer_mean": clf.standardizer.mean, "standardizer_std": clf.standardizer.std,
               **scorer.stored()}
+    if clf.kind == "decohd":
+        meta["squared"] = scorer.bank.squared
     if clf.kind == "sparsehd":
         arrays["mask"] = scorer.mask
     save_arrays(path, meta, arrays)
@@ -80,8 +85,8 @@ def load_classifier(path) -> Classifier:
     A container that cannot make a usable model raises
     :class:`ContainerError`: a wrong format version, an unknown kind, a
     missing metadata key or array, stored arrays that are not float32
-    matrices as wide as the encoding they score, or a standardizer that
-    cannot scale features.
+    matrices as wide as the encoding they score, a score form that is
+    not a bool, or a standardizer that cannot scale features.
     """
     meta, arrays = load_arrays(path)
     if meta.get("format_version") != FORMAT_VERSION:
@@ -123,7 +128,9 @@ def _classifier_from(meta: dict, arrays: dict[str, np.ndarray], kind: str) -> Cl
         layers = max(1, sum(name.startswith("channels:") for name in arrays))
         channels = [_matrix(arrays, f"channels:{i}", dim) for i in range(layers)]
         head = _matrix(arrays, "head", math.prod(len(c) for c in channels))
-        scorer = DecomposedScorer(ChannelBank(channels), head)
+        if not isinstance(meta["squared"], bool):
+            raise ValueError(f"squared is {meta['squared']!r}, expected true or false")
+        scorer = DecomposedScorer(ChannelBank(channels, squared=meta["squared"]), head)
     elif kind == "sparsehd":
         mask = arrays["mask"]
         if mask.dtype != np.bool_ or mask.shape != (dim,):

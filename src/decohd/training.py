@@ -6,28 +6,39 @@ the latents and the bundling head; the frozen projectors and encoder are
 never touched.  A gradient is a :class:`~decohd.model.ModelParams` whose
 latents and head hold the derivatives of the loss with respect to them.
 
-Writing ``u = h*h`` (:func:`decohd.inference.input_term`) and
-``basis_m`` for the bound-path factor of path m, the logits are
-``s_c = sum_m head[c,m] * <basis_m, u>``; ``u`` and the path terms
-``t = u @ basis.T`` come from :func:`decohd.inference.path_terms`, the
-forward that batched scoring runs too.  The softmax ``p`` and the loss
+Writing ``basis_m`` for the bound-path factor of path m, class c's
+logit is ``s_c = <P_c, h>`` against its composed prototype
+``P_c = sum_m head[c,m] * basis_m``.  The softmax ``p`` and the loss
 share one exponential (:func:`softmax_cross_entropy`).  With softmax
-residual ``g_c = p_c - 1{c==y}`` (batch-averaged):
+residual ``g_c = p_c - 1{c==y}`` (batch-averaged) and ``G = g.T @ h``
+(C x dim), the gradient of the prototypes:
 
-* d head[c,m]   = g_c * <basis_m, u>
-* d basis_m     = (sum_c g_c head[c,m]) * u
+* d head        = G @ basis.T
+* d basis       = head.T @ G
 * d channel[i,l] = sum over paths with m_i == l of
                    d basis_m * (product of the other layers' channels)
 * d latent_i    = d channel_i @ P_i^T, the projector's ``apply_T``
 
+A step contracts each microbatch against the narrower of two tables,
+chosen from the shapes alone (:func:`_train_batch`).  With fewer classes
+than paths it is the prototypes ``head @ basis``: logits ``h @ P.T``,
+``G`` summed over the microbatches, and d head and d basis formed from
+it once per step, 2*C*dim multiply-accumulates per row.  Otherwise it is
+the basis: path terms ``t = h @ basis.T``, logits ``t @ head.T``, and
+``d head += g.T @ t``, ``d basis += (g @ head).T @ h`` per microbatch,
+2*M*dim per row.  The table lives for one step; evaluation scores
+through :func:`decohd.inference.score_batch` against the kept basis, the
+deployed form.  Trained banks score ``h`` itself: only the fenced bank
+of :func:`~decohd.model.stream_channels` scores ``h*h``, until ROADMAP
+Direction 7 removes it.
+
 Paths are row-major, so the channel gradient is a reshape-sum: the
 products ``d basis * complement`` viewed as ``(L_0, ..., L_k, dim)`` are
-summed over every layer axis but i.  Gradient accumulation happens at
-the channel level, so each projector is applied twice per optimizer
+summed over every layer axis but i.  Gradient accumulation happens
+before the channels, so each projector is applied twice per optimizer
 step, not per microbatch.  Each microbatch's rows are gathered into one
-buffer of ``microbatch_size`` rows that the run reuses, and squared
-there in place into ``u``, so a step's working memory does not grow with
-the batch or the training set.
+buffer of ``microbatch_size`` rows that the run reuses, so a step's
+working memory does not grow with the batch or the training set.
 
 The projectors are matrix-free (:class:`~decohd.ops.HadamardProjector`),
 so training holds no ``latent_dim x dim`` array.  A step makes one
@@ -38,7 +49,7 @@ parameter state: one more is built from the initial parameters, each
 end-of-epoch evaluation scores the bank that the next epoch's first
 batch trains on, and the returned parameters come with their bank,
 after zero epochs too.  The test suite checks these gradients against
-central differences of the loss.
+an explicit float64 backward and central differences of the loss.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import path_terms, score_batch
+from .inference import score_batch
 from .model import (
     ChannelBank,
     ModelConfig,
@@ -109,32 +120,16 @@ def softmax_cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[np.nd
     return e / total, loss
 
 
-def _microbatch_stats(
-    h: np.ndarray, labels: np.ndarray, basis: np.ndarray, head: np.ndarray, out: np.ndarray | None = None
-):
-    """Forward + residuals for one microbatch; *out*, if given, receives
-    the input term ``u`` (*h* itself, to square it in place).
-
-    Returns (loss, num_correct, d_head_sum, d_basis_sum) where the grad
-    terms are sums over samples (caller divides by the batch size).
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverging step; checked below
-        u, t = path_terms(h, basis, out=out)  # t: (b, num_paths)
-        scores = t @ head.T  # (b, num_classes)
-    if not np.isfinite(scores).all():
-        raise TrainingError(
-            f"non-finite logits in microbatch (|h*h|max={np.abs(u).max():.3g}, "
-            f"|head|max={np.abs(head).max():.3g})"
-        )
-    probs, loss = softmax_cross_entropy(scores, labels)
-    loss_sum = loss * len(labels)
-    correct = int((np.argmax(scores, axis=1) == labels).sum())
-    resid = probs
-    resid[np.arange(len(labels)), labels] -= 1.0
-    resid = resid.astype(h.dtype, copy=False)
-    d_head_sum = resid.T @ t
-    d_basis_sum = (resid @ head).T @ u
-    return loss_sum, correct, d_head_sum, d_basis_sum
+def _forward(h: np.ndarray, table: np.ndarray, head: np.ndarray | None):
+    """Logits of the rows *h* and their path terms: ``h @ P.T`` and None
+    against the prototypes ``P = head @ basis`` (*head* None), else
+    ``t @ head.T`` and ``t = h @ basis.T`` against the basis.  A diverging
+    step may overflow; the caller checks the logits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if head is None:
+            return h @ table.T, None
+        t = h @ table.T
+        return t @ head.T, t
 
 
 def _channel_grads_from_basis(d_basis: np.ndarray, bank: ChannelBank) -> list[np.ndarray]:
@@ -199,30 +194,47 @@ class AdamW:
 def _train_batch(h_train, y_train, b_idx, h_mb, params: ModelParams, bank: ChannelBank,
                  projectors: list[HadamardProjector], optimizer: AdamW, loss_sum: float):
     """One optimizer step on the batch *b_idx*, whose microbatches are
-    gathered into *h_mb*.  Returns *loss_sum* plus each microbatch's loss
+    gathered into *h_mb* and contracted against the prototypes
+    ``head @ basis`` when there are fewer classes than paths, else
+    against the basis.  Returns *loss_sum* plus each microbatch's loss
     sum in turn, the number of correct pre-update predictions and the bank
-    of the updated parameters; the gradients and the old basis die with
-    the call.
+    of the updated parameters; the gradients, the table and the old basis
+    die with the call.
     """
     b_n = len(b_idx)
+    head = params.head
+    by_class = head.shape[0] < head.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged step; the forward checks it
         basis = bank.basis
+        table = head @ basis if by_class else basis
     correct = 0
-    d_head = np.zeros_like(params.head)
-    d_basis = np.zeros_like(basis)
+    d_table = np.zeros_like(table)  # G, or d basis
+    d_head = np.zeros_like(head)
     for m_start in range(0, b_n, len(h_mb)):
         mb = b_idx[m_start : m_start + len(h_mb)]
         h = np.take(h_train, mb, axis=0, out=h_mb[: len(mb)], mode="clip")
-        l_sum, c, dh_sum, db_sum = _microbatch_stats(h, y_train[mb], basis, params.head, out=h)
-        loss_sum += l_sum
-        correct += c
-        dh_sum /= b_n
-        d_head += dh_sum
-        db_sum /= b_n
-        d_basis += db_sum
+        labels = y_train[mb]
+        scores, t = _forward(h, table, None if by_class else head)
+        if not np.isfinite(scores).all():
+            raise TrainingError(
+                f"non-finite logits in microbatch (|h|max={np.abs(h).max():.3g}, "
+                f"|head|max={np.abs(head).max():.3g})"
+            )
+        probs, loss = softmax_cross_entropy(scores, labels)
+        loss_sum += loss * len(mb)
+        correct += int((np.argmax(scores, axis=1) == labels).sum())
+        probs[np.arange(len(mb)), labels] -= 1.0
+        resid = (probs / b_n).astype(h.dtype, copy=False)
+        if by_class:
+            d_table += resid.T @ h
+        else:
+            d_table += (resid @ head).T @ h
+            d_head += resid.T @ t
     optimizer.step()
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging step; checked after it
-        d_channels = _channel_grads_from_basis(d_basis, bank)
+        if by_class:
+            d_head, d_table = d_table @ basis.T, head.T @ d_table
+        d_channels = _channel_grads_from_basis(d_table, bank)
         for k, (projector, d_channel) in enumerate(zip(projectors, d_channels)):
             optimizer.update(k, projector.apply_T(d_channel))
         optimizer.update(len(params.latents), d_head)
@@ -272,7 +284,7 @@ def train(
     epochs too, so no caller expands the latents again.  Training runs
     in the floating dtype of *h_train*: the encoder's float32, or float64
     as a precision reference.  *h_train* is only read: each microbatch is
-    gathered into, and squared in, one buffer that the run reuses.
+    gathered into one buffer that the run reuses.
     """
     h_train = np.asarray(h_train)
     dtype = h_train.dtype
@@ -290,8 +302,8 @@ def train(
     optimizer = AdamW(params.arrays(), train_config.learning_rate, train_config.weight_decay)
     history: list[EpochStats] = []
     last_good = params.copy()
-    # Each microbatch's rows are gathered into this one buffer and squared
-    # there in place; mode="clip" lets np.take write into it unbuffered.
+    # Each microbatch's rows are gathered into this one buffer; mode="clip"
+    # lets np.take write into it unbuffered.
     h_mb = np.empty((min(train_config.microbatch_size, n), h_train.shape[1]), dtype=dtype)
     start = time.perf_counter()
     # The channels of the current params: each step returns its successor.
@@ -331,8 +343,7 @@ def train(
                 test_acc = evaluate(bank, params.head, np.asarray(h_test).astype(dtype, copy=False), y_test)
                 finite = not math.isnan(test_acc)
             else:
-                np.copyto(h_mb, h_train[: len(h_mb)])
-                finite = np.isfinite(path_terms(h_mb, bank.basis, out=h_mb)[1] @ params.head.T).all()
+                finite = np.isfinite(_forward(h_train[: len(h_mb)], bank.basis, params.head)[0]).all()
             if not finite:
                 raise TrainingDiverged(f"scores became non-finite at epoch {epoch}", last_good, history)
         history.append(

@@ -1,9 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from decohd import training
 from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_table
 from decohd.data import make_synthetic
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
@@ -13,8 +13,6 @@ from decohd.model import (
     ModelConfig,
     ModelParams,
     init_params,
-    materialize_channels,
-    path_basis,
 )
 from decohd.ops import HadamardProjector, rng_from_seed
 from decohd.precision import get_format
@@ -60,18 +58,25 @@ def projectors_of(cfg: ModelConfig) -> list[HadamardProjector]:
     return [HadamardProjector(spec) for spec in cfg.projector_specs()]
 
 
-def random_small_instance(rng, dtype=np.float64):
+def random_small_instance(rng, dtype=np.float64, classes_below_paths: bool | None = None):
     """A random tiny model + batch for gradient and equivalence checks;
-    the initial latents are scaled by 0.7."""
-    num_layers = int(rng.integers(1, 4))
-    channels = tuple(int(rng.integers(1, 4)) for _ in range(num_layers))
-    cfg = ModelConfig(
-        channels_per_layer=channels,
-        latent_dim=int(rng.integers(2, 17)),
-        dim=int(rng.integers(4, 65)),
-        num_classes=int(rng.integers(2, 5)),
-        seed=int(rng.integers(0, 2**31)),
-    )
+    the initial latents are scaled by 0.7.  *classes_below_paths* True
+    or False forces fewer classes than paths, or at least as many, so
+    that a training step takes its class or its path axis."""
+    while True:
+        channels = tuple(int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4))))
+        latent_dim, dim = int(rng.integers(2, 17)), int(rng.integers(4, 65))
+        num_paths = math.prod(channels)
+        if classes_below_paths is None:
+            num_classes = int(rng.integers(2, 5))
+        elif classes_below_paths and num_paths > 2:
+            num_classes = int(rng.integers(2, num_paths))
+        elif not classes_below_paths:
+            num_classes = int(rng.integers(max(2, num_paths), num_paths + 3))
+        else:
+            continue
+        break
+    cfg = ModelConfig(channels, latent_dim, dim, num_classes, seed=int(rng.integers(0, 2**31)))
     unit = init_params(cfg)
     params = ModelParams([(a * 0.7).astype(dtype) for a in unit.latents], unit.head.astype(dtype))
     projectors = projectors_of(cfg)
@@ -81,18 +86,50 @@ def random_small_instance(rng, dtype=np.float64):
     return cfg, params, projectors, h, y
 
 
-def backward(h_batch, labels, params: ModelParams, projectors) -> ModelParams:
-    """Analytic gradient of the mean cross-entropy over the batch, from
-    the forward, channel-gradient and ``d latent = apply_T(d channel)``
-    steps that :func:`decohd.training.train` runs on one microbatch."""
+def explicit_loss_and_grads(h_batch, labels, params: ModelParams, projectors):
+    """Mean cross-entropy of the batch and its gradient, in float64 from
+    explicit forms; nothing of :mod:`decohd.training` runs.
+
+    Each layer's projector is densified to its matrix (``apply`` of the
+    identity), the channels are ``latents @ matrix``, path m binds the
+    channels that ``itertools.product`` picks, and the scores are
+    :func:`reference_scores`, ``<P_c, h>`` with
+    ``P_c = sum_m head[c, m] * basis_m``.  With the
+    batch-averaged softmax residual ``g`` and ``G = g.T @ h``, the
+    gradients are ``G @ basis.T`` for the head and, for channel l of
+    layer i, the sum over the paths through it of ``(head.T @ G)_m``
+    times the other layers' channels on the path; a latent's gradient is
+    its channels' times the matrix transposed.
+    """
+    h = np.asarray(h_batch, dtype=np.float64)
     labels = np.asarray(labels)
-    bank = materialize_channels(params, projectors)
-    _, _, d_head_sum, d_basis_sum = training._microbatch_stats(
-        np.asarray(h_batch), labels, bank.basis, params.head
-    )
-    b = len(labels)
-    d_channels = training._channel_grads_from_basis(d_basis_sum / b, bank)
-    return ModelParams([p.apply_T(d_ch) for d_ch, p in zip(d_channels, projectors)], d_head_sum / b)
+    matrices = [p.apply(np.eye(p.rows)) for p in projectors]
+    channels = [lat.astype(np.float64) @ m for lat, m in zip(params.latents, matrices)]
+    paths = list(itertools.product(*(range(len(c)) for c in channels)))
+    basis = np.array([np.prod([c[l] for c, l in zip(channels, path)], axis=0) for path in paths])
+    head = params.head.astype(np.float64)
+    scores = reference_scores(h, channels, head)
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(len(labels))
+    loss = float(-log_probs[rows, labels].mean())
+    resid = np.exp(log_probs)
+    resid[rows, labels] -= 1.0
+    grad_prototypes = resid.T @ h / len(labels)
+    d_basis = head.T @ grad_prototypes
+    d_channels = [np.zeros_like(c) for c in channels]
+    for m, path in enumerate(paths):
+        for i, l in enumerate(path):
+            others = [c[k] for j, (c, k) in enumerate(zip(channels, path)) if j != i]
+            d_channels[i][l] += d_basis[m] * np.prod(others, axis=0)
+    d_latents = [d @ m.T for d, m in zip(d_channels, matrices)]
+    return loss, ModelParams(d_latents, grad_prototypes @ basis.T)
+
+
+def backward(h_batch, labels, params: ModelParams, projectors) -> ModelParams:
+    """Gradient of the mean cross-entropy over the batch
+    (:func:`explicit_loss_and_grads`)."""
+    return explicit_loss_and_grads(h_batch, labels, params, projectors)[1]
 
 
 def adamw_step(optimizer, grads: ModelParams) -> None:
@@ -103,12 +140,9 @@ def adamw_step(optimizer, grads: ModelParams) -> None:
 
 
 def batch_loss(h_batch, labels, params: ModelParams, projectors) -> float:
-    """Mean cross-entropy of the batch; the finite-difference oracle
-    pairs this with :func:`backward`."""
-    labels = np.asarray(labels)
-    bank = materialize_channels(params, projectors)
-    loss_sum, _, _, _ = training._microbatch_stats(np.asarray(h_batch), labels, bank.basis, params.head)
-    return loss_sum / len(labels)
+    """Mean cross-entropy of the batch (:func:`explicit_loss_and_grads`);
+    the finite-difference oracle pairs this with :func:`backward`."""
+    return explicit_loss_and_grads(h_batch, labels, params, projectors)[0]
 
 
 def integer_bank_and_head(rng, channels=(2, 3), dim=6, num_classes=3):
@@ -123,41 +157,37 @@ def integer_bank_and_head(rng, channels=(2, 3), dim=6, num_classes=3):
     return bank, head, h
 
 
-def brute_force_logits(h, bank, head):
-    """Independent oracle: explicit loops over paths, channels, classes."""
-    channels = bank.channels_per_layer
-    num_paths = int(np.prod(channels))
-    num_classes = head.shape[0]
-    scores = np.zeros(num_classes)
-    for c in range(num_classes):
-        bundle = np.zeros(bank.dim)
-        for m in range(num_paths):
-            multi = np.unravel_index(m, channels)
-            z = np.array(h, dtype=np.float64)
-            for i, mi in enumerate(multi):
-                z = z * bank.channels[i][mi]
-            bundle = bundle + head[c, m] * z
-        scores[c] = float(np.dot(bundle, h))
-    return scores
+def reference_scores(h, channels, head, squared=False):
+    """Independent float64 oracle of a decomposed model's scores, for
+    one hypervector or a batch of rows: every path of ``itertools.product``
+    over the layers' channel rows binds its rows, the head bundles the
+    paths into each class's prototype, and the prototype is dotted with
+    *h*, or with ``h*h`` for a *squared* (fenced) bank.
 
-
-def product_scores(h, bank, head):
-    """Scores as two whole products in the operands' dtype,
-    ``((h * h) @ path_basis(bank).T) @ head.T``: the form that
-    :func:`decohd.inference.score_batch` must equal bit for bit."""
-    return ((h * h) @ path_basis(bank).T) @ head.T
-
-
-def score_term_scale(bank, head, h):
-    """Per-class sum of the absolute path terms of a score, in float64.
-
-    ``|head| @ (|path_basis| @ h*h)``.  Rounding error of any evaluation
-    order of a score is bounded by a small multiple of eps times this
-    scale, not times the score, which may cancel to near zero.
+    Called on absolute values, ``reference_scores(|h|, |channels|,
+    |head|)`` is the per-class sum of the absolute path terms.  Rounding
+    error of any evaluation order of a score is bounded by a small
+    multiple of eps times it, not times the score, which may cancel to
+    near zero.
     """
     h = np.asarray(h, dtype=np.float64)
-    basis = np.abs(path_basis(bank).astype(np.float64))
-    return np.abs(head.astype(np.float64)) @ (basis @ (h * h))
+    head = np.asarray(head, dtype=np.float64)
+    prototypes = np.zeros((head.shape[0], h.shape[-1]))
+    for m, rows in enumerate(itertools.product(*channels)):
+        z = np.ones(h.shape[-1])
+        for row in rows:
+            z = z * np.asarray(row, dtype=np.float64)
+        prototypes += head[:, m : m + 1] * z
+    return (h * h if squared else h) @ prototypes.T
+
+
+def assert_scores_near_reference(scores, h, bank, head, rel):
+    """*scores* within *rel* times the absolute term sum of
+    :func:`reference_scores` for the bank's own form."""
+    abs_channels = [np.abs(c) for c in bank.channels]
+    scale = reference_scores(np.abs(h), abs_channels, np.abs(head), bank.squared)
+    error = np.abs(np.asarray(scores, dtype=np.float64) - reference_scores(h, bank.channels, head, bank.squared))
+    assert (error <= rel * scale).all()
 
 
 def small_classifier(kind: str, rng):

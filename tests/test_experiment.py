@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from decohd import encoding, experiment, model, ops, training
+from decohd import cli, encoding, experiment, model, ops, serialize, training
 from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_table
 from decohd.data import make_synthetic, save_csv
 from decohd.encoding import fit_standardizer
@@ -21,7 +21,7 @@ from decohd.experiment import (
     prepare_data,
     run_experiment,
 )
-from decohd.model import Classifier
+from decohd.model import Classifier, accuracy
 from decohd.ops import HadamardProjector, generate_matrix, row_blocks
 from decohd.precision import quantize_array
 from decohd.serialize import load_classifier, save_classifier
@@ -352,3 +352,68 @@ def test_test_encodings_are_quantized_once_per_precision_and_dim(tmp_path, monke
     run_experiment(config, output_dir=str(tmp_path))
     assert calls == [((60, 32), "bf16"), ((60, 32), "fp8_e4m3fn"),
                      ((60, 64), "bf16"), ((60, 64), "fp8_e4m3fn")]
+
+
+@pytest.mark.parametrize("num_classes, num_features, dim", [(4, 16, 256), (8, 32, 512)],
+                         ids=["C4-F16-D256", "C8-F32-D512"])
+def test_decohd_learns_within_a_tenth_of_the_prototype_table(num_classes, num_features, dim):
+    # The fidelity gate: on separable blobs a trained decohd's test
+    # accuracy stays within 0.10 of the prototype table's, at every seed.
+    # Eight paths put C=4 on a training step's class axis, C=8 on its
+    # path axis.  Scoring <P_c, h*h> instead fails it by 0.2 or more.
+    for seed in (1, 2, 3):
+        config = ExperimentConfig(
+            root_seed=seed,
+            data={"synthetic": {"num_classes": num_classes, "num_features": num_features,
+                                "samples_per_class": 60, "separation": 3.0}},
+            models=({"kind": "decohd", "channels": [2, 2, 2], "latent_dim": 64}, {"kind": "prototype"}),
+            train={"epochs": 20, "batch_size": 64, "learning_rate": 0.05},
+            dims=(dim,),
+        )
+        train_ds, test_ds = prepare_data(config.data, config.root_seed)
+        standardizer = fit_standardizer(train_ds.features)
+        encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, dim)
+        decohd, table = (
+            accuracy(fit_model(spec, spec.kind, config, encoder, standardizer, h_train, train_ds.labels,
+                               h_test, test_ds.labels, num_classes)[0].scorer, h_test, test_ds.labels)
+            for spec in config.models
+        )
+        assert decohd >= table - 0.10, (seed, decohd, table)
+
+
+def test_a_trained_or_loaded_model_is_never_rebuilt_from_its_latents(monkeypatch, tmp_path):
+    # A model built from latents expands them through the dense projectors
+    # of stream_channels, not the matrix-free ones they were trained
+    # through, and scores h*h: fit_model, load_classifier and decohd train
+    # must deploy the trained bank itself.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was rebuilt from latents")
+
+    monkeypatch.setattr(model, "stream_channels", refuse)
+    monkeypatch.setattr(model.DecoHDClassifier, "__init__", refuse)
+    for module in (cli, experiment, serialize, training):
+        assert not hasattr(module, "stream_channels") and not hasattr(module, "DecoHDClassifier")
+    config = ExperimentConfig(
+        data={"synthetic": {"num_classes": 3, "num_features": 8, "samples_per_class": 20}},
+        models=({"kind": "decohd", "channels": [2, 2], "latent_dim": 8},),
+        train={"epochs": 2, "batch_size": 16, "microbatch_size": 8},
+        dims=(64,),
+    )
+    train_ds, test_ds = prepare_data(config.data, config.root_seed)
+    standardizer = fit_standardizer(train_ds.features)
+    encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, 64)
+    spec = config.models[0]
+    clf, _ = fit_model(spec, spec.kind, config, encoder, standardizer,
+                       h_train, train_ds.labels, h_test, test_ds.labels, 3)
+    assert type(clf) is Classifier and clf.scorer.bank.squared is False
+    save_classifier(tmp_path / "fit.npz", clf)
+    loaded = load_classifier(tmp_path / "fit.npz")
+    assert type(loaded) is Classifier and loaded.scorer.bank.squared is False
+    np.testing.assert_array_equal(loaded.predict_batch(test_ds.features), clf.predict_batch(test_ds.features))
+
+    csvs = [str(tmp_path / "train.csv"), str(tmp_path / "test.csv")]
+    for path, ds in zip(csvs, (train_ds, test_ds)):
+        save_csv(path, ds)
+    assert cli.main(["train", "--train-csv", csvs[0], "--test-csv", csvs[1], "--output", str(tmp_path / "cli.npz"),
+                     "--dim", "64", "--latent-dim", "8", "--channels", "2,2", "--epochs", "2"]) == 0
+    assert load_classifier(tmp_path / "cli.npz").scorer.bank.squared is False

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from decohd import inference, model
+from decohd import inference, model, training
 from decohd.inference import DecomposedScorer, choose_mode, score_batch, stream_scores
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder
 from decohd.faults import NoiseSpec, inject_bitflips
@@ -12,16 +12,15 @@ from decohd.model import ChannelBank, DecoHDClassifier, path_basis, pick_class
 from decohd.precision import quantize_model
 from tests.conftest import (
     assert_same_bits,
-    brute_force_logits,
+    assert_scores_near_reference,
     identity_standardizer,
     integer_bank_and_head,
-    product_scores,
     random_small_instance,
-    score_term_scale,
+    reference_scores,
 )
 
-def random_bank_and_head(rng, dtype=np.float32, channels=(2, 3), dim=32, num_classes=4):
-    bank = ChannelBank([rng.standard_normal((l, dim)).astype(dtype) for l in channels])
+def random_bank_and_head(rng, dtype=np.float32, channels=(2, 3), dim=32, num_classes=4, squared=False):
+    bank = ChannelBank([rng.standard_normal((l, dim)).astype(dtype) for l in channels], squared=squared)
     head = rng.standard_normal((num_classes, int(np.prod(channels)))).astype(dtype)
     h = rng.standard_normal(dim).astype(dtype)
     return bank, head, h
@@ -31,48 +30,47 @@ class TestStreamScores:
     def test_single_path_equals_logits_exactly(self, rng):
         # Integer values, so that every summation order is exact.
         bank, head, h = integer_bank_and_head(rng, channels=(1,), dim=8)
-        np.testing.assert_array_equal(stream_scores(h, bank, head), brute_force_logits(h, bank, head))
+        np.testing.assert_array_equal(stream_scores(h, bank, head), reference_scores(h, bank.channels, head))
 
     def test_matches_batched_forward_fp32(self, rng):
         for _ in range(10):
             bank, head, h = random_bank_and_head(rng, np.float32)
-            ref = brute_force_logits(h, bank, head)
-            out = stream_scores(h, bank, head)
-            err = np.abs(out - ref) / score_term_scale(bank, head, h)
-            assert err.max() < 1e-5
+            assert_scores_near_reference(stream_scores(h, bank, head), h, bank, head, rel=1e-5)
 
     def test_matches_batched_forward_fp64(self, rng):
         for _ in range(10):
             bank, head, h = random_bank_and_head(rng, np.float64)
-            ref = brute_force_logits(h, bank, head)
-            np.testing.assert_allclose(stream_scores(h, bank, head), ref, rtol=1e-10)
+            assert_scores_near_reference(stream_scores(h, bank, head), h, bank, head, rel=1e-12)
 
     def test_hand_fixture(self):
         bank = ChannelBank([np.array([[1.0, -1.0, 1.0]]), np.array([[2.0, 2.0, 2.0]])])
         head = np.array([[1.0], [0.5]])
         h = np.array([1.0, 2.0, 3.0])
-        # Z = [2, -4, 6]; <Z, h> = 2 - 8 + 18 = 12
-        np.testing.assert_array_equal(stream_scores(h, bank, head), [12.0, 6.0])
+        # P_0 = [2, -2, 2]; <P_0, h> = 2 - 4 + 6 = 4
+        np.testing.assert_array_equal(stream_scores(h, bank, head), [4.0, 2.0])
 
     def test_leaves_a_float64_input_unchanged(self, rng):
-        # The input term is squared in place, into a float64 copy of h.
-        bank, head, h = random_bank_and_head(rng, np.float64)
-        before = h.copy()
-        stream_scores(h, bank, head)
-        assert_same_bits(h, before)
+        # The input is widened into a float64 copy, a fenced bank's
+        # squared in place there.
+        for squared in (False, True):
+            bank, head, h = random_bank_and_head(rng, np.float64, squared=squared)
+            before = h.copy()
+            stream_scores(h, bank, head)
+            assert_same_bits(h, before)
 
     def test_single_working_buffer(self, rng):
         # Real bytes of one call against the analytic count: the float64
-        # working hypervector, the input widened to float64 once and
-        # squared in place, and C float64 scores.  Allowed on top: numpy's
+        # working hypervector, the input widened to float64 once (a fenced
+        # bank's squared in place there), and C float64 scores.  Allowed on top: numpy's
         # ufunc cast buffer (float32 channel rows are cast into the float64
         # working buffer in bufsize-element chunks) and 16 KiB for the
         # per-layer tuples of channel rows and per-path head columns.  One
         # more D-length float64 vector (80 KB at D=10000) exceeds it.
         dim, num_classes = 10000, 26
         bound = (2 * dim + num_classes) * 8 + np.getbufsize() * 8 + 16 * 1024
-        for channels in [(3, 4), (4, 4, 4), (5, 5, 5)]:
-            bank, head, h = random_bank_and_head(rng, channels=channels, dim=dim, num_classes=num_classes)
+        for channels, squared in [((3, 4), False), ((4, 4, 4), True), ((5, 5, 5), False)]:
+            bank, head, h = random_bank_and_head(rng, channels=channels, dim=dim, num_classes=num_classes,
+                                                 squared=squared)
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -96,7 +94,8 @@ class TestCrossModeEquivalence:
             )
             scorer = DecomposedScorer(bank=bank, head=head)
             streamed, batched = scorer.scores(h), scorer.score_batch(h[None])[0]
-            assert (np.abs(batched - streamed) / score_term_scale(bank, head, h)).max() < 1e-5
+            assert_scores_near_reference(streamed, h, bank, head, rel=1e-5)
+            assert_scores_near_reference(batched, h, bank, head, rel=1e-5)
             assert pick_class(streamed) == pick_class(batched)
 
     def test_uniform_head_scores_every_class_alike(self, rng):
@@ -107,15 +106,44 @@ class TestCrossModeEquivalence:
                 assert_same_bits(scores[c], scores[0])
 
     def test_depends_on_h_only_through_square(self, rng):
-        bank, head, h = random_bank_and_head(rng)
+        # The fenced bank of stream_channels scores <P_c, h*h>, the form
+        # the benchmark's serve oracle checks.
+        bank, head, h = random_bank_and_head(rng, squared=True)
         assert_same_bits(stream_scores(h, bank, head), stream_scores(-h, bank, head))
         assert_same_bits(score_batch(h[None], bank, head), score_batch(-h[None], bank, head))
+        assert_scores_near_reference(stream_scores(h, bank, head), h, bank, head, rel=1e-5)
+        assert_scores_near_reference(score_batch(h[None], bank, head)[0], h, bank, head, rel=1e-5)
 
     def test_unknown_mode(self, rng):
         bank, head, h = random_bank_and_head(rng)
         for mode in ("fastest", "materialized_prototypes"):
             with pytest.raises(ValueError, match="unknown inference mode"):
                 DecomposedScorer(bank=bank, head=head).scores(h, mode)
+
+
+# One row's scores through each forward of a linear bank: the two of
+# inference, and a training step's against the class table and the basis.
+FORWARDS = {
+    "score_batch": lambda h, bank, head: score_batch(h[None], bank, head)[0],
+    "stream_scores": stream_scores,
+    "train_class_axis": lambda h, bank, head: training._forward(h[None], head @ bank.basis, None)[0][0],
+    "train_path_axis": lambda h, bank, head: training._forward(h[None], bank.basis, head)[0][0],
+}
+
+
+@pytest.mark.parametrize("forward", FORWARDS.values(), ids=FORWARDS.keys())
+class TestLinearInTheInput:
+    """A trained bank scores <P_c, h>: odd in h and scaled by powers of
+    two, bit for bit, in every forward, away from underflow and overflow."""
+
+    def test_odd_in_h(self, rng, forward):
+        bank, head, h = random_bank_and_head(rng, channels=(2, 2))
+        assert_same_bits(forward(-h, bank, head), -forward(h, bank, head))
+
+    @pytest.mark.parametrize("k", [-6, -1, 1, 7])
+    def test_scaled_by_powers_of_two(self, rng, forward, k):
+        bank, head, h = random_bank_and_head(rng, channels=(2, 2))
+        assert_same_bits(forward(np.ldexp(h, k), bank, head), np.ldexp(forward(h, bank, head), k))
 
 
 class TestScoreBatch:
@@ -126,23 +154,30 @@ class TestScoreBatch:
         bank = materialize_channels(params, projectors)
         batch = score_batch(h, bank, params.head)
         for j in range(h.shape[0]):
-            np.testing.assert_allclose(batch[j], brute_force_logits(h[j], bank, params.head), rtol=1e-9)
+            assert_scores_near_reference(batch[j], h[j], bank, params.head, rel=1e-12)
 
 
 class TestChunkedScoreBatch:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513, 1023, 1024, 1025, 2500])
-    def test_equals_whole_batch_product(self, rng, n, dtype):
-        # 255 to 257 and 513 sit on the 256-row chunk boundaries.
+    def test_equals_whole_batch_product(self, rng, n, dtype, monkeypatch):
+        # 255 to 257 and 513 sit on the 256-row chunk boundaries.  The
+        # whole-batch product is score_batch with one chunk, for a linear
+        # and for a fenced bank.
         bank, head, _ = random_bank_and_head(rng, dtype, channels=(2, 3, 2), dim=256, num_classes=5)
         h = rng.standard_normal((n, 256)).astype(dtype)
-        scores = score_batch(h, bank, head)
-        assert_same_bits(scores, product_scores(h, bank, head))
-        assert scores.shape == (n, 5)
+        for form in (bank, ChannelBank(bank.channels, squared=True)):
+            scores = score_batch(h, form, head)
+            with monkeypatch.context() as whole:
+                whole.setattr(inference, "_SCORE_CHUNK_ROWS", max(n, 1))
+                assert_same_bits(scores, score_batch(h, form, head))
+            assert scores.shape == (n, 5)
+            assert_scores_near_reference(scores, h, form, head, rel=1e-5 if dtype == np.float32 else 1e-12)
 
     def test_working_memory_does_not_grow_with_rows(self, rng):
+        # Measured on the fenced bank, whose chunks are squared into a buffer.
         dim = 256
-        bank, head, _ = random_bank_and_head(rng, channels=(2, 3, 2), dim=dim, num_classes=5)
+        bank, head, _ = random_bank_and_head(rng, channels=(2, 3, 2), dim=dim, num_classes=5, squared=True)
         bank.basis  # built before measuring: it is kept, not per call
         buffer = inference._SCORE_CHUNK_ROWS * dim * 4
         for n in (2 * inference._SCORE_CHUNK_ROWS, 8 * inference._SCORE_CHUNK_ROWS):
@@ -164,8 +199,9 @@ class TestKeptBasis:
         bank, head, _ = random_bank_and_head(rng, channels=(2, 3, 2), dim=64, num_classes=5)
         h = rng.standard_normal((7, 64)).astype(np.float32)
         for _ in range(3):
-            fresh = product_scores(h, bank, head)
+            fresh = score_batch(h, ChannelBank(bank.channels), head)
             np.testing.assert_array_equal(score_batch(h, bank, head), fresh)
+        assert_scores_near_reference(score_batch(h, bank, head), h, bank, head, rel=1e-5)
 
     def test_basis_built_once_per_bank(self, rng, monkeypatch):
         calls = []
@@ -199,9 +235,7 @@ class TestKeptBasis:
         )
         after = rewritten.score_batch(h)
         np.testing.assert_array_equal(after, fresh.score_batch(h))
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = product_scores(h, rewritten.bank, rewritten.head)
-        np.testing.assert_array_equal(after, expected)
+        assert_scores_near_reference(after, h, rewritten.bank, rewritten.head, rel=1e-5)
         assert not np.array_equal(after, before, equal_nan=True)
 
 

@@ -23,11 +23,11 @@ from tests.conftest import (
     GAUSSIAN_DTYPES,
     LAYER_SHAPES,
     assert_same_bits,
-    brute_force_logits,
     identity_standardizer,
     integer_bank_and_head,
     layer_index_arrays,
     projectors_of,
+    reference_scores,
 )
 
 
@@ -243,16 +243,23 @@ class TestLogits:
         bank, head, _ = integer_bank_and_head(rng)
         np.testing.assert_array_equal(logits(np.zeros(bank.dim), bank, head), np.zeros(3))
 
-    def test_identity_channel_gives_norm_squared(self):
+    def test_identity_channel_gives_the_sum(self):
         bank = ChannelBank([np.ones((1, 5))])
         head = np.ones((3, 1))
         h = np.array([1.0, 2.0, -1.0, 0.0, 3.0])
-        np.testing.assert_allclose(logits(h, bank, head), np.full(3, 15.0))
+        np.testing.assert_array_equal(logits(h, bank, head), np.full(3, 5.0))
+
+    def test_identity_channel_gives_norm_squared(self):
+        # Only the fenced bank of stream_channels scores h*h.
+        bank = ChannelBank([np.ones((1, 5))], squared=True)
+        head = np.ones((3, 1))
+        h = np.array([1.0, 2.0, -1.0, 0.0, 3.0])
+        np.testing.assert_array_equal(logits(h, bank, head), np.full(3, 15.0))
 
     def test_brute_force_oracle(self, rng):
         for _ in range(10):
             bank, head, h = integer_bank_and_head(rng, channels=(2, 3), dim=3)
-            np.testing.assert_array_equal(logits(h, bank, head), brute_force_logits(h, bank, head))
+            np.testing.assert_array_equal(logits(h, bank, head), reference_scores(h, bank.channels, head))
 
     def test_linear_in_head_rows(self, rng):
         bank, head, h = integer_bank_and_head(rng)
@@ -264,20 +271,20 @@ class TestLogits:
         assert out[0] == base[0]
 
     def test_prototype_materialization_identity_exact(self, rng):
-        # <Y_c(h), h> == <P_c, h*h> exactly on integer fixtures
+        # Scores equal the composed prototypes P_c = sum_m head[c,m] basis_m
+        # dotted with h, exactly on integer fixtures.
         for _ in range(10):
             bank, head, h = integer_bank_and_head(rng, channels=(2, 2), dim=5)
-            protos = head @ path_basis(bank)
-            np.testing.assert_array_equal(logits(h, bank, head), protos @ (h * h))
+            np.testing.assert_array_equal(logits(h, bank, head), reference_scores(h, bank.channels, head))
 
     def test_single_layer_identity_head_matches_prototype_scorer(self, rng):
-        # N=1, one channel per class, identity head: conventional table
-        # whose prototype c is bind(h, A_c).
+        # N=1, one channel per class, identity head: a conventional table
+        # whose prototype c is the channel A_c itself.
         dim, num_classes = 6, 3
         bank = ChannelBank([rng.integers(-3, 4, (num_classes, dim)).astype(float)])
         head = np.eye(num_classes)
         h = rng.integers(-3, 4, dim).astype(float)
-        table = PrototypeTable(prototypes=bank.channels[0] * h)
+        table = PrototypeTable(prototypes=bank.channels[0])
         np.testing.assert_array_equal(logits(h, bank, head), table.score_batch(h[None])[0])
 
 
@@ -334,6 +341,17 @@ def dense_channels(params: ModelParams, cfg: ModelConfig) -> list[np.ndarray]:
 
 
 class TestStreamChannels:
+    def test_only_a_streamed_bank_is_squared(self):
+        # The fence: a model built from latents scores h*h, as the
+        # benchmark's serve oracle does; every other bank scores h.
+        cfg = ModelConfig(channels_per_layer=(2, 2), latent_dim=8, dim=32, num_classes=3, seed=1)
+        params = init_params(cfg, dtype=np.float32)
+        assert stream_channels(params, cfg).squared is True
+        assert materialize_channels(params, projectors_of(cfg)).squared is False
+        assert ChannelBank([np.ones((2, 32))]).squared is False
+        encoder = RandomProjectionEncoder(EncoderConfig(num_features=3, dim=32))
+        assert model.DecoHDClassifier(encoder, identity_standardizer(3), cfg, params).scorer.bank.squared is True
+
     @pytest.mark.parametrize("latent_dim", [1, 48, 65])
     @pytest.mark.parametrize("dtype", GAUSSIAN_DTYPES)
     def test_equals_the_bank_of_held_projectors(self, monkeypatch, dtype, latent_dim):

@@ -66,8 +66,8 @@ class TestBundleWeighted:
 
 class TestDot:
     def test_bind_square_identity_on_integers(self, rng):
-        # <bind(h, b), h> == <b, h*h>: the identity behind scoring
-        # against the path basis.
+        # <bind(h, b), h> == <b, h*h>: the identity behind the fenced
+        # bank's scores against the path basis.
         for _ in range(20):
             h = rng.integers(-4, 5, 12).astype(np.float64)
             b = rng.integers(-4, 5, 12).astype(np.float64)

@@ -12,6 +12,8 @@ import decohd
 from decohd import inference
 from decohd.baselines import SparseScorer
 from decohd.faults import NoiseSpec, flip_float32_bits, inject_bitflips
+from decohd.inference import DecomposedScorer
+from decohd.model import ChannelBank
 from decohd.ops import derive_seed
 from decohd.precision import quantize_array, quantize_model
 from tests.conftest import deployed_forms
@@ -61,6 +63,16 @@ class TestProtocol:
         assert sorted(out.stored()) == sorted(scorer.stored())
         for key, a in out.stored().items():
             assert a.dtype == np.float32 and a.shape == scorer.stored()[key].shape, key
+
+
+@pytest.mark.parametrize("rewrite", [lambda s: s.replace(s.stored()), *REWRITES.values()],
+                         ids=["replace", *REWRITES])
+@pytest.mark.parametrize("squared", [False, True], ids=["linear", "fenced"])
+def test_a_rewrite_keeps_the_score_form(rng, rewrite, squared):
+    # A quantized or bit-flipped copy of the fenced bank still scores h*h.
+    scorer = deployed_forms(rng)["decohd"]
+    scorer = DecomposedScorer(ChannelBank(scorer.bank.channels, squared=squared), scorer.head)
+    assert rewrite(scorer).bank.squared is squared
 
 
 def test_flip_streams_keep_their_seed_tokens(rng):

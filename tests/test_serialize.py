@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from decohd.model import Classifier, DecoHDClassifier
+from decohd.inference import DecomposedScorer
+from decohd.model import ChannelBank, Classifier, DecoHDClassifier
 from decohd.serialize import ContainerError, load_arrays, load_classifier, save_arrays, save_classifier
 from tests.conftest import assert_same_bits, small_classifier
 
@@ -65,6 +66,28 @@ def test_a_model_built_from_latents_is_a_classifier(rng):
     assert [f.name for f in dataclasses.fields(clf)] == ["encoder", "standardizer", "scorer", "kind"]
 
 
+@pytest.mark.parametrize("squared", [False, True], ids=["linear", "fenced"])
+def test_a_container_keeps_the_score_form(tmp_path, rng, squared):
+    built, features = small_classifier("decohd", rng)
+    bank = ChannelBank(built.scorer.bank.channels, squared=squared)
+    clf = Classifier(built.encoder, built.standardizer, DecomposedScorer(bank, built.scorer.head), "decohd")
+    save_classifier(tmp_path / "m.npz", clf)
+    loaded = load_classifier(tmp_path / "m.npz")
+    assert loaded.scorer.bank.squared is squared
+    h = clf.encoder.encode_batch(features, clf.standardizer)
+    assert_same_bits(loaded.scorer.score_batch(h), clf.scorer.score_batch(h))
+
+
+def test_a_container_without_a_score_form_is_refused(tmp_path, rng):
+    clf, _ = small_classifier("decohd", rng)
+    save_classifier(tmp_path / "m.npz", clf)
+    meta, arrays = load_arrays(tmp_path / "m.npz")
+    del meta["squared"]
+    save_arrays(tmp_path / "m.npz", meta, arrays)
+    with pytest.raises(ContainerError, match="decohd container has no entry 'squared'"):
+        load_classifier(tmp_path / "m.npz")
+
+
 def test_meta_is_stored_zero_dimensional(tmp_path, rng):
     clf, _ = small_classifier("prototype", rng)
     save_classifier(tmp_path / "m.npz", clf)
@@ -80,7 +103,7 @@ def test_encoder_meta_is_pinned(tmp_path, rng):
     clf, _ = small_classifier("prototype", rng)
     save_classifier(tmp_path / "m.npz", clf)
     meta, _ = load_arrays(tmp_path / "m.npz")
-    assert meta["format_version"] == 3
+    assert meta["format_version"] == 4
     assert meta["encoder"] == {"num_features": 6, "dim": 64, "seed": 4, "normalize_output": True}
 
 
@@ -89,7 +112,8 @@ def test_container_meta_keys_are_pinned(tmp_path, rng, kind):
     clf, _ = small_classifier(kind, rng)
     save_classifier(tmp_path / "m.npz", clf)
     meta, _ = load_arrays(tmp_path / "m.npz")
-    assert meta.keys() == {"format_version", "kind", "encoder"}
+    # A decomposed model names its score form (ChannelBank.squared).
+    assert meta.keys() == {"format_version", "kind", "encoder"} | ({"squared"} if kind == "decohd" else set())
 
 
 def test_sparse_container_arrays_are_pinned(tmp_path, rng):
@@ -155,6 +179,10 @@ def inf_mean(meta, arrays):
     arrays["standardizer_mean"][0] = np.inf
 
 
+def numeric_form(meta, arrays):
+    meta["squared"] = 1
+
+
 @pytest.mark.parametrize("kind, spoil, message", [
     ("decohd", narrow_standardizer, "standardizer shapes"),
     ("decohd", narrow_channels, r"channels:1 is float32 of shape \(3, 63\), expected float32 of shape \(rows, 64\)"),
@@ -167,8 +195,9 @@ def inf_mean(meta, arrays):
     ("decohd", zero_std, "standardizer std is not finite and positive"),
     ("prototype", nan_std, "standardizer std is not finite and positive"),
     ("sparsehd", inf_mean, "standardizer mean is not finite"),
+    ("decohd", numeric_form, "squared is 1, expected true or false"),
 ], ids=["standardizer", "dim", "head", "table", "float64_table", "full_width_table", "narrow_mask",
-        "integer_mask", "zero_std", "nan_std", "inf_mean"])
+        "integer_mask", "zero_std", "nan_std", "inf_mean", "numeric_form"])
 def test_shapes_that_disagree_with_the_configs_are_container_errors(tmp_path, rng, kind, spoil, message):
     # Each would otherwise load and fail later, at encoding, scoring,
     # quantization or bit flips.

@@ -99,8 +99,12 @@ class TestBackward:
         np.testing.assert_allclose(g.head.sum(axis=0), 0.0, atol=1e-10)
 
     def test_matches_finite_differences(self, rng):
-        for _ in range(5):
-            cfg, params, projectors, h, y = random_small_instance(rng)
+        # On shapes whose training step takes the class axis, then the path
+        # axis.  The head is drawn around init's 1/M, at its scale: under
+        # the uniform head itself every latent gradient is zero.
+        for classes_below_paths in (True, True, True, False, False, False):
+            cfg, params, projectors, h, y = random_small_instance(rng, classes_below_paths=classes_below_paths)
+            params.head += rng.standard_normal(params.head.shape) / cfg.num_paths
             analytic = backward(h, y, params, projectors)
             numeric = finite_difference_grads(h, y, params, projectors)
             assert max_relative_error(analytic, numeric) < 1e-4
@@ -108,8 +112,8 @@ class TestBackward:
     def test_zero_input_zero_gradients(self, rng):
         cfg, params, projectors, h, y = random_small_instance(rng)
         g = backward(np.zeros_like(h), y, params, projectors)
-        # u = 0 annihilates everything except the (constant-logit) softmax,
-        # whose head gradient is t == 0.
+        # h = 0 annihilates everything except the (constant-logit) softmax,
+        # whose head gradient is <basis_m, h> == 0.
         np.testing.assert_array_equal(g.head, np.zeros_like(g.head))
         for d in g.latents:
             np.testing.assert_array_equal(d, np.zeros_like(d))
@@ -215,8 +219,7 @@ def _blob_setup(num_classes=2, dim=512, latent_dim=64, channels=(2,), separation
     """Blob encodings in *dtype*, the precision :func:`train` runs in."""
     train_ds, test_ds = make_synthetic(num_classes, 8, 100, separation=separation, seed=seed)
     enc = RandomProjectionEncoder(EncoderConfig(num_features=8, dim=dim, seed=11))
-    # raw (uncentered) encoding: scores are even functions of h, and
-    # centering two balanced blobs would fold them onto each other
+    # raw (uncentered) encoding, as the runs pinned here were made
     ident = identity_standardizer(8)
     h_train = enc.encode_batch(train_ds.features, ident).astype(dtype, copy=False)
     h_test = enc.encode_batch(test_ds.features, ident).astype(dtype, copy=False)
@@ -331,16 +334,17 @@ class TestTrain:
         # At lr 1e30 one step leaves a one-layer model's basis finite but
         # its head near 1e30, so every score overflows.  The run checks the
         # scores of one forward after the epoch's last step: the
-        # evaluation's when it runs, else one more microbatch's, never both.
+        # evaluation's when it runs, else one more microbatch's through
+        # the step's forward, never both.
         cfg, h_tr, y_tr, h_te, y_te = _blob_setup(channels=(2,))
         forwards = []
 
-        def counting_path_terms(h, *args, **kwargs):
+        def counting_forward(h, *args):
             forwards.append(len(h))
-            return path_terms(h, *args, **kwargs)
+            return forward(h, *args)
 
-        path_terms = training.path_terms
-        monkeypatch.setattr(training, "path_terms", counting_path_terms)
+        forward = training._forward
+        monkeypatch.setattr(training, "_forward", counting_forward)
         tcfg = TrainConfig(epochs=1, batch_size=len(y_tr), microbatch_size=64, learning_rate=1e30)
         test = (h_te, y_te) if with_test else ()
         with pytest.raises(TrainingDiverged, match="scores became non-finite at epoch 0") as excinfo:
@@ -363,7 +367,7 @@ class TestTrain:
 
 class TestMicrobatchBuffer:
     def test_leaves_the_callers_encodings_unchanged(self):
-        # Rows are gathered into the run's own buffer and squared there.
+        # Rows are gathered into the run's own buffer.
         cfg, h_tr, y_tr, h_te, y_te = _blob_setup()
         before = (h_tr.tobytes(), h_te.tobytes())
         tcfg = TrainConfig(epochs=2, batch_size=64, microbatch_size=24, learning_rate=0.01)
@@ -377,9 +381,9 @@ class TestMicrobatchBuffer:
     @pytest.mark.parametrize("channels, microbatch", [((2, 3, 2), 128), ((4, 4, 4), 16)],
                              ids=["12-paths-mb128", "64-paths-mb16"])
     def test_working_memory_is_bounded_by_microbatch_not_batch(self, rng, channels, microbatch):
-        # Beyond its inputs a run holds one microbatch of rows (gathered and
-        # squared in one buffer) and a few arrays of the basis's shape: the
-        # basis, its gradient and the channel-gradient products.  Its
+        # Beyond its inputs a run holds one microbatch of rows (gathered in
+        # one buffer) and a few arrays of the basis's shape: the basis, its
+        # gradient and the channel-gradient products.  Its
         # projectors are matrix-free, so the bound has no room for a
         # latent_dim x dim array (128 KiB here), nor for gathering the
         # 2000-row batch, copying the inputs or a second microbatch-sized
@@ -466,36 +470,61 @@ class TestOneBankPerParameterState:
 
 
 class TestGradientAccumulationMatchesBackward:
-    def test_one_step_equals_explicit_backward(self, rng):
-        # one full-batch step of train() from init_params must equal AdamW
-        # applied to backward()'s gradients there
-        cfg, _, projectors, h, y = random_small_instance(rng)
-        self._check_one_step(cfg, projectors, h, y)
+    def test_one_step_equals_explicit_backward(self, rng, monkeypatch):
+        # train()'s steps, each over microbatches of 3 rows, must hand AdamW
+        # backward()'s gradients, on the class axis and on the path axis
+        for classes_below_paths in (True, True, False, False):
+            cfg, _, projectors, h, y = random_small_instance(rng, classes_below_paths=classes_below_paths)
+            self._check_steps(cfg, projectors, h, y, monkeypatch)
 
-    def test_multi_block_step_equals_explicit_backward(self, rng):
+    def test_multi_block_step_equals_explicit_backward(self, rng, monkeypatch):
         # latent 100 pads to 128, so dim 300 takes three Hadamard blocks,
-        # the last cut to 44 entries
-        cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=100, dim=300, num_classes=3, seed=9)
-        projectors = projectors_of(cfg)
-        h = rng.standard_normal((7, cfg.dim))
-        y = rng.integers(0, cfg.num_classes, 7)
-        result = self._check_one_step(cfg, projectors, h, y)
-        fresh = materialize_channels(result.params, projectors)
-        for got, expected in zip(result.bank.channels, fresh.channels):
-            assert_same_bits(got, expected)
+        # the last cut to 44 entries; 3 classes take the class axis over
+        # 6 paths, 6 the path axis
+        for num_classes in (3, 6):
+            cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=100, dim=300, num_classes=num_classes, seed=9)
+            projectors = projectors_of(cfg)
+            h = rng.standard_normal((7, cfg.dim))
+            y = rng.integers(0, cfg.num_classes, 7)
+            result = self._check_steps(cfg, projectors, h, y, monkeypatch)
+            fresh = materialize_channels(result.params, projectors)
+            for got, expected in zip(result.bank.channels, fresh.channels):
+                assert_same_bits(got, expected)
 
     @staticmethod
-    def _check_one_step(cfg, projectors, h, y):
-        params = init_params(cfg, dtype=np.float64)
-        tcfg = TrainConfig(
-            epochs=1, batch_size=len(y), microbatch_size=len(y),
-            learning_rate=1e-3, weight_decay=5e-5,
-        )
-        result = train(cfg, tcfg, h, y)
-        grads = backward(h, y, params, projectors)
-        expected = params.copy()
-        adamw_step(AdamW(expected.arrays(), learning_rate=1e-3, weight_decay=5e-5), grads)
-        np.testing.assert_allclose(result.params.head, expected.head, rtol=1e-12)
-        for a, b in zip(result.params.latents, expected.latents):
-            np.testing.assert_allclose(a, b, rtol=1e-12)
+    def _check_steps(cfg, projectors, h, y, monkeypatch):
+        # Two full-batch steps from init_params.  The first step's latent
+        # gradients are zero under the uniform initial head; the second's
+        # are not.  The first update must equal AdamW applied to
+        # backward()'s gradients: a gradient off by d moves AdamW's first
+        # update by at most lr * d / eps, 1e-10 for float64 rounding here.
+        steps = []
+
+        def recording_step(h_train, y_train, b_idx, h_mb, params, *args):
+            steps.append((params.copy(), {}))
+            return step(h_train, y_train, b_idx, h_mb, params, *args)
+
+        def recording_update(self, k, grad):
+            steps[-1][1][k] = grad.copy()
+            return update(self, k, grad)
+
+        step, update = training._train_batch, AdamW.update
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "_train_batch", recording_step)
+            patch.setattr(AdamW, "update", recording_update)
+            tcfg = TrainConfig(epochs=2, batch_size=len(y), microbatch_size=3,
+                               learning_rate=1e-3, weight_decay=5e-5)
+            result = train(cfg, tcfg, h, y)
+        assert len(steps) == 2
+        for params, grads in steps:
+            expected = backward(h, y, params, projectors).arrays()
+            scale = max(np.abs(e).max() for e in expected)
+            assert sorted(grads) == list(range(len(expected)))
+            for k, e in enumerate(expected):
+                np.testing.assert_allclose(grads[k], e, rtol=1e-9, atol=1e-12 * scale)
+        first = steps[0][0].copy()
+        adamw_step(AdamW(first.arrays(), learning_rate=1e-3, weight_decay=5e-5),
+                   backward(h, y, steps[0][0], projectors))
+        for a, b in zip(steps[1][0].arrays(), first.arrays()):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-10)
         return result
