@@ -8,10 +8,10 @@ prototype, which is never stored.  A decomposed model has two forwards:
 * :func:`score_batch` scores rows against the basis the bank keeps: the
   path terms ``t = h @ basis.T``, then ``t @ head.T``.  It serves
   batches and ``predict``, in chunks of at most 256 rows, so its working
-  memory is bounded whatever the batch size.  Training contracts each
-  microbatch against the narrower of ``basis`` and the class table
-  ``head @ basis`` instead (:mod:`decohd.training`); serving keeps the
-  basis, which a rewritten bank rebuilds once, not per call.
+  memory is bounded whatever the batch size.  Training scores each
+  microbatch against the class table ``head @ basis`` instead
+  (:mod:`decohd.training`); serving keeps the basis, which a rewritten
+  bank rebuilds once, not per call.
 * :func:`stream_scores` scores one hypervector path by path, in
   ``itertools.product`` order, without a basis: it keeps ``h`` and one
   working hypervector in float64 and C scalar scores.

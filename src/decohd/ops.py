@@ -132,9 +132,7 @@ class HadamardProjector:
     equal spec rebuilds P bit for bit.  H is applied as ``H_a kron H_b``
     with ``a * b = n``, two products with ``sqrt(n)``-sized matrices, so P
     costs 13 bytes a column and two such matrices, plus a 4-byte gather
-    index a column, and G and the matrices cast once to each dtype that
-    P is applied in: at tiny shapes the casts and the index, made per
-    call, took a third of an apply.
+    index a column.
     """
 
     def __init__(self, spec: RandomMatrixSpec):
@@ -152,18 +150,11 @@ class HadamardProjector:
         self._factors = (_sylvester(a), _sylvester(n // a))
         # Pi as one gather over a row's blocks laid side by side.
         self._index = (self.perms + n * np.arange(blocks, dtype=np.int32)[:, None]).reshape(-1)
-        self._cast = {}
-
-    def _operands(self, dtype):
-        """H's two factors and G, cast to *dtype* once and kept."""
-        if dtype not in self._cast:
-            self._cast[dtype] = tuple(a.astype(dtype) for a in (*self._factors, self.gauss))
-        return self._cast[dtype]
 
     def _hadamard(self, x: np.ndarray) -> np.ndarray:
         """H on every block of the (L, blocks, n) *x*: ``a @ X @ b`` for
         each block reshaped to an ``a x b`` matrix X."""
-        a, b, _ = self._operands(x.dtype)
+        a, b = (f.astype(x.dtype, copy=False) for f in self._factors)
         return (a @ x.reshape(x.shape[:-1] + (len(a), len(b))) @ b).reshape(x.shape)
 
     def apply(self, lat: np.ndarray) -> np.ndarray:
@@ -171,7 +162,7 @@ class HadamardProjector:
         x = np.zeros((len(lat),) + self.gauss.shape, dtype=lat.dtype)
         np.multiply(lat[:, None, :], self.signs, out=x[:, :, : self.rows])
         y = np.take(self._hadamard(x).reshape(len(x), -1), self._index, axis=1).reshape(x.shape)
-        y *= self._operands(lat.dtype)[2]
+        y *= self.gauss.astype(lat.dtype, copy=False)
         return self._hadamard(y).reshape(len(lat), -1)[:, : self.cols].copy()
 
     def apply_T(self, g: np.ndarray) -> np.ndarray:
@@ -180,7 +171,7 @@ class HadamardProjector:
         y = np.zeros((len(g),) + self.gauss.shape, dtype=g.dtype)
         y.reshape(len(g), -1)[:, : self.cols] = g
         y = self._hadamard(y)
-        y *= self._operands(g.dtype)[2]
+        y *= self.gauss.astype(g.dtype, copy=False)
         x = np.empty_like(y)
         x.reshape(len(x), -1)[:, self._index] = y.reshape(len(y), -1)
         x = self._hadamard(x)[:, :, : self.rows]

@@ -19,15 +19,14 @@ residual ``g_c = p_c - 1{c==y}`` (batch-averaged) and ``G = g.T @ h``
                    d basis_m * (product of the other layers' channels)
 * d latent_i    = d channel_i @ P_i^T, the projector's ``apply_T``
 
-A step contracts each microbatch against the narrower of two tables,
-chosen from the shapes alone (:func:`_train_batch`).  With fewer classes
-than paths it is the prototypes ``head @ basis``: logits ``h @ P.T``,
-``G`` summed over the microbatches, and d head and d basis formed from
-it once per step, 2*C*dim multiply-accumulates per row.  Otherwise it is
-the basis: path terms ``t = h @ basis.T``, logits ``t @ head.T``, and
-``d head += g.T @ t``, ``d basis += (g @ head).T @ h`` per microbatch,
-2*M*dim per row.  The table lives for one step; evaluation scores
-through :func:`decohd.inference.score_batch` against the kept basis, the
+A step forms the prototypes ``P = head @ basis`` once, scores each
+microbatch ``h @ P.T``, sums ``G`` over the microbatches and forms
+d head and d basis from it once per step: 2*C*dim multiply-accumulates
+per row.  Scoring against the basis instead costs 2*M*dim per row, less
+when there are at least as many classes as paths; no benchmark workload
+has such a shape yet, so the step keeps one form (ROADMAP, benchmark
+revision).  P lives for one step; evaluation scores through
+:func:`decohd.inference.score_batch` against the kept basis, the
 deployed form.  Trained banks score ``h`` itself: only the fenced bank
 of :func:`~decohd.model.stream_channels` scores ``h*h``, until ROADMAP
 Direction 7 removes it.
@@ -120,16 +119,11 @@ def softmax_cross_entropy(scores: np.ndarray, labels: np.ndarray) -> tuple[np.nd
     return e / total, loss
 
 
-def _forward(h: np.ndarray, table: np.ndarray, head: np.ndarray | None):
-    """Logits of the rows *h* and their path terms: ``h @ P.T`` and None
-    against the prototypes ``P = head @ basis`` (*head* None), else
-    ``t @ head.T`` and ``t = h @ basis.T`` against the basis.  A diverging
-    step may overflow; the caller checks the logits."""
+def _forward(h: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+    """Logits ``h @ P.T`` of the rows *h* against the class prototypes
+    *P*.  A diverging step may overflow; the caller checks the logits."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if head is None:
-            return h @ table.T, None
-        t = h @ table.T
-        return t @ head.T, t
+        return h @ prototypes.T
 
 
 def _channel_grads_from_basis(d_basis: np.ndarray, bank: ChannelBank) -> list[np.ndarray]:
@@ -194,27 +188,24 @@ class AdamW:
 def _train_batch(h_train, y_train, b_idx, h_mb, params: ModelParams, bank: ChannelBank,
                  projectors: list[HadamardProjector], optimizer: AdamW, loss_sum: float):
     """One optimizer step on the batch *b_idx*, whose microbatches are
-    gathered into *h_mb* and contracted against the prototypes
-    ``head @ basis`` when there are fewer classes than paths, else
-    against the basis.  Returns *loss_sum* plus each microbatch's loss
+    gathered into *h_mb* and scored against the prototypes
+    ``head @ basis``.  Returns *loss_sum* plus each microbatch's loss
     sum in turn, the number of correct pre-update predictions and the bank
-    of the updated parameters; the gradients, the table and the old basis
-    die with the call.
+    of the updated parameters; the gradients, the prototypes and the old
+    basis die with the call.
     """
     b_n = len(b_idx)
     head = params.head
-    by_class = head.shape[0] < head.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged step; the forward checks it
         basis = bank.basis
-        table = head @ basis if by_class else basis
+        prototypes = head @ basis
     correct = 0
-    d_table = np.zeros_like(table)  # G, or d basis
-    d_head = np.zeros_like(head)
+    G = np.zeros_like(prototypes)
     for m_start in range(0, b_n, len(h_mb)):
         mb = b_idx[m_start : m_start + len(h_mb)]
         h = np.take(h_train, mb, axis=0, out=h_mb[: len(mb)], mode="clip")
         labels = y_train[mb]
-        scores, t = _forward(h, table, None if by_class else head)
+        scores = _forward(h, prototypes)
         if not np.isfinite(scores).all():
             raise TrainingError(
                 f"non-finite logits in microbatch (|h|max={np.abs(h).max():.3g}, "
@@ -224,20 +215,13 @@ def _train_batch(h_train, y_train, b_idx, h_mb, params: ModelParams, bank: Chann
         loss_sum += loss * len(mb)
         correct += int((np.argmax(scores, axis=1) == labels).sum())
         probs[np.arange(len(mb)), labels] -= 1.0
-        resid = (probs / b_n).astype(h.dtype, copy=False)
-        if by_class:
-            d_table += resid.T @ h
-        else:
-            d_table += (resid @ head).T @ h
-            d_head += resid.T @ t
+        G += (probs / b_n).astype(h.dtype, copy=False).T @ h
     optimizer.step()
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging step; checked after it
-        if by_class:
-            d_head, d_table = d_table @ basis.T, head.T @ d_table
-        d_channels = _channel_grads_from_basis(d_table, bank)
+        d_channels = _channel_grads_from_basis(head.T @ G, bank)
         for k, (projector, d_channel) in enumerate(zip(projectors, d_channels)):
             optimizer.update(k, projector.apply_T(d_channel))
-        optimizer.update(len(params.latents), d_head)
+        optimizer.update(len(params.latents), G @ basis.T)
         bank = materialize_channels(params, projectors)
     return loss_sum, correct, bank
 
@@ -343,7 +327,7 @@ def train(
                 test_acc = evaluate(bank, params.head, np.asarray(h_test).astype(dtype, copy=False), y_test)
                 finite = not math.isnan(test_acc)
             else:
-                finite = np.isfinite(_forward(h_train[: len(h_mb)], bank.basis, params.head)[0]).all()
+                finite = np.isfinite(_forward(h_train[: len(h_mb)], params.head @ bank.basis)).all()
             if not finite:
                 raise TrainingDiverged(f"scores became non-finite at epoch {epoch}", last_good, history)
         history.append(

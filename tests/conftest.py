@@ -61,8 +61,8 @@ def projectors_of(cfg: ModelConfig) -> list[HadamardProjector]:
 def random_small_instance(rng, dtype=np.float64, classes_below_paths: bool | None = None):
     """A random tiny model + batch for gradient and equivalence checks;
     the initial latents are scaled by 0.7.  *classes_below_paths* True
-    or False forces fewer classes than paths, or at least as many, so
-    that a training step takes its class or its path axis."""
+    or False forces fewer classes than paths, or at least as many: the
+    shapes on which the class table is the smaller or the larger one."""
     while True:
         channels = tuple(int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4))))
         latent_dim, dim = int(rng.integers(2, 17)), int(rng.integers(4, 65))

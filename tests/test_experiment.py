@@ -359,8 +359,8 @@ def test_test_encodings_are_quantized_once_per_precision_and_dim(tmp_path, monke
 def test_decohd_learns_within_a_tenth_of_the_prototype_table(num_classes, num_features, dim):
     # The fidelity gate: on separable blobs a trained decohd's test
     # accuracy stays within 0.10 of the prototype table's, at every seed.
-    # Eight paths put C=4 on a training step's class axis, C=8 on its
-    # path axis.  Scoring <P_c, h*h> instead fails it by 0.2 or more.
+    # Eight paths: C=4 below them, C=8 at them.  Scoring <P_c, h*h>
+    # instead fails it by 0.2 or more.
     for seed in (1, 2, 3):
         config = ExperimentConfig(
             root_seed=seed,

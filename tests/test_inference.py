@@ -122,12 +122,11 @@ class TestCrossModeEquivalence:
 
 
 # One row's scores through each forward of a linear bank: the two of
-# inference, and a training step's against the class table and the basis.
+# inference, and a training step's against the class table.
 FORWARDS = {
     "score_batch": lambda h, bank, head: score_batch(h[None], bank, head)[0],
     "stream_scores": stream_scores,
-    "train_class_axis": lambda h, bank, head: training._forward(h[None], head @ bank.basis, None)[0][0],
-    "train_path_axis": lambda h, bank, head: training._forward(h[None], bank.basis, head)[0][0],
+    "train": lambda h, bank, head: training._forward(h[None], head @ bank.basis)[0],
 }
 
 

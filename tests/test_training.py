@@ -99,8 +99,8 @@ class TestBackward:
         np.testing.assert_allclose(g.head.sum(axis=0), 0.0, atol=1e-10)
 
     def test_matches_finite_differences(self, rng):
-        # On shapes whose training step takes the class axis, then the path
-        # axis.  The head is drawn around init's 1/M, at its scale: under
+        # On shapes with fewer classes than paths, then at least as many.
+        # The head is drawn around init's 1/M, at its scale: under
         # the uniform head itself every latent gradient is zero.
         for classes_below_paths in (True, True, True, False, False, False):
             cfg, params, projectors, h, y = random_small_instance(rng, classes_below_paths=classes_below_paths)
@@ -472,15 +472,14 @@ class TestOneBankPerParameterState:
 class TestGradientAccumulationMatchesBackward:
     def test_one_step_equals_explicit_backward(self, rng, monkeypatch):
         # train()'s steps, each over microbatches of 3 rows, must hand AdamW
-        # backward()'s gradients, on the class axis and on the path axis
+        # backward()'s gradients, with fewer classes than paths and more
         for classes_below_paths in (True, True, False, False):
             cfg, _, projectors, h, y = random_small_instance(rng, classes_below_paths=classes_below_paths)
             self._check_steps(cfg, projectors, h, y, monkeypatch)
 
     def test_multi_block_step_equals_explicit_backward(self, rng, monkeypatch):
         # latent 100 pads to 128, so dim 300 takes three Hadamard blocks,
-        # the last cut to 44 entries; 3 classes take the class axis over
-        # 6 paths, 6 the path axis
+        # the last cut to 44 entries; 3 and 6 classes over 6 paths
         for num_classes in (3, 6):
             cfg = ModelConfig(channels_per_layer=(2, 3), latent_dim=100, dim=300, num_classes=num_classes, seed=9)
             projectors = projectors_of(cfg)
