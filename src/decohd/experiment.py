@@ -40,7 +40,7 @@ from .data import Dataset, ParseError, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
 from .inference import DecomposedScorer
-from .model import ChannelBank, Classifier, ModelConfig, accuracy
+from .model import Classifier, ModelConfig, accuracy
 from .ops import derive_seed
 from .precision import PRESETS, get_format, quantize_array, quantize_model
 from .serialize import save_classifier
@@ -275,10 +275,7 @@ def fit_model(
             seed=derive_seed(config.root_seed, "model", label, encoder.config.dim),
         )
         result = train(model_cfg, config.train, h_train, y_train, h_test, y_test)
-        # Deploy the trained channels but not the path basis the evaluation
-        # kept: run_experiment scores only quantized or bit-flipped copies
-        # of this bank, so its own basis is built on first use, if ever.
-        scorer = DecomposedScorer(ChannelBank(result.bank.channels), result.params.head)
+        scorer = DecomposedScorer(result.bank, result.params.head)
         return Classifier(encoder, standardizer, scorer, spec.kind), result.history
 
     table = build_prototype_table(h_train, y_train, num_classes)

@@ -114,9 +114,7 @@ def robustness_sweep(
     ``ROBUSTNESS_COLUMNS`` row per (model, p, trial), ``D`` being the
     model's dimension, sorted.
     """
-    # Scored as a fresh scorer, like a flipped copy, so the model keeps no path basis.
-    unflipped = {name: accuracy(s.replace(s.stored()), h_test, y_test)
-                 for name, s in scorers.items()} if 0.0 in p_grid else {}
+    unflipped = {name: accuracy(s, h_test, y_test) for name, s in scorers.items()} if 0.0 in p_grid else {}
     rows = []
     for p_idx, p in enumerate(p_grid):
         for trial in range(trials):

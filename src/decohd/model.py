@@ -10,9 +10,9 @@ a small per-class weight matrix, the bundling head, weighs all
 composes class c's prototype ``P_c = sum_m head[c, m] * basis_m``, and
 the class scores ``<P_c, h>``: bind, bundle and score in the
 hypervector space itself, with only the channels and the head stored.
-Training contracts each row against the C prototypes when there are
-fewer classes than paths, else against the M path factors: 2*C*dim
-against 2*M*dim multiply-accumulates per row (:mod:`decohd.training`).
+Training contracts each row against the C prototypes, and carries the
+gradient back through the binding with :func:`channel_grads`
+(:mod:`decohd.training`).
 
 Each layer's latents are expanded by a frozen projector of
 :meth:`ModelConfig.projector_specs`.  Training expands them through
@@ -37,6 +37,7 @@ built from latents.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -211,7 +212,7 @@ def stream_channels(params: ModelParams, config: ModelConfig) -> ChannelBank:
         return ChannelBank(list(pool.map(layer, params.latents, config.projector_specs())), squared=True)
 
 
-def layer_views(channels: list[np.ndarray]) -> list[np.ndarray]:
+def _layer_views(channels: list[np.ndarray]) -> list[np.ndarray]:
     """Layer i's (L_i, dim) channels as a broadcastable view with L_i on
     axis i and size 1 on the other layer axes, dim last.  A product of
     views is indexed by per-layer channel choices, so over all layers it
@@ -229,11 +230,31 @@ def path_basis(bank: ChannelBank) -> np.ndarray:
     Row m is the binding of the channels selected by flat path m, bound
     from the first layer to the last by broadcast outer products.
     """
-    views = layer_views(bank.channels)
+    views = _layer_views(bank.channels)
     basis = views[0].copy()
     for view in views[1:]:
         basis = basis * view
     return basis.reshape(bank.num_paths, bank.dim)
+
+
+def channel_grads(bank: ChannelBank, d_basis: np.ndarray) -> list[np.ndarray]:
+    """Per-layer channel gradients from the (num_paths, dim) path-basis
+    gradient: the adjoint of :func:`path_basis`.
+
+    Layer i's complement is the product of the lower layers' channels in
+    ascending order times the product of the higher layers' channels from
+    the last layer down, built from broadcast :func:`_layer_views`.  Each
+    channel sums ``d_basis * complement`` over the paths through it in
+    ascending path order, as a sequential scatter-add would.
+    """
+    views = _layer_views(bank.channels)
+    d_basis = d_basis.reshape(bank.channels_per_layer + (bank.dim,))
+    d_channels = []
+    for i, num in enumerate(bank.channels_per_layer):
+        parts = [functools.reduce(np.multiply, p) for p in (views[:i], views[:i:-1]) if p]
+        term = d_basis * functools.reduce(np.multiply, parts) if parts else d_basis
+        d_channels.append(np.moveaxis(term, i, 0).reshape(num, -1, bank.dim).sum(axis=1))
+    return d_channels
 
 
 def pick_class(scores: np.ndarray):

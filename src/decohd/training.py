@@ -16,7 +16,8 @@ residual ``g_c = p_c - 1{c==y}`` (batch-averaged) and ``G = g.T @ h``
 * d head        = G @ basis.T
 * d basis       = head.T @ G
 * d channel[i,l] = sum over paths with m_i == l of
-                   d basis_m * (product of the other layers' channels)
+                   d basis_m * (product of the other layers' channels),
+                   :func:`~decohd.model.channel_grads`
 * d latent_i    = d channel_i @ P_i^T, the projector's ``apply_T``
 
 A step forms the prototypes ``P = head @ basis`` once, scores each
@@ -31,18 +32,16 @@ deployed form.  Trained banks score ``h`` itself: only the fenced bank
 of :func:`~decohd.model.stream_channels` scores ``h*h``, until ROADMAP
 Direction 7 removes it.
 
-Paths are row-major, so the channel gradient is a reshape-sum: the
-products ``d basis * complement`` viewed as ``(L_0, ..., L_k, dim)`` are
-summed over every layer axis but i.  Gradient accumulation happens
-before the channels, so each projector is applied twice per optimizer
-step, not per microbatch.  Each microbatch's rows are gathered into one
-buffer of ``microbatch_size`` rows that the run reuses, so a step's
-working memory does not grow with the batch or the training set.
+Gradient accumulation happens before the channels, so each projector
+is applied twice per optimizer step, not per microbatch.  Each
+microbatch's rows are gathered into one buffer of ``microbatch_size``
+rows that the run reuses, so a step's working memory does not grow
+with the batch or the training set.
 
 The projectors are matrix-free (:class:`~decohd.ops.HadamardProjector`),
 so training holds no ``latent_dim x dim`` array.  A step makes one
-``apply_T`` call and one whole-array AdamW update per latent, one update
-of the head, and builds the next bank with
+``apply_T`` call per latent, one :meth:`AdamW.step` over the latent and
+head gradients, and builds the next bank with
 :func:`~decohd.model.materialize_channels`.  So there is one bank per
 parameter state: one more is built from the initial parameters, each
 end-of-epoch evaluation scores the bank that the next epoch's first
@@ -53,7 +52,6 @@ an explicit float64 backward and central differences of the loss.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -65,8 +63,8 @@ from .model import (
     ChannelBank,
     ModelConfig,
     ModelParams,
+    channel_grads,
     init_params,
-    layer_views,
     materialize_channels,
     pick_class,
 )
@@ -126,32 +124,11 @@ def _forward(h: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
         return h @ prototypes.T
 
 
-def _channel_grads_from_basis(d_basis: np.ndarray, bank: ChannelBank) -> list[np.ndarray]:
-    """Per-layer channel gradients from the (num_paths, dim) path-basis
-    gradient.
-
-    Layer i's complement is the product of the lower layers' channels in
-    ascending order times the product of the higher layers' channels from
-    the last layer down, built from broadcast :func:`layer_views`.  Each
-    channel sums ``d_basis * complement`` over the paths through it in
-    ascending path order, as a sequential scatter-add would.
-    """
-    views = layer_views(bank.channels)
-    d_basis = d_basis.reshape(bank.channels_per_layer + (bank.dim,))
-    d_channels = []
-    for i, num in enumerate(bank.channels_per_layer):
-        parts = [functools.reduce(np.multiply, p) for p in (views[:i], views[:i:-1]) if p]
-        term = d_basis * functools.reduce(np.multiply, parts) if parts else d_basis
-        d_channels.append(np.moveaxis(term, i, 0).reshape(num, -1, bank.dim).sum(axis=1))
-    return d_channels
-
-
 class AdamW:
     """Decoupled weight-decay Adam over the arrays of a ModelParams.
 
     Update: p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), with
-    bias-corrected moments.  A step is one :meth:`step`, then one
-    :meth:`update` of every array, in any order.
+    bias-corrected moments.
     """
 
     beta1 = 0.9
@@ -166,23 +143,21 @@ class AdamW:
         self._m = [np.zeros_like(a) for a in arrays]
         self._v = [np.zeros_like(a) for a in arrays]
 
-    def step(self) -> None:
-        """Start a step: advance ``t`` and its bias corrections."""
+    def step(self, grads: list[np.ndarray]) -> None:
+        """Advance ``t`` and update every array in place by its gradient
+        in *grads*, in the order of the arrays."""
         self.t += 1
-        self._bc1 = 1.0 - self.beta1**self.t
-        self._bc2 = 1.0 - self.beta2**self.t
-
-    def update(self, k: int, grad: np.ndarray) -> None:
-        """In-place update of the k-th array by its gradient *grad*."""
-        p, m, v = self._arrays[k], self._m[k], self._v[k]
-        m *= self.beta1
-        m += (1.0 - self.beta1) * grad
-        v *= self.beta2
-        v += (1.0 - self.beta2) * (grad * grad)
-        update = (m / self._bc1) / (np.sqrt(v / self._bc2) + self.eps)
-        if self.weight_decay > 0.0:
-            update = update + self.weight_decay * p
-        p -= self.learning_rate * update
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for p, m, v, grad in zip(self._arrays, self._m, self._v, grads, strict=True):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (grad * grad)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if self.weight_decay > 0.0:
+                update = update + self.weight_decay * p
+            p -= self.learning_rate * update
 
 
 def _train_batch(h_train, y_train, b_idx, h_mb, params: ModelParams, bank: ChannelBank,
@@ -216,12 +191,9 @@ def _train_batch(h_train, y_train, b_idx, h_mb, params: ModelParams, bank: Chann
         correct += int((np.argmax(scores, axis=1) == labels).sum())
         probs[np.arange(len(mb)), labels] -= 1.0
         G += (probs / b_n).astype(h.dtype, copy=False).T @ h
-    optimizer.step()
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging step; checked after it
-        d_channels = _channel_grads_from_basis(head.T @ G, bank)
-        for k, (projector, d_channel) in enumerate(zip(projectors, d_channels)):
-            optimizer.update(k, projector.apply_T(d_channel))
-        optimizer.update(len(params.latents), G @ basis.T)
+        d_latents = [proj.apply_T(d) for proj, d in zip(projectors, channel_grads(bank, head.T @ G))]
+        optimizer.step([*d_latents, G @ basis.T])
         bank = materialize_channels(params, projectors)
     return loss_sum, correct, bank
 
@@ -259,10 +231,11 @@ def train(
     gradients over microbatches before a single optimizer step; the
     accumulated gradient is the exact batch mean regardless of the
     microbatch split.  ``train_accuracy`` in the history is the running
-    accuracy of the pre-update forward passes.  An epoch that ends with
-    a non-finite loss, path basis or score (of the evaluation, else of
-    one microbatch) aborts with the last finite checkpoint attached to
-    the exception.  Channels are materialized once, from the initial
+    accuracy of the pre-update forward passes.  A non-finite logit in a
+    microbatch, or an epoch that ends with a non-finite path basis or
+    score (of the evaluation, else of one microbatch), aborts with the
+    last finite checkpoint attached to the exception; the loss of finite
+    logits is finite.  Channels are materialized once, from the initial
     parameters; each step returns the bank of its updated parameters, and
     the returned parameters always come with their bank, after zero
     epochs too, so no caller expands the latents again.  Training runs
@@ -310,10 +283,6 @@ def train(
             ) from exc
 
         mean_loss = loss_sum / n
-        if not np.isfinite(mean_loss):
-            raise TrainingDiverged(
-                f"loss became non-finite at epoch {epoch}", last_good, history
-            )
         test_acc = float("nan")
         with np.errstate(over="ignore", invalid="ignore"):  # the last step may have diverged
             if not np.isfinite(bank.basis).all():

@@ -8,13 +8,15 @@ from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_ta
 from decohd.data import make_synthetic
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from decohd.model import (
+    ChannelBank,
     Classifier,
     DecoHDClassifier,
     ModelConfig,
     ModelParams,
     init_params,
+    path_basis,
 )
-from decohd.ops import HadamardProjector, rng_from_seed
+from decohd.ops import HadamardProjector, generate_matrix, rng_from_seed
 from decohd.precision import get_format
 
 
@@ -132,13 +134,6 @@ def backward(h_batch, labels, params: ModelParams, projectors) -> ModelParams:
     return explicit_loss_and_grads(h_batch, labels, params, projectors)[1]
 
 
-def adamw_step(optimizer, grads: ModelParams) -> None:
-    """One whole-array AdamW step: :meth:`step`, then every array's update."""
-    optimizer.step()
-    for k, g in enumerate(grads.arrays()):
-        optimizer.update(k, g)
-
-
 def batch_loss(h_batch, labels, params: ModelParams, projectors) -> float:
     """Mean cross-entropy of the batch (:func:`explicit_loss_and_grads`);
     the finite-difference oracle pairs this with :func:`backward`."""
@@ -147,8 +142,6 @@ def batch_loss(h_batch, labels, params: ModelParams, projectors) -> float:
 
 def integer_bank_and_head(rng, channels=(2, 3), dim=6, num_classes=3):
     """Integer-valued fixtures: exact under float arithmetic."""
-    from decohd.model import ChannelBank
-
     bank = ChannelBank(
         [rng.integers(-3, 4, (l, dim)).astype(np.float64) for l in channels]
     )
@@ -179,6 +172,51 @@ def reference_scores(h, channels, head, squared=False):
             z = z * np.asarray(row, dtype=np.float64)
         prototypes += head[:, m : m + 1] * z
     return (h * h if squared else h) @ prototypes.T
+
+
+def fold_oracle(clf, features):
+    """Float64 scores of the classifier *clf* on raw *features*, folded
+    into one C x F map, and a bound on float32 rounding per row.
+
+    The encoder is linear up to a positive per-row scale,
+    ``h = zW / |zW|``, so a scorer linear in h predicts
+    ``argmax(z @ (W @ S.T))``, with S its effective C x D table: the
+    table of prototype and onlinehd, the table on the kept columns and
+    zero elsewhere for sparsehd, and ``head @ path_basis(bank)`` for a
+    trained decohd.  z is standardized here and W drawn again from the
+    encoder's spec, both in float64; of the package only
+    :func:`~decohd.model.path_basis` runs, on a float64 copy of the bank.
+
+    Each term of a float32 score passes through fewer than
+    ``n = F + D + M + L + 8`` roundings (the encoding sum, the divide,
+    the table contraction, decohd's path sum and binding), so the score
+    is off by at most ``gamma_n`` times the same sum over absolute
+    factors, with decohd's table as ``|head| @ |basis|``, the path sum
+    that :func:`~decohd.inference.score_batch` forms.  A row whose
+    top-2 margin exceeds twice the largest such bound must predict the
+    fold's class.
+    """
+    z = (np.asarray(features, dtype=np.float64) - clf.standardizer.mean) / clf.standardizer.std
+    w = generate_matrix(clf.encoder.config.matrix_spec(), dtype=np.float32).astype(np.float64)
+    s = clf.scorer
+    depth = z.shape[1] + w.shape[1] + 8
+    if clf.kind == "decohd":
+        assert not s.bank.squared, "the fenced bank scores h*h, which does not fold"
+        head = s.head.astype(np.float64)
+        basis = path_basis(ChannelBank([c.astype(np.float64) for c in s.bank.channels]))
+        table, terms = head @ basis, np.abs(head) @ np.abs(basis)
+        depth += head.shape[1] + len(s.bank.channels)
+    elif clf.kind == "sparsehd":
+        table = np.zeros((s.num_classes, s.dim))
+        table[:, s.mask] = s.table
+        terms = np.abs(table)
+    else:
+        table = s.prototypes.astype(np.float64)
+        terms = np.abs(table)
+    u = np.finfo(np.float32).eps / 2
+    gamma = depth * u / (1 - depth * u)
+    bound = gamma * (np.abs(z) @ (np.abs(w) @ terms.T)).max(axis=1)
+    return z @ (w @ table.T), bound
 
 
 def assert_scores_near_reference(scores, h, bank, head, rel):
@@ -218,7 +256,6 @@ def deployed_forms(rng, channels=(2, 3), dim=48, num_classes=4):
     version."""
     from decohd.baselines import PrototypeTable
     from decohd.inference import DecomposedScorer
-    from decohd.model import ChannelBank
 
     bank = ChannelBank([rng.standard_normal((l, dim)).astype(np.float32) for l in channels])
     head = rng.standard_normal((num_classes, int(np.prod(channels)))).astype(np.float32)

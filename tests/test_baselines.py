@@ -67,6 +67,15 @@ class TestOnlineHDRefine:
 
 
 class TestSparsifyTable:
+    @pytest.mark.parametrize("budget, message", [
+        (0.0, r"^budget must be in \(0, 1\]$"),
+        (1.5, r"^budget must be in \(0, 1\]$"),
+        (0.1, "^budget 0.1 retains zero of 5 dimensions$"),
+    ], ids=["zero", "above-one", "keeps-none"])
+    def test_a_budget_out_of_range_or_keeping_nothing_is_refused(self, budget, message):
+        with pytest.raises(ValueError, match=message):
+            sparsify_table(PrototypeTable(np.ones((2, 5), dtype=np.float32)), budget)
+
     def test_ties_break_toward_the_lower_index(self):
         # Column magnitudes 1, 2, 2, 1, 2: three columns tie for the top.
         prototypes = np.array([[1.0, -2.0, 1.0, 0.5, 2.0],

@@ -1,13 +1,18 @@
 import csv
 import json
+import os
 import re
 
+import numpy as np
 import pytest
 
 from decohd import cli
-from decohd.data import Dataset, make_synthetic, save_csv
+from decohd.budget import BudgetQuery, enumerate_configs, trainable_param_savings
+from decohd.data import Dataset, load_csv, make_synthetic, save_csv
 from decohd.faults import ROBUSTNESS_COLUMNS
-from decohd.serialize import load_arrays, save_arrays, save_classifier
+from decohd.model import accuracy
+from decohd.precision import quantize_array, quantize_model
+from decohd.serialize import load_arrays, load_classifier, save_arrays, save_classifier
 from tests.conftest import small_classifier
 
 
@@ -418,3 +423,72 @@ def test_unusable_container_exits_2_as_data_error(saved_decohd, tmp_path, capsys
         assert "not a readable model container" in err
     if how == "channels":
         assert "channels:0 is float32 of shape" in err
+
+
+def test_budget_prints_the_top_rows_and_writes_every_configuration(tmp_path, capsys):
+    output = tmp_path / "budget.csv"
+    assert cli.main(["budget", "--m", "1", "--classes", "3", "--dim", "64", "--d", "8,16", "--top", "2",
+                     "--output", str(output)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reports = enumerate_configs(BudgetQuery(m_target=1.0, num_classes=3, dim=64, latent_dims=(8, 16)))
+    header = ["layers", "channels", "latent_dim", "num_paths", "footprint", "trainable_params", "savings"]
+    rows = [[str(r.num_layers), "x".join(map(str, r.channels_per_layer)), str(r.latent_dim), str(r.num_paths),
+             format(r.footprint, ".10g"), str(r.trainable_params),
+             format(trainable_param_savings(r.channels_per_layer, r.latent_dim, 3, 64), ".10g")]
+            for r in reports]
+    assert len(rows) > 2
+    assert lines[0] == f"{len(rows)} configurations with footprint <= 1.0 (C=3, D=64)"
+    assert lines[1].split() == header
+    assert [line.split()[:4] for line in lines[2:-1]] == [row[:4] for row in rows[:2]]
+    assert lines[-1] == f"full table written to {output}"
+    with open(output, newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [header, *rows]
+
+
+def test_synth_writes_csvs_that_load_back_to_the_dataset(tmp_path, capsys):
+    paths = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert cli.main(["synth", "--classes", "3", "--features", "4", "--per-class", "5", "--separation", "2.5",
+                     "--seed", "7", "--train-out", paths[0], "--test-out", paths[1]]) == 0
+    assert capsys.readouterr().out == f"wrote 15 train rows to {paths[0]}\nwrote 15 test rows to {paths[1]}\n"
+    for path, expected in zip(paths, make_synthetic(3, 4, 5, 2.5, seed=7)):
+        loaded = load_csv(path)
+        np.testing.assert_array_equal(loaded.labels, expected.labels)
+        np.testing.assert_allclose(loaded.features, expected.features, rtol=1e-9, atol=0)  # %.10g
+
+
+def test_sweep_exits_0_and_prints_paths_that_exist(tmp_path, capsys):
+    config = {"data": {"synthetic": {"num_classes": 3, "num_features": 6, "samples_per_class": 10}},
+              "models": [{"kind": "prototype"}], "dims": [16]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" ", 1)[0] for line in lines] == ["results written to", "manifest written to"]
+    for line in lines:
+        assert os.path.isfile(line.rsplit(" ", 1)[1])
+
+
+def test_eval_at_bf16_scores_the_rounded_model_on_rounded_encodings(saved_decohd, capsys):
+    model_path, csv_path = saved_decohd
+    assert cli.main(["eval", "--model", model_path, "--test-csv", csv_path, "--precision", "bf16"]) == 0
+    clf = load_classifier(model_path)
+    test_ds = load_csv(csv_path)
+    h = clf.encoder.encode_batch(test_ds.features, clf.standardizer)
+    expected = accuracy(quantize_model(clf.scorer, "bf16"), quantize_array(h, "bf16"), test_ds.labels)
+    out = capsys.readouterr().out
+    assert printed("accuracy", out) == f"{expected:.4f}" and "precision=bf16 " in out
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config "),
+    ("{", ": invalid JSON: "),
+    (json.dumps({**SYNTHETIC, "precisions": ["fp7"]}), "precisions: unknown formats ['fp7']; presets: "),
+], ids=["missing", "invalid-json", "unknown-precision"])
+def test_a_sweep_config_that_cannot_be_used_exits_1(tmp_path, capsys, content, message):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()

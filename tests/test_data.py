@@ -77,12 +77,13 @@ class TestLoadCsv:
             ("1,2,0\n\n3,4,-1\n", "line 3: negative label -1"),
             ("1,2,0\n# note\n3,4,1\n5,x,1\n", "line 4: non-numeric cell 'x'"),
             ("f0,f1,label\n", "line 1: a header and no data rows"),
+            ("0\n1\n", "need at least one feature column plus a label column"),
         ],
         ids=["ragged", "ragged-after-header", "non-numeric", "non-integer-label",
              "non-integer-label-after-header", "negative-label", "empty",
              "nan-feature", "inf-feature-after-header", "inf-label",
              "nan-feature-after-blank-line", "negative-label-after-blank-line",
-             "non-numeric-after-comment", "header-only"],
+             "non-numeric-after-comment", "header-only", "one-column"],
     )
     def test_malformed_rows_name_their_line(self, write, text, message):
         with pytest.raises(ParseError, match=message):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,12 @@ class TestEncode:
         enc_n.matrix = np.eye(2, dtype=np.float32)
         h_n = enc_n.encode(np.array([3.0, 4.0]), identity_standardizer(2))
         np.testing.assert_allclose(h_n, [0.6, 0.8], atol=1e-7)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3,)], ids=["narrow", "one-dimensional"])
+    def test_rows_of_the_wrong_width_are_rejected(self, shape):
+        enc = RandomProjectionEncoder(EncoderConfig(num_features=2, dim=4, seed=0))
+        with pytest.raises(ValueError, match=re.escape(f"expected shape (n, 2), got {shape}")):
+            enc.encode_batch(np.ones(shape), identity_standardizer(2))
 
     def test_nan_input_rejected(self):
         enc = RandomProjectionEncoder(EncoderConfig(num_features=2, dim=4, seed=0))

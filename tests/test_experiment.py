@@ -26,7 +26,7 @@ from decohd.ops import HadamardProjector, generate_matrix, row_blocks
 from decohd.precision import quantize_array
 from decohd.serialize import load_classifier, save_classifier
 from decohd.training import TrainConfig
-from tests.conftest import assert_same_bits
+from tests.conftest import assert_same_bits, fold_oracle
 
 PRECISIONS = ("fp32", "bf16", "fp8_e4m3fn")
 P_GRID = (0.0, 1e-3)
@@ -193,6 +193,29 @@ def test_fit_model_refines_only_a_table_it_keeps(monkeypatch, model, refines):
         expected = sparsify_table(build_prototype_table(h_train, train_ds.labels, 3), spec.budget)
         assert_same_bits(clf.scorer.table, expected.table)
         np.testing.assert_array_equal(clf.scorer.mask, expected.mask)
+
+
+@pytest.mark.parametrize("model", [{"kind": "decohd", "channels": [2, 2], "latent_dim": 16}, {"kind": "prototype"},
+                                   {"kind": "onlinehd", "epochs": 2}, {"kind": "sparsehd", "budget": 0.5}],
+                         ids=["decohd", "prototype", "onlinehd", "sparsehd"])
+def test_predict_batch_agrees_with_the_fold_of_the_features(model):
+    # Every fitted model is linear in h, so from raw features it predicts
+    # the class of one C x F map (conftest.fold_oracle) on every row that
+    # float32 rounding cannot reorder.
+    config = ExperimentConfig(data={"synthetic": {"num_classes": 4, "num_features": 8, "samples_per_class": 40}},
+                              models=(model,), dims=(128,), root_seed=5,
+                              train={"epochs": 10, "batch_size": 32, "microbatch_size": 16, "learning_rate": 1e-2})
+    train_ds, test_ds = prepare_data(config.data, config.root_seed)
+    standardizer = fit_standardizer(train_ds.features)
+    encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, 128)
+    spec = config.models[0]
+    clf, _ = fit_model(spec, spec.kind, config, encoder, standardizer,
+                       h_train, train_ds.labels, h_test, test_ds.labels, 4)
+    scores, bound = fold_oracle(clf, test_ds.features)
+    top2 = np.sort(scores, axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > 2 * bound
+    assert clear.mean() > 0.9
+    np.testing.assert_array_equal(clf.predict_batch(test_ds.features)[clear], np.argmax(scores, axis=1)[clear])
 
 
 # Every settable config field; a key added or removed changes what

@@ -66,6 +66,11 @@ def test_spec_validation():
         NoiseSpec(0.1, target="encodings")
 
 
+def test_only_float32_storage_is_flipped():
+    with pytest.raises(TypeError, match="^bit flips are defined on float32 storage, got float64$"):
+        flip_float32_bits(np.zeros(4), 0.5, 1)
+
+
 def test_zero_rate_copies_without_drawing(monkeypatch):
     seeds = []
 

@@ -49,6 +49,11 @@ class TestStreamScores:
         # P_0 = [2, -2, 2]; <P_0, h> = 2 - 4 + 6 = 4
         np.testing.assert_array_equal(stream_scores(h, bank, head), [4.0, 2.0])
 
+    def test_an_h_of_the_wrong_length_is_refused(self, rng):
+        bank, head, _ = random_bank_and_head(rng, np.float64)  # dim 32
+        with pytest.raises(ValueError, match=r"^hypervector shape \(31,\) does not match bank dim 32$"):
+            stream_scores(np.zeros(31), bank, head)
+
     def test_leaves_a_float64_input_unchanged(self, rng):
         # The input is widened into a float64 copy, a fenced bank's
         # squared in place there.

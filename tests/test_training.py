@@ -11,6 +11,7 @@ from decohd.model import (
     ChannelBank,
     ModelConfig,
     ModelParams,
+    channel_grads,
     init_params,
     materialize_channels,
 )
@@ -25,7 +26,6 @@ from decohd.training import (
 )
 from tests.conftest import (
     LAYER_SHAPES,
-    adamw_step,
     assert_same_bits,
     backward,
     batch_loss,
@@ -147,7 +147,7 @@ class TestChannelGradients:
         dim = 96
         bank = ChannelBank([rng.standard_normal((l, dim)).astype(dtype) for l in channels])
         d_basis = rng.standard_normal((bank.num_paths, dim)).astype(dtype)
-        got = training._channel_grads_from_basis(d_basis, bank)
+        got = channel_grads(bank, d_basis)
         expected = scatter_channel_grads(d_basis, bank)
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
@@ -177,7 +177,7 @@ class TestAdamW:
         before = params.copy()
         opt = AdamW(params.arrays(), learning_rate=0.1, weight_decay=0.0)
         for _ in range(3):
-            adamw_step(opt, self._zero_grads(params))
+            opt.step(self._zero_grads(params).arrays())
         assert params.head.tobytes() == before.head.tobytes()
         assert params.latents[0].tobytes() == before.latents[0].tobytes()
 
@@ -198,7 +198,7 @@ class TestAdamW:
         expected_head = reference(params.head, g.head)
         out = params.copy()
         assert (AdamW.beta1, AdamW.beta2, AdamW.eps) == (b1, b2, eps)
-        adamw_step(AdamW(out.arrays(), learning_rate=lr), g)
+        AdamW(out.arrays(), learning_rate=lr).step(g.arrays())
         np.testing.assert_allclose(out.latents[0], expected_lat, rtol=1e-12)
         np.testing.assert_allclose(out.head, expected_head, rtol=1e-12)
         # and the direction is sign-like: g / (|g| + eps) up to bias correction
@@ -209,8 +209,8 @@ class TestAdamW:
         params = self._params()
         opt = AdamW(params.arrays(), learning_rate=0.1, weight_decay=0.5)
         expected = params.head * (1.0 - 0.1 * 0.5) ** 2
-        adamw_step(opt, self._zero_grads(params))
-        adamw_step(opt, self._zero_grads(params))
+        opt.step(self._zero_grads(params).arrays())
+        opt.step(self._zero_grads(params).arrays())
         np.testing.assert_allclose(params.head, expected, rtol=1e-12)
 
 
@@ -258,6 +258,12 @@ class TestTrain:
             assert_same_bits(a, b)
         with pytest.raises(ValueError, match="training encodings must be floating, got int64"):
             train(cfg, tcfg, h_tr.astype(np.int64), y_tr)
+
+    def test_empty_training_set_is_refused_before_training(self, monkeypatch):
+        cfg, h_tr, y_tr, _, _ = _blob_setup()
+        monkeypatch.setattr(training, "HadamardProjector", None)
+        with pytest.raises(ValueError, match="^empty training set$"):
+            train(cfg, TrainConfig(epochs=1), h_tr[:0], y_tr[:0])
 
     def test_empty_test_set_is_refused_before_training(self, monkeypatch):
         # Refused before any projector is built, not scored as a diverged run.
@@ -503,14 +509,14 @@ class TestGradientAccumulationMatchesBackward:
             steps.append((params.copy(), {}))
             return step(h_train, y_train, b_idx, h_mb, params, *args)
 
-        def recording_update(self, k, grad):
-            steps[-1][1][k] = grad.copy()
-            return update(self, k, grad)
+        def recording_optimizer_step(self, grads):
+            steps[-1][1].update({k: grad.copy() for k, grad in enumerate(grads)})
+            return optimizer_step(self, grads)
 
-        step, update = training._train_batch, AdamW.update
+        step, optimizer_step = training._train_batch, AdamW.step
         with monkeypatch.context() as patch:
             patch.setattr(training, "_train_batch", recording_step)
-            patch.setattr(AdamW, "update", recording_update)
+            patch.setattr(AdamW, "step", recording_optimizer_step)
             tcfg = TrainConfig(epochs=2, batch_size=len(y), microbatch_size=3,
                                learning_rate=1e-3, weight_decay=5e-5)
             result = train(cfg, tcfg, h, y)
@@ -522,8 +528,8 @@ class TestGradientAccumulationMatchesBackward:
             for k, e in enumerate(expected):
                 np.testing.assert_allclose(grads[k], e, rtol=1e-9, atol=1e-12 * scale)
         first = steps[0][0].copy()
-        adamw_step(AdamW(first.arrays(), learning_rate=1e-3, weight_decay=5e-5),
-                   backward(h, y, steps[0][0], projectors))
+        AdamW(first.arrays(), learning_rate=1e-3, weight_decay=5e-5).step(
+            backward(h, y, steps[0][0], projectors).arrays())
         for a, b in zip(steps[1][0].arrays(), first.arrays()):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-10)
         return result
