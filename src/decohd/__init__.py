@@ -4,7 +4,7 @@ Class prototypes are composed on the fly from a small shared bank of
 channel hypervectors via stacked binding and a learned bundling head,
 instead of being stored densely.  The package covers the full loop:
 random-projection encoding, end-to-end training of the decomposition,
-batched and streamed scoring, budget planning, prototype-table baselines,
+one batched scoring forward, budget planning, prototype-table baselines,
 and robustness/precision evaluation harnesses.
 """
 

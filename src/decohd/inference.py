@@ -1,30 +1,28 @@
-"""Scoring a decomposed model: two forwards of one score.
+"""Scoring a decomposed model: one forward.
 
 The score of class c is ``s_c = <P_c, h> = sum_m head[c,m] * <basis_m, h>``,
 with ``basis_m`` the bound-path factor of path m
 (:func:`~decohd.model.path_basis`) and ``P_c`` the class's composed
-prototype, which is never stored.  A decomposed model has two forwards:
-
-* :func:`score_batch` scores rows against the basis the bank keeps: the
-  path terms ``t = h @ basis.T``, then ``t @ head.T``.  It serves
-  batches and ``predict``, in chunks of at most 256 rows, so its working
-  memory is bounded whatever the batch size.  Training scores each
-  microbatch against the class table ``head @ basis`` instead
-  (:mod:`decohd.training`); serving keeps the basis, which a rewritten
-  bank rebuilds once, not per call.
-* :func:`stream_scores` scores one hypervector path by path, in
-  ``itertools.product`` order, without a basis: it keeps ``h`` and one
-  working hypervector in float64 and C scalar scores.
+prototype, which is never stored.  :func:`score_batch` scores rows
+against the basis the bank keeps: the path terms ``t = h @ basis.T``,
+then ``t @ head.T``, in chunks of at most 256 rows, so its working
+memory is bounded whatever the batch size.  A rewritten bank rebuilds
+its basis once, not per call.  Training scores each microbatch against
+the class table ``head @ basis`` instead (:mod:`decohd.training`).
 
 The fenced bank that :func:`~decohd.model.stream_channels` returns
 (:attr:`~decohd.model.ChannelBank.squared`) scores ``<P_c, h*h>``, the
-form the benchmark's serve oracle checks; both forwards square the
+form the benchmark's serve oracle checks; the forward squares the
 input for it alone, until ROADMAP Direction 7 removes the fence.
 
 Forms differ in rounding by a bound relative to the sum of the absolute
 path terms, ``sum_m |head[c,m]| * <|basis_m|, |h|>``, not to the score,
-which may cancel to near zero.  :func:`choose_mode` and the *mode* of
-:meth:`DecomposedScorer.scores` stay only for callers that pass them.
+which may cancel to near zero.
+
+:func:`stream_scores`, :func:`choose_mode` and the *mode* of
+:meth:`DecomposedScorer.scores` are the benchmark's low-memory
+bindings: each is the one-row case of :func:`score_batch` or a
+constant, kept only because the benchmark calls and traces them.
 
 :class:`DecomposedScorer` is the deployed form of a decomposed model.
 Like the baselines' :class:`~decohd.baselines.PrototypeTable` and
@@ -36,7 +34,6 @@ work through these two alone.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,28 +50,13 @@ _SCORE_CHUNK_ROWS = 256
 
 
 def stream_scores(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
-    """Score-only streaming: one path hypervector alive at a time.
-
-    *h* is widened to float64 once, into ``u`` (squared in place for a
-    fenced bank); each path binds its channel rows into a float64 working
-    buffer, its basis row, and adds the row's dot with ``u`` to the
-    scores.  A bit-flipped bank may overflow: as in :func:`score_batch`,
-    its warnings are silenced.
-    """
-    u = np.array(h, dtype=np.float64)
-    if u.shape != (bank.dim,):
-        raise ValueError(f"hypervector shape {u.shape} does not match bank dim {bank.dim}")
-    scores = np.zeros(head.shape[0], dtype=np.float64)
-    z = np.empty(bank.dim, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if bank.squared:
-            np.multiply(u, u, out=u)
-        for m, rows in enumerate(itertools.product(*bank.channels)):
-            z[:] = rows[0]
-            for row in rows[1:]:
-                np.multiply(z, row, out=z)
-            scores += head[:, m].astype(np.float64) * np.dot(z, u)
-    return scores
+    """Scores of one hypervector, shape (num_classes,): the one-row case
+    of :func:`score_batch`, kept as the benchmark's traced low-memory
+    layer."""
+    h = np.asarray(h)
+    if h.shape != (bank.dim,):
+        raise ValueError(f"hypervector shape {h.shape} does not match bank dim {bank.dim}")
+    return score_batch(h[None, :], bank, head)[0]
 
 
 def score_batch(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarray:
@@ -107,9 +89,8 @@ def score_batch(h: np.ndarray, bank: ChannelBank, head: np.ndarray) -> np.ndarra
 
 
 def choose_mode(num_classes: int, dim: int, memory_cap_bytes: int | None) -> str:
-    """``"score_only"`` under every cap: a kept basis scores faster than a
-    C x dim table rebuilt per call, and streaming needs neither.  The
-    arguments stay only for callers that pass them."""
+    """``"score_only"`` under every cap, the one mode.  The benchmark's
+    low-memory requests call it; its arguments are not read."""
     return "score_only"
 
 
@@ -142,8 +123,10 @@ class DecomposedScorer:
         return DecomposedScorer(bank=ChannelBank(channels, squared=self.bank.squared), head=arrays["head"])
 
     def scores(self, h: np.ndarray, mode: str = "score_only") -> np.ndarray:
-        """Scores of one hypervector, shape (num_classes,), streamed by
-        :func:`stream_scores`; ``score_only`` is the one *mode*."""
+        """Scores of one hypervector, shape (num_classes,):
+        :func:`stream_scores`, the one-row case of :meth:`score_batch`,
+        bit for bit and in its dtype.  ``score_only`` is the one *mode*;
+        the benchmark's low-memory requests pass it."""
         if mode != "score_only":
             raise ValueError(f"unknown inference mode {mode!r}; expected 'score_only'")
         return stream_scores(h, self.bank, self.head)

@@ -2,7 +2,7 @@
 
 Binding (elementwise multiplication), bundling (weighted addition) and
 the dot-product similarity are written where the model performs them,
-in :func:`decohd.model.path_basis` and the forwards of
+in :func:`decohd.model.path_basis` and the forward of
 :mod:`decohd.inference`.
 
 Frozen random matrices are described by a :class:`RandomMatrixSpec` of

@@ -170,7 +170,9 @@ def quantize_model(scorer, fmt: PrecisionFormat | str):
     scorer of the same type.
 
     Compute downstream stays in 32/64-bit; only stored values move onto
-    the reduced grid.  The fp32 preset is a bit-exact identity.
+    the reduced grid.  At fp32 every value keeps its bits except a
+    signalling NaN, which comes back quiet (:func:`quantize_array`); the
+    result is still a new scorer over copies, with its own path basis.
     """
     fmt = get_format(fmt)
     return scorer.replace({key: quantize_array(a, fmt) for key, a in scorer.stored().items()})

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import zipfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -84,9 +84,11 @@ def load_classifier(path) -> Classifier:
 
     A container that cannot make a usable model raises
     :class:`ContainerError`: a wrong format version, an unknown kind, a
-    missing metadata key or array, stored arrays that are not float32
-    matrices as wide as the encoding they score, a score form that is
-    not a bool, or a standardizer that cannot scale features.
+    missing metadata key or array, an encoder record whose sizes and
+    seed are not integers or whose ``normalize_output`` is not a bool,
+    stored arrays that are not float32 matrices as wide as the encoding
+    they score, a score form that is not a bool, or a standardizer that
+    cannot scale features.
     """
     meta, arrays = load_arrays(path)
     if meta.get("format_version") != FORMAT_VERSION:
@@ -111,7 +113,12 @@ def _matrix(arrays: dict[str, np.ndarray], name: str, width: int) -> np.ndarray:
 
 
 def _classifier_from(meta: dict, arrays: dict[str, np.ndarray], kind: str) -> Classifier:
-    encoder = RandomProjectionEncoder(EncoderConfig(**meta["encoder"]))
+    record = meta["encoder"]
+    for f in fields(EncoderConfig):  # every key: a missing one is not the config's default
+        wanted, words = (bool, "true or false") if f.name == "normalize_output" else (int, "an integer")
+        if type(record[f.name]) is not wanted:  # JSON's true is no int here, nor is 7.0
+            raise ValueError(f"encoder {f.name} is {record[f.name]!r}, expected {words}")
+    encoder = RandomProjectionEncoder(EncoderConfig(**record))
     standardizer = Standardizer(mean=arrays["standardizer_mean"], std=arrays["standardizer_std"])
     width = (encoder.config.num_features,)
     if standardizer.mean.shape != width or standardizer.std.shape != width:

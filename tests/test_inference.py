@@ -6,9 +6,10 @@ import pytest
 
 from decohd import inference, model, training
 from decohd.inference import DecomposedScorer, choose_mode, score_batch, stream_scores
-from decohd.encoding import EncoderConfig, RandomProjectionEncoder
+from decohd.encoding import EncoderConfig, RandomProjectionEncoder, fit_standardizer
 from decohd.faults import NoiseSpec, inject_bitflips
-from decohd.model import ChannelBank, DecoHDClassifier, path_basis, pick_class
+from decohd.experiment import ExperimentConfig, encode_splits, fit_model, prepare_data
+from decohd.model import ChannelBank, DecoHDClassifier, ModelConfig, init_params, path_basis, pick_class
 from decohd.precision import quantize_model
 from tests.conftest import (
     assert_same_bits,
@@ -55,40 +56,17 @@ class TestStreamScores:
             stream_scores(np.zeros(31), bank, head)
 
     def test_leaves_a_float64_input_unchanged(self, rng):
-        # The input is widened into a float64 copy, a fenced bank's
-        # squared in place there.
+        # A fenced bank's input is squared into score_batch's own
+        # buffer, never in place.
         for squared in (False, True):
             bank, head, h = random_bank_and_head(rng, np.float64, squared=squared)
             before = h.copy()
             stream_scores(h, bank, head)
             assert_same_bits(h, before)
 
-    def test_single_working_buffer(self, rng):
-        # Real bytes of one call against the analytic count: the float64
-        # working hypervector, the input widened to float64 once (a fenced
-        # bank's squared in place there), and C float64 scores.  Allowed on top: numpy's
-        # ufunc cast buffer (float32 channel rows are cast into the float64
-        # working buffer in bufsize-element chunks) and 16 KiB for the
-        # per-layer tuples of channel rows and per-path head columns.  One
-        # more D-length float64 vector (80 KB at D=10000) exceeds it.
-        dim, num_classes = 10000, 26
-        bound = (2 * dim + num_classes) * 8 + np.getbufsize() * 8 + 16 * 1024
-        for channels, squared in [((3, 4), False), ((4, 4, 4), True), ((5, 5, 5), False)]:
-            bank, head, h = random_bank_and_head(rng, channels=channels, dim=dim, num_classes=num_classes,
-                                                 squared=squared)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                stream_scores(h, bank, head)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            assert peak <= bound, channels
-
 
 class TestCrossModeEquivalence:
-    """The streamed forward against the batched one on the kept basis."""
+    """The one-row forward is the batched one on the kept basis."""
 
     def test_hundred_random_fixtures(self, rng):
         for _ in range(100):
@@ -98,10 +76,9 @@ class TestCrossModeEquivalence:
                 dim=int(rng.integers(8, 65)), num_classes=int(rng.integers(2, 6)),
             )
             scorer = DecomposedScorer(bank=bank, head=head)
-            streamed, batched = scorer.scores(h), scorer.score_batch(h[None])[0]
-            assert_scores_near_reference(streamed, h, bank, head, rel=1e-5)
-            assert_scores_near_reference(batched, h, bank, head, rel=1e-5)
-            assert pick_class(streamed) == pick_class(batched)
+            one_row = scorer.scores(h)
+            assert_same_bits(one_row, scorer.score_batch(h[None])[0])
+            assert_scores_near_reference(one_row, h, bank, head, rel=1e-5)
 
     def test_uniform_head_scores_every_class_alike(self, rng):
         bank, _, h = random_bank_and_head(rng)
@@ -126,8 +103,9 @@ class TestCrossModeEquivalence:
                 DecomposedScorer(bank=bank, head=head).scores(h, mode)
 
 
-# One row's scores through each forward of a linear bank: the two of
-# inference, and a training step's against the class table.
+# One row's scores through each forward of a linear bank: inference's
+# batched one and its one-row case, and a training step's against the
+# class table.
 FORWARDS = {
     "score_batch": lambda h, bank, head: score_batch(h[None], bank, head)[0],
     "stream_scores": stream_scores,
@@ -265,7 +243,7 @@ def test_flipped_bank_scores_without_warnings(form):
 
 
 class TestChooseMode:
-    """Every cap streams: no cap makes a materialized table the better mode."""
+    """Every cap gives the one mode, scoring on the kept basis."""
 
     def test_streams_when_the_table_fits(self):
         assert choose_mode(26, 10000, memory_cap_bytes=26 * 10000 * 4) == "score_only"
@@ -292,3 +270,43 @@ class TestDecomposedScorer:
         bank, head, h = integer_bank_and_head(rng)
         scorer = DecomposedScorer(bank=bank, head=head)
         assert_same_bits(scorer.scores(h, "score_only"), scorer.score_batch(h[None])[0])
+
+
+def fenced_classifier():
+    """A model built from latents, as the benchmark's serve workload builds it."""
+    cfg = ModelConfig((2, 2, 2), latent_dim=16, dim=256, num_classes=5, seed=11)
+    features = np.random.default_rng(5).standard_normal((40, 8))
+    encoder = RandomProjectionEncoder(EncoderConfig(num_features=8, dim=256, seed=12))
+    clf = DecoHDClassifier(encoder, fit_standardizer(features), cfg, init_params(cfg))
+    return clf, clf.channel_bank(), clf.head(), features[:6]
+
+
+def trained_classifier():
+    """A linear decohd as fit_model trains and deploys it."""
+    config = ExperimentConfig(
+        data={"synthetic": {"num_classes": 3, "num_features": 8, "samples_per_class": 20}},
+        models=({"kind": "decohd", "channels": [2, 2], "latent_dim": 8},),
+        train={"epochs": 2, "batch_size": 16, "microbatch_size": 8},
+        dims=(64,),
+    )
+    train_ds, test_ds = prepare_data(config.data, config.root_seed)
+    standardizer = fit_standardizer(train_ds.features)
+    encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, 64)
+    spec = config.models[0]
+    clf, _ = fit_model(spec, spec.kind, config, encoder, standardizer,
+                       h_train, train_ds.labels, h_test, test_ds.labels, 3)
+    return clf, clf.scorer.bank, clf.scorer.head, test_ds.features[:6]
+
+
+@pytest.mark.parametrize("build", [fenced_classifier, trained_classifier], ids=["fenced", "linear"])
+def test_the_serve_low_memory_binding_is_the_one_row_score_batch(build):
+    # The benchmark's low-memory request, bit for bit and in dtype the
+    # classifier's own one-row batch.
+    clf, bank, head, features = build()
+    assert bank.squared == (build is fenced_classifier)
+    cap = (bank.dim + len(head)) * 4
+    for x in features:
+        h = clf.encoder.encode(x, clf.standardizer)
+        low = DecomposedScorer(bank, head).scores(h, mode=choose_mode(len(head), bank.dim, cap))
+        one_row = clf.scorer.score_batch(clf.encoder.encode_batch(x[None, :], clf.standardizer))[0]
+        assert_same_bits(low, one_row)

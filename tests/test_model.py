@@ -82,7 +82,7 @@ def counting_bank(channels):
 
 
 class TestPathEnumeration:
-    """The flat path order of the kept basis and of the streamed forward."""
+    """The flat path order of the kept basis and of the head's columns."""
 
     @staticmethod
     def path(flat, channels):
@@ -90,8 +90,8 @@ class TestPathEnumeration:
         return tuple(int(v) - 1 for v in path_basis(counting_bank(channels))[flat])
 
     @staticmethod
-    def streamed_path(flat, channels):
-        """The same, read off the streamed forward: a one-hot head picks
+    def scored_path(flat, channels):
+        """The same, read off the one-row forward: a one-hot head picks
         path *flat* and a unit input picks the layer's entry."""
         bank = counting_bank(channels)
         head = np.eye(bank.num_paths)[[flat]]
@@ -118,7 +118,7 @@ class TestPathEnumeration:
         for flat in range(12):
             expected = tuple(int(a[flat]) for a in idx)
             assert self.path(flat, channels) == expected
-            assert self.streamed_path(flat, channels) == expected
+            assert self.scored_path(flat, channels) == expected
 
 
 def hadamard(rows, cols, seed=1):

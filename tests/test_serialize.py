@@ -183,6 +183,16 @@ def numeric_form(meta, arrays):
     meta["squared"] = 1
 
 
+def encoder_record(key, value):
+    def spoil(meta, arrays):
+        meta["encoder"][key] = value
+    return spoil
+
+
+def encoder_without_seed(meta, arrays):
+    del meta["encoder"]["seed"]
+
+
 @pytest.mark.parametrize("kind, spoil, message", [
     ("decohd", narrow_standardizer, "standardizer shapes"),
     ("decohd", narrow_channels, r"channels:1 is float32 of shape \(3, 63\), expected float32 of shape \(rows, 64\)"),
@@ -196,8 +206,18 @@ def numeric_form(meta, arrays):
     ("prototype", nan_std, "standardizer std is not finite and positive"),
     ("sparsehd", inf_mean, "standardizer mean is not finite"),
     ("decohd", numeric_form, "squared is 1, expected true or false"),
+    ("decohd", encoder_record("seed", 7.9), "encoder seed is 7.9, expected an integer"),
+    ("prototype", encoder_record("seed", "7"), "encoder seed is '7', expected an integer"),
+    ("sparsehd", encoder_record("seed", True), "encoder seed is True, expected an integer"),
+    ("decohd", encoder_record("dim", 64.0), r"encoder dim is 64\.0, expected an integer"),
+    ("prototype", encoder_record("num_features", True), "encoder num_features is True, expected an integer"),
+    ("decohd", encoder_record("normalize_output", "false"),
+     "encoder normalize_output is 'false', expected true or false"),
+    ("decohd", encoder_without_seed, "decohd container has no entry 'seed'"),
 ], ids=["standardizer", "dim", "head", "table", "float64_table", "full_width_table", "narrow_mask",
-        "integer_mask", "zero_std", "nan_std", "inf_mean", "numeric_form"])
+        "integer_mask", "zero_std", "nan_std", "inf_mean", "numeric_form", "float_seed", "string_seed",
+        "bool_seed", "float_dim", "bool_num_features", "string_normalize",
+        "no_seed"])
 def test_shapes_that_disagree_with_the_configs_are_container_errors(tmp_path, rng, kind, spoil, message):
     # Each would otherwise load and fail later, at encoding, scoring,
     # quantization or bit flips.
