@@ -12,7 +12,6 @@ __version__ = "0.3.0"
 
 from .baselines import (
     PrototypeTable,
-    SparseScorer,
     build_prototype_table,
     onlinehd_refine,
     sparsify_table,
@@ -48,7 +47,6 @@ __all__ = [
     "PrecisionFormat",
     "PrototypeTable",
     "RandomProjectionEncoder",
-    "SparseScorer",
     "Standardizer",
     "TrainConfig",
     "budget_of",

@@ -9,12 +9,12 @@
   retraining-based sparsification methods, hence "sparsehd-style" in all
   outputs).
 
-The two table forms share the decomposed scorer's protocol:
-``stored()`` returns the float32 array the form holds, under the name
-``"table"``, and ``replace(arrays)`` wraps rewritten arrays in the same
-form.  A sparsified table holds only its retained columns, C x
-floor(budget * dim), and scores the retained dimensions of the
-encodings against them.
+All three deploy as one :class:`PrototypeTable`, which shares the
+decomposed scorer's protocol: ``stored()`` returns the float32 array the
+table holds, under the name ``"table"``, and ``replace(arrays)`` wraps
+rewritten arrays with the same mask.  A sparsified table is the one
+with a mask: it holds only its retained columns, C x floor(budget *
+dim), and scores the retained dimensions of the encodings against them.
 """
 
 from __future__ import annotations
@@ -30,9 +30,15 @@ from .ops import derive_seed, rng_from_seed
 
 @dataclass
 class PrototypeTable:
-    """Dense class prototypes, shape (num_classes, dim)."""
+    """Class prototypes, shape (num_classes, dim).
+
+    A sparsified table's *mask* marks the retained dimensions among
+    ``dim``; ``prototypes`` then holds only those columns, in index
+    order, and scoring reads only those dimensions of the encodings.
+    """
 
     prototypes: np.ndarray
+    mask: np.ndarray | None = None  # bool, shape (dim,)
 
     @property
     def num_classes(self) -> int:
@@ -40,15 +46,17 @@ class PrototypeTable:
 
     @property
     def dim(self) -> int:
-        return self.prototypes.shape[1]
+        return self.prototypes.shape[1] if self.mask is None else self.mask.shape[0]
 
     def stored(self) -> dict[str, np.ndarray]:
         return {"table": self.prototypes}
 
     def replace(self, arrays: dict[str, np.ndarray]) -> "PrototypeTable":
-        return PrototypeTable(arrays["table"])
+        return PrototypeTable(arrays["table"], self.mask)
 
     def score_batch(self, h: np.ndarray) -> np.ndarray:
+        if self.mask is not None:
+            h = np.take(h, np.flatnonzero(self.mask), axis=-1)
         with np.errstate(over="ignore", invalid="ignore"):
             return np.asarray(h) @ self.prototypes.T
 
@@ -116,46 +124,7 @@ def onlinehd_refine(
     return PrototypeTable(protos.astype(table.prototypes.dtype, copy=False))
 
 
-@dataclass
-class SparseScorer:
-    """Prototype table restricted to a shared subset of dimensions.
-
-    ``table`` holds only the retained columns, ``table[:, j]`` being the
-    prototypes' ``j``-th retained dimension in index order; ``mask``
-    marks those dimensions among ``dim``.  :meth:`stored` returns the
-    table itself and :meth:`replace` wraps new arrays as they are.
-    Scoring reads only the retained columns of the encodings.
-    """
-
-    table: np.ndarray  # (num_classes, retained)
-    mask: np.ndarray  # bool, shape (dim,)
-
-    @property
-    def num_classes(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mask.shape[0]
-
-    @property
-    def prototypes(self) -> np.ndarray:
-        # Read by the benchmark's tracer, which counts stored words as
-        # mask.sum() * prototypes.shape[0].
-        return self.table
-
-    def stored(self) -> dict[str, np.ndarray]:
-        return {"table": self.table}
-
-    def replace(self, arrays: dict[str, np.ndarray]) -> "SparseScorer":
-        return SparseScorer(table=arrays["table"], mask=self.mask)
-
-    def score_batch(self, h: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.take(h, np.flatnonzero(self.mask), axis=-1) @ self.table.T
-
-
-def sparsify_table(table: PrototypeTable, budget: float) -> SparseScorer:
+def sparsify_table(table: PrototypeTable, budget: float) -> PrototypeTable:
     """Keep the top floor(budget * dim) dimensions by summed |prototype|
     magnitude across classes; the mask is shared by all classes, and
     only the retained columns are copied.
@@ -172,7 +141,7 @@ def sparsify_table(table: PrototypeTable, budget: float) -> SparseScorer:
     order = np.argsort(-magnitude, kind="stable")
     mask = np.zeros(table.dim, dtype=bool)
     mask[order[:keep]] = True
-    return SparseScorer(table=np.ascontiguousarray(table.prototypes[:, mask]), mask=mask)
+    return PrototypeTable(np.ascontiguousarray(table.prototypes[:, mask]), mask)
 
 
 MODEL_KINDS = ("decohd", "prototype", "onlinehd", "sparsehd")

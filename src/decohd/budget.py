@@ -13,7 +13,8 @@ deployment storage versus optimization size.
 
 :func:`budget_of` measures the same ratio on any deployed scorer by
 counting the elements it stores, so a decomposed scorer gives its
-footprint, a sparsified table its retained fraction and a dense table 1.
+footprint and a prototype table its retained fraction: 1 without a
+mask.
 """
 
 from __future__ import annotations

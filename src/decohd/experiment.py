@@ -289,7 +289,7 @@ def fit_model(
             seed=derive_seed(config.root_seed, "refine", label),
         )
     if spec.kind == "sparsehd":
-        return Classifier(encoder, standardizer, sparsify_table(table, spec.budget), spec.kind), []
+        table = sparsify_table(table, spec.budget)
     return Classifier(encoder, standardizer, table, spec.kind), []
 
 

@@ -17,8 +17,9 @@ treats NaN logits as minus infinity.
 Targets are stored model parameters (the deployed inference state):
 :func:`inject_bitflips` maps over a scorer's ``stored()`` arrays, which
 are exactly the float32 arrays the scorer holds: the materialized
-channel bank plus the bundling head of a decomposed model, the prototype
-table of a baseline, and the retained columns of a sparsified table.
+channel bank plus the bundling head of a decomposed model, or a
+baseline's prototype table, which holds only its retained columns when
+a mask sparsifies it.
 Any other dtype is refused.  Each array's stream is derived from the
 spec's seed, ``"bits"`` and the array's ``stored()`` key.
 :func:`robustness_sweep` rows are lists in ``ROBUSTNESS_COLUMNS`` order.

@@ -25,11 +25,10 @@ bindings: each is the one-row case of :func:`score_batch` or a
 constant, kept only because the benchmark calls and traces them.
 
 :class:`DecomposedScorer` is the deployed form of a decomposed model.
-Like the baselines' :class:`~decohd.baselines.PrototypeTable` and
-:class:`~decohd.baselines.SparseScorer` it exposes ``stored()``, the
-arrays the form keeps, and ``replace(arrays)``, a new scorer over
-rewritten arrays; quantization, fault injection and budget accounting
-work through these two alone.
+Like the baselines' :class:`~decohd.baselines.PrototypeTable`, dense or
+sparsified, it exposes ``stored()``, the arrays the form keeps, and
+``replace(arrays)``, a new scorer over rewritten arrays; quantization,
+fault injection and budget accounting work through these two alone.
 """
 
 from __future__ import annotations

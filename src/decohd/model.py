@@ -281,7 +281,7 @@ class Classifier:
 
     encoder: RandomProjectionEncoder
     standardizer: Standardizer
-    scorer: DecomposedScorer | PrototypeTable | SparseScorer  # not imported: their modules import this one
+    scorer: DecomposedScorer | PrototypeTable  # not imported: their modules import this one
     kind: str  # one of baselines.MODEL_KINDS
 
     def predict(self, x: np.ndarray) -> int:

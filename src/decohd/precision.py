@@ -22,7 +22,8 @@ whatever the input size, and each pass over a chunk runs in cache.
 
 :func:`quantize_model` maps :func:`quantize_array` over a deployed
 scorer's ``stored()`` arrays and rebuilds it with ``replace``.  A
-sparsified table stores, and so quantizes, only its retained columns.
+prototype table with a mask stores, and so quantizes, only its retained
+columns.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 A container holds a JSON metadata record, the standardizer and what
 the model scores with: its scorer's ``stored()`` arrays (channels and
-head, or a table) plus a sparse table's mask.  A decomposed model's
-record also names its score form, ``squared``
+head, or a table) plus the table's mask if it has one (sparsehd).  A
+decomposed model's record also names its score form, ``squared``
 (:attr:`~decohd.model.ChannelBank.squared`).  Loading draws only the
 encoder's matrix, from its seed; no latent or projector travels.
 Round-trips are bit-exact, and writing the same model twice produces
@@ -21,7 +21,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .baselines import MODEL_KINDS, PrototypeTable, SparseScorer
+from .baselines import MODEL_KINDS, PrototypeTable
 from .data import ParseError
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
 from .inference import DecomposedScorer
@@ -86,9 +86,10 @@ def load_classifier(path) -> Classifier:
     :class:`ContainerError`: a wrong format version, an unknown kind, a
     missing metadata key or array, an encoder record whose sizes and
     seed are not integers or whose ``normalize_output`` is not a bool,
-    stored arrays that are not float32 matrices as wide as the encoding
-    they score, a score form that is not a bool, or a standardizer that
-    cannot scale features.
+    stored arrays that are not float32 matrices of at least one row as
+    wide as the encoding they score, a mask that keeps no dimension, a
+    score form that is not a bool, or a standardizer that cannot scale
+    features.
     """
     meta, arrays = load_arrays(path)
     if meta.get("format_version") != FORMAT_VERSION:
@@ -105,10 +106,11 @@ def load_classifier(path) -> Classifier:
 
 
 def _matrix(arrays: dict[str, np.ndarray], name: str, width: int) -> np.ndarray:
-    """Stored array *name*, which must be a float32 matrix *width* columns wide."""
+    """Stored array *name*: a float32 matrix *width* columns wide, with
+    at least one row (no model has an empty layer or class axis)."""
     a = arrays[name]
-    if a.dtype != np.float32 or a.ndim != 2 or a.shape[1] != width:
-        raise ValueError(f"{name} is {a.dtype} of shape {a.shape}, expected float32 of shape (rows, {width})")
+    if a.dtype != np.float32 or a.ndim != 2 or a.shape[0] < 1 or a.shape[1] != width:
+        raise ValueError(f"{name} is {a.dtype} of shape {a.shape}, expected float32 of shape (rows, {width}), rows >= 1")
     return a
 
 
@@ -140,9 +142,10 @@ def _classifier_from(meta: dict, arrays: dict[str, np.ndarray], kind: str) -> Cl
         scorer = DecomposedScorer(ChannelBank(channels, squared=meta["squared"]), head)
     elif kind == "sparsehd":
         mask = arrays["mask"]
-        if mask.dtype != np.bool_ or mask.shape != (dim,):
-            raise ValueError(f"mask is {mask.dtype} of shape {mask.shape}, expected bool of shape ({dim},)")
-        scorer = SparseScorer(_matrix(arrays, "table", int(mask.sum())), mask)
+        if mask.dtype != np.bool_ or mask.shape != (dim,) or not mask.any():
+            raise ValueError(f"mask is {mask.dtype} of shape {mask.shape} with {np.count_nonzero(mask)} set, "
+                             f"expected bool of shape ({dim},) with at least one set")
+        scorer = PrototypeTable(_matrix(arrays, "table", int(mask.sum())), mask)
     else:
         scorer = PrototypeTable(_matrix(arrays, "table", dim))
     return Classifier(encoder, standardizer, scorer, kind)

@@ -208,7 +208,7 @@ def fold_oracle(clf, features):
         depth += head.shape[1] + len(s.bank.channels)
     elif clf.kind == "sparsehd":
         table = np.zeros((s.num_classes, s.dim))
-        table[:, s.mask] = s.table
+        table[:, s.mask] = s.prototypes
         terms = np.abs(table)
     else:
         table = s.prototypes.astype(np.float64)

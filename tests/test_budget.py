@@ -57,7 +57,7 @@ class TestBudgetOf:
 
     def test_sparse_is_retained_fraction(self, rng):
         scorer = deployed_forms(rng, dim=48)["sparsehd"]
-        assert budget_of(scorer) == scorer.table.shape[1] / 48 == 0.5
+        assert budget_of(scorer) == scorer.prototypes.shape[1] / 48 == 0.5
 
     def test_prototype_is_one(self, rng):
         assert budget_of(deployed_forms(rng)["prototype"]) == 1.0

@@ -191,7 +191,7 @@ def test_fit_model_refines_only_a_table_it_keeps(monkeypatch, model, refines):
     assert clf.kind == spec.kind and history == []
     if spec.kind == "sparsehd" and spec.base == "prototype":
         expected = sparsify_table(build_prototype_table(h_train, train_ds.labels, 3), spec.budget)
-        assert_same_bits(clf.scorer.table, expected.table)
+        assert_same_bits(clf.scorer.prototypes, expected.prototypes)
         np.testing.assert_array_equal(clf.scorer.mask, expected.mask)
 
 

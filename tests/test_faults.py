@@ -17,8 +17,6 @@ def words(scorer) -> dict[str, np.ndarray]:
     if hasattr(scorer, "bank"):
         out = {f"channels{i}": c for i, c in enumerate(scorer.bank.channels)}
         out["head"] = scorer.head
-    elif hasattr(scorer, "mask"):
-        out = {"table": scorer.table}
     else:
         out = {"table": scorer.prototypes}
     return {k: np.ascontiguousarray(a).view(np.uint32) for k, a in out.items()}
@@ -167,15 +165,18 @@ def test_unflipped_rows_score_each_model_once(rng, monkeypatch):
     scorers, h, y = sweep_inputs(rng)
     scored = []
 
+    def form(scorer):  # stored shapes tell the dense and the sparsified table apart
+        return sorted((key, a.shape) for key, a in scorer.stored().items())
+
     def counting(scorer, h_test, y_test):
-        scored.append(type(scorer))
+        scored.append(form(scorer))
         return accuracy(scorer, h_test, y_test)
 
     monkeypatch.setattr(faults, "accuracy", counting)
     rows = robustness_sweep(scorers, h, y, p_grid=[0.0, 1e-2], trials=3, seed=4)
     assert len(scored) == len(scorers) * (1 + 3)
     for name, scorer in scorers.items():
-        assert scored.count(type(scorer)) == 1 + 3
+        assert scored.count(form(scorer)) == 1 + 3
         unflipped = accuracy(scorer, h, y)
         assert [row[4] for row in rows if row[0] == name and row[2] == 0.0] == [unflipped] * 3
 

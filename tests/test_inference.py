@@ -83,17 +83,15 @@ class TestCrossModeEquivalence:
     def test_uniform_head_scores_every_class_alike(self, rng):
         bank, _, h = random_bank_and_head(rng)
         head = np.full((4, bank.num_paths), 1.0 / bank.num_paths, dtype=np.float32)
-        for scores in (stream_scores(h, bank, head), score_batch(h[None], bank, head)[0]):
-            for c in range(1, 4):
-                assert_same_bits(scores[c], scores[0])
+        scores = score_batch(h[None], bank, head)[0]
+        for c in range(1, 4):
+            assert_same_bits(scores[c], scores[0])
 
     def test_depends_on_h_only_through_square(self, rng):
         # The fenced bank of stream_channels scores <P_c, h*h>, the form
         # the benchmark's serve oracle checks.
         bank, head, h = random_bank_and_head(rng, squared=True)
-        assert_same_bits(stream_scores(h, bank, head), stream_scores(-h, bank, head))
         assert_same_bits(score_batch(h[None], bank, head), score_batch(-h[None], bank, head))
-        assert_scores_near_reference(stream_scores(h, bank, head), h, bank, head, rel=1e-5)
         assert_scores_near_reference(score_batch(h[None], bank, head)[0], h, bank, head, rel=1e-5)
 
     def test_unknown_mode(self, rng):
@@ -104,11 +102,9 @@ class TestCrossModeEquivalence:
 
 
 # One row's scores through each forward of a linear bank: inference's
-# batched one and its one-row case, and a training step's against the
-# class table.
+# batched one and a training step's against the class table.
 FORWARDS = {
     "score_batch": lambda h, bank, head: score_batch(h[None], bank, head)[0],
-    "stream_scores": stream_scores,
     "train": lambda h, bank, head: training._forward(h[None], head @ bank.basis)[0],
 }
 
@@ -245,10 +241,10 @@ def test_flipped_bank_scores_without_warnings(form):
 class TestChooseMode:
     """Every cap gives the one mode, scoring on the kept basis."""
 
-    def test_streams_when_the_table_fits(self):
+    def test_score_only_when_the_table_fits(self):
         assert choose_mode(26, 10000, memory_cap_bytes=26 * 10000 * 4) == "score_only"
 
-    def test_falls_back_to_streaming(self):
+    def test_score_only_below_the_table(self):
         assert choose_mode(26, 10000, memory_cap_bytes=26 * 10000 * 4 - 1) == "score_only"
         assert choose_mode(26, 10000, memory_cap_bytes=0) == "score_only"
 

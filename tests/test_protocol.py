@@ -1,5 +1,5 @@
-"""The deployed-scorer protocol shared by the decomposed, prototype and
-sparse forms, and the package's public surface."""
+"""The deployed-scorer protocol shared by the decomposed scorer and the
+prototype table, dense or sparsified, and the package's public surface."""
 
 import ast
 import re
@@ -10,7 +10,7 @@ import pytest
 
 import decohd
 from decohd import inference
-from decohd.baselines import SparseScorer
+from decohd.baselines import PrototypeTable
 from decohd.faults import NoiseSpec, flip_float32_bits, inject_bitflips
 from decohd.inference import DecomposedScorer
 from decohd.model import ChannelBank
@@ -64,6 +64,14 @@ class TestProtocol:
         for key, a in out.stored().items():
             assert a.dtype == np.float32 and a.shape == scorer.stored()[key].shape, key
 
+    def test_benchmark_counts_the_stored_words(self, rng, kind):
+        # The benchmark's faults.inject_bitflips.bits counter is 32 times
+        # this count, read from the scorer's fields rather than stored().
+        from perfbench.tracer import _stored_elements
+
+        scorer = deployed_forms(rng)[kind]
+        assert _stored_elements(scorer) == sum(a.size for a in scorer.stored().values())
+
 
 @pytest.mark.parametrize("rewrite", [lambda s: s.replace(s.stored()), *REWRITES.values()],
                          ids=["replace", *REWRITES])
@@ -98,7 +106,7 @@ class TestSparseStored:
         forms = deployed_forms(rng, dim=48)
         scorer = forms["sparsehd"]
         table = scorer.stored()["table"]
-        assert table is scorer.table
+        assert table is scorer.prototypes
         assert table.shape == (scorer.num_classes, scorer.mask.sum()) == (4, 24)
         np.testing.assert_array_equal(table, forms["prototype"].prototypes[:, scorer.mask])
 
@@ -108,17 +116,17 @@ class TestSparseStored:
         scorer = deployed_forms(rng)["sparsehd"]
         out = inject_bitflips(scorer, NoiseSpec(1.0, seed=2))
         assert out.mask is scorer.mask
-        np.testing.assert_array_equal(bits(out.table), ~bits(scorer.table))
+        np.testing.assert_array_equal(bits(out.prototypes), ~bits(scorer.prototypes))
 
     def test_sparse_scorer_holds_one_table(self, rng):
         forms = deployed_forms(rng)
         scorer = forms["sparsehd"]
         held = [v for v in vars(scorer).values() if isinstance(v, np.ndarray)]
-        assert sum(a.nbytes for a in held) == scorer.table.nbytes + scorer.mask.nbytes
-        assert scorer.table.shape == (scorer.num_classes, scorer.mask.sum())
+        assert sum(a.nbytes for a in held) == scorer.prototypes.nbytes + scorer.mask.nbytes
+        assert scorer.prototypes.shape == (scorer.num_classes, scorer.mask.sum())
         h = rng.standard_normal((9, scorer.dim)).astype(np.float32)
         scores = scorer.score_batch(h)
-        np.testing.assert_array_equal(bits(scores), bits(h[:, scorer.mask] @ scorer.table.T))
+        np.testing.assert_array_equal(bits(scores), bits(h[:, scorer.mask] @ scorer.prototypes.T))
         # The masked full-table product sums dim float32 terms, so each
         # of the two products is within dim * 2**-24 * sum |h_j P_cj| of
         # the exact score.
@@ -133,8 +141,8 @@ class TestSparseStored:
         h = rng.standard_normal((9, scorer.dim)).astype(np.float32)
         whole = quantize_array(forms["prototype"].prototypes, fmt)
         out = quantize_model(scorer, fmt)
-        np.testing.assert_array_equal(bits(out.table), bits(whole[:, scorer.mask]))
-        expected = SparseScorer(np.ascontiguousarray(whole[:, scorer.mask]), scorer.mask)
+        np.testing.assert_array_equal(bits(out.prototypes), bits(whole[:, scorer.mask]))
+        expected = PrototypeTable(np.ascontiguousarray(whole[:, scorer.mask]), scorer.mask)
         np.testing.assert_array_equal(bits(out.score_batch(h)), bits(expected.score_batch(h)))
 
 
@@ -142,7 +150,7 @@ PUBLIC_SURFACE = [
     "BudgetQuery", "BudgetReport", "Classifier", "Dataset", "DecomposedScorer",
     "EncoderConfig", "ModelConfig", "ModelParams", "NoiseSpec",
     "PRESETS", "PrecisionFormat", "PrototypeTable", "RandomProjectionEncoder",
-    "SparseScorer", "Standardizer", "TrainConfig", "budget_of", "build_prototype_table",
+    "Standardizer", "TrainConfig", "budget_of", "build_prototype_table",
     "enumerate_configs", "fit_standardizer", "footprint", "inject_bitflips",
     "load_classifier", "load_csv", "make_synthetic", "onlinehd_refine",
     "pick_class", "quantize_model", "robustness_sweep",

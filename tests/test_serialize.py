@@ -167,6 +167,22 @@ def integer_mask(meta, arrays):
     arrays["mask"] = arrays["mask"].astype(np.int64)
 
 
+def empty_layer(meta, arrays):
+    # A (0, D) channel and a (C, 0) head agree in shape, and make a model
+    # that predicts class 0 for every row.
+    arrays["channels:0"] = arrays["channels:0"][:0]
+    arrays["head"] = arrays["head"][:, :0]
+
+
+def no_classes(meta, arrays):
+    arrays["table"] = arrays["table"][:0]
+
+
+def empty_mask(meta, arrays):
+    arrays["mask"] = np.zeros_like(arrays["mask"])
+    arrays["table"] = arrays["table"][:, :0]
+
+
 def zero_std(meta, arrays):
     arrays["standardizer_std"] = np.zeros_like(arrays["standardizer_std"])
 
@@ -202,6 +218,9 @@ def encoder_without_seed(meta, arrays):
     ("sparsehd", full_width_table, r"table is float32 of shape \(3, 64\), expected float32 of shape \(rows, 32\)"),
     ("sparsehd", narrow_mask, r"mask is bool of shape \(63,\)"),
     ("sparsehd", integer_mask, r"mask is int64 of shape \(64,\)"),
+    ("decohd", empty_layer, r"channels:0 is float32 of shape \(0, 64\), expected .* rows >= 1"),
+    ("prototype", no_classes, r"table is float32 of shape \(0, 64\), expected .* rows >= 1"),
+    ("sparsehd", empty_mask, r"mask is bool of shape \(64,\) with 0 set"),
     ("decohd", zero_std, "standardizer std is not finite and positive"),
     ("prototype", nan_std, "standardizer std is not finite and positive"),
     ("sparsehd", inf_mean, "standardizer mean is not finite"),
@@ -215,7 +234,7 @@ def encoder_without_seed(meta, arrays):
      "encoder normalize_output is 'false', expected true or false"),
     ("decohd", encoder_without_seed, "decohd container has no entry 'seed'"),
 ], ids=["standardizer", "dim", "head", "table", "float64_table", "full_width_table", "narrow_mask",
-        "integer_mask", "zero_std", "nan_std", "inf_mean", "numeric_form", "float_seed", "string_seed",
+        "integer_mask", "empty_layer", "no_classes", "empty_mask", "zero_std", "nan_std", "inf_mean", "numeric_form", "float_seed", "string_seed",
         "bool_seed", "float_dim", "bool_num_features", "string_normalize",
         "no_seed"])
 def test_shapes_that_disagree_with_the_configs_are_container_errors(tmp_path, rng, kind, spoil, message):
@@ -239,5 +258,5 @@ def test_sparse_container_stores_only_its_retained_columns(tmp_path, rng):
     assert arrays["table"].shape == (3, arrays["mask"].sum()) == (3, 32)
     loaded = load_classifier(tmp_path / "m.npz")
     held = [v for v in vars(loaded.scorer).values() if isinstance(v, np.ndarray)]
-    assert sum(a.nbytes for a in held) == loaded.scorer.table.nbytes + loaded.scorer.mask.nbytes
+    assert sum(a.nbytes for a in held) == loaded.scorer.prototypes.nbytes + loaded.scorer.mask.nbytes
     np.testing.assert_array_equal(loaded.predict_batch(features), clf.predict_batch(features))
