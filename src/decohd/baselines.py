@@ -83,6 +83,12 @@ def build_prototype_table(h: np.ndarray, labels: np.ndarray, num_classes: int) -
     return PrototypeTable(table.astype(h.dtype, copy=False))
 
 
+def _refuse_mask(table: PrototypeTable, action: str) -> None:
+    if table.mask is not None:
+        raise ValueError(f"cannot {action} a sparsified table: it holds {table.prototypes.shape[1]} "
+                         f"of {table.dim} dimensions; {action} the dense table instead")
+
+
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
@@ -106,7 +112,9 @@ def onlinehd_refine(
     the predicted one away, each weighted by (1 - cosine similarity).
     With learning_rate 0 this is the identity.  Each sample is widened
     to float64 when it is visited, so no float64 copy of *h* is made.
+    A sparsified table is refused: refine the dense table, then sparsify.
     """
+    _refuse_mask(table, "refine")
     h = np.asarray(h)
     labels = np.asarray(labels)
     protos = table.prototypes.astype(np.float64)
@@ -130,8 +138,9 @@ def sparsify_table(table: PrototypeTable, budget: float) -> PrototypeTable:
     only the retained columns are copied.
 
     Ties break toward the lower dimension index, so the mask is a pure
-    function of the table.
+    function of the table.  An already sparsified table is refused.
     """
+    _refuse_mask(table, "sparsify")
     if not 0.0 < budget <= 1.0:
         raise ValueError("budget must be in (0, 1]")
     keep = int(np.floor(budget * table.dim))

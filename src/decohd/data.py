@@ -134,6 +134,25 @@ def save_csv(path: str, dataset: Dataset) -> None:
     np.savetxt(path, data, delimiter=",", fmt=fmt)
 
 
+def bayes_accuracy(num_classes: int, separation: float) -> float:
+    """Accuracy of the Bayes rule on :func:`make_synthetic` data with
+    ``num_classes <= num_features``: the centres are then orthogonal and
+    of equal norm, so the rule is ``argmax_c x_c`` and it is right with
+    probability ``integral of phi(z - s) * Phi(z)**(C - 1) dz``, which
+    Simpson's rule sums over ``z - s`` in [-10, 10].  The ceiling no model
+    of those data can beat beyond sampling noise."""
+    if num_classes < 2 or not 0.0 <= separation < math.inf:
+        raise ValueError(f"need num_classes >= 2 and a finite separation >= 0, got {num_classes}, {separation}")
+    steps, width = 2000, 20.0 / 2000
+    total = 0.0
+    for i in range(steps + 1):
+        t = -10.0 + i * width
+        weight = 1 if i in (0, steps) else (2 if i % 2 == 0 else 4)
+        cdf = 0.5 * (1.0 + math.erf((t + separation) / math.sqrt(2.0)))
+        total += weight * math.exp(-0.5 * t * t) * cdf ** (num_classes - 1)
+    return total * width / 3.0 / math.sqrt(2.0 * math.pi)
+
+
 def make_synthetic(
     num_classes: int,
     num_features: int,

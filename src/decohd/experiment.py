@@ -9,7 +9,9 @@ main operational hazard.  A config error names the key path of the
 value refused, once, as in ``data.synthetic.num_classes`` or
 ``models[1].channels[0]``.  At every precision but fp32 the test
 encodings are rounded to the format before they are scored, as the
-models' stored arrays are.
+models' stored arrays are.  The manifest's dataset block records the
+Bayes ceiling of synthetic data (:func:`~decohd.data.bayes_accuracy`),
+the accuracy no model of those data can beat beyond sampling noise.
 
 Output files (all UTF-8 CSV with header rows):
 
@@ -36,11 +38,11 @@ import numpy as np
 from . import __version__
 from .baselines import MODEL_KINDS, build_prototype_table, onlinehd_refine, sparsify_table
 from .budget import budget_of
-from .data import Dataset, ParseError, load_csv, make_synthetic
+from .data import Dataset, ParseError, bayes_accuracy, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
 from .inference import DecomposedScorer
-from .model import Classifier, ModelConfig, accuracy
+from .model import ChannelBank, Classifier, ModelConfig, accuracy
 from .ops import derive_seed
 from .precision import PRESETS, get_format, quantize_array, quantize_model
 from .serialize import save_classifier
@@ -275,7 +277,9 @@ def fit_model(
             seed=derive_seed(config.root_seed, "model", label, encoder.config.dim),
         )
         result = train(model_cfg, config.train, h_train, y_train, h_test, y_test)
-        scorer = DecomposedScorer(result.bank, result.params.head)
+        # The trained channels in a bank of their own: the scorer composes
+        # its prototypes, and the basis training kept dies with the result.
+        scorer = DecomposedScorer(ChannelBank(result.bank.channels), result.params.head)
         return Classifier(encoder, standardizer, scorer, spec.kind), result.history
 
     table = build_prototype_table(h_train, y_train, num_classes)
@@ -370,6 +374,9 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
             header = ["model", *(f.name for f in fields(EpochStats))]
             write_csv(os.path.join(out, "history.csv"), header, history_rows)
         manifest_path = os.path.join(out, "manifest.json")
+        synth = config.data.synthetic  # the ceiling has a closed form for C <= F alone
+        ceiling = (bayes_accuracy(synth.num_classes, synth.separation)
+                   if synth and synth.num_classes <= synth.num_features else None)
         manifest = {
             "package_version": __version__,
             "config": asdict(config),
@@ -379,6 +386,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
                 "num_classes": train_ds.num_classes,
                 "num_train": train_ds.num_samples,
                 "num_test": test_ds.num_samples,
+                "bayes_accuracy": ceiling,
             },
             "model_labels": labels,
         }

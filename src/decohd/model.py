@@ -137,9 +137,14 @@ class ChannelBank:
     """Materialized channel hypervectors, one (L_i, dim) block per layer.
 
     A bank is immutable once scored: :attr:`basis` builds the path basis
-    on first use and keeps it for every later batch, so writing into
+    on first use and keeps it for every later read, so writing into
     ``channels`` afterwards would leave it stale.  Quantization, bit-flip
-    injection and training build fresh banks instead.
+    injection and training build fresh banks instead.  The kept basis is
+    read by training's step and evaluation, and by the path-term form of
+    :func:`~decohd.inference.score_batch`: the fenced bank's and that of
+    a bank whose composed prototypes overflow.  A deployed linear scorer
+    composes its prototypes from a basis it does not keep
+    (:class:`~decohd.inference.DecomposedScorer`).
 
     *squared* marks the fenced bank of :func:`stream_channels`, the only
     code that sets it: its classes score ``<P_c, h*h>``, not ``<P_c, h>``.

@@ -173,7 +173,8 @@ def quantize_model(scorer, fmt: PrecisionFormat | str):
     Compute downstream stays in 32/64-bit; only stored values move onto
     the reduced grid.  At fp32 every value keeps its bits except a
     signalling NaN, which comes back quiet (:func:`quantize_array`); the
-    result is still a new scorer over copies, with its own path basis.
+    result is still a new scorer over copies, which composes its own
+    prototypes.
     """
     fmt = get_format(fmt)
     return scorer.replace({key: quantize_array(a, fmt) for key, a in scorer.stored().items()})

@@ -26,10 +26,11 @@ d head and d basis from it once per step: 2*C*dim multiply-accumulates
 per row.  Scoring against the basis instead costs 2*M*dim per row, less
 when there are at least as many classes as paths; no benchmark workload
 has such a shape yet, so the step keeps one form (ROADMAP, benchmark
-revision).  P lives for one step; evaluation scores through
-:func:`decohd.inference.score_batch` against the kept basis, the
-deployed form.  Trained banks score ``h`` itself: only the fenced bank
-of :func:`~decohd.model.stream_channels` scores ``h*h``, until ROADMAP
+revision).  P lives for one step; :func:`evaluate` composes it once
+more from the same kept basis and scores through
+:func:`decohd.inference.score_batch`, the deployed form.  Trained banks
+score ``h`` itself: only the fenced bank of
+:func:`~decohd.model.stream_channels` scores ``h*h``, until ROADMAP
 Direction 7 removes it.
 
 Gradient accumulation happens before the channels, so each projector
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import score_batch
+from .inference import compose_prototypes, score_batch
 from .model import (
     ChannelBank,
     ModelConfig,
@@ -316,8 +317,10 @@ def train(
 def evaluate(bank: ChannelBank, head: np.ndarray, h: np.ndarray, labels: np.ndarray) -> float:
     """Classification accuracy of the model (*bank*, *head*) on
     pre-encoded data, or NaN if a score is not finite, as a diverged
-    model's are."""
-    scores = score_batch(h, bank, head)
+    model's are.  The rows score against the prototypes composed once
+    for the call from the basis the bank keeps, which the next step
+    reads again."""
+    scores = score_batch(h, bank, head, compose_prototypes(head, bank.basis))
     if not np.isfinite(scores).all():
         return math.nan
     return float((pick_class(scores) == np.asarray(labels)).mean())

@@ -65,6 +65,13 @@ class TestOnlineHDRefine:
         assert refined.prototypes.tobytes() != table.prototypes.tobytes()
         assert_same_bits(refined.prototypes, widened.prototypes)
 
+    def test_a_sparsified_table_is_refused(self, rng):
+        h = rng.standard_normal((10, 8)).astype(np.float32)
+        labels = rng.integers(0, 2, 10)
+        sparse = sparsify_table(build_prototype_table(h, labels, 2), 0.5)
+        with pytest.raises(ValueError, match=r"^cannot refine a sparsified table: it holds 4 of 8 dimensions"):
+            onlinehd_refine(sparse, h, labels, epochs=1)
+
 
 class TestSparsifyTable:
     @pytest.mark.parametrize("budget, message", [
@@ -84,3 +91,7 @@ class TestSparsifyTable:
         np.testing.assert_array_equal(scorer.mask, [False, True, True, False, False])
         assert_same_bits(scorer.stored()["table"], prototypes[:, [1, 2]])
 
+    def test_a_sparsified_table_is_refused(self, rng):
+        sparse = sparsify_table(PrototypeTable(rng.standard_normal((2, 8)).astype(np.float32)), 0.5)
+        with pytest.raises(ValueError, match=r"^cannot sparsify a sparsified table: it holds 4 of 8 dimensions"):
+            sparsify_table(sparse, 0.5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from decohd.data import DATA_DIR_ENV, ParseError, load_csv, make_synthetic, save_csv
+from decohd.data import DATA_DIR_ENV, ParseError, bayes_accuracy, load_csv, make_synthetic, save_csv
 
 
 class TestMakeSynthetic:
@@ -32,6 +32,30 @@ class TestMakeSynthetic:
     def test_rejects_non_finite_separation(self, separation):
         with pytest.raises(ValueError, match="separation must be finite and >= 0"):
             make_synthetic(3, 3, 5, separation)
+
+
+class TestBayesAccuracy:
+    @pytest.mark.parametrize("num_classes, num_features, separation", [(4, 6, 3.0), (26, 28, 3.0), (8, 8, 1.5)])
+    def test_matches_the_bayes_rule_on_generated_data(self, num_classes, num_features, separation):
+        # For C <= F the Bayes rule of make_synthetic's blobs is argmax_c x_c.
+        _, test_ds = make_synthetic(num_classes, num_features, 2000, separation, seed=9)
+        hits = np.argmax(test_ds.features[:, :num_classes], axis=1) == test_ds.labels
+        p = bayes_accuracy(num_classes, separation)
+        sigma = np.sqrt(p * (1 - p) / len(hits))
+        assert abs(hits.mean() - p) <= 3 * sigma
+
+    @pytest.mark.parametrize("num_classes, ceiling", [(4, 0.956), (8, 0.918), (26, 0.823), (100, 0.678)])
+    def test_ceilings_at_separation_3(self, num_classes, ceiling):
+        assert round(bayes_accuracy(num_classes, 3.0), 3) == ceiling
+
+    def test_no_separation_is_chance(self):
+        for c in (2, 10):
+            assert bayes_accuracy(c, 0.0) == pytest.approx(1 / c, abs=1e-12)
+
+    @pytest.mark.parametrize("args", [(1, 3.0), (4, -1.0), (4, float("nan")), (4, float("inf"))])
+    def test_rejects_invalid_arguments(self, args):
+        with pytest.raises(ValueError, match="need num_classes >= 2"):
+            bayes_accuracy(*args)
 
 
 class TestLoadCsv:

@@ -8,7 +8,7 @@ import pytest
 
 from decohd import cli, encoding, experiment, model, ops, serialize, training
 from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_table
-from decohd.data import make_synthetic, save_csv
+from decohd.data import bayes_accuracy, make_synthetic, save_csv
 from decohd.encoding import fit_standardizer
 from decohd.experiment import (
     ConfigError,
@@ -106,7 +106,17 @@ def test_manifest_keys_are_pinned(tmp_path):
         manifest = json.load(fh)
     assert manifest.keys() == {"package_version", "config", "dataset", "model_labels"}
     assert manifest["dataset"]["name"] == config.data.name
+    assert manifest["dataset"]["bayes_accuracy"] == bayes_accuracy(3, 3.0)
     assert load_config(result.manifest_path) == config
+
+
+def test_the_bayes_ceiling_is_written_only_where_it_has_a_closed_form(tmp_path):
+    # With more classes than features the centres are not orthogonal.
+    config = ExperimentConfig(data={"synthetic": {"num_classes": 5, "num_features": 4, "samples_per_class": 5}},
+                              models=({"kind": "prototype"},), dims=(16,))
+    result = run_experiment(config, output_dir=str(tmp_path))
+    with open(result.manifest_path, encoding="utf-8") as fh:
+        assert json.load(fh)["dataset"]["bayes_accuracy"] is None
 
 
 def test_a_csv_sweep_with_no_name_writes_a_null_dataset_name(tmp_path):
@@ -117,7 +127,8 @@ def test_a_csv_sweep_with_no_name_writes_a_null_dataset_name(tmp_path):
     config = ExperimentConfig(data={"train_csv": paths[0], "test_csv": paths[1]}, dims=(16,))
     result = run_experiment(config, output_dir=str(tmp_path / "out"))
     with open(result.manifest_path, encoding="utf-8") as fh:
-        assert json.load(fh)["dataset"]["name"] is None
+        dataset = json.load(fh)["dataset"]
+    assert dataset["name"] is None and dataset["bayes_accuracy"] is None
 
 
 def test_a_config_built_in_python_equals_its_json_load(tmp_path):
@@ -293,8 +304,8 @@ def test_fit_model_hands_the_trained_bank_to_the_classifier(monkeypatch, tmp_pat
                                                             matrix_free):
     # Training builds its two matrix-free projectors once, draws no dense
     # matrix, and returns the bank of its final params, after any number
-    # of epochs and whether or not the last one evaluated: that bank is
-    # the deployed one, so nothing is drawn again.
+    # of epochs and whether or not the last one evaluated: its channels
+    # are the deployed ones, so nothing is drawn again.
     # A container holds the channels, so loading it and predicting draws
     # one dense matrix: the encoder's.  Every dense draw reads
     # ops.row_blocks, a streamed bank's through model.row_blocks.

@@ -102,9 +102,11 @@ class TestCrossModeEquivalence:
 
 
 # One row's scores through each forward of a linear bank: inference's
-# batched one and a training step's against the class table.
+# path terms, a deployed scorer's composed prototypes and a training
+# step's against the class table.
 FORWARDS = {
     "score_batch": lambda h, bank, head: score_batch(h[None], bank, head)[0],
+    "scorer": lambda h, bank, head: DecomposedScorer(bank, head).score_batch(h[None])[0],
     "train": lambda h, bank, head: training._forward(h[None], head @ bank.basis)[0],
 }
 
@@ -189,6 +191,7 @@ class TestKeptBasis:
             return path_basis(bank)
 
         monkeypatch.setattr(model, "path_basis", counting)
+        monkeypatch.setattr(inference, "path_basis", counting)
         bank, head, _ = random_bank_and_head(rng)
         scorer = DecomposedScorer(bank=bank, head=head)
         h = rng.standard_normal((3, bank.dim)).astype(np.float32)
@@ -215,6 +218,98 @@ class TestKeptBasis:
         np.testing.assert_array_equal(after, fresh.score_batch(h))
         assert_scores_near_reference(after, h, rewritten.bank, rewritten.head, rel=1e-5)
         assert not np.array_equal(after, before, equal_nan=True)
+
+
+class TestComposedPrototypes:
+    """A linear scorer bundles its paths into P = head @ basis once, then
+    scores h @ P.T."""
+
+    @staticmethod
+    def counting(monkeypatch, module):
+        calls = []
+        compose_prototypes = inference.compose_prototypes
+
+        def compose(head, basis):
+            calls.append((head, basis))
+            return compose_prototypes(head, basis)
+
+        monkeypatch.setattr(module, "compose_prototypes", compose)
+        return calls
+
+    def test_a_deployed_scorer_composes_once(self, monkeypatch):
+        clf, bank, head, features = trained_classifier()
+        calls = self.counting(monkeypatch, inference)
+        h = clf.encoder.encode_batch(features, clf.standardizer)
+        for _ in range(3):
+            clf.scorer.score_batch(h)
+            clf.predict_batch(features)
+            clf.predict(features[0])
+            clf.scorer.scores(h[0])
+        assert len(calls) == 1 and calls[0][0] is head
+        assert_same_bits(clf.scorer._prototypes, head @ path_basis(bank))
+        # Resident: the stored arrays and P; the basis was not kept.
+        assert bank._basis is None
+
+    def test_evaluate_composes_once_per_call(self, rng, monkeypatch):
+        bank, head, _ = random_bank_and_head(rng, channels=(2, 3), dim=64, num_classes=5)
+        h = rng.standard_normal((40, 64)).astype(np.float32)
+        labels = rng.integers(0, 5, 40)
+        calls = self.counting(monkeypatch, training)
+        accuracies = [training.evaluate(bank, head, h, labels) for _ in range(3)]
+        assert len(calls) == 3 and all(basis is bank.basis for _, basis in calls)
+        scores = DecomposedScorer(ChannelBank(bank.channels), head).score_batch(h)
+        assert accuracies == [float((pick_class(scores) == labels).mean())] * 3
+
+    def test_replace_composes_from_its_own_arrays(self, rng, monkeypatch):
+        bank, head, _ = random_bank_and_head(rng, channels=(3, 2), dim=48)
+        h = rng.standard_normal((6, 48)).astype(np.float32)
+        scorer = DecomposedScorer(bank=bank, head=head)
+        before = scorer.score_batch(h)
+        calls = self.counting(monkeypatch, inference)
+        arrays = {k: -a for k, a in scorer.stored().items()}
+        rewritten = scorer.replace(arrays)
+        after = rewritten.score_batch(h)
+        assert len(calls) == 1 and calls[0][0] is arrays["head"]
+        assert_same_bits(calls[0][1], path_basis(ChannelBank([arrays["channels:0"], arrays["channels:1"]])))
+        assert_same_bits(scorer.score_batch(h), before)
+        assert_scores_near_reference(after, h, rewritten.bank, rewritten.head, rel=1e-5)
+
+    def test_an_overflowing_prototype_scores_the_path_terms(self):
+        # One channel entry near float32's limit and a head entry above 1:
+        # head @ basis overflows, while the path terms, scaled by |h| < 1
+        # first, stay finite.
+        channels = [np.ones((2, 8), dtype=np.float32), np.ones((1, 8), dtype=np.float32)]
+        channels[0][0, 0] = 3e38
+        bank = ChannelBank(channels)
+        head = np.array([[2.0, 1.0], [0.5, 0.5], [1.0, -1.0]], dtype=np.float32)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(head @ path_basis(bank)).all()
+        h = np.linspace(-0.4, 0.4, 24, dtype=np.float32).reshape(3, 8)
+        scorer = DecomposedScorer(bank, head)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = scorer.score_batch(h)
+            rows = [scorer.scores(x) for x in h]
+        assert scorer._prototypes is None
+        assert np.isfinite(batch).all()
+        assert_scores_near_reference(batch, h, bank, head, rel=1e-5)
+        assert_same_bits(np.stack(rows), batch)
+
+    def test_a_non_finite_product_scores_the_path_terms(self, rng):
+        bank, head, _ = random_bank_and_head(rng, channels=(2, 2), dim=16)
+        h = rng.standard_normal((5, 16)).astype(np.float32)
+        prototypes = head @ bank.basis
+        prototypes[1, 3] = np.inf
+        assert_same_bits(score_batch(h, bank, head, prototypes), score_batch(h, bank, head))
+        # A finite P whose product overflows before it cancels, when BLAS
+        # sums P_0 = (3e38, 3e38, -3e38) in order; the path terms cancel
+        # inside the first path.
+        bank = ChannelBank([np.array([[3e38, 0, -3e38], [0, 3e38, 0]], dtype=np.float32)])
+        head = np.array([[1, 1], [1, -1]], dtype=np.float32)
+        h = np.full((1, 3), 0.577, dtype=np.float32)
+        scores = DecomposedScorer(bank, head).score_batch(h)
+        assert np.isfinite(scores).all()
+        assert_scores_near_reference(scores, h, bank, head, rel=1e-5)
 
 
 def overflowing_bank_and_head():

@@ -1,0 +1,34 @@
+"""tools/pairs.py on the working tree against itself, at smoke-test scale."""
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ARGS = ["--workload", "train", "--seed", "3", "--seconds", "1", "--shapes", "tiny"]
+
+
+def test_one_tiny_train_pair_writes_every_metric_and_the_direct_digest(tmp_path):
+    out = tmp_path / "BENCH_0_pairs.json"
+    subprocess.run([sys.executable, os.path.join(ROOT, "tools", "pairs.py"), "--parent", ROOT,
+                    "--pairs", "1", "--out", str(out), *ARGS], check=True, capture_output=True, timeout=600)
+    direct = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--trace", "0", *ARGS],
+                            cwd=ROOT, check=True, capture_output=True, text=True, timeout=600)
+    detail = next(line for line in direct.stdout.splitlines() if line.startswith("detail "))
+    digest = json.loads(detail[len("detail "):])["digest"]
+
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert list(report) == ["train seed 3"]
+    entry = report["train seed 3"]
+    assert entry["digests"] == {"parent": [digest], "change": [digest]}
+    assert entry["ops_failed"] == {"parent": [0], "change": [0]}
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [m["name"] for m in json.load(fh)["end_to_end"]]
+    assert sorted(entry["metrics"]) == sorted(names)
+    for m in entry["metrics"].values():
+        assert m.keys() == {"unit", "better", "bound", "parent", "change", "wins", "pairs", "verdict"}
+        for side in ("parent", "change"):
+            assert m[side].keys() == {"runs", "median", "q1", "q3"} and len(m[side]["runs"]) == 1
+        assert m["pairs"] == 1 and 0 <= m["wins"] <= 1
+        assert m["verdict"] in ("better", "worse", "unresolved", "within bound")

@@ -1,0 +1,150 @@
+"""Alternating parent/change pairs of one benchmark workload.
+
+    python3 tools/pairs.py --parent REV --workload {train,serve,sweep} \\
+        --seed N --pairs N --out BENCH_<pr>_pairs.json [--seconds S] [--shapes isolet|tiny]
+
+Exports the parent revision REV with ``git archive`` (or takes REV as a
+directory that already holds a tree), then runs the unchanged
+``perfbench/run.py`` of each tree from that tree's root, untraced,
+alternating which side goes first.  The change is the working tree this
+file sits in.  Each end-to-end metric of ``BENCHMARK.json`` gets both
+sides' per-run values, medians and quartiles, the number of pairs the
+change won (ties count for neither side) and a verdict against the
+metric's bound:
+
+* ``better``: the change won at least nine pairs in ten and its median
+  beats the parent's by more than the parent's interquartile range;
+* ``worse``: the change's median is worse than the parent's by more than
+  the bound;
+* ``unresolved``: the parent's own runs spread wider than the bound,
+  unless every change run beats every parent run;
+* ``within bound`` otherwise.
+
+The distinct output digests of each side are kept too.  Results are
+merged into ``--out`` under ``"<workload> seed <N>"``, so one file holds
+every workload and seed of a change.  Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def export(rev: str, into: str) -> str:
+    """A tree of *rev*: the directory itself, or ``git archive`` of it under *into*."""
+    if os.path.isdir(rev):
+        return os.path.abspath(rev)
+    tar = subprocess.run(["git", "-C", ROOT, "archive", rev], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+    return into
+
+
+def run(tree: str, args) -> dict:
+    """One untraced run of the tree's own benchmark: its metrics and digest."""
+    cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
+           "--shapes", args.shapes]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=900)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr[-4000:]}")
+    lines = proc.stdout.splitlines()
+    detail = json.loads(next(line for line in lines if line.startswith("detail "))[len("detail "):])
+    result = json.loads(lines[-1])
+    return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
+            "digest": detail["digest"], "failed": result["failed"]}
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) == 1:
+        return values * 3
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q2, q3]
+
+
+def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
+    """Per-run values, quartiles, wins and the verdict of one metric."""
+    sign = 1.0 if spec["better"] == "lower" else -1.0  # sign * (parent - change) > 0: change better
+    p, c = quartiles(parent), quartiles(change)
+    wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+    gain = sign * (p[1] - c[1])
+    base = abs(p[1]) or 1.0
+    if wins >= math.ceil(0.9 * len(parent)) and gain > p[2] - p[0]:
+        verdict = "better"
+    elif -gain > spec["bound"] * base:
+        verdict = "worse"
+    elif (max(parent) - min(parent)) > spec["bound"] * base and not all(
+            sign * (a - b) > 0 for a in parent for b in change):
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    return {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+            "parent": {"runs": parent, "median": p[1], "q1": p[0], "q3": p[2]},
+            "change": {"runs": change, "median": c[1], "q1": c[0], "q3": c[2]},
+            "wins": wins, "pairs": len(parent), "verdict": verdict}
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision, or a directory holding a tree")
+    parser.add_argument("--workload", required=True, choices=("train", "serve", "sweep"))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--shapes", choices=("isolet", "tiny"), default="isolet")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        specs = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
+        trees = {"parent": export(args.parent, tmp), "change": ROOT}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(run(trees[side], args))
+                print(f"pair {i + 1}/{args.pairs} {side}: "
+                      f"op_p50_ms={runs[side][-1]['metrics']['op_p50_ms']:.4g}", file=sys.stderr)
+    entry = {
+        "parent": args.parent, "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+        "seconds": args.seconds, "shapes": args.shapes,
+        "digests": {side: sorted({r["digest"] for r in rs}) for side, rs in runs.items()},
+        "ops_failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
+        "metrics": {name: summarize(spec, [r["metrics"][name] for r in runs["parent"]],
+                                    [r["metrics"][name] for r in runs["change"]])
+                    for name, spec in specs.items()},
+    }
+    report = {}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as fh:
+            report = json.load(fh)
+    report[f"{args.workload} seed {args.seed}"] = entry
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for name, m in entry["metrics"].items():
+        print(f"{name:<12} {m['parent']['median']:>12.6g} -> {m['change']['median']:>12.6g} "
+              f"wins {m['wins']}/{m['pairs']}  {m['verdict']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
