@@ -4,14 +4,16 @@ Subcommands: train, eval, sweep, robustness, budget, synth.  ``eval``
 scores every model kind with its deployed scorer's batched forward, the
 one ``train`` and ``sweep`` report, so all three print the same accuracy
 for one model and test set; a test label the model has no class for is
-a data error.  ``robustness`` compares only models that encode alike,
-equal encoder config and standardizer, that have one class count and
-that its rows can tell apart by file stem.  Relative dataset paths
-resolve against $DECOHD_DATA_DIR.  Exit codes: 0 success, 1 config
-error, 2 data error: a malformed CSV or an unusable model container
-(argparse also exits 2 on a malformed command line), 3 training
-divergence.  Any other exception is a bug and propagates with its
-traceback.
+a data error.  ``robustness`` scores each model against its own
+encodings of the test CSV, read as ``eval`` reads it, so models of other
+encoders, standardizers or D compare in one table; rows name a model by
+its distinct file stem and carry its D.  Relative dataset paths resolve
+against $DECOHD_DATA_DIR; an output path whose directory does not exist
+is refused as the command line is parsed.  Exit codes: 0 success, 1
+config error, 2 data error: a malformed CSV or an unusable model
+container (argparse also exits 2 on a malformed command line), 3
+training divergence.  Any other exception is a bug and propagates with
+its traceback.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import contextlib
 import os
 import sys
 from dataclasses import astuple, fields
-
-import numpy as np
 
 from .baselines import MODEL_KINDS
 from .budget import BudgetQuery, budget_of, enumerate_configs, trainable_param_savings
@@ -62,6 +62,12 @@ def _probability_list(text: str) -> list[float]:
     if not values or not all(0.0 <= p <= 1.0 for p in values) or len(set(values)) < len(values):
         raise argparse.ArgumentTypeError(f"expected distinct comma-separated probabilities in [0, 1], got {text!r}")
     return values
+
+
+def _output_path(text: str) -> str:
+    if not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"no directory to write {text!r} into")
+    return text
 
 
 def _positive_int(text: str) -> int:
@@ -149,34 +155,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _comparable(a, b) -> bool:
-    """Whether classifiers *a* and *b* encode every input alike into one class count."""
-    return (
-        a.encoder.config == b.encoder.config
-        and np.array_equal(a.standardizer.mean, b.standardizer.mean)
-        and np.array_equal(a.standardizer.std, b.standardizer.std)
-        and a.scorer.num_classes == b.scorer.num_classes
-    )
-
-
 def cmd_robustness(args) -> int:
-    scorers, paths, first = {}, {}, None
+    loaded = {}
     for path in args.models:
         stem = os.path.splitext(os.path.basename(path))[0]
-        if stem in paths:  # rows name a model by its file stem
-            raise ConfigError(f"{paths[stem]} and {path}: robustness models need distinct file stems")
-        paths[stem] = path
-        clf = load_classifier(path)
-        if first is None:
-            first = clf
-        elif not _comparable(clf, first):
-            raise ConfigError(
-                f"{path}: robustness comparisons require models sharing one encoder, "
-                "standardizer and class count"
-            )
-        scorers[stem] = clf.scorer
-    test_ds, h = _encode_test_set(first, args.test_csv)
-    rows = robustness_sweep(scorers, h, test_ds.labels, args.p_grid, args.trials, args.seed)
+        if stem in loaded:  # rows name a model by its file stem
+            raise ConfigError(f"{loaded[stem][0]} and {path}: robustness models need distinct file stems")
+        loaded[stem] = path, load_classifier(path)
+    rows = []
+    for stem, (_, clf) in sorted(loaded.items()):  # one sorted sweep per model, in stem order
+        test_ds, h = _encode_test_set(clf, args.test_csv)
+        rows += robustness_sweep({stem: clf.scorer}, h, test_ds.labels, args.p_grid, args.trials, args.seed)
     write_csv(args.output, ROBUSTNESS_COLUMNS, rows)
     print(f"robustness curves written to {args.output}")
     return 0
@@ -237,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-csv", required=True)
     p.add_argument("--test-csv", required=True)
     p.add_argument("--model", default="decohd", choices=MODEL_KINDS)
-    p.add_argument("--output", required=True, help="model container path (.npz)")
+    p.add_argument("--output", type=_output_path, required=True, help="model container path (.npz)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, default=10000)
     p.add_argument("--channels", type=_int_list, default="10", help="per-layer channel counts, e.g. 3,3")
@@ -267,13 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("robustness", help="bit-flip robustness curves for saved models")
+    p = sub.add_parser("robustness", help="bit-flip robustness curves for saved models",
+                       description="Flip the stored bits of each model and score it on its own encodings of the "
+                                   "test CSV.  Rows name a model by its distinct file stem and carry its D.")
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--test-csv", required=True)
     p.add_argument("--p-grid", type=_probability_list, default="0,1e-7,1e-6,1e-5,1e-4,1e-3")
     p.add_argument("--trials", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--output", default="robustness.csv")
+    p.add_argument("--output", type=_output_path, default="robustness.csv")
     p.set_defaults(func=cmd_robustness)
 
     p = sub.add_parser("budget", help="enumerate configurations under a memory budget")
@@ -284,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=_int_list, default="1,2,3")
     p.add_argument("--max-channels", type=int, default=5)
     p.add_argument("--top", type=int, default=20, help="rows printed to stdout")
-    p.add_argument("--output", default=None, help="optional CSV path")
+    p.add_argument("--output", type=_output_path, default=None, help="optional CSV path")
     p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("synth", help="generate a synthetic blob dataset")
@@ -293,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, default=200)
     p.add_argument("--separation", type=float, default=3.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-out", default="synthetic_train.csv")
-    p.add_argument("--test-out", default="synthetic_test.csv")
+    p.add_argument("--train-out", type=_output_path, default="synthetic_train.csv")
+    p.add_argument("--test-out", type=_output_path, default="synthetic_test.csv")
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -62,11 +62,13 @@ def _cells(line: str) -> list[str]:
     return line.split("#", 1)[0].strip().split(",")
 
 
-def _first_non_numeric(cells: list[str]) -> str | None:
+def _first_non_numeric(cells: list[str], as_loadtxt: bool = False) -> str | None:
     for c in cells:
         try:
             float(c)
         except ValueError:
+            return c
+        if as_loadtxt and ("_" in c or not c.strip().isascii()):  # float() reads both, np.loadtxt neither
             return c
     return None
 
@@ -96,7 +98,7 @@ def load_csv(path: str, num_classes: int | None = None) -> Dataset:
             cells = _cells(text)
             if len(cells) != width:
                 raise ParseError(f"{path}: line {lineno}: expected {width} columns, got {len(cells)}")
-            bad = _first_non_numeric(cells)
+            bad = _first_non_numeric(cells, as_loadtxt=True)
             if bad is not None:
                 raise ParseError(f"{path}: line {lineno}: non-numeric cell {bad!r}")
         raise ParseError(f"{path}: malformed CSV")

@@ -5,6 +5,11 @@ split only, then projected by a frozen random matrix into the
 high-dimensional space: ``h = ((x - mean) / std) @ W``.  The projection
 matrix is regenerated from its seed and never trained or stored.
 
+Normalized, ``h = zW / |zW|`` with z the standardized row: h is linear
+in z up to a positive per-row scale, so a model whose scores are linear
+in h, S its effective C x D table, predicts ``argmax_c (z @ (W @ S.T))_c``:
+a C x F fold for analysis and tests, never a deployed form.
+
 The projection runs in float32, the precision the matrix is drawn at
 and the encodings are stored in: the encoder holds the float32 matrix
 ``generate_matrix`` returns, and a call casts the standardized rows to

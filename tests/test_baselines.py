@@ -65,6 +65,14 @@ class TestOnlineHDRefine:
         assert refined.prototypes.tobytes() != table.prototypes.tobytes()
         assert_same_bits(refined.prototypes, widened.prototypes)
 
+    def test_a_zero_prototype_takes_a_full_step(self):
+        # Every score ties at 0, so the row is predicted class 0. The zero
+        # prototypes have cosine 0 with it, so each moves by lr * h.
+        h = np.array([[1.0, 2.0, 0.0, 0.0]], dtype=np.float32)
+        refined = onlinehd_refine(PrototypeTable(np.zeros((2, 4), dtype=np.float32)), h, [1], epochs=1,
+                                  learning_rate=0.5)
+        np.testing.assert_array_equal(refined.prototypes, [[-0.5, -1.0, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0]])
+
     def test_a_sparsified_table_is_refused(self, rng):
         h = rng.standard_normal((10, 8)).astype(np.float32)
         labels = rng.integers(0, 2, 10)

@@ -37,6 +37,11 @@ class TestBudgetQuery:
         with pytest.raises(ValueError, match="must be >= 1|invalid grid bounds"):
             BudgetQuery(m_target=0.5, num_classes=3, dim=64, **grid)
 
+    @pytest.mark.parametrize("shape", [{"num_classes": 0}, {"dim": 0}], ids=["classes0", "dim0"])
+    def test_refuses_a_class_count_or_dim_below_one(self, shape):
+        with pytest.raises(ValueError, match="^num_classes and dim must be >= 1$"):
+            BudgetQuery(**{"m_target": 0.5, "num_classes": 3, "dim": 64, **shape})
+
     @pytest.mark.parametrize("grid", [{"layer_counts": (1, 1)}, {"latent_dims": (64, 64)}],
                              ids=["layers-repeated", "d-repeated"])
     def test_refuses_a_repeated_grid_value(self, grid):

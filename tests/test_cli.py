@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from decohd import cli
 from decohd.budget import BudgetQuery, enumerate_configs, trainable_param_savings
 from decohd.data import Dataset, load_csv, make_synthetic, save_csv
-from decohd.faults import ROBUSTNESS_COLUMNS
+from decohd.experiment import write_csv
+from decohd.faults import ROBUSTNESS_COLUMNS, robustness_sweep
 from decohd.model import accuracy
 from decohd.precision import quantize_array, quantize_model
 from decohd.serialize import load_arrays, load_classifier, save_arrays, save_classifier
@@ -57,17 +60,28 @@ def test_eval_prints_the_accuracy_train_printed(synthetic_csvs, tmp_path, capsys
 
 
 def save_trained(csvs, tmp_path, name: str, *extra) -> str:
+    """A container trained on *csvs*: a D=64 prototype table of encoder seed 4, unless *extra* says otherwise."""
     path = str(tmp_path / f"{name}.npz")
     assert cli.main(["train", "--train-csv", csvs[0], "--test-csv", csvs[1], "--output", path,
                      "--model", "prototype", "--dim", "64", "--seed", "4", *extra]) == 0
     return path
 
 
-@pytest.mark.parametrize("other", ["same", "encoder", "standardizer", "classes"])
-def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, capsys, other):
+def read_rows(path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def robustness_argv(models, test_csv, output, p_grid="0", trials="1") -> list[str]:
+    return ["robustness", "--models", *models, "--test-csv", test_csv, "--p-grid", p_grid, "--trials", trials,
+            "--seed", "7", "--output", str(output)]
+
+
+@pytest.mark.parametrize("other", ["same", "encoder", "standardizer", "dim", "classes"])
+def test_robustness_scores_each_model_against_its_own_encodings(synthetic_csvs, tmp_path, capsys, other):
     first = save_trained(synthetic_csvs, tmp_path, "first")
     csvs = synthetic_csvs
-    extra = ["--seed", "5"] if other == "encoder" else []  # the same data, another encoder draw
+    extra = {"encoder": ["--seed", "5"], "dim": ["--dim", "128"]}.get(other, [])  # the same data otherwise
     if other == "standardizer":
         csvs = (str(tmp_path / "other_train.csv"), synthetic_csvs[1])
         save_csv(csvs[0], make_synthetic(3, 6, 20, 3.0, seed=12)[0])
@@ -77,19 +91,40 @@ def test_robustness_requires_models_that_encode_alike(synthetic_csvs, tmp_path, 
             save_csv(path, Dataset(ds.features, ds.labels % 2, 2))
     second = save_trained(csvs, tmp_path, "second", *extra)
     capsys.readouterr()
-    code = cli.main(["robustness", "--models", first, second, "--test-csv", synthetic_csvs[1],
-                     "--p-grid", "0", "--trials", "1", "--output", str(tmp_path / "r.csv")])
+    output = tmp_path / "r.csv"
+    code = cli.main(robustness_argv([first, second], synthetic_csvs[1], output, "0,1e-2"))
     err = capsys.readouterr().err
-    if other == "same":
-        assert code == 0 and err == ""
-        with open(tmp_path / "r.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == list(ROBUSTNESS_COLUMNS)
-        assert [row[:4] for row in rows[1:]] == [["first", "64", "0", "0"], ["second", "64", "0", "0"]]
-    else:
-        assert code == 1
-        assert err.startswith(f"config error: {second}: ")
-        assert "sharing one encoder, standardizer and class count" in err
+    if other == "classes":  # read against the second model's 2 classes, as eval reads it
+        line = int(np.argmax(load_csv(synthetic_csvs[1]).labels == 2)) + 1
+        assert code == 2 and err == f"data error: {synthetic_csvs[1]}: line {line}: label 2 out of range [0, 2)\n"
+        assert not output.exists()
+        return
+    assert code == 0 and err == ""
+    rows = read_rows(output)
+    assert rows[0] == list(ROBUSTNESS_COLUMNS)
+    dim = "128" if other == "dim" else "64"
+    assert [row[:4] for row in rows[1:]] == [["first", "64", "0", "0"], ["first", "64", "0.01", "0"],
+                                             ["second", dim, "0", "0"], ["second", dim, "0.01", "0"]]
+    for model in (first, second):  # each model's rows are those of a run of that model alone
+        alone = tmp_path / "alone.csv"
+        assert cli.main(robustness_argv([model], synthetic_csvs[1], alone, "0,1e-2")) == 0
+        stem = os.path.splitext(os.path.basename(model))[0]
+        assert read_rows(alone)[1:] == [row for row in rows[1:] if row[0] == stem]
+
+
+def test_robustness_of_models_that_encode_alike_is_one_sweep_over_one_encoding(synthetic_csvs, tmp_path):
+    models = [save_trained(synthetic_csvs, tmp_path, "table"),
+              save_trained(synthetic_csvs, tmp_path, "deco", "--model", "decohd", "--latent-dim", "8",
+                           "--channels", "2", "--epochs", "3")]
+    output = tmp_path / "r.csv"
+    assert cli.main(robustness_argv(models, synthetic_csvs[1], output, "0,1e-3,1e-2", "2")) == 0
+    table, deco = (load_classifier(path) for path in models)
+    test_ds = load_csv(synthetic_csvs[1])
+    h = table.encoder.encode_batch(test_ds.features, table.standardizer)
+    rows = robustness_sweep({"table": table.scorer, "deco": deco.scorer}, h, test_ds.labels, [0.0, 1e-3, 1e-2], 2, 7)
+    expected = tmp_path / "expected.csv"
+    write_csv(expected, ROBUSTNESS_COLUMNS, rows)
+    assert output.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("train", [{"eval_every": 0}, {"weight_decay": -0.5},
@@ -380,6 +415,46 @@ def test_malformed_command_line_is_rejected_by_argparse(argv, capsys):
         cli.main(argv)
     assert excinfo.value.code == 2
     assert "error: argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "robustness", "budget", "synth-train", "synth-test"])
+def test_an_output_path_without_its_directory_is_rejected_by_argparse(synthetic_csvs, tmp_path, capsys, monkeypatch,
+                                                                      command):
+    def never(*args, **kwargs):
+        raise AssertionError("trained before the command line was checked")
+
+    monkeypatch.setattr(cli, "fit_model", never)
+    missing = str(tmp_path / "no_such_dir" / "out")
+    argv, option = {
+        "train": (train_args(synthetic_csvs, tmp_path, "--output", missing), "--output"),
+        "robustness": (robustness_argv(["m.npz"], "t.csv", missing), "--output"),
+        "budget": (BUDGET + ["--output", missing], "--output"),
+        "synth-train": (["synth", "--train-out", missing], "--train-out"),
+        "synth-test": (["synth", "--test-out", missing], "--test-out"),
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: argument {option}: no directory to write {missing!r} into" in err
+    assert sorted(os.listdir(tmp_path)) == ["test.csv", "train.csv"]  # nothing written
+
+
+def test_a_p_grid_cell_that_is_not_a_number_is_rejected_by_argparse(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(robustness_argv(["m.npz"], "t.csv", "r.csv", "0,x"))
+    assert excinfo.value.code == 2
+    assert ("error: argument --p-grid: expected distinct comma-separated probabilities in [0, 1], got '0,x'"
+            in capsys.readouterr().err)
+
+
+def test_the_module_runs_as_the_decohd_command(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "decohd.cli", "budget", "--m", "0", "--classes", "3", "--dim", "64"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "config error: budget: m_target must be positive\n"
 
 
 def spoil_container(path, how: str) -> None:

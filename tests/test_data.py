@@ -1,7 +1,27 @@
+import re
+
 import numpy as np
 import pytest
 
-from decohd.data import DATA_DIR_ENV, ParseError, bayes_accuracy, load_csv, make_synthetic, save_csv
+from decohd.data import (
+    DATA_DIR_ENV,
+    Dataset,
+    ParseError,
+    bayes_accuracy,
+    load_csv,
+    make_synthetic,
+    resolve_data_path,
+    save_csv,
+)
+
+
+@pytest.mark.parametrize("labels, message", [([0], "features and labels disagree on sample count"),
+                                             ([0, 3], r"labels out of range \[0, num_classes\)"),
+                                             ([-1, 0], r"labels out of range \[0, num_classes\)")],
+                         ids=["one-label-short", "label-beyond", "negative-label"])
+def test_a_dataset_refuses_labels_that_do_not_fit(labels, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Dataset(np.zeros((2, 3)), labels, 3)
 
 
 class TestMakeSynthetic:
@@ -90,6 +110,8 @@ class TestLoadCsv:
             ("1,2,0\n3,4,1\n5,0\n", "line 3: expected 3 columns, got 2"),
             ("f0,f1,label\n1,2,0\n3,4,1\n5,6,7,1\n", "line 4: expected 3 columns, got 4"),
             ("1,2,0\n3,x,1\n", "line 2: non-numeric cell 'x'"),
+            ("1,2,0\n3,1_000,1\n", "line 2: non-numeric cell '1_000'"),
+            ("1,2,0\n3,\u0661\u0662,1\n", "line 2: non-numeric cell '\u0661\u0662'"),
             ("1,2,0\n3,4,1.5\n", "line 2: label 1.5 is not an integer"),
             ("f0,f1,label\n1,2,0\n3,4,1\n5,6,2.5\n", "line 4: label 2.5 is not an integer"),
             ("1,2,0\n3,4,-1\n", "line 2: negative label -1"),
@@ -103,7 +125,8 @@ class TestLoadCsv:
             ("f0,f1,label\n", "line 1: a header and no data rows"),
             ("0\n1\n", "need at least one feature column plus a label column"),
         ],
-        ids=["ragged", "ragged-after-header", "non-numeric", "non-integer-label",
+        ids=["ragged", "ragged-after-header", "non-numeric", "underscored-digits", "arabic-indic-digits",
+             "non-integer-label",
              "non-integer-label-after-header", "negative-label", "empty",
              "nan-feature", "inf-feature-after-header", "inf-label",
              "nan-feature-after-blank-line", "negative-label-after-blank-line",
@@ -126,6 +149,26 @@ class TestLoadCsv:
         monkeypatch.delenv(DATA_DIR_ENV, raising=False)
         with pytest.raises(ParseError, match="dataset file not found"):
             load_csv(str(tmp_path / "absent.csv"))
+
+    def test_a_relative_path_absent_from_the_data_dir_is_reported_as_given(self, tmp_path, monkeypatch):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path / "data"))
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert resolve_data_path("absent.csv") == "absent.csv"
+        with pytest.raises(ParseError, match="^dataset file not found: absent.csv$"):
+            load_csv("absent.csv")
+
+    def test_a_refusal_that_no_row_explains_names_the_file(self, write, monkeypatch):
+        # Rows that pass the per-line check parse as a whole: only a
+        # np.loadtxt that refuses them anyway reaches the last message.
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        path = write("1,2,0\n3,4,1\n")
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        with pytest.raises(ParseError, match=f"^{re.escape(path)}: malformed CSV$"):
+            load_csv(path)
 
     def test_relative_path_resolves_against_data_dir(self, tmp_path, monkeypatch):
         (tmp_path / "rel.csv").write_text("1,2,0\n3,4,1\n", encoding="utf-8")

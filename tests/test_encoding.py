@@ -37,6 +37,18 @@ class TestFitStandardizer:
         with pytest.raises(ValueError, match="at least 2"):
             fit_standardizer(np.array([[1.0, 2.0]]))
 
+    def test_one_dimensional_features_are_refused(self):
+        with pytest.raises(ValueError, match=re.escape("expected a 2-d feature matrix, got shape (3,)")):
+            fit_standardizer(np.ones(3))
+
+
+@pytest.mark.parametrize("shape, message", [(dict(num_features=0, dim=4), "num_features must be >= 1"),
+                                            (dict(num_features=2, dim=0), "dim must be >= 1")],
+                         ids=["no-features", "dim0"])
+def test_an_encoder_config_refuses_an_empty_shape(shape, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EncoderConfig(**shape)
+
 
 class TestEncode:
     def test_mean_input_encodes_to_zero(self, rng):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -238,6 +239,15 @@ CONFIG_SCHEMA = {
     ModelSpec: ["kind", "channels", "latent_dim", "epochs", "learning_rate", "budget", "base"],
     TrainConfig: ["learning_rate", "weight_decay", "epochs", "batch_size", "microbatch_size", "eval_every"],
 }
+
+
+@pytest.mark.parametrize("spec, message", [
+    (dict(kind="tree"), "model kind 'tree' not one of ('decohd', 'prototype', 'onlinehd', 'sparsehd')"),
+    (dict(kind="sparsehd", base="decohd"), "sparsehd base must be 'onlinehd' or 'prototype'"),
+], ids=["unknown-kind", "unknown-base"])
+def test_a_model_spec_refuses_an_unknown_kind_or_base(spec, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ModelSpec(**spec)
 
 
 @pytest.mark.parametrize("budget, dims", [(1e-9, (64,)), (0.0156, (64,)), (0.01, (1000, 64))],

@@ -37,6 +37,11 @@ def logits(h, bank, head):
 
 
 class TestConfig:
+    @pytest.mark.parametrize("shape", [dict(latent_dim=0, dim=4), dict(latent_dim=2, dim=0)], ids=["latent0", "dim0"])
+    def test_refuses_an_empty_latent_or_hypervector(self, shape):
+        with pytest.raises(ValueError, match="^latent_dim and dim must be >= 1$"):
+            ModelConfig(channels_per_layer=(2,), num_classes=2, **shape)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ModelConfig(channels_per_layer=(), latent_dim=2, dim=4, num_classes=2)
@@ -151,6 +156,11 @@ class TestMaterializeChannels:
         a = materialize_channels(ModelParams([lat], np.ones((2, 2))), [proj])
         b = materialize_channels(ModelParams([2.0 * lat], np.ones((2, 2))), [proj])
         np.testing.assert_allclose(b.channels[0], 2.0 * a.channels[0], rtol=1e-12)
+
+    def test_a_projector_per_latent_layer(self):
+        params = ModelParams(latents=[np.zeros((1, 3))], head=np.ones((2, 1)))
+        with pytest.raises(ValueError, match="^projector count does not match latent layer count$"):
+            materialize_channels(params, [hadamard(3, 5), hadamard(3, 6)])
 
     def test_shape_mismatch(self):
         params = ModelParams(latents=[np.zeros((1, 3))], head=np.ones((2, 1)))

@@ -1,10 +1,11 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from decohd import precision
-from decohd.precision import PRESETS, PrecisionFormat, quantize_array
+from decohd.precision import PRESETS, PrecisionFormat, get_format, quantize_array
 from tests.conftest import assert_same_bits, quantize_oracle
 
 
@@ -141,6 +142,18 @@ def test_sizes_around_the_chunk_equal_the_oracle(rng, size, fmt):
 def test_formats_off_the_float32_grid_are_rejected(kwargs):
     with pytest.raises(ValueError):
         PrecisionFormat("x", **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [dict(exponent_bits=0, mantissa_bits=3), dict(exponent_bits=4, mantissa_bits=-1)],
+                         ids=["no-exponent", "negative-mantissa"])
+def test_a_format_needs_an_exponent_and_a_mantissa_width(kwargs):
+    with pytest.raises(ValueError, match="^need at least 1 exponent bit and a non-negative mantissa width$"):
+        PrecisionFormat("x", bias=1, **kwargs)
+
+
+def test_an_unknown_format_name_lists_the_presets():
+    with pytest.raises(ValueError, match=re.escape(f"unknown precision format 'fp7'; presets: {sorted(PRESETS)}")):
+        get_format("fp7")
 
 
 def quantize_peak_overhead(rows: int) -> int:

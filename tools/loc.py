@@ -1,0 +1,73 @@
+"""Line counts of a Python package: code, docstring, comment and blank.
+
+    python3 tools/loc.py [DIR]
+
+DIR defaults to ``src/decohd`` beside this file.  Each ``*.py`` file
+directly in DIR gets one row, then a total row.  Every line falls in
+exactly one part, so the parts of a file sum to its line count and the
+total's to ``cat DIR/*.py | wc -l``:
+
+* docstring: a line of the string that opens a module, class or
+  function body (found with ``ast``), blank lines inside it included;
+* code: any other line that holds a token, or lies inside a multi-line
+  token such as a string;
+* comment: a line whose only token is a comment (found with
+  ``tokenize``);
+* blank: the rest.
+
+Stdlib only.
+"""
+
+from __future__ import annotations
+
+import ast
+import io
+import os
+import sys
+import tokenize
+
+PARTS = ("code", "docstring", "comment", "blank")
+_LAYOUT = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENCODING, tokenize.ENDMARKER)
+
+
+def count(source: str) -> dict[str, int]:
+    """The number of lines of *source* in each of ``PARTS``."""
+    docstring = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docstring.update(range(first.lineno, first.end_lineno + 1))
+    code, comment = set(), set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.COMMENT:
+            comment.add(tok.start[0])
+        elif tok.type not in _LAYOUT:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    counts = dict.fromkeys(PARTS, 0)
+    for line in range(1, len(source.splitlines()) + 1):
+        part = ("docstring" if line in docstring else "code" if line in code
+                else "comment" if line in comment else "blank")
+        counts[part] += 1
+    return counts
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    root = argv[0] if argv else os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "decohd")
+    total = dict.fromkeys(PARTS, 0)
+    print(f"{'module':<16}" + "".join(f"{p:>10}" for p in (*PARTS, "total")))
+    for name in sorted(n for n in os.listdir(root) if n.endswith(".py")):
+        with open(os.path.join(root, name), encoding="utf-8") as fh:
+            counts = count(fh.read())
+        for p in PARTS:
+            total[p] += counts[p]
+        print(f"{name:<16}" + "".join(f"{counts[p]:>10}" for p in PARTS) + f"{sum(counts.values()):>10}")
+    print(f"{'total':<16}" + "".join(f"{total[p]:>10}" for p in PARTS) + f"{sum(total.values()):>10}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
