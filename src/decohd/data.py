@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .ops import derive_seed, rng_from_seed
 
 DATA_DIR_ENV = "DECOHD_DATA_DIR"
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" makes of a byte not UTF-8
 
 
 class ParseError(ValueError):
@@ -75,14 +77,19 @@ def _first_non_numeric(cells: list[str], as_loadtxt: bool = False) -> str | None
 
 def load_csv(path: str, num_classes: int | None = None) -> Dataset:
     """Parse a dataset CSV; raises :class:`ParseError` with a line
-    number on malformed input, a NaN or inf cell included.  The class
-    count is max(label)+1 unless given explicitly, in which case labels
-    are validated against it."""
+    number on malformed input, a NaN or inf cell and a line that is not
+    UTF-8 included, and one naming the path alone when it is no regular
+    file.  The class count is max(label)+1 unless given explicitly, in
+    which case labels are validated against it."""
     path = resolve_data_path(path)
-    if not os.path.exists(path):
-        raise ParseError(f"dataset file not found: {path}")
-    with open(path, encoding="utf-8") as fh:  # the lines np.loadtxt reads: not blank, not a comment
-        rows = [(n, line) for n, line in enumerate(fh, start=1) if line[0] not in "#\n"]
+    if not os.path.isfile(path):
+        raise ParseError(f"{path}: not a regular file" if os.path.exists(path) else f"dataset file not found: {path}")
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        numbered = list(enumerate(fh, start=1))
+    bad = next((n for n, line in numbered if not line.isascii() and _ESCAPED_BYTE.search(line)), None)
+    if bad is not None:
+        raise ParseError(f"{path}: line {bad}: not UTF-8 text")
+    rows = [(n, line) for n, line in numbered if line[0] not in "#\n"]  # the lines np.loadtxt reads
     if not rows:
         raise ParseError(f"{path}: line 1: empty file")
     if _first_non_numeric(_cells(rows[0][1])) is not None:  # a header

@@ -13,6 +13,13 @@ models' stored arrays are.  The manifest's dataset block records the
 Bayes ceiling of synthetic data (:func:`~decohd.data.bayes_accuracy`),
 the accuracy no model of those data can beat beyond sampling noise.
 
+Each dimension runs a fit stage, then an evaluation stage.  The fit
+stage encodes both splits, then fits and saves every model; its
+training encodings, its encoder and its last classifier die as it
+ends.  So the evaluation stage (the precision sweep, then the bit-flip
+sweep) holds only the test encodings, the deployed scorers and one
+quantized copy of the test encodings at a time.
+
 Output files (all UTF-8 CSV with header rows):
 
 * results.csv     model, m_budget, precision, D, accuracy
@@ -344,6 +351,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
                 scorers[label] = clf.scorer
                 save_classifier(os.path.join(models_dir, f"{label}_D{dim}.npz"), clf)
                 history_rows += [[label, *astuple(h)] for h in history]
+            del h_train, encoder, clf  # evaluation reads only h_test and the scorers
             # Every model is scored against the same test encodings, so they
             # are quantized once per precision, by the first evaluation.
             for precision in config.precisions:

@@ -255,10 +255,10 @@ def channel_grads(bank: ChannelBank, d_basis: np.ndarray) -> list[np.ndarray]:
     views = _layer_views(bank.channels)
     d_basis = d_basis.reshape(bank.channels_per_layer + (bank.dim,))
     d_channels = []
-    for i, num in enumerate(bank.channels_per_layer):
+    for i in range(len(views)):
         parts = [functools.reduce(np.multiply, p) for p in (views[:i], views[:i:-1]) if p]
         term = d_basis * functools.reduce(np.multiply, parts) if parts else d_basis
-        d_channels.append(np.moveaxis(term, i, 0).reshape(num, -1, bank.dim).sum(axis=1))
+        d_channels.append(np.add.reduce(term, axis=tuple(j for j in range(len(views)) if j != i)))
     return d_channels
 
 

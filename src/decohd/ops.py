@@ -131,8 +131,8 @@ class HadamardProjector:
     The diagonals, signs first, come from the spec's Philox stream, so an
     equal spec rebuilds P bit for bit.  H is applied as ``H_a kron H_b``
     with ``a * b = n``, two products with ``sqrt(n)``-sized matrices, so P
-    costs 13 bytes a column and two such matrices, plus a 4-byte gather
-    index a column.
+    costs 13 bytes a column and two such matrices, plus two 4-byte gather
+    indexes a column (Pi and its inverse).
     """
 
     def __init__(self, spec: RandomMatrixSpec):
@@ -150,6 +150,7 @@ class HadamardProjector:
         self._factors = (_sylvester(a), _sylvester(n // a))
         # Pi as one gather over a row's blocks laid side by side.
         self._index = (self.perms + n * np.arange(blocks, dtype=np.int32)[:, None]).reshape(-1)
+        self._inverse = np.argsort(self._index).astype(np.int32)  # Pi.T as a gather too
 
     def _hadamard(self, x: np.ndarray) -> np.ndarray:
         """H on every block of the (L, blocks, n) *x*: ``a @ X @ b`` for
@@ -172,8 +173,7 @@ class HadamardProjector:
         y.reshape(len(g), -1)[:, : self.cols] = g
         y = self._hadamard(y)
         y *= self.gauss.astype(g.dtype, copy=False)
-        x = np.empty_like(y)
-        x.reshape(len(x), -1)[:, self._index] = y.reshape(len(y), -1)
+        x = np.take(y.reshape(len(y), -1), self._inverse, axis=1).reshape(y.shape)
         x = self._hadamard(x)[:, :, : self.rows]
         x *= self.signs
         return x.sum(axis=1)

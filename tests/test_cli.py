@@ -249,6 +249,19 @@ def test_malformed_csv_exits_2_as_data_error(saved_decohd, tmp_path, capsys):
     assert "data error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spoil", ["not-utf8", "directory"])
+def test_a_test_csv_that_cannot_be_read_as_text_exits_2_as_data_error(saved_decohd, tmp_path, capsys, spoil):
+    model_path, _ = saved_decohd
+    path = tmp_path / "latin1.csv"
+    if spoil == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"1,2,3,4,5,6,0\n1,2,3,4,5,6\xe9,1\n")
+    assert cli.main(["eval", "--model", model_path, "--test-csv", str(path)]) == 2
+    reason = "not a regular file" if spoil == "directory" else "line 2: not UTF-8 text"
+    assert capsys.readouterr().err == f"data error: {path}: {reason}\n"
+
+
 def test_test_set_of_wrong_width_exits_2_as_data_error(saved_decohd, tmp_path, capsys):
     model_path, _ = saved_decohd
     narrow = str(tmp_path / "narrow.csv")

@@ -150,6 +150,28 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="dataset file not found"):
             load_csv(str(tmp_path / "absent.csv"))
 
+    @pytest.mark.parametrize(
+        "raw, line",
+        [(b"1,2,0\n3,4\xe9,1\n", 2), (b"# caf\xc3\xa9\n1,2,0\n3,4,1\xe9\n", 3), (b"1,2,0\n# caf\xe9\n3,4,1\n", 2),
+         (b"f\xe9,g,label\n1,2,0\n", 1)],
+        ids=["in-a-row", "after-a-utf8-comment", "in-a-comment", "in-the-header"],
+    )
+    def test_a_line_that_is_not_utf8_is_named(self, tmp_path, monkeypatch, raw, line):
+        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {line}: not UTF-8 text$"):
+            load_csv(str(path))
+
+    def test_utf8_beyond_ascii_is_read(self, write):
+        ds = load_csv(write("# caf\u00e9 \u0661\n1,2,0\n3,4,1\n"))
+        np.testing.assert_array_equal(ds.labels, [0, 1])
+
+    def test_a_path_that_is_no_regular_file_is_refused(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(tmp_path))}: not a regular file$"):
+            load_csv(str(tmp_path))
+
     def test_a_relative_path_absent_from_the_data_dir_is_reported_as_given(self, tmp_path, monkeypatch):
         (tmp_path / "data").mkdir()
         (tmp_path / "cwd").mkdir()

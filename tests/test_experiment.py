@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import gc
 import json
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -22,9 +24,10 @@ from decohd.experiment import (
     prepare_data,
     run_experiment,
 )
+from decohd.faults import robustness_sweep
 from decohd.model import Classifier, accuracy
 from decohd.ops import HadamardProjector, generate_matrix, row_blocks
-from decohd.precision import quantize_array
+from decohd.precision import get_format, quantize_array, quantize_model
 from decohd.serialize import load_classifier, save_classifier
 from decohd.training import TrainConfig
 from tests.conftest import assert_same_bits, fold_oracle
@@ -396,6 +399,51 @@ def test_test_encodings_are_quantized_once_per_precision_and_dim(tmp_path, monke
     run_experiment(config, output_dir=str(tmp_path))
     assert calls == [((60, 32), "bf16"), ((60, 32), "fp8_e4m3fn"),
                      ((60, 64), "bf16"), ((60, 64), "fp8_e4m3fn")]
+
+
+def test_evaluation_holds_no_fit_stage_array(tmp_path, monkeypatch):
+    # At each D the training encodings and the encoder's matrix are dead
+    # by the first quantized copy of the test encodings and by the bit-flip
+    # sweep; every accuracy is still that of the saved container.
+    config = dataclasses.replace(tiny_config(), dims=(32, 64), precisions=("fp32", "bf16"),
+                                 noise={"p_grid": [0.0, 1e-2], "trials": 1})
+    fit_stage, checked = [], []  # weakrefs to (h_train, encoder.matrix) per D; the checks made
+
+    def encode(*args):
+        encoder, h_train, h_test = encode_splits(*args)
+        fit_stage.append((weakref.ref(h_train), weakref.ref(encoder.matrix)))
+        return encoder, h_train, h_test
+
+    def check(stage):
+        gc.collect()
+        alive = [name for name, ref in zip(("h_train", "encoder.matrix"), fit_stage[-1]) if ref() is not None]
+        assert not alive, f"{alive} alive at {stage}"
+        checked.append((stage, len(fit_stage)))
+
+    def first_quantize(a, fmt):
+        if ("quantize", len(fit_stage)) not in checked:
+            check("quantize")
+        return quantize_array(a, fmt)
+
+    def sweep(*args):
+        check("robustness")
+        return robustness_sweep(*args)
+
+    monkeypatch.setattr(experiment, "encode_splits", encode)
+    monkeypatch.setattr(experiment, "quantize_array", first_quantize)
+    monkeypatch.setattr(experiment, "robustness_sweep", sweep)
+    run_experiment(config, output_dir=str(tmp_path))
+    assert checked == [("quantize", 1), ("robustness", 1), ("quantize", 2), ("robustness", 2)]
+
+    _, test_ds = prepare_data(config.data, config.root_seed)
+    rows = read(tmp_path / "results.csv")
+    assert len(rows) == len(config.models) * 2 * 2
+    for row in rows:
+        clf = load_classifier(tmp_path / "models" / f"{row['model']}_D{row['D']}.npz")
+        h = clf.encoder.encode_batch(test_ds.features, clf.standardizer)
+        fmt = get_format(row["precision"])
+        acc = accuracy(quantize_model(clf.scorer, fmt), quantize_array(h, fmt), test_ds.labels)
+        assert row["accuracy"] == format(acc, ".10g"), row
 
 
 @pytest.mark.parametrize("num_classes, num_features, dim", [(4, 16, 256), (8, 32, 512)],

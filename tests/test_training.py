@@ -1,10 +1,11 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from decohd import training
+from decohd import model, training
 from decohd.data import make_synthetic
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder
 from decohd.model import (
@@ -152,6 +153,31 @@ class TestChannelGradients:
         assert len(got) == len(expected)
         for g, e in zip(got, expected):
             assert_same_bits(g, e)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [(4, 4, 4), (2, 3, 5), (3, 3), (5,)])
+    def test_backward_equals_its_copying_forms(self, rng, channels, dtype):
+        # channel_grads sums each term over the other layers' axes in place
+        # and apply_T un-permutes by a gather; the forms they replace copied
+        # each term to (L_i, paths / L_i, dim) and scattered through Pi.
+        cfg = ModelConfig(channels_per_layer=channels, latent_dim=24, dim=100, num_classes=3, seed=4)
+        bank = ChannelBank([rng.standard_normal((l, cfg.dim)).astype(dtype) for l in channels])
+        d_basis = rng.standard_normal((bank.num_paths, cfg.dim)).astype(dtype)
+        shaped = d_basis.reshape(channels + (cfg.dim,))
+        views = model._layer_views(bank.channels)
+        for i, (got, proj) in enumerate(zip(channel_grads(bank, d_basis), projectors_of(cfg))):
+            parts = [functools.reduce(np.multiply, p) for p in (views[:i], views[:i:-1]) if p]
+            term = shaped * functools.reduce(np.multiply, parts) if parts else shaped
+            assert_same_bits(got, np.moveaxis(term, i, 0).reshape(channels[i], -1, cfg.dim).sum(axis=1))
+            y = np.zeros((len(got),) + proj.gauss.shape, dtype=dtype)
+            y.reshape(len(got), -1)[:, : proj.cols] = got
+            y = proj._hadamard(y)
+            y *= proj.gauss.astype(dtype, copy=False)
+            x = np.empty_like(y)
+            x.reshape(len(x), -1)[:, proj._index] = y.reshape(len(y), -1)
+            x = proj._hadamard(x)[:, :, : proj.rows]
+            x *= proj.signs
+            assert_same_bits(proj.apply_T(got), x.sum(axis=1))
 
     def test_latent_grads_equal_direct_product(self, rng):
         # A step forms d latent = d channel @ P^T in one apply_T call per
