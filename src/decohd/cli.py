@@ -7,7 +7,8 @@ for one model and test set; a test label the model has no class for is
 a data error.  ``robustness`` scores each model against its own
 encodings of the test CSV, read as ``eval`` reads it, so models of other
 encoders, standardizers or D compare in one table; rows name a model by
-its distinct file stem and carry its D.  Relative dataset paths resolve
+its distinct file stem and carry its D, and it loads, encodes and sweeps
+one model at a time, in stem order.  Relative dataset paths resolve
 against $DECOHD_DATA_DIR; an output path whose directory does not exist
 is refused as the command line is parsed.  Exit codes: 0 success, 1
 config error, 2 data error: a malformed CSV or an unusable model
@@ -156,16 +157,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_robustness(args) -> int:
-    loaded = {}
+    paths = {}
     for path in args.models:
         stem = os.path.splitext(os.path.basename(path))[0]
-        if stem in loaded:  # rows name a model by its file stem
-            raise ConfigError(f"{loaded[stem][0]} and {path}: robustness models need distinct file stems")
-        loaded[stem] = path, load_classifier(path)
+        if stem in paths:  # rows name a model by its file stem
+            raise ConfigError(f"{paths[stem]} and {path}: robustness models need distinct file stems")
+        paths[stem] = path
     rows = []
-    for stem, (_, clf) in sorted(loaded.items()):  # one sorted sweep per model, in stem order
+    for stem, path in sorted(paths.items()):  # one sorted sweep per model, in stem order
+        clf = load_classifier(path)
         test_ds, h = _encode_test_set(clf, args.test_csv)
         rows += robustness_sweep({stem: clf.scorer}, h, test_ds.labels, args.p_grid, args.trials, args.seed)
+        del clf, test_ds, h  # one model and its encodings alive at a time
     write_csv(args.output, ROBUSTNESS_COLUMNS, rows)
     print(f"robustness curves written to {args.output}")
     return 0

@@ -3,7 +3,10 @@
 An input ``x`` is standardized with statistics fitted on the training
 split only, then projected by a frozen random matrix into the
 high-dimensional space: ``h = ((x - mean) / std) @ W``.  The projection
-matrix is regenerated from its seed and never trained or stored.
+matrix is regenerated from its seed and never trained or stored: an
+encoder draws it on its first encode and holds it until it is released
+(``del encoder.matrix``), after which the next encode draws it again,
+bit for bit.
 
 Normalized, ``h = zW / |zW|`` with z the standardized row: h is linear
 in z up to a positive per-row scale, so a model whose scores are linear
@@ -12,12 +15,12 @@ a C x F fold for analysis and tests, never a deployed form.
 
 The projection runs in float32, the precision the matrix is drawn at
 and the encodings are stored in: the encoder holds the float32 matrix
-``generate_matrix`` returns, and a call casts the standardized rows to
-float32 once and runs one product into the output.  A product of 2 or
-more rows accumulates each entry in one order whatever the row count,
-so a row's encoding does not depend on its batch; a single row runs a
-matrix-vector product and may differ from its batched twin in the last
-bit.
+``generate_matrix`` returns, and a call draws it if it is not held, then
+casts the standardized rows to float32 once and runs one product into
+the output.  A product of 2 or more rows accumulates each entry in one
+order whatever the row count, so a row's encoding does not depend on
+its batch; a single row runs a matrix-vector product and may differ
+from its batched twin in the last bit.
 
 With ``normalize_output`` the output is normalized in place in strips
 of ``_NORM_ROWS`` rows while each is in cache: the strip's
@@ -31,6 +34,7 @@ float32 beyond about 1.8e19, far above standardized inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,15 +102,19 @@ class EncoderConfig:
 
 
 class RandomProjectionEncoder:
-    """Applies the frozen projection; immutable after construction.
+    """Applies the frozen projection of *config*.
 
-    ``matrix`` is the float32 matrix ``generate_matrix`` draws, held as
-    drawn.
+    ``matrix`` is the float32 matrix ``generate_matrix`` draws from the
+    config's spec.  It is drawn when first read, not at construction,
+    and held as drawn until ``del encoder.matrix`` releases it.
     """
 
     def __init__(self, config: EncoderConfig):
         self.config = config
-        self.matrix = generate_matrix(config.matrix_spec(), dtype=np.float32)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return generate_matrix(self.config.matrix_spec(), dtype=np.float32)
 
     def encode(self, x: np.ndarray, standardizer: Standardizer) -> np.ndarray:
         """Encode a single sample into a hypervector."""
@@ -124,9 +132,12 @@ class RandomProjectionEncoder:
             )
         if not np.isfinite(features).all():
             raise ValueError("non-finite value in input features")
+        # Drawn before the standardized rows exist: drawn after them, the
+        # matrix raised a bench train run's peak RSS by 28 MB (heap layout).
+        matrix = self.matrix
         z = standardizer.apply(features).astype(np.float32)
         n = features.shape[0]
-        out = np.matmul(z, self.matrix)
+        out = np.matmul(z, matrix)
         if self.config.normalize_output:
             squares = np.empty((min(n, _NORM_ROWS), self.config.dim), dtype=np.float32)
             for lo in range(0, n, _NORM_ROWS):

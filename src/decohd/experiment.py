@@ -14,11 +14,12 @@ Bayes ceiling of synthetic data (:func:`~decohd.data.bayes_accuracy`),
 the accuracy no model of those data can beat beyond sampling noise.
 
 Each dimension runs a fit stage, then an evaluation stage.  The fit
-stage encodes both splits, then fits and saves every model; its
-training encodings, its encoder and its last classifier die as it
-ends.  So the evaluation stage (the precision sweep, then the bit-flip
-sweep) holds only the test encodings, the deployed scorers and one
-quantized copy of the test encodings at a time.
+stage encodes both splits and releases the encoder's matrix, then fits
+and saves every model, so it holds no F x D matrix; its training
+encodings die as it ends.  So the evaluation stage (the precision
+sweep, then the bit-flip sweep) holds only the test encodings, the
+deployed scorers and one quantized copy of the test encodings at a
+time, and all of them die before the next dimension encodes.
 
 Output files (all UTF-8 CSV with header rows):
 
@@ -254,10 +255,12 @@ def encode_splits(
 ):
     """Build the encoder of dimension *dim* and encode both splits with
     a standardizer fitted once on the train split; returns (encoder,
-    h_train, h_test)."""
+    h_train, h_test).  The encoder's matrix is released: it is drawn
+    again only if something encodes."""
     encoder = build_encoder(config, train_ds.num_features, dim)
     h_train = encoder.encode_batch(train_ds.features, standardizer)
     h_test = encoder.encode_batch(test_ds.features, standardizer)
+    del encoder.matrix
     return encoder, h_train, h_test
 
 
@@ -335,40 +338,46 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
     result_rows = []
     robustness_rows = []
     history_rows = []
+
+    def run_dim(dim: int) -> None:
+        """Fit, save and evaluate every model at *dim*; what it holds dies as it returns."""
+        nonlocal stage
+        stage = f"encode-D{dim}"
+        encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, dim)
+        scorers = {}
+        for spec, label in zip(config.models, labels):
+            stage = f"train-{label}-D{dim}"
+            clf, history = fit_model(
+                spec, label, config, encoder, standardizer,
+                h_train, train_ds.labels, h_test, test_ds.labels, train_ds.num_classes,
+            )
+            scorers[label] = clf.scorer
+            save_classifier(os.path.join(models_dir, f"{label}_D{dim}.npz"), clf)
+            history_rows.extend([label, *astuple(h)] for h in history)
+        del h_train  # evaluation reads only h_test and the scorers
+        # Every model is scored against the same test encodings, so they
+        # are quantized once per precision, by the first evaluation.
+        for precision in config.precisions:
+            fmt = get_format(precision)
+            q_h = None
+            for label, scorer in scorers.items():
+                stage = f"eval-{label}-D{dim}"
+                if q_h is None:
+                    q_h = quantize_array(h_test, fmt) if fmt.name != "fp32" else h_test
+                acc = accuracy(quantize_model(scorer, fmt), q_h, test_ds.labels)
+                result_rows.append([label, budget_of(scorer), precision, dim, acc])
+        if config.noise.p_grid:
+            stage = f"robustness-D{dim}"
+            robustness_rows.extend(robustness_sweep(
+                scorers, h_test, test_ds.labels, config.noise.p_grid, config.noise.trials,
+                derive_seed(config.root_seed, "noise", dim),
+            ))
+
     try:
         train_ds, test_ds = prepare_data(config.data, config.root_seed)
         standardizer = fit_standardizer(train_ds.features)
         for dim in config.dims:
-            stage = f"encode-D{dim}"
-            encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, dim)
-            scorers = {}
-            for spec, label in zip(config.models, labels):
-                stage = f"train-{label}-D{dim}"
-                clf, history = fit_model(
-                    spec, label, config, encoder, standardizer,
-                    h_train, train_ds.labels, h_test, test_ds.labels, train_ds.num_classes,
-                )
-                scorers[label] = clf.scorer
-                save_classifier(os.path.join(models_dir, f"{label}_D{dim}.npz"), clf)
-                history_rows += [[label, *astuple(h)] for h in history]
-            del h_train, encoder, clf  # evaluation reads only h_test and the scorers
-            # Every model is scored against the same test encodings, so they
-            # are quantized once per precision, by the first evaluation.
-            for precision in config.precisions:
-                fmt = get_format(precision)
-                q_h = None
-                for label, scorer in scorers.items():
-                    stage = f"eval-{label}-D{dim}"
-                    if q_h is None:
-                        q_h = quantize_array(h_test, fmt) if fmt.name != "fp32" else h_test
-                    acc = accuracy(quantize_model(scorer, fmt), q_h, test_ds.labels)
-                    result_rows.append([label, budget_of(scorer), precision, dim, acc])
-            if config.noise.p_grid:
-                stage = f"robustness-D{dim}"
-                robustness_rows += robustness_sweep(
-                    scorers, h_test, test_ds.labels, config.noise.p_grid, config.noise.trials,
-                    derive_seed(config.root_seed, "noise", dim),
-                )
+            run_dim(dim)
         stage = "write-results"
         result_rows.sort(key=lambda r: r[:4])
         robustness_rows.sort(key=lambda r: r[:4])

@@ -4,8 +4,9 @@ A container holds a JSON metadata record, the standardizer and what
 the model scores with: its scorer's ``stored()`` arrays (channels and
 head, or a table) plus the table's mask if it has one (sparsehd).  A
 decomposed model's record also names its score form, ``squared``
-(:attr:`~decohd.model.ChannelBank.squared`).  Loading draws only the
-encoder's matrix, from its seed; no latent or projector travels.
+(:attr:`~decohd.model.ChannelBank.squared`).  No latent, projector or
+encoder matrix travels, and loading draws nothing: the loaded model's
+first encode draws the encoder's matrix from its seed.
 Round-trips are bit-exact, and writing the same model twice produces
 byte-identical files (entries are stored uncompressed, sorted, with
 zeroed zip timestamps).

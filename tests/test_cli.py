@@ -1,19 +1,22 @@
 import csv
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from decohd import cli
+from decohd import cli, encoding
 from decohd.budget import BudgetQuery, enumerate_configs, trainable_param_savings
 from decohd.data import Dataset, load_csv, make_synthetic, save_csv
 from decohd.experiment import write_csv
 from decohd.faults import ROBUSTNESS_COLUMNS, robustness_sweep
 from decohd.model import accuracy
+from decohd.ops import generate_matrix
 from decohd.precision import quantize_array, quantize_model
 from decohd.serialize import load_arrays, load_classifier, save_arrays, save_classifier
 from tests.conftest import small_classifier
@@ -291,19 +294,57 @@ def test_label_the_model_lacks_exits_2_as_data_error(saved_decohd, tmp_path, cap
     assert "line 3: label 4 out of range [0, 3)" in capsys.readouterr().err
 
 
-def test_robustness_refuses_models_that_share_a_file_stem(synthetic_csvs, tmp_path, capsys):
+def test_robustness_refuses_models_that_share_a_file_stem(synthetic_csvs, tmp_path, capsys, monkeypatch):
+    # Refused before any container is loaded, the one listed first included.
     (tmp_path / "a").mkdir()
     (tmp_path / "b").mkdir()
+    other = save_trained(synthetic_csvs, tmp_path, "other")
     first = save_trained(synthetic_csvs, tmp_path, "a/m")
     second = save_trained(synthetic_csvs, tmp_path, "b/m")
+    loads = []
+    monkeypatch.setattr(cli, "load_classifier", loads.append)
     capsys.readouterr()
     output = tmp_path / "r.csv"
-    code = cli.main(["robustness", "--models", first, second, "--test-csv", synthetic_csvs[1],
+    code = cli.main(["robustness", "--models", other, first, second, "--test-csv", synthetic_csvs[1],
                      "--p-grid", "0", "--trials", "1", "--output", str(output)])
     err = capsys.readouterr().err
-    assert code == 1
+    assert code == 1 and loads == []
     assert err.startswith("config error: ") and first in err and second in err
     assert not output.exists()
+
+
+def test_robustness_holds_one_model_and_its_encodings_at_a_time(synthetic_csvs, tmp_path, monkeypatch):
+    # Three models of three encoders: at each sweep one drawn matrix and
+    # one set of test encodings are alive, and the rows are those of one
+    # sweep per model in stem order.
+    models = [save_trained(synthetic_csvs, tmp_path, name, "--seed", seed)
+              for name, seed in (("c", "4"), ("a", "5"), ("b", "6"))]
+    drawn, encoded, sweeps = [], [], []
+
+    def draw(*args, **kwargs):
+        matrix = generate_matrix(*args, **kwargs)
+        drawn.append(weakref.ref(matrix))
+        return matrix
+
+    def encode(clf, path):
+        test_ds, h = encode_test_set(clf, path)
+        encoded.append(weakref.ref(h))
+        return test_ds, h
+
+    def sweep(scorers, *args):
+        gc.collect()
+        sweeps.append((*scorers, sum(ref() is not None for ref in drawn),
+                       sum(ref() is not None for ref in encoded)))
+        return robustness_sweep(scorers, *args)
+
+    encode_test_set = cli._encode_test_set
+    monkeypatch.setattr(encoding, "generate_matrix", draw)
+    monkeypatch.setattr(cli, "_encode_test_set", encode)
+    monkeypatch.setattr(cli, "robustness_sweep", sweep)
+    output = tmp_path / "r.csv"
+    assert cli.main(robustness_argv(models, synthetic_csvs[1], output, "0,1e-2")) == 0
+    assert sweeps == [("a", 1, 1), ("b", 1, 1), ("c", 1, 1)]
+    assert [row[0] for row in read_rows(output)[1:]] == ["a", "a", "b", "b", "c", "c"]
 
 
 def test_train_with_a_wider_test_csv_exits_2(synthetic_csvs, tmp_path, capsys):

@@ -110,6 +110,61 @@ class TestEncode:
         np.testing.assert_allclose(enc.encode(x, s), enc.encode(3.0 * x, s), atol=1e-6)
 
 
+class TestLazyMatrix:
+    """An encoder draws its matrix on its first encode, before it
+    standardizes the rows, then holds it until ``del encoder.matrix``."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """Each matrix draw and standardization, in order, as ("draw", matrix) or ("apply", None)."""
+        events = []
+
+        def draw(spec, dtype):
+            matrix = generate_matrix(spec, dtype=dtype)
+            events.append(("draw", matrix))
+            return matrix
+
+        def apply(standardizer, features):
+            events.append(("apply", None))
+            return apply_as_defined(standardizer, features)
+
+        apply_as_defined = encoding.Standardizer.apply
+        monkeypatch.setattr(encoding, "generate_matrix", draw)
+        monkeypatch.setattr(encoding.Standardizer, "apply", apply)
+        return events
+
+    @pytest.mark.parametrize("first", ["encode", "encode_batch"])
+    def test_the_first_encode_draws_once_before_it_standardizes(self, rng, events, first):
+        cfg = EncoderConfig(num_features=11, dim=40, seed=2)
+        enc = RandomProjectionEncoder(cfg)
+        assert events == []
+        x, standardizer = rng.standard_normal((5, 11)), fit_standardizer(rng.standard_normal((20, 11)))
+        enc.encode(x[0], standardizer) if first == "encode" else enc.encode_batch(x, standardizer)
+        assert [name for name, _ in events] == ["draw", "apply"]
+        assert_same_bits(events[0][1], generate_matrix(cfg.matrix_spec(), dtype=np.float32))
+        assert enc.matrix is events[0][1]
+        enc.encode_batch(x, standardizer)
+        enc.encode(x[1], standardizer)
+        assert [name for name, _ in events] == ["draw", "apply", "apply", "apply"]
+
+    def test_a_released_matrix_is_drawn_again_bit_for_bit(self, rng, events):
+        enc = RandomProjectionEncoder(EncoderConfig(num_features=6, dim=64, seed=3))
+        x, standardizer = rng.standard_normal((9, 6)), identity_standardizer(6)
+        before = enc.encode_batch(x, standardizer)
+        del enc.matrix
+        assert_same_bits(enc.encode_batch(x, standardizer), before)
+        assert [name for name, _ in events] == ["draw", "apply", "draw", "apply"]
+        assert events[0][1] is not events[2][1]
+        assert_same_bits(events[0][1], events[2][1])
+
+    def test_a_refused_call_draws_nothing(self, events):
+        enc = RandomProjectionEncoder(EncoderConfig(num_features=2, dim=4, seed=0))
+        for bad in (np.ones((2, 3)), np.array([[1.0, np.nan]])):
+            with pytest.raises(ValueError):
+                enc.encode_batch(bad, identity_standardizer(2))
+        assert events == []
+
+
 class TestResidentMatrix:
     """The encoder holds its float32 matrix as drawn and projects in
     float32; encodings stay within an a priori float32 error bound of a

@@ -402,38 +402,55 @@ def test_test_encodings_are_quantized_once_per_precision_and_dim(tmp_path, monke
 
 
 def test_evaluation_holds_no_fit_stage_array(tmp_path, monkeypatch):
-    # At each D the training encodings and the encoder's matrix are dead
-    # by the first quantized copy of the test encodings and by the bit-flip
-    # sweep; every accuracy is still that of the saved container.
+    # At each D no encoder matrix is alive from the first fit on, and the
+    # training encodings are dead by the first quantized copy of the test
+    # encodings and by the bit-flip sweep; every accuracy is still that of
+    # the saved container.  Drawn matrices are seen where they are drawn:
+    # reading encoder.matrix would draw one.
     config = dataclasses.replace(tiny_config(), dims=(32, 64), precisions=("fp32", "bf16"),
                                  noise={"p_grid": [0.0, 1e-2], "trials": 1})
-    fit_stage, checked = [], []  # weakrefs to (h_train, encoder.matrix) per D; the checks made
+    drawn, fit_stage, checked = [], [], []  # weakrefs to every drawn matrix, to h_train per D; the checks made
+
+    def draw(*args, **kwargs):
+        matrix = generate_matrix(*args, **kwargs)
+        drawn.append(weakref.ref(matrix))
+        return matrix
 
     def encode(*args):
         encoder, h_train, h_test = encode_splits(*args)
-        fit_stage.append((weakref.ref(h_train), weakref.ref(encoder.matrix)))
+        fit_stage.append(weakref.ref(h_train))
         return encoder, h_train, h_test
 
     def check(stage):
+        if (stage, len(fit_stage)) in checked:
+            return
         gc.collect()
-        alive = [name for name, ref in zip(("h_train", "encoder.matrix"), fit_stage[-1]) if ref() is not None]
+        alive = [f"matrix {i}" for i, ref in enumerate(drawn) if ref() is not None]
+        if stage != "fit" and fit_stage[-1]() is not None:
+            alive.append("h_train")
         assert not alive, f"{alive} alive at {stage}"
         checked.append((stage, len(fit_stage)))
 
+    def fit(*args):
+        check("fit")
+        return fit_model(*args)
+
     def first_quantize(a, fmt):
-        if ("quantize", len(fit_stage)) not in checked:
-            check("quantize")
+        check("quantize")
         return quantize_array(a, fmt)
 
     def sweep(*args):
         check("robustness")
         return robustness_sweep(*args)
 
+    monkeypatch.setattr(encoding, "generate_matrix", draw)
     monkeypatch.setattr(experiment, "encode_splits", encode)
+    monkeypatch.setattr(experiment, "fit_model", fit)
     monkeypatch.setattr(experiment, "quantize_array", first_quantize)
     monkeypatch.setattr(experiment, "robustness_sweep", sweep)
     run_experiment(config, output_dir=str(tmp_path))
-    assert checked == [("quantize", 1), ("robustness", 1), ("quantize", 2), ("robustness", 2)]
+    assert len(drawn) == 2  # one draw per D, by its encode_splits
+    assert checked == [(stage, d) for d in (1, 2) for stage in ("fit", "quantize", "robustness")]
 
     _, test_ds = prepare_data(config.data, config.root_seed)
     rows = read(tmp_path / "results.csv")
@@ -444,6 +461,73 @@ def test_evaluation_holds_no_fit_stage_array(tmp_path, monkeypatch):
         fmt = get_format(row["precision"])
         acc = accuracy(quantize_model(clf.scorer, fmt), quantize_array(h, fmt), test_ds.labels)
         assert row["accuracy"] == format(acc, ".10g"), row
+
+
+def test_a_dimension_holds_nothing_of_the_one_before(tmp_path, monkeypatch):
+    # When the next D starts to encode, the test encodings, deployed
+    # scorers and quantized test encodings of the D before are dead.
+    config = dataclasses.replace(tiny_config(), dims=(32, 64), precisions=("fp32", "bf16"),
+                                 noise={"p_grid": [0.0, 1e-2], "trials": 1})
+    previous, checked = [], []  # (name, weakref) of the D before; the Ds checked
+
+    def encode(*args):
+        gc.collect()
+        alive = [name for name, ref in previous if ref() is not None]
+        assert not alive, f"{alive} alive at encode-D{args[-1]}"
+        checked.append(args[-1])
+        encoder, h_train, h_test = encode_splits(*args)
+        previous[:] = [("h_test", weakref.ref(h_test))]
+        return encoder, h_train, h_test
+
+    def fit(spec, label, *args):
+        clf, history = fit_model(spec, label, *args)
+        previous.append((f"{label} scorer", weakref.ref(clf.scorer)))
+        return clf, history
+
+    def quantize(a, fmt):
+        q_h = quantize_array(a, fmt)
+        previous.append((f"{fmt.name} test encodings", weakref.ref(q_h)))
+        return q_h
+
+    monkeypatch.setattr(experiment, "encode_splits", encode)
+    monkeypatch.setattr(experiment, "fit_model", fit)
+    monkeypatch.setattr(experiment, "quantize_array", quantize)
+    run_experiment(config, output_dir=str(tmp_path))
+    assert checked == [32, 64]
+    assert [name for name, _ in previous] == ["h_test", *(f"{label} scorer" for label in config.model_labels()),
+                                              "bf16 test encodings"]
+
+
+AT_D64 = {  # a call of each stage's function at D=64, by its arguments
+    "encode_splits": lambda *args: args[-1] == 64,
+    "fit_model": lambda spec, label, config, encoder, *args: label == "onlinehd" and encoder.config.dim == 64,
+    "quantize_model": lambda scorer, fmt: scorer.dim == 64,
+    "robustness_sweep": lambda scorers, h_test, *args: h_test.shape[1] == 64,
+}
+
+
+@pytest.mark.parametrize("fail, stage", [("encode_splits", "encode-D64"), ("fit_model", "train-onlinehd-D64"),
+                                         ("quantize_model", "eval-decohd-D64"),
+                                         ("robustness_sweep", "robustness-D64")],
+                         ids=["encode", "train", "eval", "robustness"])
+def test_a_failing_stage_of_a_later_dimension_is_named(tmp_path, monkeypatch, fail, stage):
+    # The failure manifest names the stage of the second D that failed,
+    # and the first D's containers are on disk.
+    config = dataclasses.replace(tiny_config(), dims=(32, 64), precisions=("fp32",),
+                                 noise={"p_grid": [0.0], "trials": 1})
+    real = getattr(experiment, fail)
+
+    def failing(*args):
+        if AT_D64[fail](*args):
+            raise RuntimeError("refused")
+        return real(*args)
+
+    monkeypatch.setattr(experiment, fail, failing)
+    with pytest.raises(RuntimeError, match="refused"):
+        run_experiment(config, output_dir=str(tmp_path))
+    failure = json.loads((tmp_path / "failure_manifest.json").read_text(encoding="utf-8"))
+    assert failure == {"error": "RuntimeError: refused", "stage": stage}
+    assert {f"{label}_D32.npz" for label in config.model_labels()} <= set(os.listdir(tmp_path / "models"))
 
 
 @pytest.mark.parametrize("num_classes, num_features, dim", [(4, 16, 256), (8, 32, 512)],

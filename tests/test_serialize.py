@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from decohd import encoding
 from decohd.inference import DecomposedScorer
 from decohd.model import ChannelBank, Classifier, DecoHDClassifier
+from decohd.ops import generate_matrix
 from decohd.serialize import ContainerError, load_arrays, load_classifier, save_arrays, save_classifier
 from tests.conftest import assert_same_bits, small_classifier
 
@@ -260,3 +262,24 @@ def test_sparse_container_stores_only_its_retained_columns(tmp_path, rng):
     held = [v for v in vars(loaded.scorer).values() if isinstance(v, np.ndarray)]
     assert sum(a.nbytes for a in held) == loaded.scorer.prototypes.nbytes + loaded.scorer.mask.nbytes
     np.testing.assert_array_equal(loaded.predict_batch(features), clf.predict_batch(features))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_loading_draws_nothing_until_the_model_encodes(tmp_path, rng, monkeypatch, kind):
+    # A container holds no encoder matrix and loading draws none; the
+    # loaded model's first prediction draws it once, bit-equal to its spec's draw.
+    clf, features = small_classifier(kind, rng)
+    save_classifier(tmp_path / "m.npz", clf)
+    drawn = []
+
+    def draw(spec, dtype):
+        drawn.append(generate_matrix(spec, dtype=dtype))
+        return drawn[-1]
+
+    monkeypatch.setattr(encoding, "generate_matrix", draw)
+    loaded = load_classifier(tmp_path / "m.npz")
+    assert drawn == []
+    loaded.predict_batch(features)
+    loaded.predict(features[0])
+    assert len(drawn) == 1
+    assert_same_bits(drawn[0], generate_matrix(clf.encoder.config.matrix_spec(), dtype=np.float32))
