@@ -6,8 +6,8 @@
   on misclassified samples;
 * sparse masking: a matched-budget feature-axis reduction that keeps the
   top dimensions by aggregate prototype magnitude (a stand-in for
-  retraining-based sparsification methods, hence "sparsehd-style" in all
-  outputs).
+  retraining-based sparsification methods such as SparseHD; every output
+  names it ``sparsehd``).
 
 All three deploy as one :class:`PrototypeTable`, which shares the
 decomposed scorer's protocol: ``stored()`` returns the float32 array the

@@ -33,7 +33,9 @@ from .experiment import (
     ConfigError,
     DataSpec,
     ExperimentConfig,
-    check_width,
+    ModelSpec,
+    NoiseConfig,
+    SyntheticSpec,
     encode_splits,
     fit_model,
     load_config,
@@ -45,7 +47,7 @@ from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
 from .model import accuracy
 from .precision import PRESETS, get_format, quantize_array, quantize_model
 from .serialize import load_classifier, save_classifier
-from .training import EpochStats, TrainingDiverged
+from .training import EpochStats, TrainConfig, TrainingDiverged
 
 
 def _int_list(text: str) -> list[int]:
@@ -88,10 +90,12 @@ def _rejected_as_config_error(what: str):
 
 
 def _encode_test_set(clf, path: str):
-    """The test CSV at *path*, read against *clf*'s width and classes, and its encodings."""
-    test_ds = load_csv(path, num_classes=clf.scorer.num_classes)
-    check_width(test_ds, clf.encoder.config.num_features, path)
-    return test_ds, clf.encoder.encode_batch(test_ds.features, clf.standardizer)
+    """The test CSV at *path*, read against *clf*'s width and classes, and
+    its encodings; the encoder's matrix is released, as scoring never reads it."""
+    test_ds = load_csv(path, num_classes=clf.scorer.num_classes, num_features=clf.encoder.config.num_features)
+    h = clf.encoder.encode_batch(test_ds.features, clf.standardizer)
+    del clf.encoder.matrix
+    return test_ds, h
 
 
 def cmd_train(args) -> int:
@@ -230,17 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-csv", required=True)
     p.add_argument("--model", default="decohd", choices=MODEL_KINDS)
     p.add_argument("--output", type=_output_path, required=True, help="model container path (.npz)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dim", type=int, default=10000)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.root_seed)
+    p.add_argument("--dim", type=int, default=ExperimentConfig.dims[0])
+    # Not ModelSpec.channels: the two differ until ROADMAP Direction 21 settles decohd's default shape.
     p.add_argument("--channels", type=_int_list, default="10", help="per-layer channel counts, e.g. 3,3")
-    p.add_argument("--latent-dim", type=int, default=4096)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=1024)
-    p.add_argument("--microbatch-size", type=int, default=128)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=5e-5)
-    p.add_argument("--refine-epochs", type=int, default=200)
-    p.add_argument("--sparse-budget", type=float, default=0.5)
+    p.add_argument("--latent-dim", type=int, default=ModelSpec.latent_dim)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--microbatch-size", type=int, default=TrainConfig.microbatch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    p.add_argument("--refine-epochs", type=int, default=ModelSpec.epochs)
+    p.add_argument("--sparse-budget", type=float, default=ModelSpec.budget)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser(
@@ -265,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--test-csv", required=True)
     p.add_argument("--p-grid", type=_probability_list, default="0,1e-7,1e-6,1e-5,1e-4,1e-3")
-    p.add_argument("--trials", type=_positive_int, default=5)
+    p.add_argument("--trials", type=_positive_int, default=NoiseConfig.trials)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", type=_output_path, default="robustness.csv")
     p.set_defaults(func=cmd_robustness)
@@ -274,18 +279,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--d", type=_int_list, default="4096", help="latent-dim options, e.g. 256,1024,4096")
-    p.add_argument("--layers", type=_int_list, default="1,2,3")
-    p.add_argument("--max-channels", type=int, default=5)
+    p.add_argument("--d", type=_int_list, default=BudgetQuery.latent_dims,
+                   help="latent-dim options, e.g. 256,1024,4096")
+    p.add_argument("--layers", type=_int_list, default=BudgetQuery.layer_counts)
+    p.add_argument("--max-channels", type=int, default=BudgetQuery.max_channels)
     p.add_argument("--top", type=int, default=20, help="rows printed to stdout")
     p.add_argument("--output", type=_output_path, default=None, help="optional CSV path")
     p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("synth", help="generate a synthetic blob dataset")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--features", type=int, default=16)
-    p.add_argument("--per-class", type=int, default=200)
-    p.add_argument("--separation", type=float, default=3.0)
+    p.add_argument("--classes", type=int, default=SyntheticSpec.num_classes)
+    p.add_argument("--features", type=int, default=SyntheticSpec.num_features)
+    p.add_argument("--per-class", type=int, default=SyntheticSpec.samples_per_class)
+    p.add_argument("--separation", type=float, default=SyntheticSpec.separation)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-out", type=_output_path, default="synthetic_train.csv")
     p.add_argument("--test-out", type=_output_path, default="synthetic_test.csv")

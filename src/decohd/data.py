@@ -75,12 +75,12 @@ def _first_non_numeric(cells: list[str], as_loadtxt: bool = False) -> str | None
     return None
 
 
-def load_csv(path: str, num_classes: int | None = None) -> Dataset:
+def load_csv(path: str, num_classes: int | None = None, num_features: int | None = None) -> Dataset:
     """Parse a dataset CSV; raises :class:`ParseError` with a line
     number on malformed input, a NaN or inf cell and a line that is not
     UTF-8 included, and one naming the path alone when it is no regular
-    file.  The class count is max(label)+1 unless given explicitly, in
-    which case labels are validated against it."""
+    file or not *num_features* wide.  The class count is max(label)+1
+    unless *num_classes* is given, which then bounds the labels."""
     path = resolve_data_path(path)
     if not os.path.isfile(path):
         raise ParseError(f"{path}: not a regular file" if os.path.exists(path) else f"dataset file not found: {path}")
@@ -133,6 +133,8 @@ def load_csv(path: str, num_classes: int | None = None) -> Dataset:
             )
     else:
         num_classes = int(labels.max()) + 1
+    if num_features is not None and features.shape[1] != num_features:
+        raise ParseError(f"{path}: {features.shape[1]} feature columns, expected {num_features}")
     return Dataset(features=features, labels=labels, num_classes=num_classes)
 
 

@@ -49,8 +49,7 @@ from .budget import budget_of
 from .data import Dataset, ParseError, bayes_accuracy, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
-from .inference import DecomposedScorer
-from .model import ChannelBank, Classifier, ModelConfig, accuracy
+from .model import Classifier, ModelConfig, accuracy
 from .ops import derive_seed
 from .precision import PRESETS, get_format, quantize_array, quantize_model
 from .serialize import save_classifier
@@ -216,12 +215,6 @@ def load_config(path: str) -> ExperimentConfig:
 # Pipelines
 
 
-def check_width(dataset: Dataset, num_features: int, path: str) -> None:
-    """A :class:`ParseError` unless *dataset*, read from *path*, is *num_features* wide."""
-    if dataset.num_features != num_features:
-        raise ParseError(f"{path}: {dataset.num_features} feature columns, expected {num_features}")
-
-
 def prepare_data(spec: DataSpec, root_seed: int) -> tuple[Dataset, Dataset]:
     """The (train, test) pair of *spec*: a train CSV of 2 rows and 2 labels or more, a test CSV that fits it."""
     if spec.synthetic is not None:
@@ -239,8 +232,7 @@ def prepare_data(spec: DataSpec, root_seed: int) -> tuple[Dataset, Dataset]:
         if train_ds.num_samples < 2 or present < 2:
             raise ParseError(f"{spec.train_csv}: training needs at least 2 rows and 2 classes, "
                              f"got {train_ds.num_samples} and {present}")
-        test_ds = load_csv(spec.test_csv, num_classes=train_ds.num_classes)
-        check_width(test_ds, train_ds.num_features, spec.test_csv)
+        test_ds = load_csv(spec.test_csv, num_classes=train_ds.num_classes, num_features=train_ds.num_features)
     return train_ds, test_ds
 
 
@@ -287,10 +279,7 @@ def fit_model(
             seed=derive_seed(config.root_seed, "model", label, encoder.config.dim),
         )
         result = train(model_cfg, config.train, h_train, y_train, h_test, y_test)
-        # The trained channels in a bank of their own: the scorer composes
-        # its prototypes, and the basis training kept dies with the result.
-        scorer = DecomposedScorer(ChannelBank(result.bank.channels), result.params.head)
-        return Classifier(encoder, standardizer, scorer, spec.kind), result.history
+        return Classifier(encoder, standardizer, result.scorer, spec.kind), result.history
 
     table = build_prototype_table(h_train, y_train, num_classes)
     if spec.kind == "onlinehd" or (spec.kind == "sparsehd" and spec.base == "onlinehd"):
@@ -327,9 +316,16 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
 
     Any stage failure still leaves the partial outputs on disk together
     with a ``failure_manifest.json`` naming the stage, then re-raises.
+    The six output files of an earlier run into the directory are
+    removed first, so two runs never mix; containers in ``models/`` of
+    labels or dimensions this run does not write are left as they are.
     """
     out = output_dir or config.output_dir
     os.makedirs(out, exist_ok=True)
+    for name in ("results.csv", "precision.csv", "robustness.csv", "history.csv", "manifest.json",
+                 "failure_manifest.json"):
+        if os.path.exists(os.path.join(out, name)):
+            os.remove(os.path.join(out, name))
     models_dir = os.path.join(out, "models")
     os.makedirs(models_dir, exist_ok=True)
 

@@ -46,9 +46,9 @@ head gradients, and builds the next bank with
 :func:`~decohd.model.materialize_channels`.  So there is one bank per
 parameter state: one more is built from the initial parameters, each
 end-of-epoch evaluation scores the bank that the next epoch's first
-batch trains on, and the returned parameters come with their bank,
-after zero epochs too.  The test suite checks these gradients against
-an explicit float64 backward and central differences of the loss.
+batch trains on, and the result holds the deployed scorer of the last
+bank, after zero epochs too.  The test suite checks these gradients
+against an explicit float64 backward and central differences of the loss.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import compose_prototypes, score_batch
+from .inference import DecomposedScorer, compose_prototypes, score_batch
 from .model import (
     ChannelBank,
     ModelConfig,
@@ -213,7 +213,7 @@ class EpochStats:
 @dataclass
 class TrainResult:
     params: ModelParams
-    bank: ChannelBank  # the channels of params
+    scorer: DecomposedScorer  # the deployed form of params
     history: list[EpochStats]
 
 
@@ -237,12 +237,12 @@ def train(
     score (of the evaluation, else of one microbatch), aborts with the
     last finite checkpoint attached to the exception; the loss of finite
     logits is finite.  Channels are materialized once, from the initial
-    parameters; each step returns the bank of its updated parameters, and
-    the returned parameters always come with their bank, after zero
-    epochs too, so no caller expands the latents again.  Training runs
-    in the floating dtype of *h_train*: the encoder's float32, or float64
-    as a precision reference.  *h_train* is only read: each microbatch is
-    gathered into one buffer that the run reuses.
+    parameters; each step returns the bank of its updated parameters,
+    and the result deploys the last one, after zero epochs too, as a
+    scorer whose bank keeps no basis.  Training runs in the floating
+    dtype of *h_train*: the encoder's float32, or float64 as a precision
+    reference.  *h_train* is only read: each microbatch is gathered into
+    one buffer that the run reuses.
     """
     h_train = np.asarray(h_train)
     dtype = h_train.dtype
@@ -311,7 +311,7 @@ def train(
         )
         last_good = params.copy()
 
-    return TrainResult(params=params, bank=bank, history=history)
+    return TrainResult(params, DecomposedScorer(ChannelBank(bank.channels), params.head), history)
 
 
 def evaluate(bank: ChannelBank, head: np.ndarray, h: np.ndarray, labels: np.ndarray) -> float:

@@ -13,12 +13,13 @@ import pytest
 from decohd import cli, encoding
 from decohd.budget import BudgetQuery, enumerate_configs, trainable_param_savings
 from decohd.data import Dataset, load_csv, make_synthetic, save_csv
-from decohd.experiment import write_csv
+from decohd.experiment import ExperimentConfig, ModelSpec, NoiseConfig, SyntheticSpec, write_csv
 from decohd.faults import ROBUSTNESS_COLUMNS, robustness_sweep
 from decohd.model import accuracy
 from decohd.ops import generate_matrix
 from decohd.precision import quantize_array, quantize_model
 from decohd.serialize import load_arrays, load_classifier, save_arrays, save_classifier
+from decohd.training import TrainConfig
 from tests.conftest import small_classifier
 
 
@@ -314,7 +315,7 @@ def test_robustness_refuses_models_that_share_a_file_stem(synthetic_csvs, tmp_pa
 
 
 def test_robustness_holds_one_model_and_its_encodings_at_a_time(synthetic_csvs, tmp_path, monkeypatch):
-    # Three models of three encoders: at each sweep one drawn matrix and
+    # Three models of three encoders: at each sweep no drawn matrix and
     # one set of test encodings are alive, and the rows are those of one
     # sweep per model in stem order.
     models = [save_trained(synthetic_csvs, tmp_path, name, "--seed", seed)
@@ -343,7 +344,7 @@ def test_robustness_holds_one_model_and_its_encodings_at_a_time(synthetic_csvs, 
     monkeypatch.setattr(cli, "robustness_sweep", sweep)
     output = tmp_path / "r.csv"
     assert cli.main(robustness_argv(models, synthetic_csvs[1], output, "0,1e-2")) == 0
-    assert sweeps == [("a", 1, 1), ("b", 1, 1), ("c", 1, 1)]
+    assert sweeps == [("a", 0, 1), ("b", 0, 1), ("c", 0, 1)]
     assert [row[0] for row in read_rows(output)[1:]] == ["a", "a", "b", "b", "c", "c"]
 
 
@@ -595,6 +596,47 @@ def test_sweep_exits_0_and_prints_paths_that_exist(tmp_path, capsys):
     assert [line.rsplit(" ", 1)[0] for line in lines] == ["results written to", "manifest written to"]
     for line in lines:
         assert os.path.isfile(line.rsplit(" ", 1)[1])
+
+
+@pytest.mark.parametrize("precision", ["fp32", "bf16"])
+def test_eval_holds_no_drawn_matrix_while_it_scores(saved_decohd, monkeypatch, capsys, precision):
+    # The loaded model draws its encoder's matrix to encode the test CSV
+    # and releases it before it quantizes and scores.
+    drawn, alive = [], []
+
+    def draw(*args, **kwargs):
+        matrix = generate_matrix(*args, **kwargs)
+        drawn.append(weakref.ref(matrix))
+        return matrix
+
+    def score(*args):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in drawn))
+        return accuracy(*args)
+
+    monkeypatch.setattr(encoding, "generate_matrix", draw)
+    monkeypatch.setattr(cli, "accuracy", score)
+    model_path, csv_path = saved_decohd
+    assert cli.main(["eval", "--model", model_path, "--test-csv", csv_path, "--precision", precision]) == 0
+    assert len(drawn) == 1 and alive == [0]
+
+
+def test_options_a_spec_also_sets_default_to_the_specs_value():
+    # --channels alone differs (ModelSpec.channels is (2,)): ROADMAP Direction 21.
+    parse = cli.build_parser().parse_args
+    train = parse(["train", "--train-csv", "a.csv", "--test-csv", "b.csv", "--output", "m.npz"])
+    assert TrainConfig(train.learning_rate, train.weight_decay, train.epochs, train.batch_size,
+                       train.microbatch_size) == TrainConfig()
+    assert ModelSpec(train.model, latent_dim=train.latent_dim, epochs=train.refine_epochs,
+                     budget=train.sparse_budget) == ModelSpec(train.model)
+    config = ExperimentConfig(data={"synthetic": {}})
+    assert (train.seed, train.dim, train.channels) == (config.root_seed, config.dims[0], [10])
+    assert parse(["robustness", "--models", "m.npz", "--test-csv", "t.csv"]).trials == NoiseConfig().trials
+    budget = parse(["budget", "--m", "1", "--classes", "3", "--dim", "64"])
+    assert BudgetQuery(1.0, 3, 64, tuple(budget.layers), budget.max_channels, tuple(budget.d)) == \
+        BudgetQuery(1.0, 3, 64)
+    synth = parse(["synth"])
+    assert SyntheticSpec(synth.classes, synth.features, synth.per_class, synth.separation) == SyntheticSpec()
 
 
 def test_eval_at_bf16_scores_the_rounded_model_on_rounded_encodings(saved_decohd, capsys):

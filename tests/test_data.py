@@ -145,6 +145,13 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=r"line 2: label 3 out of range \[0, 3\)"):
             load_csv(write("1,2,0\n3,4,3\n"), num_classes=3)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_a_width_other_than_the_given_one_is_refused(self, write, width):
+        path = write("f0,f1,label\n1,2,0\n3,4,1\n")
+        assert load_csv(path, num_features=2).num_features == 2
+        with pytest.raises(ParseError, match=f"^{re.escape(path)}: 2 feature columns, expected {width}$"):
+            load_csv(path, num_classes=2, num_features=width)
+
     def test_missing_file(self, tmp_path, monkeypatch):
         monkeypatch.delenv(DATA_DIR_ENV, raising=False)
         with pytest.raises(ParseError, match="dataset file not found"):

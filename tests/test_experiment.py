@@ -530,6 +530,30 @@ def test_a_failing_stage_of_a_later_dimension_is_named(tmp_path, monkeypatch, fa
     assert {f"{label}_D32.npz" for label in config.model_labels()} <= set(os.listdir(tmp_path / "models"))
 
 
+def test_a_sweep_into_a_used_directory_leaves_no_output_of_an_earlier_run(tmp_path, monkeypatch):
+    # A decohd sweep with a p-grid, then a run that fails, then a
+    # prototype sweep with none, all into one directory: each run's
+    # outputs are its own, and only the containers of earlier runs stay.
+    first = dataclasses.replace(tiny_config(), precisions=("fp32",), noise={"p_grid": [0.0], "trials": 1})
+    run_experiment(first, output_dir=str(tmp_path))
+    assert {"robustness.csv", "history.csv", "manifest.json"} <= set(os.listdir(tmp_path))
+
+    def failing(*args):
+        raise RuntimeError("refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiment, "fit_model", failing)
+        with pytest.raises(RuntimeError, match="refused"):
+            run_experiment(first, output_dir=str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == ["failure_manifest.json", "models"]
+
+    last = dataclasses.replace(tiny_config(), models=({"kind": "prototype"},), precisions=("fp32",), noise={})
+    run_experiment(last, output_dir=str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == ["manifest.json", "models", "precision.csv", "results.csv"]
+    assert [r["model"] for r in read(tmp_path / "results.csv")] == ["prototype"]
+    assert sorted(os.listdir(tmp_path / "models")) == sorted(f"{label}_D64.npz" for label in first.model_labels())
+
+
 @pytest.mark.parametrize("num_classes, num_features, dim", [(4, 16, 256), (8, 32, 512)],
                          ids=["C4-F16-D256", "C8-F32-D512"])
 def test_decohd_learns_within_a_tenth_of_the_prototype_table(num_classes, num_features, dim):

@@ -1,6 +1,7 @@
 """tools/loc.py on this checkout's package."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -47,3 +48,19 @@ def test_a_line_falls_in_the_first_part_that_claims_it(tmp_path):
     done = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "loc.py"), str(tmp_path)],
                           check=True, capture_output=True, text=True, timeout=60)
     assert done.stdout.splitlines()[1].split() == ["m.py", "5", "4", "1", "3", "13"]
+
+
+def test_against_prints_each_modules_change_and_the_total(tmp_path):
+    # A copy of the package with one code line added to one module.
+    copy = tmp_path / "decohd"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(copy / "budget.py", "a", encoding="utf-8") as fh:
+        fh.write("ADDED = 1\n")
+    done = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "loc.py"), str(copy), "--against", SRC],
+                          check=True, capture_output=True, text=True, timeout=60)
+    header, *rows = [line.split() for line in done.stdout.splitlines()]
+    assert header == ["module", "code", "docstring", "comment", "blank", "total"]
+    changed = {"budget.py": ["+1", "+0", "+0", "+0", "+1"], "total": ["+1", "+0", "+0", "+0", "+1"]}
+    assert [row[0] for row in rows] == sorted(n for n in os.listdir(SRC) if n.endswith(".py")) + ["total"]
+    for name, *deltas in rows:
+        assert deltas == changed.get(name, ["+0"] * 5), name

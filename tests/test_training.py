@@ -433,7 +433,7 @@ class TestMicrobatchBuffer:
         finally:
             tracemalloc.stop()
         assert peak <= microbatch * dim * 4 + 8 * basis + (1 << 16)
-        assert result.bank is not None
+        assert result.scorer.bank._basis is None
 
 
 class TestOneBankPerParameterState:
@@ -444,11 +444,12 @@ class TestOneBankPerParameterState:
     )
     def test_materializes_once_per_parameter_state(self, monkeypatch, epochs, eval_every, with_test):
         cfg, h_tr, y_tr, h_te, y_te = _blob_setup(dtype=np.float64)
-        materialized, expansions, stepped, scored = [], [], [], []
+        materialized, expansions, stepped, scored, banks = [], [], [], [], []
 
         def counting_materialize(params, projectors):
             materialized.append([a.copy() for a in params.latents])
-            return materialize_channels(params, projectors)
+            banks.append(materialize_channels(params, projectors))
+            return banks[-1]
 
         def counting_apply(self, lat):
             expansions.append(lat.shape)
@@ -490,14 +491,20 @@ class TestOneBankPerParameterState:
         assert len(scored) == len(evaluated)
         for bank, e in zip(scored, evaluated):
             assert bank is stepped[(e + 1) * per_epoch - 1][1]
+        # The run returns the deployed form of its final params: the last
+        # bank's own channel arrays in a bank that keeps no basis, and the
+        # params' head.
+        scorer = result.scorer
+        assert all(a is b for a, b in zip(scorer.bank.channels, banks[-1].channels, strict=True))
+        assert scorer.bank._basis is None and scorer.head is result.params.head
         if epochs > 0:
-            assert result.bank is stepped[-1][1]
+            assert banks[-1] is stepped[-1][1]
             for got, expected in zip(stepped[-1][0].arrays(), result.params.arrays()):
                 assert_same_bits(got, expected)
         else:
             # The bank of the initial params, built once.
             initial = materialize_channels(init_params(cfg, dtype=np.float64), projectors)
-            for got, expected in zip(result.bank.channels, initial.channels):
+            for got, expected in zip(scorer.bank.channels, initial.channels):
                 assert_same_bits(got, expected)
 
 
@@ -519,7 +526,7 @@ class TestGradientAccumulationMatchesBackward:
             y = rng.integers(0, cfg.num_classes, 7)
             result = self._check_steps(cfg, projectors, h, y, monkeypatch)
             fresh = materialize_channels(result.params, projectors)
-            for got, expected in zip(result.bank.channels, fresh.channels):
+            for got, expected in zip(result.scorer.bank.channels, fresh.channels):
                 assert_same_bits(got, expected)
 
     @staticmethod

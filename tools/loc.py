@@ -1,11 +1,14 @@
 """Line counts of a Python package: code, docstring, comment and blank.
 
-    python3 tools/loc.py [DIR]
+    python3 tools/loc.py [DIR] [--against OTHER]
 
 DIR defaults to ``src/decohd`` beside this file.  Each ``*.py`` file
-directly in DIR gets one row, then a total row.  Every line falls in
-exactly one part, so the parts of a file sum to its line count and the
-total's to ``cat DIR/*.py | wc -l``:
+directly in DIR gets one row, then a total row.  With ``--against`` each
+row holds DIR's count minus that of OTHER, another copy of the package
+such as a ``git archive`` of the parent commit, and a file that only one
+side has counts 0 on the other.  Every line falls in exactly one part,
+so the parts of a file sum to its line count and the total's to
+``cat DIR/*.py | wc -l``:
 
 * docstring: a line of the string that opens a module, class or
   function body (found with ``ast``), blank lines inside it included;
@@ -20,6 +23,7 @@ Stdlib only.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import os
@@ -54,18 +58,32 @@ def count(source: str) -> dict[str, int]:
     return counts
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    root = argv[0] if argv else os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "decohd")
-    total = dict.fromkeys(PARTS, 0)
-    print(f"{'module':<16}" + "".join(f"{p:>10}" for p in (*PARTS, "total")))
+def tally(root: str) -> dict[str, dict[str, int]]:
+    """The counts of each ``*.py`` file directly in *root*, by file name."""
+    out = {}
     for name in sorted(n for n in os.listdir(root) if n.endswith(".py")):
         with open(os.path.join(root, name), encoding="utf-8") as fh:
-            counts = count(fh.read())
-        for p in PARTS:
-            total[p] += counts[p]
-        print(f"{name:<16}" + "".join(f"{counts[p]:>10}" for p in PARTS) + f"{sum(counts.values()):>10}")
-    print(f"{'total':<16}" + "".join(f"{total[p]:>10}" for p in PARTS) + f"{sum(total.values()):>10}")
+            out[name] = count(fh.read())
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Line counts of a Python package by part.")
+    parser.add_argument("dir", nargs="?",
+                        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "decohd"))
+    parser.add_argument("--against", metavar="OTHER", help="print the change from this copy of the package")
+    args = parser.parse_args(argv)
+    rows = tally(args.dir)
+    fmt = "{:>10}"
+    if args.against is not None:
+        base, zero = tally(args.against), dict.fromkeys(PARTS, 0)
+        rows = {name: {p: rows.get(name, zero)[p] - base.get(name, zero)[p] for p in PARTS}
+                for name in sorted(rows.keys() | base.keys())}
+        fmt = "{:>+10}"
+    total = {p: sum(counts[p] for counts in rows.values()) for p in PARTS}
+    print(f"{'module':<16}" + "".join(f"{p:>10}" for p in (*PARTS, "total")))
+    for name, counts in [*rows.items(), ("total", total)]:
+        print(f"{name:<16}" + "".join(fmt.format(counts[p]) for p in PARTS) + fmt.format(sum(counts.values())))
     return 0
 
 
