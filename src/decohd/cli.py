@@ -2,10 +2,13 @@
 
 Subcommands: train, eval, sweep, robustness, budget, synth.  ``eval``
 scores every model kind with its deployed scorer's batched forward, the
-one ``train`` and ``sweep`` report, so all three print the same accuracy
-for one model and test set; a test label the model has no class for is
-a data error.  ``robustness`` scores each model against its own
-encodings of the test CSV, read as ``eval`` reads it, so models of other
+one ``train`` and ``sweep`` report, rounded to ``--precision`` as the
+sweep rounds, so all three print the same accuracy for one model and
+test set; a test label the model has no class for is a data error.
+``BudgetQuery``, ``SyntheticSpec`` and ``ExperimentConfig`` refuse
+option values through :func:`~decohd.experiment.build_spec`, as config
+errors.  ``robustness`` scores each model against its own encodings
+of the test CSV, read as ``eval`` reads it, so models of other
 encoders, standardizers or D compare in one table; rows name a model by
 its distinct file stem and carry its D, and it loads, encodes and sweeps
 one model at a time, in stem order.  Relative dataset paths resolve
@@ -20,10 +23,9 @@ its traceback.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
-from dataclasses import astuple, fields
+from dataclasses import asdict, astuple, fields
 
 from .baselines import MODEL_KINDS
 from .budget import BudgetQuery, budget_of, enumerate_configs, trainable_param_savings
@@ -36,6 +38,7 @@ from .experiment import (
     ModelSpec,
     NoiseConfig,
     SyntheticSpec,
+    build_spec,
     encode_splits,
     fit_model,
     load_config,
@@ -79,16 +82,6 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-@contextlib.contextmanager
-def _rejected_as_config_error(what: str):
-    """The ValueError with which a constructor rejects command-line
-    values is a config error."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{what}: {exc}") from exc
-
-
 def _encode_test_set(clf, path: str):
     """The test CSV at *path*, read against *clf*'s width and classes, and
     its encodings; the encoder's matrix is released, as scoring never reads it."""
@@ -128,10 +121,12 @@ def cmd_train(args) -> int:
         h_train, train_ds.labels, h_test, test_ds.labels, train_ds.num_classes,
     )
     save_classifier(args.output, clf)
+    hist_path = os.path.splitext(args.output)[0] + "_history.csv"
     if history:
-        hist_path = os.path.splitext(args.output)[0] + "_history.csv"
         write_csv(hist_path, [f.name for f in fields(EpochStats)], [astuple(h) for h in history])
         print(f"history written to {hist_path}")
+    elif os.path.exists(hist_path):  # an earlier model's, trained to this path
+        os.remove(hist_path)
     scorer = clf.scorer
     acc = accuracy(scorer, h_test, test_ds.labels)
     print(f"model={args.model} D={args.dim} m_budget={budget_of(scorer):.4f} test_accuracy={acc:.4f}")
@@ -142,12 +137,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     clf = load_classifier(args.model)
     test_ds, h = _encode_test_set(clf, args.test_csv)
-    scorer = clf.scorer
-    if args.precision != "fp32":
-        fmt = get_format(args.precision)
-        scorer = quantize_model(scorer, fmt)
-        h = quantize_array(h, fmt)
-    acc = accuracy(scorer, h, test_ds.labels)
+    fmt = get_format(args.precision)
+    q_h = quantize_array(h, fmt) if fmt.name != "fp32" else h  # as run_experiment rounds
+    acc = accuracy(quantize_model(clf.scorer, fmt), q_h, test_ds.labels)
     print(f"model={clf.kind} n={test_ds.num_samples} precision={args.precision} accuracy={acc:.4f}")
     return 0
 
@@ -181,15 +173,9 @@ def cmd_robustness(args) -> int:
 def cmd_budget(args) -> int:
     if args.top < 0:
         raise ConfigError("budget: top must be >= 0")
-    with _rejected_as_config_error("budget"):
-        query = BudgetQuery(
-            m_target=args.m,
-            num_classes=args.classes,
-            dim=args.dim,
-            max_channels=args.max_channels,
-            layer_counts=tuple(args.layers),
-            latent_dims=tuple(args.d),
-        )
+    query = build_spec(BudgetQuery, dict(m_target=args.m, num_classes=args.classes, dim=args.dim,
+                                         max_channels=args.max_channels, layer_counts=args.layers,
+                                         latent_dims=args.d), "budget")
     reports = enumerate_configs(query)
     header = ["layers", "channels", "latent_dim", "num_paths", "footprint", "trainable_params", "savings"]
     rows = []
@@ -214,10 +200,9 @@ def cmd_budget(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    with _rejected_as_config_error("synth"):
-        train_ds, test_ds = make_synthetic(
-            args.classes, args.features, args.per_class, args.separation, seed=args.seed
-        )
+    spec = build_spec(SyntheticSpec, dict(num_classes=args.classes, num_features=args.features,
+                                          samples_per_class=args.per_class, separation=args.separation), "synth")
+    train_ds, test_ds = make_synthetic(**asdict(spec), seed=args.seed)
     save_csv(args.train_out, train_ds)
     save_csv(args.test_out, test_ds)
     print(f"wrote {train_ds.num_samples} train rows to {args.train_out}")

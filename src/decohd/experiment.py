@@ -5,8 +5,9 @@ to the results holds the resolved config, whose root_seed every random
 stream derives from, and re-running from the manifest reproduces the
 run bit-exactly (modulo the wall-clock column of the history file).
 Unknown config keys are errors: silent typos in sweep grids are the
-main operational hazard.  A config error names the key path of the
-value refused, once, as in ``data.synthetic.num_classes`` or
+main operational hazard.  :func:`build_spec` is the one way a JSON or
+command-line value becomes a spec; its config error names the key path
+of the value refused, once, as in ``data.synthetic.num_classes`` or
 ``models[1].channels[0]``.  At every precision but fp32 the test
 encodings are rounded to the format before they are scored, as the
 models' stored arrays are.  The manifest's dataset block records the
@@ -64,7 +65,7 @@ _JSON_TYPES = {int: ("an integer", int), float: ("a number", (int, float)), str:
                tuple: ("a list", (list, tuple))}
 
 
-def _build(hint, value, key: str):
+def build_spec(hint, value, key: str):
     """*value*, from JSON or Python, as the field annotation *hint* at *key*
     takes it: a list as a tuple of built items, an object as its spec with
     each field built under ``key.field``, a number as a float where a float
@@ -80,14 +81,14 @@ def _build(hint, value, key: str):
     if not isinstance(value, accepted) or isinstance(value, bool):
         raise ConfigError(f"{key}: expected {expected}, got {type(value).__name__}")
     if origin is tuple:
-        return tuple(_build(typing.get_args(hint)[0], item, f"{key}[{i}]") for i, item in enumerate(value))
+        return tuple(build_spec(typing.get_args(hint)[0], item, f"{key}[{i}]") for i, item in enumerate(value))
     if not is_dataclass(origin):
         return float(value) if origin is float else value
     hints = typing.get_type_hints(origin)  # one per field
     unknown = value.keys() - hints.keys()
     if unknown:
         raise ConfigError(f"{key}: unknown keys {sorted(unknown)}; allowed: {sorted(hints)}")
-    built = {name: _build(hints[name], item, name if key == "config" else f"{key}.{name}")
+    built = {name: build_spec(hints[name], item, name if key == "config" else f"{key}.{name}")
              for name, item in value.items()}
     try:
         return origin(**built)
@@ -99,6 +100,8 @@ def _build(hint, value, key: str):
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """The keyword arguments of :func:`~decohd.data.make_synthetic` but its seed."""
+
     num_classes: int = 4
     num_features: int = 16
     samples_per_class: int = 200
@@ -119,7 +122,7 @@ class DataSpec:
     synthetic: SyntheticSpec | dict | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "synthetic", _build(SyntheticSpec | None, self.synthetic, "data.synthetic"))
+        object.__setattr__(self, "synthetic", build_spec(SyntheticSpec | None, self.synthetic, "data.synthetic"))
         has_csv = self.train_csv is not None and self.test_csv is not None
         if has_csv == (self.synthetic is not None):
             raise ValueError("give either train_csv+test_csv or synthetic, not both")
@@ -174,7 +177,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, hint in typing.get_type_hints(ExperimentConfig).items():
-            object.__setattr__(self, name, _build(hint, getattr(self, name), name))
+            object.__setattr__(self, name, build_spec(hint, getattr(self, name), name))
         for name in ("models", "dims", "precisions"):
             values = getattr(self, name)
             if not values:
@@ -208,7 +211,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(raw, dict) and "config" in raw and "package_version" in raw:
         raw = raw["config"]  # manifests reload as configs
-    return _build(ExperimentConfig, raw, "config")
+    return build_spec(ExperimentConfig, raw, "config")
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +221,7 @@ def load_config(path: str) -> ExperimentConfig:
 def prepare_data(spec: DataSpec, root_seed: int) -> tuple[Dataset, Dataset]:
     """The (train, test) pair of *spec*: a train CSV of 2 rows and 2 labels or more, a test CSV that fits it."""
     if spec.synthetic is not None:
-        s = spec.synthetic
-        train_ds, test_ds = make_synthetic(
-            s.num_classes,
-            s.num_features,
-            s.samples_per_class,
-            s.separation,
-            seed=derive_seed(root_seed, "data"),
-        )
+        train_ds, test_ds = make_synthetic(**asdict(spec.synthetic), seed=derive_seed(root_seed, "data"))
     else:
         train_ds = load_csv(spec.train_csv)
         present = len(np.unique(train_ds.labels))

@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,15 +136,15 @@ def init_params(config: ModelConfig, dtype=np.float64) -> ModelParams:
 class ChannelBank:
     """Materialized channel hypervectors, one (L_i, dim) block per layer.
 
-    A bank is immutable once scored: :attr:`basis` builds the path basis
-    on first use and keeps it for every later read, so writing into
-    ``channels`` afterwards would leave it stale.  Quantization, bit-flip
-    injection and training build fresh banks instead.  The kept basis is
-    read by training's step and evaluation, and by the path-term form of
-    :func:`~decohd.inference.score_batch`: the fenced bank's and that of
-    a bank whose composed prototypes overflow.  A deployed linear scorer
-    composes its prototypes from a basis it does not keep
-    (:class:`~decohd.inference.DecomposedScorer`).
+    A bank is immutable once scored: the cached property :attr:`basis`
+    builds the path basis on first use and keeps it for every later
+    read, so writing into ``channels`` afterwards would leave it stale.
+    Quantization, bit-flip injection and training build fresh banks
+    instead.  The kept basis is read by training's step and evaluation,
+    and by the path-term form of :func:`~decohd.inference.score_batch`:
+    the fenced bank's and that of a bank whose composed prototypes
+    overflow.  A deployed linear scorer composes its prototypes from a
+    basis it does not keep (:class:`~decohd.inference.DecomposedScorer`).
 
     *squared* marks the fenced bank of :func:`stream_channels`, the only
     code that sets it: its classes score ``<P_c, h*h>``, not ``<P_c, h>``.
@@ -152,7 +152,6 @@ class ChannelBank:
 
     channels: list[np.ndarray]
     squared: bool = False
-    _basis: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -166,12 +165,10 @@ class ChannelBank:
     def num_paths(self) -> int:
         return math.prod(self.channels_per_layer)
 
-    @property
+    @functools.cached_property
     def basis(self) -> np.ndarray:
         """:func:`path_basis` of this bank, built once and kept."""
-        if self._basis is None:
-            self._basis = path_basis(self)
-        return self._basis
+        return path_basis(self)
 
 
 def materialize_channels(params: ModelParams, projectors: list[HadamardProjector]) -> ChannelBank:

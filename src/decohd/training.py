@@ -72,12 +72,8 @@ from .model import (
 from .ops import HadamardProjector, derive_seed, rng_from_seed
 
 
-class TrainingError(RuntimeError):
-    """Non-finite intermediate encountered during training."""
-
-
-class TrainingDiverged(TrainingError):
-    """Loss went non-finite; carries the last finite checkpoint."""
+class TrainingDiverged(RuntimeError):
+    """The one divergence error; carries the last finite checkpoint."""
 
     def __init__(self, message: str, last_good: ModelParams | None, history: list):
         super().__init__(message)
@@ -183,7 +179,7 @@ def _train_batch(h_train, y_train, b_idx, h_mb, params: ModelParams, bank: Chann
         labels = y_train[mb]
         scores = _forward(h, prototypes)
         if not np.isfinite(scores).all():
-            raise TrainingError(
+            raise FloatingPointError(
                 f"non-finite logits in microbatch (|h|max={np.abs(h).max():.3g}, "
                 f"|head|max={np.abs(head).max():.3g})"
             )
@@ -278,7 +274,7 @@ def train(
                     h_train, y_train, b_idx, h_mb, params, bank, projectors, optimizer, loss_sum
                 )
                 correct += c
-        except TrainingError as exc:
+        except FloatingPointError as exc:
             raise TrainingDiverged(
                 f"training diverged at epoch {epoch}: {exc}", last_good, history
             ) from exc

@@ -54,13 +54,28 @@ def printed(name: str, out: str) -> str:
 
 
 @pytest.mark.parametrize("model", ["decohd", "prototype"])
-def test_eval_prints_the_accuracy_train_printed(synthetic_csvs, tmp_path, capsys, model):
+def test_eval_prints_the_accuracy_train_printed(synthetic_csvs, tmp_path, capsys, monkeypatch, model):
     assert cli.main(train_args(synthetic_csvs, tmp_path, "--model", model, "--refine-epochs", "2")) == 0
     trained = printed("test_accuracy", capsys.readouterr().out)
+    formats = []  # eval rounds as the sweep does, at fp32 too
+
+    def counting(scorer, fmt):
+        formats.append(fmt.name)
+        return quantize_model(scorer, fmt)
+
+    monkeypatch.setattr(cli, "quantize_model", counting)
     assert cli.main(["eval", "--model", str(tmp_path / "m.npz"), "--test-csv", synthetic_csvs[1]]) == 0
     out = capsys.readouterr().out
-    assert printed("accuracy", out) == trained
+    assert printed("accuracy", out) == trained and formats == ["fp32"]
     assert f"model={model} " in out
+
+
+def test_train_removes_the_history_an_earlier_model_left_at_its_output(synthetic_csvs, tmp_path, capsys):
+    history = tmp_path / "m_history.csv"
+    for model, written in [("decohd", True), ("prototype", False), ("decohd", True)]:
+        assert cli.main(train_args(synthetic_csvs, tmp_path, "--model", model)) == 0
+        assert history.is_file() == written
+        assert (f"history written to {history}" in capsys.readouterr().out) == written
 
 
 def save_trained(csvs, tmp_path, name: str, *extra) -> str:
@@ -243,6 +258,17 @@ def test_invalid_values_of_other_subcommands_exit_1(argv, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert err.startswith("config error: ") and "Traceback" not in err
     assert out == ""  # refused before any row is printed
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["budget", "--m", "0", "--classes", "3", "--dim", "64"], "budget: m_target must be positive"),
+    (["synth", "--classes", "1"], "synth: need num_classes >= 2, num_features >= 1 and samples_per_class >= 1"),
+], ids=["budget", "synth"])
+def test_a_refused_option_value_prints_its_specs_rule(argv, message, tmp_path, capsys):
+    outputs = ["--train-out", str(tmp_path / "a.csv"), "--test-out", str(tmp_path / "b.csv")]
+    assert cli.main(argv + (outputs if argv[0] == "synth" else [])) == 1
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_malformed_csv_exits_2_as_data_error(saved_decohd, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -200,6 +201,24 @@ class TestKeptBasis:
             pick_class(scorer.score_batch(h))
         assert len(calls) == 1
 
+    def test_a_scored_bank_keeps_its_basis_outside_its_fields(self, rng):
+        bank, head, _ = random_bank_and_head(rng)
+        h = rng.standard_normal((3, bank.dim)).astype(np.float32)
+        assert "basis" not in vars(bank)
+        score_batch(h, bank, head)  # the path terms, through the bank's basis
+        assert "basis" in vars(bank)
+        assert bank.basis is vars(bank)["basis"]
+        assert_same_bits(bank.basis, path_basis(bank))
+        # Equality and repr see the fields alone.
+        assert [f.name for f in dataclasses.fields(ChannelBank)] == ["channels", "squared"]
+        assert repr(bank) == repr(ChannelBank(bank.channels))
+        # The fenced bank scores through its basis too; a rewritten
+        # scorer's bank is fresh and holds none.
+        scorer = DecomposedScorer(ChannelBank(bank.channels, squared=True), head)
+        scorer.score_batch(h)
+        assert "basis" in vars(scorer.bank)
+        assert "basis" not in vars(scorer.replace(scorer.stored()).bank)
+
     @pytest.mark.parametrize(
         "rewrite",
         [lambda s: quantize_model(s, "bf16"), lambda s: inject_bitflips(s, NoiseSpec(1.0, seed=3))],
@@ -248,7 +267,7 @@ class TestComposedPrototypes:
         assert len(calls) == 1 and calls[0][0] is head
         assert_same_bits(clf.scorer._prototypes, head @ path_basis(bank))
         # Resident: the stored arrays and P; the basis was not kept.
-        assert bank._basis is None
+        assert "basis" not in vars(bank)
 
     def test_evaluate_composes_once_per_call(self, rng, monkeypatch):
         bank, head, _ = random_bank_and_head(rng, channels=(2, 3), dim=64, num_classes=5)

@@ -1,9 +1,12 @@
 """tools/pairs.py on the working tree against itself, at smoke-test scale."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ARGS = ["--workload", "train", "--seed", "3", "--seconds", "1", "--shapes", "tiny"]
@@ -32,3 +35,19 @@ def test_one_tiny_train_pair_writes_every_metric_and_the_direct_digest(tmp_path)
             assert m[side].keys() == {"runs", "median", "q1", "q3"} and len(m[side]["runs"]) == 1
         assert m["pairs"] == 1 and 0 <= m["wins"] <= 1
         assert m["verdict"] in ("better", "worse", "unresolved", "within bound")
+
+
+def load_pairs():
+    spec = importlib.util.spec_from_file_location("pairs", os.path.join(ROOT, "tools", "pairs.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pairs_defaults_to_ten_and_refuses_fewer_than_one(capsys):
+    pairs = load_pairs()
+    argv = ["--parent", "HEAD", "--workload", "train", "--seed", "1", "--out", "x.json"]
+    assert pairs.parse_args(argv).pairs == 10
+    with pytest.raises(SystemExit) as excinfo:
+        pairs.parse_args(argv + ["--pairs", "0"])
+    assert excinfo.value.code == 2 and "--pairs must be at least 1" in capsys.readouterr().err

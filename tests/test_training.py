@@ -433,7 +433,7 @@ class TestMicrobatchBuffer:
         finally:
             tracemalloc.stop()
         assert peak <= microbatch * dim * 4 + 8 * basis + (1 << 16)
-        assert result.scorer.bank._basis is None
+        assert "basis" not in vars(result.scorer.bank)
 
 
 class TestOneBankPerParameterState:
@@ -496,7 +496,7 @@ class TestOneBankPerParameterState:
         # params' head.
         scorer = result.scorer
         assert all(a is b for a, b in zip(scorer.bank.channels, banks[-1].channels, strict=True))
-        assert scorer.bank._basis is None and scorer.head is result.params.head
+        assert "basis" not in vars(scorer.bank) and scorer.head is result.params.head
         if epochs > 0:
             assert banks[-1] is stepped[-1][1]
             for got, expected in zip(stepped[-1][0].arrays(), result.params.arrays()):

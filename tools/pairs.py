@@ -1,13 +1,14 @@
 """Alternating parent/change pairs of one benchmark workload.
 
     python3 tools/pairs.py --parent REV --workload {train,serve,sweep} \\
-        --seed N --pairs N --out BENCH_<pr>_pairs.json [--seconds S] [--shapes isolet|tiny]
+        --seed N --out BENCH_<pr>_pairs.json [--pairs N] [--seconds S] [--shapes isolet|tiny]
 
 Exports the parent revision REV with ``git archive`` (or takes REV as a
 directory that already holds a tree), then runs the unchanged
 ``perfbench/run.py`` of each tree from that tree's root, untraced,
-alternating which side goes first.  The change is the working tree this
-file sits in.  Each end-to-end metric of ``BENCHMARK.json`` gets both
+alternating which side goes first, over 10 pairs unless ``--pairs``
+says otherwise.  The change is the working tree this file sits in.
+Each end-to-end metric of ``BENCHMARK.json`` gets both
 sides' per-run values, medians and quartiles, the number of pairs the
 change won (ties count for neither side) and a verdict against the
 metric's bound:
@@ -100,7 +101,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--parent", required=True, help="git revision, or a directory holding a tree")
     parser.add_argument("--workload", required=True, choices=("train", "serve", "sweep"))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--pairs", type=int, default=10, help="at least 1; 10, the default, for a claim")
     parser.add_argument("--out", required=True)
     parser.add_argument("--seconds", type=int, default=10)
     parser.add_argument("--shapes", choices=("isolet", "tiny"), default="isolet")
