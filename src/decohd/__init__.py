@@ -26,7 +26,7 @@ from .budget import (
 )
 from .data import Dataset, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
-from .faults import NoiseSpec, inject_bitflips, robustness_sweep
+from .faults import inject_bitflips, robustness_sweep
 from .inference import DecomposedScorer
 from .model import Classifier, ModelConfig, ModelParams, pick_class
 from .precision import PRESETS, PrecisionFormat, quantize_model
@@ -42,7 +42,6 @@ __all__ = [
     "EncoderConfig",
     "ModelConfig",
     "ModelParams",
-    "NoiseSpec",
     "PRESETS",
     "PrecisionFormat",
     "PrototypeTable",

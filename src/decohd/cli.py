@@ -7,17 +7,18 @@ sweep rounds, so all three print the same accuracy for one model and
 test set; a test label the model has no class for is a data error.
 ``BudgetQuery``, ``SyntheticSpec`` and ``ExperimentConfig`` refuse
 option values through :func:`~decohd.experiment.build_spec`, as config
-errors.  ``robustness`` scores each model against its own encodings
+errors; ``NoiseConfig`` refuses a ``--p-grid`` as the command line is
+parsed.  ``robustness`` scores each model against its own encodings
 of the test CSV, read as ``eval`` reads it, so models of other
 encoders, standardizers or D compare in one table; rows name a model by
 its distinct file stem and carry its D, and it loads, encodes and sweeps
 one model at a time, in stem order.  Relative dataset paths resolve
-against $DECOHD_DATA_DIR; an output path whose directory does not exist
-is refused as the command line is parsed.  Exit codes: 0 success, 1
-config error, 2 data error: a malformed CSV or an unusable model
-container (argparse also exits 2 on a malformed command line), 3
-training divergence.  Any other exception is a bug and propagates with
-its traceback.
+against $DECOHD_DATA_DIR; an output path that is a directory, or whose
+directory does not exist, is refused as the command line is parsed.
+Exit codes: 0 success, 1 config error, 2 data error: a malformed CSV or
+an unusable model container (argparse also exits 2 on a malformed
+command line), 3 training divergence.  Any other exception is a bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -29,15 +30,13 @@ from dataclasses import asdict, astuple, fields
 
 from .baselines import MODEL_KINDS
 from .budget import BudgetQuery, budget_of, enumerate_configs, trainable_param_savings
-from .data import ParseError, load_csv, make_synthetic, save_csv
+from .data import ParseError, SyntheticSpec, load_csv, make_synthetic, save_csv
 from .encoding import fit_standardizer
 from .experiment import (
     ConfigError,
     DataSpec,
     ExperimentConfig,
     ModelSpec,
-    NoiseConfig,
-    SyntheticSpec,
     build_spec,
     encode_splits,
     fit_model,
@@ -46,7 +45,7 @@ from .experiment import (
     run_experiment,
     write_csv,
 )
-from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
+from .faults import ROBUSTNESS_COLUMNS, NoiseConfig, robustness_sweep
 from .model import accuracy
 from .precision import PRESETS, get_format, quantize_array, quantize_model
 from .serialize import load_classifier, save_classifier
@@ -63,14 +62,17 @@ def _int_list(text: str) -> list[int]:
 def _probability_list(text: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(",") if x]
+        NoiseConfig(p_grid=tuple(values))
     except ValueError:
         values = None
-    if not values or not all(0.0 <= p <= 1.0 for p in values) or len(set(values)) < len(values):
+    if not values:
         raise argparse.ArgumentTypeError(f"expected distinct comma-separated probabilities in [0, 1], got {text!r}")
     return values
 
 
 def _output_path(text: str) -> str:
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory, not a file to write")
     if not os.path.isdir(os.path.dirname(text) or "."):
         raise argparse.ArgumentTypeError(f"no directory to write {text!r} into")
     return text

@@ -3,6 +3,8 @@
 CSV layout: one sample per row, numeric feature columns, integer class
 label in the last column, optional single header row (auto-detected).
 Feature count and class count are inferred and reported.
+:class:`SyntheticSpec` states the synthetic blobs' shape rule, and
+:func:`bayes_accuracy` their ceiling, which is None beyond C <= F.
 """
 
 from __future__ import annotations
@@ -145,22 +147,38 @@ def save_csv(path: str, dataset: Dataset) -> None:
     np.savetxt(path, data, delimiter=",", fmt=fmt)
 
 
-def bayes_accuracy(num_classes: int, separation: float) -> float:
-    """Accuracy of the Bayes rule on :func:`make_synthetic` data with
-    ``num_classes <= num_features``: the centres are then orthogonal and
-    of equal norm, so the rule is ``argmax_c x_c`` and it is right with
-    probability ``integral of phi(z - s) * Phi(z)**(C - 1) dz``, which
-    Simpson's rule sums over ``z - s`` in [-10, 10].  The ceiling no model
-    of those data can beat beyond sampling noise."""
-    if num_classes < 2 or not 0.0 <= separation < math.inf:
-        raise ValueError(f"need num_classes >= 2 and a finite separation >= 0, got {num_classes}, {separation}")
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """The keyword arguments of :func:`make_synthetic` but its seed."""
+
+    num_classes: int = 4
+    num_features: int = 16
+    samples_per_class: int = 200
+    separation: float = 3.0
+
+    def __post_init__(self):
+        if self.num_classes < 2 or self.num_features < 1 or self.samples_per_class < 1:
+            raise ValueError("need num_classes >= 2, num_features >= 1 and samples_per_class >= 1")
+        if not 0.0 <= self.separation < math.inf:
+            raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
+
+
+def bayes_accuracy(spec: SyntheticSpec) -> float | None:
+    """Accuracy of the Bayes rule on :func:`make_synthetic` data of
+    *spec*, None unless ``num_classes <= num_features``: the centres are
+    then orthogonal and of equal norm, so the rule is ``argmax_c x_c`` and
+    it is right with probability ``integral of phi(z - s) * Phi(z)**(C - 1) dz``,
+    which Simpson's rule sums over ``z - s`` in [-10, 10].  The ceiling no
+    model of those data can beat beyond sampling noise."""
+    if spec.num_classes > spec.num_features:
+        return None
     steps, width = 2000, 20.0 / 2000
     total = 0.0
     for i in range(steps + 1):
         t = -10.0 + i * width
         weight = 1 if i in (0, steps) else (2 if i % 2 == 0 else 4)
-        cdf = 0.5 * (1.0 + math.erf((t + separation) / math.sqrt(2.0)))
-        total += weight * math.exp(-0.5 * t * t) * cdf ** (num_classes - 1)
+        cdf = 0.5 * (1.0 + math.erf((t + spec.separation) / math.sqrt(2.0)))
+        total += weight * math.exp(-0.5 * t * t) * cdf ** (spec.num_classes - 1)
     return total * width / 3.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -177,10 +195,7 @@ def make_synthetic(
     separation 0 makes the classes indistinguishable (a chance-level
     fixture); large separation makes them trivially separable.
     """
-    if not 0.0 <= separation < math.inf:
-        raise ValueError(f"separation must be finite and >= 0, got {separation}")
-    if num_classes < 2 or num_features < 1 or samples_per_class < 1:
-        raise ValueError("invalid synthetic dataset shape")
+    SyntheticSpec(num_classes, num_features, samples_per_class, separation)  # refuses a bad shape
     centers = np.zeros((num_classes, num_features))
     for c in range(num_classes):
         centers[c, c % num_features] = separation * (1 + c // num_features)

@@ -13,6 +13,8 @@ encodings are rounded to the format before they are scored, as the
 models' stored arrays are.  The manifest's dataset block records the
 Bayes ceiling of synthetic data (:func:`~decohd.data.bayes_accuracy`),
 the accuracy no model of those data can beat beyond sampling noise.
+Only ``DataSpec``, ``ModelSpec`` and ``ExperimentConfig`` live here;
+every other spec lives beside the function that reads it.
 
 Each dimension runs a fit stage, then an evaluation stage.  The fit
 stage encodes both splits and releases the encoder's matrix, then fits
@@ -47,9 +49,9 @@ import numpy as np
 from . import __version__
 from .baselines import MODEL_KINDS, build_prototype_table, onlinehd_refine, sparsify_table
 from .budget import budget_of
-from .data import Dataset, ParseError, bayes_accuracy, load_csv, make_synthetic
+from .data import Dataset, ParseError, SyntheticSpec, bayes_accuracy, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
-from .faults import ROBUSTNESS_COLUMNS, robustness_sweep
+from .faults import ROBUSTNESS_COLUMNS, NoiseConfig, robustness_sweep
 from .model import Classifier, ModelConfig, accuracy
 from .ops import derive_seed
 from .precision import PRESETS, get_format, quantize_array, quantize_model
@@ -99,22 +101,6 @@ def build_spec(hint, value, key: str):
 
 
 @dataclass(frozen=True)
-class SyntheticSpec:
-    """The keyword arguments of :func:`~decohd.data.make_synthetic` but its seed."""
-
-    num_classes: int = 4
-    num_features: int = 16
-    samples_per_class: int = 200
-    separation: float = 3.0
-
-    def __post_init__(self):
-        if self.num_classes < 2 or self.num_features < 1 or self.samples_per_class < 1:  # as make_synthetic
-            raise ValueError("need num_classes >= 2, num_features >= 1 and samples_per_class >= 1")
-        if not 0.0 <= self.separation < math.inf:
-            raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
-
-
-@dataclass(frozen=True)
 class DataSpec:
     name: str | None = None
     train_csv: str | None = None
@@ -149,18 +135,6 @@ class ModelSpec:
             raise ValueError("sparsehd budget must be in (0, 1]")
         if self.epochs < 0 or not 0.0 <= self.learning_rate < math.inf:
             raise ValueError("onlinehd refinement needs epochs >= 0 and a finite learning_rate >= 0")
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    p_grid: tuple[float, ...] = ()
-    trials: int = 5
-
-    def __post_init__(self):
-        if self.trials < 1 or not all(0.0 <= p <= 1.0 for p in self.p_grid):
-            raise ValueError(f"need trials >= 1 and every p in [0, 1], got {self.trials} and {self.p_grid}")
-        if len(set(self.p_grid)) < len(self.p_grid):
-            raise ValueError(f"p_grid repeats a value: {self.p_grid}")
 
 
 @dataclass(frozen=True)
@@ -383,9 +357,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
             header = ["model", *(f.name for f in fields(EpochStats))]
             write_csv(os.path.join(out, "history.csv"), header, history_rows)
         manifest_path = os.path.join(out, "manifest.json")
-        synth = config.data.synthetic  # the ceiling has a closed form for C <= F alone
-        ceiling = (bayes_accuracy(synth.num_classes, synth.separation)
-                   if synth and synth.num_classes <= synth.num_features else None)
+        synth = config.data.synthetic
         manifest = {
             "package_version": __version__,
             "config": asdict(config),
@@ -395,7 +367,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
                 "num_classes": train_ds.num_classes,
                 "num_train": train_ds.num_samples,
                 "num_test": test_ds.num_samples,
-                "bayes_accuracy": ceiling,
+                "bayes_accuracy": bayes_accuracy(synth) if synth else None,
             },
             "model_labels": labels,
         }

@@ -2,7 +2,7 @@
 
 Each bit of each targeted float32 word flips independently with the
 configured probability, from a seeded stream derived per parameter
-array, so a given NoiseSpec always produces the same corrupted model.
+array, so a given (p, seed) pair always produces the same corrupted model.
 The flips are sampled by count, not bit by bit: each chunk of m words
 draws its flip count from Binomial(32m, p), then that many distinct bit
 positions uniformly without replacement (above p=1/2, the count and
@@ -21,7 +21,8 @@ channel bank plus the bundling head of a decomposed model, or a
 baseline's prototype table, which holds only its retained columns when
 a mask sparsifies it.
 Any other dtype is refused.  Each array's stream is derived from the
-spec's seed, ``"bits"`` and the array's ``stored()`` key.
+seed, ``"bits"`` and the array's ``stored()`` key.  :class:`NoiseConfig`
+states the sweep's rules, a single p's range included.
 :func:`robustness_sweep` rows are lists in ``ROBUSTNESS_COLUMNS`` order.
 """
 
@@ -36,13 +37,17 @@ from .ops import derive_seed, rng_from_seed
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    flip_probability: float
-    seed: int = 0
+class NoiseConfig:
+    p_grid: tuple[float, ...] = ()
+    trials: int = 5
 
     def __post_init__(self):
-        if not 0.0 <= self.flip_probability <= 1.0:
-            raise ValueError("flip_probability must be in [0, 1]")
+        if self.trials < 1:
+            raise ValueError(f"need trials >= 1, got {self.trials}")
+        if not all(0.0 <= p <= 1.0 for p in self.p_grid):
+            raise ValueError(f"every flip probability must be in [0, 1], got {self.p_grid}")
+        if len(set(self.p_grid)) < len(self.p_grid):
+            raise ValueError(f"p_grid repeats a value: {self.p_grid}")
 
 
 ROBUSTNESS_COLUMNS = ("model_kind", "D", "p_flip", "trial", "test_accuracy")
@@ -87,13 +92,13 @@ def flip_float32_bits(a: np.ndarray, flip_probability: float, seed: int) -> np.n
     return out
 
 
-def inject_bitflips(scorer, spec: NoiseSpec):
+def inject_bitflips(scorer, flip_probability: float, seed: int = 0):
     """Corrupt every stored float32 array of a deployed scorer; returns
     a new scorer of the same type.  p=0 is a bit-exact identity and p=1
     inverts every bit (so applying it twice restores the model)."""
-    p = spec.flip_probability
+    NoiseConfig(p_grid=(flip_probability,))  # refuses a p outside [0, 1]
     return scorer.replace(
-        {key: flip_float32_bits(a, p, derive_seed(spec.seed, "bits", key))
+        {key: flip_float32_bits(a, flip_probability, derive_seed(seed, "bits", key))
          for key, a in scorer.stored().items()}
     )
 
@@ -124,7 +129,7 @@ def robustness_sweep(
                 if p == 0.0:
                     acc = unflipped[name]
                 else:
-                    corrupted = inject_bitflips(scorers[name], NoiseSpec(p, seed=cell_seed))
+                    corrupted = inject_bitflips(scorers[name], p, cell_seed)
                     acc = accuracy(corrupted, h_test, y_test)
                 rows.append([name, scorers[name].dim, float(p), trial, acc])
     rows.sort(key=lambda r: r[:4])

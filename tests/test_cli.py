@@ -12,9 +12,9 @@ import pytest
 
 from decohd import cli, encoding
 from decohd.budget import BudgetQuery, enumerate_configs, trainable_param_savings
-from decohd.data import Dataset, load_csv, make_synthetic, save_csv
-from decohd.experiment import ExperimentConfig, ModelSpec, NoiseConfig, SyntheticSpec, write_csv
-from decohd.faults import ROBUSTNESS_COLUMNS, robustness_sweep
+from decohd.data import Dataset, SyntheticSpec, load_csv, make_synthetic, save_csv
+from decohd.experiment import ExperimentConfig, ModelSpec, write_csv
+from decohd.faults import ROBUSTNESS_COLUMNS, NoiseConfig, robustness_sweep
 from decohd.model import accuracy
 from decohd.ops import generate_matrix
 from decohd.precision import quantize_array, quantize_model
@@ -209,8 +209,7 @@ SYNTHETIC = {"data": {"synthetic": {}}}
 
 @pytest.mark.parametrize("config, message", [
     ({"data": {"synthetic": {"num_classes": 3.5}}}, "data.synthetic.num_classes: expected an integer, got float"),
-    ({**SYNTHETIC, "noise": {"p_grid": [0.1], "trials": 0}},
-     "noise: need trials >= 1 and every p in [0, 1], got 0 and (0.1,)"),
+    ({**SYNTHETIC, "noise": {"p_grid": [0.1], "trials": 0}}, "noise: need trials >= 1, got 0"),
     ({**SYNTHETIC, "train": {"batch_size": 0}}, "train: batch sizes must be >= 1"),
     ({**SYNTHETIC, "models": [{"kind": "decohd", "channels": [2, True]}]},
      "models[0].channels[1]: expected an integer, got bool"),
@@ -498,27 +497,58 @@ def test_malformed_command_line_is_rejected_by_argparse(argv, capsys):
     assert "error: argument" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["train", "robustness", "budget", "synth-train", "synth-test"])
-def test_an_output_path_without_its_directory_is_rejected_by_argparse(synthetic_csvs, tmp_path, capsys, monkeypatch,
-                                                                      command):
+def refuse_output(command, path, csvs, tmp_path, monkeypatch, capsys) -> str:
+    """Run *command* with its output option at *path*, which argparse must
+    refuse with exit 2 before anything is fitted or printed; returns stderr."""
     def never(*args, **kwargs):
         raise AssertionError("trained before the command line was checked")
 
     monkeypatch.setattr(cli, "fit_model", never)
-    missing = str(tmp_path / "no_such_dir" / "out")
     argv, option = {
-        "train": (train_args(synthetic_csvs, tmp_path, "--output", missing), "--output"),
-        "robustness": (robustness_argv(["m.npz"], "t.csv", missing), "--output"),
-        "budget": (BUDGET + ["--output", missing], "--output"),
-        "synth-train": (["synth", "--train-out", missing], "--train-out"),
-        "synth-test": (["synth", "--test-out", missing], "--test-out"),
+        "train": (train_args(csvs, tmp_path, "--output", path), "--output"),
+        "robustness": (robustness_argv(["m.npz"], "t.csv", path), "--output"),
+        "budget": (BUDGET + ["--output", path], "--output"),
+        "synth-train": (["synth", "--train-out", path], "--train-out"),
+        "synth-test": (["synth", "--test-out", path], "--test-out"),
     }[command]
     with pytest.raises(SystemExit) as excinfo:
         cli.main(argv)
     assert excinfo.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and f"error: argument {option}: no directory to write {missing!r} into" in err
+    assert out == "" and f"error: argument {option}: " in err
+    return err
+
+
+@pytest.mark.parametrize("command", ["train", "robustness", "budget", "synth-train", "synth-test"])
+def test_an_output_path_without_its_directory_is_rejected_by_argparse(synthetic_csvs, tmp_path, capsys, monkeypatch,
+                                                                      command):
+    missing = str(tmp_path / "no_such_dir" / "out")
+    err = refuse_output(command, missing, synthetic_csvs, tmp_path, monkeypatch, capsys)
+    assert f"no directory to write {missing!r} into" in err
     assert sorted(os.listdir(tmp_path)) == ["test.csv", "train.csv"]  # nothing written
+
+
+@pytest.mark.parametrize("command", ["train", "robustness", "budget", "synth-train", "synth-test"])
+def test_an_output_path_that_is_a_directory_is_rejected_by_argparse(synthetic_csvs, tmp_path, capsys, monkeypatch,
+                                                                    command):
+    outdir = tmp_path / "outdir"
+    outdir.mkdir()
+    err = refuse_output(command, str(outdir), synthetic_csvs, tmp_path, monkeypatch, capsys)
+    assert f"{str(outdir)!r} is a directory, not a file to write" in err
+    assert sorted(os.listdir(tmp_path)) == ["outdir", "test.csv", "train.csv"] and not os.listdir(outdir)
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--p-grid", "0,2", "expected distinct comma-separated probabilities in [0, 1], got '0,2'"),
+    ("--p-grid", "0,0", "expected distinct comma-separated probabilities in [0, 1], got '0,0'"),
+    ("--p-grid", "", "expected distinct comma-separated probabilities in [0, 1], got ''"),
+    ("--trials", "0", "expected a positive integer, got '0'"),
+], ids=["p-range", "p-repeat", "p-empty", "trials-0"])
+def test_a_refused_noise_option_exits_2_with_its_message(capsys, option, value, message):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["robustness", "--models", "m.npz", "--test-csv", "t.csv", option, value])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {option}: {message}\n")
 
 
 def test_a_p_grid_cell_that_is_not_a_number_is_rejected_by_argparse(capsys):

@@ -7,6 +7,7 @@ from decohd.data import (
     DATA_DIR_ENV,
     Dataset,
     ParseError,
+    SyntheticSpec,
     bayes_accuracy,
     load_csv,
     make_synthetic,
@@ -45,7 +46,9 @@ class TestMakeSynthetic:
 
     @pytest.mark.parametrize("args", [(1, 3, 5, 1.0), (3, 0, 5, 1.0), (3, 3, 0, 1.0), (3, 3, 5, -1.0)])
     def test_rejects_invalid_shapes(self, args):
-        with pytest.raises(ValueError):
+        message = ("^separation must be finite and >= 0, got -1.0$" if args[3] < 0 else
+                   "^need num_classes >= 2, num_features >= 1 and samples_per_class >= 1$")  # SyntheticSpec's
+        with pytest.raises(ValueError, match=message):
             make_synthetic(*args)
 
     @pytest.mark.parametrize("separation", [float("nan"), float("inf")])
@@ -60,22 +63,28 @@ class TestBayesAccuracy:
         # For C <= F the Bayes rule of make_synthetic's blobs is argmax_c x_c.
         _, test_ds = make_synthetic(num_classes, num_features, 2000, separation, seed=9)
         hits = np.argmax(test_ds.features[:, :num_classes], axis=1) == test_ds.labels
-        p = bayes_accuracy(num_classes, separation)
+        p = bayes_accuracy(SyntheticSpec(num_classes, num_features, 2000, separation))
         sigma = np.sqrt(p * (1 - p) / len(hits))
         assert abs(hits.mean() - p) <= 3 * sigma
 
     @pytest.mark.parametrize("num_classes, ceiling", [(4, 0.956), (8, 0.918), (26, 0.823), (100, 0.678)])
     def test_ceilings_at_separation_3(self, num_classes, ceiling):
-        assert round(bayes_accuracy(num_classes, 3.0), 3) == ceiling
+        assert round(bayes_accuracy(SyntheticSpec(num_classes, num_classes, 1, 3.0)), 3) == ceiling
 
     def test_no_separation_is_chance(self):
         for c in (2, 10):
-            assert bayes_accuracy(c, 0.0) == pytest.approx(1 / c, abs=1e-12)
+            assert bayes_accuracy(SyntheticSpec(c, c, 1, 0.0)) == pytest.approx(1 / c, abs=1e-12)
 
     @pytest.mark.parametrize("args", [(1, 3.0), (4, -1.0), (4, float("nan")), (4, float("inf"))])
     def test_rejects_invalid_arguments(self, args):
-        with pytest.raises(ValueError, match="need num_classes >= 2"):
-            bayes_accuracy(*args)
+        # The spec refuses what has no ceiling, before bayes_accuracy reads it.
+        num_classes, separation = args
+        message = "^need num_classes >= 2" if num_classes < 2 else "^separation must be finite and >= 0"
+        with pytest.raises(ValueError, match=message):
+            SyntheticSpec(num_classes, 16, 1, separation)
+
+    def test_more_classes_than_features_has_no_closed_form(self):
+        assert bayes_accuracy(SyntheticSpec(5, 4, 1, 3.0)) is None
 
 
 class TestLoadCsv:

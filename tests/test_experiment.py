@@ -11,7 +11,7 @@ import pytest
 
 from decohd import cli, encoding, experiment, model, ops, serialize, training
 from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_table
-from decohd.data import bayes_accuracy, make_synthetic, save_csv
+from decohd.data import SyntheticSpec, bayes_accuracy, make_synthetic, save_csv
 from decohd.encoding import fit_standardizer
 from decohd.experiment import (
     ConfigError,
@@ -110,7 +110,7 @@ def test_manifest_keys_are_pinned(tmp_path):
         manifest = json.load(fh)
     assert manifest.keys() == {"package_version", "config", "dataset", "model_labels"}
     assert manifest["dataset"]["name"] == config.data.name
-    assert manifest["dataset"]["bayes_accuracy"] == bayes_accuracy(3, 3.0)
+    assert manifest["dataset"]["bayes_accuracy"] == bayes_accuracy(SyntheticSpec(3, 4, 5, 3.0))
     assert load_config(result.manifest_path) == config
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from decohd import faults
-from decohd.faults import ROBUSTNESS_COLUMNS, NoiseSpec, flip_float32_bits, inject_bitflips, robustness_sweep
+from decohd.faults import ROBUSTNESS_COLUMNS, NoiseConfig, flip_float32_bits, inject_bitflips, robustness_sweep
 from decohd.model import accuracy
 from decohd.ops import rng_from_seed
 from tests.conftest import assert_same_bits, deployed_forms
@@ -33,35 +33,47 @@ def assert_same_words(a, b):
 class TestBitflipLimits:
     def test_zero_rate_is_identity(self, rng, kind):
         scorer = deployed_forms(rng)[kind]
-        out = inject_bitflips(scorer, NoiseSpec(0.0, seed=7))
+        out = inject_bitflips(scorer, 0.0, 7)
         assert type(out) is type(scorer)
         assert_same_words(out, scorer)
 
     def test_unit_rate_is_an_involution(self, rng, kind):
         scorer = deployed_forms(rng)[kind]
-        once = inject_bitflips(scorer, NoiseSpec(1.0, seed=7))
+        once = inject_bitflips(scorer, 1.0, 7)
         for k, w in words(once).items():
             assert not np.array_equal(w, words(scorer)[k]), k
-        assert_same_words(inject_bitflips(once, NoiseSpec(1.0, seed=7)), scorer)
+        assert_same_words(inject_bitflips(once, 1.0, 7), scorer)
 
     def test_seeded(self, rng, kind):
         scorer = deployed_forms(rng)[kind]
-        a = inject_bitflips(scorer, NoiseSpec(1e-2, seed=3))
-        assert_same_words(a, inject_bitflips(scorer, NoiseSpec(1e-2, seed=3)))
+        a = inject_bitflips(scorer, 1e-2, 3)
+        assert_same_words(a, inject_bitflips(scorer, 1e-2, 3))
 
 
 def test_unit_rate_inverts_every_decomposed_word(rng):
     scorer = deployed_forms(rng)["decohd"]
-    flipped = words(inject_bitflips(scorer, NoiseSpec(1.0, seed=1)))
+    flipped = words(inject_bitflips(scorer, 1.0, 1))
     for k, w in words(scorer).items():
         np.testing.assert_array_equal(flipped[k], ~w, err_msg=k)
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(1.5)
+def test_spec_validation(rng):
+    scorer = deployed_forms(rng)["decohd"]
+    with pytest.raises(ValueError, match=r"^every flip probability must be in \[0, 1\], got \(1\.5,\)$"):
+        inject_bitflips(scorer, 1.5)
     with pytest.raises(TypeError):  # the only target is the stored parameters
-        NoiseSpec(0.1, target="encodings")
+        inject_bitflips(scorer, 0.1, target="encodings")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(trials=0), r"need trials >= 1, got 0"),
+    (dict(p_grid=(0.5, -0.1)), r"every flip probability must be in \[0, 1\], got \(0\.5, -0\.1\)"),
+    (dict(p_grid=(float("nan"),)), r"every flip probability must be in \[0, 1\], got \(nan,\)"),
+    (dict(p_grid=(0.0, 0.0)), r"p_grid repeats a value: \(0\.0, 0\.0\)"),
+], ids=["trials", "range", "nan", "repeat"])
+def test_each_noise_config_message_names_one_rule(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        NoiseConfig(**kwargs)
 
 
 def test_only_float32_storage_is_flipped():

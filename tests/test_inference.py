@@ -8,7 +8,7 @@ import pytest
 from decohd import inference, model, training
 from decohd.inference import DecomposedScorer, choose_mode, score_batch, stream_scores
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder, fit_standardizer
-from decohd.faults import NoiseSpec, inject_bitflips
+from decohd.faults import inject_bitflips
 from decohd.experiment import ExperimentConfig, encode_splits, fit_model, prepare_data
 from decohd.model import ChannelBank, DecoHDClassifier, ModelConfig, init_params, path_basis, pick_class
 from decohd.precision import quantize_model
@@ -221,7 +221,7 @@ class TestKeptBasis:
 
     @pytest.mark.parametrize(
         "rewrite",
-        [lambda s: quantize_model(s, "bf16"), lambda s: inject_bitflips(s, NoiseSpec(1.0, seed=3))],
+        [lambda s: quantize_model(s, "bf16"), lambda s: inject_bitflips(s, 1.0, 3)],
         ids=["bf16", "bitflip_p1"],
     )
     def test_rewritten_scorer_not_stale(self, rng, rewrite):

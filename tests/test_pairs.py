@@ -51,3 +51,25 @@ def test_pairs_defaults_to_ten_and_refuses_fewer_than_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         pairs.parse_args(argv + ["--pairs", "0"])
     assert excinfo.value.code == 2 and "--pairs must be at least 1" in capsys.readouterr().err
+
+
+def test_both_sides_are_fresh_copies_side_by_side(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a process was launched")
+
+    pairs = load_pairs()
+    monkeypatch.setattr(pairs.subprocess, "run", never)
+    parent = tmp_path / "parent-source"
+    for name in ("a.py", ".git/HEAD", "pkg/b.py", "pkg/__pycache__/b.pyc", ".perfbench-x/out.csv"):
+        (parent / name).parent.mkdir(parents=True, exist_ok=True)
+        (parent / name).write_text(name, encoding="utf-8")
+    trees = pairs.make_trees(str(parent), str(tmp_path / "trees"))
+    assert trees == {side: str(tmp_path / "trees" / side) for side in ("parent", "change")}
+    copied = sorted(os.path.relpath(os.path.join(d, f), trees["parent"]) for d, _, fs in os.walk(trees["parent"])
+                    for f in fs)
+    assert copied == ["a.py", os.path.join("pkg", "b.py")]
+    init = os.path.join("src", "decohd", "__init__.py")
+    with open(os.path.join(ROOT, init), "rb") as here, open(os.path.join(trees["change"], init), "rb") as there:
+        assert here.read() == there.read()
+    for d, dirs, _ in os.walk(trees["change"]):
+        assert not [x for x in dirs if x in (".git", "__pycache__") or x.startswith(".perfbench-")], d

@@ -11,7 +11,7 @@ import pytest
 import decohd
 from decohd import inference
 from decohd.baselines import PrototypeTable
-from decohd.faults import NoiseSpec, flip_float32_bits, inject_bitflips
+from decohd.faults import flip_float32_bits, inject_bitflips
 from decohd.inference import DecomposedScorer
 from decohd.model import ChannelBank
 from decohd.ops import derive_seed
@@ -28,9 +28,9 @@ REWRITES = {
     "fp32": lambda s: quantize_model(s, "fp32"),
     "bf16": lambda s: quantize_model(s, "bf16"),
     "fp4": lambda s: quantize_model(s, "fp4_e2m1"),
-    "flip_p0": lambda s: inject_bitflips(s, NoiseSpec(0.0, seed=5)),
-    "flip_p1e-3": lambda s: inject_bitflips(s, NoiseSpec(1e-3, seed=5)),
-    "flip_p1": lambda s: inject_bitflips(s, NoiseSpec(1.0, seed=5)),
+    "flip_p0": lambda s: inject_bitflips(s, 0.0, 5),
+    "flip_p1e-3": lambda s: inject_bitflips(s, 1e-3, 5),
+    "flip_p1": lambda s: inject_bitflips(s, 1.0, 5),
 }
 
 
@@ -88,15 +88,14 @@ def test_flip_streams_keep_their_seed_tokens(rng):
     # stream that ("channels", 1) always named; corrupted models stay
     # reproducible across the change to stored() keys.
     forms = deployed_forms(rng)
-    spec = NoiseSpec(1e-2, seed=9)
-    out = inject_bitflips(forms["decohd"], spec)
+    out = inject_bitflips(forms["decohd"], 1e-2, 9)
     for i, c in enumerate(forms["decohd"].bank.channels):
         expected = flip_float32_bits(c, 1e-2, derive_seed(9, "bits", "channels", i))
         np.testing.assert_array_equal(bits(out.bank.channels[i]), bits(expected))
     np.testing.assert_array_equal(
         bits(out.head), bits(flip_float32_bits(forms["decohd"].head, 1e-2, derive_seed(9, "bits", "head")))
     )
-    table = inject_bitflips(forms["prototype"], spec).prototypes
+    table = inject_bitflips(forms["prototype"], 1e-2, 9).prototypes
     expected = flip_float32_bits(forms["prototype"].prototypes, 1e-2, derive_seed(9, "bits", "table"))
     np.testing.assert_array_equal(bits(table), bits(expected))
 
@@ -114,7 +113,7 @@ class TestSparseStored:
         # Only retained words are held, so a unit flip inverts them all
         # and leaves the mask, the choice of columns, as it was.
         scorer = deployed_forms(rng)["sparsehd"]
-        out = inject_bitflips(scorer, NoiseSpec(1.0, seed=2))
+        out = inject_bitflips(scorer, 1.0, 2)
         assert out.mask is scorer.mask
         np.testing.assert_array_equal(bits(out.prototypes), ~bits(scorer.prototypes))
 
@@ -148,12 +147,11 @@ class TestSparseStored:
 
 PUBLIC_SURFACE = [
     "BudgetQuery", "BudgetReport", "Classifier", "Dataset", "DecomposedScorer",
-    "EncoderConfig", "ModelConfig", "ModelParams", "NoiseSpec",
-    "PRESETS", "PrecisionFormat", "PrototypeTable", "RandomProjectionEncoder",
-    "Standardizer", "TrainConfig", "budget_of", "build_prototype_table",
-    "enumerate_configs", "fit_standardizer", "footprint", "inject_bitflips",
-    "load_classifier", "load_csv", "make_synthetic", "onlinehd_refine",
-    "pick_class", "quantize_model", "robustness_sweep",
+    "EncoderConfig", "ModelConfig", "ModelParams", "PRESETS", "PrecisionFormat",
+    "PrototypeTable", "RandomProjectionEncoder", "Standardizer", "TrainConfig",
+    "budget_of", "build_prototype_table", "enumerate_configs", "fit_standardizer",
+    "footprint", "inject_bitflips", "load_classifier", "load_csv", "make_synthetic",
+    "onlinehd_refine", "pick_class", "quantize_model", "robustness_sweep",
     "save_classifier", "sparsify_table", "train", "trainable_param_savings",
 ]
 

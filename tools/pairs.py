@@ -3,11 +3,14 @@
     python3 tools/pairs.py --parent REV --workload {train,serve,sweep} \\
         --seed N --out BENCH_<pr>_pairs.json [--pairs N] [--seconds S] [--shapes isolet|tiny]
 
-Exports the parent revision REV with ``git archive`` (or takes REV as a
-directory that already holds a tree), then runs the unchanged
-``perfbench/run.py`` of each tree from that tree's root, untraced,
-alternating which side goes first, over 10 pairs unless ``--pairs``
-says otherwise.  The change is the working tree this file sits in.
+Makes two fresh sibling trees, ``parent`` and ``change``, under one
+temporary directory: the parent is ``git archive`` of revision REV, or a
+copy of REV when it is a directory, and the change is a copy of the
+working tree this file sits in.  A copy leaves out ``.git``,
+``__pycache__`` and ``.perfbench-*``, so the two sides differ only in
+their files.  It then runs the unchanged ``perfbench/run.py`` of each
+tree from that tree's root, untraced, alternating which side goes
+first, over 10 pairs unless ``--pairs`` says otherwise.
 Each end-to-end metric of ``BENCHMARK.json`` gets both
 sides' per-run values, medians and quartiles, the number of pairs the
 change won (ties count for neither side) and a verdict against the
@@ -33,6 +36,7 @@ import io
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -42,14 +46,20 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def export(rev: str, into: str) -> str:
-    """A tree of *rev*: the directory itself, or ``git archive`` of it under *into*."""
-    if os.path.isdir(rev):
-        return os.path.abspath(rev)
-    tar = subprocess.run(["git", "-C", ROOT, "archive", rev], capture_output=True, check=True).stdout
+def export(source: str, into: str) -> str:
+    """A fresh tree of *source* at *into*: a copy of the directory, or ``git archive`` of the revision."""
+    if os.path.isdir(source):
+        shutil.copytree(source, into, ignore=shutil.ignore_patterns(".git", "__pycache__", ".perfbench-*"))
+        return into
+    tar = subprocess.run(["git", "-C", ROOT, "archive", source], capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(into, filter="data")
     return into
+
+
+def make_trees(parent: str, into: str) -> dict[str, str]:
+    """The parent's and this working tree's fresh trees, side by side under *into*."""
+    return {side: export(source, os.path.join(into, side)) for side, source in (("parent", parent), ("change", ROOT))}
 
 
 def run(tree: str, args) -> dict:
@@ -116,8 +126,8 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         specs = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
-        trees = {"parent": export(args.parent, tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        trees = make_trees(args.parent, tmp)
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
