@@ -16,14 +16,7 @@ from .baselines import (
     onlinehd_refine,
     sparsify_table,
 )
-from .budget import (
-    BudgetQuery,
-    BudgetReport,
-    budget_of,
-    enumerate_configs,
-    footprint,
-    trainable_param_savings,
-)
+from .budget import BudgetQuery, budget_of, enumerate_configs
 from .data import Dataset, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
 from .faults import inject_bitflips, robustness_sweep
@@ -35,7 +28,6 @@ from .training import TrainConfig, train
 
 __all__ = [
     "BudgetQuery",
-    "BudgetReport",
     "Classifier",
     "Dataset",
     "DecomposedScorer",
@@ -52,7 +44,6 @@ __all__ = [
     "build_prototype_table",
     "enumerate_configs",
     "fit_standardizer",
-    "footprint",
     "inject_bitflips",
     "load_classifier",
     "load_csv",
@@ -64,5 +55,4 @@ __all__ = [
     "save_classifier",
     "sparsify_table",
     "train",
-    "trainable_param_savings",
 ]

@@ -1,15 +1,17 @@
 """Memory-budget planning for the decomposed architecture.
 
-The normalized footprint of a configuration relative to a dense
-``num_classes x dim`` prototype table is
+A candidate is a :class:`~decohd.model.ModelConfig`, which states both
+sizes a budget weighs.  :attr:`~decohd.model.ModelConfig.footprint` is
+the normalized footprint relative to a dense ``num_classes x dim``
+prototype table,
 
     m = (C * M + L_tot * D) / (C * D)
 
 with ``M = prod(L_i)`` paths and ``L_tot = sum(L_i)`` channels counted at
-full dimension D.  The trainable-parameter count is a separate
-accounting: ``sum(L_i) * latent_dim + C * M`` (latents live at latent_dim,
-not D).  Both are reported because they answer different questions:
-deployment storage versus optimization size.
+full dimension D.  :attr:`~decohd.model.ModelConfig.trainable_params` is
+a separate accounting: ``sum(L_i) * latent_dim + C * M`` (latents live at
+latent_dim, not D).  Both are reported because they answer different
+questions: deployment storage versus optimization size.
 
 :func:`budget_of` measures the same ratio on any deployed scorer by
 counting the elements it stores, so a decomposed scorer gives its
@@ -19,20 +21,10 @@ mask.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
-
-def footprint(num_classes: int, dim: int, channels_per_layer) -> float:
-    """Normalized deployment footprint; can exceed 1 for degenerate
-    shapes and is reported as-is."""
-    channels = tuple(int(l) for l in channels_per_layer)
-    if num_classes < 1 or dim < 1 or len(channels) < 1 or any(l < 1 for l in channels):
-        raise ValueError("invalid configuration")
-    num_paths = math.prod(channels)
-    total_channels = sum(channels)
-    return (num_classes * num_paths + total_channels * dim) / (num_classes * dim)
+from .model import ModelConfig
 
 
 def budget_of(scorer) -> float:
@@ -40,17 +32,6 @@ def budget_of(scorer) -> float:
     table."""
     stored = sum(a.size for a in scorer.stored().values())
     return stored / (scorer.num_classes * scorer.dim)
-
-
-def trainable_params(channels_per_layer, latent_dim: int, num_classes: int) -> int:
-    channels = tuple(int(l) for l in channels_per_layer)
-    return sum(channels) * latent_dim + num_classes * math.prod(channels)
-
-
-def trainable_param_savings(channels_per_layer, latent_dim: int, num_classes: int, dim: int) -> float:
-    """Fraction of trainable parameters saved versus learning a dense
-    table directly; negative values are reported as-is."""
-    return 1.0 - trainable_params(channels_per_layer, latent_dim, num_classes) / (num_classes * dim)
 
 
 @dataclass(frozen=True)
@@ -65,8 +46,7 @@ class BudgetQuery:
     def __post_init__(self):
         if not 0.0 < self.m_target:
             raise ValueError("m_target must be positive")
-        if self.num_classes < 1 or self.dim < 1:
-            raise ValueError("num_classes and dim must be >= 1")
+        ModelConfig((1,), 1, self.dim, self.num_classes)  # a class count and dim some model can have
         if self.max_channels < 1 or not self.layer_counts or not self.latent_dims:
             raise ValueError("invalid grid bounds")
         if min(self.layer_counts) < 1 or min(self.latent_dims) < 1:
@@ -75,21 +55,10 @@ class BudgetQuery:
             raise ValueError(f"a grid repeats a value: layers {self.layer_counts}, latent dims {self.latent_dims}")
 
 
-@dataclass(frozen=True)
-class BudgetReport:
-    channels_per_layer: tuple[int, ...]
-    latent_dim: int
-    footprint: float
-    num_paths: int
-    trainable_params: int
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.channels_per_layer)
-
-
-def enumerate_configs(query: BudgetQuery) -> list[BudgetReport]:
-    """All grid configurations within the budget.
+def enumerate_configs(query: BudgetQuery) -> list[ModelConfig]:
+    """All grid configurations within the budget, each a seed-0
+    :class:`~decohd.model.ModelConfig` that :func:`~decohd.training.train`
+    takes as it is.
 
     The grid spans ordered tuples (so (2,3) and (3,2) are distinct
     configs) of per-layer channel counts in 1..max_channels for every
@@ -97,21 +66,11 @@ def enumerate_configs(query: BudgetQuery) -> list[BudgetReport]:
     sorted by descending path count (representational capacity), then
     ascending footprint; an empty list is a valid result.
     """
-    reports = []
+    configs = []
     for n in query.layer_counts:
         for channels in product(range(1, query.max_channels + 1), repeat=n):
-            m = footprint(query.num_classes, query.dim, channels)
-            if m > query.m_target:
-                continue
-            for d in query.latent_dims:
-                reports.append(
-                    BudgetReport(
-                        channels_per_layer=channels,
-                        latent_dim=d,
-                        footprint=m,
-                        num_paths=math.prod(channels),
-                        trainable_params=trainable_params(channels, d, query.num_classes),
-                    )
-                )
-    reports.sort(key=lambda r: (-r.num_paths, r.footprint, r.channels_per_layer, r.latent_dim))
-    return reports
+            config = ModelConfig(channels, query.latent_dims[0], query.dim, query.num_classes)
+            if config.footprint <= query.m_target:  # the footprint does not depend on latent_dim
+                configs += [replace(config, latent_dim=d) for d in query.latent_dims]
+    configs.sort(key=lambda c: (-c.num_paths, c.footprint, c.channels_per_layer, c.latent_dim))
+    return configs

@@ -12,9 +12,13 @@ parsed.  ``robustness`` scores each model against its own encodings
 of the test CSV, read as ``eval`` reads it, so models of other
 encoders, standardizers or D compare in one table; rows name a model by
 its distinct file stem and carry its D, and it loads, encodes and sweeps
-one model at a time, in stem order.  Relative dataset paths resolve
-against $DECOHD_DATA_DIR; an output path that is a directory, or whose
-directory does not exist, is refused as the command line is parsed.
+one model at a time, in stem order.  ``budget`` prints one row per
+``ModelConfig`` that ``enumerate_configs`` plans, with that config's
+footprint and trainable parameters, for C >= 2 classes as any model
+has.  ``synth`` refuses one path for both splits.  Relative dataset
+paths resolve against $DECOHD_DATA_DIR; an output path that is empty, a
+directory, or in a directory that does not exist, is refused as the
+command line is parsed.
 Exit codes: 0 success, 1 config error, 2 data error: a malformed CSV or
 an unusable model container (argparse also exits 2 on a malformed
 command line), 3 training divergence.  Any other exception is a bug and
@@ -29,7 +33,7 @@ import sys
 from dataclasses import asdict, astuple, fields
 
 from .baselines import MODEL_KINDS
-from .budget import BudgetQuery, budget_of, enumerate_configs, trainable_param_savings
+from .budget import BudgetQuery, budget_of, enumerate_configs
 from .data import ParseError, SyntheticSpec, load_csv, make_synthetic, save_csv
 from .encoding import fit_standardizer
 from .experiment import (
@@ -71,6 +75,8 @@ def _probability_list(text: str) -> list[float]:
 
 
 def _output_path(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file to write")
     if os.path.isdir(text):
         raise argparse.ArgumentTypeError(f"{text!r} is a directory, not a file to write")
     if not os.path.isdir(os.path.dirname(text) or "."):
@@ -178,18 +184,17 @@ def cmd_budget(args) -> int:
     query = build_spec(BudgetQuery, dict(m_target=args.m, num_classes=args.classes, dim=args.dim,
                                          max_channels=args.max_channels, layer_counts=args.layers,
                                          latent_dims=args.d), "budget")
-    reports = enumerate_configs(query)
     header = ["layers", "channels", "latent_dim", "num_paths", "footprint", "trainable_params", "savings"]
     rows = []
-    for r in reports:
+    for config in enumerate_configs(query):
         rows.append([
-            r.num_layers,
-            "x".join(str(c) for c in r.channels_per_layer),
-            r.latent_dim,
-            r.num_paths,
-            r.footprint,
-            r.trainable_params,
-            trainable_param_savings(r.channels_per_layer, r.latent_dim, args.classes, args.dim),
+            config.num_layers,
+            "x".join(str(c) for c in config.channels_per_layer),
+            config.latent_dim,
+            config.num_paths,
+            config.footprint,
+            config.trainable_params,
+            1.0 - config.trainable_params / (config.num_classes * config.dim),
         ])
     print(f"{len(rows)} configurations with footprint <= {args.m} (C={args.classes}, D={args.dim})")
     print(" ".join(f"{h:>16}" for h in header))
@@ -202,6 +207,8 @@ def cmd_budget(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if os.path.realpath(args.train_out) == os.path.realpath(args.test_out):  # the test split would overwrite
+        raise ConfigError(f"{args.train_out} and {args.test_out}: synth needs distinct train and test paths")
     spec = build_spec(SyntheticSpec, dict(num_classes=args.classes, num_features=args.features,
                                           samples_per_class=args.per_class, separation=args.separation), "synth")
     train_ds, test_ds = make_synthetic(**asdict(spec), seed=args.seed)

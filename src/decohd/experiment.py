@@ -129,8 +129,7 @@ class ModelSpec:
             raise ValueError(f"model kind {self.kind!r} not one of {MODEL_KINDS}")
         if self.base not in ("onlinehd", "prototype"):
             raise ValueError("sparsehd base must be 'onlinehd' or 'prototype'")
-        if not self.channels or min(self.channels) < 1 or self.latent_dim < 1:
-            raise ValueError("decohd needs at least one layer, every layer >= 1 channel, latent_dim >= 1")
+        ModelConfig(self.channels, self.latent_dim, 1, 2)  # a decohd shape
         if not 0.0 < self.budget <= 1.0:
             raise ValueError("sparsehd budget must be in (0, 1]")
         if self.epochs < 0 or not 0.0 <= self.learning_rate < math.inf:

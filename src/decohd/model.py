@@ -50,7 +50,8 @@ from .ops import HadamardProjector, RandomMatrixSpec, derive_seed, rng_from_seed
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture of the decomposed classifier."""
+    """Architecture of the decomposed classifier, and the one statement
+    of its shape rule and of the two sizes a budget weighs."""
 
     channels_per_layer: tuple[int, ...]
     latent_dim: int
@@ -76,6 +77,18 @@ class ModelConfig:
     @property
     def num_paths(self) -> int:
         return math.prod(self.channels_per_layer)
+
+    @property
+    def footprint(self) -> float:
+        """Stored elements, the C x M head and the channels at full dim,
+        relative to a dense C x dim table; it can exceed 1."""
+        num_classes, dim = self.num_classes, self.dim
+        return (num_classes * self.num_paths + sum(self.channels_per_layer) * dim) / (num_classes * dim)
+
+    @property
+    def trainable_params(self) -> int:
+        """The latents' entries and the head's."""
+        return sum(self.channels_per_layer) * self.latent_dim + self.num_classes * self.num_paths
 
     def projector_specs(self) -> list[RandomMatrixSpec]:
         """The seeds of each layer's frozen latent_dim x dim projector.

@@ -1,27 +1,35 @@
+import numpy as np
 import pytest
 
 from decohd import budget_of
-from decohd.budget import BudgetQuery, enumerate_configs, footprint
+from decohd.budget import BudgetQuery, enumerate_configs
+from decohd.model import ModelConfig, check_param_shapes
+from decohd.training import TrainConfig, train
 from tests.conftest import deployed_forms
 
 
 class TestFootprint:
+    # ModelConfig(channels_per_layer, latent_dim, dim, num_classes)
     def test_isolet_shape_by_hand(self):
         # C=26, D=10000, channels (4,4,4): M=64 paths, 12 channels.
         # (26*64 + 12*10000) / (26*10000) = 121664 / 260000
-        assert footprint(26, 10000, (4, 4, 4)) == 121664 / 260000
+        assert ModelConfig((4, 4, 4), 4096, 10000, 26).footprint == 121664 / 260000
 
     def test_small_shape_by_hand(self):
         # C=10, D=100, channels (2,3): M=6, 5 channels; (60 + 500) / 1000
-        assert footprint(10, 100, (2, 3)) == 0.56
+        assert ModelConfig((2, 3), 8, 100, 10).footprint == 0.56
 
     def test_degenerate_shape_reported_as_is(self):
         # C=2, D=4, one layer of 3: (6 + 12) / 8
-        assert footprint(2, 4, (3,)) == 2.25
+        assert ModelConfig((3,), 1, 4, 2).footprint == 2.25
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            footprint(2, 4, (0,))
+            ModelConfig((0,), 1, 4, 2)
+
+    def test_trainable_params_by_hand(self):
+        # C=10, channels (2,3), latent_dim 8: 5 latents of 8, and a 10 x 6 head; 40 + 60
+        assert ModelConfig((2, 3), 8, 100, 10).trainable_params == 100
 
     def test_enumerate_respects_target(self):
         reports = enumerate_configs(BudgetQuery(m_target=0.1, num_classes=26, dim=10000, latent_dims=(64,)))
@@ -37,9 +45,13 @@ class TestBudgetQuery:
         with pytest.raises(ValueError, match="must be >= 1|invalid grid bounds"):
             BudgetQuery(m_target=0.5, num_classes=3, dim=64, **grid)
 
-    @pytest.mark.parametrize("shape", [{"num_classes": 0}, {"dim": 0}], ids=["classes0", "dim0"])
-    def test_refuses_a_class_count_or_dim_below_one(self, shape):
-        with pytest.raises(ValueError, match="^num_classes and dim must be >= 1$"):
+    @pytest.mark.parametrize("shape, message", [
+        ({"num_classes": 0}, "num_classes must be >= 2"), ({"num_classes": 1}, "num_classes must be >= 2"),
+        ({"dim": 0}, "latent_dim and dim must be >= 1"),
+    ], ids=["classes0", "classes1", "dim0"])
+    def test_refuses_a_class_count_or_dim_below_one(self, shape, message):
+        # ModelConfig's rule: no model has one class.
+        with pytest.raises(ValueError, match=f"^{message}$"):
             BudgetQuery(**{"m_target": 0.5, "num_classes": 3, "dim": 64, **shape})
 
     @pytest.mark.parametrize("grid", [{"layer_counts": (1, 1)}, {"latent_dims": (64, 64)}],
@@ -54,11 +66,21 @@ class TestBudgetQuery:
                                                 max_channels=1, latent_dims=(1,)))
         assert [(r.channels_per_layer, r.latent_dim) for r in reports] == [((1,), 1)]
 
+    def test_a_planned_config_trains_as_it_is(self, rng):
+        query = BudgetQuery(m_target=1.5, num_classes=3, dim=64, layer_counts=(1, 2), max_channels=2,
+                            latent_dims=(8,))
+        config = enumerate_configs(query)[0]
+        assert config == ModelConfig((2, 2), 8, 64, 3)  # the most paths: (12 + 4*64) / 192 <= 1.5
+        h = rng.standard_normal((12, 64))
+        result = train(config, TrainConfig(epochs=2, batch_size=4), h, np.arange(12) % 3)
+        check_param_shapes(result.params, config)
+        assert budget_of(result.scorer) == config.footprint
+
 
 class TestBudgetOf:
     def test_decomposed_equals_footprint(self, rng):
         scorer = deployed_forms(rng, channels=(2, 3), dim=48, num_classes=4)["decohd"]
-        assert budget_of(scorer) == footprint(4, 48, (2, 3))
+        assert budget_of(scorer) == ModelConfig((2, 3), 1, 48, 4).footprint
 
     def test_sparse_is_retained_fraction(self, rng):
         scorer = deployed_forms(rng, dim=48)["sparsehd"]

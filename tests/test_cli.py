@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from decohd import cli, encoding
-from decohd.budget import BudgetQuery, enumerate_configs, trainable_param_savings
+from decohd.budget import BudgetQuery
 from decohd.data import Dataset, SyntheticSpec, load_csv, make_synthetic, save_csv
 from decohd.experiment import ExperimentConfig, ModelSpec, write_csv
 from decohd.faults import ROBUSTNESS_COLUMNS, NoiseConfig, robustness_sweep
@@ -237,6 +237,11 @@ def test_invalid_option_values_exit_1_as_config_errors(synthetic_csvs, tmp_path,
     assert not (tmp_path / "m.npz").exists()
 
 
+def test_a_decohd_shape_prints_model_configs_rule(synthetic_csvs, tmp_path, capsys):
+    assert cli.main(train_args(synthetic_csvs, tmp_path, "--channels", "0,2")) == 1
+    assert capsys.readouterr() == ("", "config error: models[0]: every layer needs at least one channel\n")
+
+
 BUDGET = ["budget", "--m", "0.5", "--classes", "3", "--dim", "64"]
 
 
@@ -262,7 +267,8 @@ def test_invalid_values_of_other_subcommands_exit_1(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["budget", "--m", "0", "--classes", "3", "--dim", "64"], "budget: m_target must be positive"),
     (["synth", "--classes", "1"], "synth: need num_classes >= 2, num_features >= 1 and samples_per_class >= 1"),
-], ids=["budget", "synth"])
+    (["budget", "--m", "0.5", "--classes", "1", "--dim", "64"], "budget: num_classes must be >= 2"),
+], ids=["budget", "synth", "budget-classes1"])
 def test_a_refused_option_value_prints_its_specs_rule(argv, message, tmp_path, capsys):
     outputs = ["--train-out", str(tmp_path / "a.csv"), "--test-out", str(tmp_path / "b.csv")]
     assert cli.main(argv + (outputs if argv[0] == "synth" else [])) == 1
@@ -519,7 +525,10 @@ def refuse_output(command, path, csvs, tmp_path, monkeypatch, capsys) -> str:
     return err
 
 
-@pytest.mark.parametrize("command", ["train", "robustness", "budget", "synth-train", "synth-test"])
+OUTPUT_COMMANDS = ["train", "robustness", "budget", "synth-train", "synth-test"]
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
 def test_an_output_path_without_its_directory_is_rejected_by_argparse(synthetic_csvs, tmp_path, capsys, monkeypatch,
                                                                       command):
     missing = str(tmp_path / "no_such_dir" / "out")
@@ -528,13 +537,16 @@ def test_an_output_path_without_its_directory_is_rejected_by_argparse(synthetic_
     assert sorted(os.listdir(tmp_path)) == ["test.csv", "train.csv"]  # nothing written
 
 
-@pytest.mark.parametrize("command", ["train", "robustness", "budget", "synth-train", "synth-test"])
+@pytest.mark.parametrize("command, empty", [(c, e) for e in (False, True) for c in OUTPUT_COMMANDS],
+                         ids=OUTPUT_COMMANDS + [f"{c}-empty" for c in OUTPUT_COMMANDS])
 def test_an_output_path_that_is_a_directory_is_rejected_by_argparse(synthetic_csvs, tmp_path, capsys, monkeypatch,
-                                                                    command):
+                                                                    command, empty):
+    # An empty path names no file to write either.
     outdir = tmp_path / "outdir"
     outdir.mkdir()
-    err = refuse_output(command, str(outdir), synthetic_csvs, tmp_path, monkeypatch, capsys)
-    assert f"{str(outdir)!r} is a directory, not a file to write" in err
+    err = refuse_output(command, "" if empty else str(outdir), synthetic_csvs, tmp_path, monkeypatch, capsys)
+    assert ("an empty path names no file to write" if empty else
+            f"{str(outdir)!r} is a directory, not a file to write") in err
     assert sorted(os.listdir(tmp_path)) == ["outdir", "test.csv", "train.csv"] and not os.listdir(outdir)
 
 
@@ -612,23 +624,38 @@ def test_unusable_container_exits_2_as_data_error(saved_decohd, tmp_path, capsys
 
 
 def test_budget_prints_the_top_rows_and_writes_every_configuration(tmp_path, capsys):
+    # By hand, C=4 and D=8: footprint (4*M + L*8) / 32, trainable params
+    # L*d + 4*M and savings 1 - params / 32, for M paths and L channels.
+    # (2,2) at 48/32 is over budget; the rest sort by paths, then footprint.
     output = tmp_path / "budget.csv"
-    assert cli.main(["budget", "--m", "1", "--classes", "3", "--dim", "64", "--d", "8,16", "--top", "2",
-                     "--output", str(output)]) == 0
+    assert cli.main(["budget", "--m", "1", "--classes", "4", "--dim", "8", "--d", "2,4", "--layers", "1,2",
+                     "--max-channels", "2", "--top", "2", "--output", str(output)]) == 0
+    rows = [
+        ["layers", "channels", "latent_dim", "num_paths", "footprint", "trainable_params", "savings"],
+        ["1", "2", "2", "2", "0.75", "12", "0.625"],
+        ["1", "2", "4", "2", "0.75", "16", "0.5"],
+        ["2", "1x2", "2", "2", "1", "14", "0.5625"],
+        ["2", "1x2", "4", "2", "1", "20", "0.375"],
+        ["2", "2x1", "2", "2", "1", "14", "0.5625"],
+        ["2", "2x1", "4", "2", "1", "20", "0.375"],
+        ["1", "1", "2", "1", "0.375", "6", "0.8125"],
+        ["1", "1", "4", "1", "0.375", "8", "0.75"],
+        ["2", "1x1", "2", "1", "0.625", "8", "0.75"],
+        ["2", "1x1", "4", "1", "0.625", "12", "0.625"],
+    ]
     lines = capsys.readouterr().out.splitlines()
-    reports = enumerate_configs(BudgetQuery(m_target=1.0, num_classes=3, dim=64, latent_dims=(8, 16)))
-    header = ["layers", "channels", "latent_dim", "num_paths", "footprint", "trainable_params", "savings"]
-    rows = [[str(r.num_layers), "x".join(map(str, r.channels_per_layer)), str(r.latent_dim), str(r.num_paths),
-             format(r.footprint, ".10g"), str(r.trainable_params),
-             format(trainable_param_savings(r.channels_per_layer, r.latent_dim, 3, 64), ".10g")]
-            for r in reports]
-    assert len(rows) > 2
-    assert lines[0] == f"{len(rows)} configurations with footprint <= 1.0 (C=3, D=64)"
-    assert lines[1].split() == header
-    assert [line.split()[:4] for line in lines[2:-1]] == [row[:4] for row in rows[:2]]
-    assert lines[-1] == f"full table written to {output}"
+    assert lines[0] == "10 configurations with footprint <= 1.0 (C=4, D=8)"
+    assert [line.split() for line in lines[1:4]] == rows[:3]
+    assert lines[4:] == [f"full table written to {output}"]
     with open(output, newline="", encoding="utf-8") as fh:
-        assert list(csv.reader(fh)) == [header, *rows]
+        assert list(csv.reader(fh)) == rows
+
+
+def test_synth_refuses_one_path_for_both_splits(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["synth", "--train-out", "a.csv", "--test-out", os.path.join(".", "a.csv")]) == 1
+    assert capsys.readouterr() == ("", "config error: a.csv and ./a.csv: synth needs distinct train and test paths\n")
+    assert not os.listdir(tmp_path)
 
 
 def test_synth_writes_csvs_that_load_back_to_the_dataset(tmp_path, capsys):

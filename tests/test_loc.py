@@ -1,9 +1,13 @@
 """tools/loc.py on this checkout's package."""
 
+import io
 import os
 import shutil
 import subprocess
 import sys
+import tarfile
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "decohd")
@@ -64,3 +68,14 @@ def test_against_prints_each_modules_change_and_the_total(tmp_path):
     assert [row[0] for row in rows] == sorted(n for n in os.listdir(SRC) if n.endswith(".py")) + ["total"]
     for name, *deltas in rows:
         assert deltas == changed.get(name, ["+0"] * 5), name
+
+
+@pytest.mark.skipif(not os.path.isdir(os.path.join(ROOT, ".git")), reason="needs the git repository")
+def test_against_a_revision_reads_its_git_archive(tmp_path):
+    tar = subprocess.run(["git", "-C", ROOT, "archive", "HEAD"], check=True, capture_output=True, timeout=60).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(tmp_path, filter="data")
+    tables = [subprocess.run([sys.executable, os.path.join(ROOT, "tools", "loc.py"), SRC, "--against", other],
+                             check=True, capture_output=True, text=True, timeout=60).stdout
+              for other in ("HEAD", str(tmp_path / "src" / "decohd"))]
+    assert tables[0] == tables[1] and tables[0].startswith("module ")

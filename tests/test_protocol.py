@@ -146,13 +146,13 @@ class TestSparseStored:
 
 
 PUBLIC_SURFACE = [
-    "BudgetQuery", "BudgetReport", "Classifier", "Dataset", "DecomposedScorer",
+    "BudgetQuery", "Classifier", "Dataset", "DecomposedScorer",
     "EncoderConfig", "ModelConfig", "ModelParams", "PRESETS", "PrecisionFormat",
     "PrototypeTable", "RandomProjectionEncoder", "Standardizer", "TrainConfig",
     "budget_of", "build_prototype_table", "enumerate_configs", "fit_standardizer",
-    "footprint", "inject_bitflips", "load_classifier", "load_csv", "make_synthetic",
+    "inject_bitflips", "load_classifier", "load_csv", "make_synthetic",
     "onlinehd_refine", "pick_class", "quantize_model", "robustness_sweep",
-    "save_classifier", "sparsify_table", "train", "trainable_param_savings",
+    "save_classifier", "sparsify_table", "train",
 ]
 
 

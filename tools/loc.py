@@ -4,9 +4,11 @@
 
 DIR defaults to ``src/decohd`` beside this file.  Each ``*.py`` file
 directly in DIR gets one row, then a total row.  With ``--against`` each
-row holds DIR's count minus that of OTHER, another copy of the package
-such as a ``git archive`` of the parent commit, and a file that only one
-side has counts 0 on the other.  Every line falls in exactly one part,
+row holds DIR's count minus that of OTHER, and a file that only one side
+has counts 0 on the other.  OTHER is another copy of the package, or a
+git revision whose ``src/decohd`` is read from its ``git archive``
+(``tools/pairs.py``'s ``export``), so ``--against HEAD~1`` gives the
+last commit's change.  Every line falls in exactly one part,
 so the parts of a file sum to its line count and the total's to
 ``cat DIR/*.py | wc -l``:
 
@@ -28,7 +30,10 @@ import ast
 import io
 import os
 import sys
+import tempfile
 import tokenize
+
+from pairs import export
 
 PARTS = ("code", "docstring", "comment", "blank")
 _LAYOUT = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -71,12 +76,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Line counts of a Python package by part.")
     parser.add_argument("dir", nargs="?",
                         default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "decohd"))
-    parser.add_argument("--against", metavar="OTHER", help="print the change from this copy of the package")
+    parser.add_argument("--against", metavar="OTHER",
+                        help="print the change from this copy of the package or this git revision")
     args = parser.parse_args(argv)
     rows = tally(args.dir)
     fmt = "{:>10}"
     if args.against is not None:
-        base, zero = tally(args.against), dict.fromkeys(PARTS, 0)
+        if os.path.isdir(args.against):
+            base = tally(args.against)
+        else:
+            with tempfile.TemporaryDirectory() as tmp:
+                base = tally(os.path.join(export(args.against, tmp), "src", "decohd"))
+        zero = dict.fromkeys(PARTS, 0)
         rows = {name: {p: rows.get(name, zero)[p] - base.get(name, zero)[p] for p in PARTS}
                 for name in sorted(rows.keys() | base.keys())}
         fmt = "{:>+10}"
