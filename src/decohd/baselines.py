@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_labels
 from .model import pick_class
 from .ops import derive_seed, rng_from_seed
 
@@ -71,9 +72,7 @@ def build_prototype_table(h: np.ndarray, labels: np.ndarray, num_classes: int) -
     zero prototype and triggers a warning.
     """
     h = np.asarray(h)
-    labels = np.asarray(labels)
-    if labels.min(initial=0) < 0 or (len(labels) and labels.max() >= num_classes):
-        raise ValueError("labels out of range for num_classes")
+    labels = check_labels(labels, len(h), num_classes)
     table = np.zeros((num_classes, h.shape[1]), dtype=np.float64)
     for row, label in zip(h, labels):
         table[label] += row
@@ -116,7 +115,7 @@ def onlinehd_refine(
     """
     _refuse_mask(table, "refine")
     h = np.asarray(h)
-    labels = np.asarray(labels)
+    labels = check_labels(labels, len(h), table.num_classes)
     protos = table.prototypes.astype(np.float64)
     n = h.shape[0]
     for epoch in range(epochs):

@@ -21,8 +21,7 @@ mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import product
+from dataclasses import dataclass
 
 from .model import ModelConfig
 
@@ -68,9 +67,10 @@ def enumerate_configs(query: BudgetQuery) -> list[ModelConfig]:
     """
     configs = []
     for n in query.layer_counts:
-        for channels in product(range(1, query.max_channels + 1), repeat=n):
-            config = ModelConfig(channels, query.latent_dims[0], query.dim, query.num_classes)
-            if config.footprint <= query.m_target:  # the footprint does not depend on latent_dim
-                configs += [replace(config, latent_dim=d) for d in query.latent_dims]
+        kept = [()]  # prefixes that fit with one channel in each layer left, at any latent_dim
+        for left in reversed(range(n)):
+            kept = [s + (c,) for s in kept for c in range(1, query.max_channels + 1)
+                    if ModelConfig(s + (c,) + (1,) * left, 1, query.dim, query.num_classes).footprint <= query.m_target]
+        configs += [ModelConfig(t, d, query.dim, query.num_classes) for t in kept for d in query.latent_dims]
     configs.sort(key=lambda c: (-c.num_paths, c.footprint, c.channels_per_layer, c.latent_dim))
     return configs

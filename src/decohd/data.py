@@ -26,6 +26,17 @@ class ParseError(ValueError):
     """CSV parse failure; the message carries the 1-based line number."""
 
 
+def check_labels(labels, rows: int, num_classes: int) -> np.ndarray:
+    """*labels* as an array, or a ValueError unless it holds one label per
+    row, each in ``[0, num_classes)``: the rule of every labelled input."""
+    labels = np.asarray(labels)
+    if labels.shape != (rows,):
+        raise ValueError("features and labels disagree on sample count")
+    if rows and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ValueError("labels out of range [0, num_classes)")
+    return labels
+
+
 @dataclass
 class Dataset:
     features: np.ndarray  # (n, num_features) float64
@@ -34,11 +45,7 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features and labels disagree on sample count")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise ValueError("labels out of range [0, num_classes)")
+        self.labels = check_labels(np.asarray(self.labels, dtype=np.int64), len(self.features), self.num_classes)
 
     @property
     def num_samples(self) -> int:

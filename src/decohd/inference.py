@@ -4,13 +4,14 @@ The score of class c is ``s_c = <P_c, h> = sum_m head[c,m] * <basis_m, h>``,
 with ``basis_m`` the bound-path factor of path m
 (:func:`~decohd.model.path_basis`) and ``P_c`` the class's composed
 prototype.  A linear bank scores in that order: the head bundles the
-bound paths into ``P = head @ basis`` (:func:`compose_prototypes`), and
-:func:`score_batch` scores ``h @ P.T`` in one product, C*dim
-multiply-accumulates per row with no n x dim or n x M temporary.
-:class:`DecomposedScorer` composes P on its first score and keeps it:
-P is resident but never stored.  :func:`decohd.training.evaluate`
-composes it once per call.  At C >= M, a shape no benchmark workload
-has, P is wider than the basis.
+bound paths into ``P = head @ basis``, and :func:`score_batch` scores
+``h @ P.T`` in one product, C*dim multiply-accumulates per row with no
+n x dim or n x M temporary.  :class:`DecomposedScorer` composes P on its
+first score and keeps it: P is resident but never stored.  Training
+scores the same product with its own forward
+(:func:`decohd.training.evaluate`) and has no fallback: a non-finite
+score there means the run diverged.  At C >= M, a shape no benchmark
+workload has, P is wider than the basis.
 
 Given no prototypes, :func:`score_batch` scores the path terms
 ``(h @ basis.T) @ head.T`` against the basis the bank keeps, in chunks
@@ -56,15 +57,6 @@ from .model import ChannelBank, path_basis
 # chunk's squares are still in cache for the product; 512 rows was no
 # faster, 128 slower.
 _SCORE_CHUNK_ROWS = 256
-
-
-def compose_prototypes(head: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
-    """The class prototypes ``P = head @ basis``, shape (num_classes,
-    dim), or None when an entry is not finite, as a bit-flipped bank's
-    may be: :func:`score_batch` then scores the path terms."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        prototypes = head @ basis
-    return prototypes if np.isfinite(prototypes).all() else None
 
 
 def stream_scores(
@@ -143,14 +135,15 @@ class DecomposedScorer:
 
     @functools.cached_property
     def _prototypes(self) -> np.ndarray | None:
-        """P of a linear bank, composed on the first score from a basis
-        that is not kept, then kept itself; None for the fenced bank and
-        when P is not finite, which score the path terms."""
+        """P = head @ basis of a linear bank, composed on the first score
+        from a basis that is not kept, then kept itself; None for the
+        fenced bank and when an entry of P is not finite, as a
+        bit-flipped bank's may be: both score the path terms."""
         if self.bank.squared:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
-            basis = path_basis(self.bank)
-        return compose_prototypes(self.head, basis)
+            prototypes = self.head @ path_basis(self.bank)
+        return prototypes if np.isfinite(prototypes).all() else None
 
     def stored(self) -> dict[str, np.ndarray]:
         out = {f"channels:{i}": c for i, c in enumerate(self.bank.channels)}

@@ -26,10 +26,11 @@ d head and d basis from it once per step: 2*C*dim multiply-accumulates
 per row.  Scoring against the basis instead costs 2*M*dim per row, less
 when there are at least as many classes as paths; no benchmark workload
 has such a shape yet, so the step keeps one form (ROADMAP, benchmark
-revision).  P lives for one step; :func:`evaluate` composes it once
-more from the same kept basis and scores through
-:func:`decohd.inference.score_batch`, the deployed form.  Trained banks
-score ``h`` itself: only the fenced bank of
+revision).  P lives for one step, and each epoch's end composes it once
+more and scores it with the step's own forward (:func:`evaluate`): so
+training scores one way, and a non-finite basis needs no check of its
+own, as it leaves every score non-finite.  Trained banks score ``h``
+itself: only the fenced bank of
 :func:`~decohd.model.stream_channels` scores ``h*h``, until ROADMAP
 Direction 7 removes it.
 
@@ -41,13 +42,13 @@ with the batch or the training set.
 
 The projectors are matrix-free (:class:`~decohd.ops.HadamardProjector`),
 so training holds no ``latent_dim x dim`` array.  A step makes one
-``apply_T`` call per latent, one :meth:`AdamW.step` over the latent and
+``apply_T`` call per layer, one :meth:`AdamW.step` over the latent and
 head gradients, and builds the next bank with
 :func:`~decohd.model.materialize_channels`.  So there is one bank per
 parameter state: one more is built from the initial parameters, each
-end-of-epoch evaluation scores the bank that the next epoch's first
-batch trains on, and the result holds the deployed scorer of the last
-bank, after zero epochs too.  The test suite checks these gradients
+epoch's end scores the bank that the next epoch's first batch trains
+on, and the result holds the deployed scorer of the last bank, after
+zero epochs too.  The test suite checks these gradients
 against an explicit float64 backward and central differences of the loss.
 """
 
@@ -59,7 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import DecomposedScorer, compose_prototypes, score_batch
+from .data import check_labels
+from .inference import DecomposedScorer
 from .model import (
     ChannelBank,
     ModelConfig,
@@ -73,7 +75,8 @@ from .ops import HadamardProjector, derive_seed, rng_from_seed
 
 
 class TrainingDiverged(RuntimeError):
-    """The one divergence error; carries the last finite checkpoint."""
+    """The one divergence error, raised at one site as "<reason> at epoch
+    N"; carries the last finite checkpoint and the finished epochs' history."""
 
     def __init__(self, message: str, last_good: ModelParams | None, history: list):
         super().__init__(message)
@@ -229,27 +232,29 @@ def train(
     accumulated gradient is the exact batch mean regardless of the
     microbatch split.  ``train_accuracy`` in the history is the running
     accuracy of the pre-update forward passes.  A non-finite logit in a
-    microbatch, or an epoch that ends with a non-finite path basis or
-    score (of the evaluation, else of one microbatch), aborts with the
-    last finite checkpoint attached to the exception; the loss of finite
-    logits is finite.  Channels are materialized once, from the initial
-    parameters; each step returns the bank of its updated parameters,
-    and the result deploys the last one, after zero epochs too, as a
-    scorer whose bank keeps no basis.  Training runs in the floating
-    dtype of *h_train*: the encoder's float32, or float64 as a precision
-    reference.  *h_train* is only read: each microbatch is gathered into
-    one buffer that the run reuses.
+    microbatch, or an epoch that ends with a non-finite score of
+    ``head @ basis`` (of the evaluation, else of one microbatch), aborts
+    with the last finite checkpoint attached to the exception; the loss
+    of finite logits is finite.  Channels are materialized once, from
+    the initial parameters; each step returns the bank of its updated
+    parameters, and the result deploys the last one, after zero epochs
+    too, as a scorer whose bank keeps no basis.  Training runs in the
+    floating dtype of *h_train*: the encoder's float32, or float64 as a
+    precision reference.  *h_train* is only read: each microbatch is
+    gathered into one buffer that the run reuses.
     """
     h_train = np.asarray(h_train)
     dtype = h_train.dtype
     if not np.issubdtype(dtype, np.floating):
         raise ValueError(f"training encodings must be floating, got {dtype}")
-    y_train = np.asarray(y_train, dtype=np.int64)
     n = h_train.shape[0]
     if n == 0:
         raise ValueError("empty training set")
     if h_test is not None and len(h_test) == 0:
         raise ValueError("empty test set")
+    y_train = check_labels(np.asarray(y_train, dtype=np.int64), n, config.num_classes)
+    if h_test is not None and y_test is not None:
+        check_labels(y_test, len(h_test), config.num_classes)
 
     params = init_params(config, dtype=dtype)
     projectors = [HadamardProjector(spec) for spec in config.projector_specs()]
@@ -274,32 +279,27 @@ def train(
                     h_train, y_train, b_idx, h_mb, params, bank, projectors, optimizer, loss_sum
                 )
                 correct += c
-        except FloatingPointError as exc:
-            raise TrainingDiverged(
-                f"training diverged at epoch {epoch}: {exc}", last_good, history
-            ) from exc
-
-        mean_loss = loss_sum / n
-        test_acc = float("nan")
-        with np.errstate(over="ignore", invalid="ignore"):  # the last step may have diverged
-            if not np.isfinite(bank.basis).all():
-                raise TrainingDiverged(
-                    f"path basis became non-finite at epoch {epoch}", last_good, history
-                )
-            # A step may diverge in the head alone, so one forward's scores
-            # must be finite too: the evaluation's when it runs, else those
-            # of the first microbatch of training rows.
+            # A step may diverge in the basis or in the head alone; either
+            # leaves every score of P non-finite, so one forward checks both:
+            # the evaluation's when it runs, else the first microbatch's.
+            with np.errstate(over="ignore", invalid="ignore"):
+                prototypes = params.head @ bank.basis
             if h_test is not None and y_test is not None and (epoch + 1) % train_config.eval_every == 0:
-                test_acc = evaluate(bank, params.head, np.asarray(h_test).astype(dtype, copy=False), y_test)
+                test_acc = evaluate(prototypes, np.asarray(h_test).astype(dtype, copy=False), y_test)
                 finite = not math.isnan(test_acc)
             else:
-                finite = np.isfinite(_forward(h_train[: len(h_mb)], params.head @ bank.basis)).all()
+                test_acc = float("nan")
+                finite = np.isfinite(_forward(h_train[: len(h_mb)], prototypes)).all()
+            del prototypes  # not held through the next epoch's steps
             if not finite:
-                raise TrainingDiverged(f"scores became non-finite at epoch {epoch}", last_good, history)
+                raise FloatingPointError("scores became non-finite")
+        except FloatingPointError as exc:
+            raise TrainingDiverged(f"{exc} at epoch {epoch}", last_good, history) from exc
+
         history.append(
             EpochStats(
                 epoch=epoch,
-                mean_loss=mean_loss,
+                mean_loss=loss_sum / n,
                 train_accuracy=correct / n,
                 test_accuracy=test_acc,
                 wall_seconds=time.perf_counter() - start,
@@ -310,13 +310,11 @@ def train(
     return TrainResult(params, DecomposedScorer(ChannelBank(bank.channels), params.head), history)
 
 
-def evaluate(bank: ChannelBank, head: np.ndarray, h: np.ndarray, labels: np.ndarray) -> float:
-    """Classification accuracy of the model (*bank*, *head*) on
-    pre-encoded data, or NaN if a score is not finite, as a diverged
-    model's are.  The rows score against the prototypes composed once
-    for the call from the basis the bank keeps, which the next step
-    reads again."""
-    scores = score_batch(h, bank, head, compose_prototypes(head, bank.basis))
+def evaluate(prototypes: np.ndarray, h: np.ndarray, labels: np.ndarray) -> float:
+    """Classification accuracy of the class *prototypes* ``head @ basis``
+    on pre-encoded data, scored by the training step's own forward, or
+    NaN if a score is not finite, as a diverged model's are."""
+    scores = _forward(h, prototypes)
     if not np.isfinite(scores).all():
         return math.nan
     return float((pick_class(scores) == np.asarray(labels)).mean())

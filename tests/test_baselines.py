@@ -46,6 +46,13 @@ class TestBuildPrototypeTable:
         with pytest.raises(ValueError, match="out of range"):
             build_prototype_table(h, np.array([0, 1, bad, 2]), 3)
 
+    @pytest.mark.parametrize("count", [30, 61])
+    def test_labels_for_other_than_every_row_raise(self, rng, count):
+        # 30 labels for 60 rows would build the table from the first 30.
+        h = rng.standard_normal((60, 8)).astype(np.float32)
+        with pytest.raises(ValueError, match="disagree on sample count"):
+            build_prototype_table(h, np.arange(count) % 3, 3)
+
 
 class TestOnlineHDRefine:
     def test_zero_learning_rate_is_identity(self, rng):
@@ -64,6 +71,18 @@ class TestOnlineHDRefine:
         widened = onlinehd_refine(table, h.astype(np.float64), labels, epochs=3, seed=5)
         assert refined.prototypes.tobytes() != table.prototypes.tobytes()
         assert_same_bits(refined.prototypes, widened.prototypes)
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda y: np.append(y, 0), "disagree on sample count"),
+        (lambda y: np.where(y == 0, -1, y), "out of range"),
+        (lambda y: np.where(y == 0, 3, y), "out of range"),
+    ], ids=["extra-label", "minus-one", "num-classes"])
+    def test_labels_that_do_not_fit_the_rows_raise(self, rng, spoil, message):
+        h = rng.standard_normal((40, 16)).astype(np.float32)
+        labels = np.arange(40) % 3
+        table = build_prototype_table(h, labels, 3)
+        with pytest.raises(ValueError, match=message):
+            onlinehd_refine(table, h, spoil(labels), epochs=1)
 
     def test_a_zero_prototype_takes_a_full_step(self):
         # Every score ties at 0, so the row is predicted class 0. The zero

@@ -1,7 +1,9 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from decohd import budget_of
+from decohd import budget, budget_of
 from decohd.budget import BudgetQuery, enumerate_configs
 from decohd.model import ModelConfig, check_param_shapes
 from decohd.training import TrainConfig, train
@@ -34,6 +36,36 @@ class TestFootprint:
     def test_enumerate_respects_target(self):
         reports = enumerate_configs(BudgetQuery(m_target=0.1, num_classes=26, dim=10000, latent_dims=(64,)))
         assert reports and all(r.footprint <= 0.1 for r in reports)
+
+
+class TestEnumerateConfigs:
+    @pytest.mark.parametrize("query", [
+        BudgetQuery(0.5, 3, 64, (1, 2, 3), 5, (8, 16)),
+        BudgetQuery(10.0, 3, 64, (1, 2, 3, 4), 4, (1,)),
+        BudgetQuery(0.05, 26, 10000, (3, 1, 2), 5, (4096,)),
+        BudgetQuery(1.0, 10, 617, (2, 4, 1), 6, (64, 32)),
+        BudgetQuery(0.01, 26, 10000, (1, 2), 3, (4096,)),
+    ], ids=["small", "everything-fits", "isolet", "unsorted-grids", "nothing-fits"])
+    def test_equals_a_filter_over_every_tuple(self, query):
+        grid = [ModelConfig(t, d, query.dim, query.num_classes) for n in query.layer_counts
+                for t in product(range(1, query.max_channels + 1), repeat=n) for d in query.latent_dims]
+        fitting = [c for c in grid if c.footprint <= query.m_target]
+        fitting.sort(key=lambda c: (-c.num_paths, c.footprint, c.channels_per_layer, c.latent_dim))
+        assert enumerate_configs(query) == fitting
+
+    def test_builds_configs_only_along_fitting_prefixes(self, monkeypatch):
+        # The grid has 271,452 tuples at up to five layers of twelve
+        # channels; 119 of them fit.
+        built = []
+
+        class Counting(ModelConfig):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(budget, "ModelConfig", Counting)
+        configs = enumerate_configs(BudgetQuery(0.3, 26, 10000, (1, 2, 3, 4, 5), 12, (4096,)))
+        assert len(configs) == 119 and len(built) < 5000
 
 
 class TestBudgetQuery:

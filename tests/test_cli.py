@@ -468,7 +468,18 @@ def test_a_step_that_overflows_the_basis_exits_3_and_saves_nothing(synthetic_csv
     argv = train_args(synthetic_csvs, tmp_path, "--channels", "2,2,2", "--epochs", epochs, "--learning-rate", "1e30")
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
-    assert err.startswith("training diverged: ") and "path basis became non-finite at epoch 0" in err
+    assert err.startswith("training diverged: scores became non-finite at epoch 0")
+    assert not (tmp_path / "m.npz").exists()
+
+
+def test_a_microbatch_divergence_is_reported_once(synthetic_csvs, tmp_path, capsys):
+    # Batches of 8 rows: the second step's forward meets the first step's
+    # overflowed basis, and the message names that reason once.
+    argv = train_args(synthetic_csvs, tmp_path, "--channels", "2,2,2", "--batch-size", "8", "--learning-rate", "1e30")
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("training diverged: non-finite logits in microbatch (") and "at epoch 0\n" in err
+    assert err.count("diverged") == 1
     assert not (tmp_path / "m.npz").exists()
 
 
@@ -476,7 +487,7 @@ def test_a_step_that_diverges_in_the_head_alone_exits_3_and_saves_nothing(synthe
     # lr 1e30 on one layer leaves the basis finite and overflows every score.
     assert cli.main(train_args(synthetic_csvs, tmp_path, "--epochs", "1", "--learning-rate", "1e30")) == 3
     err = capsys.readouterr().err
-    assert err.startswith("training diverged: ") and "scores became non-finite at epoch 0" in err
+    assert err.startswith("training diverged: scores became non-finite at epoch 0")
     assert not (tmp_path / "m.npz").exists()
 
 

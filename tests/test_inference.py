@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 import warnings
 
@@ -10,7 +11,7 @@ from decohd.inference import DecomposedScorer, choose_mode, score_batch, stream_
 from decohd.encoding import EncoderConfig, RandomProjectionEncoder, fit_standardizer
 from decohd.faults import inject_bitflips
 from decohd.experiment import ExperimentConfig, encode_splits, fit_model, prepare_data
-from decohd.model import ChannelBank, DecoHDClassifier, ModelConfig, init_params, path_basis, pick_class
+from decohd.model import ChannelBank, DecoHDClassifier, ModelConfig, accuracy, init_params, path_basis, pick_class
 from decohd.precision import quantize_model
 from tests.conftest import (
     assert_same_bits,
@@ -244,52 +245,57 @@ class TestComposedPrototypes:
     scores h @ P.T."""
 
     @staticmethod
-    def counting(monkeypatch, module):
+    def counting(monkeypatch):
         calls = []
-        compose_prototypes = inference.compose_prototypes
 
-        def compose(head, basis):
-            calls.append((head, basis))
-            return compose_prototypes(head, basis)
+        def counting_path_basis(bank):
+            calls.append(bank)
+            return path_basis(bank)
 
-        monkeypatch.setattr(module, "compose_prototypes", compose)
+        monkeypatch.setattr(inference, "path_basis", counting_path_basis)
         return calls
 
     def test_a_deployed_scorer_composes_once(self, monkeypatch):
         clf, bank, head, features = trained_classifier()
-        calls = self.counting(monkeypatch, inference)
+        calls = self.counting(monkeypatch)
         h = clf.encoder.encode_batch(features, clf.standardizer)
         for _ in range(3):
             clf.scorer.score_batch(h)
             clf.predict_batch(features)
             clf.predict(features[0])
             clf.scorer.scores(h[0])
-        assert len(calls) == 1 and calls[0][0] is head
+        assert len(calls) == 1 and calls[0] is bank
         assert_same_bits(clf.scorer._prototypes, head @ path_basis(bank))
         # Resident: the stored arrays and P; the basis was not kept.
         assert "basis" not in vars(bank)
 
-    def test_evaluate_composes_once_per_call(self, rng, monkeypatch):
+    def test_evaluate_scores_as_the_deployed_scorer(self, rng, monkeypatch):
+        # Training composes P once per epoch end and evaluates it with the
+        # step's forward, composing nothing more; on a finite model that
+        # is the deployed accuracy.
         bank, head, _ = random_bank_and_head(rng, channels=(2, 3), dim=64, num_classes=5)
         h = rng.standard_normal((40, 64)).astype(np.float32)
         labels = rng.integers(0, 5, 40)
-        calls = self.counting(monkeypatch, training)
-        accuracies = [training.evaluate(bank, head, h, labels) for _ in range(3)]
-        assert len(calls) == 3 and all(basis is bank.basis for _, basis in calls)
-        scores = DecomposedScorer(ChannelBank(bank.channels), head).score_batch(h)
-        assert accuracies == [float((pick_class(scores) == labels).mean())] * 3
+        prototypes = head @ path_basis(bank)
+        calls = self.counting(monkeypatch)
+        evaluated = training.evaluate(prototypes, h, labels)
+        assert calls == []
+        assert evaluated == accuracy(DecomposedScorer(ChannelBank(bank.channels), head), h, labels)
+        prototypes[1, 3] = np.inf
+        assert math.isnan(training.evaluate(prototypes, h, labels))
 
     def test_replace_composes_from_its_own_arrays(self, rng, monkeypatch):
         bank, head, _ = random_bank_and_head(rng, channels=(3, 2), dim=48)
         h = rng.standard_normal((6, 48)).astype(np.float32)
         scorer = DecomposedScorer(bank=bank, head=head)
         before = scorer.score_batch(h)
-        calls = self.counting(monkeypatch, inference)
+        calls = self.counting(monkeypatch)
         arrays = {k: -a for k, a in scorer.stored().items()}
         rewritten = scorer.replace(arrays)
         after = rewritten.score_batch(h)
-        assert len(calls) == 1 and calls[0][0] is arrays["head"]
-        assert_same_bits(calls[0][1], path_basis(ChannelBank([arrays["channels:0"], arrays["channels:1"]])))
+        assert len(calls) == 1 and calls[0] is rewritten.bank
+        assert all(a is arrays[f"channels:{i}"] for i, a in enumerate(calls[0].channels))
+        assert_same_bits(rewritten._prototypes, arrays["head"] @ path_basis(rewritten.bank))
         assert_same_bits(scorer.score_batch(h), before)
         assert_scores_near_reference(after, h, rewritten.bank, rewritten.head, rel=1e-5)
 

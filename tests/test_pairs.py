@@ -46,8 +46,11 @@ def load_pairs():
 
 def test_pairs_defaults_to_ten_and_refuses_fewer_than_one(capsys):
     pairs = load_pairs()
-    argv = ["--parent", "HEAD", "--workload", "train", "--seed", "1", "--out", "x.json"]
-    assert pairs.parse_args(argv).pairs == 10
+    argv = ["--parent", "HEAD", "--out", "x.json"]
+    args = pairs.parse_args(argv)
+    assert (args.pairs, args.workload, args.seed) == (10, ["train", "serve", "sweep"], 1)
+    args = pairs.parse_args(argv + ["--workload", "serve", "train", "--seed", "5"])
+    assert (args.workload, args.seed) == (["serve", "train"], 5)
     with pytest.raises(SystemExit) as excinfo:
         pairs.parse_args(argv + ["--pairs", "0"])
     assert excinfo.value.code == 2 and "--pairs must be at least 1" in capsys.readouterr().err

@@ -271,7 +271,7 @@ class TestTrain:
                            learning_rate=0.05, eval_every=50)
         result = train(cfg, tcfg, h_tr, y_tr, h_te, y_te)
         bank = materialize_channels(result.params, projectors_of(cfg))
-        assert evaluate(bank, result.params.head, h_tr, y_tr) >= 0.99
+        assert evaluate(result.params.head @ bank.basis, h_tr, y_tr) >= 0.99
         assert result.history[-1].mean_loss < result.history[0].mean_loss
 
     def test_zero_epochs_returns_init(self):
@@ -297,6 +297,25 @@ class TestTrain:
         monkeypatch.setattr(training, "HadamardProjector", None)
         with pytest.raises(ValueError, match="^empty test set$"):
             train(cfg, TrainConfig(epochs=1), h_tr, y_tr, h_tr[:0], y_tr[:0])
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda y: np.where(y == 0, -1, y), "out of range"),
+        (lambda y: np.where(y == 0, 3, y), "out of range"),
+        (lambda y: np.append(y, 0), "disagree on sample count"),
+        (lambda y: y[:-1], "disagree on sample count"),
+    ], ids=["minus-one", "num-classes", "extra-label", "missing-label"])
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_labels_that_do_not_fit_the_rows_are_refused_before_training(self, monkeypatch, spoil, message, split):
+        # A label -1 would train as class C-1, a label C would index past
+        # the softmax, and an extra label would go unread.
+        cfg, h_tr, y_tr, h_te, y_te = _blob_setup(num_classes=3)
+        monkeypatch.setattr(training, "HadamardProjector", None)
+        if split == "train":
+            y_tr = spoil(y_tr)
+        else:
+            y_te = spoil(y_te)
+        with pytest.raises(ValueError, match=message):
+            train(cfg, TrainConfig(epochs=1), h_tr, y_tr, h_te, y_te)
 
     def test_bit_identical_reruns(self):
         cfg, h_tr, y_tr, _, _ = _blob_setup()
@@ -343,15 +362,16 @@ class TestTrain:
         assert np.isfinite(excinfo.value.last_good.head).all()
 
     @pytest.mark.parametrize("epochs, batch_size, reason", [
-        (1, 1024, "path basis became non-finite"),
-        (2, 1024, "path basis became non-finite"),
-        (1, 64, "non-finite logits"),
+        (1, 1024, "^scores became non-finite at epoch 0$"),
+        (2, 1024, "^scores became non-finite at epoch 0$"),
+        (1, 64, "^non-finite logits in microbatch .* at epoch 0$"),
     ], ids=["one-epoch", "two-epochs", "four-steps-per-epoch"])
     def test_huge_learning_rate_diverges_without_a_warning(self, epochs, batch_size, reason):
         # At lr 1e30 the first step takes the float32 channels past 1e26,
-        # so the three-layer path basis overflows.  Whether that step
-        # ends the epoch or the next batch's forward follows it, the run
-        # raises, and no warning leaks (the suite turns warnings into errors).
+        # so the three-layer path basis overflows and every score with it.
+        # Whether that step ends the epoch or the next batch's forward
+        # follows it, the run raises once, and no warning leaks (the suite
+        # turns warnings into errors).
         cfg, h_tr, y_tr, _, _ = _blob_setup(channels=(2, 2, 2))
         tcfg = TrainConfig(epochs=epochs, batch_size=batch_size, learning_rate=1e30)
         with pytest.raises(TrainingDiverged, match=reason) as excinfo:
@@ -364,10 +384,10 @@ class TestTrain:
     @pytest.mark.parametrize("with_test", [True, False], ids=["evaluated", "no-test-set"])
     def test_a_head_only_divergence_raises_after_one_forward(self, monkeypatch, with_test):
         # At lr 1e30 one step leaves a one-layer model's basis finite but
-        # its head near 1e30, so every score overflows.  The run checks the
-        # scores of one forward after the epoch's last step: the
-        # evaluation's when it runs, else one more microbatch's through
-        # the step's forward, never both.
+        # its head near 1e30, so every score overflows.  After the epoch's
+        # last step the run checks the scores of one more forward, the
+        # step's own: the evaluation's when it runs, else one more
+        # microbatch's, never both.
         cfg, h_tr, y_tr, h_te, y_te = _blob_setup(channels=(2,))
         forwards = []
 
@@ -382,10 +402,32 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="scores became non-finite at epoch 0") as excinfo:
             train(cfg, tcfg, h_tr, y_tr, *test)
         steps = [64, 64, 64, 8]
-        assert forwards == (steps if with_test else steps + [64])
+        assert forwards == steps + [len(h_te) if with_test else 64]
         assert excinfo.value.history == []
         for a, b in zip(excinfo.value.last_good.arrays(), init_params(cfg, dtype=np.float32).arrays()):
             assert_same_bits(a, b)
+
+    @pytest.mark.parametrize("eval_every", [1, 2], ids=["evaluated", "not-evaluated"])
+    def test_a_non_finite_prototype_diverges_whether_or_not_the_epoch_is_evaluated(self, monkeypatch, eval_every):
+        # A step that leaves P = head @ basis overflowing while the path
+        # terms, scaled by |h| < 1 first, stay finite (the deployed
+        # scorer's fallback case): the epoch's end scores P as the step
+        # does, evaluated or not.
+        channels = [np.ones((2, 8), dtype=np.float32), np.ones((1, 8), dtype=np.float32)]
+        channels[0][0, 0] = 3e38
+        head = np.array([[2.0, 1.0], [0.5, 0.5], [1.0, -1.0]], dtype=np.float32)
+
+        def overflowing_step(h_train, y_train, b_idx, h_mb, params, *args):
+            params.head[...] = head
+            return 0.0, 0, ChannelBank([c.copy() for c in channels])
+
+        monkeypatch.setattr(training, "_train_batch", overflowing_step)
+        cfg = ModelConfig(channels_per_layer=(2, 1), latent_dim=8, dim=8, num_classes=3)
+        h = np.linspace(-0.4, 0.4, 48, dtype=np.float32).reshape(6, 8)
+        y = np.arange(6) % 3
+        tcfg = TrainConfig(epochs=1, eval_every=eval_every)
+        with pytest.raises(TrainingDiverged, match="^scores became non-finite at epoch 0$"):
+            train(cfg, tcfg, h, y, h, y)
 
     def test_running_history_columns(self):
         cfg, h_tr, y_tr, h_te, y_te = _blob_setup(dtype=np.float64)
@@ -460,9 +502,9 @@ class TestOneBankPerParameterState:
             stepped.append((params.copy(), bank))
             return loss_sum, correct, bank
 
-        def recording_evaluate(bank, *args):
-            scored.append(bank)
-            return evaluate(bank, *args)
+        def recording_evaluate(prototypes, *args):
+            scored.append(prototypes)
+            return evaluate(prototypes, *args)
 
         apply, step = HadamardProjector.apply, training._train_batch
         monkeypatch.setattr(training, "materialize_channels", counting_materialize)
@@ -480,8 +522,9 @@ class TestOneBankPerParameterState:
         assert len(materialized) == steps + 1
         assert len(stepped) == steps
         assert len(expansions) == cfg.num_layers * (steps + 1)
-        # Every bank a step returns, which the evaluations score and the
-        # run returns, is the bank of the parameters it belongs to.
+        # Every bank a step returns, whose prototypes the evaluations
+        # score and which the run returns, is the bank of the parameters
+        # it belongs to.
         projectors = projectors_of(cfg)
         for params, bank in stepped:
             for got, expected in zip(bank.channels, materialize_channels(params, projectors).channels):
@@ -489,8 +532,9 @@ class TestOneBankPerParameterState:
         per_epoch = steps // epochs if epochs else 0
         evaluated = [e for e in range(epochs) if with_test and (e + 1) % eval_every == 0]
         assert len(scored) == len(evaluated)
-        for bank, e in zip(scored, evaluated):
-            assert bank is stepped[(e + 1) * per_epoch - 1][1]
+        for prototypes, e in zip(scored, evaluated):
+            params, bank = stepped[(e + 1) * per_epoch - 1]
+            assert_same_bits(prototypes, params.head @ bank.basis)
         # The run returns the deployed form of its final params: the last
         # bank's own channel arrays in a bank that keeps no basis, and the
         # params' head.

@@ -1,16 +1,21 @@
-"""Alternating parent/change pairs of one benchmark workload.
+"""Alternating parent/change pairs of the benchmark's workloads.
 
-    python3 tools/pairs.py --parent REV --workload {train,serve,sweep} \\
-        --seed N --out BENCH_<pr>_pairs.json [--pairs N] [--seconds S] [--shapes isolet|tiny]
+    python3 tools/pairs.py --parent REV --out BENCH_<pr>_pairs.json \\
+        [--workload {train,serve,sweep} ...] [--seed N] [--pairs N] [--seconds S] [--shapes isolet|tiny]
+
+``--workload`` takes one or more workloads and defaults to all three;
+``--seed`` defaults to 1.  So a change's no-regression run is
+``python3 tools/pairs.py --parent HEAD~1 --out BENCH_<pr>_pairs.json``.
 
 Makes two fresh sibling trees, ``parent`` and ``change``, under one
 temporary directory: the parent is ``git archive`` of revision REV, or a
 copy of REV when it is a directory, and the change is a copy of the
 working tree this file sits in.  A copy leaves out ``.git``,
 ``__pycache__`` and ``.perfbench-*``, so the two sides differ only in
-their files.  It then runs the unchanged ``perfbench/run.py`` of each
-tree from that tree's root, untraced, alternating which side goes
-first, over 10 pairs unless ``--pairs`` says otherwise.
+their files.  For each workload in turn it then runs the unchanged
+``perfbench/run.py`` of each tree from that tree's root, untraced,
+alternating which side goes first, over 10 pairs unless ``--pairs``
+says otherwise.
 Each end-to-end metric of ``BENCHMARK.json`` gets both
 sides' per-run values, medians and quartiles, the number of pairs the
 change won (ties count for neither side) and a verdict against the
@@ -44,6 +49,7 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("train", "serve", "sweep")
 
 
 def export(source: str, into: str) -> str:
@@ -62,9 +68,9 @@ def make_trees(parent: str, into: str) -> dict[str, str]:
     return {side: export(source, os.path.join(into, side)) for side, source in (("parent", parent), ("change", ROOT))}
 
 
-def run(tree: str, args) -> dict:
+def run(tree: str, workload: str, args) -> dict:
     """One untraced run of the tree's own benchmark: its metrics and digest."""
-    cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", args.workload,
+    cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
            "--shapes", args.shapes]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=900)
@@ -109,8 +115,8 @@ def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision, or a directory holding a tree")
-    parser.add_argument("--workload", required=True, choices=("train", "serve", "sweep"))
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10, help="at least 1; 10, the default, for a claim")
     parser.add_argument("--out", required=True)
     parser.add_argument("--seconds", type=int, default=10)
@@ -121,21 +127,17 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        specs = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+def workload_entry(trees: dict[str, str], workload: str, args, specs: dict) -> dict:
+    """The report entry of *args.pairs* alternating pairs of one workload."""
     runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
-        trees = make_trees(args.parent, tmp)
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                runs[side].append(run(trees[side], args))
-                print(f"pair {i + 1}/{args.pairs} {side}: "
-                      f"op_p50_ms={runs[side][-1]['metrics']['op_p50_ms']:.4g}", file=sys.stderr)
-    entry = {
-        "parent": args.parent, "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run(trees[side], workload, args))
+            print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
+                  f"op_p50_ms={runs[side][-1]['metrics']['op_p50_ms']:.4g}", file=sys.stderr)
+    return {
+        "parent": args.parent, "workload": workload, "seed": args.seed, "pairs": args.pairs,
         "seconds": args.seconds, "shapes": args.shapes,
         "digests": {side: sorted({r["digest"] for r in rs}) for side, rs in runs.items()},
         "ops_failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
@@ -143,17 +145,26 @@ def main(argv=None) -> int:
                                     [r["metrics"][name] for r in runs["change"]])
                     for name, spec in specs.items()},
     }
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        specs = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     report = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             report = json.load(fh)
-    report[f"{args.workload} seed {args.seed}"] = entry
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for name, m in entry["metrics"].items():
-        print(f"{name:<12} {m['parent']['median']:>12.6g} -> {m['change']['median']:>12.6g} "
-              f"wins {m['wins']}/{m['pairs']}  {m['verdict']}")
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        trees = make_trees(args.parent, tmp)
+        for workload in args.workload:
+            entry = report[f"{workload} seed {args.seed}"] = workload_entry(trees, workload, args, specs)
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            for name, m in entry["metrics"].items():
+                print(f"{workload:<6} {name:<12} {m['parent']['median']:>12.6g} -> "
+                      f"{m['change']['median']:>12.6g} wins {m['wins']}/{m['pairs']}  {m['verdict']}")
     return 0
 
 
