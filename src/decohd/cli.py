@@ -253,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", default="fp32", choices=sorted(PRESETS))
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="run a full experiment config")
+    p = sub.add_parser("sweep", help="run a full experiment config",
+                       description="A rerun from the manifest is bit-exact in one environment, the same numpy/BLAS "
+                                   "build and BLAS thread count; across thread counts, accuracies agree within a "
+                                   "few test rows.")
     p.add_argument("--config", required=True)
     p.add_argument("--output-dir", default=None)
     p.set_defaults(func=cmd_sweep)

@@ -27,14 +27,17 @@ class ParseError(ValueError):
 
 
 def check_labels(labels, rows: int, num_classes: int) -> np.ndarray:
-    """*labels* as an array, or a ValueError unless it holds one label per
-    row, each in ``[0, num_classes)``: the rule of every labelled input."""
+    """*labels* as int64, or a ValueError unless it holds one integral
+    label per row, each in ``[0, num_classes)``: the rule of every
+    labelled input.  No cast comes first, so 1.7 is refused, not class 1."""
     labels = np.asarray(labels)
     if labels.shape != (rows,):
         raise ValueError("features and labels disagree on sample count")
+    if labels.dtype.kind == "f" and not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
+        raise ValueError("labels must be finite integers")
     if rows and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError("labels out of range [0, num_classes)")
-    return labels
+    return labels.astype(np.int64, copy=False)
 
 
 @dataclass
@@ -45,7 +48,7 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = check_labels(np.asarray(self.labels, dtype=np.int64), len(self.features), self.num_classes)
+        self.labels = check_labels(self.labels, len(self.features), self.num_classes)
 
     @property
     def num_samples(self) -> int:

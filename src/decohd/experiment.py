@@ -2,8 +2,10 @@
 
 A run is fully described by one JSON config; the manifest written next
 to the results holds the resolved config, whose root_seed every random
-stream derives from, and re-running from the manifest reproduces the
-run bit-exactly (modulo the wall-clock column of the history file).
+stream derives from.  A rerun from the manifest is bit-exact in one
+environment, the same numpy/BLAS build and BLAS thread count; across
+thread counts, accuracies agree within a few test rows.  The history
+file's wall-clock column is the one thing a rerun does not reproduce.
 Unknown config keys are errors: silent typos in sweep grids are the
 main operational hazard.  :func:`build_spec` is the one way a JSON or
 command-line value becomes a spec; its config error names the key path

@@ -252,9 +252,9 @@ def train(
         raise ValueError("empty training set")
     if h_test is not None and len(h_test) == 0:
         raise ValueError("empty test set")
-    y_train = check_labels(np.asarray(y_train, dtype=np.int64), n, config.num_classes)
+    y_train = check_labels(y_train, n, config.num_classes)
     if h_test is not None and y_test is not None:
-        check_labels(y_test, len(h_test), config.num_classes)
+        y_test = check_labels(y_test, len(h_test), config.num_classes)
 
     params = init_params(config, dtype=dtype)
     projectors = [HadamardProjector(spec) for spec in config.projector_specs()]

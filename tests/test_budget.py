@@ -3,8 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from decohd import budget, budget_of
-from decohd.budget import BudgetQuery, enumerate_configs
+from decohd import budget
+from decohd.budget import BudgetQuery, budget_of, enumerate_configs
 from decohd.model import ModelConfig, check_param_shapes
 from decohd.training import TrainConfig, train
 from tests.conftest import deployed_forms

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from decohd.baselines import build_prototype_table, onlinehd_refine
 from decohd.data import (
     DATA_DIR_ENV,
     Dataset,
@@ -14,6 +15,8 @@ from decohd.data import (
     resolve_data_path,
     save_csv,
 )
+from decohd.model import ModelConfig
+from decohd.training import TrainConfig, train
 
 
 @pytest.mark.parametrize("labels, message", [([0], "features and labels disagree on sample count"),
@@ -23,6 +26,40 @@ from decohd.data import (
 def test_a_dataset_refuses_labels_that_do_not_fit(labels, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         Dataset(np.zeros((2, 3)), labels, 3)
+
+
+LABELLED_INPUTS = {
+    "Dataset": lambda h, y, bad: Dataset(h, bad, 3),
+    "train": lambda h, y, bad: train(ModelConfig((2,), 8, 16, 3), TrainConfig(epochs=1), h, bad),
+    "train-test-split": lambda h, y, bad: train(ModelConfig((2,), 8, 16, 3), TrainConfig(epochs=1), h, y, h, bad),
+    "build_prototype_table": lambda h, y, bad: build_prototype_table(h, bad, 3),
+    "onlinehd_refine": lambda h, y, bad: onlinehd_refine(build_prototype_table(h, y, 3), h, bad, epochs=1),
+}
+
+
+@pytest.mark.parametrize("bad", [[0.0, 1.7, 2.9, 1.0, 0.2, 2.0], [0.0, 1.0, 2.0, np.nan, 1.0, 2.0],
+                                 [0.0, 1.0, 2.0, 1.0, -np.inf, 2.0]], ids=["fractional", "nan", "infinite"])
+@pytest.mark.parametrize("entry", LABELLED_INPUTS)
+def test_every_labelled_input_refuses_a_label_that_is_not_an_integer(entry, bad):
+    # Checked before any cast: a cast would truncate 1.7 to class 1.
+    h = np.random.default_rng(0).standard_normal((6, 16)).astype(np.float32)
+    with pytest.raises(ValueError, match="^labels must be finite integers$"):
+        LABELLED_INPUTS[entry](h, np.array([0, 1, 2, 1, 0, 2]), np.array(bad))
+
+
+def test_integral_float_labels_train_as_their_integers():
+    rng = np.random.default_rng(1)
+    h = rng.standard_normal((30, 16)).astype(np.float32)
+    y = np.arange(30) % 3
+    dataset = Dataset(h, y.astype(np.float64), 3)
+    assert dataset.labels.dtype == np.int64 and np.array_equal(dataset.labels, y)
+    config, train_config = ModelConfig((2,), 8, 16, 3), TrainConfig(epochs=3, batch_size=8, microbatch_size=4)
+    by_int = train(config, train_config, h, y, h, y)
+    by_float = train(config, train_config, h, y.astype(np.float64), h, y.astype(np.float32))
+    assert by_float.params.head.tobytes() == by_int.params.head.tobytes()
+    assert [a.tobytes() for a in by_float.params.latents] == [a.tobytes() for a in by_int.params.latents]
+    scores = [[(e.mean_loss, e.train_accuracy, e.test_accuracy) for e in r.history] for r in (by_float, by_int)]
+    assert scores[0] == scores[1]
 
 
 class TestMakeSynthetic:

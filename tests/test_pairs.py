@@ -19,13 +19,15 @@ def test_one_tiny_train_pair_writes_every_metric_and_the_direct_digest(tmp_path)
     direct = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--trace", "0", *ARGS],
                             cwd=ROOT, check=True, capture_output=True, text=True, timeout=600)
     detail = next(line for line in direct.stdout.splitlines() if line.startswith("detail "))
-    digest = json.loads(detail[len("detail "):])["digest"]
+    detail = json.loads(detail[len("detail "):])
+    digest, threads = detail["digest"], detail["env"]["blas_threads"]
 
     report = json.loads(out.read_text(encoding="utf-8"))
     assert list(report) == ["train seed 3"]
     entry = report["train seed 3"]
     assert entry["digests"] == {"parent": [digest], "change": [digest]}
-    assert entry["ops_failed"] == {"parent": [0], "change": [0]}
+    assert entry["blas_threads"] == {"parent": [threads], "change": [threads]}
+    assert entry["ops_failed"] == {"parent": [0], "change": [0], "verdict": "within bound"}
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         names = [m["name"] for m in json.load(fh)["end_to_end"]]
     assert sorted(entry["metrics"]) == sorted(names)
@@ -76,3 +78,36 @@ def test_both_sides_are_fresh_copies_side_by_side(tmp_path, monkeypatch):
         assert here.read() == there.read()
     for d, dirs, _ in os.walk(trees["change"]):
         assert not [x for x in dirs if x in (".git", "__pycache__") or x.startswith(".perfbench-")], d
+
+
+def fake_run(change_failures):
+    """A stand-in for ``run`` whose change is 50 ms faster in every pair,
+    which alone reads "better", and fails *change_failures* operations."""
+    calls = {"parent": 0, "change": 0}
+
+    def run(tree, workload, args):
+        side = os.path.basename(tree)
+        i = calls[side]
+        calls[side] += 1
+        return {"metrics": {"op_p50_ms": (100.0 if side == "parent" else 50.0) + i}, "digest": "d",
+                "blas_threads": 2, "failed": change_failures[i] if side == "change" else 0}
+
+    return run
+
+
+def test_a_change_that_fails_more_operations_is_worse_and_never_better(monkeypatch):
+    pairs = load_pairs()
+    args = pairs.parse_args(["--parent", "HEAD", "--out", "x.json", "--workload", "train"])
+    specs = {"op_p50_ms": {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}}
+    trees = {side: os.path.join("trees", side) for side in ("parent", "change")}
+    entries = []
+    for failures in ([0] * 10, [0, 0, 1] + [0] * 7):
+        monkeypatch.setattr(pairs, "run", fake_run(failures))
+        entries.append(pairs.workload_entry(trees, "train", args, specs))
+    clean, failing = entries
+    assert clean["ops_failed"]["verdict"] == "within bound"
+    assert clean["metrics"]["op_p50_ms"]["verdict"] == "better"
+    assert failing["ops_failed"] == {"parent": [0] * 10, "change": [0, 0, 1] + [0] * 7, "verdict": "worse"}
+    assert failing["blas_threads"] == {"parent": [2], "change": [2]}
+    assert failing["metrics"]["op_p50_ms"]["wins"] == 10
+    assert failing["metrics"]["op_p50_ms"]["verdict"] != "better"

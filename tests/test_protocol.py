@@ -1,8 +1,11 @@
 """The deployed-scorer protocol shared by the decomposed scorer and the
-prototype table, dense or sparsified, and the package's public surface."""
+prototype table, dense or sparsified, and the package's bare top level."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -145,21 +148,16 @@ class TestSparseStored:
         np.testing.assert_array_equal(bits(out.score_batch(h)), bits(expected.score_batch(h)))
 
 
-PUBLIC_SURFACE = [
-    "BudgetQuery", "Classifier", "Dataset", "DecomposedScorer",
-    "EncoderConfig", "ModelConfig", "ModelParams", "PRESETS", "PrecisionFormat",
-    "PrototypeTable", "RandomProjectionEncoder", "Standardizer", "TrainConfig",
-    "budget_of", "build_prototype_table", "enumerate_configs", "fit_standardizer",
-    "inject_bitflips", "load_classifier", "load_csv", "make_synthetic",
-    "onlinehd_refine", "pick_class", "quantize_model", "robustness_sweep",
-    "save_classifier", "sparsify_table", "train",
-]
-
-
-def test_public_surface_is_pinned():
-    assert sorted(decohd.__all__) == sorted(PUBLIC_SURFACE)
-    for name in decohd.__all__:
-        assert getattr(decohd, name) is not None, name
+def test_the_top_level_loads_no_submodule_and_exposes_no_name():
+    # Every public name has one import path, its defining module, so a
+    # fresh interpreter's ``import decohd`` loads the package alone.
+    code = ("import sys, decohd; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'decohd')); "
+            "print(sorted(n for n in vars(decohd) if not n.startswith('_')))")
+    src = str(Path(decohd.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["['decohd']", "[]"]
 
 
 def test_package_version_matches_pyproject():

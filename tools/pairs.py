@@ -21,15 +21,20 @@ sides' per-run values, medians and quartiles, the number of pairs the
 change won (ties count for neither side) and a verdict against the
 metric's bound:
 
-* ``better``: the change won at least nine pairs in ten and its median
-  beats the parent's by more than the parent's interquartile range;
+* ``better``: the change won at least nine pairs in ten, its median
+  beats the parent's by more than the parent's interquartile range, and
+  it failed no more operations than the parent;
 * ``worse``: the change's median is worse than the parent's by more than
   the bound;
 * ``unresolved``: the parent's own runs spread wider than the bound,
   unless every change run beats every parent run;
 * ``within bound`` otherwise.
 
-The distinct output digests of each side are kept too.  Results are
+The workload's ``ops_failed`` holds each side's failed operations per
+run and a verdict, ``worse`` when the change's total exceeds the
+parent's and ``within bound`` otherwise.  Each side's distinct output
+digests are kept beside its BLAS thread counts (``env.blas_threads``),
+since the digests differ by thread count.  Results are
 merged into ``--out`` under ``"<workload> seed <N>"``, so one file holds
 every workload and seed of a change.  Stdlib only.
 """
@@ -80,7 +85,7 @@ def run(tree: str, workload: str, args) -> dict:
     detail = json.loads(next(line for line in lines if line.startswith("detail "))[len("detail "):])
     result = json.loads(lines[-1])
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
-            "digest": detail["digest"], "failed": result["failed"]}
+            "digest": detail["digest"], "blas_threads": detail["env"]["blas_threads"], "failed": result["failed"]}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -90,14 +95,15 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
-def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
-    """Per-run values, quartiles, wins and the verdict of one metric."""
+def summarize(spec: dict, parent: list[float], change: list[float], fails_more: bool) -> dict:
+    """Per-run values, quartiles, wins and the verdict of one metric;
+    a change that *fails_more* operations than the parent is never better."""
     sign = 1.0 if spec["better"] == "lower" else -1.0  # sign * (parent - change) > 0: change better
     p, c = quartiles(parent), quartiles(change)
     wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
     gain = sign * (p[1] - c[1])
     base = abs(p[1]) or 1.0
-    if wins >= math.ceil(0.9 * len(parent)) and gain > p[2] - p[0]:
+    if not fails_more and wins >= math.ceil(0.9 * len(parent)) and gain > p[2] - p[0]:
         verdict = "better"
     elif -gain > spec["bound"] * base:
         verdict = "worse"
@@ -136,13 +142,16 @@ def workload_entry(trees: dict[str, str], workload: str, args, specs: dict) -> d
             runs[side].append(run(trees[side], workload, args))
             print(f"{workload} pair {i + 1}/{args.pairs} {side}: "
                   f"op_p50_ms={runs[side][-1]['metrics']['op_p50_ms']:.4g}", file=sys.stderr)
+    failed = {side: [r["failed"] for r in rs] for side, rs in runs.items()}
+    fails_more = sum(failed["change"]) > sum(failed["parent"])
     return {
         "parent": args.parent, "workload": workload, "seed": args.seed, "pairs": args.pairs,
         "seconds": args.seconds, "shapes": args.shapes,
         "digests": {side: sorted({r["digest"] for r in rs}) for side, rs in runs.items()},
-        "ops_failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
+        "blas_threads": {side: sorted({r["blas_threads"] for r in rs}) for side, rs in runs.items()},
+        "ops_failed": {**failed, "verdict": "worse" if fails_more else "within bound"},
         "metrics": {name: summarize(spec, [r["metrics"][name] for r in runs["parent"]],
-                                    [r["metrics"][name] for r in runs["change"]])
+                                    [r["metrics"][name] for r in runs["change"]], fails_more)
                     for name, spec in specs.items()},
     }
 
@@ -165,6 +174,9 @@ def main(argv=None) -> int:
             for name, m in entry["metrics"].items():
                 print(f"{workload:<6} {name:<12} {m['parent']['median']:>12.6g} -> "
                       f"{m['change']['median']:>12.6g} wins {m['wins']}/{m['pairs']}  {m['verdict']}")
+            failed = entry["ops_failed"]
+            print(f"{workload:<6} {'ops_failed':<12} {sum(failed['parent']):>12d} -> "
+                  f"{sum(failed['change']):>12d}  {failed['verdict']}")
     return 0
 
 
