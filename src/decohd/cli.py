@@ -18,7 +18,9 @@ footprint and trainable parameters, for C >= 2 classes as any model
 has.  ``synth`` refuses one path for both splits.  Relative dataset
 paths resolve against $DECOHD_DATA_DIR; an output path that is empty, a
 directory, or in a directory that does not exist, is refused as the
-command line is parsed.
+command line is parsed.  A ``sweep`` config is UTF-8 JSON, a BOM first
+allowed; one that is not UTF-8 or repeats a key within an object, and
+an output directory that cannot be created, exit 1 as config errors.
 Exit codes: 0 success, 1 config error, 2 data error: a malformed CSV or
 an unusable model container (argparse also exits 2 on a malformed
 command line), 3 training divergence.  Any other exception is a bug and

@@ -1,8 +1,10 @@
 """Dataset ingestion and synthetic fixtures.
 
-CSV layout: one sample per row, numeric feature columns, integer class
-label in the last column, optional single header row (auto-detected).
-Feature count and class count are inferred and reported.
+CSV layout: UTF-8 text, a BOM first allowed; one sample per row,
+numeric feature columns, integer class label in the last column,
+optional single header row (auto-detected).  Feature count and class
+count are inferred and reported.  :func:`check_labels` is the one label
+rule, for CSVs and arrays alike.
 :class:`SyntheticSpec` states the synthetic blobs' shape rule, and
 :func:`bayes_accuracy` their ceiling, which is None beyond C <= F.
 """
@@ -23,20 +25,30 @@ _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" m
 
 
 class ParseError(ValueError):
-    """CSV parse failure; the message carries the 1-based line number."""
+    """CSV parse failure; the message names the file and, when a line is
+    at fault, its 1-based number, and a bad label by its value."""
 
 
-def check_labels(labels, rows: int, num_classes: int) -> np.ndarray:
+def check_labels(labels, rows: int, num_classes: int, lines=None) -> np.ndarray:
     """*labels* as int64, or a ValueError unless it holds one integral
     label per row, each in ``[0, num_classes)``: the rule of every
-    labelled input.  No cast comes first, so 1.7 is refused, not class 1."""
+    labelled input.  Labels are judged in their own dtype before any
+    cast, so 1.7 and 1e20 are refused, not truncated or wrapped.  The
+    first bad label is named by row index, or by ``lines[row]``, its CSV
+    line, and by value, as ``row 1: label nan is not an integer`` or
+    ``line 2: label -1 out of range [0, 3)``; 2**63 bounds any C."""
     labels = np.asarray(labels)
     if labels.shape != (rows,):
         raise ValueError("features and labels disagree on sample count")
-    if labels.dtype.kind == "f" and not np.all(np.isfinite(labels) & (labels == np.floor(labels))):
-        raise ValueError("labels must be finite integers")
-    if rows and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError("labels out of range [0, num_classes)")
+    integral = np.isfinite(labels) & (labels == np.floor(labels)) if labels.dtype.kind == "f" else np.ones(rows, bool)
+    high = min(num_classes, 2**63)  # int64's bound
+    bad = np.flatnonzero(~integral | (labels < 0) | (labels >= high))
+    if bad.size:
+        i = bad[0]
+        where = f"row {i}" if lines is None else f"line {lines[i]}"
+        if not integral[i]:
+            raise ValueError(f"{where}: label {labels[i]} is not an integer")
+        raise ValueError(f"{where}: label {int(labels[i])} out of range [0, {high})")
     return labels.astype(np.int64, copy=False)
 
 
@@ -92,11 +104,12 @@ def load_csv(path: str, num_classes: int | None = None, num_features: int | None
     number on malformed input, a NaN or inf cell and a line that is not
     UTF-8 included, and one naming the path alone when it is no regular
     file or not *num_features* wide.  The class count is max(label)+1
-    unless *num_classes* is given, which then bounds the labels."""
+    unless *num_classes* is given; :func:`check_labels` judges the labels
+    against it."""
     path = resolve_data_path(path)
     if not os.path.isfile(path):
         raise ParseError(f"{path}: not a regular file" if os.path.exists(path) else f"dataset file not found: {path}")
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         numbered = list(enumerate(fh, start=1))
     bad = next((n for n, line in numbered if not line.isascii() and _ESCAPED_BYTE.search(line)), None)
     if bad is not None:
@@ -128,23 +141,11 @@ def load_csv(path: str, num_classes: int | None = None, num_features: int | None
         row, col = nonfinite[0]
         raise ParseError(f"{path}: line {lines[row]}: non-finite cell {str(raw[row, col])!r}")
     features = raw[:, :-1]
-    raw_labels = raw[:, -1]
-    bad = np.nonzero(raw_labels != np.floor(raw_labels))[0]
-    if bad.size:
-        raise ParseError(f"{path}: line {lines[bad[0]]}: label {float(raw_labels[bad[0]])!r} is not an integer")
-    labels = raw_labels.astype(np.int64)
-    bad = np.nonzero(labels < 0)[0]
-    if bad.size:
-        raise ParseError(f"{path}: line {lines[bad[0]]}: negative label {labels[bad[0]]}")
-    if num_classes is not None:
-        bad = np.nonzero(labels >= num_classes)[0]
-        if bad.size:
-            raise ParseError(
-                f"{path}: line {lines[bad[0]]}: label {labels[bad[0]]} out of range "
-                f"[0, {num_classes})"
-            )
-    else:
-        num_classes = int(labels.max()) + 1
+    num_classes = int(raw[:, -1].max()) + 1 if num_classes is None else num_classes
+    try:
+        labels = check_labels(raw[:, -1], len(raw), num_classes, lines)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     if num_features is not None and features.shape[1] != num_features:
         raise ParseError(f"{path}: {features.shape[1]} feature columns, expected {num_features}")
     return Dataset(features=features, labels=labels, num_classes=num_classes)

@@ -6,11 +6,12 @@ stream derives from.  A rerun from the manifest is bit-exact in one
 environment, the same numpy/BLAS build and BLAS thread count; across
 thread counts, accuracies agree within a few test rows.  The history
 file's wall-clock column is the one thing a rerun does not reproduce.
-Unknown config keys are errors: silent typos in sweep grids are the
-main operational hazard.  :func:`build_spec` is the one way a JSON or
-command-line value becomes a spec; its config error names the key path
-of the value refused, once, as in ``data.synthetic.num_classes`` or
-``models[1].channels[0]``.  At every precision but fp32 the test
+A config is UTF-8 JSON, a BOM first allowed.  Unknown config keys and
+a key repeated within one object are errors: silent typos in sweep
+grids are the main operational hazard.  :func:`build_spec` is the one
+way a JSON or command-line value becomes a spec; its config error names
+the key path of the value refused, once, as in
+``data.synthetic.num_classes`` or ``models[1].channels[0]``.  At every precision but fp32 the test
 encodings are rounded to the format before they are scored, as the
 models' stored arrays are.  The manifest's dataset block records the
 Bayes ceiling of synthetic data (:func:`~decohd.data.bayes_accuracy`),
@@ -177,11 +178,23 @@ class ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
+    """The config, or a manifest's, at *path*: UTF-8 JSON, a BOM first
+    allowed, no key repeated within an object."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: key {key!r} repeated in one object")
+            obj[key] = value
+        return obj
+
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, encoding="utf-8-sig") as fh:
+            raw = json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     if isinstance(raw, dict) and "config" in raw and "package_version" in raw:
@@ -285,20 +298,24 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
     """Train every requested model at every dimension, evaluate under
     the precision and noise sweeps, and write results plus a manifest.
 
-    Any stage failure still leaves the partial outputs on disk together
-    with a ``failure_manifest.json`` naming the stage, then re-raises.
-    The six output files of an earlier run into the directory are
-    removed first, so two runs never mix; containers in ``models/`` of
-    labels or dimensions this run does not write are left as they are.
+    An output directory that cannot be created is a ConfigError, raised
+    before anything is written.  Any stage failure still leaves the
+    partial outputs on disk together with a ``failure_manifest.json``
+    naming the stage, then re-raises.  The six output files of an
+    earlier run into the directory are removed first, so two runs never
+    mix; containers in ``models/`` of labels or dimensions this run does
+    not write are left as they are.
     """
     out = output_dir or config.output_dir
-    os.makedirs(out, exist_ok=True)
+    models_dir = os.path.join(out, "models")
+    try:
+        os.makedirs(models_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     for name in ("results.csv", "precision.csv", "robustness.csv", "history.csv", "manifest.json",
                  "failure_manifest.json"):
         if os.path.exists(os.path.join(out, name)):
             os.remove(os.path.join(out, name))
-    models_dir = os.path.join(out, "models")
-    os.makedirs(models_dir, exist_ok=True)
 
     labels = config.model_labels()
     stage = "prepare-data"

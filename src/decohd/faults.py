@@ -5,12 +5,11 @@ configured probability, from a seeded stream derived per parameter
 array, so a given (p, seed) pair always produces the same corrupted model.
 The flips are sampled by count, not bit by bit: each chunk of m words
 draws its flip count from Binomial(32m, p), then that many distinct bit
-positions uniformly without replacement (above p=1/2, the count and
-positions of the bits kept).  This is exactly the distribution of
-independent per-bit flips; random draws grow with the smaller of the
-flipped and kept bits, and memory with the chunk, not the array.  At
-p=0 nothing is drawn: the array is copied as it is.  Since every array
-owns its stream, skipping one changes no other array's flips.
+positions uniformly without replacement, at every p.  This is exactly
+the distribution of independent per-bit flips; memory grows with the
+chunk, not the array.  At p=0 nothing is drawn: the array is copied as
+it is.  Since every array owns its stream, skipping one changes no
+other array's flips.
 Flips can produce NaN/Inf values; those are kept as stored, and scoring
 treats NaN logits as minus infinity.
 
@@ -65,11 +64,9 @@ def flip_float32_bits(a: np.ndarray, flip_probability: float, seed: int) -> np.n
     Per chunk of up to ``_FLIP_CHUNK_WORDS`` words (m words, 32m bits,
     bit b of word w at position ``32*w + b``), the stream draws the flip
     count k ~ Binomial(32m, p), then k distinct positions, which set a
-    bit mask XORed into a copy.  Above p=1/2 it draws the count and
-    positions of the bits left as they are instead, so at most half the
-    bits are drawn and p=1 draws no position.  Given its count, every set
-    of k bits is equally likely, as it is under independent flips, so the
-    two have the same distribution.  p=0 draws nothing.
+    bit mask XORed into a copy.  Given its count, every set of k bits is
+    equally likely, as it is under independent flips, so the two have the
+    same distribution.  p=0 draws nothing.
     """
     a = np.asarray(a)
     if a.dtype != np.float32:
@@ -79,15 +76,13 @@ def flip_float32_bits(a: np.ndarray, flip_probability: float, seed: int) -> np.n
         return out
     words = out.view(np.uint32).reshape(-1)
     rng = rng_from_seed(seed)
-    flip_drawn = flip_probability <= 0.5
-    q = flip_probability if flip_drawn else 1.0 - flip_probability
     bits = np.empty(32 * min(_FLIP_CHUNK_WORDS, words.size), dtype=bool)
     for start in range(0, words.size, _FLIP_CHUNK_WORDS):
         chunk = words[start:start + _FLIP_CHUNK_WORDS]
         mask = bits[:32 * chunk.size]
-        count = rng.binomial(mask.size, q)
-        mask.fill(not flip_drawn)
-        mask[rng.choice(mask.size, size=count, replace=False, shuffle=False)] = flip_drawn
+        count = rng.binomial(mask.size, flip_probability)
+        mask.fill(False)
+        mask[rng.choice(mask.size, size=count, replace=False, shuffle=False)] = True
         chunk ^= np.packbits(mask, bitorder="little").view("<u4")
     return out
 

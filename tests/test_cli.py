@@ -326,6 +326,18 @@ def test_label_the_model_lacks_exits_2_as_data_error(saved_decohd, tmp_path, cap
     assert "line 3: label 4 out of range [0, 3)" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_label_beyond_int64_by_its_value(tmp_path, capsys):
+    csvs = (str(tmp_path / "two_train.csv"), str(tmp_path / "two_test.csv"))
+    for path, ds in zip(csvs, make_synthetic(2, 6, 10, 3.0, seed=11)):
+        save_csv(path, ds)
+    model_path = save_trained(csvs, tmp_path, "two")
+    huge = tmp_path / "huge.csv"
+    huge.write_text("1,2,3,4,5,6,0\n1,2,3,4,5,6,1e20\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["eval", "--model", model_path, "--test-csv", str(huge)]) == 2
+    assert capsys.readouterr().err == f"data error: {huge}: line 2: label 100000000000000000000 out of range [0, 2)\n"
+
+
 def test_robustness_refuses_models_that_share_a_file_stem(synthetic_csvs, tmp_path, capsys, monkeypatch):
     # Refused before any container is loaded, the one listed first included.
     (tmp_path / "a").mkdir()
@@ -757,3 +769,45 @@ def test_a_sweep_config_that_cannot_be_used_exits_1(tmp_path, capsys, content, m
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("config error: ") and message in err
     assert not (tmp_path / "out").exists()
+
+
+SWEEP_CONFIG = {"data": {"synthetic": {"num_classes": 3, "num_features": 6, "samples_per_class": 10}},
+                "models": [{"kind": "prototype"}], "dims": [16]}
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'{"dims": [16], "dims": [32]}', "key 'dims' repeated in one object"),
+    (b'{"train": {"epochs": 1, "epochs": 2}}', "key 'epochs' repeated in one object"),
+    (b'{"name": "caf\xe9"}', "not UTF-8 text: "),
+], ids=["repeated-key", "repeated-nested-key", "not-utf8"])
+def test_a_sweep_config_read_with_care_exits_1_naming_its_path(tmp_path, capsys, raw, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    assert cli.main(["sweep", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {path}: {message}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_config_that_starts_with_a_bom_runs(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(SWEEP_CONFIG).encode())
+    assert cli.main(["sweep", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == "" and (tmp_path / "out" / "results.csv").is_file()
+
+
+@pytest.mark.parametrize("where", ["option", "config"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "below-a-file"])
+def test_an_output_dir_that_cannot_be_created_exits_1_and_writes_nothing(tmp_path, capsys, where, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out = str(blocker / below)  # "" names the file itself
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**SWEEP_CONFIG, **({"output_dir": out} if where == "config" else {})}),
+                    encoding="utf-8")
+    argv = ["sweep", "--config", str(path)] + (["--output-dir", out] if where == "option" else [])
+    assert cli.main(argv) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.startswith(f"config error: cannot create output directory {out}: ")
+    assert sorted(os.listdir(tmp_path)) == ["blocker", "config.json"]
+    assert blocker.read_text(encoding="utf-8") == "kept\n"

@@ -20,8 +20,8 @@ from decohd.training import TrainConfig, train
 
 
 @pytest.mark.parametrize("labels, message", [([0], "features and labels disagree on sample count"),
-                                             ([0, 3], r"labels out of range \[0, num_classes\)"),
-                                             ([-1, 0], r"labels out of range \[0, num_classes\)")],
+                                             ([0, 3], r"row 1: label 3 out of range \[0, 3\)"),
+                                             ([-1, 0], r"row 0: label -1 out of range \[0, 3\)")],
                          ids=["one-label-short", "label-beyond", "negative-label"])
 def test_a_dataset_refuses_labels_that_do_not_fit(labels, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -37,13 +37,15 @@ LABELLED_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("bad", [[0.0, 1.7, 2.9, 1.0, 0.2, 2.0], [0.0, 1.0, 2.0, np.nan, 1.0, 2.0],
-                                 [0.0, 1.0, 2.0, 1.0, -np.inf, 2.0]], ids=["fractional", "nan", "infinite"])
+@pytest.mark.parametrize("bad, message", [([0.0, 1.7, 2.9, 1.0, 0.2, 2.0], "row 1: label 1.7"),
+                                          ([0.0, 1.0, 2.0, np.nan, 1.0, 2.0], "row 3: label nan"),
+                                          ([0.0, 1.0, 2.0, 1.0, -np.inf, 2.0], "row 4: label -inf")],
+                         ids=["fractional", "nan", "infinite"])
 @pytest.mark.parametrize("entry", LABELLED_INPUTS)
-def test_every_labelled_input_refuses_a_label_that_is_not_an_integer(entry, bad):
+def test_every_labelled_input_refuses_a_label_that_is_not_an_integer(entry, bad, message):
     # Checked before any cast: a cast would truncate 1.7 to class 1.
     h = np.random.default_rng(0).standard_normal((6, 16)).astype(np.float32)
-    with pytest.raises(ValueError, match="^labels must be finite integers$"):
+    with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
         LABELLED_INPUTS[entry](h, np.array([0, 1, 2, 1, 0, 2]), np.array(bad))
 
 
@@ -160,13 +162,13 @@ class TestLoadCsv:
             ("1,2,0\n3,\u0661\u0662,1\n", "line 2: non-numeric cell '\u0661\u0662'"),
             ("1,2,0\n3,4,1.5\n", "line 2: label 1.5 is not an integer"),
             ("f0,f1,label\n1,2,0\n3,4,1\n5,6,2.5\n", "line 4: label 2.5 is not an integer"),
-            ("1,2,0\n3,4,-1\n", "line 2: negative label -1"),
+            ("1,2,0\n3,4,-1\n", r"line 2: label -1 out of range \[0, 1\)"),
             ("", "line 1: empty file"),
             ("1,2,0\n3,nan,1\n", "line 2: non-finite cell 'nan'"),
             ("f0,f1,label\n1,2,0\n-inf,4,1\n", "line 3: non-finite cell '-inf'"),
             ("1,2,0\n3,4,inf\n", "line 2: non-finite cell 'inf'"),
             ("1,2,0\n\n3,nan,1\n", "line 3: non-finite cell 'nan'"),
-            ("1,2,0\n\n3,4,-1\n", "line 3: negative label -1"),
+            ("1,2,0\n\n3,4,-1\n", r"line 3: label -1 out of range \[0, 1\)"),
             ("1,2,0\n# note\n3,4,1\n5,x,1\n", "line 4: non-numeric cell 'x'"),
             ("f0,f1,label\n", "line 1: a header and no data rows"),
             ("0\n1\n", "need at least one feature column plus a label column"),
@@ -190,6 +192,28 @@ class TestLoadCsv:
     def test_label_beyond_given_class_count(self, write):
         with pytest.raises(ParseError, match=r"line 2: label 3 out of range \[0, 3\)"):
             load_csv(write("1,2,0\n3,4,3\n"), num_classes=3)
+
+    def test_a_label_beyond_int64_is_refused_by_its_value_without_a_cast(self, write):
+        # A cast to int64 first would warn and wrap 1e20 to a negative label.
+        path = write("1,2,0\n3,4,1e20\n")
+        message = r"line 2: label 100000000000000000000 out of range \[0, 2\)$"
+        with pytest.raises(ParseError, match=f"^{re.escape(path)}: {message}"):
+            load_csv(path, num_classes=2)
+        with pytest.raises(ParseError, match=r"label 100000000000000000000 out of range \[0, 9223372036854775808\)"):
+            load_csv(path)  # no class count given: the bound is int64's
+
+    def test_a_utf8_bom_is_not_part_of_the_first_row(self, tmp_path, monkeypatch):
+        # Kept, it would make a headerless first row look like a header.
+        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+        path = tmp_path / "bom.csv"
+        for header in ("", "f0,f1,label\n"):  # a header after the BOM is still one
+            path.write_bytes(b"\xef\xbb\xbf" + (header + "1,2,0\n3,4,1\n5,6,0\n7,8,1\n").encode())
+            ds = load_csv(str(path))
+            np.testing.assert_array_equal(ds.features[:, 0], [1.0, 3.0, 5.0, 7.0])
+            np.testing.assert_array_equal(ds.labels, [0, 1, 0, 1])
+        path.write_bytes(b"\xef\xbb\xbf1,2,0\n3,4\xe9,1\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2: not UTF-8 text$"):
+            load_csv(str(path))
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_a_width_other_than_the_given_one_is_refused(self, write, width):

@@ -286,6 +286,38 @@ def test_non_finite_config_values_are_config_errors(tmp_path, config, message):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b'{"data": {"synthetic": {}}, "dims": [16], "dims": [32]}', "key 'dims' repeated in one object"),
+    (b'{"data": {"synthetic": {"num_classes": 3, "num_classes": 4}}}', "key 'num_classes' repeated in one object"),
+    (b'{"data": {"synthetic": {}}, "name": "caf\xe9"}', "not UTF-8 text: "),
+], ids=["repeated-key", "repeated-nested-key", "not-utf8"])
+def test_a_config_with_a_repeated_key_or_bytes_not_utf8_is_refused_naming_its_path(tmp_path, raw, message):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+        load_config(str(path))
+
+
+def test_a_config_that_starts_with_a_bom_loads_as_without_it(tmp_path):
+    text = json.dumps({"data": {"synthetic": {}}, "dims": [16], "name": "caf\u00e9"}, ensure_ascii=False)
+    plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert load_config(str(bom)) == load_config(str(plain))
+    assert load_config(str(bom)).name == "caf\u00e9"
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "below-a-file"])
+def test_run_experiment_refuses_an_output_dir_that_cannot_be_created(tmp_path, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out = str(blocker / below)  # "" names the file itself
+    config = dataclasses.replace(tiny_config(), output_dir=out)
+    with pytest.raises(ConfigError, match=f"^cannot create output directory {re.escape(out)}: "):
+        run_experiment(config)
+    assert sorted(os.listdir(tmp_path)) == ["blocker"] and blocker.read_text(encoding="utf-8") == "kept\n"
+
+
 @pytest.mark.parametrize("cls", list(CONFIG_SCHEMA), ids=lambda cls: cls.__name__)
 def test_config_schema_is_pinned(cls):
     assert [f.name for f in dataclasses.fields(cls)] == CONFIG_SCHEMA[cls]

@@ -118,17 +118,18 @@ def test_flip_counts_fall_within_binomial_bounds(rng):
 
 def test_every_bit_position_is_hit_uniformly(rng):
     a = rng.standard_normal(4096).astype(np.float32)
-    hits = sum(flipped_bits(a, flip_float32_bits(a, 1e-2, seed)).sum(axis=0) for seed in range(10))
-    expected = hits.sum() / 32
-    chi2 = float(((hits - expected) ** 2 / expected).sum())
-    assert chi2 < 61.1, chi2  # the 0.999 quantile of chi-square with 31 degrees of freedom
+    for p in (1e-2, 0.75):
+        hits = sum(flipped_bits(a, flip_float32_bits(a, p, seed)).sum(axis=0) for seed in range(10))
+        expected = hits.sum() / 32
+        chi2 = float(((hits - expected) ** 2 / (expected * (1 - p))).sum())  # a position's hits are binomial
+        assert chi2 < 61.1, (p, chi2)  # the 0.999 quantile of chi-square with 31 degrees of freedom
 
 
 @pytest.mark.parametrize("p", [0.3, 0.8])
 def test_flipped_positions_are_distinct(rng, p):
-    # The stream draws the count first: of the flipped bits up to p=1/2,
-    # of the kept bits above.  Two draws of one position would leave a
-    # flipped-bit total off the count.
+    # The stream draws the flip count first; numpy draws it above p=1/2
+    # as bits - Binomial(bits, 1 - p).  Two draws of one position would
+    # leave a flipped-bit total off the count.
     a = rng.standard_normal((8, 16)).astype(np.float32)
     bits = 32 * a.size
     for seed in range(20):
