@@ -7,20 +7,22 @@ sweep rounds, so all three print the same accuracy for one model and
 test set; a test label the model has no class for is a data error.
 ``BudgetQuery``, ``SyntheticSpec`` and ``ExperimentConfig`` refuse
 option values through :func:`~decohd.experiment.build_spec`, as config
-errors; ``NoiseConfig`` refuses a ``--p-grid`` as the command line is
-parsed.  ``robustness`` scores each model against its own encodings
-of the test CSV, read as ``eval`` reads it, so models of other
-encoders, standardizers or D compare in one table; rows name a model by
-its distinct file stem and carry its D, and it loads, encodes and sweeps
-one model at a time, in stem order.  ``budget`` prints one row per
+errors; ``NoiseConfig`` refuses a ``--p-grid`` or ``--trials`` as the
+command line is parsed.  ``robustness`` scores each model against its
+own encodings of the test CSV, read as ``eval`` reads it, so models of
+other encoders, standardizers or D compare in one table; rows name a
+model by its distinct file stem and carry its D, and it loads, encodes
+and sweeps one model at a time, in stem order.  ``budget`` prints one row per
 ``ModelConfig`` that ``enumerate_configs`` plans, with that config's
 footprint and trainable parameters, for C >= 2 classes as any model
 has.  ``synth`` refuses one path for both splits.  Relative dataset
 paths resolve against $DECOHD_DATA_DIR; an output path that is empty, a
 directory, or in a directory that does not exist, is refused as the
-command line is parsed.  A ``sweep`` config is UTF-8 JSON, a BOM first
+command line is parsed, and so is ``train``'s ``<stem>_history.csv``
+beside its ``--output``.  A ``sweep`` config is UTF-8 JSON, a BOM first
 allowed; one that is not UTF-8 or repeats a key within an object, and
-an output directory that cannot be created, exit 1 as config errors.
+an output directory that is empty, cannot be created or holds a
+directory at an output file's name, exit 1 as config errors.
 Exit codes: 0 success, 1 config error, 2 data error: a malformed CSV or
 an unusable model container (argparse also exits 2 on a malformed
 command line), 3 training divergence.  Any other exception is a bug and
@@ -86,10 +88,24 @@ def _output_path(text: str) -> str:
     return text
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _history_path(output: str) -> str:
+    """The ``<stem>_history.csv`` that ``train`` writes beside its container."""
+    return os.path.splitext(output)[0] + "_history.csv"
+
+
+def _container_path(text: str) -> str:
+    """An output path for a container, whose history path is one too."""
+    _output_path(_history_path(_output_path(text)))
+    return text
+
+
+def _trial_count(text: str) -> int:
+    try:
+        if text.isdecimal():
+            return NoiseConfig(trials=int(text)).trials
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _encode_test_set(clf, path: str):
@@ -131,7 +147,7 @@ def cmd_train(args) -> int:
         h_train, train_ds.labels, h_test, test_ds.labels, train_ds.num_classes,
     )
     save_classifier(args.output, clf)
-    hist_path = os.path.splitext(args.output)[0] + "_history.csv"
+    hist_path = _history_path(args.output)
     if history:
         write_csv(hist_path, [f.name for f in fields(EpochStats)], [astuple(h) for h in history])
         print(f"history written to {hist_path}")
@@ -229,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-csv", required=True)
     p.add_argument("--test-csv", required=True)
     p.add_argument("--model", default="decohd", choices=MODEL_KINDS)
-    p.add_argument("--output", type=_output_path, required=True, help="model container path (.npz)")
+    p.add_argument("--output", type=_container_path, required=True, help="model container path (.npz)")
     p.add_argument("--seed", type=int, default=ExperimentConfig.root_seed)
     p.add_argument("--dim", type=int, default=ExperimentConfig.dims[0])
     # Not ModelSpec.channels: the two differ until ROADMAP Direction 21 settles decohd's default shape.
@@ -269,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--test-csv", required=True)
     p.add_argument("--p-grid", type=_probability_list, default="0,1e-7,1e-6,1e-5,1e-4,1e-3")
-    p.add_argument("--trials", type=_positive_int, default=NoiseConfig.trials)
+    p.add_argument("--trials", type=_trial_count, default=NoiseConfig.trials)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", type=_output_path, default="robustness.csv")
     p.set_defaults(func=cmd_robustness)

@@ -27,6 +27,9 @@ sweep, then the bit-flip sweep) holds only the test encodings, the
 deployed scorers and one quantized copy of the test encodings at a
 time, and all of them die before the next dimension encodes.
 
+The output directory is the config's ``output_dir`` unless the caller
+names another; an empty one, or one holding a directory at an output
+file's name, is a config error before any file is written or removed.
 Output files (all UTF-8 CSV with header rows):
 
 * results.csv     model, m_budget, precision, D, accuracy
@@ -298,24 +301,32 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
     """Train every requested model at every dimension, evaluate under
     the precision and noise sweeps, and write results plus a manifest.
 
-    An output directory that cannot be created is a ConfigError, raised
-    before anything is written.  Any stage failure still leaves the
+    *output_dir*, when given, replaces ``config.output_dir``.  An empty
+    output directory, one that cannot be created, or one that holds a
+    directory at an output file's name is a ConfigError, raised before
+    anything is written or removed.  Any stage failure still leaves the
     partial outputs on disk together with a ``failure_manifest.json``
     naming the stage, then re-raises.  The six output files of an
     earlier run into the directory are removed first, so two runs never
     mix; containers in ``models/`` of labels or dimensions this run does
     not write are left as they are.
     """
-    out = output_dir or config.output_dir
+    out = config.output_dir if output_dir is None else output_dir
+    if not out:
+        raise ConfigError("an empty output directory names no place to write")
+    outputs = [os.path.join(out, name) for name in ("results.csv", "precision.csv", "robustness.csv",
+                                                     "history.csv", "manifest.json", "failure_manifest.json")]
+    for path in outputs:
+        if os.path.isdir(path):
+            raise ConfigError(f"{path} is a directory, not an output file")
     models_dir = os.path.join(out, "models")
     try:
         os.makedirs(models_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    for name in ("results.csv", "precision.csv", "robustness.csv", "history.csv", "manifest.json",
-                 "failure_manifest.json"):
-        if os.path.exists(os.path.join(out, name)):
-            os.remove(os.path.join(out, name))
+    for path in outputs:
+        if os.path.exists(path):
+            os.remove(path)
 
     labels = config.model_labels()
     stage = "prepare-data"

@@ -7,9 +7,8 @@ The flips are sampled by count, not bit by bit: each chunk of m words
 draws its flip count from Binomial(32m, p), then that many distinct bit
 positions uniformly without replacement, at every p.  This is exactly
 the distribution of independent per-bit flips; memory grows with the
-chunk, not the array.  At p=0 nothing is drawn: the array is copied as
-it is.  Since every array owns its stream, skipping one changes no
-other array's flips.
+chunk, not the array.  At p=0 every count is 0, so the copy keeps
+every word as it was, a signalling NaN's payload included.
 Flips can produce NaN/Inf values; those are kept as stored, and scoring
 treats NaN logits as minus infinity.
 
@@ -66,14 +65,13 @@ def flip_float32_bits(a: np.ndarray, flip_probability: float, seed: int) -> np.n
     count k ~ Binomial(32m, p), then k distinct positions, which set a
     bit mask XORed into a copy.  Given its count, every set of k bits is
     equally likely, as it is under independent flips, so the two have the
-    same distribution.  p=0 draws nothing.
+    same distribution.  p=0 takes the same path and draws a zero count
+    for every chunk.
     """
     a = np.asarray(a)
     if a.dtype != np.float32:
         raise TypeError(f"bit flips are defined on float32 storage, got {a.dtype}")
     out = a.copy(order="C")
-    if flip_probability == 0.0:
-        return out
     words = out.view(np.uint32).reshape(-1)
     rng = rng_from_seed(seed)
     bits = np.empty(32 * min(_FLIP_CHUNK_WORDS, words.size), dtype=bool)

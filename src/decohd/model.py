@@ -114,21 +114,9 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams([a.copy() for a in self.latents], self.head.copy())
 
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams([a.astype(dtype) for a in self.latents], self.head.astype(dtype))
-
     def arrays(self) -> list[np.ndarray]:
         """The latents, then the head."""
         return [*self.latents, self.head]
-
-
-def check_param_shapes(params: ModelParams, config: ModelConfig) -> None:
-    """A ValueError unless *params* has the latent and head shapes of *config*."""
-    shapes = [a.shape for a in params.arrays()]
-    expected = [(l, config.latent_dim) for l in config.channels_per_layer]
-    expected.append((config.num_classes, config.num_paths))
-    if shapes != expected:
-        raise ValueError(f"latent and head shapes {shapes}, expected {expected}")
 
 
 def init_params(config: ModelConfig, dtype=np.float64) -> ModelParams:
@@ -209,8 +197,13 @@ def stream_channels(params: ModelParams, config: ModelConfig) -> ChannelBank:
     multiplying each into one reused buffer, so it holds one draw buffer,
     its cast and its channels, never a whole projector.  The bank is
     :attr:`~ChannelBank.squared`, as the benchmark's serve oracle scores it.
+    Latents or a head of other shapes than *config*'s are a ValueError.
     """
-    check_param_shapes(params, config)
+    shapes = [a.shape for a in params.arrays()]
+    expected = [(l, config.latent_dim) for l in config.channels_per_layer]
+    expected.append((config.num_classes, config.num_paths))
+    if shapes != expected:
+        raise ValueError(f"latent and head shapes {shapes}, expected {expected}")
 
     def layer(lat, spec):
         channels, product, start = None, None, 0
@@ -312,13 +305,15 @@ class DecoHDClassifier(Classifier):
     (the benchmark's serve workload starts from one); it streams its
     float32 channels once, at construction, through the dense projectors
     of :func:`stream_channels`, not the matrix-free ones of training: a
-    trained model is deployed from its container, not rebuilt here."""
+    trained model is deployed from its container, not rebuilt here.  The
+    latents and the head are cast to float32 once each, here."""
 
     def __init__(self, encoder, standardizer, config: ModelConfig, params: ModelParams):
         from .inference import DecomposedScorer  # local import avoids a cycle
 
-        bank = stream_channels(params.astype(np.float32), config)
-        super().__init__(encoder, standardizer, DecomposedScorer(bank, params.head.astype(np.float32)), "decohd")
+        latents, head = [a.astype(np.float32) for a in params.latents], params.head.astype(np.float32)
+        bank = stream_channels(ModelParams(latents, head), config)
+        super().__init__(encoder, standardizer, DecomposedScorer(bank, head), "decohd")
 
     def channel_bank(self) -> ChannelBank:
         """The float32 channels, with the head the model's inference-resident state."""

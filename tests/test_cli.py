@@ -811,3 +811,53 @@ def test_an_output_dir_that_cannot_be_created_exits_1_and_writes_nothing(tmp_pat
     assert out_text == "" and err.startswith(f"config error: cannot create output directory {out}: ")
     assert sorted(os.listdir(tmp_path)) == ["blocker", "config.json"]
     assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("where", ["option", "config"])
+def test_an_empty_output_dir_exits_1_and_removes_nothing(tmp_path, monkeypatch, capsys, where):
+    # The working directory's earlier outputs stay, and the option does
+    # not fall back to the config's directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "results.csv").write_text("kept\n", encoding="utf-8")
+    config = {**SWEEP_CONFIG, "output_dir": "" if where == "config" else str(tmp_path / "from_config")}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    argv = ["sweep", "--config", "config.json"] + (["--output-dir", ""] if where == "option" else [])
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "config error: an empty output directory names no place to write\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "results.csv"]
+    assert (tmp_path / "results.csv").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_a_directory_at_an_output_name_exits_1_naming_it(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "results.csv").mkdir(parents=True)
+    (out / "manifest.json").write_text("kept\n", encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps(SWEEP_CONFIG), encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err == f"config error: {out / 'results.csv'} is a directory, not an output file\n"
+    assert sorted(os.listdir(out)) == ["manifest.json", "results.csv"]
+    assert (out / "manifest.json").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_train_refuses_a_history_path_that_is_a_directory_before_training(synthetic_csvs, tmp_path, capsys,
+                                                                          monkeypatch):
+    (tmp_path / "m_history.csv").mkdir()
+    err = refuse_output("train", str(tmp_path / "m.npz"), synthetic_csvs, tmp_path, monkeypatch, capsys)
+    assert err.endswith(f"error: argument --output: {str(tmp_path / 'm_history.csv')!r} "
+                        "is a directory, not a file to write\n")
+    assert sorted(os.listdir(tmp_path)) == ["m_history.csv", "test.csv", "train.csv"]
+
+
+def test_the_trials_rule_is_noise_configs(monkeypatch):
+    judged = []
+
+    class Judging(NoiseConfig):
+        def __post_init__(self):
+            judged.append(self.trials)
+            super().__post_init__()
+
+    monkeypatch.setattr(cli, "NoiseConfig", Judging)
+    args = cli.build_parser().parse_args(["robustness", "--models", "m.npz", "--test-csv", "t.csv", "--trials", "7"])
+    assert args.trials == 7 and 7 in judged

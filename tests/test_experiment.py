@@ -649,3 +649,36 @@ def test_a_trained_or_loaded_model_is_never_rebuilt_from_its_latents(monkeypatch
     assert cli.main(["train", "--train-csv", csvs[0], "--test-csv", csvs[1], "--output", str(tmp_path / "cli.npz"),
                      "--dim", "64", "--latent-dim", "8", "--channels", "2,2", "--epochs", "2"]) == 0
     assert load_classifier(tmp_path / "cli.npz").scorer.bank.squared is False
+
+
+OUTPUT_NAMES = ["results.csv", "precision.csv", "robustness.csv", "history.csv", "manifest.json",
+                "failure_manifest.json"]
+
+
+@pytest.mark.parametrize("source", ["config", "argument"])
+def test_run_experiment_refuses_an_empty_output_dir_and_removes_nothing(tmp_path, monkeypatch, source):
+    # "" would name the working directory, whose earlier outputs a run removes.
+    monkeypatch.chdir(tmp_path)
+    for name in OUTPUT_NAMES:
+        (tmp_path / name).write_text("kept\n", encoding="utf-8")
+    config = dataclasses.replace(tiny_config(), output_dir="" if source == "config" else str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="^an empty output directory names no place to write$"):
+        run_experiment(config, output_dir="" if source == "argument" else None)
+    assert sorted(os.listdir(tmp_path)) == sorted(OUTPUT_NAMES)
+    assert all((tmp_path / name).read_text(encoding="utf-8") == "kept\n" for name in OUTPUT_NAMES)
+
+
+@pytest.mark.parametrize("name", OUTPUT_NAMES)
+def test_run_experiment_refuses_a_directory_at_an_output_name_and_removes_nothing(tmp_path, name):
+    out = tmp_path / "out"
+    out.mkdir()
+    for other in OUTPUT_NAMES:
+        if other == name:
+            (out / other).mkdir()
+        else:
+            (out / other).write_text("kept\n", encoding="utf-8")
+    path = re.escape(str(out / name))
+    with pytest.raises(ConfigError, match=f"^{path} is a directory, not an output file$"):
+        run_experiment(tiny_config(), output_dir=str(out))
+    assert sorted(os.listdir(out)) == sorted(OUTPUT_NAMES)  # no models/ either
+    assert all((out / other).read_text(encoding="utf-8") == "kept\n" for other in OUTPUT_NAMES if other != name)

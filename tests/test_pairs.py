@@ -23,7 +23,16 @@ def test_one_tiny_train_pair_writes_every_metric_and_the_direct_digest(tmp_path)
     digest, threads = detail["digest"], detail["env"]["blas_threads"]
 
     report = json.loads(out.read_text(encoding="utf-8"))
-    assert list(report) == ["train seed 3"]
+    assert sorted(report) == ["src_loc", "train seed 3"]
+    src = os.path.join(ROOT, "src", "decohd")
+    lines = 0
+    for name in os.listdir(src):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                lines += len(fh.read().splitlines())
+    for side in ("parent", "change"):  # both sides are copies of this tree
+        assert report["src_loc"][side].keys() == {"code", "docstring", "comment", "blank"}
+        assert sum(report["src_loc"][side].values()) == lines
     entry = report["train seed 3"]
     assert entry["digests"] == {"parent": [digest], "change": [digest]}
     assert entry["blas_threads"] == {"parent": [threads], "change": [threads]}

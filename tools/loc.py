@@ -72,6 +72,12 @@ def tally(root: str) -> dict[str, dict[str, int]]:
     return out
 
 
+def totals(root: str) -> dict[str, int]:
+    """The counts of all ``*.py`` files directly in *root*, summed by part."""
+    files = tally(root).values()
+    return {p: sum(counts[p] for counts in files) for p in PARTS}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Line counts of a Python package by part.")
     parser.add_argument("dir", nargs="?",

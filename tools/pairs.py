@@ -36,7 +36,10 @@ parent's and ``within bound`` otherwise.  Each side's distinct output
 digests are kept beside its BLAS thread counts (``env.blas_threads``),
 since the digests differ by thread count.  Results are
 merged into ``--out`` under ``"<workload> seed <N>"``, so one file holds
-every workload and seed of a change.  Stdlib only.
+every workload and seed of a change.  Its top-level ``src_loc`` holds
+``tools/loc.py``'s per-part totals of each tree's ``src/decohd``, as
+``{"parent": {...}, "change": {...}}``, so the line delta is measured on
+the trees benchmarked.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -157,6 +160,8 @@ def workload_entry(trees: dict[str, str], workload: str, args, specs: dict) -> d
 
 
 def main(argv=None) -> int:
+    import loc  # here, not at the top: loc imports this module
+
     args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         specs = {m["name"]: m for m in json.load(fh)["end_to_end"]}
@@ -166,6 +171,7 @@ def main(argv=None) -> int:
             report = json.load(fh)
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = make_trees(args.parent, tmp)
+        report["src_loc"] = {side: loc.totals(os.path.join(tree, "src", "decohd")) for side, tree in trees.items()}
         for workload in args.workload:
             entry = report[f"{workload} seed {args.seed}"] = workload_entry(trees, workload, args, specs)
             with open(args.out, "w", encoding="utf-8") as fh:
