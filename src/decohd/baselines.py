@@ -69,16 +69,18 @@ def build_prototype_table(h: np.ndarray, labels: np.ndarray, num_classes: int) -
     order.  That is the order ``np.add.at`` adds in, so the sums are the
     same bit for bit, without a float64 copy of every encoding.  The
     table is stored in the input dtype.  A class with no samples keeps a
-    zero prototype and triggers a warning.
+    zero prototype; one warning names the first such class and their
+    count.
     """
     h = np.asarray(h)
     labels = check_labels(labels, len(h), num_classes)
     table = np.zeros((num_classes, h.shape[1]), dtype=np.float64)
     for row, label in zip(h, labels):
         table[label] += row
-    counts = np.bincount(labels, minlength=num_classes)
-    for c in np.nonzero(counts == 0)[0]:
-        warnings.warn(f"class {c} has no training samples; prototype left at zero")
+    empty = np.flatnonzero(np.bincount(labels, minlength=num_classes) == 0)
+    if empty.size:
+        warnings.warn(f"class {empty[0]} has no training samples ({empty.size} classes in all); "
+                      "their prototypes are left at zero")
     return PrototypeTable(table.astype(h.dtype, copy=False))
 
 

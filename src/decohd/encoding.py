@@ -8,7 +8,7 @@ encoder draws it on its first encode and holds it until it is released
 (``del encoder.matrix``), after which the next encode draws it again,
 bit for bit.
 
-Normalized, ``h = zW / |zW|`` with z the standardized row: h is linear
+Every encoding is ``h = zW / |zW|``, z the standardized row: h is linear
 in z up to a positive per-row scale, so a model whose scores are linear
 in h, S its effective C x D table, predicts ``argmax_c (z @ (W @ S.T))_c``:
 a C x F fold for analysis and tests, never a deployed form.
@@ -22,13 +22,13 @@ order whatever the row count, so a row's encoding does not depend on
 its batch; a single row runs a matrix-vector product and may differ
 from its batched twin in the last bit.
 
-With ``normalize_output`` the output is normalized in place in strips
-of ``_NORM_ROWS`` rows while each is in cache: the strip's
-float32 squares go to a strip-sized scratch, their row sums give the
-norms and the strip is divided by them in one plain in-place divide,
-zero norms first set to 1: a zero row stays zero, and a row whose
-squares all underflow to zero stays as it is.  The squares overflow
-float32 beyond about 1.8e19, far above standardized inputs.
+The output is normalized in place in strips of ``_NORM_ROWS`` rows
+while each is in cache: the strip's float32 squares go to a strip-sized
+scratch, their row sums give the norms and the strip is divided by them
+in one plain in-place divide, zero norms first set to 1: a zero row
+stays zero, and a row whose squares all underflow to zero stays as it
+is.  The squares overflow float32 beyond about 1.8e19, far above
+standardized inputs.
 """
 
 from __future__ import annotations
@@ -78,15 +78,15 @@ class EncoderConfig:
     """Shape and seed of the frozen encoder.
 
     The matrix is regenerable from (seed, num_features, dim) alone.
-    ``normalize_output`` rescales each hypervector to unit L2 norm; a
-    positive per-sample rescaling cannot change downstream argmax, and it
-    bounds logit magnitude at large D.
+    Every hypervector has unit L2 norm (``normalize_output``, a constant):
+    a positive per-sample rescaling cannot change downstream argmax, and
+    it bounds logit magnitude at large D.
     """
 
     num_features: int
     dim: int
     seed: int = 0
-    normalize_output: bool = True
+    normalize_output = True  # a constant, not a field: perfbench/oracle.py reads it
 
     def __post_init__(self):
         if self.num_features < 1:
@@ -122,9 +122,9 @@ class RandomProjectionEncoder:
 
     def encode_batch(self, features: np.ndarray, standardizer: Standardizer) -> np.ndarray:
         """Encode rows of *features*: one float32 product into the
-        output, normalized (when configured) in float32 strips, as the
-        module docstring describes.  Beyond its output and the
-        standardized input, a call holds one strip of squares."""
+        output, normalized in float32 strips, as the module docstring
+        describes.  Beyond its output and the standardized input, a call
+        holds one strip of squares."""
         features = np.asarray(features)
         if features.ndim != 2 or features.shape[1] != self.config.num_features:
             raise ValueError(
@@ -138,12 +138,11 @@ class RandomProjectionEncoder:
         z = standardizer.apply(features).astype(np.float32)
         n = features.shape[0]
         out = np.matmul(z, matrix)
-        if self.config.normalize_output:
-            squares = np.empty((min(n, _NORM_ROWS), self.config.dim), dtype=np.float32)
-            for lo in range(0, n, _NORM_ROWS):
-                rows = out[lo:lo + _NORM_ROWS]
-                sq = np.multiply(rows, rows, out=squares[: len(rows)])
-                norms = np.sqrt(np.add.reduce(sq, axis=1, keepdims=True))
-                norms[norms == 0.0] = 1.0  # a zero row stays as it is
-                np.divide(rows, norms, out=rows)
+        squares = np.empty((min(n, _NORM_ROWS), self.config.dim), dtype=np.float32)
+        for lo in range(0, n, _NORM_ROWS):
+            rows = out[lo:lo + _NORM_ROWS]
+            sq = np.multiply(rows, rows, out=squares[: len(rows)])
+            norms = np.sqrt(np.add.reduce(sq, axis=1, keepdims=True))
+            norms[norms == 0.0] = 1.0  # a zero row stays as it is
+            np.divide(rows, norms, out=rows)
         return out

@@ -29,7 +29,8 @@ time, and all of them die before the next dimension encodes.
 
 The output directory is the config's ``output_dir`` unless the caller
 names another; an empty one, or one holding a directory at an output
-file's name, is a config error before any file is written or removed.
+file's name, a model container's in ``models/`` included, is a config
+error before any file is written or removed.
 Output files (all UTF-8 CSV with header rows):
 
 * results.csv     model, m_budget, precision, D, accuracy
@@ -210,15 +211,25 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def prepare_data(spec: DataSpec, root_seed: int) -> tuple[Dataset, Dataset]:
-    """The (train, test) pair of *spec*: a train CSV of 2 rows and 2 labels or more, a test CSV that fits it."""
+    """The (train, test) pair of *spec*: a train CSV of 2 rows and 2 labels or more, a test CSV that fits it.
+
+    Each class in ``[0, C)``, C the largest label plus one, needs a train
+    row; the first without one is refused, judged from the sorted
+    distinct labels, never a C-sized array."""
     if spec.synthetic is not None:
         train_ds, test_ds = make_synthetic(**asdict(spec.synthetic), seed=derive_seed(root_seed, "data"))
     else:
         train_ds = load_csv(spec.train_csv)
-        present = len(np.unique(train_ds.labels))
-        if train_ds.num_samples < 2 or present < 2:
+        present = np.unique(train_ds.labels)
+        if train_ds.num_samples < 2 or len(present) < 2:
             raise ParseError(f"{spec.train_csv}: training needs at least 2 rows and 2 classes, "
-                             f"got {train_ds.num_samples} and {present}")
+                             f"got {train_ds.num_samples} and {len(present)}")
+        missing = train_ds.num_classes - len(present)
+        if missing:  # present[i] == i up to the first missing class
+            first = int(np.argmax(present != np.arange(len(present))))
+            c = train_ds.num_classes
+            raise ParseError(f"{spec.train_csv}: class {first} has no training rows "
+                             f"({missing} missing of the {c} classes [0, {c}))")
         test_ds = load_csv(spec.test_csv, num_classes=train_ds.num_classes, num_features=train_ds.num_features)
     return train_ds, test_ds
 
@@ -303,23 +314,27 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
 
     *output_dir*, when given, replaces ``config.output_dir``.  An empty
     output directory, one that cannot be created, or one that holds a
-    directory at an output file's name is a ConfigError, raised before
-    anything is written or removed.  Any stage failure still leaves the
-    partial outputs on disk together with a ``failure_manifest.json``
-    naming the stage, then re-raises.  The six output files of an
-    earlier run into the directory are removed first, so two runs never
-    mix; containers in ``models/`` of labels or dimensions this run does
-    not write are left as they are.
+    directory at an output file's name, ``models/<label>_D<dim>.npz``
+    included, is a ConfigError, raised before anything is written or
+    removed.  Any stage failure still leaves the partial outputs on disk
+    together with a ``failure_manifest.json`` naming the stage, then
+    re-raises.  The six output files of an earlier run into the
+    directory are removed first, so two runs never mix; containers in
+    ``models/`` of labels or dimensions this run does not write are left
+    as they are.
     """
     out = config.output_dir if output_dir is None else output_dir
     if not out:
         raise ConfigError("an empty output directory names no place to write")
     outputs = [os.path.join(out, name) for name in ("results.csv", "precision.csv", "robustness.csv",
                                                      "history.csv", "manifest.json", "failure_manifest.json")]
-    for path in outputs:
+    models_dir = os.path.join(out, "models")
+    labels = config.model_labels()
+    containers = {(label, dim): os.path.join(models_dir, f"{label}_D{dim}.npz")
+                  for dim in config.dims for label in labels}
+    for path in [*outputs, *containers.values()]:
         if os.path.isdir(path):
             raise ConfigError(f"{path} is a directory, not an output file")
-    models_dir = os.path.join(out, "models")
     try:
         os.makedirs(models_dir, exist_ok=True)
     except OSError as exc:
@@ -328,7 +343,6 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
         if os.path.exists(path):
             os.remove(path)
 
-    labels = config.model_labels()
     stage = "prepare-data"
     result_rows = []
     robustness_rows = []
@@ -347,7 +361,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
                 h_train, train_ds.labels, h_test, test_ds.labels, train_ds.num_classes,
             )
             scorers[label] = clf.scorer
-            save_classifier(os.path.join(models_dir, f"{label}_D{dim}.npz"), clf)
+            save_classifier(containers[label, dim], clf)
             history_rows.extend([label, *astuple(h)] for h in history)
         del h_train  # evaluation reads only h_test and the scorers
         # Every model is scored against the same test encodings, so they

@@ -2,8 +2,9 @@
 
 A container holds a JSON metadata record, the standardizer and what
 the model scores with: its scorer's ``stored()`` arrays (channels and
-head, or a table) plus the table's mask if it has one (sparsehd).  A
-decomposed model's record also names its score form, ``squared``
+head, or a table) plus the table's mask if it has one (sparsehd).  The
+record holds the encoder config's three integer fields and, for a
+decomposed model, its score form, ``squared``
 (:attr:`~decohd.model.ChannelBank.squared`).  No latent, projector or
 encoder matrix travels, and loading draws nothing: the loaded model's
 first encode draws the encoder's matrix from its seed.
@@ -28,7 +29,7 @@ from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer
 from .inference import DecomposedScorer
 from .model import ChannelBank, Classifier
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class ContainerError(ParseError):
@@ -84,13 +85,12 @@ def load_classifier(path) -> Classifier:
     """Read a container written by :func:`save_classifier`.
 
     A container that cannot make a usable model raises
-    :class:`ContainerError`: a wrong format version, an unknown kind, a
-    missing metadata key or array, an encoder record whose sizes and
-    seed are not integers or whose ``normalize_output`` is not a bool,
-    stored arrays that are not float32 matrices of at least one row as
-    wide as the encoding they score, a mask that keeps no dimension, a
-    score form that is not a bool, or a standardizer that cannot scale
-    features.
+    :class:`ContainerError`: a wrong format version (format 4 included),
+    an unknown kind, a missing metadata key or array, an encoder record
+    other than the config's three integers, stored arrays that are not
+    float32 matrices of at least one row as wide as the encoding they
+    score, a mask that keeps no dimension, a score form that is not a
+    bool, or a standardizer that cannot scale features.
     """
     meta, arrays = load_arrays(path)
     if meta.get("format_version") != FORMAT_VERSION:
@@ -118,9 +118,8 @@ def _matrix(arrays: dict[str, np.ndarray], name: str, width: int) -> np.ndarray:
 def _classifier_from(meta: dict, arrays: dict[str, np.ndarray], kind: str) -> Classifier:
     record = meta["encoder"]
     for f in fields(EncoderConfig):  # every key: a missing one is not the config's default
-        wanted, words = (bool, "true or false") if f.name == "normalize_output" else (int, "an integer")
-        if type(record[f.name]) is not wanted:  # JSON's true is no int here, nor is 7.0
-            raise ValueError(f"encoder {f.name} is {record[f.name]!r}, expected {words}")
+        if type(record[f.name]) is not int:  # JSON's true is no int here, nor is 7.0
+            raise ValueError(f"encoder {f.name} is {record[f.name]!r}, expected an integer")
     encoder = RandomProjectionEncoder(EncoderConfig(**record))
     standardizer = Standardizer(mean=arrays["standardizer_mean"], std=arrays["standardizer_std"])
     width = (encoder.config.num_features,)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,15 @@ class TestBuildPrototypeTable:
             table = build_prototype_table(h, labels, 4)
         assert_same_bits(table.prototypes[2], np.zeros(8, dtype=np.float32))
         assert_same_bits(table.prototypes, add_at_prototype_sums(h, labels, 4))
+
+    def test_empty_classes_warn_once_per_call(self, rng):
+        h = rng.standard_normal((4, 8)).astype(np.float32)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            table = build_prototype_table(h, np.array([0, 4, 0, 4]), 5)
+        assert [str(w.message) for w in caught] == [
+            "class 1 has no training samples (3 classes in all); their prototypes are left at zero"]
+        assert_same_bits(table.prototypes[1:4], np.zeros((3, 8), dtype=np.float32))
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_out_of_range_labels_raise(self, rng, bad):

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from decohd import cli, encoding
+from decohd import cli, encoding, experiment
 from decohd.budget import BudgetQuery
 from decohd.data import Dataset, SyntheticSpec, load_csv, make_synthetic, save_csv
 from decohd.experiment import ExperimentConfig, ModelSpec, write_csv
@@ -468,6 +468,34 @@ def test_sweep_of_a_train_csv_of_one_row_or_one_class_exits_2_at_prepare_data(tm
     assert failure["stage"] == "prepare-data"
 
 
+# Labels whose classes [0, max + 1) are not all present: a gap, and one-based labels.
+SPARSE_LABELS = {
+    "gap": ("0.1,0\n0.2,0\n0.3,100000\n0.4,100000\n",
+            "class 1 has no training rows (99999 missing of the 100001 classes [0, 100001))"),
+    "one-based": ("0.1,1\n0.2,1\n0.3,2\n0.4,2\n", "class 0 has no training rows (1 missing of the 3 classes [0, 3))"),
+}
+
+
+@pytest.mark.parametrize("labels", sorted(SPARSE_LABELS))
+def test_a_train_csv_with_a_class_of_no_rows_exits_2_from_train_and_sweep_and_saves_nothing(tmp_path, capsys,
+                                                                                          labels):
+    text, message = SPARSE_LABELS[labels]
+    path = tmp_path / "train.csv"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["train", "--train-csv", str(path), "--test-csv", str(path), "--model", "prototype",
+                     "--dim", "64", "--output", str(tmp_path / "m.npz")]) == 2
+    assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+    config = {"data": {"train_csv": str(path), "test_csv": str(path)}, "models": [{"kind": "prototype"}],
+              "dims": [16]}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"data error: {path}: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "out", "train.csv"]
+    assert sorted(os.listdir(out)) == ["failure_manifest.json", "models"] and os.listdir(out / "models") == []
+    assert json.loads((out / "failure_manifest.json").read_text(encoding="utf-8"))["stage"] == "prepare-data"
+
+
 def test_divergence_exits_3(synthetic_csvs, tmp_path, capsys):
     assert cli.main(train_args(synthetic_csvs, tmp_path, "--epochs", "50", "--learning-rate", "1e18")) == 3
     assert "training diverged: " in capsys.readouterr().err
@@ -603,6 +631,30 @@ def test_the_module_runs_as_the_decohd_command(tmp_path):
     assert done.stderr == "config error: budget: m_target must be positive\n"
 
 
+def test_sweep_accuracies_agree_within_two_test_rows_across_blas_thread_counts(tmp_path):
+    # What the experiment docstring and ``sweep --help`` promise of a
+    # rerun under another thread count; the bits may or may not differ.
+    config = {"root_seed": 5, "data": {"synthetic": {"num_classes": 4, "num_features": 24, "samples_per_class": 40}},
+              "models": [{"kind": "decohd", "channels": [2, 2], "latent_dim": 64}, {"kind": "prototype"},
+                         {"kind": "onlinehd", "epochs": 2}],
+              "train": {"epochs": 3, "batch_size": 32, "microbatch_size": 16},
+              "dims": [512], "precisions": ["fp32", "bf16"]}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    accuracies = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "decohd.cli", "sweep", "--config", "config.json", "--output-dir",
+                        f"t{threads}"], cwd=tmp_path, env=env, check=True, capture_output=True, timeout=300)
+        with open(tmp_path / f"t{threads}" / "results.csv", encoding="utf-8") as fh:
+            accuracies.append({(r["model"], r["precision"], r["D"]): float(r["accuracy"]) for r in csv.DictReader(fh)})
+    one, two = accuracies
+    assert one.keys() == two.keys() and len(one) == 6
+    test_rows = 4 * 40
+    assert all(abs(one[k] - two[k]) <= 2 / test_rows + 1e-12 for k in one), (one, two)
+
+
 def spoil_container(path, how: str) -> None:
     """Rewrite a saved container so that it cannot be used."""
     if how == "garbage":
@@ -618,13 +670,15 @@ def spoil_container(path, how: str) -> None:
         del meta["encoder"]
     elif how == "channels":
         arrays["channels:0"] = arrays["channels:0"][:, :-1]
+    elif how == "v4":  # as format 4 wrote it, with the encoder's normalize_output
+        meta.update(format_version=4, encoder={**meta["encoder"], "normalize_output": True})
     else:
         meta.update({"version": {"format_version": 99}, "v1": {"format_version": 1},
                      "v2": {"format_version": 2}, "kind": {"kind": "tree"}}[how])
     save_arrays(path, meta, arrays)
 
 
-@pytest.mark.parametrize("how", ["version", "v1", "v2", "kind", "garbage", "meta-list", "head", "encoder",
+@pytest.mark.parametrize("how", ["version", "v1", "v2", "v4", "kind", "garbage", "meta-list", "head", "encoder",
                                  "channels"])
 @pytest.mark.parametrize("command", ["eval", "robustness"])
 def test_unusable_container_exits_2_as_data_error(saved_decohd, tmp_path, capsys, command, how):
@@ -636,7 +690,7 @@ def test_unusable_container_exits_2_as_data_error(saved_decohd, tmp_path, capsys
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "Traceback" not in err
-    if how in ("version", "v1", "v2"):
+    if how in ("version", "v1", "v2", "v4"):
         assert f"unsupported container version {99 if how == 'version' else how[1]}" in err
     if how in ("head", "encoder"):
         assert f"has no entry '{how}'" in err
@@ -829,16 +883,22 @@ def test_an_empty_output_dir_exits_1_and_removes_nothing(tmp_path, monkeypatch, 
     assert (tmp_path / "results.csv").read_text(encoding="utf-8") == "kept\n"
 
 
-def test_a_directory_at_an_output_name_exits_1_naming_it(tmp_path, capsys):
+@pytest.mark.parametrize("name", ["results.csv", os.path.join("models", "prototype_D16.npz")])
+def test_a_directory_at_an_output_name_exits_1_naming_it(tmp_path, capsys, monkeypatch, name):
     out = tmp_path / "out"
-    (out / "results.csv").mkdir(parents=True)
+    (out / name).mkdir(parents=True)
     (out / "manifest.json").write_text("kept\n", encoding="utf-8")
     (tmp_path / "config.json").write_text(json.dumps(SWEEP_CONFIG), encoding="utf-8")
+    def never(*args):
+        raise AssertionError("the sweep read its data")
+
+    monkeypatch.setattr(experiment, "prepare_data", never)  # refused before any data is read or trained
     assert cli.main(["sweep", "--config", str(tmp_path / "config.json"), "--output-dir", str(out)]) == 1
     out_text, err = capsys.readouterr()
-    assert out_text == "" and err == f"config error: {out / 'results.csv'} is a directory, not an output file\n"
-    assert sorted(os.listdir(out)) == ["manifest.json", "results.csv"]
+    assert out_text == "" and err == f"config error: {out / name} is a directory, not an output file\n"
+    assert sorted(os.listdir(out)) == ["manifest.json", name.split(os.sep)[0]]
     assert (out / "manifest.json").read_text(encoding="utf-8") == "kept\n"
+    assert not any((out / name).iterdir())
 
 
 def test_train_refuses_a_history_path_that_is_a_directory_before_training(synthetic_csvs, tmp_path, capsys,

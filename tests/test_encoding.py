@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -50,14 +51,23 @@ def test_an_encoder_config_refuses_an_empty_shape(shape, message):
         EncoderConfig(**shape)
 
 
+def test_the_config_has_three_fields_and_one_encoder_form():
+    # Normalization is no option: a constant on the class, not a field a
+    # container records or a caller sets.
+    assert [f.name for f in dataclasses.fields(EncoderConfig)] == ["num_features", "dim", "seed"]
+    assert EncoderConfig(4, 8).normalize_output is True
+    with pytest.raises(TypeError):
+        EncoderConfig(4, 8, normalize_output=False)
+
+
 class TestEncode:
     def test_mean_input_encodes_to_zero(self, rng):
+        # The mean row standardizes to zero, so its projection z @ W is zero.
         x = rng.standard_normal((50, 6))
         s = fit_standardizer(x)
-        cfg = EncoderConfig(num_features=6, dim=64, seed=3, normalize_output=False)
-        enc = RandomProjectionEncoder(cfg)
-        h = enc.encode(s.mean, s)
-        np.testing.assert_allclose(h, 0.0, atol=1e-12)
+        enc = RandomProjectionEncoder(EncoderConfig(num_features=6, dim=64, seed=3))
+        z = s.apply(s.mean[None, :])
+        np.testing.assert_allclose(z @ enc.matrix, 0.0, atol=1e-12)
 
     def test_zero_vector_survives_normalization(self, rng):
         x = rng.standard_normal((50, 6))
@@ -72,17 +82,12 @@ class TestEncode:
         np.testing.assert_allclose(np.linalg.norm(h, axis=1), 1.0, atol=1e-6)
 
     def test_forced_identity_matrix(self):
-        # pin the projection and check the hand oracle
-        cfg = EncoderConfig(num_features=2, dim=2, seed=0, normalize_output=False)
-        enc = RandomProjectionEncoder(cfg)
+        # pin the projection and check the hand oracle: z @ W = (3, 4), of norm 5
+        enc = RandomProjectionEncoder(EncoderConfig(num_features=2, dim=2, seed=0))
         enc.matrix = np.eye(2, dtype=np.float32)
-        h = enc.encode(np.array([3.0, 4.0]), identity_standardizer(2))
-        np.testing.assert_allclose(h, [3.0, 4.0])
-        cfg_n = EncoderConfig(num_features=2, dim=2, seed=0, normalize_output=True)
-        enc_n = RandomProjectionEncoder(cfg_n)
-        enc_n.matrix = np.eye(2, dtype=np.float32)
-        h_n = enc_n.encode(np.array([3.0, 4.0]), identity_standardizer(2))
-        np.testing.assert_allclose(h_n, [0.6, 0.8], atol=1e-7)
+        x = np.array([3.0, 4.0])
+        np.testing.assert_allclose(x @ enc.matrix, [3.0, 4.0])
+        np.testing.assert_allclose(enc.encode(x, identity_standardizer(2)), [0.6, 0.8], atol=1e-7)
 
     @pytest.mark.parametrize("shape", [(3, 3), (3,)], ids=["narrow", "one-dimensional"])
     def test_rows_of_the_wrong_width_are_rejected(self, shape):
@@ -177,9 +182,8 @@ class TestResidentMatrix:
         ``np.linalg.norm``; a zero row stays zero."""
         w = generate_matrix(cfg.matrix_spec(), dtype=np.float32).astype(np.float64)
         block = ((x - standardizer.mean) / standardizer.std) @ w
-        if cfg.normalize_output:
-            norms = np.linalg.norm(block, axis=1, keepdims=True)
-            np.divide(block, norms, out=block, where=norms > 0.0)
+        norms = np.linalg.norm(block, axis=1, keepdims=True)
+        np.divide(block, norms, out=block, where=norms > 0.0)
         return block.astype(np.float32)
 
     @staticmethod
@@ -208,8 +212,6 @@ class TestResidentMatrix:
         z = (x - standardizer.mean) / standardizer.std
         a = np.abs(z) @ np.abs(w)
         g = gamma(k + 2)
-        if not cfg.normalize_output:
-            return g * a
         abs_h = np.abs(z @ w)
         norm_h = np.linalg.norm(abs_h, axis=1, keepdims=True)
         norm_a = np.linalg.norm(a, axis=1, keepdims=True)
@@ -232,23 +234,21 @@ class TestResidentMatrix:
         enc = RandomProjectionEncoder(cfg)
         assert_same_bits(enc.matrix, generate_matrix(cfg.matrix_spec(), dtype=np.float32))
 
-    @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("rows", [1, 2, 31, 32, 33, 1025, 1500])
-    def test_encode_batch_matches_inline_projection(self, rng, rows, normalize):
+    def test_encode_batch_matches_inline_projection(self, rng, rows):
         # One row runs a matrix-vector product, two or more a matrix
         # product; 31 to 33 rows sit on the 32-row strip boundary.
-        cfg = EncoderConfig(num_features=37, dim=300, seed=9, normalize_output=normalize)
+        cfg = EncoderConfig(num_features=37, dim=300, seed=9)
         standardizer = fit_standardizer(rng.standard_normal((50, 37)))
         x = 3.0 * rng.standard_normal((rows, 37)) + 1.0
         enc = RandomProjectionEncoder(cfg)
         self.assert_within_bound(enc.encode_batch(x, standardizer), cfg, standardizer, x)
         self.assert_within_bound(enc.encode(x[-1], standardizer)[None], cfg, standardizer, x[-1:])
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_zero_row_in_a_batch_matches_inline_projection(self, rng, normalize):
+    def test_zero_row_in_a_batch_matches_inline_projection(self, rng):
         # The mean row standardizes to zero and projects to a zero row,
         # whose norm is 0: it stays zero and its strip-mates are unharmed.
-        cfg = EncoderConfig(num_features=37, dim=300, seed=9, normalize_output=normalize)
+        cfg = EncoderConfig(num_features=37, dim=300, seed=9)
         standardizer = fit_standardizer(rng.standard_normal((50, 37)))
         x = 3.0 * rng.standard_normal((70, 37)) + 1.0
         x[33] = standardizer.mean
@@ -280,21 +280,20 @@ class TestResidentMatrix:
         x = rng.standard_normal((70, 37))
         tiny = [5, 31, 32, 69]
         x[tiny] *= 1e-26
-        out = RandomProjectionEncoder(cfg).encode_batch(x, ident)
-        raw = RandomProjectionEncoder(EncoderConfig(num_features=37, dim=300, seed=9, normalize_output=False))
-        projected = raw.encode_batch(x, ident)[tiny]
+        enc = RandomProjectionEncoder(cfg)
+        out = enc.encode_batch(x, ident)
+        projected = np.matmul(ident.apply(x).astype(np.float32), enc.matrix)[tiny]  # z @ W, as encode_batch runs it
         assert (projected != 0.0).any(axis=1).all() and (projected * projected == 0.0).all()
         assert_same_bits(out[tiny], projected)
         others = np.setdiff1d(np.arange(70), tiny)
         np.testing.assert_allclose(np.linalg.norm(out[others], axis=1), 1.0, atol=1e-6)
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_rows_do_not_depend_on_their_batch(self, rng, normalize):
+    def test_rows_do_not_depend_on_their_batch(self, rng):
         # A matrix product accumulates each entry in one order whatever
         # the row count, and each row is normalized alone, so every
         # batch of at least 2 rows gives a row the same bits; sub-batches
         # start and end off the 32-row strips and span 1024 and 1025 rows.
-        cfg = EncoderConfig(num_features=37, dim=300, seed=9, normalize_output=normalize)
+        cfg = EncoderConfig(num_features=37, dim=300, seed=9)
         standardizer = fit_standardizer(rng.standard_normal((50, 37)))
         x = 3.0 * rng.standard_normal((1500, 37)) + 1.0
         enc = RandomProjectionEncoder(cfg)

@@ -11,7 +11,7 @@ import pytest
 
 from decohd import cli, encoding, experiment, model, ops, serialize, training
 from decohd.baselines import build_prototype_table, onlinehd_refine, sparsify_table
-from decohd.data import SyntheticSpec, bayes_accuracy, make_synthetic, save_csv
+from decohd.data import ParseError, SyntheticSpec, bayes_accuracy, make_synthetic, save_csv
 from decohd.encoding import fit_standardizer
 from decohd.experiment import (
     ConfigError,
@@ -133,6 +133,20 @@ def test_a_csv_sweep_with_no_name_writes_a_null_dataset_name(tmp_path):
     with open(result.manifest_path, encoding="utf-8") as fh:
         dataset = json.load(fh)["dataset"]
     assert dataset["name"] is None and dataset["bayes_accuracy"] is None
+
+
+@pytest.mark.parametrize("labels, first, missing",
+                         [((0, 10**15), 1, 10**15 - 1), ((1, 2), 0, 1), ((0, 1, 3, 5), 2, 2)],
+                         ids=["huge", "one-based", "two-gaps"])
+def test_prepare_data_refuses_a_train_csv_whose_classes_are_not_all_present(tmp_path, labels, first, missing):
+    # Judged from the sorted distinct labels: a label of 10**15 is
+    # refused with no array of 10**15 classes, which could not be made.
+    path = tmp_path / "train.csv"
+    path.write_text("".join(f"{i / 10},{label}\n" for i, label in enumerate(labels * 2)), encoding="utf-8")
+    c = labels[-1] + 1
+    with pytest.raises(ParseError, match="^" + re.escape(
+            f"{path}: class {first} has no training rows ({missing} missing of the {c} classes [0, {c}))") + "$"):
+        prepare_data(DataSpec(train_csv=str(path), test_csv=str(path)), 0)
 
 
 def test_a_config_built_in_python_equals_its_json_load(tmp_path):
@@ -668,17 +682,17 @@ def test_run_experiment_refuses_an_empty_output_dir_and_removes_nothing(tmp_path
     assert all((tmp_path / name).read_text(encoding="utf-8") == "kept\n" for name in OUTPUT_NAMES)
 
 
-@pytest.mark.parametrize("name", OUTPUT_NAMES)
+@pytest.mark.parametrize("name", [*OUTPUT_NAMES, os.path.join("models", "sparsehd_D64.npz")])
 def test_run_experiment_refuses_a_directory_at_an_output_name_and_removes_nothing(tmp_path, name):
     out = tmp_path / "out"
     out.mkdir()
     for other in OUTPUT_NAMES:
-        if other == name:
-            (out / other).mkdir()
-        else:
+        if other != name:
             (out / other).write_text("kept\n", encoding="utf-8")
+    (out / name).mkdir(parents=True)
     path = re.escape(str(out / name))
     with pytest.raises(ConfigError, match=f"^{path} is a directory, not an output file$"):
         run_experiment(tiny_config(), output_dir=str(out))
-    assert sorted(os.listdir(out)) == sorted(OUTPUT_NAMES)  # no models/ either
+    made = ["models"] if name not in OUTPUT_NAMES else []  # no models/ unless the test made it
+    assert sorted(os.listdir(out)) == sorted(OUTPUT_NAMES + made)
     assert all((out / other).read_text(encoding="utf-8") == "kept\n" for other in OUTPUT_NAMES if other != name)

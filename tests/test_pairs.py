@@ -14,8 +14,9 @@ ARGS = ["--workload", "train", "--seed", "3", "--seconds", "1", "--shapes", "tin
 
 def test_one_tiny_train_pair_writes_every_metric_and_the_direct_digest(tmp_path):
     out = tmp_path / "BENCH_0_pairs.json"
-    subprocess.run([sys.executable, os.path.join(ROOT, "tools", "pairs.py"), "--parent", ROOT,
-                    "--pairs", "1", "--out", str(out), *ARGS], check=True, capture_output=True, timeout=600)
+    printed = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "pairs.py"), "--parent", ROOT,
+                              "--pairs", "1", "--out", str(out), *ARGS],
+                             check=True, capture_output=True, text=True, timeout=600).stdout
     direct = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "run.py"), "--trace", "0", *ARGS],
                             cwd=ROOT, check=True, capture_output=True, text=True, timeout=600)
     detail = next(line for line in direct.stdout.splitlines() if line.startswith("detail "))
@@ -33,6 +34,7 @@ def test_one_tiny_train_pair_writes_every_metric_and_the_direct_digest(tmp_path)
     for side in ("parent", "change"):  # both sides are copies of this tree
         assert report["src_loc"][side].keys() == {"code", "docstring", "comment", "blank"}
         assert sum(report["src_loc"][side].values()) == lines
+    assert printed.splitlines()[-1] == "src_loc change - parent: code +0 docstring +0 comment +0 blank +0 total +0"
     entry = report["train seed 3"]
     assert entry["digests"] == {"parent": [digest], "change": [digest]}
     assert entry["blas_threads"] == {"parent": [threads], "change": [threads]}

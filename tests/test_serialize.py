@@ -105,8 +105,8 @@ def test_encoder_meta_is_pinned(tmp_path, rng):
     clf, _ = small_classifier("prototype", rng)
     save_classifier(tmp_path / "m.npz", clf)
     meta, _ = load_arrays(tmp_path / "m.npz")
-    assert meta["format_version"] == 4
-    assert meta["encoder"] == {"num_features": 6, "dim": 64, "seed": 4, "normalize_output": True}
+    assert meta["format_version"] == 5
+    assert meta["encoder"] == {"num_features": 6, "dim": 64, "seed": 4}
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -232,12 +232,11 @@ def encoder_without_seed(meta, arrays):
     ("sparsehd", encoder_record("seed", True), "encoder seed is True, expected an integer"),
     ("decohd", encoder_record("dim", 64.0), r"encoder dim is 64\.0, expected an integer"),
     ("prototype", encoder_record("num_features", True), "encoder num_features is True, expected an integer"),
-    ("decohd", encoder_record("normalize_output", "false"),
-     "encoder normalize_output is 'false', expected true or false"),
+    ("decohd", encoder_record("normalize_output", True), "unexpected keyword argument 'normalize_output'"),
     ("decohd", encoder_without_seed, "decohd container has no entry 'seed'"),
 ], ids=["standardizer", "dim", "head", "table", "float64_table", "full_width_table", "narrow_mask",
         "integer_mask", "empty_layer", "no_classes", "empty_mask", "zero_std", "nan_std", "inf_mean", "numeric_form", "float_seed", "string_seed",
-        "bool_seed", "float_dim", "bool_num_features", "string_normalize",
+        "bool_seed", "float_dim", "bool_num_features", "normalize_key",
         "no_seed"])
 def test_shapes_that_disagree_with_the_configs_are_container_errors(tmp_path, rng, kind, spoil, message):
     # Each would otherwise load and fail later, at encoding, scoring,

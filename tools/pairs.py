@@ -39,7 +39,8 @@ merged into ``--out`` under ``"<workload> seed <N>"``, so one file holds
 every workload and seed of a change.  Its top-level ``src_loc`` holds
 ``tools/loc.py``'s per-part totals of each tree's ``src/decohd``, as
 ``{"parent": {...}, "change": {...}}``, so the line delta is measured on
-the trees benchmarked.  Stdlib only.
+the trees benchmarked; the last line printed is that delta, change
+minus parent, of each part and of the total.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -183,7 +184,15 @@ def main(argv=None) -> int:
             failed = entry["ops_failed"]
             print(f"{workload:<6} {'ops_failed':<12} {sum(failed['parent']):>12d} -> "
                   f"{sum(failed['change']):>12d}  {failed['verdict']}")
+    print(src_loc_delta(report["src_loc"]))
     return 0
+
+
+def src_loc_delta(src_loc: dict) -> str:
+    """The change-minus-parent line delta of each part of *src_loc* and of their total."""
+    delta = {part: src_loc["change"][part] - src_loc["parent"][part] for part in src_loc["change"]}
+    return "src_loc change - parent: " + " ".join(f"{part} {n:+d}" for part, n in
+                                                   [*delta.items(), ("total", sum(delta.values()))])
 
 
 if __name__ == "__main__":
