@@ -15,14 +15,13 @@ model by its distinct file stem and carry its D, and it loads, encodes
 and sweeps one model at a time, in stem order.  ``budget`` prints one row per
 ``ModelConfig`` that ``enumerate_configs`` plans, with that config's
 footprint and trainable parameters, for C >= 2 classes as any model
-has.  ``synth`` refuses one path for both splits.  Relative dataset
-paths resolve against $DECOHD_DATA_DIR; an output path that is empty, a
-directory, or in a directory that does not exist, is refused as the
-command line is parsed, and so is ``train``'s ``<stem>_history.csv``
+has.  ``synth`` refuses one path for both splits.  An output path that is
+empty, a directory, or in a directory that does not exist, is refused as
+the command line is parsed, and so is ``train``'s ``<stem>_history.csv``
 beside its ``--output``.  A ``sweep`` config is UTF-8 JSON, a BOM first
-allowed; one that is not UTF-8 or repeats a key within an object, and
-an output directory that is empty, cannot be created or holds a
-directory at an output file's name, exit 1 as config errors.
+allowed; one that is not UTF-8 or repeats a key within an object, and an
+output directory that is empty, cannot be created or holds a directory at
+an output file's name, exit 1 as config errors.
 Exit codes: 0 success, 1 config error, 2 data error: a malformed CSV or
 an unusable model container (argparse also exits 2 on a malformed
 command line), 3 training divergence.  Any other exception is a bug and

@@ -3,8 +3,9 @@
 CSV layout: UTF-8 text, a BOM first allowed; one sample per row,
 numeric feature columns, integer class label in the last column,
 optional single header row (auto-detected).  Feature count and class
-count are inferred and reported.  :func:`check_labels` is the one label
-rule, for CSVs and arrays alike.
+count are inferred and reported.  A relative path is read against the
+working directory.  :func:`check_labels` is the one label rule, for CSVs
+and arrays alike.
 :class:`SyntheticSpec` states the synthetic blobs' shape rule, and
 :func:`bayes_accuracy` their ceiling, which is None beyond C <= F.
 """
@@ -20,7 +21,6 @@ import numpy as np
 
 from .ops import derive_seed, rng_from_seed
 
-DATA_DIR_ENV = "DECOHD_DATA_DIR"
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" makes of a byte not UTF-8
 
 
@@ -71,19 +71,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-def resolve_data_path(path: str) -> str:
-    """Absolute paths pass through; relative ones resolve against
-    $DECOHD_DATA_DIR when it is set."""
-    if os.path.isabs(path) or os.path.exists(path):
-        return path
-    base = os.environ.get(DATA_DIR_ENV)
-    if base:
-        candidate = os.path.join(base, path)
-        if os.path.exists(candidate):
-            return candidate
-    return path
-
-
 def _cells(line: str) -> list[str]:
     return line.split("#", 1)[0].strip().split(",")
 
@@ -106,7 +93,6 @@ def load_csv(path: str, num_classes: int | None = None, num_features: int | None
     file or not *num_features* wide.  The class count is max(label)+1
     unless *num_classes* is given; :func:`check_labels` judges the labels
     against it."""
-    path = resolve_data_path(path)
     if not os.path.isfile(path):
         raise ParseError(f"{path}: not a regular file" if os.path.exists(path) else f"dataset file not found: {path}")
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:

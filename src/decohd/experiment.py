@@ -28,9 +28,11 @@ deployed scorers and one quantized copy of the test encodings at a
 time, and all of them die before the next dimension encodes.
 
 The output directory is the config's ``output_dir`` unless the caller
-names another; an empty one, or one holding a directory at an output
-file's name, a model container's in ``models/`` included, is a config
-error before any file is written or removed.
+names another, and the manifest records the directory written, so a
+rerun from it that names no other writes back into its own run.  An
+empty one, or one holding a directory at an output file's name, a model
+container's in ``models/`` included, is a config error before any file
+is written or removed.
 Output files (all UTF-8 CSV with header rows):
 
 * results.csv     model, m_budget, precision, D, accuracy
@@ -49,7 +51,7 @@ import os
 import types
 import typing
 from collections.abc import Sequence
-from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -403,7 +405,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
         synth = config.data.synthetic
         manifest = {
             "package_version": __version__,
-            "config": asdict(config),
+            "config": asdict(replace(config, output_dir=out)),
             "dataset": {
                 "name": config.data.name,
                 "num_features": train_ds.num_features,

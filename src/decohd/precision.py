@@ -1,12 +1,15 @@
 """Emulated reduced-precision execution.
 
 A :class:`PrecisionFormat` describes a binary floating-point grid by its
-exponent and mantissa widths; :func:`quantize_array` projects a float32
-array onto that grid with round-to-nearest-even, including the format's
-subnormal range.  Overflow saturates to the largest finite value for
-finite-only formats (the e4m3fn convention, which spends the top
-exponent code on values and keeps only NaN) and rounds to infinity for
-IEEE-style formats.
+exponent and mantissa widths, with the IEEE and OCP exponent bias;
+:func:`quantize_array` projects a float32 array onto that grid with
+round-to-nearest-even, including the format's subnormal range.
+Overflow saturates to the largest finite value for finite-only formats
+(the e4m3fn convention, which spends the top exponent code on values
+and keeps only NaN) and rounds to infinity for IEEE-style formats.
+``fp4_e2m1`` here is IEEE-style: its top exponent code is inf and NaN,
+so its largest finite value is 3.0 and 3.5 or more rounds to inf.  OCP
+MX v1.0's E2M1 has no inf or NaN and tops out at 6.0.
 
 Quantization models storage effects only: quantized values are returned
 as float32 and later arithmetic stays in float32/float64.  No integer
@@ -38,7 +41,6 @@ class PrecisionFormat:
     name: str
     exponent_bits: int
     mantissa_bits: int
-    bias: int
     finite_only: bool = False
 
     def __post_init__(self):
@@ -51,6 +53,10 @@ class PrecisionFormat:
                              "normal exponents within [-126, 127]")
         if self.finite_only and self.mantissa_bits < 1:
             raise ValueError("a finite-only format needs a mantissa bit for its largest finite value")
+
+    @property
+    def bias(self) -> int:
+        return (1 << (self.exponent_bits - 1)) - 1
 
     @property
     def min_normal_exponent(self) -> int:
@@ -76,12 +82,12 @@ class PrecisionFormat:
 PRESETS: dict[str, PrecisionFormat] = {
     fmt.name: fmt
     for fmt in (
-        PrecisionFormat("fp32", 8, 23, 127),
-        PrecisionFormat("fp16", 5, 10, 15),
-        PrecisionFormat("bf16", 8, 7, 127),
-        PrecisionFormat("fp8_e4m3fn", 4, 3, 7, finite_only=True),
-        PrecisionFormat("fp8_e5m2", 5, 2, 15),
-        PrecisionFormat("fp4_e2m1", 2, 1, 1),
+        PrecisionFormat("fp32", 8, 23),
+        PrecisionFormat("fp16", 5, 10),
+        PrecisionFormat("bf16", 8, 7),
+        PrecisionFormat("fp8_e4m3fn", 4, 3, finite_only=True),
+        PrecisionFormat("fp8_e5m2", 5, 2),
+        PrecisionFormat("fp4_e2m1", 2, 1),  # IEEE-style: tops out at 3.0, not OCP MX's 6.0
     )
 }
 

@@ -69,11 +69,16 @@ def save_classifier(path, clf) -> None:
     """Serialize a classifier of any kind, tagged by its kind: the
     encoder config, the standardizer and its scorer's ``stored()``
     arrays, plus the score form of a decomposed model and the mask of a
-    sparse table."""
+    sparse table.  A stored array that is not float32, as a model
+    trained on float64 encodings holds, is a ValueError before the file
+    is opened: :func:`load_classifier` would refuse the container."""
     scorer = clf.scorer
+    stored = scorer.stored()
+    wide = next((name for name, a in stored.items() if a.dtype != np.float32), None)
+    if wide is not None:
+        raise ValueError(f"{wide} is {stored[wide].dtype}, expected float32: a container holds float32 arrays")
     meta = {"format_version": FORMAT_VERSION, "kind": clf.kind, "encoder": asdict(clf.encoder.config)}
-    arrays = {"standardizer_mean": clf.standardizer.mean, "standardizer_std": clf.standardizer.std,
-              **scorer.stored()}
+    arrays = {"standardizer_mean": clf.standardizer.mean, "standardizer_std": clf.standardizer.std, **stored}
     if clf.kind == "decohd":
         meta["squared"] = scorer.bank.squared
     if clf.kind == "sparsehd":

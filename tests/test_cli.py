@@ -758,6 +758,62 @@ def test_sweep_exits_0_and_prints_paths_that_exist(tmp_path, capsys):
         assert os.path.isfile(line.rsplit(" ", 1)[1])
 
 
+def test_a_manifest_rerun_writes_back_into_its_own_run(tmp_path, capsys, monkeypatch):
+    # A redirected sweep's manifest names the directory it wrote, so its
+    # rerun leaves the run in the config's own output_dir as it is.
+    monkeypatch.chdir(tmp_path)
+    config = {"data": {"synthetic": {"num_classes": 3, "num_features": 6, "samples_per_class": 10}},
+              "models": [{"kind": "prototype"}], "dims": [16], "output_dir": "out"}
+    (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "results.csv").write_text("kept\n", encoding="utf-8")
+    assert cli.main(["sweep", "--config", "c.json", "--output-dir", "elsewhere"]) == 0
+    assert json.loads((tmp_path / "elsewhere" / "manifest.json").read_text(encoding="utf-8"))["config"][
+        "output_dir"] == "elsewhere"
+    assert cli.main(["sweep", "--config", os.path.join("elsewhere", "manifest.json")]) == 0
+    capsys.readouterr()
+    assert os.listdir(tmp_path / "out") == ["results.csv"]
+    assert (tmp_path / "out" / "results.csv").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_a_rerun_from_the_manifest_of_a_csv_sweep_is_bit_exact(tmp_path, capsys, monkeypatch):
+    # As the sweep's help promises for one environment: only the history's
+    # wall clock and the manifest's output_dir may differ.
+    monkeypatch.chdir(tmp_path)
+    train_ds, test_ds = make_synthetic(3, 6, 12, 3.0, seed=5)
+    save_csv("train.csv", train_ds)
+    save_csv("test.csv", test_ds)
+    config = {"data": {"train_csv": "train.csv", "test_csv": "test.csv"}, "root_seed": 4,
+              "models": [{"kind": "decohd", "channels": [2], "latent_dim": 4}, {"kind": "onlinehd", "epochs": 1}],
+              "train": {"epochs": 2, "batch_size": 8, "microbatch_size": 4, "learning_rate": 1e-2},
+              "dims": [32], "precisions": ["fp32", "fp8_e4m3fn"], "noise": {"p_grid": [0.0, 0.01], "trials": 2},
+              "output_dir": "first"}
+    (tmp_path / "c.json").write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["sweep", "--config", "c.json"]) == 0
+    assert cli.main(["sweep", "--config", os.path.join("first", "manifest.json"), "--output-dir", "second"]) == 0
+    capsys.readouterr()
+
+    def read_bytes(run, name):
+        return (tmp_path / run / name).read_bytes()
+
+    models = sorted(os.listdir(tmp_path / "first" / "models"))
+    assert models == ["decohd_D32.npz", "onlinehd_D32.npz"]
+    assert sorted(os.listdir(tmp_path / "second" / "models")) == models
+    for name in ["results.csv", "precision.csv", "robustness.csv", *(os.path.join("models", m) for m in models)]:
+        assert read_bytes("first", name) == read_bytes("second", name), name
+
+    def history(run):
+        with open(tmp_path / run / "history.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(row.pop("wall_seconds") for row in rows)
+        return rows
+
+    assert history("first") == history("second")
+    first, second = (json.loads(read_bytes(run, "manifest.json")) for run in ("first", "second"))
+    assert (first["config"].pop("output_dir"), second["config"].pop("output_dir")) == ("first", "second")
+    assert first == second
+
+
 @pytest.mark.parametrize("precision", ["fp32", "bf16"])
 def test_eval_holds_no_drawn_matrix_while_it_scores(saved_decohd, monkeypatch, capsys, precision):
     # The loaded model draws its encoder's matrix to encode the test CSV

@@ -5,14 +5,12 @@ import pytest
 
 from decohd.baselines import build_prototype_table, onlinehd_refine
 from decohd.data import (
-    DATA_DIR_ENV,
     Dataset,
     ParseError,
     SyntheticSpec,
     bayes_accuracy,
     load_csv,
     make_synthetic,
-    resolve_data_path,
     save_csv,
 )
 from decohd.model import ModelConfig
@@ -128,9 +126,7 @@ class TestBayesAccuracy:
 
 class TestLoadCsv:
     @pytest.fixture
-    def write(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
-
+    def write(self, tmp_path):
         def write(text):
             path = tmp_path / "data.csv"
             path.write_text(text, encoding="utf-8")
@@ -202,9 +198,8 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=r"label 100000000000000000000 out of range \[0, 9223372036854775808\)"):
             load_csv(path)  # no class count given: the bound is int64's
 
-    def test_a_utf8_bom_is_not_part_of_the_first_row(self, tmp_path, monkeypatch):
+    def test_a_utf8_bom_is_not_part_of_the_first_row(self, tmp_path):
         # Kept, it would make a headerless first row look like a header.
-        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
         path = tmp_path / "bom.csv"
         for header in ("", "f0,f1,label\n"):  # a header after the BOM is still one
             path.write_bytes(b"\xef\xbb\xbf" + (header + "1,2,0\n3,4,1\n5,6,0\n7,8,1\n").encode())
@@ -222,8 +217,7 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=f"^{re.escape(path)}: 2 feature columns, expected {width}$"):
             load_csv(path, num_classes=2, num_features=width)
 
-    def test_missing_file(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="dataset file not found"):
             load_csv(str(tmp_path / "absent.csv"))
 
@@ -233,8 +227,7 @@ class TestLoadCsv:
          (b"f\xe9,g,label\n1,2,0\n", 1)],
         ids=["in-a-row", "after-a-utf8-comment", "in-a-comment", "in-the-header"],
     )
-    def test_a_line_that_is_not_utf8_is_named(self, tmp_path, monkeypatch, raw, line):
-        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    def test_a_line_that_is_not_utf8_is_named(self, tmp_path, raw, line):
         path = tmp_path / "latin1.csv"
         path.write_bytes(raw)
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line {line}: not UTF-8 text$"):
@@ -244,17 +237,15 @@ class TestLoadCsv:
         ds = load_csv(write("# caf\u00e9 \u0661\n1,2,0\n3,4,1\n"))
         np.testing.assert_array_equal(ds.labels, [0, 1])
 
-    def test_a_path_that_is_no_regular_file_is_refused(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    def test_a_path_that_is_no_regular_file_is_refused(self, tmp_path):
         with pytest.raises(ParseError, match=f"^{re.escape(str(tmp_path))}: not a regular file$"):
             load_csv(str(tmp_path))
 
     def test_a_relative_path_absent_from_the_data_dir_is_reported_as_given(self, tmp_path, monkeypatch):
         (tmp_path / "data").mkdir()
         (tmp_path / "cwd").mkdir()
-        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path / "data"))
+        monkeypatch.setenv("DECOHD_DATA_DIR", str(tmp_path / "data"))
         monkeypatch.chdir(tmp_path / "cwd")
-        assert resolve_data_path("absent.csv") == "absent.csv"
         with pytest.raises(ParseError, match="^dataset file not found: absent.csv$"):
             load_csv("absent.csv")
 
@@ -269,7 +260,15 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=f"^{re.escape(path)}: malformed CSV$"):
             load_csv(path)
 
-    def test_relative_path_resolves_against_data_dir(self, tmp_path, monkeypatch):
-        (tmp_path / "rel.csv").write_text("1,2,0\n3,4,1\n", encoding="utf-8")
-        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+    def test_a_relative_path_is_read_against_the_working_directory_only(self, tmp_path, monkeypatch):
+        # No environment variable points a relative path elsewhere: the
+        # string a manifest records names the one file it was read from.
+        (tmp_path / "data").mkdir()
+        (tmp_path / "cwd").mkdir()
+        (tmp_path / "data" / "rel.csv").write_text("1,2,0\n3,4,1\n", encoding="utf-8")
+        monkeypatch.setenv("DECOHD_DATA_DIR", str(tmp_path / "data"))
+        monkeypatch.chdir(tmp_path / "cwd")
+        with pytest.raises(ParseError, match="^dataset file not found: rel.csv$"):
+            load_csv("rel.csv")
+        monkeypatch.chdir(tmp_path / "data")
         assert load_csv("rel.csv").num_samples == 2

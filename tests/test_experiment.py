@@ -98,8 +98,9 @@ def test_four_model_sweep_writes_every_row(tmp_path):
 def test_a_manifest_reloads_as_its_config(tmp_path):
     # JSON turns the config's tuples into lists and its unused CSV paths
     # into nulls; the walk of load_config must take both back.
+    # The manifest records the directory the run wrote, not the config's.
     result = run_experiment(tiny_config(), output_dir=str(tmp_path))
-    assert load_config(result.manifest_path) == tiny_config()
+    assert load_config(result.manifest_path) == dataclasses.replace(tiny_config(), output_dir=str(tmp_path))
 
 
 def test_manifest_keys_are_pinned(tmp_path):
@@ -111,7 +112,7 @@ def test_manifest_keys_are_pinned(tmp_path):
     assert manifest.keys() == {"package_version", "config", "dataset", "model_labels"}
     assert manifest["dataset"]["name"] == config.data.name
     assert manifest["dataset"]["bayes_accuracy"] == bayes_accuracy(SyntheticSpec(3, 4, 5, 3.0))
-    assert load_config(result.manifest_path) == config
+    assert load_config(result.manifest_path) == dataclasses.replace(config, output_dir=str(tmp_path))
 
 
 def test_the_bayes_ceiling_is_written_only_where_it_has_a_closed_form(tmp_path):

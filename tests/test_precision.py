@@ -68,7 +68,7 @@ class TestOracles:
 
 # The six presets, plus a format without mantissa bits: its normal
 # significands are all odd, so its ties go up, not to the kept bit.
-KERNEL_FORMATS = [*PRESETS.values(), PrecisionFormat("e5m0", 5, 0, 15)]
+KERNEL_FORMATS = [*PRESETS.values(), PrecisionFormat("e5m0", 5, 0)]
 
 
 def with_nans_and_infinities(x: np.ndarray) -> np.ndarray:
@@ -131,14 +131,14 @@ def test_sizes_around_the_chunk_equal_the_oracle(rng, size, fmt):
     assert_same_bits(quantize_array(x, fmt), oracle32(x, fmt))
 
 
+# The ids are pinned; kwargs2 and kwargs3 were cases of a free exponent bias.
 @pytest.mark.parametrize("kwargs", [
-    dict(exponent_bits=5, mantissa_bits=24, bias=15),  # finer than float32
-    dict(exponent_bits=9, mantissa_bits=23, bias=255),  # 33 bits wide
-    dict(exponent_bits=8, mantissa_bits=7, bias=120),  # max exponent beyond 127
-    dict(exponent_bits=8, mantissa_bits=7, bias=130),  # min normal below 2**-126
-    dict(exponent_bits=1, mantissa_bits=3, bias=0),  # no normal binade
-    dict(exponent_bits=4, mantissa_bits=0, bias=7, finite_only=True),  # max_finite 0
-])
+    dict(exponent_bits=5, mantissa_bits=24),  # finer than float32
+    dict(exponent_bits=9, mantissa_bits=23),  # 33 bits wide
+    dict(exponent_bits=1, mantissa_bits=3),  # no normal binade
+    dict(exponent_bits=4, mantissa_bits=0, finite_only=True),  # max_finite 0
+    dict(exponent_bits=8, mantissa_bits=7, finite_only=True),  # top exponent 128
+], ids=["kwargs0", "kwargs1", "kwargs4", "kwargs5", "kwargs6"])
 def test_formats_off_the_float32_grid_are_rejected(kwargs):
     with pytest.raises(ValueError):
         PrecisionFormat("x", **kwargs)
@@ -148,7 +148,25 @@ def test_formats_off_the_float32_grid_are_rejected(kwargs):
                          ids=["no-exponent", "negative-mantissa"])
 def test_a_format_needs_an_exponent_and_a_mantissa_width(kwargs):
     with pytest.raises(ValueError, match="^need at least 1 exponent bit and a non-negative mantissa width$"):
-        PrecisionFormat("x", bias=1, **kwargs)
+        PrecisionFormat("x", **kwargs)
+
+
+# min_normal_exponent, max_exponent and max_finite of each preset, whose
+# exponent bias is 2**(exponent_bits - 1) - 1.
+PRESET_LIMITS = {
+    "fp32": (-126, 127, float.fromhex("0x1.fffffep+127")),
+    "fp16": (-14, 15, 65504.0),
+    "bf16": (-126, 127, float.fromhex("0x1.fep+127")),
+    "fp8_e4m3fn": (-6, 8, 448.0),
+    "fp8_e5m2": (-14, 15, 57344.0),
+    "fp4_e2m1": (0, 1, 3.0),  # IEEE-style; OCP MX's E2M1 reaches 6.0
+}
+
+
+@pytest.mark.parametrize("name", PRESET_LIMITS)
+def test_preset_limits_are_pinned(name):
+    fmt = PRESETS[name]
+    assert (fmt.min_normal_exponent, fmt.max_exponent, fmt.max_finite) == PRESET_LIMITS[name]
 
 
 def test_an_unknown_format_name_lists_the_presets():

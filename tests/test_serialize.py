@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from decohd import encoding
+from decohd.data import make_synthetic
 from decohd.inference import DecomposedScorer
-from decohd.model import ChannelBank, Classifier, DecoHDClassifier
+from decohd.model import ChannelBank, Classifier, DecoHDClassifier, ModelConfig
 from decohd.ops import generate_matrix
 from decohd.serialize import ContainerError, load_arrays, load_classifier, save_arrays, save_classifier
+from decohd.training import TrainConfig, train
 from tests.conftest import assert_same_bits, small_classifier
 
 KINDS = ("decohd", "prototype", "onlinehd", "sparsehd")
@@ -135,6 +137,19 @@ def test_a_sparse_container_with_a_budget_key_scores_alike(tmp_path, rng):
     plain, budgeted = load_classifier(tmp_path / "m.npz"), load_classifier(tmp_path / "budget.npz")
     h = plain.encoder.encode_batch(features, plain.standardizer)
     assert_same_bits(budgeted.scorer.score_batch(h), plain.scorer.score_batch(h))
+
+
+def test_a_model_trained_on_float64_encodings_is_refused_before_a_file_exists(tmp_path, rng):
+    # Its float64 channels would make a container load_classifier refuses.
+    clf, _ = small_classifier("prototype", rng)
+    train_ds, _ = make_synthetic(3, 6, 20, 3.0, seed=11)
+    h = clf.encoder.encode_batch(train_ds.features, clf.standardizer).astype(np.float64)
+    config = ModelConfig(channels_per_layer=(2, 3), latent_dim=8, dim=64, num_classes=3, seed=5)
+    result = train(config, TrainConfig(epochs=1, batch_size=16, microbatch_size=8), h, train_ds.labels)
+    trained = Classifier(clf.encoder, clf.standardizer, result.scorer, "decohd")
+    with pytest.raises(ValueError, match="^channels:0 is float64, expected float32"):
+        save_classifier(tmp_path / "m.npz", trained)
+    assert not (tmp_path / "m.npz").exists()
 
 
 def narrow_standardizer(meta, arrays):

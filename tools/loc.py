@@ -7,10 +7,10 @@ directly in DIR gets one row, then a total row.  With ``--against`` each
 row holds DIR's count minus that of OTHER, and a file that only one side
 has counts 0 on the other.  OTHER is another copy of the package, or a
 git revision whose ``src/decohd`` is read from its ``git archive``
-(``tools/pairs.py``'s ``export``), so ``--against HEAD~1`` gives the
-last commit's change.  Every line falls in exactly one part,
-so the parts of a file sum to its line count and the total's to
-``cat DIR/*.py | wc -l``:
+(:func:`export`, which ``tools/pairs.py`` makes its trees with), so
+``--against HEAD~1`` gives the last commit's change.  Every line falls
+in exactly one part, so the parts of a file sum to its line count and
+the total's to ``cat DIR/*.py | wc -l``:
 
 * docstring: a line of the string that opens a module, class or
   function body (found with ``ast``), blank lines inside it included;
@@ -29,12 +29,14 @@ import argparse
 import ast
 import io
 import os
+import shutil
+import subprocess
 import sys
+import tarfile
 import tempfile
 import tokenize
 
-from pairs import export
-
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PARTS = ("code", "docstring", "comment", "blank")
 _LAYOUT = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
            tokenize.ENCODING, tokenize.ENDMARKER)
@@ -63,6 +65,17 @@ def count(source: str) -> dict[str, int]:
     return counts
 
 
+def export(source: str, into: str) -> str:
+    """A fresh tree of *source* at *into*: a copy of the directory, or ``git archive`` of the revision."""
+    if os.path.isdir(source):
+        shutil.copytree(source, into, ignore=shutil.ignore_patterns(".git", "__pycache__", ".perfbench-*"))
+        return into
+    tar = subprocess.run(["git", "-C", ROOT, "archive", source], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+    return into
+
+
 def tally(root: str) -> dict[str, dict[str, int]]:
     """The counts of each ``*.py`` file directly in *root*, by file name."""
     out = {}
@@ -81,7 +94,7 @@ def totals(root: str) -> dict[str, int]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Line counts of a Python package by part.")
     parser.add_argument("dir", nargs="?",
-                        default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src", "decohd"))
+                        default=os.path.join(ROOT, "src", "decohd"))
     parser.add_argument("--against", metavar="OTHER",
                         help="print the change from this copy of the package or this git revision")
     args = parser.parse_args(argv)

@@ -46,30 +46,18 @@ minus parent, of each part and of the total.  Stdlib only.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
-import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))  # loc.py beside this file, when loaded by path
+from loc import ROOT, export, totals
+
 WORKLOADS = ("train", "serve", "sweep")
-
-
-def export(source: str, into: str) -> str:
-    """A fresh tree of *source* at *into*: a copy of the directory, or ``git archive`` of the revision."""
-    if os.path.isdir(source):
-        shutil.copytree(source, into, ignore=shutil.ignore_patterns(".git", "__pycache__", ".perfbench-*"))
-        return into
-    tar = subprocess.run(["git", "-C", ROOT, "archive", source], capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        archive.extractall(into, filter="data")
-    return into
 
 
 def make_trees(parent: str, into: str) -> dict[str, str]:
@@ -161,8 +149,6 @@ def workload_entry(trees: dict[str, str], workload: str, args, specs: dict) -> d
 
 
 def main(argv=None) -> int:
-    import loc  # here, not at the top: loc imports this module
-
     args = parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         specs = {m["name"]: m for m in json.load(fh)["end_to_end"]}
@@ -172,7 +158,7 @@ def main(argv=None) -> int:
             report = json.load(fh)
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = make_trees(args.parent, tmp)
-        report["src_loc"] = {side: loc.totals(os.path.join(tree, "src", "decohd")) for side, tree in trees.items()}
+        report["src_loc"] = {side: totals(os.path.join(tree, "src", "decohd")) for side, tree in trees.items()}
         for workload in args.workload:
             entry = report[f"{workload} seed {args.seed}"] = workload_entry(trees, workload, args, specs)
             with open(args.out, "w", encoding="utf-8") as fh:
