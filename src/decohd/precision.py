@@ -1,15 +1,23 @@
 """Emulated reduced-precision execution.
 
 A :class:`PrecisionFormat` describes a binary floating-point grid by its
-exponent and mantissa widths, with the IEEE and OCP exponent bias;
+exponent and mantissa widths, with the IEEE and OCP exponent bias, and
+names the special values of its layout in ``specials``:
+
+* ``"ieee"``: the top exponent code is inf and NaN (fp16, bf16,
+  fp8_e5m2);
+* ``"nan"``: only the all-ones code is NaN, and the rest of the top
+  exponent holds values (fp8_e4m3fn);
+* ``"none"``: every code is finite, as in OCP MX v1.0's FP4 and FP6.
+
 :func:`quantize_array` projects a float32 array onto that grid with
-round-to-nearest-even, including the format's subnormal range.
-Overflow saturates to the largest finite value for finite-only formats
-(the e4m3fn convention, which spends the top exponent code on values
-and keeps only NaN) and rounds to infinity for IEEE-style formats.
-``fp4_e2m1`` here is IEEE-style: its top exponent code is inf and NaN,
-so its largest finite value is 3.0 and 3.5 or more rounds to inf.  OCP
-MX v1.0's E2M1 has no inf or NaN and tops out at 6.0.
+round-to-nearest-even, including the format's subnormal range.  A
+magnitude that rounds above ``max_finite``, infinity included, becomes
+infinity in an IEEE layout and ``max_finite`` in the other two.
+``fp4_e2m1`` has OCP MX v1.0's E2M1 layout, so it tops out at 6.0 and
+saturates there.  A NaN input comes back a quiet NaN in every layout,
+even fp4_e2m1's, which has no NaN code: the result is float32, and the
+NaN stays visible.
 
 Quantization models storage effects only: quantized values are returned
 as float32 and later arithmetic stays in float32/float64.  No integer
@@ -20,8 +28,9 @@ float32's.
 Every deployed array and every encoding is float32, so one kernel
 rounds on the ``uint32`` view of the stored bits, with no float64 copy;
 it refuses any other dtype, as bit flips do.  It works in chunks
-of 2**16 elements, so its temporaries are a fixed few hundred kilobytes
-whatever the input size, and each pass over a chunk runs in cache.
+of 2**16 elements, rounded straight into their slice of the result, so
+its temporaries stay under 1 MB (four chunks) whatever the input size,
+and each pass over a chunk runs in cache.
 
 :func:`quantize_model` maps :func:`quantize_array` over a deployed
 scorer's ``stored()`` arrays and rebuilds it with ``replace``.  A
@@ -36,14 +45,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# The special values a layout keeps, as the module docstring describes.
+SPECIALS = ("ieee", "nan", "none")
+
+
 @dataclass(frozen=True)
 class PrecisionFormat:
     name: str
     exponent_bits: int
     mantissa_bits: int
-    finite_only: bool = False
+    specials: str = "ieee"
 
     def __post_init__(self):
+        if self.specials not in SPECIALS:
+            raise ValueError(f"specials must be one of {SPECIALS}, got {self.specials!r}")
         if self.exponent_bits < 1 or self.mantissa_bits < 0:
             raise ValueError("need at least 1 exponent bit and a non-negative mantissa width")
         # Quantized values are float32 values: the grid must lie on float32's
@@ -51,8 +66,8 @@ class PrecisionFormat:
         if self.mantissa_bits > 23 or not -126 <= self.min_normal_exponent <= self.max_exponent <= 127:
             raise ValueError("format must fit float32: at most 23 mantissa bits, "
                              "normal exponents within [-126, 127]")
-        if self.finite_only and self.mantissa_bits < 1:
-            raise ValueError("a finite-only format needs a mantissa bit for its largest finite value")
+        if self.specials == "nan" and self.mantissa_bits < 1:
+            raise ValueError("a NaN-only format needs a mantissa bit for its largest finite value")
 
     @property
     def bias(self) -> int:
@@ -64,19 +79,16 @@ class PrecisionFormat:
 
     @property
     def max_exponent(self) -> int:
-        reserved = 1 if self.finite_only else 2
+        # An IEEE layout spends the top exponent code on inf and NaN.
+        reserved = 2 if self.specials == "ieee" else 1
         return ((1 << self.exponent_bits) - reserved) - self.bias
 
     @property
     def max_finite(self) -> float:
-        # Finite-only formats reserve just the all-ones mantissa at the
-        # top exponent (NaN), so their largest finite mantissa is one
-        # step shorter.
-        if self.finite_only:
-            frac = 2.0 - 2.0 ** (1 - self.mantissa_bits)
-        else:
-            frac = 2.0 - 2.0 ** (-self.mantissa_bits)
-        return float(2.0**self.max_exponent * frac)
+        # A NaN-only layout reserves just the all-ones mantissa at the
+        # top exponent, so its largest finite mantissa is one step shorter.
+        short = 1 if self.specials == "nan" else 0
+        return float(2.0**self.max_exponent * (2.0 - 2.0 ** (short - self.mantissa_bits)))
 
 
 PRESETS: dict[str, PrecisionFormat] = {
@@ -85,9 +97,9 @@ PRESETS: dict[str, PrecisionFormat] = {
         PrecisionFormat("fp32", 8, 23),
         PrecisionFormat("fp16", 5, 10),
         PrecisionFormat("bf16", 8, 7),
-        PrecisionFormat("fp8_e4m3fn", 4, 3, finite_only=True),
+        PrecisionFormat("fp8_e4m3fn", 4, 3, specials="nan"),
         PrecisionFormat("fp8_e5m2", 5, 2),
-        PrecisionFormat("fp4_e2m1", 2, 1),  # IEEE-style: tops out at 3.0, not OCP MX's 6.0
+        PrecisionFormat("fp4_e2m1", 2, 1, specials="none"),
     )
 }
 
@@ -124,11 +136,11 @@ def quantize_array(a: np.ndarray, fmt: PrecisionFormat | str) -> np.ndarray:
     bits; a carry runs into the exponent.  Below it the grid is fixed at
     ``2**(emin - m)``, and adding then subtracting ``c = 2**(emin - m +
     23)`` rounds there in the float unit (the sum stays in ``c``'s
-    binade, whose spacing is that step).  Then finite-only formats
-    saturate at ``max_finite`` (infinities too) and IEEE-style ones turn
-    every magnitude that rounded to ``2**(emax + 1)`` or beyond into
-    infinity.  The sign bit is put back last, so -0.0 stays -0.0, and a
-    NaN passes through, quieted.
+    binade, whose spacing is that step).  Then one rule for every
+    layout: a magnitude above ``max_finite``, which after rounding means
+    ``2**(emax + 1)`` or beyond or infinity, becomes infinity in an IEEE
+    layout and ``max_finite`` in the other two.  The sign bit is put
+    back last, so -0.0 stays -0.0, and a NaN passes through, quieted.
     """
     fmt = get_format(fmt)
     a = np.asarray(a)
@@ -143,10 +155,8 @@ def quantize_array(a: np.ndarray, fmt: PrecisionFormat | str) -> np.ndarray:
     add = np.uint32((1 << shift >> 1) - odd)
     min_normal = np.uint32((fmt.min_normal_exponent + 127) << 23)
     c = np.float32(2.0 ** (fmt.min_normal_exponent - fmt.mantissa_bits + 23))
-    if fmt.finite_only:
-        ceiling = np.array(fmt.max_finite, dtype=np.float32).view(np.uint32)
-    else:
-        overflow = np.uint32((fmt.max_exponent + 1 + 127) << 23)
+    ceiling = np.array(fmt.max_finite, dtype=np.float32).view(np.uint32)
+    beyond = _INF if fmt.specials == "ieee" else ceiling
 
     src = np.ascontiguousarray(a).reshape(-1).view(np.uint32)
     out = np.empty_like(src)
@@ -154,21 +164,16 @@ def quantize_array(a: np.ndarray, fmt: PrecisionFormat | str) -> np.ndarray:
         for lo in range(0, src.size, _CHUNK):
             bits = src[lo:lo + _CHUNK]
             mag = bits & ~_SIGN
-            r = (mag >> np.uint32(shift)) & odd
+            r = np.bitwise_and(mag >> np.uint32(shift), odd, out=out[lo:lo + _CHUNK])
             r += mag
             r += add
             r &= keep
-            small = mag < min_normal
             sub = mag.view(np.float32) + c
             sub -= c
-            np.copyto(r, sub.view(np.uint32), where=small)
-            if fmt.finite_only:
-                np.minimum(r, ceiling, out=r)
-            else:
-                np.copyto(r, _INF, where=r >= overflow)
+            np.copyto(r, sub.view(np.uint32), where=mag < min_normal)
+            np.copyto(r, beyond, where=r > ceiling)
             r |= bits & _SIGN
             np.copyto(r, bits | _QUIET, where=mag > _INF)
-            out[lo:lo + _CHUNK] = r
     return out.view(np.float32).reshape(a.shape)
 
 

@@ -128,14 +128,15 @@ class AdamW:
     """Decoupled weight-decay Adam over the arrays of a ModelParams.
 
     Update: p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p), with
-    bias-corrected moments.
+    bias-corrected moments.  *learning_rate* and *weight_decay* have no
+    defaults here: :class:`TrainConfig` holds them.
     """
 
     beta1 = 0.9
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, arrays: list[np.ndarray], learning_rate: float = 1e-3, weight_decay: float = 0.0):
+    def __init__(self, arrays: list[np.ndarray], learning_rate: float, weight_decay: float):
         self.learning_rate = learning_rate
         self.weight_decay = weight_decay
         self.t = 0

@@ -299,7 +299,7 @@ def quantize_oracle(values, fmt):
             e = np.maximum(exp - 1, fmt.min_normal_exponent)
             step_exp = e - fmt.mantissa_bits
             q = np.ldexp(np.round(np.ldexp(xf, -step_exp)), step_exp)
-        if fmt.finite_only:
+        if fmt.specials != "ieee":
             q = np.clip(q, -fmt.max_finite, fmt.max_finite)
         else:
             # IEEE overflow rule: values at or beyond the midpoint
@@ -310,7 +310,7 @@ def quantize_oracle(values, fmt):
             q[over] = np.sign(xf[over]) * np.inf
         out[finite] = q
 
-    if fmt.finite_only:
+    if fmt.specials != "ieee":
         out[np.isposinf(x)] = fmt.max_finite
         out[np.isneginf(x)] = -fmt.max_finite
     if scalar:

@@ -43,7 +43,8 @@ def test_one_tiny_train_pair_writes_every_metric_and_the_direct_digest(tmp_path)
         names = [m["name"] for m in json.load(fh)["end_to_end"]]
     assert sorted(entry["metrics"]) == sorted(names)
     for m in entry["metrics"].values():
-        assert m.keys() == {"unit", "better", "bound", "parent", "change", "wins", "pairs", "verdict"}
+        assert m.keys() == {"unit", "better", "bound", "parent", "change", "wins", "pairs", "paired_ratio",
+                            "verdict"}
         for side in ("parent", "change"):
             assert m[side].keys() == {"runs", "median", "q1", "q3"} and len(m[side]["runs"]) == 1
         assert m["pairs"] == 1 and 0 <= m["wins"] <= 1
@@ -118,6 +119,7 @@ def test_a_change_that_fails_more_operations_is_worse_and_never_better(monkeypat
     clean, failing = entries
     assert clean["ops_failed"]["verdict"] == "within bound"
     assert clean["metrics"]["op_p50_ms"]["verdict"] == "better"
+    assert clean["metrics"]["op_p50_ms"]["paired_ratio"] < 1
     assert failing["ops_failed"] == {"parent": [0] * 10, "change": [0, 0, 1] + [0] * 7, "verdict": "worse"}
     assert failing["blas_threads"] == {"parent": [2], "change": [2]}
     assert failing["metrics"]["op_p50_ms"]["wins"] == 10

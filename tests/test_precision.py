@@ -65,6 +65,12 @@ class TestOracles:
         x = np.array([1e6, -np.inf], dtype=np.float32)
         np.testing.assert_array_equal(quantize_array(x, fmt), [448.0, -448.0])
 
+    def test_fp4_e2m1_is_the_ocp_layout(self):
+        # No inf or NaN code: the top exponent holds 4 and 6, and overflow
+        # and infinities saturate at 6.
+        x = np.array([2.9, 3, 3.4, 3.5, 3.6, 4, 5, 6, 7, 100, np.inf, -np.inf], dtype=np.float32)
+        np.testing.assert_array_equal(quantize_array(x, "fp4_e2m1"), [3, 3, 3, 4, 4, 4, 4, 6, 6, 6, 6, -6])
+
 
 # The six presets, plus a format without mantissa bits: its normal
 # significands are all odd, so its ties go up, not to the kept bit.
@@ -136,8 +142,8 @@ def test_sizes_around_the_chunk_equal_the_oracle(rng, size, fmt):
     dict(exponent_bits=5, mantissa_bits=24),  # finer than float32
     dict(exponent_bits=9, mantissa_bits=23),  # 33 bits wide
     dict(exponent_bits=1, mantissa_bits=3),  # no normal binade
-    dict(exponent_bits=4, mantissa_bits=0, finite_only=True),  # max_finite 0
-    dict(exponent_bits=8, mantissa_bits=7, finite_only=True),  # top exponent 128
+    dict(exponent_bits=4, mantissa_bits=0, specials="nan"),  # max_finite 0
+    dict(exponent_bits=8, mantissa_bits=7, specials="nan"),  # top exponent 128
 ], ids=["kwargs0", "kwargs1", "kwargs4", "kwargs5", "kwargs6"])
 def test_formats_off_the_float32_grid_are_rejected(kwargs):
     with pytest.raises(ValueError):
@@ -151,6 +157,13 @@ def test_a_format_needs_an_exponent_and_a_mantissa_width(kwargs):
         PrecisionFormat("x", **kwargs)
 
 
+def test_a_layout_names_one_of_three_sets_of_specials():
+    with pytest.raises(ValueError, match=re.escape("specials must be one of ('ieee', 'nan', 'none'), got 'fn'")):
+        PrecisionFormat("x", 4, 3, specials="fn")
+    # With every code finite, the top exponent's one code is a value.
+    assert PrecisionFormat("x", 3, 0, specials="none").max_finite == 16.0
+
+
 # min_normal_exponent, max_exponent and max_finite of each preset, whose
 # exponent bias is 2**(exponent_bits - 1) - 1.
 PRESET_LIMITS = {
@@ -159,7 +172,7 @@ PRESET_LIMITS = {
     "bf16": (-126, 127, float.fromhex("0x1.fep+127")),
     "fp8_e4m3fn": (-6, 8, 448.0),
     "fp8_e5m2": (-14, 15, 57344.0),
-    "fp4_e2m1": (0, 1, 3.0),  # IEEE-style; OCP MX's E2M1 reaches 6.0
+    "fp4_e2m1": (0, 2, 6.0),  # OCP MX v1.0's E2M1: every code finite
 }
 
 
@@ -188,9 +201,9 @@ def quantize_peak_overhead(rows: int) -> int:
 
 
 def test_quantize_temporaries_are_a_fixed_chunk_allowance():
-    # A pass holds a handful of chunk-sized temporaries, whatever the
+    # A pass holds at most four chunk-sized temporaries, whatever the
     # input size.
-    allowance = 8 * precision._CHUNK * 4
+    allowance = 4 * precision._CHUNK * 4
     small, large = quantize_peak_overhead(520), quantize_peak_overhead(1040)
     assert large <= allowance
     assert large <= small + (1 << 16)

@@ -224,7 +224,7 @@ class TestAdamW:
         expected_head = reference(params.head, g.head)
         out = params.copy()
         assert (AdamW.beta1, AdamW.beta2, AdamW.eps) == (b1, b2, eps)
-        AdamW(out.arrays(), learning_rate=lr).step(g.arrays())
+        AdamW(out.arrays(), learning_rate=lr, weight_decay=0.0).step(g.arrays())
         np.testing.assert_allclose(out.latents[0], expected_lat, rtol=1e-12)
         np.testing.assert_allclose(out.head, expected_head, rtol=1e-12)
         # and the direction is sign-like: g / (|g| + eps) up to bias correction

@@ -18,8 +18,10 @@ alternating which side goes first, over 10 pairs unless ``--pairs``
 says otherwise.
 Each end-to-end metric of ``BENCHMARK.json`` gets both
 sides' per-run values, medians and quartiles, the number of pairs the
-change won (ties count for neither side) and a verdict against the
-metric's bound:
+change won (ties count for neither side), ``paired_ratio``, the median
+over pairs of change divided by parent (pairs whose parent reads 0 left
+out; ``null`` when none is left), which a drift shared by both sides of
+a pair leaves alone, and a verdict against the metric's bound:
 
 * ``better``: the change won at least nine pairs in ten, its median
   beats the parent's by more than the parent's interquartile range, and
@@ -93,6 +95,7 @@ def summarize(spec: dict, parent: list[float], change: list[float], fails_more: 
     sign = 1.0 if spec["better"] == "lower" else -1.0  # sign * (parent - change) > 0: change better
     p, c = quartiles(parent), quartiles(change)
     wins = sum(sign * (a - b) > 0 for a, b in zip(parent, change))
+    ratios = [b / a for a, b in zip(parent, change) if a]
     gain = sign * (p[1] - c[1])
     base = abs(p[1]) or 1.0
     if not fails_more and wins >= math.ceil(0.9 * len(parent)) and gain > p[2] - p[0]:
@@ -107,7 +110,8 @@ def summarize(spec: dict, parent: list[float], change: list[float], fails_more: 
     return {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
             "parent": {"runs": parent, "median": p[1], "q1": p[0], "q3": p[2]},
             "change": {"runs": change, "median": c[1], "q1": c[0], "q3": c[2]},
-            "wins": wins, "pairs": len(parent), "verdict": verdict}
+            "wins": wins, "pairs": len(parent),
+            "paired_ratio": statistics.median(ratios) if ratios else None, "verdict": verdict}
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -165,8 +169,10 @@ def main(argv=None) -> int:
                 json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             for name, m in entry["metrics"].items():
+                ratio = "-" if m["paired_ratio"] is None else f"{m['paired_ratio']:.4f}"
                 print(f"{workload:<6} {name:<12} {m['parent']['median']:>12.6g} -> "
-                      f"{m['change']['median']:>12.6g} wins {m['wins']}/{m['pairs']}  {m['verdict']}")
+                      f"{m['change']['median']:>12.6g} wins {m['wins']}/{m['pairs']}  "
+                      f"ratio {ratio}  {m['verdict']}")
             failed = entry["ops_failed"]
             print(f"{workload:<6} {'ops_failed':<12} {sum(failed['parent']):>12d} -> "
                   f"{sum(failed['change']):>12d}  {failed['verdict']}")
