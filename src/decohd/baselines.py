@@ -11,10 +11,13 @@
 
 All three deploy as one :class:`PrototypeTable`, which shares the
 decomposed scorer's protocol: ``stored()`` returns the float32 array the
-table holds, under the name ``"table"``, and ``replace(arrays)`` wraps
-rewritten arrays with the same mask.  A sparsified table is the one
-with a mask: it holds only its retained columns, C x floor(budget *
-dim), and scores the retained dimensions of the encodings against them.
+table holds, under the name ``"table"``, ``replace(arrays)`` wraps
+rewritten arrays with the same mask, and the class method
+``score_stack(variants, h)`` scores several tables of one mask in one
+product, of which ``score_batch`` is the one-table case.  A sparsified
+table is the one with a mask: it holds only its retained columns,
+C x floor(budget * dim), and scores the retained dimensions of the
+encodings against them.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import check_labels
-from .model import pick_class
+from .model import in_stacks, pick_class, stack_rows, stacked_product
 from .ops import derive_seed, rng_from_seed
 
 
@@ -56,10 +59,28 @@ class PrototypeTable:
         return PrototypeTable(arrays["table"], self.mask)
 
     def score_batch(self, h: np.ndarray) -> np.ndarray:
-        if self.mask is not None:
-            h = np.take(h, np.flatnonzero(self.mask), axis=-1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.asarray(h) @ self.prototypes.T
+        """``h @ prototypes.T`` on the retained dimensions: the
+        one-table case of :meth:`score_stack`."""
+        return next(self.score_stack([self], h))
+
+    @classmethod
+    def score_stack(cls, variants, h: np.ndarray):
+        """Scores of *h* under each table of the iterable *variants*, in
+        order, each equal to its :meth:`score_batch` bit for bit.  The
+        tables are copies of one table, such as its bit-flipped ones
+        (:meth:`replace` keeps the mask), so they share its mask: each
+        stack of at most :data:`~decohd.model.STACK_ROWS` class rows
+        (:func:`~decohd.model.in_stacks`) gathers the retained columns
+        of *h* once and multiplies them against its tables stacked."""
+        h = np.asarray(h)
+
+        def score(stack):
+            mask = stack[0].mask
+            x = h if mask is None else np.take(h, np.flatnonzero(mask), axis=-1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return stacked_product(x, [v.prototypes for v in stack])
+
+        return in_stacks(variants, lambda v: stack_rows(len(h), v.num_classes, v.prototypes.shape[1]), score)
 
 
 def build_prototype_table(h: np.ndarray, labels: np.ndarray, num_classes: int) -> PrototypeTable:

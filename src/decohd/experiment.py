@@ -20,12 +20,16 @@ Only ``DataSpec``, ``ModelSpec`` and ``ExperimentConfig`` live here;
 every other spec lives beside the function that reads it.
 
 Each dimension runs a fit stage, then an evaluation stage.  The fit
-stage encodes both splits and releases the encoder's matrix, then fits
+stage encodes both splits and releases the encoder's matrix, builds
+the one class-sum table that every table kind starts from, then fits
 and saves every model, so it holds no F x D matrix; its training
-encodings die as it ends.  So the evaluation stage (the precision
-sweep, then the bit-flip sweep) holds only the test encodings, the
-deployed scorers and one quantized copy of the test encodings at a
-time, and all of them die before the next dimension encodes.
+encodings die as it ends, and the table lives on only as the
+prototype model's scorer.  So the evaluation stage
+holds only the test encodings and the deployed scorers, plus, in the
+precision sweep, one quantized copy of the test encodings at a time,
+released before the bit-flip sweep, and there one stack of a model's
+variants (:func:`~decohd.faults.robustness_sweep`).  All of them die
+before the next dimension encodes.
 
 The output directory is the config's ``output_dir`` unless the caller
 names another, and the manifest records the directory written, so a
@@ -56,7 +60,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields, is_dataclass,
 import numpy as np
 
 from . import __version__
-from .baselines import MODEL_KINDS, build_prototype_table, onlinehd_refine, sparsify_table
+from .baselines import MODEL_KINDS, PrototypeTable, build_prototype_table, onlinehd_refine, sparsify_table
 from .budget import budget_of
 from .data import Dataset, ParseError, SyntheticSpec, bayes_accuracy, load_csv, make_synthetic
 from .encoding import EncoderConfig, RandomProjectionEncoder, Standardizer, fit_standardizer
@@ -267,9 +271,12 @@ def fit_model(
     h_test: np.ndarray,
     y_test: np.ndarray,
     num_classes: int,
+    table: PrototypeTable | None = None,
 ):
     """Train one model; returns (classifier, history).  The deployed
-    form is ``classifier.scorer``."""
+    form is ``classifier.scorer``.  The table kinds start from *table*,
+    the class sums of *h_train*, built here when not given; neither
+    refinement nor sparsifying writes into it."""
     if spec.kind == "decohd":
         model_cfg = ModelConfig(
             channels_per_layer=spec.channels,
@@ -281,7 +288,8 @@ def fit_model(
         result = train(model_cfg, config.train, h_train, y_train, h_test, y_test)
         return Classifier(encoder, standardizer, result.scorer, spec.kind), result.history
 
-    table = build_prototype_table(h_train, y_train, num_classes)
+    if table is None:
+        table = build_prototype_table(h_train, y_train, num_classes)
     if spec.kind == "onlinehd" or (spec.kind == "sparsehd" and spec.base == "onlinehd"):
         table = onlinehd_refine(
             table,
@@ -356,16 +364,19 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
         stage = f"encode-D{dim}"
         encoder, h_train, h_test = encode_splits(config, standardizer, train_ds, test_ds, dim)
         scorers = {}
+        # One class-sum table, which every table kind starts from.
+        table = (build_prototype_table(h_train, train_ds.labels, train_ds.num_classes)
+                 if any(spec.kind != "decohd" for spec in config.models) else None)
         for spec, label in zip(config.models, labels):
             stage = f"train-{label}-D{dim}"
             clf, history = fit_model(
                 spec, label, config, encoder, standardizer,
-                h_train, train_ds.labels, h_test, test_ds.labels, train_ds.num_classes,
+                h_train, train_ds.labels, h_test, test_ds.labels, train_ds.num_classes, table,
             )
             scorers[label] = clf.scorer
             save_classifier(containers[label, dim], clf)
             history_rows.extend([label, *astuple(h)] for h in history)
-        del h_train  # evaluation reads only h_test and the scorers
+        del h_train, table  # evaluation reads only h_test and the scorers
         # Every model is scored against the same test encodings, so they
         # are quantized once per precision, by the first evaluation.
         for precision in config.precisions:
@@ -377,6 +388,7 @@ def run_experiment(config: ExperimentConfig, output_dir: str | None = None) -> E
                     q_h = quantize_array(h_test, fmt) if fmt.name != "fp32" else h_test
                 acc = accuracy(quantize_model(scorer, fmt), q_h, test_ds.labels)
                 result_rows.append([label, budget_of(scorer), precision, dim, acc])
+        del q_h  # the last precision's copy would outlive its loop into the bit-flip sweep
         if config.noise.p_grid:
             stage = f"robustness-D{dim}"
             robustness_rows.extend(robustness_sweep(

@@ -22,15 +22,21 @@ Any other dtype is refused.  Each array's stream is derived from the
 seed, ``"bits"`` and the array's ``stored()`` key.  :class:`NoiseConfig`
 states the sweep's rules, a single p's range included.
 :func:`robustness_sweep` rows are lists in ``ROBUSTNESS_COLUMNS`` order.
+It scores each model's variants, the unflipped scorer and its flipped
+copies, by one stacked product per :data:`~decohd.model.STACK_ROWS`
+rows (the scorer class's ``score_stack``), so the test encodings are
+read once per stack rather than once per variant, and only one stack's
+variants are alive at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import accuracy
+from .model import pick_class
 from .ops import derive_seed, rng_from_seed
 
 
@@ -109,21 +115,25 @@ def robustness_sweep(
     Every (p, trial) cell owns an independent stream derived from
     (seed, p index, trial index); all models in a cell share that stream
     root.  p=0 flips no bit, so each model is scored once, unflipped,
-    and that accuracy fills all of its p=0 rows.  Returns one
-    ``ROBUSTNESS_COLUMNS`` row per (model, p, trial), ``D`` being the
-    model's dimension, sorted.
+    and that accuracy fills all of its p=0 rows.  A model's variants,
+    the unflipped scorer and one flipped copy per cell of nonzero p, are
+    scored by one stacked call, ``type(scorer).score_stack``, which
+    reads the test encodings once per stack; each score equals the
+    variant's own ``score_batch`` bit for bit.  The variants are built
+    as the stack takes them, so at most one stack of
+    :data:`~decohd.model.STACK_ROWS` rows and its variants are alive at
+    once.  Returns one ``ROBUSTNESS_COLUMNS`` row per (model, p, trial),
+    ``D`` being the model's dimension, sorted.
     """
-    unflipped = {name: accuracy(s, h_test, y_test) for name, s in scorers.items()} if 0.0 in p_grid else {}
+    y_test = np.asarray(y_test)
+    cells = [(p_idx, p, trial) for p_idx, p in enumerate(p_grid) for trial in range(trials)]
     rows = []
-    for p_idx, p in enumerate(p_grid):
-        for trial in range(trials):
-            cell_seed = derive_seed(seed, "noise", p_idx, trial)
-            for name in sorted(scorers):
-                if p == 0.0:
-                    acc = unflipped[name]
-                else:
-                    corrupted = inject_bitflips(scorers[name], p, cell_seed)
-                    acc = accuracy(corrupted, h_test, y_test)
-                rows.append([name, scorers[name].dim, float(p), trial, acc])
+    for name, scorer in scorers.items():
+        flipped = (inject_bitflips(scorer, p, derive_seed(seed, "noise", p_idx, trial))
+                   for p_idx, p, trial in cells if p != 0.0)
+        scores = type(scorer).score_stack(itertools.chain([scorer] if 0.0 in p_grid else [], flipped), h_test)
+        accs = (float((pick_class(s) == y_test).mean()) for s in scores)
+        unflipped = next(accs) if 0.0 in p_grid else None
+        rows += [[name, scorer.dim, float(p), trial, unflipped if p == 0.0 else next(accs)] for _, p, trial in cells]
     rows.sort(key=lambda r: r[:4])
     return rows

@@ -39,16 +39,22 @@ Like the baselines' :class:`~decohd.baselines.PrototypeTable`, dense or
 sparsified, it exposes ``stored()``, the arrays the form keeps, and
 ``replace(arrays)``, a new scorer over rewritten arrays; quantization,
 fault injection and budget accounting work through these two alone.
+Both classes also score several variants of one scorer, such as its
+bit-flipped copies, by the class method ``score_stack(variants, h)``:
+the variants' prototypes, or here their bases, are stacked into one
+product (:func:`score_forms`), each variant's scores equal to its own
+``score_batch`` bit for bit, and ``score_batch`` is the one-scorer case.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelBank, path_basis
+from .model import ChannelBank, in_stacks, path_basis, stack_rows, stacked_product
 
 # Most rows the path-term form scores at once.  A fenced bank's chunk is
 # squared into one buffer of this many rows whatever the batch size: at
@@ -74,39 +80,92 @@ def stream_scores(
 def score_batch(
     h: np.ndarray, bank: ChannelBank, head: np.ndarray, prototypes: np.ndarray | None = None
 ) -> np.ndarray:
-    """Batched scoring, shape (n, num_classes): ``h @ prototypes.T``
+    """Batched scoring, shape (n, num_classes): the one-scorer case of
+    :func:`score_forms`, its stack of one form.  ``h @ prototypes.T``
     given a linear bank's composed *prototypes*; otherwise, or if that
     product has a non-finite score, the path terms
     ``(h @ basis.T) @ head.T`` against the basis the bank keeps
-    (:attr:`~decohd.model.ChannelBank.basis`).
+    (:attr:`~decohd.model.ChannelBank.basis`)."""
+    return _score_stack(np.asarray(h), [(bank, head, prototypes)])[0]
 
-    The path terms are scored in chunks of at most
-    ``_SCORE_CHUNK_ROWS`` rows, a fenced bank's squared into one reused
-    buffer, so working memory does not grow with n.  The rows are split
-    evenly over the chunks rather than leaving a short tail: BLAS
-    computes small products with other kernels, whose rounding differs,
-    and even chunks keep each row's scores equal to those of one
-    whole-batch product.
+
+def score_forms(h: np.ndarray, forms):
+    """Scores of *h*, shape (n, num_classes) each, under every
+    ``(bank, head, prototypes)`` of the iterable *forms*, in order, a
+    stack of at most :data:`~decohd.model.STACK_ROWS` rows at a time
+    (:func:`~decohd.model.in_stacks`).
+
+    A stack scores the composed prototypes of its forms in one product
+    (:func:`~decohd.model.stacked_product`).  The forms without
+    prototypes, or whose product has a non-finite score, score their
+    path terms, again in stacks: their bases are stacked into one
+    product per chunk of at most ``_SCORE_CHUNK_ROWS`` rows, and each
+    form's head is applied to its own path terms.  A fenced bank's chunk
+    is squared once, into one reused buffer, so working memory grows
+    with neither n nor the forms.  The rows are split evenly over the
+    chunks rather than leaving a short tail: BLAS computes small
+    products with other kernels, whose rounding differs, and even chunks
+    keep each row's scores equal to those of one whole-batch product.
+    A form alone in its stack scores against its own arrays and the
+    basis its bank keeps; a stacked bank's basis is built into the
+    stack and not kept.
 
     A bit-flipped bank may overflow: the basis is built, and the rows
     scored, with overflow and invalid-value warnings silenced.
     """
     h = np.asarray(h)
+    n, dim = h.shape
+
+    def rows(form):
+        bank, _, prototypes = form
+        return _path_rows(n, bank, dim) if prototypes is None else stack_rows(n, len(prototypes), dim)
+
+    return in_stacks(forms, rows, lambda stack: _score_stack(h, stack))
+
+
+def _path_rows(n: int, bank: ChannelBank, dim: int) -> float:
+    """The stack rows of *bank*'s path terms over *n* rows: those of the
+    shortest chunk's product."""
+    return stack_rows(n // max(1, -(-n // _SCORE_CHUNK_ROWS)), bank.num_paths, dim)
+
+
+def _score_stack(h: np.ndarray, stack) -> list[np.ndarray]:
+    """The scores of one stack of :func:`score_forms`."""
+    if len(stack) == 1 and stack[0][2] is None:  # one form without P, such as a served fenced bank
+        return _path_terms(h, stack)
     with np.errstate(over="ignore", invalid="ignore"):
-        if prototypes is not None:
-            out = h @ prototypes.T
-            if np.isfinite(out).all():
-                return out
-        n = h.shape[0]
-        chunks = max(1, -(-n // _SCORE_CHUNK_ROWS))
-        u = np.empty((min(n, _SCORE_CHUNK_ROWS), h.shape[1]), dtype=h.dtype) if bank.squared else None
-        basis = bank.basis
-        out = np.empty((n, head.shape[0]), dtype=np.result_type(h, basis, head))
+        composed = iter(stacked_product(h, [p for _, _, p in stack if p is not None]))
+    out = [None if p is None else next(composed) for _, _, p in stack]
+    out = [s if s is not None and np.isfinite(s).all() else None for s in out]
+    n, dim = h.shape
+    terms = in_stacks([form for form, s in zip(stack, out) if s is None], lambda form: _path_rows(n, form[0], dim),
+                      lambda forms: _path_terms(h, forms))
+    return [next(terms) if s is None else s for s in out]
+
+
+def _path_terms(h: np.ndarray, forms) -> list[np.ndarray]:
+    """``(h @ basis.T) @ head.T`` of each (bank, head, _) of *forms*, in
+    even row chunks; the banks are copies of one bank, so they share
+    its form (:attr:`~decohd.model.ChannelBank.squared`)."""
+    n, dim = h.shape
+    chunks = max(1, -(-n // _SCORE_CHUNK_ROWS))
+    starts = list(itertools.accumulate((head.shape[1] for _, head, _ in forms), initial=0))  # a head row per path
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(forms) == 1:
+            basis = forms[0][0].basis
+        else:
+            basis = np.empty((starts[-1], dim), dtype=np.result_type(*{c.dtype for b, _, _ in forms for c in b.channels}))
+            for (bank, _, _), lo, hi in zip(forms, starts, starts[1:]):
+                basis[lo:hi] = path_basis(bank)
+        u = np.empty((min(n, _SCORE_CHUNK_ROWS), dim), dtype=h.dtype) if forms[0][0].squared else None
+        outs = [np.empty((n, head.shape[0]), dtype=np.result_type(h, basis, head)) for _, head, _ in forms]
         for k in range(chunks):
             lo, hi = k * n // chunks, (k + 1) * n // chunks
             x = h[lo:hi] if u is None else np.multiply(h[lo:hi], h[lo:hi], out=u[: hi - lo])
-            out[lo:hi] = (x @ basis.T) @ head.T
-    return out
+            terms = x @ basis.T
+            for (_, head, _), out, a, b in zip(forms, outs, starts, starts[1:]):
+                out[lo:hi] = terms[:, a:b] @ head.T
+    return outs
 
 
 def choose_mode(num_classes: int, dim: int, memory_cap_bytes: int | None) -> str:
@@ -138,8 +197,11 @@ class DecomposedScorer:
         """P = head @ basis of a linear bank, composed on the first score
         from a basis that is not kept, then kept itself; None for the
         fenced bank and when an entry of P is not finite, as a
-        bit-flipped bank's may be: both score the path terms."""
-        if self.bank.squared:
+        bit-flipped bank's may be: both score the path terms.  A
+        non-finite stored entry leaves a row or column of P non-finite
+        (inf times anything is inf or NaN, and so is any sum holding
+        one), so such a bank returns None before composing."""
+        if self.bank.squared or not all(np.isfinite(a).all() for a in self.stored().values()):
             return None
         with np.errstate(over="ignore", invalid="ignore"):
             prototypes = self.head @ path_basis(self.bank)
@@ -167,4 +229,17 @@ class DecomposedScorer:
         return stream_scores(h, self.bank, self.head, self._prototypes)
 
     def score_batch(self, h: np.ndarray) -> np.ndarray:
+        """:func:`score_batch`, the one-scorer case of :meth:`score_stack`."""
         return score_batch(h, self.bank, self.head, self._prototypes)
+
+    @classmethod
+    def score_stack(cls, variants, h: np.ndarray):
+        """Scores of *h* under each scorer of the iterable *variants*,
+        in order, each equal to its :meth:`score_batch` bit for bit:
+        :func:`score_forms` over their banks, heads and prototypes.
+        Consecutive scorers are stacked, at most
+        :data:`~decohd.model.STACK_ROWS` rows at a time.  The variants
+        are copies of one scorer, such as its bit-flipped ones
+        (:meth:`replace` keeps the bank's score form), so a stack's
+        banks are all fenced or all linear."""
+        return score_forms(h, ((v.bank, v.head, v._prototypes) for v in variants))

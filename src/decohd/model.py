@@ -145,7 +145,9 @@ class ChannelBank:
     and by the path-term form of :func:`~decohd.inference.score_batch`:
     the fenced bank's and that of a bank whose composed prototypes
     overflow.  A deployed linear scorer composes its prototypes from a
-    basis it does not keep (:class:`~decohd.inference.DecomposedScorer`).
+    basis it does not keep (:class:`~decohd.inference.DecomposedScorer`),
+    and a bank stacked with others (:func:`~decohd.inference.score_forms`)
+    builds its basis into the stack without keeping it.
 
     *squared* marks the fenced bank of :func:`stream_channels`, the only
     code that sets it: its classes score ``<P_c, h*h>``, not ``<P_c, h>``.
@@ -276,6 +278,62 @@ def pick_class(scores: np.ndarray):
 def accuracy(scorer, h: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of rows of *h* whose batched score picks the label in *labels*."""
     return float((pick_class(scorer.score_batch(h)) == np.asarray(labels)).mean())
+
+
+# ---------------------------------------------------------------------------
+# Stacked scoring: several variants of one scorer in one product
+
+# Most rows of class prototypes or path factors one stacked product
+# multiplies, so its working memory does not grow with the variants
+# scored: 640 rows of D=10000 float32 are 25.6 MB.  The benchmark's
+# largest stack, nine bit-flipped decohd bases of 64 paths, is 576.
+STACK_ROWS = 640
+
+
+def stack_rows(n: int, rows: int, width: int) -> float:
+    """The rows that the product of an (n, width) input and a (rows,
+    width) block adds to a stack; infinite, so that the block is scored
+    alone, where BLAS would round the block's own product by another
+    kernel than a stacked one.  A product of one row or one column goes
+    to a matrix-vector kernel, and OpenBLAS computes one of at most
+    10**6 multiply-accumulates by a small-matrix kernel whose rounding
+    depends on the output column.  Larger products are blocked over
+    ``width`` alike whatever their rows and columns, so a stacked
+    block's scores equal its own product's bit for bit.
+
+    The 10**6 rule was measured on one BLAS only, numpy's bundled
+    OpenBLAS 0.3.31 on a SkylakeX core.  Other OpenBLAS cores and
+    versions, and other BLAS, choose their kernels by other sizes;
+    there a stacked block's scores may differ from its own product's in
+    the last bits, with no error raised."""
+    return rows if min(n, rows) > 1 and n * rows * width > 10**6 else math.inf
+
+
+def in_stacks(variants, rows, score):
+    """The scores ``score(group)`` returns for each group of consecutive
+    *variants*, in order: a group holds the most variants whose
+    ``rows(v)`` total at most ``STACK_ROWS``, or one variant alone.
+    *variants* may be an iterator; it is consumed a group at a time."""
+    group, total = [], 0
+    for v in variants:
+        r = rows(v)
+        if group and total + r > STACK_ROWS:
+            yield from score(group)
+            group, total = [], 0
+        group.append(v)
+        total += r
+    if group:
+        yield from score(group)
+
+
+def stacked_product(x: np.ndarray, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """``x @ b.T`` for each block b, as column views of one product
+    against the stacked blocks."""
+    if len(blocks) <= 1:
+        return [x @ b.T for b in blocks]
+    scores = x @ np.concatenate(blocks).T
+    ends = np.cumsum([len(b) for b in blocks])
+    return [scores[:, end - len(b):end] for b, end in zip(blocks, ends)]
 
 
 # ---------------------------------------------------------------------------

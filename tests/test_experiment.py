@@ -536,13 +536,43 @@ def test_a_dimension_holds_nothing_of_the_one_before(tmp_path, monkeypatch):
         previous.append((f"{fmt.name} test encodings", weakref.ref(q_h)))
         return q_h
 
+    def sweep(scorers, h_test, *args):
+        # The bit-flip sweep starts with no quantized test encoding alive.
+        gc.collect()
+        alive = [name for name, ref in previous if name.endswith("test encodings") and ref() is not None]
+        assert not alive, f"{alive} alive at robustness-D{h_test.shape[1]}"
+        swept.append(h_test.shape[1])
+        return robustness_sweep(scorers, h_test, *args)
+
+    swept = []
     monkeypatch.setattr(experiment, "encode_splits", encode)
     monkeypatch.setattr(experiment, "fit_model", fit)
     monkeypatch.setattr(experiment, "quantize_array", quantize)
+    monkeypatch.setattr(experiment, "robustness_sweep", sweep)
     run_experiment(config, output_dir=str(tmp_path))
-    assert checked == [32, 64]
+    assert checked == swept == [32, 64]
     assert [name for name, _ in previous] == ["h_test", *(f"{label} scorer" for label in config.model_labels()),
                                               "bf16 test encodings"]
+
+
+@pytest.mark.parametrize("kinds, builds", [(("decohd", "prototype", "onlinehd", "sparsehd"), 1),
+                                            (("decohd", "sparsehd"), 1), (("decohd",), 0)],
+                         ids=["every_kind", "one_table_kind", "decohd_only"])
+def test_one_class_sum_table_per_dimension(tmp_path, monkeypatch, kinds, builds):
+    # Every table kind starts from one table of the dimension's class sums,
+    # built once; a decohd-only run builds none.
+    models = [m for m in tiny_config().models if m.kind in kinds]
+    config = dataclasses.replace(tiny_config(), models=tuple(models), dims=(32, 64), precisions=("fp32",),
+                                 noise={"p_grid": [0.0], "trials": 1})
+    built = []
+
+    def build(h, labels, num_classes):
+        built.append(h.shape[1])
+        return build_prototype_table(h, labels, num_classes)
+
+    monkeypatch.setattr(experiment, "build_prototype_table", build)
+    run_experiment(config, output_dir=str(tmp_path))
+    assert built == [32] * builds + [64] * builds
 
 
 AT_D64 = {  # a call of each stage's function at D=64, by its arguments

@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decohd import faults
+from decohd import baselines, faults
 from decohd.faults import ROBUSTNESS_COLUMNS, NoiseConfig, flip_float32_bits, inject_bitflips, robustness_sweep
-from decohd.model import accuracy
-from decohd.ops import rng_from_seed
+from decohd.model import accuracy, stacked_product
+from decohd.ops import derive_seed, rng_from_seed
 from tests.conftest import assert_same_bits, deployed_forms
 
 KINDS = ("decohd", "prototype", "sparsehd")
@@ -165,24 +165,58 @@ def test_robustness_rows_follow_the_columns_sorted(rng):
 
 def test_unflipped_rows_score_each_model_once(rng, monkeypatch):
     # p=0 draws no bit, so its trials would score exact copies: each
-    # model is scored once for them, and once per trial at every other p.
+    # model's one stacked call takes it once, unflipped, and one flipped
+    # copy per trial at every other p.
     scorers, h, y = sweep_inputs(rng)
-    scored = []
+    stacks = []
 
-    def form(scorer):  # stored shapes tell the dense and the sparsified table apart
-        return sorted((key, a.shape) for key, a in scorer.stored().items())
+    def counting(cls):
+        original = cls.score_stack.__func__
 
-    def counting(scorer, h_test, y_test):
-        scored.append(form(scorer))
-        return accuracy(scorer, h_test, y_test)
+        def score_stack(cls, variants, h_test):
+            variants = list(variants)
+            stacks.append(variants)
+            return original(cls, variants, h_test)
 
-    monkeypatch.setattr(faults, "accuracy", counting)
+        monkeypatch.setattr(cls, "score_stack", classmethod(score_stack))
+
+    for cls in {type(s) for s in scorers.values()}:
+        counting(cls)
     rows = robustness_sweep(scorers, h, y, p_grid=[0.0, 1e-2], trials=3, seed=4)
-    assert len(scored) == len(scorers) * (1 + 3)
-    for name, scorer in scorers.items():
-        assert scored.count(form(scorer)) == 1 + 3
+    assert len(stacks) == len(scorers)
+    for (name, scorer), variants in zip(scorers.items(), stacks):
+        assert len(variants) == 1 + 3
+        assert variants[0] is scorer and all(v is not scorer for v in variants[1:])
         unflipped = accuracy(scorer, h, y)
         assert [row[4] for row in rows if row[0] == name and row[2] == 0.0] == [unflipped] * 3
+
+
+def test_rows_equal_scoring_each_flipped_copy_alone(rng, monkeypatch):
+    # 1 + 3 * 54 = 163 variants of 4 class rows exceed one stack of
+    # decohd.model.STACK_ROWS = 640 rows, so each table's variants are
+    # scored in two stacks, of 160 and 3; each row equals the accuracy of
+    # its cell's flipped copy scored alone.
+    scorers = deployed_forms(rng, dim=2048)
+    h = rng.standard_normal((300, 2048)).astype(np.float32)
+    y = rng.integers(0, 4, 300)
+    p_grid, trials = (0.0, 1e-5, 1e-4, 1e-3), 54
+    stacked = []
+
+    def recording(x, blocks):
+        stacked.append(len(blocks))
+        return stacked_product(x, blocks)
+
+    monkeypatch.setattr(baselines, "stacked_product", recording)
+    rows = robustness_sweep(scorers, h, y, p_grid, trials, seed=6)
+    assert stacked == [160, 3, 160, 3]  # the prototype table's, then the sparsified one's
+    expected = []
+    for p_idx, p in enumerate(p_grid):
+        for trial in range(trials):
+            cell_seed = derive_seed(6, "noise", p_idx, trial)
+            for name, scorer in scorers.items():
+                acc = accuracy(inject_bitflips(scorer, p, cell_seed) if p else scorer, h, y)
+                expected.append([name, 2048, p, trial, acc])
+    assert rows == sorted(expected)
 
 
 def test_robustness_rows_of_a_model_do_not_depend_on_the_others(rng):

@@ -320,6 +320,25 @@ class TestComposedPrototypes:
         assert_scores_near_reference(batch, h, bank, head, rel=1e-5)
         assert_same_bits(np.stack(rows), batch)
 
+    @pytest.mark.parametrize("entry", ["channel", "head"])
+    def test_a_non_finite_stored_entry_composes_nothing(self, rng, monkeypatch, entry):
+        # An inf channel or head entry leaves a column or row of P non-finite,
+        # so the scorer has no prototypes without composing them, and scores
+        # the path terms.
+        bank, head, _ = random_bank_and_head(rng, channels=(2, 3), dim=48)
+        if entry == "channel":
+            bank.channels[0][1, 5] = np.inf
+        else:
+            head[2, 3] = np.inf
+        h = rng.standard_normal((6, 48)).astype(np.float32)
+        calls = self.counting(monkeypatch)
+        scorer = DecomposedScorer(bank, head)
+        assert scorer._prototypes is None
+        assert calls == []
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(head @ path_basis(bank)).all()
+        assert_same_bits(scorer.score_batch(h), score_batch(h, ChannelBank(bank.channels), head))
+
     def test_a_non_finite_product_scores_the_path_terms(self, rng):
         bank, head, _ = random_bank_and_head(rng, channels=(2, 2), dim=16)
         h = rng.standard_normal((5, 16)).astype(np.float32)

@@ -2,6 +2,7 @@
 prototype table, dense or sparsified, and the package's bare top level."""
 
 import ast
+import math
 import os
 import re
 import subprocess
@@ -12,14 +13,14 @@ import numpy as np
 import pytest
 
 import decohd
-from decohd import inference
+from decohd import inference, model
 from decohd.baselines import PrototypeTable
 from decohd.faults import flip_float32_bits, inject_bitflips
 from decohd.inference import DecomposedScorer
 from decohd.model import ChannelBank
 from decohd.ops import derive_seed
 from decohd.precision import quantize_array, quantize_model
-from tests.conftest import deployed_forms
+from tests.conftest import assert_same_bits, deployed_forms
 
 KINDS = ("decohd", "prototype", "sparsehd")
 STORED_KEYS = {
@@ -101,6 +102,98 @@ def test_flip_streams_keep_their_seed_tokens(rng):
     table = inject_bitflips(forms["prototype"], 1e-2, 9).prototypes
     expected = flip_float32_bits(forms["prototype"].prototypes, 1e-2, derive_seed(9, "bits", "table"))
     np.testing.assert_array_equal(bits(table), bits(expected))
+
+
+def stack_variants(rng, case, dim):
+    """Variants of one scorer as a stack takes them, by *case*: a dense or
+    masked table and rewritten copies; a linear decohd with finite P; one
+    with an inf channel entry beside it; one whose P is finite but whose
+    scores overflow; a fenced bank; and every linear decohd form at once."""
+    forms = deployed_forms(rng, channels=(2, 3), dim=dim)
+    if case in ("dense", "masked"):
+        table = forms["prototype" if case == "dense" else "sparsehd"]
+        return [table, table.replace({"table": table.prototypes * 0.5}), inject_bitflips(table, 1e-3, 1)]
+    scorer = forms["decohd"]
+    linear = [scorer, scorer.replace({k: -a for k, a in scorer.stored().items()})]
+    channels = [c.copy() for c in scorer.bank.channels]
+    channels[0][1, 5] = np.inf
+    inf_channel = DecomposedScorer(ChannelBank(channels), scorer.head)
+    big = [np.full_like(c, 1e19) for c in scorer.bank.channels]  # basis 1e38, P 3e38: finite
+    overflow = DecomposedScorer(ChannelBank(big), np.full_like(scorer.head, 0.5))
+    fenced = [DecomposedScorer(ChannelBank(s.bank.channels, squared=True), s.head) for s in linear + [overflow]]
+    return {"linear": linear, "inf_channel": linear + [inf_channel, inf_channel.replace(inf_channel.stored())],
+            "overflow": [overflow, *linear, overflow.replace(overflow.stored())], "fenced": fenced,
+            "every_form": [inf_channel, *linear, overflow, inf_channel.replace(inf_channel.stored())]}[case]
+
+
+class TestScoreStack:
+    """``type(scorer).score_stack(variants, h)`` scores several variants
+    of one scorer in one product, equal to each variant's own
+    ``score_batch``; ``score_batch`` is its one-scorer case.
+
+    That equality rests on which kernels BLAS picks by product size
+    (``decohd.model.stack_rows``), a rule measured on ``MEASURED_BLAS``
+    only.  ``BLAS`` is the one numpy was built with, from its
+    ``show_config``; a failure names both, so that a difference on
+    another BLAS reads as a platform difference."""
+
+    MEASURED_BLAS = "scipy-openblas 0.3.31"
+    BLAS = "{name} {version}".format_map(
+        {"name": "unknown", "version": "", **np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})})
+
+    def assert_stacked_bits(self, stacked, expected):
+        try:
+            assert_same_bits(stacked, expected)
+        except AssertionError as e:
+            raise AssertionError(f"stacked scores differ from score_batch on {self.BLAS}; "
+                                 f"stack_rows's kernel rule was measured on {self.MEASURED_BLAS} only") from e
+
+    @pytest.mark.parametrize("n", [1, 7, 300], ids=["one_row", "small", "stacked"])
+    @pytest.mark.parametrize("case", ["dense", "masked", "linear", "inf_channel", "overflow", "fenced", "every_form"])
+    def test_equals_each_score_batch(self, rng, case, n):
+        # At n=300 and D=2048 every product exceeds BLAS's small-matrix
+        # size, so the variants stack; a one-row or small input scores
+        # each alone (decohd.model.stack_rows).
+        variants = stack_variants(rng, case, dim=2048)
+        h = rng.standard_normal((n, 2048)).astype(np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if case == "overflow":
+                assert np.isfinite(variants[0]._prototypes).all()
+                assert not np.isfinite(h @ variants[0]._prototypes.T).all()
+        stacked = list(type(variants[0]).score_stack(iter(variants), h))
+        assert len(stacked) == len(variants)
+        kept = [hasattr(v, "bank") and "basis" in vars(v.bank) for v in variants]
+        for v, scores in zip(variants, stacked):
+            self.assert_stacked_bits(scores, v.score_batch(h))
+        if n == 300 and case in ("dense", "masked", "linear"):
+            assert all(s.base is not None and s.base is stacked[0].base for s in stacked)  # columns of one product
+        if case == "fenced":  # a stacked bank's basis is built into the stack, not kept
+            assert kept == [n != 300] * len(variants)
+
+    def test_stacks_hold_at_most_the_cap_and_are_taken_lazily(self):
+        pulled, groups = [], []
+
+        def variants():
+            for r in (3, 3, math.inf, 2, 639, 1, 700, 5):
+                pulled.append(r)
+                yield r
+
+        def score(group):
+            groups.append((list(group), len(pulled)))
+            return group
+
+        assert list(model.in_stacks(variants(), lambda r: r, score)) == [3, 3, math.inf, 2, 639, 1, 700, 5]
+        assert model.STACK_ROWS == 640
+        # Each group is scored once the variant after it is pulled.
+        assert groups == [([3, 3], 3), ([math.inf], 4), ([2], 5), ([639, 1], 7), ([700], 8), ([5], 8)]
+
+    @pytest.mark.parametrize("n, rows, width, stacked", [
+        (1, 26, 10**6, False), (2, 1, 10**6, False), (40, 5, 5000, False), (40, 5, 5001, True), (1040, 26, 10000, True),
+    ])
+    def test_only_blocked_products_stack(self, n, rows, width, stacked):
+        # One row or column, or at most 10**6 multiply-accumulates, takes
+        # another BLAS kernel than a stacked product.
+        assert model.stack_rows(n, rows, width) == (rows if stacked else math.inf)
 
 
 class TestSparseStored:
